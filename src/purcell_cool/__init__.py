@@ -44,10 +44,8 @@ from .errors import (
     EmptyWindow,
     GridOverlapsConductor,
     InsufficientSpan,
-    LabelAmbiguity,
     MissingLevel,
     NoConvergence,
-    NonConvergence,
     PurcellCoolError,
     SchemaError,
     StateCollision,
@@ -74,8 +72,6 @@ from .hamiltonian import (
     Transition,
     build_hamiltonian,
     hyperfine_splitting,
-    jacobi_eigh,
-    label_levels,
     labeled_eigensystem,
     resonance_groups,
     spectrum_vs_field,
@@ -90,7 +86,6 @@ from .polarization import (
     find_quasi_degenerate_pair,
     manifold_population_difference,
     population_difference,
-    spin_half_polarization,
 )
 from .thermal import (
     BathCoupling,

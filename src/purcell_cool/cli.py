@@ -9,9 +9,9 @@ Exit codes: 0 ok, 2 config/usage, 3 solver or fit convergence, 4 I/O.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import hashlib
 import json
+import math
 import sys
 import time
 
@@ -22,7 +22,6 @@ from . import blochsim, coupling, estimators, hamiltonian, polarization, thermal
 from .config import parse_config
 from .errors import (
     NoConvergence,
-    NonConvergence,
     PurcellCoolError,
     SchemaError,
     StepUnderflow,
@@ -76,6 +75,13 @@ def _fit_result_json(res):
         "residual_norm": res.residual_norm,
         "converged": res.converged,
     }
+
+
+def _positive(value, flag):
+    """A numeric flag that must be a positive, finite number."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{flag} must be positive and finite, got {value!r}")
+    return value
 
 
 # ---------------------------------------------------------------- ensembles
@@ -136,13 +142,9 @@ def _make_ensemble(cfg, b0):
 def cmd_spectrum(cfg, args, outdir):
     params = cfg.spin_params()
     omega0 = args.omega0 or cfg.resonator_params().omega0
-    n = int(round((args.b0_max - args.b0_min) / args.b0_step)) + 1
+    n = int(round((args.b0_max - args.b0_min) / _positive(args.b0_step, "--b0-step"))) + 1
     grid = np.linspace(args.b0_min, args.b0_max, n)
-    if args.threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=args.threads) as pool:
-            field_spec = hamiltonian.spectrum_vs_field(params, grid, omega0, mapper=pool.map)
-    else:
-        field_spec = hamiltonian.spectrum_vs_field(params, grid, omega0)
+    field_spec = hamiltonian.spectrum_vs_field(params, grid, omega0)
     _write_csv(
         outdir / "spectrum.csv",
         ["b0_T", "lowerF", "lowerM", "upperF", "upperM", "freq_Hz", "sx", "sy"],
@@ -195,7 +197,7 @@ def cmd_polarization(cfg, args, outdir):
             float(t),
             polarization.population_difference(levels, pair, float(t)),
             polarization.approx_population_difference(float(t), res.omega0),
-            polarization.spin_half_polarization(float(t), res.omega0),
+            thermal.spin_polarization(float(t), res.omega0),
         ))
     _write_csv(outdir / "polarization.csv",
                ["T_K", "dn_exact", "dn_approx", "p_spin_half"], rows)
@@ -340,7 +342,7 @@ def cmd_fit_psd(cfg, args, outdir):
 
 
 def cmd_snr(cfg, args, outdir):
-    gamma1 = args.gamma1
+    gamma1 = _positive(args.gamma1, "--gamma1")
     t_lo = args.trep_min or 0.01 / gamma1
     t_hi = args.trep_max or 10.0 / gamma1
     ts = np.geomspace(t_lo, t_hi, args.trep_points)
@@ -384,7 +386,6 @@ def build_parser():
         p.add_argument("--config", required=needs_config, help="YAML config file")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
-        p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("spectrum", help="transition frequencies vs field")
     common(p, True)
@@ -492,7 +493,7 @@ def main(argv=None):
     except SchemaError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (NonConvergence, NoConvergence, StepUnderflow) as exc:
+    except (NoConvergence, StepUnderflow) as exc:
         print(f"convergence failure: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

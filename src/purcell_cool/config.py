@@ -9,6 +9,7 @@ of the offending field.
 from __future__ import annotations
 
 import copy
+import math
 import re
 from dataclasses import dataclass
 
@@ -207,6 +208,21 @@ def _coerce_numeric_strings(node):
     return node
 
 
+def _nonfinite_path(node, path=()):
+    """Dotted path of the first inf or nan number in node, or None."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return ".".join(path) if isinstance(node, float) and not math.isfinite(node) else None
+    for key, val in items:
+        found = _nonfinite_path(val, path + (str(key),))
+        if found is not None:
+            return found
+    return None
+
+
 def _merge(base, overlay):
     out = copy.deepcopy(base)
     for key, val in overlay.items():
@@ -289,6 +305,9 @@ def parse_config_text(text, name="<config>"):
         err = errors[0]
         path = ".".join(str(p) for p in err.absolute_path) or "<root>"
         raise SchemaError(f"{name}: {path}: {err.message}")
+    path = _nonfinite_path(data)
+    if path is not None:
+        raise SchemaError(f"{name}: {path}: numbers must be finite")
     return ExperimentConfig(raw=_merge(DEFAULTS, data))
 
 

@@ -13,20 +13,12 @@ class SchemaError(PurcellCoolError):
     """Config file failed validation; message carries the dotted field path."""
 
 
-class NonConvergence(PurcellCoolError):
-    """Iterative eigensolver exhausted its sweep budget."""
-
-
 class NoConvergence(PurcellCoolError):
     """Nonlinear fit exhausted its iteration budget."""
 
 
 class StepUnderflow(PurcellCoolError):
     """Adaptive ODE control drove the step below 1e-15 s."""
-
-
-class LabelAmbiguity(PurcellCoolError):
-    """Two eigenstates in the same m sector could not be ordered."""
 
 
 class MissingLevel(PurcellCoolError):

@@ -14,10 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from scipy.constants import h as PLANCK
+from scipy.constants import k as BOLTZMANN
 
 from .errors import InsufficientSpan, NoConvergence
 from .optimize import levenberg_marquardt, nelder_mead, numeric_jacobian
-from .thermal import BathCoupling, bose_occupation, cooling_factor
+from .thermal import BathCoupling, cooling_factor
 
 
 @dataclass(frozen=True)
@@ -152,8 +153,14 @@ def psd_model(omega, params, config):
     omega = np.asarray(omega, dtype=float)
     res = params.resonator
     beta = _beta(omega, res)
-    n_phon = np.vectorize(lambda f: bose_occupation(params.t_phon, f))(omega)
-    n_int = np.vectorize(lambda f: bose_occupation(params.t_int, f))(omega)
+    # bose_occupation at both bath temperatures over the whole grid at once,
+    # with its t = 0 and x > 700 limits
+    t = np.reshape([params.t_phon, params.t_int], (2,) + (1,) * omega.ndim)
+    if (t < 0).any() or (omega <= 0).any():
+        raise ValueError("need t >= 0 and omega > 0")
+    with np.errstate(divide="ignore"):
+        x = PLANCK * omega / (BOLTZMANN * t)
+    n_phon, n_int = np.where(x > 700, 0.0, 1.0 / np.expm1(np.minimum(x, 700.0)))
     off = n_phon if config == "hot" else params.alpha * n_phon
     bracket = (1 - beta) * off + beta * n_int + 0.5 + params.n_twpa
     return params.gain_at(omega) * PLANCK * omega * bracket

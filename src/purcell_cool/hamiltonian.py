@@ -1,4 +1,4 @@
-"""Donor spin Hamiltonian: construction, diagonalization, level labeling.
+"""Donor spin Hamiltonian: construction, sector-by-sector eigenpairs, labels.
 
 The electron (S = 1/2) couples to the host nucleus (I = 9/2 for Bi in Si)
 through an isotropic hyperfine term, and both carry a Zeeman term:
@@ -10,7 +10,10 @@ and F = 5 (11 levels) manifolds, split by A(I + 1/2) at zero field. F_z
 commutes with H at every field, so each total-projection m sector evolves
 independently in B0; within a two-state sector the hyperfine coupling never
 vanishes, so the two branches never cross and the adiabatic (F, m) label of
-a level is simply its energy rank inside its own m sector.
+a level is simply its energy rank inside its own m sector. The eigenpairs are
+therefore built sector by sector in closed form (Breit & Rabi 1931);
+build_hamiltonian keeps the full matrix as the reference they are tested
+against.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LabelAmbiguity, MissingLevel, NonConvergence
+from .errors import MissingLevel
 
 GAMMA_E_SI_BI = 27.997e9  # Hz/T
 GAMMA_N_SI_BI = 6.9e6  # Hz/T
@@ -118,71 +121,6 @@ def build_hamiltonian(params, b0):
     return HermitianOperator(params.dim, h)
 
 
-def jacobi_eigh(matrix, tol=1e-13, max_sweeps=100):
-    """Cyclic Jacobi diagonalization of a complex Hermitian matrix.
-
-    Returns (eigenvalues ascending, eigenvector columns). Convergence is
-    declared when the off-diagonal Frobenius norm falls below tol times the
-    matrix norm. The dimension here is fixed and small, so robustness beats
-    asymptotic speed.
-    """
-    a = np.array(matrix, dtype=complex)
-    n = a.shape[0]
-    v = np.eye(n, dtype=complex)
-    scale = np.linalg.norm(a)
-    if scale == 0.0:
-        return np.zeros(n), v
-    threshold = tol * scale
-    # rotate everything an order below the target so skipped mass can never
-    # add back up to the threshold
-    rot_cutoff = 0.1 * threshold / n
-    for _ in range(max_sweeps):
-        strict = np.array(a, copy=True)
-        np.fill_diagonal(strict, 0.0)
-        if np.linalg.norm(strict) < threshold:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                mag = abs(apq)
-                if mag <= rot_cutoff:
-                    continue
-                phase = apq / mag
-                tau = (a[q, q].real - a[p, p].real) / (2.0 * mag)
-                if tau != 0.0:
-                    t = 1.0 / (tau + math.copysign(math.sqrt(tau * tau + 1.0), tau))
-                else:
-                    t = 1.0
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                sp = s * phase
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - np.conj(sp) * col_q
-                a[:, q] = sp * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - sp * row_q
-                a[q, :] = np.conj(sp) * row_p + c * row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vcol_p = v[:, p].copy()
-                vcol_q = v[:, q].copy()
-                v[:, p] = c * vcol_p - np.conj(sp) * vcol_q
-                v[:, q] = sp * vcol_p + c * vcol_q
-    else:
-        raise NonConvergence(f"off-diagonal norm above {tol:g}*|H| after {max_sweeps} sweeps")
-    w = np.diag(a).real
-    order = np.argsort(w, kind="stable")
-    return w[order], v[:, order]
-
-
-def eigensystem(op):
-    """Full spectral decomposition of a HermitianOperator, ascending energy."""
-    w, v = jacobi_eigh(op.entries)
-    return [(float(w[k]), v[:, k].copy()) for k in range(op.dim)]
-
-
 @dataclass(frozen=True)
 class LabeledLevel:
     index: int
@@ -200,92 +138,63 @@ class Transition:
     sy_element: float
 
 
-def _label(eig, params, b0):
-    """Shared labeling core; returns (levels, column-aligned eigenvectors)."""
-    if abs(2 * params.s - 1) > 1e-12:
-        raise ValueError("level labeling assumes an electron spin of 1/2")
-    energies = np.array([e for e, _ in eig])
-    vecs = np.column_stack([v for _, v in eig])
-    order = np.argsort(energies, kind="stable")
-    energies = energies[order]
-    vecs = vecs[:, order]
-    ops = _spin_operators(params)
-    fz = ops["fz"]
-    f_low = int(round(params.i - params.s))
-    f_up = int(round(params.i + params.s))
-    scale = max(abs(energies).max(), params.hyperfine_a)
+def labeled_eigensystem(params, b0):
+    """Eigenpairs and adiabatic (F, m) labels at field b0, built per m sector.
+
+    For S = 1/2, H conserves m = m_S + m_I. The stretched states
+    m = +-(I + 1/2) are eigenstates on their own; every other m couples
+    |+1/2, m - 1/2> and |-1/2, m + 1/2> through the hyperfine off-diagonal
+    (A/2) sqrt((I + 1/2)^2 - m^2), which never vanishes, so the lower root is
+    F = I - 1/2 and the upper root F = I + 1/2 at every field (Breit-Rabi).
+    Returns (levels in ascending energy, aligned eigenvector columns in the
+    product basis of build_hamiltonian).
+    """
+    if not (math.isfinite(b0) and b0 >= 0):
+        raise ValueError("b0 must be finite and nonnegative")
+    if params.s != 0.5:
+        raise ValueError("the sector solution needs an electron spin of 1/2")
+    if params.i <= 0 or float(params.i).is_integer():
+        raise ValueError("the sector solution needs I to be a positive half-odd-integer")
+    a, i = params.hyperfine_a, params.i
+    dim_i = int(round(2 * i)) + 1
+    ze = b0 * params.gamma_e / 2
+    zn = b0 * params.gamma_n
+
+    # 2x2 sectors: basis |+1/2, m - 1/2> (index p) and |-1/2, m + 1/2> (index q)
+    m = np.arange(1, dim_i) - (i + 0.5)
+    p = (i + 0.5 - m).astype(int)
+    q = dim_i + p - 1
+    h_pp = ze - zn * (m - 0.5) + a / 2 * (m - 0.5)
+    h_qq = -ze - zn * (m + 0.5) - a / 2 * (m + 0.5)
+    h_pq = a / 2 * np.sqrt((i + 0.5) ** 2 - m**2)
+    half_gap = np.hypot((h_pp - h_qq) / 2, h_pq)
+    theta = np.arctan2(h_pq, (h_pp - h_qq) / 2) / 2
+    centre = (h_pp + h_qq) / 2
 
     n = params.dim
-    m_vals = np.empty(n, dtype=int)
-    f_vals = np.empty(n, dtype=int)
-    if b0 == 0:
-        # manifolds are degenerate: rotate each cluster to diagonalize F_z,
-        # then read both m and F directly from expectation values
-        start = 0
-        while start < n:
-            stop = start + 1
-            while stop < n and energies[stop] - energies[start] < 1e-9 * scale:
-                stop += 1
-            block = vecs[:, start:stop]
-            fz_block = block.conj().T @ fz @ block
-            _, u = jacobi_eigh(fz_block)
-            block = block @ u
-            vecs[:, start:stop] = block
-            for k in range(start, stop):
-                v = vecs[:, k]
-                m_exp = float((v.conj() @ fz @ v).real)
-                f2_exp = float((v.conj() @ ops["f2"] @ v).real)
-                m_vals[k] = round(m_exp)
-                f_vals[k] = round((-1 + math.sqrt(1 + 4 * f2_exp)) / 2)
-            start = stop
-    else:
-        sectors = {}
-        for k in range(n):
-            v = vecs[:, k]
-            m_exp = float((v.conj() @ fz @ v).real)
-            m = round(m_exp)
-            if abs(m_exp - m) > 1e-6:
-                raise LabelAmbiguity(f"level {k}: <F_z> = {m_exp:.9f} is not integral")
-            m_vals[k] = m
-            sectors.setdefault(m, []).append(k)
-        for m, members in sectors.items():
-            if len(members) == 1:
-                f_vals[members[0]] = f_up
-            elif len(members) == 2:
-                lo, hi = sorted(members, key=lambda k: energies[k])
-                if energies[hi] - energies[lo] < 1e-12 * scale:
-                    raise LabelAmbiguity(f"degenerate pair in m = {m} sector")
-                f_vals[lo] = f_low
-                f_vals[hi] = f_up
-            else:
-                raise LabelAmbiguity(f"m = {m} sector holds {len(members)} levels")
+    energies = np.concatenate([
+        centre - half_gap,
+        centre + half_gap,
+        [ze - zn * i + a * i / 2, -ze + zn * i + a * i / 2],
+    ])
+    f_vals = np.concatenate([np.full(dim_i - 1, i - 0.5), np.full(dim_i + 1, i + 0.5)])
+    m_vals = np.concatenate([m, m, [i + 0.5, -(i + 0.5)]])
+    vecs = np.zeros((n, n))
+    cols = np.arange(dim_i - 1)
+    vecs[p, cols] = -np.sin(theta)
+    vecs[q, cols] = np.cos(theta)
+    vecs[p, cols + dim_i - 1] = np.cos(theta)
+    vecs[q, cols + dim_i - 1] = np.sin(theta)
+    vecs[0, n - 2] = 1.0
+    vecs[n - 1, n - 1] = 1.0
 
-    mean = float(energies.mean())
+    order = np.argsort(energies, kind="stable")
+    energies = energies[order] - energies.mean()
     levels = [
-        LabeledLevel(index=k, energy=float(energies[k] - mean), f=int(f_vals[k]), m=int(m_vals[k]))
-        for k in range(n)
+        LabeledLevel(index=k, energy=float(energies[k]), f=int(f_vals[j]), m=int(m_vals[j]))
+        for k, j in enumerate(order)
     ]
-    seen = {(lv.f, lv.m) for lv in levels}
-    if len(seen) != n:
-        raise LabelAmbiguity("duplicate (F, m) assignment")
-    return levels, vecs
-
-
-def label_levels(eig, params, b0):
-    """Assign adiabatic (F, m) labels to an eigensystem at field b0."""
-    levels, _ = _label(eig, params, b0)
-    return levels
-
-
-def labeled_eigensystem(params, b0):
-    """Diagonalize at b0 and label in one call; returns (levels, eigenvectors).
-
-    The eigenvector columns align with the returned levels (ascending energy,
-    rotated to definite F_z at zero field), which is the form transition_table
-    expects.
-    """
-    eig = eigensystem(build_hamiltonian(params, b0))
-    return _label(eig, params, b0)
+    return levels, vecs[:, order]
 
 
 def transition_table(levels, eigenvectors, params, floor=1e-4):
@@ -293,31 +202,28 @@ def transition_table(levels, eigenvectors, params, floor=1e-4):
 
     Transitions whose sx element falls below the floor are dropped.
     """
-    ops = _spin_operators(params)
-    sx = ops["sx"]
-    sy = ops["sy"]
+    # S (x) 1 acts on the electron index alone: the rows of each column group
+    # into one block of I-components per m_S
+    sx_e, sy_e, _ = angular_momentum_ops(params.s)
+    v = eigenvectors
+    blocks = v.reshape(sx_e.shape[0], -1)
+    sx = np.abs(v.conj().T @ (sx_e @ blocks).reshape(v.shape))
+    sy = np.abs(v.conj().T @ (sy_e @ blocks).reshape(v.shape))
+    f = np.array([lv.f for lv in levels])
+    m = np.array([lv.m for lv in levels])
+    allowed = (np.abs(f[:, None] - f) == 1) & (np.abs(m[:, None] - m) == 1) & (sx >= floor)
     out = []
-    n = len(levels)
-    for a in range(n):
-        for b in range(a + 1, n):
-            la, lb = levels[a], levels[b]
-            if abs(la.f - lb.f) != 1 or abs(la.m - lb.m) != 1:
-                continue
-            va = eigenvectors[:, a]
-            vb = eigenvectors[:, b]
-            sx_el = abs(complex(va.conj() @ sx @ vb))
-            if sx_el < floor:
-                continue
-            sy_el = abs(complex(va.conj() @ sy @ vb))
-            out.append(
-                Transition(
-                    lower=(la.f, la.m),
-                    upper=(lb.f, lb.m),
-                    frequency=float(lb.energy - la.energy),
-                    sx_element=float(sx_el),
-                    sy_element=float(sy_el),
-                )
+    for a, b in zip(*np.nonzero(np.triu(allowed, 1))):
+        la, lb = levels[a], levels[b]
+        out.append(
+            Transition(
+                lower=(la.f, la.m),
+                upper=(lb.f, lb.m),
+                frequency=float(lb.energy - la.energy),
+                sx_element=float(sx[a, b]),
+                sy_element=float(sy[a, b]),
             )
+        )
     return out
 
 
@@ -334,23 +240,23 @@ class FieldSpectrum:
     resonances: list  # ResonantField
 
 
-def spectrum_vs_field(params, b0_grid, omega0, floor=1e-4, mapper=map):
+def spectrum_vs_field(params, b0_grid, omega0, floor=1e-4):
     """Transition frequencies on a field grid plus resonance crossings.
 
     Crossings of each (lower, upper) branch with omega0 are located by linear
-    interpolation between adjacent grid points. Fields are independent, so a
-    parallel `mapper` (e.g. ThreadPoolExecutor.map) may be supplied; results
-    are merged in grid order either way.
+    interpolation between adjacent grid points.
     """
     grid = [float(b) for b in b0_grid]
+    if not grid:
+        raise ValueError("b0 grid is empty")
     if any(b2 <= b1 for b1, b2 in zip(grid, grid[1:])):
         raise ValueError("b0 grid must be strictly increasing")
 
-    def _one_field(b0):
+    per_field = []
+    for b0 in grid:
         levels, vecs = labeled_eigensystem(params, b0)
-        return {(t.lower, t.upper): t for t in transition_table(levels, vecs, params, floor)}
-
-    per_field = list(mapper(_one_field, grid))
+        table = transition_table(levels, vecs, params, floor)
+        per_field.append({(t.lower, t.upper): t for t in table})
 
     rows = []
     for b0, table in zip(grid, per_field):

@@ -17,6 +17,7 @@ from scipy.constants import h as PLANCK
 from scipy.constants import k as BOLTZMANN
 
 from .errors import StateCollision
+from .thermal import spin_polarization
 
 
 @dataclass(frozen=True)
@@ -92,18 +93,9 @@ def find_quasi_degenerate_pair(transitions, target, window=5e6):
     raise ValueError(f"no quasi-degenerate pair within {window:g} Hz of {target:g} Hz")
 
 
-def spin_half_polarization(t, omega):
-    """tanh(h omega / 2 k t); saturates at 1 for t = 0."""
-    if t < 0:
-        raise ValueError("temperature must be nonnegative")
-    if t == 0:
-        return 1.0
-    return math.tanh(PLANCK * omega / (2 * BOLTZMANN * t))
-
-
 def approx_population_difference(t, omega0):
     """Spin-1/2 style estimate tanh(x/2)/10 with x = h omega0 / k t."""
-    return spin_half_polarization(t, omega0) / 10.0
+    return spin_polarization(t, omega0) / 10.0
 
 
 def manifold_population_difference(t, omega0, n_lower=9, n_upper=11):

@@ -92,6 +92,8 @@ def occupation_temperature(n, omega):
 
 def spin_polarization(t, omega):
     """Two-level thermal polarization tanh(h omega / 2 k t); 1 at t = 0."""
+    if t < 0:
+        raise ValueError("temperature must be nonnegative")
     if t == 0:
         return 1.0
     return math.tanh(PLANCK * omega / (2 * BOLTZMANN * t))

@@ -120,6 +120,16 @@ class TestSchemaErrors:
             cfg.parse_config_text("resonator: [unclosed\n")
         assert "not valid YAML" in str(err.value)
 
+    @pytest.mark.parametrize("text, field", [
+        (RESON.replace("7.408e+9", ".inf"), "resonator.omega0_hz"),
+        (RESON + "ensemble:\n  t2_s: .nan\n", "ensemble.t2_s"),
+        (RESON + "sequence:\n  dt_list_s: [1.0e-3, .inf]\n", "sequence.dt_list_s.1"),
+    ])
+    def test_nonfinite_number_rejected(self, text, field):
+        with pytest.raises(SchemaError) as err:
+            cfg.parse_config_text(text, name="run.yaml")
+        assert str(err.value).startswith(f"run.yaml: {field}: numbers must be finite")
+
     def test_range_violation(self):
         with pytest.raises(SchemaError):
             cfg.parse_config_text(RESON + "scenario:\n  alpha: 1.5\n")

@@ -81,6 +81,30 @@ class TestPsd:
             + beta0 * bose_occupation(0.95, OMEGA0) + 0.5 + 0.6)
         assert abs(s[20] - want) < 1e-12 * want
 
+    @pytest.mark.parametrize("t_phon", [0.0, 0.02, 0.85])
+    @pytest.mark.parametrize("config", ["hot", "cold"])
+    def test_array_occupations_match_scalar(self, t_phon, config):
+        omega = OMEGA0 + np.linspace(-3e6, 3e6, 41)
+        p = est.PsdModelParams(gain=1.0, n_twpa=0.6, t_int=0.95, alpha=0.47,
+                               resonator=RES, t_phon=t_phon)
+        n_phon = np.array([bose_occupation(t_phon, f) for f in omega])
+        n_int = np.array([bose_occupation(0.95, f) for f in omega])
+        beta = 4 * RES.kappa_int * RES.kappa_ext / (
+            RES.kappa**2 + 4 * (2 * math.pi * (omega - OMEGA0)) ** 2)
+        off = n_phon if config == "hot" else 0.47 * n_phon
+        want = est.PLANCK * omega * ((1 - beta) * off + beta * n_int + 0.5 + 0.6)
+        assert np.allclose(est.psd_model(omega, p, config), want, rtol=1e-12, atol=0)
+
+    def test_occupation_inputs_validated(self):
+        p = est.PsdModelParams(gain=1.0, n_twpa=0.6, t_int=-0.1, alpha=1.0,
+                               resonator=RES, t_phon=0.85)
+        with pytest.raises(ValueError):
+            est.psd_model(OMEGA0, p, "hot")
+        p = est.PsdModelParams(gain=1.0, n_twpa=0.6, t_int=0.95, alpha=1.0,
+                               resonator=RES, t_phon=0.85)
+        with pytest.raises(ValueError):
+            est.psd_model(np.array([OMEGA0, 0.0]), p, "hot")
+
     def test_hot_joint_round_trip(self):
         omega, s = psd_points("hot", 1.1, 1.3, 1.0)
         fit = est.fit_psd(zip(omega, s), {"resonator": RES, "t_phon": 0.85}, "hot")

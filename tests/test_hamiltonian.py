@@ -1,43 +1,12 @@
-import concurrent.futures
-
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from purcell_cool import hamiltonian as ham
 from purcell_cool.errors import MissingLevel
 
 from _frozen import FROZEN
-
-
-def random_hermitian(n, seed):
-    rng = np.random.default_rng(seed)
-    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    return (a + a.conj().T) / 2
-
-
-class TestJacobi:
-    def test_matches_library_eigh(self):
-        for seed in range(6):
-            h = random_hermitian(20, seed)
-            w, v = ham.jacobi_eigh(h)
-            ref = np.linalg.eigvalsh(h)
-            assert np.allclose(w, ref, atol=1e-11 * np.linalg.norm(h))
-
-    def test_eigenvectors_diagonalize(self):
-        h = random_hermitian(15, 99)
-        w, v = ham.jacobi_eigh(h)
-        assert np.allclose(v.conj().T @ h @ v, np.diag(w), atol=1e-10)
-        assert np.allclose(v.conj().T @ v, np.eye(15), atol=1e-12)
-
-    def test_real_symmetric(self):
-        h = random_hermitian(10, 3).real
-        w, _ = ham.jacobi_eigh(h.astype(complex))
-        assert np.allclose(w, np.linalg.eigvalsh(h), atol=1e-12 * np.linalg.norm(h))
-
-    def test_degenerate_diagonal(self):
-        w, v = ham.jacobi_eigh(np.diag([2.0, 2.0, -1.0]).astype(complex))
-        assert np.allclose(w, [-1.0, 2.0, 2.0])
-        assert np.allclose(np.abs(v.conj().T @ v), np.eye(3), atol=1e-14)
 
 
 def test_angular_momentum_algebra():
@@ -119,16 +88,6 @@ class TestFieldScan:
         means = sorted(float(np.mean([r.b0 for r in g])) for g in groups)
         assert np.allclose(means, FROZEN["group_mean_fields_t"], atol=2e-5)
 
-    def test_mapper_is_order_invariant(self):
-        grid = np.linspace(0.0, 0.02, 21)
-        serial = ham.spectrum_vs_field(self.params, grid, 7.408e9)
-        with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
-            threaded = ham.spectrum_vs_field(self.params, grid, 7.408e9, mapper=pool.map)
-        assert [r.b0 for r in serial.resonances] == [r.b0 for r in threaded.resonances]
-        assert [(b, t.frequency) for b, t in serial.rows] == [
-            (b, t.frequency) for b, t in threaded.rows
-        ]
-
 
 def test_hyperfine_splitting_missing_level():
     levels, _ = ham.labeled_eigensystem(ham.SpinSystemParams.si_bi(), 0.01)
@@ -174,7 +133,8 @@ def test_two_spin_half_matches_breit_rabi():
     ge, gn = 28.0e9, 7.0e6
     params = ham.SpinSystemParams(gamma_e=ge, gamma_n=gn, hyperfine_a=a, s=0.5, i=0.5)
     for b0 in (0.0, 1e-3, 20e-3, 0.1):
-        w = np.array(sorted(e for e, _ in ham.eigensystem(ham.build_hamiltonian(params, b0))))
+        levels, _ = ham.labeled_eigensystem(params, b0)
+        w = np.array([lv.energy for lv in levels])
         b = b0 * (ge + gn) / 2
         exact = np.array(sorted([
             a / 4 + b0 * (ge - gn) / 2,
@@ -183,3 +143,75 @@ def test_two_spin_half_matches_breit_rabi():
             -a / 4 - np.hypot(b, a / 2),
         ]))
         assert np.allclose(w, exact, rtol=1e-10, atol=1e-4)
+
+
+FIELDS_T = (0.0, 1e-4, 1.3e-3, 1.68e-3, 9.5e-3, 30e-3, 62.5e-3, 1.0)
+
+
+@pytest.mark.parametrize("b0", FIELDS_T)
+def test_sector_energies_match_full_diagonalization(b0):
+    params = ham.SpinSystemParams.si_bi()
+    h = ham.build_hamiltonian(params, b0).entries
+    levels, _ = ham.labeled_eigensystem(params, b0)
+    ref = np.linalg.eigvalsh(h)
+    w = np.array([lv.energy for lv in levels])
+    assert np.all(np.diff(w) >= 0)
+    assert np.allclose(w, ref, rtol=0, atol=1e-9 * np.linalg.norm(h))
+
+
+@pytest.mark.parametrize("b0", FIELDS_T)
+def test_sector_eigenvectors_diagonalize_h_and_fz(b0):
+    params = ham.SpinSystemParams.si_bi()
+    ops = ham._spin_operators(params)
+    h = ham.build_hamiltonian(params, b0).entries
+    levels, v = ham.labeled_eigensystem(params, b0)
+    scale = np.linalg.norm(h)
+    assert np.allclose(v.conj().T @ v, np.eye(params.dim), atol=1e-12)
+    hv = v.conj().T @ h @ v
+    assert np.allclose(hv - np.diag(np.diag(hv)), 0.0, atol=1e-9 * scale)
+    fz = v.conj().T @ ops["fz"] @ v
+    assert np.allclose(fz, np.diag([lv.m for lv in levels]), atol=1e-12)
+
+
+def test_zero_field_labels_agree_with_total_angular_momentum():
+    params = ham.SpinSystemParams.si_bi()
+    f2 = ham._spin_operators(params)["f2"]
+    levels, v = ham.labeled_eigensystem(params, 0.0)
+    for k, lv in enumerate(levels):
+        f2_exp = float((v[:, k].conj() @ f2 @ v[:, k]).real)
+        assert abs(f2_exp - lv.f * (lv.f + 1)) < 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    i=st.sampled_from([0.5, 1.5, 2.5, 3.5, 4.5]),
+    gamma_e=st.floats(1e9, 1e11),
+    gamma_n=st.floats(-1e8, 1e8),
+    a=st.floats(1e7, 1e10),
+    b0=st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+)
+def test_sector_labels_and_energies_for_any_half_odd_nucleus(i, gamma_e, gamma_n, a, b0):
+    params = ham.SpinSystemParams(gamma_e=gamma_e, gamma_n=gamma_n, hyperfine_a=a, s=0.5, i=i)
+    levels, _ = ham.labeled_eigensystem(params, b0)
+    f_lo, f_up = round(i - 0.5), round(i + 0.5)
+    expected = {(f_lo, m) for m in range(-f_lo, f_lo + 1)}
+    expected |= {(f_up, m) for m in range(-f_up, f_up + 1)}
+    labels = [(lv.f, lv.m) for lv in levels]
+    assert len(labels) == len(set(labels)) == params.dim
+    assert set(labels) == expected
+    h = ham.build_hamiltonian(params, b0).entries
+    w = np.array([lv.energy for lv in levels])
+    assert np.allclose(w, np.linalg.eigvalsh(h), rtol=0, atol=1e-9 * np.linalg.norm(h))
+
+
+@pytest.mark.parametrize("b0", [-1e-3, float("nan"), float("inf")])
+def test_labeled_eigensystem_rejects_bad_field(b0):
+    with pytest.raises(ValueError):
+        ham.labeled_eigensystem(ham.SpinSystemParams.si_bi(), b0)
+
+
+@pytest.mark.parametrize("s, i", [(1.5, 4.5), (1.0, 4.5), (0.5, 1.0), (0.5, 0.0)])
+def test_labeled_eigensystem_rejects_unsupported_spins(s, i):
+    params = ham.SpinSystemParams(28e9, 7e6, 1e9, s, i)
+    with pytest.raises(ValueError):
+        ham.labeled_eigensystem(params, 0.0)

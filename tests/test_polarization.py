@@ -87,8 +87,3 @@ def test_approx_population_difference_is_tanh_over_ten():
     for t in (0.3, 0.85, 2.0):
         expect = math.tanh(6.62607015e-34 * OMEGA0 / (2 * 1.380649e-23 * t)) / 10
         assert abs(pol.approx_population_difference(t, OMEGA0) - expect) < 1e-15
-
-
-def test_spin_half_polarization_limits():
-    assert pol.spin_half_polarization(0.0, OMEGA0) == 1.0
-    assert pol.spin_half_polarization(100.0, OMEGA0) < 2e-3

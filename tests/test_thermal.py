@@ -35,6 +35,13 @@ def test_polarization_occupation_identity():
         assert abs(1.0 / (2 * n + 1) - p) < 1e-12
 
 
+def test_spin_polarization_limits():
+    assert thermal.spin_polarization(0.0, OMEGA0) == 1.0
+    assert thermal.spin_polarization(100.0, OMEGA0) < 2e-3
+    with pytest.raises(ValueError):
+        thermal.spin_polarization(-0.1, OMEGA0)
+
+
 def test_effective_occupation_rate_weighting():
     baths = [
         thermal.BathCoupling(rate=3.0, temperature=0.85),
