@@ -12,10 +12,10 @@ from .blochsim import (
     Acquire,
     Delay,
     EchoTrace,
+    Ensemble,
     EnsembleState,
     Pulse,
     PulseSequence,
-    SpinGroup,
     cpmg,
     evolve,
     hahn_echo,

@@ -33,13 +33,18 @@ LONG_DELAY_FACTOR = 100.0  # delays beyond this many 1/kappa skip the ODE
 
 
 @dataclass(frozen=True)
-class SpinGroup:
-    g: float  # Hz
-    detuning: float  # Hz
-    gamma1: float  # s^-1
-    t2: float  # s
-    sz_eq: float  # equilibrium s_z, in [-1, 0]
-    weight: float
+class Ensemble:
+    """Spin groups as parallel arrays, one entry per group."""
+
+    g: np.ndarray  # Hz
+    detuning: np.ndarray  # Hz
+    gamma1: np.ndarray  # s^-1
+    t2: np.ndarray  # s
+    sz_eq: np.ndarray  # equilibrium s_z, in [-1, 0]
+    weight: np.ndarray
+
+    def __len__(self):
+        return len(self.g)
 
 
 @dataclass
@@ -50,10 +55,9 @@ class EnsembleState:
 
     @classmethod
     def equilibrium(cls, groups):
-        n = len(groups)
         return cls(
-            s_minus=np.zeros(n, dtype=complex),
-            s_z=np.array([gr.sz_eq for gr in groups], dtype=float),
+            s_minus=np.zeros(len(groups), dtype=complex),
+            s_z=np.array(groups.sz_eq, dtype=float),
             cavity=0.0,
         )
 
@@ -103,7 +107,8 @@ def init_ensemble(rho, res, spin_temp, t2, *, freq_width=3e6, n_g=40, n_delta=41
 
     The detuning distribution is a square of full width freq_width centered
     on the cavity; each group gets the Purcell rate for its own (g, delta)
-    and the equilibrium polarization of spin_temp.
+    and the equilibrium polarization of spin_temp. Groups are laid out
+    g-major: group k = i_g * n_delta + i_delta, all of equal weight.
     """
     if n_g < 1 or n_delta < 1:
         raise ValueError("need at least one group along each axis")
@@ -115,22 +120,17 @@ def init_ensemble(rho, res, spin_temp, t2, *, freq_width=3e6, n_g=40, n_delta=41
         deltas = np.array([0.0])
     else:
         deltas = np.linspace(-freq_width / 2, freq_width / 2, n_delta)
-    sz_eq = -spin_polarization(spin_temp, res.omega0)
-    w = 1.0 / (n_g * n_delta)
-    groups = []
-    for g in g_vals:
-        for d in deltas:
-            groups.append(
-                SpinGroup(
-                    g=float(g),
-                    detuning=float(d),
-                    gamma1=purcell_rate(float(g), res, float(d)),
-                    t2=t2,
-                    sz_eq=sz_eq,
-                    weight=w,
-                )
-            )
-    return groups
+    g = np.repeat(g_vals, n_delta)
+    detuning = np.tile(deltas, n_g)
+    n = n_g * n_delta
+    return Ensemble(
+        g=g,
+        detuning=detuning,
+        gamma1=purcell_rate(g, res, detuning),
+        t2=np.full(n, float(t2)),
+        sz_eq=np.full(n, -spin_polarization(spin_temp, res.omega0)),
+        weight=np.full(n, 1.0 / n),
+    )
 
 
 def _pack(state):
@@ -146,44 +146,31 @@ def _unpack(y, n):
 
 
 def evolve(state, groups, res, a_in, duration, *, sample_dt=None, rtol=1e-8,
-           atol=1e-10, fixed_step=None, max_amp=None):
-    """Advance the coupled equations by `duration` under drive a_in.
+           atol=1e-10, fixed_step=None):
+    """Advance the coupled equations by `duration` under constant drive a_in.
 
-    a_in is a complex constant or a callable of time (relative to segment
-    start). Returns (state, EchoTrace or None); a trace of the output field
+    groups is an Ensemble and a_in a complex input amplitude. Returns
+    (state, EchoTrace or None); a trace of the output field
     a_out = sqrt(kappa_ext) a - a_in is recorded on a uniform sample_dt comb
-    when sample_dt is given. The integrator step is capped at one tenth of
-    both the cavity lifetime and the fastest drive Rabi period.
+    when sample_dt is given. Error control alone sets the integrator step.
     """
     n = len(groups)
-    g_ang = 2 * math.pi * np.array([gr.g for gr in groups])
-    det_ang = 2 * math.pi * np.array([gr.detuning for gr in groups])
-    gamma1 = np.array([gr.gamma1 for gr in groups])
-    gamma2 = np.array([1.0 / gr.t2 for gr in groups])
-    sz_eq = np.array([gr.sz_eq for gr in groups])
-    wg = np.array([gr.weight for gr in groups]) * g_ang
+    g_ang = 2 * math.pi * groups.g
+    det_ang = 2 * math.pi * groups.detuning
+    gamma1 = groups.gamma1
+    gamma2 = 1.0 / groups.t2
+    sz_eq = groups.sz_eq
+    wg = groups.weight * g_ang
     kappa = res.kappa
     root_kext = math.sqrt(res.kappa_ext)
-
-    drive = a_in if callable(a_in) else (lambda t, _a=complex(a_in): _a)
-    if max_amp is None:
-        max_amp = abs(a_in) if not callable(a_in) else max(
-            abs(drive(duration * k / 200.0)) for k in range(201)
-        )
-    # step cap: a tenth of the cavity lifetime and of the fastest Rabi period
-    max_step = 1.0 / (10.0 * kappa)
-    if max_amp > 0 and g_ang.size:
-        a_ss = 2 * root_kext * max_amp / kappa
-        rabi_hz = 2 * float(g_ang.max()) * a_ss / (2 * math.pi)
-        if rabi_hz > 0:
-            max_step = min(max_step, 1.0 / (10.0 * rabi_hz))
+    drive = root_kext * complex(a_in)
 
     def rhs(t, y):
         a = y[0]
         sm = y[1 : 1 + n]
         sz = y[1 + n :].real
         # single fixed-order dot keeps the reduction deterministic
-        da = -(kappa / 2) * a - 1j * np.dot(wg, sm) + root_kext * drive(t)
+        da = -(kappa / 2) * a - 1j * np.dot(wg, sm) + drive
         dsm = -(1j * det_ang + gamma2) * sm + 1j * g_ang * a * sz
         dsz = -gamma1 * (sz - sz_eq) - 4.0 * g_ang * (np.conj(a) * sm).imag
         return np.concatenate(([da], dsm, dsz.astype(complex)))
@@ -195,25 +182,20 @@ def evolve(state, groups, res, a_in, duration, *, sample_dt=None, rtol=1e-8,
 
     y1, samples = dormand_prince(
         rhs, 0.0, _pack(state), duration,
-        rtol=rtol, atol=atol, max_step=max_step, fixed_step=fixed_step,
-        sample_times=sample_times,
+        rtol=rtol, atol=atol, fixed_step=fixed_step, sample_times=sample_times,
     )
     new_state = _unpack(y1, n)
     trace = None
     if sample_dt is not None:
-        amps = root_kext * samples[:, 0] - np.array([drive(ts) for ts in sample_times])
-        trace = EchoTrace(t=sample_times.copy(), amp=amps)
+        trace = EchoTrace(t=sample_times, amp=root_kext * samples[:, 0] - a_in)
     return new_state, trace
 
 
 def _closed_form_delay(state, groups, res, duration):
     """Exact free decay used for delays far beyond the cavity lifetime."""
-    det_ang = 2 * math.pi * np.array([gr.detuning for gr in groups])
-    gamma1 = np.array([gr.gamma1 for gr in groups])
-    gamma2 = np.array([1.0 / gr.t2 for gr in groups])
-    sz_eq = np.array([gr.sz_eq for gr in groups])
-    sm = state.s_minus * np.exp(-(1j * det_ang + gamma2) * duration)
-    sz = sz_eq + (state.s_z - sz_eq) * np.exp(-gamma1 * duration)
+    sm = state.s_minus * np.exp(
+        -(2j * math.pi * groups.detuning + 1.0 / groups.t2) * duration)
+    sz = groups.sz_eq + (state.s_z - groups.sz_eq) * np.exp(-groups.gamma1 * duration)
     a = state.cavity * math.exp(-res.kappa * duration / 2)
     return EnsembleState(s_minus=sm, s_z=sz, cavity=a)
 

@@ -248,7 +248,7 @@ def _dt_grid(groups, flag_value, cfg_value):
         return [float(v) for v in flag_value.split(",")]
     if cfg_value:
         return [float(v) for v in cfg_value]
-    g1 = float(np.median([gr.gamma1 for gr in groups]))
+    g1 = float(np.median(groups.gamma1))
     return [x / g1 for x in (0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 4.0, 8.0)]
 
 

@@ -1,11 +1,13 @@
 """Adaptive Dormand-Prince 5(4) integrator.
 
-Self-contained embedded Runge-Kutta pair with PI-free step control, used by
-the ensemble simulator. Works on complex state vectors. A fixed-step mode
-bypasses error control for reproducibility experiments. Requested sample
-times are hit exactly by clipping the step, which avoids carrying a dense
-interpolant; sample spacing in this package is always comparable to the
-natural step size.
+Self-contained embedded Runge-Kutta pair (Hairer, Norsett & Wanner, Solving
+ODEs I, II.4-5) with PI-free step control, used by the ensemble simulator.
+Works on complex state vectors. The seven stages of a step live in one
+preallocated (7, n) array and are combined through the tableau matrix; the
+last stage is the derivative at the 5th-order solution and becomes the first
+stage of the next step (FSAL). Fixed-step mode runs the same loop and only
+skips the accept test. Requested sample times are hit exactly by clipping
+the step, which avoids carrying a dense interpolant.
 """
 
 from __future__ import annotations
@@ -16,23 +18,25 @@ import numpy as np
 
 from .errors import StepUnderflow
 
-# Dormand-Prince coefficients. b5 is the FSAL 5th-order weight row.
+# Dormand-Prince tableau. Row i of _A weights the earlier stages of stage i;
+# row 6 is the FSAL 5th-order solution. _E is the 5th- minus 4th-order row.
 _C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
+_A = np.array([
+    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0],
+    [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0],
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
+])
 _B4 = np.array(
     [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
 )
+_E = np.append(_A[6], 0.0) - _B4
 
 _MIN_STEP = 1e-15  # s; adaptive control below this aborts the run
+_MAX_ATTEMPTS = 10_000_000
 
 
 def _error_norm(err, y0, y1, rtol, atol):
@@ -53,7 +57,8 @@ def dormand_prince(f, t0, y0, t1, *, rtol=1e-8, atol=1e-10, max_step=None,
     """
     y = np.asarray(y0, dtype=complex).copy()
     t = float(t0)
-    span = float(t1) - t
+    t1 = float(t1)
+    span = t1 - t
     if span < 0:
         raise ValueError("t1 must be >= t0")
 
@@ -61,72 +66,41 @@ def dormand_prince(f, t0, y0, t1, *, rtol=1e-8, atol=1e-10, max_step=None,
     for ts in stops:
         if ts < t0 - 1e-18 or ts > t1 + abs(t1) * 1e-12 + 1e-18:
             raise ValueError("sample time outside integration span")
-    samples = []
-    stop_idx = 0
-
-    if span == 0:
-        while stop_idx < len(stops):
-            samples.append(y.copy())
-            stop_idx += 1
-        return y, np.array(samples)
 
     hmax = span if max_step is None else min(max_step, span)
-    if fixed_step is not None:
-        h = min(fixed_step, hmax)
-    else:
-        # cheap conservative start; control recovers the right scale fast
-        h = min(hmax, span / 50.0)
-
-    k1 = np.asarray(f(t, y), dtype=complex)
-    nstep = 0
-    while t < t1 - 1e-18 * max(1.0, abs(t1)):
-        nstep += 1
-        if nstep > 10_000_000:
-            raise StepUnderflow("step budget exhausted before reaching t1")
-        # do not step past the next sample time or the end point
-        next_stop = stops[stop_idx] if stop_idx < len(stops) else t1
-        if next_stop <= t + 1e-18 * max(1.0, abs(t)):
-            samples.append(y.copy())
-            stop_idx += 1
-            continue
-        if fixed_step is None and h < _MIN_STEP:
-            raise StepUnderflow(f"dt={h:.3e} s below 1e-15 s at t={t:.6e}")
-        h_try = min(h, next_stop - t, hmax)
-
-        ks = [k1]
-        for i in range(1, 7):
-            yi = y + h_try * np.tensordot(_A[i], ks[:i], axes=(0, 0))
-            ks.append(np.asarray(f(t + _C[i] * h_try, yi), dtype=complex))
-        y5 = y + h_try * np.tensordot(_B5, ks, axes=(0, 0))
-
-        if fixed_step is not None:
-            t = t + h_try
-            y = y5
-            k1 = ks[6]
-            if stop_idx < len(stops) and t >= stops[stop_idx] - 1e-18 * max(1.0, abs(t)):
-                samples.append(y.copy())
-                stop_idx += 1
-            continue
-
-        y4 = y + h_try * np.tensordot(_B4, ks, axes=(0, 0))
-        err = _error_norm(y5 - y4, y, y5, rtol, atol)
-        if not math.isfinite(err):
-            h = h_try / 10.0
-            continue
-        if err <= 1.0:
-            t = t + h_try
-            y = y5
-            k1 = ks[6]  # FSAL
-            if stop_idx < len(stops) and t >= stops[stop_idx] - 1e-18 * max(1.0, abs(t)):
-                samples.append(y.copy())
-                stop_idx += 1
-            grow = 5.0 if err == 0 else min(5.0, 0.9 * err ** -0.2)
-            h = min(hmax, h_try * max(1.0, grow))
-        else:
-            h = h_try * max(0.2, 0.9 * err ** -0.2)
-            k1 = ks[0]
-
-    while stop_idx < len(stops):
-        samples.append(y.copy())
-        stop_idx += 1
-    return y, np.array(samples)
+    # fixed step, or a cheap conservative start that control rescales fast
+    h = min(hmax, span / 50.0 if fixed_step is None else fixed_step)
+    k = np.empty((7, y.size), dtype=complex)
+    if span > 0:
+        k[0] = f(t, y)
+    attempts = 0
+    samples = []
+    # the last stop is t1 itself; its "sample" is y_end and is dropped
+    for stop in stops + [t1]:
+        stop = min(stop, t1)
+        while t < stop - 1e-18 * max(1.0, abs(stop)):
+            attempts += 1
+            if attempts > _MAX_ATTEMPTS:
+                raise StepUnderflow("step budget exhausted before reaching t1")
+            if fixed_step is None and h < _MIN_STEP:
+                raise StepUnderflow(f"dt={h:.3e} s below 1e-15 s at t={t:.6e}")
+            h_try = min(h, stop - t)
+            # rows past i are stale (or unset): 0 * nan would poison the sum
+            for i in range(1, 7):
+                y_new = y + h_try * (_A[i, :i] @ k[:i])
+                k[i] = f(t + _C[i] * h_try, y_new)
+            if fixed_step is None:
+                err = _error_norm(h_try * (_E @ k), y, y_new, rtol, atol)
+                if not math.isfinite(err):
+                    h = h_try / 10.0
+                    continue
+                if err > 1.0:
+                    h = h_try * max(0.2, 0.9 * err ** -0.2)
+                    continue
+                grow = 5.0 if err == 0 else min(5.0, 0.9 * err ** -0.2)
+                h = min(hmax, h_try * max(1.0, grow))
+            t += h_try
+            y = y_new  # rebound, never written in place: samples may hold it
+            k[0] = k[6]  # FSAL
+        samples.append(y)
+    return y, np.array(samples[:-1])

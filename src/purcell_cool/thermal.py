@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
 from scipy.constants import h as PLANCK
 from scipy.constants import k as BOLTZMANN
 
@@ -130,9 +131,9 @@ def purcell_rate(g, res, delta=0.0):
     """Radiative relaxation rate kappa g^2 / (kappa^2/4 + delta^2).
 
     g and delta arrive in cyclic Hz and are converted to angular units here;
-    on resonance this is 4 g^2 / kappa.
+    on resonance this is 4 g^2 / kappa. g and delta may be arrays.
     """
-    if g < 0:
+    if np.any(np.asarray(g) < 0):
         raise ValueError("g must be nonnegative")
     ga = 2 * math.pi * g
     da = 2 * math.pi * delta

@@ -186,7 +186,7 @@ class Test09BlochSimulator:
         from purcell_cool.coupling import CouplingDistribution
         rho = CouplingDistribution.delta(50.0)
         groups = bs.init_ensemble(rho, RES, 0.85, 600e-6, n_g=1, n_delta=1)
-        gamma1 = groups[0].gamma1
+        gamma1 = groups.gamma1[0]
         amp = bs.pi_pulse_amplitude(50.0, RES, 250e-9)
         dts = [x / gamma1 for x in (0.05, 0.2, 0.5, 1.0, 2.0, 4.0, 8.0)]
         traces = []

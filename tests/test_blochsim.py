@@ -7,7 +7,7 @@ from scipy.integrate import solve_ivp
 from purcell_cool import blochsim as bs
 from purcell_cool.coupling import CouplingDistribution
 from purcell_cool.errors import EmptyWindow
-from purcell_cool.thermal import ResonatorParams, spin_polarization
+from purcell_cool.thermal import ResonatorParams, purcell_rate, spin_polarization
 
 OMEGA0 = 7.408e9
 RES = ResonatorParams(omega0=OMEGA0, kappa_int=2 * math.pi * 0.4e6,
@@ -22,25 +22,56 @@ def single_group(g=50.0, delta=0.0):
                             freq_width=2 * delta)
 
 
+def ensemble(g, detuning, gamma1, t2, sz_eq, weight):
+    """Ensemble whose shared scalar parameters are spread over every group."""
+    g = np.asarray(g, dtype=float)
+    return bs.Ensemble(
+        g=g, detuning=np.asarray(detuning, dtype=float),
+        gamma1=np.full(g.size, gamma1), t2=np.full(g.size, t2),
+        sz_eq=np.full(g.size, sz_eq), weight=np.full(g.size, weight),
+    )
+
+
 class TestInitEnsemble:
     def test_weights_normalized(self):
         rho = CouplingDistribution.delta(80.0)
         for n_g, n_d in ((1, 1), (5, 7), (40, 41)):
             groups = bs.init_ensemble(rho, RES, T_SPIN, 600e-6, n_g=n_g, n_delta=n_d)
             assert len(groups) == n_g * n_d
-            assert abs(sum(gr.weight for gr in groups) - 1.0) < 1e-12
+            assert abs(groups.weight.sum() - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("n_g, n_d", [(1, 1), (5, 7), (40, 41)])
+    def test_arrays_g_major_with_per_group_purcell_rate(self, n_g, n_d):
+        # a spread of couplings, so the g-major order is visible
+        rho = CouplingDistribution(bin_edges=np.array([20.0, 60.0, 90.0]),
+                                   weights=np.array([0.3, 0.7]))
+        ens = bs.init_ensemble(rho, RES, T_SPIN, 600e-6, n_g=n_g, n_delta=n_d,
+                               freq_width=2e6)
+        n = n_g * n_d
+        g_vals = rho.quantile((np.arange(n_g) + 0.5) / n_g)
+        deltas = np.linspace(-1e6, 1e6, n_d) if n_d > 1 else np.zeros(1)
+        for k in range(n):
+            i_g, i_d = divmod(k, n_d)
+            assert ens.g[k] == g_vals[i_g]
+            assert ens.detuning[k] == deltas[i_d]
+            assert ens.gamma1[k] == purcell_rate(ens.g[k], RES, ens.detuning[k])
+        for name in ("g", "detuning", "gamma1", "t2", "sz_eq", "weight"):
+            assert getattr(ens, name).shape == (n,)
+        assert np.all(ens.sz_eq == -POL)
+        assert np.all(ens.t2 == 600e-6)
+        assert np.all(ens.weight == 1.0 / n)
 
     def test_single_group_purcell_rate(self):
-        (gr,) = single_group(g=80.0)
+        ens = single_group(g=80.0)
         expect = 4 * (2 * math.pi * 80.0) ** 2 / RES.kappa
-        assert abs(gr.gamma1 - expect) < 1e-12 * expect
-        assert abs(gr.sz_eq + POL) < 1e-15
+        assert abs(ens.gamma1[0] - expect) < 1e-12 * expect
+        assert abs(ens.sz_eq[0] + POL) < 1e-15
 
     def test_detuning_comb_spans_width(self):
         rho = CouplingDistribution.delta(50.0)
         groups = bs.init_ensemble(rho, RES, T_SPIN, 600e-6, n_g=1, n_delta=11,
                                   freq_width=3e6)
-        ds = sorted(gr.detuning for gr in groups)
+        ds = np.sort(groups.detuning)
         assert ds[0] == -1.5e6 and ds[-1] == 1.5e6
 
 
@@ -50,8 +81,8 @@ def test_no_drive_longitudinal_relaxation():
     state = bs.EnsembleState(s_minus=np.zeros(1, complex), s_z=np.array([0.4]))
     dt = 5e-6
     state, _ = bs.evolve(state, groups, RES, 0.0, dt)
-    g1 = groups[0].gamma1
-    expect = groups[0].sz_eq + (0.4 - groups[0].sz_eq) * math.exp(-g1 * dt)
+    g1 = groups.gamma1[0]
+    expect = groups.sz_eq[0] + (0.4 - groups.sz_eq[0]) * math.exp(-g1 * dt)
     assert abs(state.s_z[0] - expect) < 1e-10
     assert abs(state.s_minus[0]) < 1e-12
 
@@ -84,10 +115,8 @@ class TestRabiRotation:
 def test_opposite_detunings_evolve_as_conjugates():
     """With a purely imaginary drive the +delta and -delta groups satisfy
     s-(+d) = conj(s-(-d)) and the cavity amplitude stays imaginary."""
-    groups = [
-        bs.SpinGroup(g=50.0, detuning=+0.5e6, gamma1=0.05, t2=600e-6, sz_eq=-POL, weight=0.5),
-        bs.SpinGroup(g=50.0, detuning=-0.5e6, gamma1=0.05, t2=600e-6, sz_eq=-POL, weight=0.5),
-    ]
+    groups = ensemble(g=[50.0, 50.0], detuning=[+0.5e6, -0.5e6], gamma1=0.05,
+                      t2=600e-6, sz_eq=-POL, weight=0.5)
     amp = bs.pi_pulse_amplitude(50.0, RES, 250e-9)
     state = bs.EnsembleState.equilibrium(groups)
     state, _ = bs.evolve(state, groups, RES, 1j * amp, 250e-9)
@@ -100,11 +129,8 @@ def test_opposite_detunings_evolve_as_conjugates():
 def test_evolve_against_library_integrator():
     """Three detuned groups under constant drive vs scipy solve_ivp."""
     rng = np.random.default_rng(7)
-    groups = [
-        bs.SpinGroup(g=float(g), detuning=float(d), gamma1=0.1, t2=1e-4,
-                     sz_eq=-0.2, weight=1 / 3)
-        for g, d in zip(rng.uniform(30, 90, 3), (-8e5, 1e5, 6e5))
-    ]
+    groups = ensemble(g=rng.uniform(30, 90, 3), detuning=(-8e5, 1e5, 6e5), gamma1=0.1,
+                      t2=1e-4, sz_eq=-0.2, weight=1 / 3)
     state = bs.EnsembleState(
         s_minus=(rng.normal(size=3) + 1j * rng.normal(size=3)) * 0.05,
         s_z=rng.uniform(-0.3, 0.1, 3),
@@ -113,9 +139,9 @@ def test_evolve_against_library_integrator():
     a_in = 2e4 * np.exp(0.3j)
     duration = 2e-6
 
-    g_ang = 2 * math.pi * np.array([gr.g for gr in groups])
-    det = 2 * math.pi * np.array([gr.detuning for gr in groups])
-    w = np.array([gr.weight for gr in groups])
+    g_ang = 2 * math.pi * groups.g
+    det = 2 * math.pi * groups.detuning
+    w = groups.weight
 
     def rhs(t, yf):
         y = yf.view(complex)
@@ -137,17 +163,15 @@ def test_evolve_against_library_integrator():
 
 def test_spin_energy_conserved_without_relaxation():
     # decoupled limit: no decay channels, detuned coherences just precess
-    groups = [
-        bs.SpinGroup(g=0.0, detuning=d, gamma1=0.0, t2=math.inf, sz_eq=0.0, weight=0.25)
-        for d in (-1e6, -3e5, 4e5, 1.2e6)
-    ]
+    groups = ensemble(g=np.zeros(4), detuning=(-1e6, -3e5, 4e5, 1.2e6), gamma1=0.0,
+                      t2=math.inf, sz_eq=0.0, weight=0.25)
     state = bs.EnsembleState(
         s_minus=np.full(4, 0.2 + 0.1j), s_z=np.array([0.5, -0.3, 0.1, 0.8]),
         cavity=10.0 + 0j,
     )
-    energy0 = float(np.dot([g.weight for g in groups], state.s_z))
+    energy0 = float(np.dot(groups.weight, state.s_z))
     out, _ = bs.evolve(state, groups, RES, 0.0, 1e-3, rtol=1e-10, atol=1e-13)
-    energy1 = float(np.dot([g.weight for g in groups], out.s_z))
+    energy1 = float(np.dot(groups.weight, out.s_z))
     assert abs(energy1 - energy0) < 1e-9
     # coherences precess ~1200 cycles; integrator drift stays small
     assert np.allclose(np.abs(out.s_minus), np.abs(state.s_minus), atol=1e-6)
@@ -175,7 +199,7 @@ class TestSequences:
 
     def test_inversion_recovery_sign_flip(self):
         groups, amp = self.make()
-        g1 = groups[0].gamma1
+        g1 = groups.gamma1[0]
         areas = []
         for dt in (0.01 / g1, 10.0 / g1):
             seq = bs.inversion_recovery(dt, 15e-6, amp)

@@ -1,5 +1,7 @@
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -265,3 +267,14 @@ def test_manifest_seed_override(tmp_path, cfg_path):
     assert m["seed"] == 42
     assert m["subcommand"] == "thermal"
     assert m["config_sha256"]
+
+
+def test_cli_import_leaves_scipy_solvers_unloaded():
+    # scipy.integrate or scipy.optimize alone lifts a bare import's RSS by
+    # about half; the package carries its own integrator and fitter
+    probe = ("import sys, purcell_cool.cli; "
+             "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') "
+             "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

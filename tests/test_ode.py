@@ -54,6 +54,24 @@ def test_fixed_step_mode():
     assert abs(y1[0] - math.exp(-1.0)) < 1e-10
 
 
+def test_fixed_step_hits_sample_times():
+    ts = np.array([0.0, 0.37, 1.0, 1.5])
+    y1, samples = dormand_prince(
+        lambda t, y: -y, 0.0, np.array([2.0 + 0j]), 1.5, fixed_step=1e-3, sample_times=ts
+    )
+    assert samples.shape == (4, 1)
+    assert np.allclose(samples[:, 0], 2.0 * np.exp(-ts), rtol=0, atol=1e-12)
+    assert samples[-1, 0] == y1[0]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_trial_step_is_retried():
+    # from y0 = 10 the first trial step overflows; the step shrinks and the
+    # run ends on the exact solution 1 / sqrt(2 t + 1 / y0^2)
+    y1, _ = dormand_prince(lambda t, y: -y**3, 0.0, np.array([10.0 + 0j]), 10.0)
+    assert abs(y1[0] - 1 / math.sqrt(2 * 10.0 + 1 / 10.0**2)) < 1e-8
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_step_underflow_raises():
     # derivative grows without bound near t = 1: forces dt below the floor

@@ -77,6 +77,20 @@ def test_purcell_rate():
     assert abs(thermal.purcell_rate(g, RES, delta) - on / 2) < 1e-12 * on
 
 
+def test_purcell_rate_arrays_match_scalar():
+    g = np.array([0.0, 12.5, 55.0, 300.0])
+    delta = np.array([0.0, -2e5, 4e5, 1.5e6])
+    rates = thermal.purcell_rate(g, RES, delta)
+    assert rates.shape == g.shape
+    for gk, dk, rk in zip(g, delta, rates):
+        assert rk == thermal.purcell_rate(float(gk), RES, float(dk))
+
+
+def test_purcell_rate_rejects_any_negative_coupling():
+    with pytest.raises(ValueError):
+        thermal.purcell_rate(np.array([10.0, -1e-3, 40.0]), RES)
+
+
 def test_rate_ratio_vs_zero_temperature():
     """Gamma_1(0.85 K) / Gamma_1(0) = 2 nbar + 1 under pure radiative decay."""
     bath = thermal.BathCoupling(rate=0.0, temperature=0.85)
