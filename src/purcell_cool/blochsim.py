@@ -14,7 +14,8 @@ field is a_out = sqrt(kappa_ext) a - a_in.
 
 Free-evolution delays much longer than the cavity lifetime are advanced in
 closed form (pure T1/T2/detuning decay); pulse and acquisition segments go
-through the adaptive integrator. Thermal noise between pulses is not driven
+through the adaptive integrator. Sequences that share one event skeleton (a
+Rabi or inversion-recovery sweep) advance together, one state row each. Thermal noise between pulses is not driven
 explicitly; temperature enters through sz_eq and the per-group rates.
 """
 
@@ -49,6 +50,9 @@ class Ensemble:
 
 @dataclass
 class EnsembleState:
+    """Cavity amplitude and per-group spin components; inside a batched
+    sweep every field carries a leading axis with one entry per row."""
+
     s_minus: np.ndarray  # complex, one per group
     s_z: np.ndarray  # real
     cavity: complex = 0.0
@@ -84,6 +88,11 @@ class Acquire:
     window: float  # s of recorded output
 
 
+def _length(ev):
+    """Time an event takes, in s."""
+    return ev.window if isinstance(ev, Acquire) else ev.duration
+
+
 @dataclass(frozen=True)
 class PulseSequence:
     events: list
@@ -91,9 +100,14 @@ class PulseSequence:
 
     def __post_init__(self):
         for ev in self.events:
-            length = ev.duration if isinstance(ev, (Pulse, Delay)) else ev.window
-            if length <= 0:
-                raise ValueError("event durations must be positive")
+            if not isinstance(ev, (Pulse, Delay, Acquire)):
+                raise TypeError(f"unknown event {ev!r}")
+            length = _length(ev)
+            if not (math.isfinite(length) and length > 0):
+                raise ValueError("event durations must be positive and finite")
+            if isinstance(ev, Pulse) and not (
+                    math.isfinite(ev.amplitude) and math.isfinite(ev.phase)):
+                raise ValueError("pulse amplitude and phase must be finite")
 
 
 @dataclass(frozen=True)
@@ -134,15 +148,65 @@ def init_ensemble(rho, res, spin_temp, t2, *, freq_width=3e6, n_g=40, n_delta=41
 
 
 def _pack(state):
-    return np.concatenate(([state.cavity], state.s_minus, state.s_z.astype(complex)))
+    """Row [a, s-..., s_z...] of a state; one row per entry of a batched one."""
+    cavity = np.asarray(state.cavity, dtype=complex)[..., None]
+    return np.concatenate((cavity, state.s_minus, state.s_z.astype(complex)), axis=-1)
 
 
 def _unpack(y, n):
+    cavity = y[..., 0]
     return EnsembleState(
-        s_minus=y[1 : 1 + n].copy(),
-        s_z=y[1 + n :].real.copy(),
-        cavity=complex(y[0]),
+        s_minus=y[..., 1 : 1 + n].copy(),
+        s_z=y[..., 1 + n :].real.copy(),
+        cavity=cavity.copy() if y.ndim > 1 else complex(cavity),
     )
+
+
+def _advance(y, groups, res, a_in, duration, *, sample_dt=None, rtol=1e-8,
+             atol=1e-10, fixed_step=None):
+    """Advance the rows of y, shape (R, 1+2n), by `duration` with one shared
+    step; row r is driven by the constant complex amplitude a_in[r].
+
+    Returns (y, t, amp): amp[j, r] is row r's output field
+    a_out = sqrt(kappa_ext) a - a_in at t[j] on a uniform sample_dt comb,
+    and t and amp are None without sample_dt. Only the cavity column is
+    kept at the sample times.
+    """
+    n = len(groups)
+    g_ang = 2 * math.pi * groups.g
+    ig_ang = 1j * g_ang
+    g4_ang = 4.0 * g_ang
+    decay = -(2j * math.pi * groups.detuning + 1.0 / groups.t2)
+    gamma1 = groups.gamma1
+    sz_eq = groups.sz_eq
+    # da/dt without the drive is this row times [a, s-...]
+    cavity_row = np.concatenate(([-res.kappa / 2], -1j * groups.weight * g_ang))
+    root_kext = math.sqrt(res.kappa_ext)
+    a_in = np.asarray(a_in, dtype=complex)
+    drive = root_kext * a_in
+
+    def rhs(t, y):
+        a = y[:, :1]
+        sm = y[:, 1 : 1 + n]
+        sz = y[:, 1 + n :].real
+        # one fixed-order product per row keeps the reduction deterministic
+        da = y[:, : 1 + n] @ cavity_row + drive
+        dsm = decay * sm + ig_ang * a * sz
+        dsz = -gamma1 * (sz - sz_eq) - g4_ang * (np.conj(a) * sm).imag
+        return np.concatenate((da[:, None], dsm, dsz), axis=1)
+
+    sample_times = None
+    if sample_dt is not None:
+        n_samp = int(math.floor(duration / sample_dt + 1e-9)) + 1
+        sample_times = np.arange(n_samp) * sample_dt
+
+    y1, cavity = dormand_prince(
+        rhs, 0.0, y, duration, rtol=rtol, atol=atol, fixed_step=fixed_step,
+        sample_times=sample_times, observe=lambda y: y[:, 0],
+    )
+    if sample_dt is None:
+        return y1, None, None
+    return y1, sample_times, root_kext * cavity - a_in
 
 
 def evolve(state, groups, res, a_in, duration, *, sample_dt=None, rtol=1e-8,
@@ -154,91 +218,104 @@ def evolve(state, groups, res, a_in, duration, *, sample_dt=None, rtol=1e-8,
     a_out = sqrt(kappa_ext) a - a_in is recorded on a uniform sample_dt comb
     when sample_dt is given. Error control alone sets the integrator step.
     """
-    n = len(groups)
-    g_ang = 2 * math.pi * groups.g
-    det_ang = 2 * math.pi * groups.detuning
-    gamma1 = groups.gamma1
-    gamma2 = 1.0 / groups.t2
-    sz_eq = groups.sz_eq
-    wg = groups.weight * g_ang
-    kappa = res.kappa
-    root_kext = math.sqrt(res.kappa_ext)
-    drive = root_kext * complex(a_in)
-
-    def rhs(t, y):
-        a = y[0]
-        sm = y[1 : 1 + n]
-        sz = y[1 + n :].real
-        # single fixed-order dot keeps the reduction deterministic
-        da = -(kappa / 2) * a - 1j * np.dot(wg, sm) + drive
-        dsm = -(1j * det_ang + gamma2) * sm + 1j * g_ang * a * sz
-        dsz = -gamma1 * (sz - sz_eq) - 4.0 * g_ang * (np.conj(a) * sm).imag
-        return np.concatenate(([da], dsm, dsz.astype(complex)))
-
-    sample_times = None
-    if sample_dt is not None:
-        n_samp = int(math.floor(duration / sample_dt + 1e-9)) + 1
-        sample_times = np.arange(n_samp) * sample_dt
-
-    y1, samples = dormand_prince(
-        rhs, 0.0, _pack(state), duration,
-        rtol=rtol, atol=atol, fixed_step=fixed_step, sample_times=sample_times,
-    )
-    new_state = _unpack(y1, n)
-    trace = None
-    if sample_dt is not None:
-        trace = EchoTrace(t=sample_times, amp=root_kext * samples[:, 0] - a_in)
-    return new_state, trace
+    y, t, amp = _advance(_pack(state)[None], groups, res, [a_in], duration,
+                         sample_dt=sample_dt, rtol=rtol, atol=atol,
+                         fixed_step=fixed_step)
+    trace = None if t is None else EchoTrace(t=t, amp=amp[:, 0])
+    return _unpack(y[0], len(groups)), trace
 
 
 def _closed_form_delay(state, groups, res, duration):
-    """Exact free decay used for delays far beyond the cavity lifetime."""
+    """Exact free decay used for delays far beyond the cavity lifetime.
+
+    duration is a scalar, or one value per entry of a batched state.
+    """
+    duration = np.asarray(duration, dtype=float)
+    column = duration[..., None]
     sm = state.s_minus * np.exp(
-        -(2j * math.pi * groups.detuning + 1.0 / groups.t2) * duration)
-    sz = groups.sz_eq + (state.s_z - groups.sz_eq) * np.exp(-groups.gamma1 * duration)
-    a = state.cavity * math.exp(-res.kappa * duration / 2)
+        -(2j * math.pi * groups.detuning + 1.0 / groups.t2) * column)
+    sz = groups.sz_eq + (state.s_z - groups.sz_eq) * np.exp(-groups.gamma1 * column)
+    a = state.cavity * np.exp(-res.kappa * duration / 2)
     return EnsembleState(s_minus=sm, s_z=sz, cavity=a)
+
+
+def _skeleton(seq, long_delay):
+    """What the sequences of one batch share: every event's kind and length,
+    except the length of a delay of at least long_delay. Pulse amplitudes
+    and phases may differ."""
+    return tuple(
+        (type(ev), None if isinstance(ev, Delay) and ev.duration >= long_delay
+         else _length(ev))
+        for ev in seq.events
+    )
+
+
+def run_sweep(seqs, groups, res, *, sample_dt=1e-8, rtol=1e-8, atol=1e-10,
+              fixed_step=None):
+    """Execute pulse sequences; returns each one's EchoTraces, in input order.
+
+    Sequences with the same skeleton (see _skeleton) advance together as the
+    rows of one (R, 1+2n) state under one adaptive step, which the hardest
+    row sets; every row meets its own tolerance. Delays of at least
+    LONG_DELAY_FACTOR / kappa ring the cavity down through the ODE for that
+    long, then decay in closed form for the rest of each row's own delay.
+    Traces carry absolute time stamps from each row's own time cursor.
+    """
+    long_delay = LONG_DELAY_FACTOR / res.kappa
+    batches = {}
+    for i, seq in enumerate(seqs):
+        batches.setdefault(_skeleton(seq, long_delay), []).append(i)
+    out = [None] * len(seqs)
+    solver = dict(rtol=rtol, atol=atol, fixed_step=fixed_step)
+    for rows in batches.values():
+        runs = _run_batch([seqs[i] for i in rows], groups, res, long_delay,
+                          sample_dt, solver)
+        for i, traces in zip(rows, runs):
+            out[i] = traces
+    return out
+
+
+def _run_batch(seqs, groups, res, long_delay, sample_dt, solver):
+    """Run sequences of one skeleton as rows of one state; each one's traces."""
+    n = len(groups)
+    y = np.repeat(_pack(EnsembleState.equilibrium(groups))[None], len(seqs), axis=0)
+    idle = np.zeros(len(seqs))
+    cursor = np.zeros(len(seqs))
+    traces = [[] for _ in seqs]
+    for events in zip(*(seq.events for seq in seqs)):
+        ev = events[0]
+        if isinstance(ev, Pulse):
+            a_in = [e.amplitude * np.exp(1j * e.phase) for e in events]
+            y, _, _ = _advance(y, groups, res, a_in, ev.duration, **solver)
+        elif isinstance(ev, Delay) and ev.duration >= long_delay:
+            # ring the cavity down through the ODE first: immediately
+            # after a pulse the decaying field still rotates the spins,
+            # which the closed form would silently drop
+            y, _, _ = _advance(y, groups, res, idle, long_delay, **solver)
+            rest = np.array([e.duration for e in events]) - long_delay
+            y = _pack(_closed_form_delay(_unpack(y, n), groups, res, rest))
+        elif isinstance(ev, Delay):
+            y, _, _ = _advance(y, groups, res, idle, ev.duration, **solver)
+        else:
+            y, t, amp = _advance(y, groups, res, idle, ev.window,
+                                 sample_dt=sample_dt, **solver)
+            for r, row_traces in enumerate(traces):
+                row_traces.append(EchoTrace(t=t + cursor[r], amp=amp[:, r]))
+        cursor += [_length(e) for e in events]
+    return traces
 
 
 def run_sequence(seq, groups, res, *, sample_dt=1e-8, rtol=1e-8, atol=1e-10,
                  fixed_step=None, ref_trace=None):
-    """Execute a pulse sequence; returns (traces, areas).
+    """Execute one pulse sequence; returns (traces, areas).
 
-    One EchoTrace per Acquire event, with absolute time stamps. Echo areas
-    are phase-aligned against the reference trace (ref_trace index, or the
-    trace holding the globally largest sample when None).
+    The one-row case of run_sweep: one EchoTrace per Acquire event, with
+    absolute time stamps. Echo areas are phase-aligned against the
+    reference trace (ref_trace index, or the trace holding the globally
+    largest sample when None).
     """
-    state = EnsembleState.equilibrium(groups)
-    cursor = 0.0
-    traces = []
-    long_delay = LONG_DELAY_FACTOR / res.kappa
-    for ev in seq.events:
-        if isinstance(ev, Pulse):
-            a_in = ev.amplitude * np.exp(1j * ev.phase)
-            state, _ = evolve(state, groups, res, a_in, ev.duration,
-                              rtol=rtol, atol=atol, fixed_step=fixed_step)
-            cursor += ev.duration
-        elif isinstance(ev, Delay):
-            if ev.duration >= long_delay:
-                # ring the cavity down through the ODE first: immediately
-                # after a pulse the decaying field still rotates the spins,
-                # which the closed form would silently drop
-                state, _ = evolve(state, groups, res, 0.0, long_delay,
-                                  rtol=rtol, atol=atol, fixed_step=fixed_step)
-                state = _closed_form_delay(state, groups, res,
-                                           ev.duration - long_delay)
-            else:
-                state, _ = evolve(state, groups, res, 0.0, ev.duration,
-                                  rtol=rtol, atol=atol, fixed_step=fixed_step)
-            cursor += ev.duration
-        elif isinstance(ev, Acquire):
-            state, tr = evolve(state, groups, res, 0.0, ev.window,
-                               sample_dt=sample_dt, rtol=rtol, atol=atol,
-                               fixed_step=fixed_step)
-            traces.append(EchoTrace(t=tr.t + cursor, amp=tr.amp))
-            cursor += ev.window
-        else:
-            raise TypeError(f"unknown event {ev!r}")
+    traces = run_sweep([seq], groups, res, sample_dt=sample_dt, rtol=rtol,
+                       atol=atol, fixed_step=fixed_step)[0]
     areas, _ = phase_aligned_areas(traces, ref_index=ref_trace)
     return traces, areas
 

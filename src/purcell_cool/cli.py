@@ -252,18 +252,31 @@ def _dt_grid(groups, flag_value, cfg_value):
     return [x / g1 for x in (0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 4.0, 8.0)]
 
 
+def _sweep_points(values, what):
+    """The points of a sweep, which must not be empty."""
+    if not values:
+        raise ValueError(f"the sweep needs at least one {what}")
+    return values
+
+
+def _sweep_traces(seqs, groups, res, seq_cfg):
+    """The first trace of each sequence, all run as one batched sweep."""
+    runs = blochsim.run_sweep(seqs, groups, res, sample_dt=seq_cfg["sample_dt_s"])
+    return [traces[0] for traces in runs]
+
+
 def cmd_invrec(cfg, args, outdir):
     groups, res, amp = _make_ensemble(cfg, args.b0)
     seq_cfg = cfg.raw["sequence"]
     tau = (args.tau_us or seq_cfg["tau_us"]) * 1e-6
-    dts = _dt_grid(groups, args.dt_list_s, seq_cfg["dt_list_s"])
-    traces = []
-    for dt in dts:
-        seq = blochsim.inversion_recovery(dt, tau, amp,
-                                          pi_duration=seq_cfg["pi_ns"] * 1e-9,
-                                          acquire_width=seq_cfg["acquire_width_s"])
-        trs, _ = blochsim.run_sequence(seq, groups, res, sample_dt=seq_cfg["sample_dt_s"])
-        traces.append(trs[0])
+    dts = _sweep_points(_dt_grid(groups, args.dt_list_s, seq_cfg["dt_list_s"]),
+                        "recovery delay")
+    seqs = [
+        blochsim.inversion_recovery(dt, tau, amp, pi_duration=seq_cfg["pi_ns"] * 1e-9,
+                                    acquire_width=seq_cfg["acquire_width_s"])
+        for dt in dts
+    ]
+    traces = _sweep_traces(seqs, groups, res, seq_cfg)
     # one shared phase reference (longest delay is closest to equilibrium)
     ref = int(np.argmax(dts))
     areas, _ = blochsim.phase_aligned_areas(traces, ref_index=ref)
@@ -284,12 +297,12 @@ def cmd_rabi(cfg, args, outdir):
         amps = [float(v) for v in args.amp_list.split(",")]
     else:
         amps = [float(s) * amp for s in np.linspace(0.1, 3.0, args.amp_points)]
-    traces = []
-    for a in amps:
-        seq = blochsim.hahn_echo(tau, a, pi_duration=seq_cfg["pi_ns"] * 1e-9,
-                                 acquire_width=seq_cfg["acquire_width_s"])
-        trs, _ = blochsim.run_sequence(seq, groups, res, sample_dt=seq_cfg["sample_dt_s"])
-        traces.append(trs[0])
+    seqs = [
+        blochsim.hahn_echo(tau, a, pi_duration=seq_cfg["pi_ns"] * 1e-9,
+                           acquire_width=seq_cfg["acquire_width_s"])
+        for a in _sweep_points(amps, "amplitude")
+    ]
+    traces = _sweep_traces(seqs, groups, res, seq_cfg)
     areas, _ = blochsim.phase_aligned_areas(traces)
     _write_csv(outdir / "rabi.csv", ["amp", "A_e"],
                list(zip((float(a) for a in amps), areas)))

@@ -2,12 +2,15 @@
 
 Self-contained embedded Runge-Kutta pair (Hairer, Norsett & Wanner, Solving
 ODEs I, II.4-5) with PI-free step control, used by the ensemble simulator.
-Works on complex state vectors. The seven stages of a step live in one
-preallocated (7, n) array and are combined through the tableau matrix; the
-last stage is the derivative at the 5th-order solution and becomes the first
-stage of the next step (FSAL). Fixed-step mode runs the same loop and only
-skips the accept test. Requested sample times are hit exactly by clipping
-the step, which avoids carrying a dense interpolant.
+Works on complex states of any shape; a 2-D state (R, m) is R independent
+rows advanced with one shared step. The seven stages of a step live in one
+preallocated (7,) + shape array and are combined through the tableau matrix
+on its flat view; the last stage is the derivative at the 5th-order solution
+and becomes the first stage of the next step (FSAL). The error norm is the
+RMS of each row, maximised over rows, so every row meets its own tolerance.
+Fixed-step mode runs the same loop and only skips the accept test. Requested
+sample times are hit exactly by clipping the step, which avoids carrying a
+dense interpolant; only observe(y) is stored at each of them.
 """
 
 from __future__ import annotations
@@ -40,18 +43,26 @@ _MAX_ATTEMPTS = 10_000_000
 
 
 def _error_norm(err, y0, y1, rtol, atol):
+    """Largest per-row RMS of the scaled error (the plain RMS for 1-D)."""
     sc = atol + rtol * np.maximum(np.abs(y0), np.abs(y1))
-    return math.sqrt(float(np.mean(np.abs(err / sc) ** 2)))
+    sq = np.abs(err / sc) ** 2
+    return float(np.sqrt(np.add.reduce(sq, axis=-1) / sq.shape[-1]).max())
 
 
-def dormand_prince(f, t0, y0, t1, *, rtol=1e-8, atol=1e-10, max_step=None,
-                   fixed_step=None, sample_times=None):
+def _whole_state(y):
+    return y
+
+
+def dormand_prince(f, t0, y0, t1, *, rtol=1e-8, atol=1e-10, fixed_step=None,
+                   sample_times=None, observe=None):
     """Integrate dy/dt = f(t, y) from t0 to t1.
 
-    Returns (y_end, samples) where samples is an array of states at the
-    requested sample_times (empty array when none were requested). The
-    integrator never steps across a sample time. fixed_step disables error
-    control and marches with the given step; max_step caps the adaptive step.
+    y0 is 1-D, or 2-D with one independent system per row; f returns an
+    array of the shape of y. Returns (y_end, samples) where samples[j] is
+    observe(y) at sample_times[j] (the whole state when observe is None),
+    stored in one buffer of len(sample_times) entries (empty when none were
+    requested). The integrator never steps across a sample time. fixed_step
+    disables error control and marches with the given step.
 
     Raises StepUnderflow if error control pushes the step below 1e-15 s.
     """
@@ -67,16 +78,19 @@ def dormand_prince(f, t0, y0, t1, *, rtol=1e-8, atol=1e-10, max_step=None,
         if ts < t0 - 1e-18 or ts > t1 + abs(t1) * 1e-12 + 1e-18:
             raise ValueError("sample time outside integration span")
 
-    hmax = span if max_step is None else min(max_step, span)
+    if observe is None:
+        observe = _whole_state
+    first = np.asarray(observe(y))
+    samples = np.empty((len(stops),) + first.shape, dtype=first.dtype)
     # fixed step, or a cheap conservative start that control rescales fast
-    h = min(hmax, span / 50.0 if fixed_step is None else fixed_step)
-    k = np.empty((7, y.size), dtype=complex)
+    h = min(span, span / 50.0 if fixed_step is None else fixed_step)
+    k = np.empty((7,) + y.shape, dtype=complex)
+    k_flat = k.reshape(7, -1)  # a view: stage algebra runs on flat rows
     if span > 0:
         k[0] = f(t, y)
     attempts = 0
-    samples = []
-    # the last stop is t1 itself; its "sample" is y_end and is dropped
-    for stop in stops + [t1]:
+    # the last stop is t1 itself, which records no sample
+    for j, stop in enumerate(stops + [t1]):
         stop = min(stop, t1)
         while t < stop - 1e-18 * max(1.0, abs(stop)):
             attempts += 1
@@ -87,10 +101,11 @@ def dormand_prince(f, t0, y0, t1, *, rtol=1e-8, atol=1e-10, max_step=None,
             h_try = min(h, stop - t)
             # rows past i are stale (or unset): 0 * nan would poison the sum
             for i in range(1, 7):
-                y_new = y + h_try * (_A[i, :i] @ k[:i])
+                y_new = y + ((h_try * _A[i, :i]) @ k_flat[:i]).reshape(y.shape)
                 k[i] = f(t + _C[i] * h_try, y_new)
             if fixed_step is None:
-                err = _error_norm(h_try * (_E @ k), y, y_new, rtol, atol)
+                err = _error_norm(((h_try * _E) @ k_flat).reshape(y.shape), y, y_new,
+                                  rtol, atol)
                 if not math.isfinite(err):
                     h = h_try / 10.0
                     continue
@@ -98,9 +113,10 @@ def dormand_prince(f, t0, y0, t1, *, rtol=1e-8, atol=1e-10, max_step=None,
                     h = h_try * max(0.2, 0.9 * err ** -0.2)
                     continue
                 grow = 5.0 if err == 0 else min(5.0, 0.9 * err ** -0.2)
-                h = min(hmax, h_try * max(1.0, grow))
+                h = min(span, h_try * max(1.0, grow))
             t += h_try
-            y = y_new  # rebound, never written in place: samples may hold it
+            y = y_new
             k[0] = k[6]  # FSAL
-        samples.append(y)
-    return y, np.array(samples[:-1])
+        if j < len(stops):
+            samples[j] = observe(y)
+    return y, samples

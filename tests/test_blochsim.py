@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from purcell_cool import blochsim as bs
+from purcell_cool import ode
 from purcell_cool.coupling import CouplingDistribution
 from purcell_cool.errors import EmptyWindow
 from purcell_cool.thermal import ResonatorParams, purcell_rate, spin_polarization
@@ -304,3 +305,106 @@ def test_pi_pulse_amplitude_scaling():
     assert abs(bs.pi_pulse_amplitude(50.0, RES, 500e-9) - a1 / 2) < 1e-9 * a1
     assert abs(bs.pi_pulse_amplitude(100.0, RES, 250e-9) - a1 / 2) < 1e-9 * a1
     assert abs(bs.pi_pulse_amplitude(50.0, RES, 250e-9, angle=math.pi / 2) - a1 / 2) < 1e-9 * a1
+
+
+class TestBatchedSweeps:
+    """run_sweep advances sequences sharing one skeleton as rows of one state."""
+
+    @staticmethod
+    def detuned_ensemble():
+        # one coupling, so the pulses are exact; the detuning spread forms a
+        # real echo and gives each group its own Purcell rate
+        return bs.init_ensemble(CouplingDistribution.delta(50.0), RES, T_SPIN, 600e-6,
+                                n_g=1, n_delta=5, freq_width=4e5)
+
+    @staticmethod
+    def per_point(seqs, groups):
+        return [bs.run_sequence(seq, groups, RES)[0] for seq in seqs]
+
+    def test_rabi_sweep_matches_per_point_runs(self):
+        groups = self.detuned_ensemble()
+        amp = bs.pi_pulse_amplitude(50.0, RES, 250e-9)
+        seqs = [bs.hahn_echo(15e-6, s * amp) for s in (0.3, 0.7, 1.0, 1.6)]
+        batch = bs.run_sweep(seqs, groups, RES)
+        single = self.per_point(seqs, groups)
+        ref = int(np.argmax([np.abs(trs[0].amp).max() for trs in single]))
+        got, _ = bs.phase_aligned_areas([trs[0] for trs in batch], ref_index=ref)
+        want, _ = bs.phase_aligned_areas([trs[0] for trs in single], ref_index=ref)
+        for g, w in zip(got, want):
+            assert abs(g - w) < 1e-6 * abs(w)
+
+    def test_inversion_recovery_groups_short_and_long_delays(self):
+        groups = self.detuned_ensemble()
+        amp = bs.pi_pulse_amplitude(50.0, RES, 250e-9)
+        g1 = float(np.median(groups.gamma1))
+        long_delay = bs.LONG_DELAY_FACTOR / RES.kappa
+        # one delay below the closed-form threshold, run as its own batch
+        dts = [2.0 / g1, 5e-6, 0.1 / g1, 1.5 / g1]
+        assert sum(dt < long_delay for dt in dts) == 1
+        seqs = [bs.inversion_recovery(dt, 15e-6, amp) for dt in dts]
+        batch = bs.run_sweep(seqs, groups, RES)
+        single = self.per_point(seqs, groups)
+        assert len(batch) == len(seqs)
+        for seq, dt, got, want in zip(seqs, dts, batch, single):
+            assert len(got) == 1
+            # each row keeps its own time cursor
+            start = sum(ev.duration for ev in seq.events[:-1])
+            assert abs(got[0].t[0] - start) < 1e-12 * start
+            assert np.array_equal(got[0].t, want[0].t)
+            assert dt == seq.events[1].duration
+        got, _ = bs.phase_aligned_areas([trs[0] for trs in batch], ref_index=0)
+        want, _ = bs.phase_aligned_areas([trs[0] for trs in single], ref_index=0)
+        # input order: only the two shortest delays leave the echo inverted
+        assert got[1] * got[0] < 0 and got[2] * got[0] < 0 and got[3] * got[0] > 0
+        for g, w in zip(got, want):
+            assert abs(g - w) < 1e-6 * abs(w)
+
+    def test_single_row_matches_event_by_event_evolve(self):
+        """R = 1 against the per-event loop of evolve and the closed form."""
+        groups = self.detuned_ensemble()
+        amp = bs.pi_pulse_amplitude(50.0, RES, 250e-9)
+        seq = bs.inversion_recovery(0.3 / float(np.median(groups.gamma1)), 15e-6, amp)
+        long_delay = bs.LONG_DELAY_FACTOR / RES.kappa
+        state = bs.EnsembleState.equilibrium(groups)
+        cursor, want = 0.0, []
+        for ev in seq.events:
+            if isinstance(ev, bs.Pulse):
+                state, _ = bs.evolve(state, groups, RES,
+                                     ev.amplitude * np.exp(1j * ev.phase), ev.duration)
+                cursor += ev.duration
+            elif isinstance(ev, bs.Delay) and ev.duration >= long_delay:
+                state, _ = bs.evolve(state, groups, RES, 0.0, long_delay)
+                state = bs._closed_form_delay(state, groups, RES, ev.duration - long_delay)
+                cursor += ev.duration
+            elif isinstance(ev, bs.Delay):
+                state, _ = bs.evolve(state, groups, RES, 0.0, ev.duration)
+                cursor += ev.duration
+            else:
+                state, tr = bs.evolve(state, groups, RES, 0.0, ev.window, sample_dt=1e-8)
+                want.append(bs.EchoTrace(t=tr.t + cursor, amp=tr.amp))
+                cursor += ev.window
+        got, _ = bs.run_sequence(seq, groups, RES)
+        assert len(got) == len(want) == 1
+        assert np.array_equal(got[0].t, want[0].t)
+        peak = np.abs(want[0].amp).max()
+        assert np.abs(got[0].amp - want[0].amp).max() < 1e-12 * peak
+
+    def test_batched_error_norm_is_the_largest_row_norm(self):
+        rng = np.random.default_rng(11)
+        shape = (5, 9)
+        err, y0, y1 = (rng.normal(size=shape) + 1j * rng.normal(size=shape)
+                       for _ in range(3))
+        err[3] *= 50.0  # one row far worse than the rest
+        rows = [ode._error_norm(err[r], y0[r], y1[r], 1e-8, 1e-10) for r in range(5)]
+        assert ode._error_norm(err, y0, y1, 1e-8, 1e-10) == max(rows)
+
+    def test_batched_solver_rows_are_independent_and_observed(self):
+        rates = np.array([0.5, 2.0, 7.0])
+        ts = np.array([0.0, 0.3, 1.0])
+        y0 = np.ones((3, 2), dtype=complex)
+        y0[:, 1] = 1j
+        y1, obs = ode.dormand_prince(lambda t, y: -rates[:, None] * y, 0.0, y0, 1.0,
+                                     sample_times=ts, observe=lambda y: y[:, 0])
+        assert y1.shape == (3, 2) and obs.shape == (3, 3)
+        assert np.allclose(obs, np.exp(-np.outer(ts, rates)), rtol=1e-8)
+        assert np.allclose(y1[:, 1], 1j * np.exp(-rates), rtol=1e-8)

@@ -183,6 +183,20 @@ def test_rabi_amplitude_list(tmp_path, cfg_path):
     assert np.all(np.isfinite(rows["A_e"]))
 
 
+@pytest.mark.parametrize("argv", [
+    ["echo", "--tau-us", "nan"],
+    ["invrec", "--dt-list-s", "nan,1"],
+    ["rabi", "--amp-points", "0"],
+    ["rabi", "--amp-list", "1e6,nan"],
+])
+def test_sweep_rejects_non_finite_or_empty_points(tmp_path, cfg_path, capsys, argv):
+    out = tmp_path / "o"
+    rc = cli.main(argv + ["--config", str(cfg_path), "--out", str(out)])
+    assert rc == 2
+    assert "convergence" not in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
 def test_cpmg_echo_train_decays(tmp_path, cfg_path):
     out = tmp_path / "o"
     run_ok(["cpmg", "--config", cfg_path, "--out", out, "--n-cpmg", "3"])
