@@ -78,7 +78,7 @@ from .hamiltonian import (
     transition_table,
 )
 from .ode import dormand_prince
-from .optimize import levenberg_marquardt, nelder_mead
+from .optimize import levenberg_marquardt
 from .polarization import (
     PopulationVector,
     approx_population_difference,

@@ -28,17 +28,15 @@ from .errors import (
 )
 
 
-def _fmt(v):
-    if isinstance(v, float):
-        return f"{v:.17g}"
-    return str(v)
-
-
 def _write_csv(path, header, rows):
+    """Rows through one line template taken from the first row: floats as
+    %.17g, which round-trips every bit, anything else as %s."""
+    rows = list(rows)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        if rows:
+            line = ",".join("%.17g" if isinstance(v, float) else "%s" for v in rows[0]) + "\n"
+            fh.writelines(line % tuple(row) for row in rows)
 
 
 def _write_json(path, obj):
@@ -82,6 +80,19 @@ def _positive(value, flag):
     if not (math.isfinite(value) and value > 0):
         raise ValueError(f"{flag} must be positive and finite, got {value!r}")
     return value
+
+
+def _nonnegative(value, flag):
+    """A numeric flag that must be a finite number of at least zero."""
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{flag} must be nonnegative and finite, got {value!r}")
+    return value
+
+
+def _tau(args, seq_cfg):
+    """The Hahn delay in seconds: --tau-us, else the config's."""
+    tau_us = seq_cfg["tau_us"] if args.tau_us is None else _positive(args.tau_us, "--tau-us")
+    return tau_us * 1e-6
 
 
 # ---------------------------------------------------------------- ensembles
@@ -141,21 +152,22 @@ def _make_ensemble(cfg, b0):
 
 def cmd_spectrum(cfg, args, outdir):
     params = cfg.spin_params()
-    omega0 = args.omega0 or cfg.resonator_params().omega0
-    n = int(round((args.b0_max - args.b0_min) / _positive(args.b0_step, "--b0-step"))) + 1
-    grid = np.linspace(args.b0_min, args.b0_max, n)
-    field_spec = hamiltonian.spectrum_vs_field(params, grid, omega0)
+    omega0 = (cfg.resonator_params().omega0 if args.omega0 is None
+              else _positive(args.omega0, "--omega0"))
+    b0_min = _nonnegative(args.b0_min, "--b0-min")
+    b0_max = _nonnegative(args.b0_max, "--b0-max")
+    n = int(round((b0_max - b0_min) / _positive(args.b0_step, "--b0-step"))) + 1
+    grid = np.linspace(b0_min, b0_max, n)
+    spec = hamiltonian.spectrum_vs_field(params, grid, omega0)
+    columns = (spec.b0, *spec.lower.T, *spec.upper.T, spec.frequency,
+               spec.sx_element, spec.sy_element)
     _write_csv(
         outdir / "spectrum.csv",
         ["b0_T", "lowerF", "lowerM", "upperF", "upperM", "freq_Hz", "sx", "sy"],
-        [
-            (b0, t.lower[0], t.lower[1], t.upper[0], t.upper[1], t.frequency,
-             t.sx_element, t.sy_element)
-            for b0, t in field_spec.rows
-        ],
+        zip(*(col.tolist() for col in columns)),
     )
     rows = []
-    for gi, group in enumerate(hamiltonian.resonance_groups(field_spec.resonances)):
+    for gi, group in enumerate(hamiltonian.resonance_groups(spec.resonances)):
         for r in sorted(group, key=lambda r: r.b0):
             rows.append((gi, r.b0, r.lower[0], r.lower[1], r.upper[0], r.upper[1]))
     _write_csv(
@@ -190,7 +202,8 @@ def cmd_thermal(cfg, args, outdir):
 def cmd_polarization(cfg, args, outdir):
     res = cfg.resonator_params()
     levels, pair = _resonant_pair(cfg, args.b0)
-    ts = np.linspace(args.t_min, args.t_max, args.points)
+    ts = np.linspace(_nonnegative(args.t_min, "--t-min"), _nonnegative(args.t_max, "--t-max"),
+                     _positive(args.points, "--points"))
     rows = []
     for t in ts:
         rows.append((
@@ -208,11 +221,9 @@ def cmd_coupling(cfg, args, outdir):
     rho, field = _coupling_density(cfg, args.b0)
     outputs = []
     if field is not None:
-        rows = []
-        for iy, y in enumerate(field.y):
-            for ix, x in enumerate(field.x):
-                rows.append((float(x), float(y), float(field.bx[iy, ix]), float(field.by[iy, ix])))
-        _write_csv(outdir / "fieldmap.csv", ["x_m", "y_m", "bx_T", "by_T"], rows)
+        x, y = np.meshgrid(field.x, field.y)
+        _write_csv(outdir / "fieldmap.csv", ["x_m", "y_m", "bx_T", "by_T"],
+                   zip(*(a.ravel().tolist() for a in (x, y, field.bx, field.by))))
         outputs.append("fieldmap.csv")
     centers = 0.5 * (rho.bin_edges[:-1] + rho.bin_edges[1:])
     _write_csv(outdir / "rho_g.csv", ["g_hz", "weight"],
@@ -231,7 +242,7 @@ def _trace_csv(outdir, name, trace):
 def cmd_echo(cfg, args, outdir):
     groups, res, amp = _make_ensemble(cfg, args.b0)
     seq_cfg = cfg.raw["sequence"]
-    tau = (args.tau_us or seq_cfg["tau_us"]) * 1e-6
+    tau = _tau(args, seq_cfg)
     seq = blochsim.hahn_echo(tau, amp, pi_duration=seq_cfg["pi_ns"] * 1e-9,
                              acquire_width=seq_cfg["acquire_width_s"])
     traces, areas = blochsim.run_sequence(seq, groups, res,
@@ -244,19 +255,12 @@ def cmd_echo(cfg, args, outdir):
 
 
 def _dt_grid(groups, flag_value, cfg_value):
-    if flag_value:
+    if flag_value is not None:
         return [float(v) for v in flag_value.split(",")]
-    if cfg_value:
+    if cfg_value is not None:
         return [float(v) for v in cfg_value]
     g1 = float(np.median(groups.gamma1))
     return [x / g1 for x in (0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 4.0, 8.0)]
-
-
-def _sweep_points(values, what):
-    """The points of a sweep, which must not be empty."""
-    if not values:
-        raise ValueError(f"the sweep needs at least one {what}")
-    return values
 
 
 def _sweep_traces(seqs, groups, res, seq_cfg):
@@ -268,9 +272,8 @@ def _sweep_traces(seqs, groups, res, seq_cfg):
 def cmd_invrec(cfg, args, outdir):
     groups, res, amp = _make_ensemble(cfg, args.b0)
     seq_cfg = cfg.raw["sequence"]
-    tau = (args.tau_us or seq_cfg["tau_us"]) * 1e-6
-    dts = _sweep_points(_dt_grid(groups, args.dt_list_s, seq_cfg["dt_list_s"]),
-                        "recovery delay")
+    tau = _tau(args, seq_cfg)
+    dts = _dt_grid(groups, args.dt_list_s, seq_cfg["dt_list_s"])
     seqs = [
         blochsim.inversion_recovery(dt, tau, amp, pi_duration=seq_cfg["pi_ns"] * 1e-9,
                                     acquire_width=seq_cfg["acquire_width_s"])
@@ -292,15 +295,16 @@ def cmd_invrec(cfg, args, outdir):
 def cmd_rabi(cfg, args, outdir):
     groups, res, amp = _make_ensemble(cfg, args.b0)
     seq_cfg = cfg.raw["sequence"]
-    tau = (args.tau_us or seq_cfg["tau_us"]) * 1e-6
-    if args.amp_list:
+    tau = _tau(args, seq_cfg)
+    if args.amp_list is not None:
         amps = [float(v) for v in args.amp_list.split(",")]
     else:
-        amps = [float(s) * amp for s in np.linspace(0.1, 3.0, args.amp_points)]
+        points = _positive(args.amp_points, "--amp-points")
+        amps = [float(s) * amp for s in np.linspace(0.1, 3.0, points)]
     seqs = [
         blochsim.hahn_echo(tau, a, pi_duration=seq_cfg["pi_ns"] * 1e-9,
                            acquire_width=seq_cfg["acquire_width_s"])
-        for a in _sweep_points(amps, "amplitude")
+        for a in amps
     ]
     traces = _sweep_traces(seqs, groups, res, seq_cfg)
     areas, _ = blochsim.phase_aligned_areas(traces)
@@ -312,8 +316,8 @@ def cmd_rabi(cfg, args, outdir):
 def cmd_cpmg(cfg, args, outdir):
     groups, res, amp = _make_ensemble(cfg, args.b0)
     seq_cfg = cfg.raw["sequence"]
-    tau = (args.tau_us or seq_cfg["tau_us"]) * 1e-6
-    n = args.n_cpmg or seq_cfg["n_cpmg"]
+    tau = _tau(args, seq_cfg)
+    n = seq_cfg["n_cpmg"] if args.n_cpmg is None else _positive(args.n_cpmg, "--n-cpmg")
     seq = blochsim.cpmg(n, tau, amp, pi_duration=seq_cfg["pi_ns"] * 1e-9)
     traces, areas = blochsim.run_sequence(seq, groups, res,
                                           sample_dt=seq_cfg["sample_dt_s"])
@@ -343,7 +347,7 @@ def cmd_fit_t2(cfg, args, outdir):
 def cmd_fit_psd(cfg, args, outdir):
     data = _read_xy_csv(args.data)
     scen = cfg.load_scenario()
-    branch = args.branch or scen.config
+    branch = scen.config if args.branch is None else args.branch
     fixed = {"resonator": cfg.resonator_params(), "t_phon": scen.t_phon}
     if args.n_twpa is not None:
         fixed["n_twpa"] = args.n_twpa
@@ -356,17 +360,19 @@ def cmd_fit_psd(cfg, args, outdir):
 
 def cmd_snr(cfg, args, outdir):
     gamma1 = _positive(args.gamma1, "--gamma1")
-    t_lo = args.trep_min or 0.01 / gamma1
-    t_hi = args.trep_max or 10.0 / gamma1
-    ts = np.geomspace(t_lo, t_hi, args.trep_points)
-    snr = estimators.snr_model(ts, gamma1, args.p, args.sigma)
+    p = _positive(args.p, "--p")
+    sigma = _positive(args.sigma, "--sigma")
+    t_lo = 0.01 / gamma1 if args.trep_min is None else _positive(args.trep_min, "--trep-min")
+    t_hi = 10.0 / gamma1 if args.trep_max is None else _positive(args.trep_max, "--trep-max")
+    ts = np.geomspace(t_lo, t_hi, _positive(args.trep_points, "--trep-points"))
+    snr = estimators.snr_model(ts, gamma1, p, sigma)
     _write_csv(outdir / "snr.csv", ["t_rep_s", "snr"],
                list(zip((float(t) for t in ts), (float(v) for v in snr))))
     t_opt = estimators.optimal_trep(gamma1)
     _write_json(outdir / "snr.json", {
         "t_opt_s": t_opt,
         "x_star": estimators.snr_argmax_x(),
-        "peak_snr": estimators.snr_model(t_opt, gamma1, args.p, args.sigma),
+        "peak_snr": estimators.snr_model(t_opt, gamma1, p, sigma),
     })
     return ["snr.csv", "snr.json"]
 
@@ -469,8 +475,10 @@ def build_parser():
 def run(argv):
     from pathlib import Path
 
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # --help, --version and usage errors
+        return exc.code
     handler, needs_config = _COMMANDS[args.subcommand]
 
     cfg = None

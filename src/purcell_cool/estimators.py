@@ -9,15 +9,15 @@ fed straight in.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from scipy.constants import h as PLANCK
 from scipy.constants import k as BOLTZMANN
 
-from .errors import InsufficientSpan, NoConvergence
-from .optimize import levenberg_marquardt, nelder_mead, numeric_jacobian
+from .errors import InsufficientSpan
+from .optimize import levenberg_marquardt
 from .thermal import BathCoupling, cooling_factor
 
 
@@ -29,7 +29,9 @@ class FitResult:
     converged: bool
 
 
-def _finish(names, x, jac, r):
+def _least_squares(residual, x0, names):
+    """Levenberg-Marquardt fit with standard errors from the final Jacobian."""
+    x, jac, r, converged = levenberg_marquardt(residual, x0)
     rss = float(r @ r)
     n, p = r.size, x.size
     if n > p:
@@ -44,22 +46,11 @@ def _finish(names, x, jac, r):
         parameters=dict(zip(names, (float(v) for v in x))),
         std_errors=dict(zip(names, (float(s) for s in std))),
         residual_norm=math.sqrt(rss),
-        converged=True,
+        converged=converged,
     )
 
 
-def _least_squares(residual, x0, names, *, max_iter=200, fallback=True):
-    try:
-        x, jac, r = levenberg_marquardt(residual, x0, max_iter=max_iter)
-    except NoConvergence:
-        if not fallback:
-            raise
-        x, _ = nelder_mead(lambda p: float(np.sum(np.asarray(residual(p)) ** 2)), x0)
-        jac, r = numeric_jacobian(residual, x)
-    return _finish(names, x, jac, r)
-
-
-def fit_exponential_recovery(data, *, max_iter=200, fallback=True):
+def fit_exponential_recovery(data):
     """Fit A (1 - 2 exp(-gamma1 dt)) + c to inversion-recovery areas."""
     pts = sorted((float(a), float(b)) for a, b in data)
     if len(pts) < 4:
@@ -84,23 +75,14 @@ def fit_exponential_recovery(data, *, max_iter=200, fallback=True):
         a, g, c = p
         return a * (1 - 2 * np.exp(-g * dt)) + c - y
 
-    res = _least_squares(residual, [a0, g0, c0], ["amplitude", "gamma1", "offset"],
-                         max_iter=max_iter, fallback=fallback)
+    res = _least_squares(residual, [a0, g0, c0], ["amplitude", "gamma1", "offset"])
     if res.parameters["amplitude"] < 0:  # sign gauge: keep amplitude positive
-        res = FitResult(
-            parameters={
-                "amplitude": -res.parameters["amplitude"],
-                "gamma1": res.parameters["gamma1"],
-                "offset": res.parameters["offset"],
-            },
-            std_errors=res.std_errors,
-            residual_norm=res.residual_norm,
-            converged=res.converged,
-        )
+        res = replace(res, parameters={**res.parameters,
+                                       "amplitude": -res.parameters["amplitude"]})
     return res
 
 
-def fit_gaussian_decay(data, *, max_iter=200, fallback=True):
+def fit_gaussian_decay(data):
     """Fit A exp(-(x / t2)^2) where x is the total evolution time 2 tau."""
     pts = sorted((float(a), float(b)) for a, b in data)
     if len(pts) < 4:
@@ -117,8 +99,7 @@ def fit_gaussian_decay(data, *, max_iter=200, fallback=True):
         a, t2 = p
         return a * np.exp(-((x / t2) ** 2)) - y
 
-    return _least_squares(residual, [a0, t0], ["amplitude", "t2"],
-                          max_iter=max_iter, fallback=fallback)
+    return _least_squares(residual, [a0, t0], ["amplitude", "t2"])
 
 
 @dataclass(frozen=True)
@@ -166,7 +147,7 @@ def psd_model(omega, params, config):
     return params.gain_at(omega) * PLANCK * omega * bracket
 
 
-def fit_psd(data, fixed, config, *, max_iter=200, fallback=True):
+def fit_psd(data, fixed, config):
     """Staged PSD fit.
 
     hot: fits t_int (n_twpa taken from `fixed` when present, otherwise fit
@@ -215,7 +196,7 @@ def fit_psd(data, fixed, config, *, max_iter=200, fallback=True):
         x0 = [0.5, 0.8]
     else:
         raise ValueError("config must be 'hot' or 'cold'")
-    return _least_squares(residual, x0, names, max_iter=max_iter, fallback=fallback)
+    return _least_squares(residual, x0, names)
 
 
 def snr_model(t_rep, gamma1, p, sigma):

@@ -11,9 +11,12 @@ commutes with H at every field, so each total-projection m sector evolves
 independently in B0; within a two-state sector the hyperfine coupling never
 vanishes, so the two branches never cross and the adiabatic (F, m) label of
 a level is simply its energy rank inside its own m sector. The eigenpairs are
-therefore built sector by sector in closed form (Breit & Rabi 1931);
-build_hamiltonian keeps the full matrix as the reference they are tested
-against.
+therefore built sector by sector in closed form (Breit & Rabi 1931), as
+arrays over a whole field grid: spectrum_vs_field runs the grid, and
+labeled_eigensystem and transition_table are its one-field slice. The
+transition matrix elements follow in closed form from each level's two
+sector amplitudes. build_hamiltonian keeps the full matrix as the reference
+they are tested against.
 """
 
 from __future__ import annotations
@@ -138,18 +141,24 @@ class Transition:
     sy_element: float
 
 
-def labeled_eigensystem(params, b0):
-    """Eigenpairs and adiabatic (F, m) labels at field b0, built per m sector.
+MATRIX_ELEMENT_FLOOR = 1e-4  # |S_x| below which a transition is not listed
+
+
+def _sectors(params, b0):
+    """Every level on a field grid, from the closed-form F_z sectors.
 
     For S = 1/2, H conserves m = m_S + m_I. The stretched states
     m = +-(I + 1/2) are eigenstates on their own; every other m couples
     |+1/2, m - 1/2> and |-1/2, m + 1/2> through the hyperfine off-diagonal
     (A/2) sqrt((I + 1/2)^2 - m^2), which never vanishes, so the lower root is
     F = I - 1/2 and the upper root F = I + 1/2 at every field (Breit-Rabi).
-    Returns (levels in ascending energy, aligned eigenvector columns in the
-    product basis of build_hamiltonian).
+
+    b0 is a 1-D array. Returns the level labels f, m (lower roots by
+    ascending m, upper roots, then m = I + 1/2 and -(I + 1/2)) and, one row
+    per field, energy (relative to the field's mean) and amplitudes c_p on
+    |+1/2, m - 1/2> and c_q on |-1/2, m + 1/2>.
     """
-    if not (math.isfinite(b0) and b0 >= 0):
+    if not np.all(np.isfinite(b0) & (b0 >= 0)):
         raise ValueError("b0 must be finite and nonnegative")
     if params.s != 0.5:
         raise ValueError("the sector solution needs an electron spin of 1/2")
@@ -157,74 +166,98 @@ def labeled_eigensystem(params, b0):
         raise ValueError("the sector solution needs I to be a positive half-odd-integer")
     a, i = params.hyperfine_a, params.i
     dim_i = int(round(2 * i)) + 1
-    ze = b0 * params.gamma_e / 2
-    zn = b0 * params.gamma_n
+    ze = b0[:, None] * params.gamma_e / 2
+    zn = b0[:, None] * params.gamma_n
 
-    # 2x2 sectors: basis |+1/2, m - 1/2> (index p) and |-1/2, m + 1/2> (index q)
-    m = np.arange(1, dim_i) - (i + 0.5)
-    p = (i + 0.5 - m).astype(int)
-    q = dim_i + p - 1
+    m = np.arange(1, dim_i) - (i + 0.5)  # the two-state sectors
     h_pp = ze - zn * (m - 0.5) + a / 2 * (m - 0.5)
     h_qq = -ze - zn * (m + 0.5) - a / 2 * (m + 0.5)
     h_pq = a / 2 * np.sqrt((i + 0.5) ** 2 - m**2)
     half_gap = np.hypot((h_pp - h_qq) / 2, h_pq)
     theta = np.arctan2(h_pq, (h_pp - h_qq) / 2) / 2
     centre = (h_pp + h_qq) / 2
+    sin, cos = np.sin(theta), np.cos(theta)
+    one, zero = np.ones_like(ze), np.zeros_like(ze)
 
-    n = params.dim
-    energies = np.concatenate([
+    energy = np.concatenate([
         centre - half_gap,
         centre + half_gap,
-        [ze - zn * i + a * i / 2, -ze + zn * i + a * i / 2],
-    ])
-    f_vals = np.concatenate([np.full(dim_i - 1, i - 0.5), np.full(dim_i + 1, i + 0.5)])
-    m_vals = np.concatenate([m, m, [i + 0.5, -(i + 0.5)]])
-    vecs = np.zeros((n, n))
-    cols = np.arange(dim_i - 1)
-    vecs[p, cols] = -np.sin(theta)
-    vecs[q, cols] = np.cos(theta)
-    vecs[p, cols + dim_i - 1] = np.cos(theta)
-    vecs[q, cols + dim_i - 1] = np.sin(theta)
-    vecs[0, n - 2] = 1.0
-    vecs[n - 1, n - 1] = 1.0
+        ze - zn * i + a * i / 2,
+        -ze + zn * i + a * i / 2,
+    ], axis=1)
+    energy -= energy.mean(axis=1, keepdims=True)
+    c_p = np.concatenate([-sin, cos, one, zero], axis=1)
+    c_q = np.concatenate([cos, sin, zero, one], axis=1)
+    f = np.repeat([round(i - 0.5), round(i + 0.5)], [dim_i - 1, dim_i + 1])
+    m = np.concatenate([m, m, [i + 0.5, -(i + 0.5)]]).astype(int)
+    return f, m, energy, c_p, c_q
 
-    order = np.argsort(energies, kind="stable")
-    energies = energies[order] - energies.mean()
+
+def _links(f, m, energy, c_p, c_q):
+    """Every S+ link between levels of different F, oriented by energy.
+
+    Only S+ takes level j of sector m to level k of sector m + 1, so
+    |<k|S_x|j>| = |<k|S_y|j>| = |c_q(j) c_p(k)| / 2. Returns, one column per
+    link: the indices of its lower and upper level, E_upper - E_lower, |S_x|.
+    """
+    j, k = np.nonzero((m == m[:, None] + 1) & (f != f[:, None]))
+    element = np.abs(c_q[..., j] * (0.5 * c_p[..., k]))
+    flip = energy[..., k] < energy[..., j]
+    lower = np.where(flip, k, j)
+    upper = np.where(flip, j, k)
+    frequency = (np.take_along_axis(energy, upper, axis=-1)
+                 - np.take_along_axis(energy, lower, axis=-1))
+    return lower, upper, frequency, element
+
+
+def labeled_eigensystem(params, b0):
+    """Eigenpairs and adiabatic (F, m) labels at field b0: one field of the
+    sector solution that spectrum_vs_field runs over a grid.
+
+    Returns (levels in ascending energy, aligned eigenvector columns in the
+    product basis of build_hamiltonian).
+    """
+    f, m, energy, c_p, c_q = _sectors(params, np.array([b0], dtype=float))
+    # rows of |+1/2, m - 1/2> and |-1/2, m + 1/2>; a stretched state's
+    # missing partner lands on an unrelated row with amplitude zero
+    p = np.round(params.i + 0.5 - m).astype(int)
+    cols = np.arange(m.size)
+    vecs = np.zeros((m.size, m.size))
+    vecs[p, cols] = c_p[0]
+    vecs[p + round(2 * params.i), cols] = c_q[0]
+    order = np.argsort(energy[0], kind="stable")
     levels = [
-        LabeledLevel(index=k, energy=float(energies[k]), f=int(f_vals[j]), m=int(m_vals[j]))
+        LabeledLevel(index=k, energy=float(energy[0, j]), f=int(f[j]), m=int(m[j]))
         for k, j in enumerate(order)
     ]
     return levels, vecs[:, order]
 
 
-def transition_table(levels, eigenvectors, params, floor=1e-4):
+def transition_table(levels, eigenvectors, params, floor=MATRIX_ELEMENT_FLOOR):
     """All |dF . dm| = 1 transitions with |S_x|, |S_y| matrix elements.
 
-    Transitions whose sx element falls below the floor are dropped.
+    levels and eigenvectors are those of labeled_eigensystem. Each of its
+    eigenvectors lies in one F_z sector, so its only amplitude with
+    m_S = +1/2 is c_p and its only one with m_S = -1/2 is c_q. Transitions
+    whose sx element falls below the floor are dropped; the rest are ordered
+    by the positions of their lower, then upper level in `levels`.
     """
-    # S (x) 1 acts on the electron index alone: the rows of each column group
-    # into one block of I-components per m_S
-    sx_e, sy_e, _ = angular_momentum_ops(params.s)
-    v = eigenvectors
-    blocks = v.reshape(sx_e.shape[0], -1)
-    sx = np.abs(v.conj().T @ (sx_e @ blocks).reshape(v.shape))
-    sy = np.abs(v.conj().T @ (sy_e @ blocks).reshape(v.shape))
     f = np.array([lv.f for lv in levels])
     m = np.array([lv.m for lv in levels])
-    allowed = (np.abs(f[:, None] - f) == 1) & (np.abs(m[:, None] - m) == 1) & (sx >= floor)
-    out = []
-    for a, b in zip(*np.nonzero(np.triu(allowed, 1))):
-        la, lb = levels[a], levels[b]
-        out.append(
-            Transition(
-                lower=(la.f, la.m),
-                upper=(lb.f, lb.m),
-                frequency=float(lb.energy - la.energy),
-                sx_element=float(sx[a, b]),
-                sy_element=float(sy[a, b]),
-            )
+    energy = np.array([lv.energy for lv in levels])
+    c_p, c_q = eigenvectors.reshape(2, -1, m.size).sum(axis=1)
+    lower, upper, frequency, element = _links(f, m, energy, c_p, c_q)
+    return [
+        Transition(
+            lower=(int(f[lower[c]]), int(m[lower[c]])),
+            upper=(int(f[upper[c]]), int(m[upper[c]])),
+            frequency=float(frequency[c]),
+            sx_element=float(element[c]),
+            sy_element=float(element[c]),
         )
-    return out
+        for c in np.lexsort((upper, lower))
+        if element[c] >= floor
+    ]
 
 
 @dataclass(frozen=True)
@@ -236,54 +269,65 @@ class ResonantField:
 
 @dataclass(frozen=True)
 class FieldSpectrum:
-    rows: list  # (b0, Transition) in grid order
-    resonances: list  # ResonantField
+    """One row per transition and field, in grid order and, within a field,
+    in (lower, upper) label order."""
+
+    b0: np.ndarray  # tesla
+    lower: np.ndarray  # (rows, 2): (F, m) of the lower level
+    upper: np.ndarray  # (rows, 2): (F, m) of the upper level
+    frequency: np.ndarray  # Hz
+    sx_element: np.ndarray
+    sy_element: np.ndarray
+    resonances: list  # ResonantField, by crossing field
 
 
-def spectrum_vs_field(params, b0_grid, omega0, floor=1e-4):
+def spectrum_vs_field(params, b0_grid, omega0):
     """Transition frequencies on a field grid plus resonance crossings.
 
-    Crossings of each (lower, upper) branch with omega0 are located by linear
-    interpolation between adjacent grid points.
+    A transition crosses omega0 where f - omega0 changes sign between
+    adjacent grid points at which it is listed with the same orientation;
+    the crossing is located by linear interpolation.
     """
-    grid = [float(b) for b in b0_grid]
-    if not grid:
+    grid = np.asarray(b0_grid, dtype=float)
+    if grid.ndim != 1 or grid.size == 0:
         raise ValueError("b0 grid is empty")
-    if any(b2 <= b1 for b1, b2 in zip(grid, grid[1:])):
+    if np.any(np.diff(grid) <= 0):
         raise ValueError("b0 grid must be strictly increasing")
+    f, m, energy, c_p, c_q = _sectors(params, grid)
+    lower, upper, frequency, element = _links(f, m, energy, c_p, c_q)
+    listed = element >= MATRIX_ELEMENT_FLOOR
+    labels = np.stack([f, m], axis=-1)
 
-    per_field = []
-    for b0 in grid:
-        levels, vecs = labeled_eigensystem(params, b0)
-        table = transition_table(levels, vecs, params, floor)
-        per_field.append({(t.lower, t.upper): t for t in table})
+    d = frequency - omega0
+    same = listed[:-1] & listed[1:] & (lower[:-1] == lower[1:])
+    r, c = np.nonzero(same & (d[:-1] * d[1:] < 0.0))
+    d1, d2 = d[r, c], d[r + 1, c]
+    # an exact hit counts where the next interval keeps the transition, and
+    # at the trailing grid point
+    er, ec = np.nonzero(np.concatenate([same, listed[-1:]]) & (d == 0.0))
+    rows, cols = np.concatenate([r, er]), np.concatenate([c, ec])
+    fields = np.concatenate([grid[r] + d1 / (d1 - d2) * (grid[r + 1] - grid[r]), grid[er]])
+    resonances = sorted(
+        (ResonantField(tuple(labels[lo].tolist()), tuple(labels[up].tolist()), b)
+         for lo, up, b in zip(lower[rows, cols], upper[rows, cols], fields.tolist())),
+        key=lambda res: res.b0,
+    )
 
-    rows = []
-    for b0, table in zip(grid, per_field):
-        for key in sorted(table):
-            rows.append((b0, table[key]))
-
-    resonances = []
-    for i in range(len(grid) - 1):
-        for key, t1 in per_field[i].items():
-            t2 = per_field[i + 1].get(key)
-            if t2 is None:
-                continue
-            d1 = t1.frequency - omega0
-            d2 = t2.frequency - omega0
-            if d1 == 0.0:
-                resonances.append(ResonantField(key[0], key[1], grid[i]))
-            elif d1 * d2 < 0.0:
-                frac = d1 / (d1 - d2)
-                resonances.append(
-                    ResonantField(key[0], key[1], grid[i] + frac * (grid[i + 1] - grid[i]))
-                )
-    # trailing grid point can sit exactly on resonance
-    for key, t in per_field[-1].items():
-        if t.frequency == omega0:
-            resonances.append(ResonantField(key[0], key[1], grid[-1]))
-    resonances.sort(key=lambda r: r.b0)
-    return FieldSpectrum(rows=rows, resonances=resonances)
+    rank = np.empty_like(m)
+    rank[np.lexsort((m, f))] = np.arange(m.size)
+    order = np.argsort(rank[lower] * m.size + rank[upper], axis=1)
+    lower, upper, frequency, element, listed = (
+        np.take_along_axis(x, order, axis=1) for x in (lower, upper, frequency, element, listed))
+    element = element[listed]
+    return FieldSpectrum(
+        b0=np.broadcast_to(grid[:, None], listed.shape)[listed],
+        lower=labels[lower[listed]],
+        upper=labels[upper[listed]],
+        frequency=frequency[listed],
+        sx_element=element,
+        sy_element=element,
+        resonances=resonances,
+    )
 
 
 def resonance_groups(resonances):

@@ -1,9 +1,8 @@
 """Small dense nonlinear least-squares machinery.
 
-Levenberg-Marquardt with central-difference Jacobians is the workhorse; a
-Nelder-Mead simplex is kept as a derivative-free fallback for the rare fit
-that starts far from the basin. Problems here have at most four parameters,
-so O(n^3) linear algebra per iteration is irrelevant.
+Levenberg-Marquardt with central-difference Jacobians; a fit it cannot
+finish raises NoConvergence. Problems here have at most four parameters, so
+O(n^3) linear algebra per iteration is irrelevant.
 """
 
 from __future__ import annotations
@@ -33,9 +32,10 @@ def numeric_jacobian(residual, x):
 def levenberg_marquardt(residual, x0, *, max_iter=200, step_tol=1e-10):
     """Minimize sum(residual(x)**2).
 
-    Returns (x, jac, r) at the optimum. Convergence is declared when the
-    relative parameter step drops below step_tol; exhausting max_iter raises
-    NoConvergence.
+    Returns (x, jac, r, converged) at the last accepted point. converged
+    is True when the relative parameter step dropped below step_tol, and
+    False when the damping grew past 1e12 without a step that lowers the
+    cost; exhausting max_iter raises NoConvergence.
     """
     x = np.asarray(x0, dtype=float).copy()
     lam = 1e-3
@@ -61,56 +61,9 @@ def levenberg_marquardt(residual, x0, *, max_iter=200, step_tol=1e-10):
             jac, r = numeric_jacobian(residual, x)
             lam = max(lam / 10.0, 1e-12)
             if rel < step_tol:
-                return x, jac, r
+                return x, jac, r, True
         else:
             lam *= 10.0
             if lam > 1e12:
-                # stuck; a vanishing trust region is convergence in disguise
-                return x, jac, r
+                return x, jac, r, False
     raise NoConvergence(f"no parameter step below {step_tol} in {max_iter} iterations")
-
-
-def nelder_mead(fun, x0, *, max_eval=2000, ftol=1e-14, xtol=1e-12):
-    """Simplex minimizer used when LM cannot make progress."""
-    x0 = np.asarray(x0, dtype=float)
-    n = x0.size
-    simplex = [x0.copy()]
-    for i in range(n):
-        xi = x0.copy()
-        xi[i] += 0.05 * max(abs(xi[i]), 1.0)
-        simplex.append(xi)
-    fvals = [fun(p) for p in simplex]
-    neval = n + 1
-    while neval < max_eval:
-        order = np.argsort(fvals)
-        simplex = [simplex[i] for i in order]
-        fvals = [fvals[i] for i in order]
-        spread_f = abs(fvals[-1] - fvals[0])
-        spread_x = max(np.max(np.abs(p - simplex[0])) for p in simplex[1:])
-        if spread_f <= ftol * (1 + abs(fvals[0])) and spread_x <= xtol * (
-            1 + np.max(np.abs(simplex[0]))
-        ):
-            return simplex[0], fvals[0]
-        centroid = np.mean(simplex[:-1], axis=0)
-        xr = centroid + (centroid - simplex[-1])
-        fr = fun(xr)
-        neval += 1
-        if fr < fvals[0]:
-            xe = centroid + 2.0 * (centroid - simplex[-1])
-            fe = fun(xe)
-            neval += 1
-            simplex[-1], fvals[-1] = (xe, fe) if fe < fr else (xr, fr)
-        elif fr < fvals[-2]:
-            simplex[-1], fvals[-1] = xr, fr
-        else:
-            xc = centroid + 0.5 * (simplex[-1] - centroid)
-            fc = fun(xc)
-            neval += 1
-            if fc < fvals[-1]:
-                simplex[-1], fvals[-1] = xc, fc
-            else:
-                for i in range(1, n + 1):
-                    simplex[i] = simplex[0] + 0.5 * (simplex[i] - simplex[0])
-                    fvals[i] = fun(simplex[i])
-                neval += n
-    raise NoConvergence(f"simplex did not settle within {max_eval} evaluations")

@@ -50,16 +50,12 @@ def manifest_outputs(outdir):
 
 
 def test_version_exits_zero(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["--version"])
-    assert exc.value.code == 0
+    assert cli.main(["--version"]) == 0
     assert "purcell-cool" in capsys.readouterr().out
 
 
 def test_unknown_subcommand_exits_two(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["frobnicate", "--out", "x"])
-    assert exc.value.code == 2
+    assert cli.main(["frobnicate", "--out", "x"]) == 2
 
 
 def test_missing_config_file_is_io_error(tmp_path, capsys):
@@ -271,6 +267,30 @@ def test_snr_rejects_bad_gamma1(tmp_path, capsys, gamma1):
     rc = cli.main(["snr", "--gamma1", gamma1, "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "--gamma1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["spectrum", "--omega0", "nan"], "--omega0"),
+    (["spectrum", "--omega0", "0"], "--omega0"),
+    (["spectrum", "--b0-min", "nan"], "--b0-min"),
+    (["spectrum", "--b0-max", "inf"], "--b0-max"),
+    (["echo", "--tau-us", "0"], "--tau-us"),
+    (["cpmg", "--n-cpmg", "0"], "--n-cpmg"),
+    (["rabi", "--amp-points", "-1"], "--amp-points"),
+    (["polarization", "--t-min", "nan"], "--t-min"),
+    (["polarization", "--points", "0"], "--points"),
+    (["snr", "--gamma1", "0.07", "--p", "nan"], "--p"),
+    (["snr", "--gamma1", "0.07", "--sigma", "0"], "--sigma"),
+    (["snr", "--gamma1", "0.07", "--trep-points", "0"], "--trep-points"),
+    (["snr", "--gamma1", "0.07", "--trep-min", "0"], "--trep-min"),
+])
+def test_numeric_flags_are_checked_not_defaulted(tmp_path, cfg_path, capsys, argv, flag):
+    # a zero must not fall back to the default, and nan must not run
+    out = tmp_path / "o"
+    rc = cli.main(argv + ["--config", str(cfg_path), "--out", str(out)])
+    assert rc == 2
+    assert f"{flag} must be" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
 
 
 def test_manifest_seed_override(tmp_path, cfg_path):

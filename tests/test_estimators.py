@@ -28,6 +28,14 @@ class TestExponentialRecovery:
         assert abs(fit.parameters["offset"] - 0.001) < 1e-9
         assert set(fit.std_errors) == {"amplitude", "gamma1", "offset"}
 
+    def test_inverted_recovery_keeps_the_amplitude_positive(self):
+        dt = np.geomspace(0.05, 8.0, 12)
+        fit = est.fit_exponential_recovery(zip(dt, self.model(dt, -0.3, 1.3, 0.05)))
+        assert fit.converged
+        assert list(fit.parameters) == ["amplitude", "gamma1", "offset"]
+        assert abs(fit.parameters["amplitude"] - 0.3) < 1e-9
+        assert abs(fit.parameters["gamma1"] - 1.3) < 1e-7
+
     def test_noisy_matches_library_fit(self):
         rng = np.random.default_rng(11)
         dt = np.geomspace(0.01, 20.0, 25)

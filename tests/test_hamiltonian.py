@@ -215,3 +215,76 @@ def test_labeled_eigensystem_rejects_unsupported_spins(s, i):
     params = ham.SpinSystemParams(28e9, 7e6, 1e9, s, i)
     with pytest.raises(ValueError):
         ham.labeled_eigensystem(params, 0.0)
+
+
+def test_closed_form_elements_match_full_operator_products():
+    params = ham.SpinSystemParams.si_bi()
+    ops = ham._spin_operators(params)
+    for b0 in FIELDS_T:
+        levels, v = ham.labeled_eigensystem(params, b0)
+        sx = np.abs(v.T @ ops["sx"] @ v)
+        sy = np.abs(v.T @ ops["sy"] @ v)
+        index = {(lv.f, lv.m): k for k, lv in enumerate(levels)}
+        table = ham.transition_table(levels, v, params, floor=0.0)
+        pairs = [(index[t.lower], index[t.upper]) for t in table]
+        expected = [(a, b) for a in range(len(levels)) for b in range(a + 1, len(levels))
+                    if abs(levels[a].f - levels[b].f) == 1
+                    and abs(levels[a].m - levels[b].m) == 1]
+        assert pairs == expected  # triu order over the energy-sorted levels
+        for t, (a, b) in zip(table, pairs):
+            assert abs(t.sx_element - sx[a, b]) < 1e-12
+            assert abs(t.sy_element - sy[a, b]) < 1e-12
+            assert t.frequency == levels[b].energy - levels[a].energy
+
+
+def per_field_rows(params, grid):
+    """spectrum_vs_field's rows, built field by field from the one-field slice."""
+    rows = []
+    for b0 in grid:
+        levels, vecs = ham.labeled_eigensystem(params, float(b0))
+        table = ham.transition_table(levels, vecs, params)
+        rows += sorted((float(b0), t.lower, t.upper, t.frequency, t.sx_element, t.sy_element)
+                       for t in table)
+    return rows
+
+
+def spectrum_rows(spec):
+    return list(zip(spec.b0.tolist(), map(tuple, spec.lower.tolist()),
+                    map(tuple, spec.upper.tolist()), spec.frequency.tolist(),
+                    spec.sx_element.tolist(), spec.sy_element.tolist()))
+
+
+def test_field_scan_columns_equal_the_one_field_slices():
+    params = ham.SpinSystemParams.si_bi()
+    grid = np.linspace(0.0, 0.07, 36)
+    spec = ham.spectrum_vs_field(params, grid, 7.408e9)
+    assert spectrum_rows(spec) == per_field_rows(params, grid)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    i=st.sampled_from([0.5, 1.5, 2.5, 3.5, 4.5]),
+    gamma_e=st.floats(1e9, 1e11),
+    gamma_n=st.floats(-1e8, 1e8),
+    a=st.floats(1e7, 1e10),
+    fields=st.lists(st.floats(0.0, 2.0), min_size=1, max_size=12, unique=True),
+    from_zero=st.booleans(),
+)
+def test_field_scan_equals_the_one_field_slices_for_any_nucleus(
+        i, gamma_e, gamma_n, a, fields, from_zero):
+    params = ham.SpinSystemParams(gamma_e=gamma_e, gamma_n=gamma_n, hyperfine_a=a, s=0.5, i=i)
+    grid = np.unique(fields + [0.0] if from_zero else fields)
+    spec = ham.spectrum_vs_field(params, grid, 7.408e9)
+    assert spectrum_rows(spec) == per_field_rows(params, grid)
+
+
+@pytest.mark.parametrize("at", [5, -1])
+def test_probe_on_a_grid_point_gives_one_crossing_there(at):
+    params = ham.SpinSystemParams.si_bi()
+    grid = np.linspace(60e-3, 65e-3, 11)
+    levels, vecs = ham.labeled_eigensystem(params, float(grid[at]))
+    line = {(t.lower, t.upper): t for t in ham.transition_table(levels, vecs, params)}
+    omega0 = line[((4, 0), (5, -1))].frequency
+    spec = ham.spectrum_vs_field(params, grid, omega0)
+    hits = [r for r in spec.resonances if (r.lower, r.upper) == ((4, 0), (5, -1))]
+    assert [r.b0 for r in hits] == [grid[at]]
