@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from purcell_cool.errors import StepUnderflow
+from purcell_cool import ode
 from purcell_cool.ode import dormand_prince
 
 
@@ -94,3 +95,15 @@ def test_tolerance_controls_error():
     exact = np.exp(1j * 200.0)
     assert abs(fine[0] - exact) < abs(coarse[0] - exact)
     assert abs(fine[0] - exact) < 1e-8
+
+
+@pytest.mark.parametrize("width", [3, 3281])
+def test_observed_error_is_not_diluted_by_the_state_width(width):
+    # an error confined to the observed column 0: the plain RMS shrinks as
+    # 1/sqrt(width), the observe-aware norm does not
+    err = np.zeros((2, width), dtype=complex)
+    err[1, 0] = 3e-10
+    y = np.zeros((2, width), dtype=complex)
+    norm = ode._error_norm(err, y, y, 1e-8, 1e-10, observe=lambda v: v[:, 0])
+    assert norm == pytest.approx(3.0, rel=1e-12)
+    assert ode._error_norm(err, y, y, 1e-8, 1e-10) == pytest.approx(3.0 / math.sqrt(width))
