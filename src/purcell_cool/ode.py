@@ -1,23 +1,35 @@
-"""Adaptive Dormand-Prince 5(4) integrator.
+"""Dormand-Prince 5(4) integrator with an exact diagonal linear part.
 
 Self-contained embedded Runge-Kutta pair (Hairer, Norsett & Wanner, Solving
-ODEs I, II.4-5) with PI-free step control, used by the ensemble simulator.
+ODEs I, II.4-6) with PI-free step control, used by the ensemble simulator.
+It integrates dy/dt = L y + f(t, y) for a diagonal L given by its entries
+(one per column of the state): the linear part is advanced exactly and the
+pair integrates only f (Lawson's integrating factor; Lawson, SIAM J. Numer.
+Anal. 4, 372 (1967); Hochbruck & Ostermann, Acta Numerica 19, 209 (2010)).
+Stage i is Y_i = e^{c_i hL} y + h sum_j a_ij e^{(c_i - c_j) hL} k_j with
+k_j = f(t + c_j h, Y_j). The nodes never decrease, so every factor has
+modulus at most 1 when L has no growing entry. The factors are built from
+the distinct entries of L, and columns past the last nonzero entry of L take
+the plain sums. With L = 0 every factor is 1 and the step is classical DP5.
+
 Works on complex states of any shape; a 2-D state (R, m) is R independent
 rows advanced with one shared step. The seven stages of a step live in one
-preallocated (7,) + shape array and are combined through the tableau matrix
-on its flat view; the last stage is the derivative at the 5th-order solution
-and becomes the first stage of the next step (FSAL). The error norm is the
-RMS of each row, maximised over rows, so every row meets its own tolerance;
-with observe, a row's norm is at least the RMS over its observed entries,
-which a wide state would otherwise dilute.
-Fixed-step mode runs the same loop and only skips the accept test. Requested
-sample times are hit exactly by clipping the step, which avoids carrying a
-dense interpolant; only observe(y) is stored at each of them.
+preallocated (7,) + shape array; the last stage is the derivative at the
+5th-order solution and becomes the first stage of the next step (FSAL). The
+error norm is the RMS of each row, maximised over rows, so every row meets
+its own tolerance; with observe, a row's norm is at least the RMS over its
+observed entries, which a wide state would otherwise dilute. Fixed-step mode
+runs the same loop and only skips the accept test. Steps are not clipped to
+the requested sample times: observe(y) at a sample inside a step comes from
+the DP5 continuous extension (Hairer's contd5 weights) in the interaction
+frame, mapped back with e^{theta hL}; a sample at t0 or t1 is the state
+itself.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -38,10 +50,34 @@ _A = np.array([
 _B4 = np.array(
     [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
 )
-_E = np.append(_A[6], 0.0) - _B4
+_B5 = np.append(_A[6], 0.0)
+_E = _B5 - _B4
+# continuous extension (Hairer's contd5): the theta^2 (1 - theta)^2 term
+_D5 = np.array([-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
+                -10690763975 / 1880347072, 701980252875 / 199316789632,
+                -1453857185 / 822651844, 69997945 / 29380423])
+
+# Stage i (1-6) combines the rows of z = [y, k_0, ..., k_6] up to row i as
+# sum_r w_r z_r with weights w = (one + h * coef) * e^{d hL}: e^{c_i hL} on y
+# and h a_ij e^{(c_i - c_j) hL} on k_j. The last block, over k_0...k_6, is
+# the error estimate with h e_j e^{(1 - c_j) hL}. _SPAN[i] are stage i's rows
+# of these tables, _SPAN[7] the error's.
+_C_EXACT = [Fraction(n, d) for n, d in ((0, 1), (1, 5), (3, 10), (4, 5), (8, 9), (1, 1), (1, 1))]
+_TERMS = [term for i in range(1, 7) for term in
+          [(_C_EXACT[i], 1.0, 0.0)]
+          + [(_C_EXACT[i] - _C_EXACT[j], 0.0, _A[i, j]) for j in range(i)]]
+_TERMS += [(1 - c, 0.0, e) for c, e in zip(_C_EXACT, _E)]
+_D_EXACT = sorted({d for d, _, _ in _TERMS})  # the distinct exponents
+_D = np.array([float(d) for d in _D_EXACT])
+_W_D = np.array([_D_EXACT.index(d) for d, _, _ in _TERMS])
+_W_ONE = np.array([one for _, one, _ in _TERMS])
+_W_H = np.array([coef for _, _, coef in _TERMS])
+_SPAN = [None] + [(i * (i + 1) // 2 - 1, (i + 1) * (i + 2) // 2 - 1) for i in range(1, 7)]
+_SPAN.append((_SPAN[6][1], len(_TERMS)))
 
 _MIN_STEP = 1e-15  # s; adaptive control below this aborts the run
 _MAX_ATTEMPTS = 10_000_000
+_MAX_GROWTH = 700.0  # cap on the exponent of a dense-output factor
 
 
 def _rms_rows(scaled, rows):
@@ -64,16 +100,39 @@ def _error_norm(err, y0, y1, rtol, atol, observe=None):
     return float(norm.max())
 
 
-def dormand_prince(f, t0, y0, t1, *, rtol=1e-8, atol=1e-10, fixed_step=None,
-                   sample_times=None, observe=None):
-    """Integrate dy/dt = f(t, y) from t0 to t1.
+def _dense_weights(theta):
+    """b_j(theta), shape (len(theta), 7): y(t + theta h) = y + h sum_j b_j k_j."""
+    th = np.asarray(theta, dtype=float)[:, None]
+    first, last = np.eye(7)[[0, 6]]
+    return (th * _B5 + th * (1 - th) * (first - _B5)
+            + th**2 * (1 - th) * (2 * _B5 - first - last)
+            + th**2 * (1 - th) ** 2 * _D5)
+
+
+def _dense(theta, h, y, k, lin):
+    """Observed state at t + theta h from the observed y, stages k (7, ...)
+    and linear part lin of one step, in the interaction frame."""
+    w = _dense_weights(theta).reshape(theta.shape + (7,) + (1,) * y.ndim)
+    expo = np.multiply.outer(np.subtract.outer(theta, _C), h * lin)
+    # for theta < c_j the factor grows (up to e^{h |Re L|}): keep it finite
+    grow = np.exp(np.minimum(expo.real, _MAX_GROWTH) + 1j * expo.imag)
+    return (np.exp(np.multiply.outer(theta * h, lin)) * y
+            + h * np.add.reduce(w * grow * k, axis=1))
+
+
+def dormand_prince(f, t0, y0, t1, *, linear=None, rtol=1e-8, atol=1e-10,
+                   fixed_step=None, sample_times=None, observe=None):
+    """Integrate dy/dt = L y + f(t, y) from t0 to t1.
 
     y0 is 1-D, or 2-D with one independent system per row; f returns an
-    array of the shape of y. Returns (y_end, samples) where samples[j] is
-    observe(y) at sample_times[j] (the whole state when observe is None),
-    stored in one buffer of len(sample_times) entries (empty when none were
-    requested). The integrator never steps across a sample time. fixed_step
-    disables error control and marches with the given step.
+    array of the shape of y. linear holds the diagonal of L, one entry per
+    column of y (None for L = 0); its real parts should not be positive.
+    Returns (y_end, samples) where samples[j] is observe(y) at
+    sample_times[j] (the whole state when observe is None), stored in one
+    buffer of len(sample_times) entries (empty when none were requested).
+    sample_times must not decrease. observe must pick entries of the state
+    (a slice or index), keeping the rows of a 2-D state on its first axis.
+    fixed_step disables error control and marches with the given step.
 
     Raises StepUnderflow if error control pushes the step below 1e-15 s.
     """
@@ -83,49 +142,85 @@ def dormand_prince(f, t0, y0, t1, *, rtol=1e-8, atol=1e-10, fixed_step=None,
     span = t1 - t
     if span < 0:
         raise ValueError("t1 must be >= t0")
+    seen = (lambda v: v) if observe is None else observe
 
-    stops = [] if sample_times is None else [float(ts) for ts in sample_times]
-    for ts in stops:
-        if ts < t0 - 1e-18 or ts > t1 + abs(t1) * 1e-12 + 1e-18:
-            raise ValueError("sample time outside integration span")
+    stops = np.array([] if sample_times is None else sample_times, dtype=float)
+    if stops.size and (stops.min() < t0 - 1e-18
+                       or stops.max() > t1 + abs(t1) * 1e-12 + 1e-18):
+        raise ValueError("sample time outside integration span")
+    if np.any(np.diff(stops) < 0):
+        raise ValueError("sample times must not decrease")
 
-    first = np.asarray(y if observe is None else observe(y))
+    lin = np.zeros(y.shape[-1], dtype=complex)
+    if linear is not None:
+        lin[:] = linear
+    nonzero = np.flatnonzero(lin)
+    p = nonzero[-1] + 1 if nonzero.size else 0  # columns [p:) have L = 0
+    vals, inv = np.unique(lin[:p], return_inverse=True)
+    lin_seen = np.asarray(seen(np.broadcast_to(lin, y.shape)))
+    row_shape = (1,) * (y.ndim - 1) + (p,)  # a weight row against a state's [..., :p]
+
+    first = np.asarray(seen(y))
     samples = np.empty((len(stops),) + first.shape, dtype=first.dtype)
+    j = int(np.searchsorted(stops, t, side="right"))  # samples at t0: y0
+    samples[:j] = first
     # fixed step, or a cheap conservative start that control rescales fast
     h = min(span, span / 50.0 if fixed_step is None else fixed_step)
-    k = np.empty((7,) + y.shape, dtype=complex)
-    k_flat = k.reshape(7, -1)  # a view: stage algebra runs on flat rows
+    # z = [y, k_0, ..., k_6]; rows past a stage's own are stale (or unset)
+    z = np.empty((8,) + y.shape, dtype=complex)
+    z[0] = y
     if span > 0:
-        k[0] = f(t, y)
+        z[1] = f(t, y)
+
+    def combine(rows, coef, wts):
+        """sum_r w_r z[rows][r]: the plain coefficients on the columns [p:),
+        the per-column weights wts on [:p)."""
+        out = np.empty_like(y)
+        out[..., p:] = (coef @ z[rows, ..., p:].reshape(len(coef), -1)).reshape(
+            out[..., p:].shape)
+        out[..., :p] = np.add.reduce(wts.reshape((len(coef),) + row_shape)
+                                     * z[rows, ..., :p], axis=0)
+        return out
+
     attempts = 0
-    # the last stop is t1 itself, which records no sample
-    for j, stop in enumerate(stops + [t1]):
-        stop = min(stop, t1)
-        while t < stop - 1e-18 * max(1.0, abs(stop)):
-            attempts += 1
-            if attempts > _MAX_ATTEMPTS:
-                raise StepUnderflow("step budget exhausted before reaching t1")
-            if fixed_step is None and h < _MIN_STEP:
-                raise StepUnderflow(f"dt={h:.3e} s below 1e-15 s at t={t:.6e}")
-            h_try = min(h, stop - t)
-            # rows past i are stale (or unset): 0 * nan would poison the sum
-            for i in range(1, 7):
-                y_new = y + ((h_try * _A[i, :i]) @ k_flat[:i]).reshape(y.shape)
-                k[i] = f(t + _C[i] * h_try, y_new)
-            if fixed_step is None:
-                err = _error_norm(((h_try * _E) @ k_flat).reshape(y.shape), y, y_new,
-                                  rtol, atol, observe)
-                if not math.isfinite(err):
-                    h = h_try / 10.0
-                    continue
-                if err > 1.0:
-                    h = h_try * max(0.2, 0.9 * err ** -0.2)
-                    continue
-                grow = 5.0 if err == 0 else min(5.0, 0.9 * err ** -0.2)
-                h = min(span, h_try * max(1.0, grow))
-            t += h_try
-            y = y_new
-            k[0] = k[6]  # FSAL
-        if j < len(stops):
-            samples[j] = y if observe is None else observe(y)
+    while t < t1 - 1e-18 * max(1.0, abs(t1)):
+        attempts += 1
+        if attempts > _MAX_ATTEMPTS:
+            raise StepUnderflow("step budget exhausted before reaching t1")
+        if fixed_step is None and h < _MIN_STEP:
+            raise StepUnderflow(f"dt={h:.3e} s below 1e-15 s at t={t:.6e}")
+        last = h >= t1 - t
+        h_try = t1 - t if last else h
+        coef = _W_ONE + h_try * _W_H
+        # the weights from the distinct entries of L, then one per column
+        wts = (coef[:, None] * np.exp(np.multiply.outer(_D[_W_D] * h_try, vals)))[:, inv]
+        for i in range(1, 7):
+            lo, hi = _SPAN[i]
+            y_new = combine(slice(0, i + 1), coef[lo:hi], wts[lo:hi])
+            z[i + 1] = f(t + _C[i] * h_try, y_new)
+        if fixed_step is None:
+            lo, hi = _SPAN[7]
+            err = combine(slice(1, 8), coef[lo:hi], wts[lo:hi])
+            err = _error_norm(err, y, y_new, rtol, atol, observe)
+            if not math.isfinite(err):
+                h = h_try / 10.0
+                continue
+            if err > 1.0:
+                h = h_try * max(0.2, 0.9 * err ** -0.2)
+                continue
+            grow = 5.0 if err == 0 else min(5.0, 0.9 * err ** -0.2)
+            h = min(span, h_try * max(1.0, grow))
+        t_new = t1 if last else t + h_try
+        # samples inside the step; one at t1 itself is the final state
+        j_end = int(np.searchsorted(stops, t_new, side="left" if last else "right"))
+        if j_end > j:
+            theta = np.clip((stops[j:j_end] - t) / h_try, 0.0, 1.0)
+            k_seen = np.stack([np.asarray(seen(z[r])) for r in range(1, 8)])
+            samples[j:j_end] = _dense(theta, h_try, np.asarray(seen(y)), k_seen, lin_seen)
+            j = j_end
+        t = t_new
+        y = y_new
+        z[0] = y
+        z[1] = z[7]  # FSAL
+    samples[j:] = seen(y)
     return y, samples

@@ -43,7 +43,7 @@ def test_sample_times_hit_exactly():
         lambda t, y: -y, 0.0, np.array([2.0 + 0j]), 1.5, sample_times=ts
     )
     assert samples.shape == (4, 1)
-    # samples come from landing on the time stamp, not interpolation
+    # interior samples come from the dense output; the one at t1 is the state
     assert np.allclose(samples[:, 0], 2.0 * np.exp(-ts), rtol=1e-8)
     assert abs(samples[-1, 0] - y1[0]) == 0.0
 
@@ -107,3 +107,48 @@ def test_observed_error_is_not_diluted_by_the_state_width(width):
     norm = ode._error_norm(err, y, y, 1e-8, 1e-10, observe=lambda v: v[:, 0])
     assert norm == pytest.approx(3.0, rel=1e-12)
     assert ode._error_norm(err, y, y, 1e-8, 1e-10) == pytest.approx(3.0 / math.sqrt(width))
+
+
+KAPPA_HALF = 3.1e6  # s^-1, the cavity decay rate of the simulator's resonator
+LINEAR = np.array([-KAPPA_HALF, -(2j * math.pi * 1.5e6 + 1 / 600e-6), 0.0])
+
+
+@pytest.mark.parametrize("fixed_step", [None, 1e-4, 1e-3])
+def test_linear_part_alone_is_exact_in_any_step(fixed_step):
+    # f = 0: every step multiplies by e^{hL}, even at kappa h / 2 = 3100,
+    # where e^{-kappa h / 2} underflows and no factor may turn into 0 * inf
+    y0 = np.array([1.0 + 0j, 0.4 - 0.2j, 0.3 + 0j])
+    ts = np.array([0.0, 2e-7, 3.3e-4, 1e-3])
+    y1, samples = dormand_prince(lambda t, y: np.zeros_like(y), 0.0, y0, 1e-3,
+                                 linear=LINEAR, fixed_step=fixed_step, sample_times=ts)
+    exact = np.exp(np.multiply.outer(ts, LINEAR)) * y0
+    assert np.all(np.isfinite(samples)) and np.all(np.isfinite(y1))
+    assert np.allclose(samples, exact, rtol=1e-12, atol=1e-300)
+    assert np.array_equal(samples[-1], y1) and np.array_equal(samples[0], y0)
+
+
+def test_dense_samples_of_a_driven_linear_system_match_the_closed_form():
+    # y' = L y + c e^{ibt}: y = e^{Lt} y0 + c (e^{ibt} - e^{Lt}) / (ib - L)
+    c = np.array([2e5 + 0j, 1e4j, 3e3 + 0j])
+    b = 2 * math.pi * 0.7e6
+    y0 = np.array([0.02 + 0.01j, 0.3 + 0j, -0.4 + 0j])
+    ts = np.arange(401) * 1e-8
+    calls = []
+
+    def f(t, y):
+        calls.append(t)
+        return c * np.exp(1j * b * t)
+
+    y1, samples = dormand_prince(f, 0.0, y0, 4e-6, linear=LINEAR, sample_times=ts)
+    e_lt = np.exp(np.multiply.outer(ts, LINEAR))
+    exact = e_lt * y0 + c * (np.exp(1j * b * ts)[:, None] - e_lt) / (1j * b - LINEAR)
+    assert np.abs(samples - exact).max() < 1e-7 * np.abs(exact).max()
+    assert np.array_equal(samples[-1], y1) and np.array_equal(samples[0], y0)
+    # steps are not clipped to the 10 ns comb: far fewer attempts than samples
+    assert (len(calls) - 1) % 6 == 0 and (len(calls) - 1) // 6 < len(ts) // 4
+
+
+def test_sample_times_must_not_decrease():
+    with pytest.raises(ValueError):
+        dormand_prince(lambda t, y: -y, 0.0, np.array([1.0 + 0j]), 1.0,
+                       sample_times=[0.5, 0.2])
