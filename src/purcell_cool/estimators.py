@@ -51,7 +51,12 @@ def _least_squares(residual, x0, names):
 
 
 def fit_exponential_recovery(data):
-    """Fit A (1 - 2 exp(-gamma1 dt)) + c to inversion-recovery areas."""
+    """Fit A (1 - 2 exp(-gamma1 dt)) + c to inversion-recovery areas.
+
+    The global sign of phase-aligned echo areas is a convention, so the
+    result is reported in the gauge A >= 0: a fit with A < 0 is returned as
+    (-A, gamma1, -c), the parameters of the negated data.
+    """
     pts = sorted((float(a), float(b)) for a, b in data)
     if len(pts) < 4:
         raise ValueError("need at least 4 recovery points")
@@ -76,9 +81,10 @@ def fit_exponential_recovery(data):
         return a * (1 - 2 * np.exp(-g * dt)) + c - y
 
     res = _least_squares(residual, [a0, g0, c0], ["amplitude", "gamma1", "offset"])
-    if res.parameters["amplitude"] < 0:  # sign gauge: keep amplitude positive
+    if res.parameters["amplitude"] < 0:  # sign gauge: negate the data's sign
         res = replace(res, parameters={**res.parameters,
-                                       "amplitude": -res.parameters["amplitude"]})
+                                       "amplitude": -res.parameters["amplitude"],
+                                       "offset": -res.parameters["offset"]})
     return res
 
 

@@ -36,6 +36,14 @@ class TestExponentialRecovery:
         assert abs(fit.parameters["amplitude"] - 0.3) < 1e-9
         assert abs(fit.parameters["gamma1"] - 1.3) < 1e-7
 
+    def test_inverted_recovery_flips_the_offset_with_the_amplitude(self):
+        # the gauge negates the data: (A, gamma1, c) -> (-A, gamma1, -c)
+        dt = np.geomspace(0.05, 8.0, 12)
+        y = self.model(dt, -0.3, 1.3, 0.05)
+        fit = est.fit_exponential_recovery(zip(dt, y))
+        assert abs(fit.parameters["offset"] + 0.05) < 1e-9
+        assert np.allclose(self.model(dt, *fit.parameters.values()), -y, atol=1e-9)
+
     def test_noisy_matches_library_fit(self):
         rng = np.random.default_rng(11)
         dt = np.geomspace(0.01, 20.0, 25)
