@@ -12,6 +12,7 @@ import argparse
 import hashlib
 import json
 import math
+import re
 import sys
 import time
 
@@ -79,6 +80,18 @@ def _positive(value, flag):
     """A numeric flag that must be a positive, finite number."""
     if not (math.isfinite(value) and value > 0):
         raise ValueError(f"{flag} must be positive and finite, got {value!r}")
+    return value
+
+
+# The most points a grid flag may ask for; a spectrum field costs about 7 KB,
+# and a larger request would otherwise run out of memory instead of failing.
+MAX_POINTS = 10_001
+
+
+def _count(value, flag):
+    """A grid size: positive and at most MAX_POINTS."""
+    if not (math.isfinite(value) and 0 < value <= MAX_POINTS):
+        raise ValueError(f"{flag} must be between 1 and {MAX_POINTS}, got {value!r}")
     return value
 
 
@@ -156,8 +169,11 @@ def cmd_spectrum(cfg, args, outdir):
               else _positive(args.omega0, "--omega0"))
     b0_min = _nonnegative(args.b0_min, "--b0-min")
     b0_max = _nonnegative(args.b0_max, "--b0-max")
-    n = int(round((b0_max - b0_min) / _positive(args.b0_step, "--b0-step"))) + 1
-    grid = np.linspace(b0_min, b0_max, n)
+    steps = (b0_max - b0_min) / _positive(args.b0_step, "--b0-step")
+    if not 0 <= steps <= MAX_POINTS - 1:
+        raise ValueError(f"--b0-min to --b0-max must span 0 to {MAX_POINTS - 1} steps "
+                         f"of --b0-step, got {steps:.3g}")
+    grid = np.linspace(b0_min, b0_max, int(round(steps)) + 1)
     spec = hamiltonian.spectrum_vs_field(params, grid, omega0)
     columns = (spec.b0, *spec.lower.T, *spec.upper.T, spec.frequency,
                spec.sx_element, spec.sy_element)
@@ -203,7 +219,7 @@ def cmd_polarization(cfg, args, outdir):
     res = cfg.resonator_params()
     levels, pair = _resonant_pair(cfg, args.b0)
     ts = np.linspace(_nonnegative(args.t_min, "--t-min"), _nonnegative(args.t_max, "--t-max"),
-                     _positive(args.points, "--points"))
+                     _count(args.points, "--points"))
     rows = []
     for t in ts:
         rows.append((
@@ -299,7 +315,7 @@ def cmd_rabi(cfg, args, outdir):
     if args.amp_list is not None:
         amps = [float(v) for v in args.amp_list.split(",")]
     else:
-        points = _positive(args.amp_points, "--amp-points")
+        points = _count(args.amp_points, "--amp-points")
         amps = [float(s) * amp for s in np.linspace(0.1, 3.0, points)]
     seqs = [
         blochsim.hahn_echo(tau, a, pi_duration=seq_cfg["pi_ns"] * 1e-9,
@@ -364,7 +380,7 @@ def cmd_snr(cfg, args, outdir):
     sigma = _positive(args.sigma, "--sigma")
     t_lo = 0.01 / gamma1 if args.trep_min is None else _positive(args.trep_min, "--trep-min")
     t_hi = 10.0 / gamma1 if args.trep_max is None else _positive(args.trep_max, "--trep-max")
-    ts = np.geomspace(t_lo, t_hi, _positive(args.trep_points, "--trep-points"))
+    ts = np.geomspace(t_lo, t_hi, _count(args.trep_points, "--trep-points"))
     snr = estimators.snr_model(ts, gamma1, p, sigma)
     _write_csv(outdir / "snr.csv", ["t_rep_s", "snr"],
                list(zip((float(t) for t in ts), (float(v) for v in snr))))
@@ -393,8 +409,19 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads every negative number, "-1e-3", "-inf" and "-nan" included, as
+    a flag's value: argparse's own pattern takes only "-1" and "-0.5", and
+    reads the rest as an unknown option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="purcell-cool",
         description="Radiative spin-cooling simulator and estimation toolkit",
     )

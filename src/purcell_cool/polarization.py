@@ -36,10 +36,10 @@ def boltzmann_populations(levels, t):
     if t < 0:
         raise ValueError("temperature must be nonnegative")
     energies = np.array([lv.energy for lv in levels])
-    if t == 0:
+    if BOLTZMANN * t == 0:  # t = 0, or so small that k t underflows
         ground = energies - energies.min() < 1e-6 * max(np.ptp(energies), 1.0)
         p = ground / ground.sum()
-        return PopulationVector(probabilities=p, temperature=0.0)
+        return PopulationVector(probabilities=p, temperature=float(t))
     w = np.exp(-(energies - energies.min()) * PLANCK / (BOLTZMANN * t))
     return PopulationVector(probabilities=w / w.sum(), temperature=float(t))
 
@@ -110,6 +110,7 @@ def manifold_population_difference(t, omega0, n_lower=9, n_upper=11):
     """
     if t <= 0:
         raise ValueError("temperature must be positive")
-    x = PLANCK * omega0 / (BOLTZMANN * t)
+    kt = BOLTZMANN * t
+    x = PLANCK * omega0 / kt if kt else math.inf  # k t may underflow
     u = math.exp(-x)
     return (1.0 / n_lower) * (1 + u) / (1 + (n_upper / n_lower) * u) * math.tanh(x / 2)

@@ -76,7 +76,7 @@ def bose_occupation(t, omega):
     """Mean photon number n = 1/(exp(h omega / k t) - 1); 0 at t = 0."""
     if t < 0 or omega <= 0:
         raise ValueError("need t >= 0 and omega > 0")
-    if t == 0:
+    if BOLTZMANN * t == 0:  # t = 0, or so small that k t underflows
         return 0.0
     x = PLANCK * omega / (BOLTZMANN * t)
     if x > 700:  # exp overflow; occupation is denormal territory anyway
@@ -95,7 +95,7 @@ def spin_polarization(t, omega):
     """Two-level thermal polarization tanh(h omega / 2 k t); 1 at t = 0."""
     if t < 0:
         raise ValueError("temperature must be nonnegative")
-    if t == 0:
+    if BOLTZMANN * t == 0:  # t = 0, or so small that k t underflows
         return 1.0
     return math.tanh(PLANCK * omega / (2 * BOLTZMANN * t))
 

@@ -1,10 +1,15 @@
 import json
 import math
+import os
 import subprocess
 import sys
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from _frozen import FROZEN
 from purcell_cool import cli
@@ -93,6 +98,15 @@ def test_spectrum_rejects_bad_b0_step(tmp_path, cfg_path, capsys, step):
                    "--b0-step", step])
     assert rc == 2
     assert "--b0-step" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("step", ["-1e-3", "-0.001"])
+def test_negative_b0_step_in_any_notation_reaches_the_range_check(tmp_path, cfg_path, capsys,
+                                                                  step):
+    rc = cli.main(["spectrum", "--config", str(cfg_path), "--out", str(tmp_path / "o"),
+                   "--b0-step", step])
+    assert rc == 2
+    assert "--b0-step must be positive and finite" in capsys.readouterr().err
 
 
 def test_spectrum_rejects_unsupported_nuclear_spin(tmp_path, capsys):
@@ -312,3 +326,57 @@ def test_cli_import_leaves_scipy_solvers_unloaded():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+# ---------------------------------------------------------------- fuzzing
+
+_FUZZ_NUMBERS = st.one_of(
+    st.sampled_from(["0", "-0", "0.0", "1", "-1", "nan", "-nan", "inf", "-inf", "Infinity",
+                     "1e-3", "-1e-3", "2.5E+2", "-4e5", "1e308", "-1e308", "1e-320", "5e-324",
+                     "1e400", "3"]),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.floats(-10.0, 10.0).map(lambda v: f"{v:e}"),
+    st.integers(-5, 300).map(str),
+    st.sampled_from([10**6, 10**12, 10**18, -(10**9)]).map(str),
+)
+
+# cheap subcommands, each with the numeric flags it takes; spectrum starts
+# from a small grid that a drawn flag may replace
+_FUZZ_COMMANDS = {
+    "spectrum": (["--b0-max", "0.002", "--b0-step", "1e-3"],
+                 ["--b0-min", "--b0-max", "--b0-step", "--omega0", "--seed"]),
+    "polarization": ([], ["--b0", "--t-min", "--t-max", "--points", "--seed"]),
+    "snr": (["--gamma1", "2.5"], ["--gamma1", "--p", "--sigma", "--trep-min", "--trep-max",
+                                  "--trep-points", "--seed"]),
+    "thermal": ([], ["--seed"]),
+}
+
+
+@st.composite
+def _fuzz_argv(draw):
+    name = draw(st.sampled_from(sorted(_FUZZ_COMMANDS)))
+    base, flags = _FUZZ_COMMANDS[name]
+    chosen = draw(st.lists(st.sampled_from(flags), unique=True, max_size=len(flags)))
+    argv = [name] + base
+    for flag in chosen:
+        argv += [flag, draw(_FUZZ_NUMBERS)]
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=_fuzz_argv())
+@example(argv=["polarization", "--t-min", "1e-320"])  # k t underflows to 0
+@example(argv=["spectrum", "--b0-min", "1e308", "--b0-max", "0"])  # -inf grid steps
+@example(argv=["snr", "--gamma1", "1", "--trep-points", "1000000000000"])
+def test_cli_fuzz_ends_in_a_documented_exit_code(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "run.yaml")
+        with open(cfg, "w", encoding="utf-8") as fh:
+            fh.write(SMALL)
+        full = argv + ["--out", os.path.join(tmp, "o")]
+        if argv[0] != "snr":
+            full += ["--config", cfg]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rc = cli.main(full)
+    assert rc in (0, 2, 3, 4)

@@ -40,6 +40,14 @@ def test_boltzmann_zero_temperature_ground_state():
     assert ps[np.argmin([l.energy for l in levels])] == 1.0
 
 
+def test_temperatures_whose_k_t_underflows_take_the_zero_temperature_limit():
+    levels, _ = ham.labeled_eigensystem(PARAMS, 62.5e-3)
+    zero = pol.boltzmann_populations(levels, 0.0).probabilities
+    assert np.array_equal(pol.boltzmann_populations(levels, 1e-320).probabilities, zero)
+    assert pol.manifold_population_difference(1e-320, OMEGA0) == pytest.approx(
+        pol.manifold_population_difference(1e-3, OMEGA0))
+
+
 def test_find_quasi_degenerate_pair_at_operating_points():
     for b0, ms in ((62.5e-3, {0, -1}), (9.5e-3, {0, 1})):
         _, pair = doublet(b0)

@@ -42,6 +42,11 @@ def test_spin_polarization_limits():
         thermal.spin_polarization(-0.1, OMEGA0)
 
 
+def test_temperatures_whose_k_t_underflows_take_the_zero_temperature_limit():
+    assert thermal.spin_polarization(1e-320, OMEGA0) == 1.0
+    assert thermal.bose_occupation(1e-320, OMEGA0) == 0.0
+
+
 def test_effective_occupation_rate_weighting():
     baths = [
         thermal.BathCoupling(rate=3.0, temperature=0.85),
