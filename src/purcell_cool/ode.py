@@ -13,17 +13,17 @@ the distinct entries of L, and columns past the last nonzero entry of L take
 the plain sums. With L = 0 every factor is 1 and the step is classical DP5.
 
 Works on complex states of any shape; a 2-D state (R, m) is R independent
-rows advanced with one shared step. The seven stages of a step live in one
-preallocated (7,) + shape array; the last stage is the derivative at the
-5th-order solution and becomes the first stage of the next step (FSAL). The
-error norm is the RMS of each row, maximised over rows, so every row meets
-its own tolerance; with observe, a row's norm is at least the RMS over its
-observed entries, which a wide state would otherwise dilute. Fixed-step mode
-runs the same loop and only skips the accept test. Steps are not clipped to
-the requested sample times: observe(y) at a sample inside a step comes from
-the DP5 continuous extension (Hairer's contd5 weights) in the interaction
-frame, mapped back with e^{theta hL}; a sample at t0 or t1 is the state
-itself.
+rows advanced with one shared step. The state and the seven stages of a
+step live in one preallocated (8,) + shape array; the last stage is the
+derivative at the 5th-order solution and becomes the first stage of the
+next step (FSAL). The error norm is the RMS of each row, maximised over
+rows, so every row meets its own tolerance; with observe, a row's norm is
+at least the RMS over its observed entries, which a wide state would
+otherwise dilute. Fixed-step mode runs the same loop and only skips the
+accept test. Steps are not clipped to the requested sample times:
+observe(y) at a sample inside a step comes from the DP5 continuous
+extension (Hairer's contd5 weights) in the interaction frame, mapped back
+with e^{theta hL}; a sample at t0 or t1 is the state itself.
 """
 
 from __future__ import annotations
@@ -62,7 +62,8 @@ _D5 = np.array([-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
 # and h a_ij e^{(c_i - c_j) hL} on k_j. The last block, over k_0...k_6, is
 # the error estimate with h e_j e^{(1 - c_j) hL}. _SPAN[i] are stage i's rows
 # of these tables, _SPAN[7] the error's.
-_C_EXACT = [Fraction(n, d) for n, d in ((0, 1), (1, 5), (3, 10), (4, 5), (8, 9), (1, 1), (1, 1))]
+_C_EXACT = [Fraction(n, d)
+            for n, d in ((0, 1), (1, 5), (3, 10), (4, 5), (8, 9), (1, 1), (1, 1))]
 _TERMS = [term for i in range(1, 7) for term in
           [(_C_EXACT[i], 1.0, 0.0)]
           + [(_C_EXACT[i] - _C_EXACT[j], 0.0, _A[i, j]) for j in range(i)]]
@@ -189,7 +190,7 @@ def dormand_prince(f, t0, y0, t1, *, linear=None, rtol=1e-8, atol=1e-10,
             raise StepUnderflow("step budget exhausted before reaching t1")
         if fixed_step is None and h < _MIN_STEP:
             raise StepUnderflow(f"dt={h:.3e} s below 1e-15 s at t={t:.6e}")
-        last = h >= t1 - t
+        last = t + h >= t1
         h_try = t1 - t if last else h
         coef = _W_ONE + h_try * _W_H
         # the weights from the distinct entries of L, then one per column
