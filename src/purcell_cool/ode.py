@@ -64,17 +64,28 @@ _D5 = np.array([-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
 # of these tables, _SPAN[7] the error's.
 _C_EXACT = [Fraction(n, d)
             for n, d in ((0, 1), (1, 5), (3, 10), (4, 5), (8, 9), (1, 1), (1, 1))]
-_TERMS = [term for i in range(1, 7) for term in
-          [(_C_EXACT[i], 1.0, 0.0)]
-          + [(_C_EXACT[i] - _C_EXACT[j], 0.0, _A[i, j]) for j in range(i)]]
-_TERMS += [(1 - c, 0.0, e) for c, e in zip(_C_EXACT, _E)]
+
+
+def _weight_terms():
+    """(d, one, coef) of every weight, and the span of rows of each block."""
+    terms, spans = [], [None]
+    for i in range(1, 8):
+        start = len(terms)
+        if i < 7:
+            terms.append((_C_EXACT[i], 1.0, 0.0))
+            terms += [(_C_EXACT[i] - _C_EXACT[j], 0.0, _A[i, j]) for j in range(i)]
+        else:
+            terms += [(1 - c, 0.0, e) for c, e in zip(_C_EXACT, _E)]
+        spans.append((start, len(terms)))
+    return terms, spans
+
+
+_TERMS, _SPAN = _weight_terms()
 _D_EXACT = sorted({d for d, _, _ in _TERMS})  # the distinct exponents
 _D = np.array([float(d) for d in _D_EXACT])
 _W_D = np.array([_D_EXACT.index(d) for d, _, _ in _TERMS])
 _W_ONE = np.array([one for _, one, _ in _TERMS])
 _W_H = np.array([coef for _, _, coef in _TERMS])
-_SPAN = [None] + [(i * (i + 1) // 2 - 1, (i + 1) * (i + 2) // 2 - 1) for i in range(1, 7)]
-_SPAN.append((_SPAN[6][1], len(_TERMS)))
 
 _MIN_STEP = 1e-15  # s; adaptive control below this aborts the run
 _MAX_ATTEMPTS = 10_000_000
