@@ -41,8 +41,11 @@ def _write_csv(path, header, rows):
 
 
 def _write_json(path, obj):
+    """Standard JSON: a nan or an infinity raises ValueError before the file
+    is opened."""
+    text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+        fh.write(text)
 
 
 def _sha256(path):
@@ -382,13 +385,19 @@ def cmd_snr(cfg, args, outdir):
     t_hi = 10.0 / gamma1 if args.trep_max is None else _positive(args.trep_max, "--trep-max")
     ts = np.geomspace(t_lo, t_hi, _count(args.trep_points, "--trep-points"))
     snr = estimators.snr_model(ts, gamma1, p, sigma)
+    t_opt = estimators.optimal_trep(gamma1)
+    peak = estimators.snr_model(t_opt, gamma1, p, sigma)
+    # each flag is in range alone, but together they may overflow
+    if not (np.isfinite(ts).all() and np.isfinite(snr).all()
+            and math.isfinite(t_opt) and math.isfinite(peak)):
+        raise ValueError("--gamma1, --p, --sigma and the --trep range overflow to a "
+                         "non-finite repetition time or SNR")
     _write_csv(outdir / "snr.csv", ["t_rep_s", "snr"],
                list(zip((float(t) for t in ts), (float(v) for v in snr))))
-    t_opt = estimators.optimal_trep(gamma1)
     _write_json(outdir / "snr.json", {
         "t_opt_s": t_opt,
         "x_star": estimators.snr_argmax_x(),
-        "peak_snr": estimators.snr_model(t_opt, gamma1, p, sigma),
+        "peak_snr": peak,
     })
     return ["snr.csv", "snr.json"]
 

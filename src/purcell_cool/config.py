@@ -1,19 +1,19 @@
 """Config file parsing, validation, and typed accessors.
 
-One YAML document drives every subcommand. The schema rejects unknown keys
-so typos fail loudly, and every section except `resonator` has complete
-defaults. Validation errors surface as SchemaError carrying the dotted path
-of the offending field.
+One YAML document drives every subcommand. FIELDS declares each field once,
+with its kind, bound and default. Unknown keys are rejected so typos fail
+loudly, and every section except `resonator` has complete defaults.
+Validation errors surface as SchemaError carrying the dotted path of the
+offending field.
 """
 
 from __future__ import annotations
 
-import copy
 import math
+import operator
 import re
 from dataclasses import dataclass
 
-import jsonschema
 import yaml
 
 from .coupling import ImplantationProfile, WireGeometry
@@ -21,173 +21,94 @@ from .errors import SchemaError
 from .hamiltonian import SpinSystemParams
 from .thermal import LoadScenario, ResonatorParams
 
-SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["resonator"],
-    "properties": {
-        "resonator": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["omega0_hz", "kappa_int_hz", "kappa_ext_hz"],
-            "properties": {
-                "omega0_hz": {"type": "number", "exclusiveMinimum": 0},
-                "kappa_int_hz": {"type": "number", "minimum": 0},
-                "kappa_ext_hz": {"type": "number", "minimum": 0},
-                "z0_ohm": {"type": "number", "exclusiveMinimum": 0},
-            },
-        },
-        "scenario": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "config": {"enum": ["hot", "cold"]},
-                "alpha": {"type": "number", "minimum": 0, "maximum": 1},
-                "t_cold_k": {"type": "number", "minimum": 0},
-                "t_phon_k": {"type": "number", "minimum": 0},
-                "t_int_k": {"type": "number", "minimum": 0},
-                "t_int_cold_k": {"type": ["number", "null"], "minimum": 0},
-            },
-        },
-        "spins": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "gamma_phon_hz": {"type": "number", "minimum": 0},
-                "gamma_phot_hz": {"type": "number", "minimum": 0},
-            },
-        },
-        "spin_system": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "gamma_e_hz_per_t": {"type": "number", "exclusiveMinimum": 0},
-                "gamma_n_hz_per_t": {"type": "number"},
-                "hyperfine_hz": {"type": "number", "exclusiveMinimum": 0},
-                "s": {"type": "number", "minimum": 0},
-                "i": {"type": "number", "minimum": 0},
-            },
-        },
-        "geometry": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "width_m": {"type": "number", "exclusiveMinimum": 0},
-                "thickness_m": {"type": "number", "exclusiveMinimum": 0},
-                "current_model": {"enum": ["uniform", "edge-peaked"]},
-                "edge_cutoff_m": {"type": "number", "minimum": 0},
-                "n_filaments": {"type": "integer", "minimum": 1},
-                "n_layers": {"type": "integer", "minimum": 1},
-            },
-        },
-        "grid": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "x_min_m": {"type": "number"},
-                "x_max_m": {"type": "number"},
-                "y_min_m": {"type": "number"},
-                "y_max_m": {"type": "number"},
-                "nx": {"type": "integer", "minimum": 2},
-                "ny": {"type": "integer", "minimum": 2},
-            },
-        },
-        "implantation": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "cutoff_depth_m": {"type": "number", "exclusiveMinimum": 0},
-            },
-        },
-        "ensemble": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "n_g": {"type": "integer", "minimum": 1},
-                "n_delta": {"type": "integer", "minimum": 1},
-                "freq_width_hz": {"type": "number", "exclusiveMinimum": 0},
-                "t2_s": {"type": "number", "exclusiveMinimum": 0},
-                "spin_temp_k": {"type": "number", "minimum": 0},
-                "g_hz": {"type": ["number", "null"], "exclusiveMinimum": 0},
-                "pair_window_hz": {"type": "number", "exclusiveMinimum": 0},
-            },
-        },
-        "sequence": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "tau_us": {"type": "number", "exclusiveMinimum": 0},
-                "pi_ns": {"type": "number", "exclusiveMinimum": 0},
-                "amp": {"type": ["number", "null"], "exclusiveMinimum": 0},
-                "dt_list_s": {
-                    "type": ["array", "null"],
-                    "items": {"type": "number", "minimum": 0},
-                    "minItems": 1,
-                },
-                "n_cpmg": {"type": "integer", "minimum": 1},
-                "sample_dt_s": {"type": "number", "exclusiveMinimum": 0},
-                "acquire_width_s": {"type": "number", "exclusiveMinimum": 0},
-            },
-        },
-        "seed": {"type": "integer", "minimum": 0},
-    },
-}
+REQUIRED = object()  # the default of a field that must be given
 
-DEFAULTS = {
-    "resonator": {"z0_ohm": 46.0},
-    "scenario": {
-        "config": "cold",
-        "alpha": 0.47,
-        "t_cold_k": 0.02,
-        "t_phon_k": 0.85,
-        "t_int_k": 0.95,
-        "t_int_cold_k": None,
+# Every config field, once: section -> key -> (kind, bound, default). kind is
+# "number", "integer", "numbers" (a non-empty list of numbers) or a tuple of
+# the allowed strings; a trailing "?" also allows null. bound holds pairs of
+# comparison and limit that a number, or each number of a list, must meet.
+# A section with a REQUIRED field must be given; the seed is a top-level field.
+FIELDS = {
+    "resonator": {
+        "omega0_hz": ("number", (">", 0), REQUIRED),
+        "kappa_int_hz": ("number", (">=", 0), REQUIRED),
+        "kappa_ext_hz": ("number", (">=", 0), REQUIRED),
+        "z0_ohm": ("number", (">", 0), 46.0),
     },
-    "spins": {"gamma_phon_hz": 0.0, "gamma_phot_hz": 1.0},
+    "scenario": {
+        "config": (("hot", "cold"), (), "cold"),
+        "alpha": ("number", (">=", 0, "<=", 1), 0.47),
+        "t_cold_k": ("number", (">=", 0), 0.02),
+        "t_phon_k": ("number", (">=", 0), 0.85),
+        "t_int_k": ("number", (">=", 0), 0.95),
+        "t_int_cold_k": ("number?", (">=", 0), None),
+    },
+    "spins": {
+        "gamma_phon_hz": ("number", (">=", 0), 0.0),
+        "gamma_phot_hz": ("number", (">=", 0), 1.0),
+    },
     "spin_system": {
-        "gamma_e_hz_per_t": 27.997e9,
-        "gamma_n_hz_per_t": 6.9e6,
-        "hyperfine_hz": 1.475e9,
-        "s": 0.5,
-        "i": 4.5,
+        "gamma_e_hz_per_t": ("number", (">", 0), 27.997e9),
+        "gamma_n_hz_per_t": ("number", (), 6.9e6),
+        "hyperfine_hz": ("number", (">", 0), 1.475e9),
+        "s": ("number", (">=", 0), 0.5),
+        "i": ("number", (">=", 0), 4.5),
     },
     "geometry": {
-        "width_m": 2e-6,
-        "thickness_m": 50e-9,
-        "current_model": "uniform",
-        "edge_cutoff_m": 100e-9,
-        "n_filaments": 64,
-        "n_layers": 4,
+        "width_m": ("number", (">", 0), 2e-6),
+        "thickness_m": ("number", (">", 0), 50e-9),
+        "current_model": (("uniform", "edge-peaked"), (), "uniform"),
+        "edge_cutoff_m": ("number", (">=", 0), 100e-9),
+        "n_filaments": ("integer", (">=", 1), 64),
+        "n_layers": ("integer", (">=", 1), 4),
     },
     "grid": {
-        "x_min_m": -3e-6,
-        "x_max_m": 3e-6,
-        "y_min_m": -1.5e-6,
-        "y_max_m": -0.05e-6,
-        "nx": 121,
-        "ny": 59,
+        "x_min_m": ("number", (), -3e-6),
+        "x_max_m": ("number", (), 3e-6),
+        "y_min_m": ("number", (), -1.5e-6),
+        "y_max_m": ("number", (), -0.05e-6),
+        "nx": ("integer", (">=", 2), 121),
+        "ny": ("integer", (">=", 2), 59),
     },
-    "implantation": {"cutoff_depth_m": 1e-6},
+    "implantation": {
+        "cutoff_depth_m": ("number", (">", 0), 1e-6),
+    },
     "ensemble": {
-        "n_g": 40,
-        "n_delta": 41,
-        "freq_width_hz": 3e6,
-        "t2_s": 600e-6,
-        "spin_temp_k": 0.85,
-        "g_hz": None,
-        "pair_window_hz": 5e6,
+        "n_g": ("integer", (">=", 1), 40),
+        "n_delta": ("integer", (">=", 1), 41),
+        "freq_width_hz": ("number", (">", 0), 3e6),
+        "t2_s": ("number", (">", 0), 600e-6),
+        "spin_temp_k": ("number", (">=", 0), 0.85),
+        "g_hz": ("number?", (">", 0), None),
+        "pair_window_hz": ("number", (">", 0), 5e6),
     },
     "sequence": {
-        "tau_us": 15.0,
-        "pi_ns": 250.0,
-        "amp": None,
-        "dt_list_s": None,
-        "n_cpmg": 4,
-        "sample_dt_s": 1e-8,
-        "acquire_width_s": 4e-6,
+        "tau_us": ("number", (">", 0), 15.0),
+        "pi_ns": ("number", (">", 0), 250.0),
+        "amp": ("number?", (">", 0), None),
+        "dt_list_s": ("numbers?", (">=", 0), None),
+        "n_cpmg": ("integer", (">=", 1), 4),
+        "sample_dt_s": ("number", (">", 0), 1e-8),
+        "acquire_width_s": ("number", (">", 0), 4e-6),
     },
-    "seed": 0,
+    "seed": ("integer", (">=", 0), 0),
 }
+
+
+def _fill(table, data):
+    """data over the table's defaults, integral floats of integer fields as
+    int; a REQUIRED field that data lacks is left out."""
+    out = {}
+    for key, spec in table.items():
+        if isinstance(spec, dict):
+            out[key] = _fill(spec, data.get(key, {}))
+        elif key in data or spec[2] is not REQUIRED:
+            value = data.get(key, spec[2])
+            out[key] = int(value) if spec[0] == "integer" else value
+    return out
+
+
+DEFAULTS = _fill(FIELDS, {})
 
 
 # PyYAML implements YAML 1.1, whose float grammar demands a dot in the
@@ -223,14 +144,59 @@ def _nonfinite_path(node, path=()):
     return None
 
 
-def _merge(base, overlay):
-    out = copy.deepcopy(base)
-    for key, val in overlay.items():
-        if isinstance(val, dict) and isinstance(out.get(key), dict):
-            out[key] = _merge(out[key], val)
-        else:
-            out[key] = copy.deepcopy(val)
-    return out
+# A number breaks a bound when this comparison with the limit holds. nan
+# compares false, so it passes here and the finiteness check names it.
+_BREAKS = {">": operator.le, ">=": operator.lt, "<=": operator.gt}
+
+
+def _required(spec):
+    if isinstance(spec, dict):
+        return any(_required(s) for s in spec.values())
+    return spec[2] is REQUIRED
+
+
+def _field_error(value, kind, bound, path):
+    """(path, message) of the first way value misses its field, or None."""
+    if isinstance(kind, tuple):
+        return None if value in kind else (path, f"{value!r} is not one of {list(kind)}")
+    if value is None and kind.endswith("?"):
+        return None
+    kind = kind.rstrip("?")
+    if kind == "numbers":
+        if not (isinstance(value, list) and value):
+            return path, f"{value!r} is not a non-empty list of numbers"
+        errors = (_field_error(v, "number", bound, path + (i,)) for i, v in enumerate(value))
+        return next(filter(None, errors), None)
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or kind == "integer" and isinstance(value, float) and not value.is_integer()):
+        return path, f"{value!r} is not of type {kind!r}"
+    for op, limit in zip(bound[::2], bound[1::2]):
+        if _BREAKS[op](value, limit):
+            return path, f"{value!r} is not {op} {limit}"
+    return None
+
+
+def _first_error(node, table, path=()):
+    """(path, message) of the error in node whose path sorts first, or None.
+
+    A mapping's own errors (not a mapping, an unknown key, a missing
+    required key) come before those of its entries, and entries are taken
+    in key order."""
+    if not isinstance(node, dict):
+        return path, f"{node!r} is not a mapping"
+    unknown = [key for key in node if key not in table]
+    if unknown:
+        return path, f"unknown keys {unknown}"
+    missing = [key for key, spec in table.items() if key not in node and _required(spec)]
+    if missing:
+        return path, f"missing required keys {missing}"
+    for key in sorted(node):
+        spec = table[key]
+        found = (_first_error(node[key], spec, path + (key,)) if isinstance(spec, dict)
+                 else _field_error(node[key], *spec[:2], path + (key,)))
+        if found is not None:
+            return found
+    return None
 
 
 @dataclass(frozen=True)
@@ -299,16 +265,14 @@ def parse_config_text(text, name="<config>"):
     if not isinstance(data, dict):
         raise SchemaError(f"{name}: top level must be a mapping")
     data = _coerce_numeric_strings(data)
-    validator = jsonschema.Draft202012Validator(SCHEMA)
-    errors = sorted(validator.iter_errors(data), key=lambda e: list(e.absolute_path))
-    if errors:
-        err = errors[0]
-        path = ".".join(str(p) for p in err.absolute_path) or "<root>"
-        raise SchemaError(f"{name}: {path}: {err.message}")
+    error = _first_error(data, FIELDS)
+    if error is not None:
+        path = ".".join(str(p) for p in error[0]) or "<root>"
+        raise SchemaError(f"{name}: {path}: {error[1]}")
     path = _nonfinite_path(data)
     if path is not None:
         raise SchemaError(f"{name}: {path}: numbers must be finite")
-    return ExperimentConfig(raw=_merge(DEFAULTS, data))
+    return ExperimentConfig(raw=_fill(FIELDS, data))
 
 
 def parse_config(path):

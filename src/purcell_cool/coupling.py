@@ -20,11 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from scipy.constants import hbar as HBAR
-from scipy.constants import mu_0 as MU0
-
 from .errors import EmptySupport, GridOverlapsConductor
 from .hamiltonian import GAMMA_E_SI_BI
+from .thermal import PLANCK
+
+HBAR = PLANCK / (2 * math.pi)  # J s
+MU0 = 1.25663706127e-06  # H/m, vacuum permeability (CODATA 2022)
 
 
 def vacuum_current(res):

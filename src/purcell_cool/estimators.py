@@ -13,12 +13,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from scipy.constants import h as PLANCK
-from scipy.constants import k as BOLTZMANN
-
 from .errors import InsufficientSpan
 from .optimize import levenberg_marquardt
-from .thermal import BathCoupling, cooling_factor
+from .thermal import BOLTZMANN, PLANCK, BathCoupling, cooling_factor
 
 
 @dataclass(frozen=True)

@@ -186,6 +186,9 @@ def _sectors(params, b0):
         -ze + zn * i + a * i / 2,
     ], axis=1)
     energy -= energy.mean(axis=1, keepdims=True)
+    # a finite span bounds every energy and every transition frequency
+    if not np.isfinite(energy.max(axis=1) - energy.min(axis=1)).all():
+        raise ValueError("the level energies overflow at this field")
     c_p = np.concatenate([-sin, cos, one, zero], axis=1)
     c_q = np.concatenate([cos, sin, zero, one], axis=1)
     f = np.repeat([round(i - 0.5), round(i + 0.5)], [dim_i - 1, dim_i + 1])

@@ -13,11 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from scipy.constants import h as PLANCK
-from scipy.constants import k as BOLTZMANN
-
 from .errors import StateCollision
-from .thermal import spin_polarization
+from .thermal import BOLTZMANN, PLANCK, spin_polarization
 
 
 @dataclass(frozen=True)

@@ -15,10 +15,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import h as PLANCK
-from scipy.constants import k as BOLTZMANN
 
 from .errors import AllRatesZero
+
+PLANCK = 6.62607015e-34  # J s, exact in the SI
+BOLTZMANN = 1.380649e-23  # J/K, exact in the SI
 
 
 @dataclass(frozen=True)

@@ -158,6 +158,15 @@ def test_coupling_writes_field_and_density(tmp_path):
     assert set(fm.dtype.names) == {"x_m", "y_m", "bx_T", "by_T"}
 
 
+def test_integer_field_given_as_integral_float_runs(tmp_path):
+    text = SMALL.replace("  g_hz: 50.0\n", "") + "grid:\n  nx: 50.0\n"
+    p = tmp_path / "wire.yaml"
+    p.write_text(text, encoding="utf-8")
+    out = tmp_path / "o"
+    run_ok(["coupling", "--config", p, "--out", out])
+    assert len(load_csv(out / "fieldmap.csv")) == 50 * 59
+
+
 def test_echo_summary(tmp_path, cfg_path):
     out = tmp_path / "o"
     run_ok(["echo", "--config", cfg_path, "--out", out])
@@ -318,11 +327,12 @@ def test_manifest_seed_override(tmp_path, cfg_path):
 
 
 def test_cli_import_leaves_scipy_solvers_unloaded():
-    # scipy.integrate or scipy.optimize alone lifts a bare import's RSS by
-    # about half; the package carries its own integrator and fitter
+    # the runtime needs numpy and PyYAML only: the package carries its own
+    # integrator, fitter, constants and config checks, and importing scipy or
+    # jsonschema would more than double a bare import's time
     probe = ("import sys, purcell_cool.cli; "
-             "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') "
-             "if m in sys.modules))")
+             "print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] in ('scipy', 'jsonschema')))")
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
@@ -368,15 +378,42 @@ def _fuzz_argv(draw):
 @example(argv=["polarization", "--t-min", "1e-320"])  # k t underflows to 0
 @example(argv=["spectrum", "--b0-min", "1e308", "--b0-max", "0"])  # -inf grid steps
 @example(argv=["snr", "--gamma1", "1", "--trep-points", "1000000000000"])
+@example(argv=["snr", "--gamma1", "1e-320"])  # t_opt overflows
+@example(argv=["snr", "--gamma1", "1e-300", "--p", "1e308", "--sigma", "5e-324"])
+@example(argv=["spectrum", "--b0-min", "1e299", "--b0-max", "1e299"])  # energies overflow
 def test_cli_fuzz_ends_in_a_documented_exit_code(argv):
     with tempfile.TemporaryDirectory() as tmp:
         cfg = os.path.join(tmp, "run.yaml")
         with open(cfg, "w", encoding="utf-8") as fh:
             fh.write(SMALL)
-        full = argv + ["--out", os.path.join(tmp, "o")]
+        out = os.path.join(tmp, "o")
+        full = argv + ["--out", out]
         if argv[0] != "snr":
             full += ["--config", cfg]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             rc = cli.main(full)
-    assert rc in (0, 2, 3, 4)
+        assert rc in (0, 2, 3, 4)
+        if rc == 0:
+            _assert_outputs_finite(out)
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not standard JSON")
+
+
+def _assert_outputs_finite(outdir):
+    """Every JSON output is standard JSON and every CSV number is finite."""
+    for name in os.listdir(outdir):
+        with open(os.path.join(outdir, name), encoding="utf-8") as fh:
+            text = fh.read()
+        if name.endswith(".json"):
+            json.loads(text, parse_constant=_reject_constant)
+            continue
+        for line in text.splitlines()[1:]:
+            for cell in line.split(","):
+                try:
+                    value = float(cell)
+                except ValueError:
+                    continue
+                assert math.isfinite(value), (name, line)

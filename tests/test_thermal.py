@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.constants
 
-from purcell_cool import thermal
+from purcell_cool import coupling, estimators, polarization, thermal
 from purcell_cool.errors import AllRatesZero
 
 from _frozen import FROZEN
@@ -145,3 +146,13 @@ def test_resonator_params_validation():
         thermal.ResonatorParams(omega0=1e9, kappa_int=0.0, kappa_ext=0.0)
     with pytest.raises(ValueError):
         thermal.LoadScenario("warm", 0.5, 0.02, 0.85, 0.95)
+
+
+def test_constants_equal_scipy_bit_for_bit():
+    assert thermal.PLANCK == scipy.constants.h
+    assert thermal.BOLTZMANN == scipy.constants.k
+    assert coupling.HBAR == scipy.constants.hbar
+    assert coupling.MU0 == scipy.constants.mu_0
+    # one definition, imported where it is used
+    assert polarization.PLANCK is estimators.PLANCK is thermal.PLANCK
+    assert polarization.BOLTZMANN is estimators.BOLTZMANN is thermal.BOLTZMANN
