@@ -384,10 +384,11 @@ def cmd_snr(cfg, args, outdir):
     t_lo = 0.01 / gamma1 if args.trep_min is None else _positive(args.trep_min, "--trep-min")
     t_hi = 10.0 / gamma1 if args.trep_max is None else _positive(args.trep_max, "--trep-max")
     ts = np.geomspace(t_lo, t_hi, _count(args.trep_points, "--trep-points"))
-    snr = estimators.snr_model(ts, gamma1, p, sigma)
-    t_opt = estimators.optimal_trep(gamma1)
-    peak = estimators.snr_model(t_opt, gamma1, p, sigma)
     # each flag is in range alone, but together they may overflow
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        snr = estimators.snr_model(ts, gamma1, p, sigma)
+        t_opt = estimators.optimal_trep(gamma1)
+        peak = estimators.snr_model(t_opt, gamma1, p, sigma)
     if not (np.isfinite(ts).all() and np.isfinite(snr).all()
             and math.isfinite(t_opt) and math.isfinite(peak)):
         raise ValueError("--gamma1, --p, --sigma and the --trep range overflow to a "
@@ -525,6 +526,8 @@ def run(argv):
         cfg = parse_config(args.config)
     elif needs_config:
         raise SchemaError(f"{args.subcommand} requires --config")
+    if args.seed is not None and args.seed < 0:
+        raise ValueError(f"--seed must be nonnegative, got {args.seed}")
     seed = args.seed if args.seed is not None else (cfg.seed if cfg else 0)
 
     outdir = Path(args.out)

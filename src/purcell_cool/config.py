@@ -130,13 +130,18 @@ def _coerce_numeric_strings(node):
 
 
 def _nonfinite_path(node, path=()):
-    """Dotted path of the first inf or nan number in node, or None."""
+    """Dotted path of the first number in node that is not a finite float
+    (inf, nan, or an int beyond float range), or None."""
     if isinstance(node, dict):
         items = node.items()
     elif isinstance(node, list):
         items = enumerate(node)
     else:
-        return ".".join(path) if isinstance(node, float) and not math.isfinite(node) else None
+        try:
+            finite = not isinstance(node, (int, float)) or math.isfinite(node)
+        except OverflowError:  # an int beyond float range
+            finite = False
+        return None if finite else ".".join(path)
     for key, val in items:
         found = _nonfinite_path(val, path + (str(key),))
         if found is not None:

@@ -166,28 +166,31 @@ def _sectors(params, b0):
         raise ValueError("the sector solution needs I to be a positive half-odd-integer")
     a, i = params.hyperfine_a, params.i
     dim_i = int(round(2 * i)) + 1
-    ze = b0[:, None] * params.gamma_e / 2
-    zn = b0[:, None] * params.gamma_n
+    # at huge fields this overflows to inf or nan, which the span check rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        ze = b0[:, None] * params.gamma_e / 2
+        zn = b0[:, None] * params.gamma_n
 
-    m = np.arange(1, dim_i) - (i + 0.5)  # the two-state sectors
-    h_pp = ze - zn * (m - 0.5) + a / 2 * (m - 0.5)
-    h_qq = -ze - zn * (m + 0.5) - a / 2 * (m + 0.5)
-    h_pq = a / 2 * np.sqrt((i + 0.5) ** 2 - m**2)
-    half_gap = np.hypot((h_pp - h_qq) / 2, h_pq)
-    theta = np.arctan2(h_pq, (h_pp - h_qq) / 2) / 2
-    centre = (h_pp + h_qq) / 2
-    sin, cos = np.sin(theta), np.cos(theta)
-    one, zero = np.ones_like(ze), np.zeros_like(ze)
+        m = np.arange(1, dim_i) - (i + 0.5)  # the two-state sectors
+        h_pp = ze - zn * (m - 0.5) + a / 2 * (m - 0.5)
+        h_qq = -ze - zn * (m + 0.5) - a / 2 * (m + 0.5)
+        h_pq = a / 2 * np.sqrt((i + 0.5) ** 2 - m**2)
+        half_gap = np.hypot((h_pp - h_qq) / 2, h_pq)
+        theta = np.arctan2(h_pq, (h_pp - h_qq) / 2) / 2
+        centre = (h_pp + h_qq) / 2
+        sin, cos = np.sin(theta), np.cos(theta)
+        one, zero = np.ones_like(ze), np.zeros_like(ze)
 
-    energy = np.concatenate([
-        centre - half_gap,
-        centre + half_gap,
-        ze - zn * i + a * i / 2,
-        -ze + zn * i + a * i / 2,
-    ], axis=1)
-    energy -= energy.mean(axis=1, keepdims=True)
+        energy = np.concatenate([
+            centre - half_gap,
+            centre + half_gap,
+            ze - zn * i + a * i / 2,
+            -ze + zn * i + a * i / 2,
+        ], axis=1)
+        energy -= energy.mean(axis=1, keepdims=True)
+        span = energy.max(axis=1) - energy.min(axis=1)
     # a finite span bounds every energy and every transition frequency
-    if not np.isfinite(energy.max(axis=1) - energy.min(axis=1)).all():
+    if not np.isfinite(span).all():
         raise ValueError("the level energies overflow at this field")
     c_p = np.concatenate([-sin, cos, one, zero], axis=1)
     c_q = np.concatenate([cos, sin, zero, one], axis=1)

@@ -6,11 +6,15 @@ It integrates dy/dt = L y + f(t, y) for a diagonal L given by its entries
 (one per column of the state): the linear part is advanced exactly and the
 pair integrates only f (Lawson's integrating factor; Lawson, SIAM J. Numer.
 Anal. 4, 372 (1967); Hochbruck & Ostermann, Acta Numerica 19, 209 (2010)).
-Stage i is Y_i = e^{c_i hL} y + h sum_j a_ij e^{(c_i - c_j) hL} k_j with
-k_j = f(t + c_j h, Y_j). The nodes never decrease, so every factor has
-modulus at most 1 when L has no growing entry. The factors are built from
-the distinct entries of L, and columns past the last nonzero entry of L take
-the plain sums. With L = 0 every factor is 1 and the step is classical DP5.
+A step runs in the interaction frame of its start: each k_j = f(t + c_j h,
+Y_j) is stored as K_j = e^{-c_j hL} k_j, stage i is Y_i = e^{c_i hL} (y +
+h sum_j a_ij K_j) and the error estimate is e^{hL} h sum_j e_j K_j. So each
+sum is one real-coefficient matrix product over the whole state, and L
+enters through one row of factors e^{c hL} (and one of e^{-c hL}) per
+nonzero node, built from the distinct entries of L; columns past the last
+nonzero entry of L need no factors. With L = 0 the step is classical DP5.
+The step is capped at h max(-Re L) <= 600, in fixed-step mode too, so that
+no factor e^{c h |Re L|} overflows.
 
 Works on complex states of any shape; a 2-D state (R, m) is R independent
 rows advanced with one shared step. The state and the seven stages of a
@@ -21,15 +25,14 @@ rows, so every row meets its own tolerance; with observe, a row's norm is
 at least the RMS over its observed entries, which a wide state would
 otherwise dilute. Fixed-step mode runs the same loop and only skips the
 accept test. Steps are not clipped to the requested sample times:
-observe(y) at a sample inside a step comes from the DP5 continuous
-extension (Hairer's contd5 weights) in the interaction frame, mapped back
-with e^{theta hL}; a sample at t0 or t1 is the state itself.
+observe(y) at a sample inside a step is e^{theta hL} (y + h sum_j b_j(theta)
+K_j), the DP5 continuous extension (Hairer's contd5 weights b_j) in the
+frame; a sample at t0 or t1 is the state itself.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -57,39 +60,12 @@ _D5 = np.array([-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
                 -10690763975 / 1880347072, 701980252875 / 199316789632,
                 -1453857185 / 822651844, 69997945 / 29380423])
 
-# Stage i (1-6) combines the rows of z = [y, k_0, ..., k_6] up to row i as
-# sum_r w_r z_r with weights w = (one + h * coef) * e^{d hL}: e^{c_i hL} on y
-# and h a_ij e^{(c_i - c_j) hL} on k_j. The last block, over k_0...k_6, is
-# the error estimate with h e_j e^{(1 - c_j) hL}. _SPAN[i] are stage i's rows
-# of these tables, _SPAN[7] the error's.
-_C_EXACT = [Fraction(n, d)
-            for n, d in ((0, 1), (1, 5), (3, 10), (4, 5), (8, 9), (1, 1), (1, 1))]
-
-
-def _weight_terms():
-    """(d, one, coef) of every weight, and the span of rows of each block."""
-    terms, spans = [], [None]
-    for i in range(1, 8):
-        start = len(terms)
-        if i < 7:
-            terms.append((_C_EXACT[i], 1.0, 0.0))
-            terms += [(_C_EXACT[i] - _C_EXACT[j], 0.0, _A[i, j]) for j in range(i)]
-        else:
-            terms += [(1 - c, 0.0, e) for c, e in zip(_C_EXACT, _E)]
-        spans.append((start, len(terms)))
-    return terms, spans
-
-
-_TERMS, _SPAN = _weight_terms()
-_D_EXACT = sorted({d for d, _, _ in _TERMS})  # the distinct exponents
-_D = np.array([float(d) for d in _D_EXACT])
-_W_D = np.array([_D_EXACT.index(d) for d, _, _ in _TERMS])
-_W_ONE = np.array([one for _, one, _ in _TERMS])
-_W_H = np.array([coef for _, _, coef in _TERMS])
+# every nonzero node once: stage 6 and the error estimate share c = 1
+_NODES = _C[1:6]
 
 _MIN_STEP = 1e-15  # s; adaptive control below this aborts the run
 _MAX_ATTEMPTS = 10_000_000
-_MAX_GROWTH = 700.0  # cap on the exponent of a dense-output factor
+_MAX_DECAY = 600.0  # cap on h max(-Re L): e^{600} ~ 4e260 is finite
 
 
 def _rms_rows(scaled, rows):
@@ -122,14 +98,10 @@ def _dense_weights(theta):
 
 
 def _dense(theta, h, y, k, lin):
-    """Observed state at t + theta h from the observed y, stages k (7, ...)
-    and linear part lin of one step, in the interaction frame."""
-    w = _dense_weights(theta).reshape(theta.shape + (7,) + (1,) * y.ndim)
-    expo = np.multiply.outer(np.subtract.outer(theta, _C), h * lin)
-    # for theta < c_j the factor grows (up to e^{h |Re L|}): keep it finite
-    grow = np.exp(np.minimum(expo.real, _MAX_GROWTH) + 1j * expo.imag)
-    return (np.exp(np.multiply.outer(theta * h, lin)) * y
-            + h * np.add.reduce(w * grow * k, axis=1))
+    """Observed state at t + theta h from the observed y, frame stages k
+    (7, ...) and linear part lin of one step."""
+    frame = y + h * np.tensordot(_dense_weights(theta), k, axes=1)
+    return np.exp(np.multiply.outer(theta * h, lin)) * frame
 
 
 def dormand_prince(f, t0, y0, t1, *, linear=None, rtol=1e-8, atol=1e-10,
@@ -144,7 +116,8 @@ def dormand_prince(f, t0, y0, t1, *, linear=None, rtol=1e-8, atol=1e-10,
     buffer of len(sample_times) entries (empty when none were requested).
     sample_times must not decrease. observe must pick entries of the state
     (a slice or index), keeping the rows of a 2-D state on its first axis.
-    fixed_step disables error control and marches with the given step.
+    fixed_step disables error control and marches with the given step, or
+    with 600 / max(-Re L) where that is shorter.
 
     Raises StepUnderflow if error control pushes the step below 1e-15 s.
     """
@@ -170,29 +143,25 @@ def dormand_prince(f, t0, y0, t1, *, linear=None, rtol=1e-8, atol=1e-10,
     p = nonzero[-1] + 1 if nonzero.size else 0  # columns [p:) have L = 0
     vals, inv = np.unique(lin[:p], return_inverse=True)
     lin_seen = np.asarray(seen(np.broadcast_to(lin, y.shape)))
-    row_shape = (1,) * (y.ndim - 1) + (p,)  # a weight row against a state's [..., :p]
+    decay = -lin.real.min(initial=0.0)
+    h_cap = span if decay == 0 else min(span, _MAX_DECAY / decay)
 
     first = np.asarray(seen(y))
     samples = np.empty((len(stops),) + first.shape, dtype=first.dtype)
     j = int(np.searchsorted(stops, t, side="right"))  # samples at t0: y0
     samples[:j] = first
     # fixed step, or a cheap conservative start that control rescales fast
-    h = min(span, span / 50.0 if fixed_step is None else fixed_step)
-    # z = [y, k_0, ..., k_6]; rows past a stage's own are stale (or unset)
+    h = min(h_cap, span / 50.0 if fixed_step is None else fixed_step)
+    # z = [y, K_0, ..., K_6]; rows past a stage's own are stale (or unset)
     z = np.empty((8,) + y.shape, dtype=complex)
+    flat = z.reshape(8, -1).view(float)  # real view: the sums are real products
     z[0] = y
     if span > 0:
         z[1] = f(t, y)
 
-    def combine(rows, coef, wts):
-        """sum_r w_r z[rows][r]: the plain coefficients on the columns [p:),
-        the per-column weights wts on [:p)."""
-        out = np.empty_like(y)
-        out[..., p:] = (coef @ z[rows, ..., p:].reshape(len(coef), -1)).reshape(
-            out[..., p:].shape)
-        out[..., :p] = np.add.reduce(wts.reshape((len(coef),) + row_shape)
-                                     * z[rows, ..., :p], axis=0)
-        return out
+    def frame_sum(coef, rows):
+        """sum_r coef_r z[rows][r], one real matrix product over every column."""
+        return (coef @ flat[rows]).view(complex).reshape(y.shape)
 
     attempts = 0
     while t < t1 - 1e-18 * max(1.0, abs(t1)):
@@ -203,16 +172,19 @@ def dormand_prince(f, t0, y0, t1, *, linear=None, rtol=1e-8, atol=1e-10,
             raise StepUnderflow(f"dt={h:.3e} s below 1e-15 s at t={t:.6e}")
         last = t + h >= t1
         h_try = t1 - t if last else h
-        coef = _W_ONE + h_try * _W_H
-        # the weights from the distinct entries of L, then one per column
-        wts = (coef[:, None] * np.exp(np.multiply.outer(_D[_W_D] * h_try, vals)))[:, inv]
+        # e^{c hL} and e^{-c hL} per nonzero node, from the distinct entries
+        fac = np.exp(np.multiply.outer(h_try * _NODES, vals))
+        up, down = np.split(np.take(np.concatenate((fac, 1 / fac)), inv, axis=1), 2)
+        coef = np.hstack((np.ones((7, 1)), h_try * _A))  # on [y, K_0, ...]
         for i in range(1, 7):
-            lo, hi = _SPAN[i]
-            y_new = combine(slice(0, i + 1), coef[lo:hi], wts[lo:hi])
+            node = min(i, len(_NODES)) - 1  # stages 5 and 6 share c = 1
+            y_new = frame_sum(coef[i, : i + 1], slice(0, i + 1))
+            y_new[..., :p] *= up[node]
             z[i + 1] = f(t + _C[i] * h_try, y_new)
+            z[i + 1, ..., :p] *= down[node]
         if fixed_step is None:
-            lo, hi = _SPAN[7]
-            err = combine(slice(1, 8), coef[lo:hi], wts[lo:hi])
+            err = frame_sum(h_try * _E, slice(1, 8))
+            err[..., :p] *= up[-1]
             err = _error_norm(err, y, y_new, rtol, atol, observe)
             if not math.isfinite(err):
                 h = h_try / 10.0
@@ -221,7 +193,7 @@ def dormand_prince(f, t0, y0, t1, *, linear=None, rtol=1e-8, atol=1e-10,
                 h = h_try * max(0.2, 0.9 * err ** -0.2)
                 continue
             grow = 5.0 if err == 0 else min(5.0, 0.9 * err ** -0.2)
-            h = min(span, h_try * max(1.0, grow))
+            h = min(h_cap, h_try * max(1.0, grow))
         t_new = t1 if last else t + h_try
         # samples inside the step; one at t1 itself is the final state
         j_end = int(np.searchsorted(stops, t_new, side="left" if last else "right"))
@@ -233,6 +205,7 @@ def dormand_prince(f, t0, y0, t1, *, linear=None, rtol=1e-8, atol=1e-10,
         t = t_new
         y = y_new
         z[0] = y
-        z[1] = z[7]  # FSAL
+        z[1] = z[7]  # FSAL, back from the frame
+        z[1, ..., :p] *= up[-1]
     samples[j:] = seen(y)
     return y, samples

@@ -306,6 +306,7 @@ def test_snr_rejects_bad_gamma1(tmp_path, capsys, gamma1):
     (["snr", "--gamma1", "0.07", "--sigma", "0"], "--sigma"),
     (["snr", "--gamma1", "0.07", "--trep-points", "0"], "--trep-points"),
     (["snr", "--gamma1", "0.07", "--trep-min", "0"], "--trep-min"),
+    (["thermal", "--seed", "-1"], "--seed"),
 ])
 def test_numeric_flags_are_checked_not_defaulted(tmp_path, cfg_path, capsys, argv, flag):
     # a zero must not fall back to the default, and nan must not run
@@ -324,6 +325,30 @@ def test_manifest_seed_override(tmp_path, cfg_path):
     assert m["seed"] == 42
     assert m["subcommand"] == "thermal"
     assert m["config_sha256"]
+
+
+def test_config_integer_beyond_float_range_exits_two(tmp_path, capsys):
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(SMALL.replace(repr(KAPPA_EXT), "1" + "0" * 320), encoding="utf-8")
+    for name in ("thermal", "echo"):
+        assert cli.main([name, "--config", str(cfg), "--out", str(tmp_path / name)]) == 2
+        assert "kappa_ext_hz: numbers must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--b0-min", "1e299", "--b0-max", "1e299"],
+    ["snr", "--gamma1", "1e-300", "--p", "1e308", "--sigma", "5e-324"],
+    ["snr", "--gamma1", "1", "--sigma", "5e-324", "--trep-min", "1e-10"],
+])
+def test_rejected_overflow_prints_only_the_error_line(tmp_path, cfg_path, argv):
+    # the overflow is caught by a finiteness check, not announced by numpy
+    out = subprocess.run(
+        [sys.executable, "-m", "purcell_cool.cli", *argv, "--out", str(tmp_path / "o"),
+         "--config", str(cfg_path)],
+        capture_output=True, text=True)
+    assert out.returncode == 2
+    assert out.stderr.splitlines() == [out.stderr.strip()]
+    assert out.stderr.startswith("error: ")
 
 
 def test_cli_import_leaves_scipy_solvers_unloaded():

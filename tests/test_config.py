@@ -127,6 +127,9 @@ class TestSchemaErrors:
         (RESON.replace("7.408e+9", ".inf"), "resonator.omega0_hz"),
         (RESON + "ensemble:\n  t2_s: .nan\n", "ensemble.t2_s"),
         (RESON + "sequence:\n  dt_list_s: [1.0e-3, .inf]\n", "sequence.dt_list_s.1"),
+        # an integer beyond float range
+        (RESON.replace("3.770e+6", "1" + "0" * 320), "resonator.kappa_ext_hz"),
+        (RESON + "ensemble:\n  n_g: 1" + "0" * 320 + "\n", "ensemble.n_g"),
     ])
     def test_nonfinite_number_rejected(self, text, field):
         with pytest.raises(SchemaError) as err:
@@ -390,7 +393,8 @@ def _assert_same_values(new, ref, schema):
 # values that miss a field in every way the schema knows, and some that fit
 _PROBES = st.one_of(
     st.sampled_from([None, True, False, "fast", "hot", "uniform", "", 0, -0.0, 1, -1, 0.5,
-                     1.5, 2, 2.0, 2.5, -1e300, 1e300, 10**30, math.nan, math.inf, -math.inf,
+                     1.5, 2, 2.0, 2.5, -1e300, 1e300, 10**30, 10**400, math.nan, math.inf,
+                     -math.inf,
                      [], [1.0], [-1.0], [0, math.inf], [math.nan], ["1"], {}, {"a": 1}]),
     st.floats(),
     st.integers(),
@@ -457,6 +461,8 @@ def _documents(draw):
 @example(doc={"resonator": {"omega0_hz": 1, "kappa_int_hz": 0, "kappa_ext_hz": 0},
               "ensemble": {"t2_s": math.nan, "n_g": 0}})
 @example(doc={"seed": True, "resonator": 1})
+@example(doc={"resonator": {"omega0_hz": 1, "kappa_int_hz": 1, "kappa_ext_hz": 10**320},
+              "seed": 10**400})
 def test_fields_table_matches_the_json_schema(doc):
     text = yaml.safe_dump(doc, sort_keys=False)
     ref_path, ref_raw = _reference(cfg._coerce_numeric_strings(yaml.safe_load(text)))

@@ -152,3 +152,87 @@ def test_sample_times_must_not_decrease():
     with pytest.raises(ValueError):
         dormand_prince(lambda t, y: -y, 0.0, np.array([1.0 + 0j]), 1.0,
                        sample_times=[0.5, 0.2])
+
+
+# ------------------------------------------ the step against per-column weights
+
+def _lawson_step(f, t, y, h, lin):
+    """One Lawson DP5 step with per-column weights: stage i is
+    e^{c_i hL} y + h sum_j a_ij e^{(c_i - c_j) hL} k_j and the error estimate
+    is h sum_j e_j e^{(1 - c_j) hL} k_j. Returns the six stages (the last is
+    the 5th-order solution) and the error estimate."""
+    def weight(d):
+        return np.exp(d * h * lin)
+
+    k = [f(t, y)]
+    stages = []
+    for i in range(1, 7):
+        stage = weight(ode._C[i]) * y + h * sum(
+            ode._A[i, j] * weight(ode._C[i] - ode._C[j]) * k[j] for j in range(i))
+        stages.append(stage)
+        k.append(f(t + ode._C[i] * h, stage))
+    err = h * sum(e * weight(1 - c) * kj for e, c, kj in zip(ode._E, ode._C, k))
+    return stages, err
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+def test_interaction_frame_step_matches_per_column_weights(rows, monkeypatch):
+    rng = np.random.default_rng(rows)
+    # random decaying, rotating, both, repeated and zero entries, up to
+    # h |L| of about 30; L = 0 past column 6
+    decay = -(10 ** rng.uniform(5, 7.5, 3))
+    turn = rng.normal(size=3) * 3e7
+    lin = np.array([decay[0], decay[1] + 1j * turn[0], 1j * turn[1], decay[2] + 1j * turn[2],
+                    0.0, decay[0], 1j * turn[1], 0.0, 0.0])
+    width = len(lin)
+    mix = (rng.normal(size=(width, width)) + 1j * rng.normal(size=(width, width))) * 3e5
+    drive = (rng.normal(size=width) + 1j * rng.normal(size=width)) * 1e6
+    y0 = rng.normal(size=(rows, width)) + 1j * rng.normal(size=(rows, width))
+
+    def f(t, y):  # nonzero in every column, nonlinear and time dependent
+        return y @ mix + drive * np.exp(2j * math.pi * 3e5 * t) + 1e5 * y * np.abs(y)
+
+    calls = []
+
+    def record(t, y):
+        calls.append(y.copy())
+        return f(t, y)
+
+    class FirstStep(Exception):
+        pass
+
+    def stop_at_the_error(err, *args, **kwargs):
+        raise FirstStep(err.copy())
+
+    monkeypatch.setattr(ode, "_error_norm", stop_at_the_error)
+    span = 5e-5
+    with pytest.raises(FirstStep) as first:
+        dormand_prince(record, 0.0, y0, span, linear=lin)
+    stages, err = _lawson_step(f, 0.0, y0, span / 50.0, lin)  # the first trial step
+    assert len(calls) == 7 and np.array_equal(calls[0], y0)
+    for new, ref in zip(calls[1:], stages):
+        assert np.abs(new - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert np.abs(first.value.args[0] - err).max() <= 1e-12 * np.abs(err).max()
+
+
+def test_step_cap_keeps_a_stiff_fixed_step_finite_and_exact():
+    # y' = L y + c e^{Lt} is constant in the interaction frame, so every
+    # step is exact: y = e^{Lt} (y0 + c t). At kappa h / 2 = 3100 the step is
+    # cut to h max(-Re L) = 600, where the factors e^{c h |Re L|} stay finite
+    c = np.array([2e5 + 1e5j, 1e4j, 3e3 + 0j])
+    y0 = np.array([0.02 + 0.01j, 0.3 + 0j, -0.4 + 0j])
+    ts = np.linspace(0.0, 1e-3, 7)[:-1] + 1.3e-5
+    calls = []
+
+    def f(t, y):
+        calls.append(t)
+        return c * np.exp(t * LINEAR)
+
+    y1, samples = dormand_prince(f, 0.0, y0, 1e-3, linear=LINEAR, fixed_step=1e-3,
+                                 sample_times=ts)
+    exact = np.exp(np.multiply.outer(ts, LINEAR)) * (y0 + np.multiply.outer(ts, c))
+    assert np.all(np.isfinite(samples)) and np.all(np.isfinite(y1))
+    assert np.allclose(samples, exact, rtol=1e-12, atol=1e-300)
+    assert np.allclose(y1, np.exp(1e-3 * LINEAR) * (y0 + 1e-3 * c), rtol=1e-12, atol=1e-300)
+    steps = math.ceil(KAPPA_HALF * 1e-3 / ode._MAX_DECAY)
+    assert len(calls) == 1 + 6 * steps
