@@ -9,18 +9,21 @@ Exit codes: 0 ok, 2 config/usage, 3 solver or fit convergence, 4 I/O.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import hashlib
 import json
 import math
 import re
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from . import blochsim, coupling, estimators, hamiltonian, polarization, thermal
-from .config import parse_config
+from .config import MAX_POINTS, parse_config
 from .errors import (
     NoConvergence,
     PurcellCoolError,
@@ -29,15 +32,16 @@ from .errors import (
 )
 
 
-def _write_csv(path, header, rows):
-    """Rows through one line template taken from the first row: floats as
-    %.17g, which round-trips every bit, anything else as %s."""
-    rows = list(rows)
+def _write_csv(path, header, *columns):
+    """One row per entry of the columns, through one line template taken
+    from the first row: floats as %.17g, which round-trips every bit,
+    anything else as %s."""
+    rows = list(zip(*(np.asarray(col).tolist() for col in columns)))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         if rows:
             line = ",".join("%.17g" if isinstance(v, float) else "%s" for v in rows[0]) + "\n"
-            fh.writelines(line % tuple(row) for row in rows)
+            fh.writelines(line % row for row in rows)
 
 
 def _write_json(path, obj):
@@ -56,59 +60,64 @@ def _sha256(path):
 
 
 def _read_xy_csv(path):
-    """Two-column CSV; a non-numeric first row is treated as a header."""
+    """(x, y) pairs from the first two columns of a CSV. The first line may
+    be a header; every later line must hold two finite numbers, or a
+    ValueError names the file and the line. Blank lines are skipped."""
     rows = []
+    header_allowed = True
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            parts = line.strip().split(",")
-            if len(parts) < 2 or not parts[0]:
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
                 continue
             try:
-                rows.append((float(parts[0]), float(parts[1])))
+                x, y = (float(v) for v in line.split(",")[:2])
             except ValueError:
-                continue
+                if header_allowed:
+                    header_allowed = False
+                    continue
+                raise ValueError(f"{path}:{lineno}: not two numbers: {line.strip()!r}") from None
+            header_allowed = False
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise ValueError(f"{path}:{lineno}: numbers must be finite: {line.strip()!r}")
+            rows.append((x, y))
     return rows
 
 
-def _fit_result_json(res):
-    return {
-        "parameters": res.parameters,
-        "std_errors": res.std_errors,
-        "residual_norm": res.residual_norm,
-        "converged": res.converged,
-    }
+# ------------------------------------------------------------ flag checks
+
+# What a numeric flag accepts: (conversion, condition, what it must be).
+POSITIVE = (float, lambda v: math.isfinite(v) and v > 0, "positive and finite")
+NONNEGATIVE = (float, lambda v: math.isfinite(v) and v >= 0, "nonnegative and finite")
+COUNT = (int, lambda v: 0 < v <= MAX_POINTS, f"an integer between 1 and {MAX_POINTS}")
+SEED = (int, lambda v: v >= 0, "a nonnegative integer")
 
 
-def _positive(value, flag):
-    """A numeric flag that must be a positive, finite number."""
-    if not (math.isfinite(value) and value > 0):
-        raise ValueError(f"{flag} must be positive and finite, got {value!r}")
+def _numbers(ok, what):
+    """A comma-separated list of at most MAX_POINTS numbers that each meet ok."""
+    return (lambda text: [float(v) for v in text.split(",")],
+            lambda values: len(values) <= MAX_POINTS and all(map(ok, values)),
+            f"a comma-separated list of at most {MAX_POINTS} {what}")
+
+
+DELAYS = _numbers(POSITIVE[1], "positive, finite delays")
+AMPLITUDES = _numbers(math.isfinite, "finite amplitudes")
+
+
+def _check(flag, check, text):
+    """The argparse type of a numeric flag: text converted and checked."""
+    convert, ok, wording = check
+    try:
+        value = convert(text)
+    except ValueError:
+        value = None
+    if value is None or not ok(value):
+        raise argparse.ArgumentTypeError(f"{flag} must be {wording}, got {text!r}")
     return value
 
 
-# The most points a grid flag may ask for; a spectrum field costs about 7 KB,
-# and a larger request would otherwise run out of memory instead of failing.
-MAX_POINTS = 10_001
-
-
-def _count(value, flag):
-    """A grid size: positive and at most MAX_POINTS."""
-    if not (math.isfinite(value) and 0 < value <= MAX_POINTS):
-        raise ValueError(f"{flag} must be between 1 and {MAX_POINTS}, got {value!r}")
-    return value
-
-
-def _nonnegative(value, flag):
-    """A numeric flag that must be a finite number of at least zero."""
-    if not (math.isfinite(value) and value >= 0):
-        raise ValueError(f"{flag} must be nonnegative and finite, got {value!r}")
-    return value
-
-
-def _tau(args, seq_cfg):
-    """The Hahn delay in seconds: --tau-us, else the config's."""
-    tau_us = seq_cfg["tau_us"] if args.tau_us is None else _positive(args.tau_us, "--tau-us")
-    return tau_us * 1e-6
+def _flag(parser, name, check, default=None, **kwargs):
+    parser.add_argument(name, type=functools.partial(_check, name, check), default=default,
+                        **kwargs)
 
 
 # ---------------------------------------------------------------- ensembles
@@ -147,20 +156,25 @@ def _coupling_density(cfg, b0):
     return rho, field
 
 
-def _make_ensemble(cfg, b0):
-    ens = cfg.raw["ensemble"]
+def _sequence_setup(cfg, args):
+    """What echo, invrec, rabi and cpmg share: the ensemble at --b0 as the
+    keyword arguments of run_sequence and run_sweep, the pi amplitude, tau
+    in seconds, and the pulse widths as the keyword arguments of the
+    sequence builders."""
+    ens, seq = cfg.raw["ensemble"], cfg.raw["sequence"]
     res = cfg.resonator_params()
-    rho, _ = _coupling_density(cfg, b0)
+    rho, _ = _coupling_density(cfg, args.b0)
     groups = blochsim.init_ensemble(
         rho, res, ens["spin_temp_k"], ens["t2_s"],
         freq_width=ens["freq_width_hz"], n_g=ens["n_g"], n_delta=ens["n_delta"],
     )
-    seq = cfg.raw["sequence"]
+    widths = {"pi_duration": seq["pi_ns"] * 1e-9, "acquire_width": seq["acquire_width_s"]}
     amp = seq["amp"]
     if amp is None:
-        g_ref = float(rho.quantile(0.5))
-        amp = blochsim.pi_pulse_amplitude(g_ref, res, seq["pi_ns"] * 1e-9)
-    return groups, res, amp
+        amp = blochsim.pi_pulse_amplitude(float(rho.quantile(0.5)), res, widths["pi_duration"])
+    tau = (seq["tau_us"] if args.tau_us is None else args.tau_us) * 1e-6
+    ensemble = {"groups": groups, "res": res, "sample_dt": seq["sample_dt_s"]}
+    return ensemble, amp, tau, widths
 
 
 # -------------------------------------------------------------- subcommands
@@ -168,31 +182,24 @@ def _make_ensemble(cfg, b0):
 
 def cmd_spectrum(cfg, args, outdir):
     params = cfg.spin_params()
-    omega0 = (cfg.resonator_params().omega0 if args.omega0 is None
-              else _positive(args.omega0, "--omega0"))
-    b0_min = _nonnegative(args.b0_min, "--b0-min")
-    b0_max = _nonnegative(args.b0_max, "--b0-max")
-    steps = (b0_max - b0_min) / _positive(args.b0_step, "--b0-step")
+    omega0 = cfg.resonator_params().omega0 if args.omega0 is None else args.omega0
+    steps = (args.b0_max - args.b0_min) / args.b0_step
     if not 0 <= steps <= MAX_POINTS - 1:
         raise ValueError(f"--b0-min to --b0-max must span 0 to {MAX_POINTS - 1} steps "
                          f"of --b0-step, got {steps:.3g}")
-    grid = np.linspace(b0_min, b0_max, int(round(steps)) + 1)
+    grid = np.linspace(args.b0_min, args.b0_max, int(round(steps)) + 1)
     spec = hamiltonian.spectrum_vs_field(params, grid, omega0)
-    columns = (spec.b0, *spec.lower.T, *spec.upper.T, spec.frequency,
-               spec.sx_element, spec.sy_element)
     _write_csv(
         outdir / "spectrum.csv",
         ["b0_T", "lowerF", "lowerM", "upperF", "upperM", "freq_Hz", "sx", "sy"],
-        zip(*(col.tolist() for col in columns)),
+        spec.b0, *spec.lower.T, *spec.upper.T, spec.frequency,
+        spec.sx_element, spec.sy_element,
     )
-    rows = []
-    for gi, group in enumerate(hamiltonian.resonance_groups(spec.resonances)):
-        for r in sorted(group, key=lambda r: r.b0):
-            rows.append((gi, r.b0, r.lower[0], r.lower[1], r.upper[0], r.upper[1]))
-    _write_csv(
-        outdir / "resonances.csv",
-        ["group", "b0_T", "lowerF", "lowerM", "upperF", "upperM"], rows,
-    )
+    rows = [(gi, r.b0, *r.lower, *r.upper)
+            for gi, group in enumerate(hamiltonian.resonance_groups(spec.resonances))
+            for r in sorted(group, key=lambda r: r.b0)]
+    _write_csv(outdir / "resonances.csv",
+               ["group", "b0_T", "lowerF", "lowerM", "upperF", "upperM"], *zip(*rows))
     return ["spectrum.csv", "resonances.csv"]
 
 
@@ -219,20 +226,14 @@ def cmd_thermal(cfg, args, outdir):
 
 
 def cmd_polarization(cfg, args, outdir):
-    res = cfg.resonator_params()
+    omega0 = cfg.resonator_params().omega0
     levels, pair = _resonant_pair(cfg, args.b0)
-    ts = np.linspace(_nonnegative(args.t_min, "--t-min"), _nonnegative(args.t_max, "--t-max"),
-                     _count(args.points, "--points"))
-    rows = []
-    for t in ts:
-        rows.append((
-            float(t),
-            polarization.population_difference(levels, pair, float(t)),
-            polarization.approx_population_difference(float(t), res.omega0),
-            thermal.spin_polarization(float(t), res.omega0),
-        ))
-    _write_csv(outdir / "polarization.csv",
-               ["T_K", "dn_exact", "dn_approx", "p_spin_half"], rows)
+    ts = np.linspace(args.t_min, args.t_max, args.points).tolist()
+    _write_csv(outdir / "polarization.csv", ["T_K", "dn_exact", "dn_approx", "p_spin_half"],
+               ts,
+               [polarization.population_difference(levels, pair, t) for t in ts],
+               [polarization.approx_population_difference(t, omega0) for t in ts],
+               [thermal.spin_polarization(t, omega0) for t in ts])
     return ["polarization.csv"]
 
 
@@ -242,125 +243,71 @@ def cmd_coupling(cfg, args, outdir):
     if field is not None:
         x, y = np.meshgrid(field.x, field.y)
         _write_csv(outdir / "fieldmap.csv", ["x_m", "y_m", "bx_T", "by_T"],
-                   zip(*(a.ravel().tolist() for a in (x, y, field.bx, field.by))))
+                   *(a.ravel() for a in (x, y, field.bx, field.by)))
         outputs.append("fieldmap.csv")
     centers = 0.5 * (rho.bin_edges[:-1] + rho.bin_edges[1:])
-    _write_csv(outdir / "rho_g.csv", ["g_hz", "weight"],
-               [(float(g), float(w)) for g, w in zip(centers, rho.weights)])
+    _write_csv(outdir / "rho_g.csv", ["g_hz", "weight"], centers, rho.weights)
     outputs.append("rho_g.csv")
     return outputs
 
 
 def _trace_csv(outdir, name, trace):
-    _write_csv(outdir / name, ["t_s", "re", "im"],
-               [(float(t), float(a.real), float(a.imag))
-                for t, a in zip(trace.t, trace.amp)])
+    _write_csv(outdir / name, ["t_s", "re", "im"], trace.t, trace.amp.real, trace.amp.imag)
     return name
 
 
 def cmd_echo(cfg, args, outdir):
-    groups, res, amp = _make_ensemble(cfg, args.b0)
-    seq_cfg = cfg.raw["sequence"]
-    tau = _tau(args, seq_cfg)
-    seq = blochsim.hahn_echo(tau, amp, pi_duration=seq_cfg["pi_ns"] * 1e-9,
-                             acquire_width=seq_cfg["acquire_width_s"])
-    traces, areas = blochsim.run_sequence(seq, groups, res,
-                                          sample_dt=seq_cfg["sample_dt_s"])
-    outputs = [_trace_csv(outdir, "echo_0.csv", traces[0])]
-    _write_csv(outdir / "summary.csv", ["param", "A_e"],
-               [(tau * 1e6, areas[0])])
-    outputs.append("summary.csv")
-    return outputs
-
-
-def _dt_grid(groups, flag_value, cfg_value):
-    if flag_value is not None:
-        return [float(v) for v in flag_value.split(",")]
-    if cfg_value is not None:
-        return [float(v) for v in cfg_value]
-    g1 = float(np.median(groups.gamma1))
-    return [x / g1 for x in (0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 4.0, 8.0)]
-
-
-def _sweep_traces(seqs, groups, res, seq_cfg):
-    """The first trace of each sequence, all run as one batched sweep."""
-    runs = blochsim.run_sweep(seqs, groups, res, sample_dt=seq_cfg["sample_dt_s"])
-    return [traces[0] for traces in runs]
+    ensemble, amp, tau, widths = _sequence_setup(cfg, args)
+    traces, areas = blochsim.run_sequence(blochsim.hahn_echo(tau, amp, **widths), **ensemble)
+    _write_csv(outdir / "summary.csv", ["param", "A_e"], [tau * 1e6], areas[:1])
+    return [_trace_csv(outdir, "echo_0.csv", traces[0]), "summary.csv"]
 
 
 def cmd_invrec(cfg, args, outdir):
-    groups, res, amp = _make_ensemble(cfg, args.b0)
-    seq_cfg = cfg.raw["sequence"]
-    tau = _tau(args, seq_cfg)
-    dts = _dt_grid(groups, args.dt_list_s, seq_cfg["dt_list_s"])
-    seqs = [
-        blochsim.inversion_recovery(dt, tau, amp, pi_duration=seq_cfg["pi_ns"] * 1e-9,
-                                    acquire_width=seq_cfg["acquire_width_s"])
-        for dt in dts
-    ]
-    traces = _sweep_traces(seqs, groups, res, seq_cfg)
+    ensemble, amp, tau, widths = _sequence_setup(cfg, args)
+    dts = args.dt_list_s or cfg.raw["sequence"]["dt_list_s"]
+    if dts is None:
+        g1 = float(np.median(ensemble["groups"].gamma1))
+        dts = [x / g1 for x in (0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 4.0, 8.0)]
+    dts = [float(dt) for dt in dts]
+    seqs = [blochsim.inversion_recovery(dt, tau, amp, **widths) for dt in dts]
+    traces = [runs[0] for runs in blochsim.run_sweep(seqs, **ensemble)]
     # one shared phase reference (longest delay is closest to equilibrium)
-    ref = int(np.argmax(dts))
-    areas, _ = blochsim.phase_aligned_areas(traces, ref_index=ref)
-    outputs = []
-    for k, tr in enumerate(traces):
-        outputs.append(_trace_csv(outdir, f"invrec_{k:02d}.csv", tr))
-    _write_csv(outdir / "invrec.csv", ["dt_s", "A_e"],
-               list(zip((float(d) for d in dts), areas)))
-    outputs.append("invrec.csv")
-    return outputs
+    areas, _ = blochsim.phase_aligned_areas(traces, ref_index=int(np.argmax(dts)))
+    outputs = [_trace_csv(outdir, f"invrec_{k:02d}.csv", tr) for k, tr in enumerate(traces)]
+    _write_csv(outdir / "invrec.csv", ["dt_s", "A_e"], dts, areas)
+    return outputs + ["invrec.csv"]
 
 
 def cmd_rabi(cfg, args, outdir):
-    groups, res, amp = _make_ensemble(cfg, args.b0)
-    seq_cfg = cfg.raw["sequence"]
-    tau = _tau(args, seq_cfg)
-    if args.amp_list is not None:
-        amps = [float(v) for v in args.amp_list.split(",")]
-    else:
-        points = _count(args.amp_points, "--amp-points")
-        amps = [float(s) * amp for s in np.linspace(0.1, 3.0, points)]
-    seqs = [
-        blochsim.hahn_echo(tau, a, pi_duration=seq_cfg["pi_ns"] * 1e-9,
-                           acquire_width=seq_cfg["acquire_width_s"])
-        for a in amps
-    ]
-    traces = _sweep_traces(seqs, groups, res, seq_cfg)
+    ensemble, amp, tau, widths = _sequence_setup(cfg, args)
+    amps = args.amp_list or [float(s) * amp for s in np.linspace(0.1, 3.0, args.amp_points)]
+    seqs = [blochsim.hahn_echo(tau, a, **widths) for a in amps]
+    traces = [runs[0] for runs in blochsim.run_sweep(seqs, **ensemble)]
     areas, _ = blochsim.phase_aligned_areas(traces)
-    _write_csv(outdir / "rabi.csv", ["amp", "A_e"],
-               list(zip((float(a) for a in amps), areas)))
+    _write_csv(outdir / "rabi.csv", ["amp", "A_e"], amps, areas)
     return ["rabi.csv"]
 
 
 def cmd_cpmg(cfg, args, outdir):
-    groups, res, amp = _make_ensemble(cfg, args.b0)
-    seq_cfg = cfg.raw["sequence"]
-    tau = _tau(args, seq_cfg)
-    n = seq_cfg["n_cpmg"] if args.n_cpmg is None else _positive(args.n_cpmg, "--n-cpmg")
-    seq = blochsim.cpmg(n, tau, amp, pi_duration=seq_cfg["pi_ns"] * 1e-9)
-    traces, areas = blochsim.run_sequence(seq, groups, res,
-                                          sample_dt=seq_cfg["sample_dt_s"])
-    outputs = []
-    for k, tr in enumerate(traces):
-        outputs.append(_trace_csv(outdir, f"cpmg_{k:02d}.csv", tr))
-    _write_csv(outdir / "cpmg.csv", ["echo_index", "A_e"],
-               [(k, a) for k, a in enumerate(areas)])
-    outputs.append("cpmg.csv")
-    return outputs
+    ensemble, amp, tau, widths = _sequence_setup(cfg, args)
+    n = cfg.raw["sequence"]["n_cpmg"] if args.n_cpmg is None else args.n_cpmg
+    traces, areas = blochsim.run_sequence(blochsim.cpmg(n, tau, amp, **widths), **ensemble)
+    outputs = [_trace_csv(outdir, f"cpmg_{k:02d}.csv", tr) for k, tr in enumerate(traces)]
+    _write_csv(outdir / "cpmg.csv", ["echo_index", "A_e"], range(len(areas)), areas)
+    return outputs + ["cpmg.csv"]
 
 
-def cmd_fit_invrec(cfg, args, outdir):
-    data = _read_xy_csv(args.data)
-    res = estimators.fit_exponential_recovery(data)
-    _write_json(outdir / "fit_invrec.json", _fit_result_json(res))
-    return ["fit_invrec.json"]
+def _fit_json(outdir, args, result):
+    name = args.subcommand.replace("-", "_") + ".json"
+    _write_json(outdir / name, dataclasses.asdict(result))
+    return [name]
 
 
-def cmd_fit_t2(cfg, args, outdir):
-    data = _read_xy_csv(args.data)
-    res = estimators.fit_gaussian_decay(data)
-    _write_json(outdir / "fit_t2.json", _fit_result_json(res))
-    return ["fit_t2.json"]
+def cmd_fit(cfg, args, outdir):
+    """fit-invrec and fit-t2: the subcommand's curve fit to --data."""
+    fit = getattr(estimators, args.fit)
+    return _fit_json(outdir, args, fit(_read_xy_csv(args.data)))
 
 
 def cmd_fit_psd(cfg, args, outdir):
@@ -372,18 +319,14 @@ def cmd_fit_psd(cfg, args, outdir):
         fixed["n_twpa"] = args.n_twpa
     elif branch == "cold":
         raise ValueError("cold PSD fit needs --n-twpa from the hot-stage fit")
-    res = estimators.fit_psd(data, fixed, branch)
-    _write_json(outdir / "fit_psd.json", _fit_result_json(res))
-    return ["fit_psd.json"]
+    return _fit_json(outdir, args, estimators.fit_psd(data, fixed, branch))
 
 
 def cmd_snr(cfg, args, outdir):
-    gamma1 = _positive(args.gamma1, "--gamma1")
-    p = _positive(args.p, "--p")
-    sigma = _positive(args.sigma, "--sigma")
-    t_lo = 0.01 / gamma1 if args.trep_min is None else _positive(args.trep_min, "--trep-min")
-    t_hi = 10.0 / gamma1 if args.trep_max is None else _positive(args.trep_max, "--trep-max")
-    ts = np.geomspace(t_lo, t_hi, _count(args.trep_points, "--trep-points"))
+    gamma1, p, sigma = args.gamma1, args.p, args.sigma
+    t_lo = 0.01 / gamma1 if args.trep_min is None else args.trep_min
+    t_hi = 10.0 / gamma1 if args.trep_max is None else args.trep_max
+    ts = np.geomspace(t_lo, t_hi, args.trep_points)
     # each flag is in range alone, but together they may overflow
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         snr = estimators.snr_model(ts, gamma1, p, sigma)
@@ -393,30 +336,13 @@ def cmd_snr(cfg, args, outdir):
             and math.isfinite(t_opt) and math.isfinite(peak)):
         raise ValueError("--gamma1, --p, --sigma and the --trep range overflow to a "
                          "non-finite repetition time or SNR")
-    _write_csv(outdir / "snr.csv", ["t_rep_s", "snr"],
-               list(zip((float(t) for t in ts), (float(v) for v in snr))))
+    _write_csv(outdir / "snr.csv", ["t_rep_s", "snr"], ts, snr)
     _write_json(outdir / "snr.json", {
         "t_opt_s": t_opt,
         "x_star": estimators.snr_argmax_x(),
         "peak_snr": peak,
     })
     return ["snr.csv", "snr.json"]
-
-
-_COMMANDS = {
-    "spectrum": (cmd_spectrum, True),
-    "thermal": (cmd_thermal, True),
-    "polarization": (cmd_polarization, True),
-    "coupling": (cmd_coupling, True),
-    "echo": (cmd_echo, True),
-    "invrec": (cmd_invrec, True),
-    "rabi": (cmd_rabi, True),
-    "cpmg": (cmd_cpmg, True),
-    "fit-invrec": (cmd_fit_invrec, False),
-    "fit-t2": (cmd_fit_t2, False),
-    "fit-psd": (cmd_fit_psd, True),
-    "snr": (cmd_snr, False),
-}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -430,7 +356,12 @@ class _Parser(argparse.ArgumentParser):
             r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE)
 
 
+@functools.cache
 def build_parser():
+    """The parser, built once per process: building it takes about 2.7 ms,
+    more than a curve fit's own work. Fitters are set by name and looked
+    up when they run, so a wrapper installed after the first call, such as
+    perfbench's tracer, is still the one called."""
     parser = _Parser(
         prog="purcell-cool",
         description="Radiative spin-cooling simulator and estimation toolkit",
@@ -438,85 +369,76 @@ def build_parser():
     parser.add_argument("--version", action="version", version=f"purcell-cool {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, needs_config):
+    def command(name, handler, help_text, needs_config=True):
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler)
         p.add_argument("--config", required=needs_config, help="YAML config file")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override config seed")
+        _flag(p, "--seed", SEED, help="override config seed")
+        return p
 
-    p = sub.add_parser("spectrum", help="transition frequencies vs field")
-    common(p, True)
-    p.add_argument("--b0-min", type=float, default=0.0)
-    p.add_argument("--b0-max", type=float, default=0.07)
-    p.add_argument("--b0-step", type=float, default=0.5e-3)
-    p.add_argument("--omega0", type=float, default=None)
+    p = command("spectrum", cmd_spectrum, "transition frequencies vs field")
+    _flag(p, "--b0-min", NONNEGATIVE, 0.0)
+    _flag(p, "--b0-max", NONNEGATIVE, 0.07)
+    _flag(p, "--b0-step", POSITIVE, 0.5e-3)
+    _flag(p, "--omega0", POSITIVE)
 
-    p = sub.add_parser("thermal", help="occupations, rates, cooling factor")
-    common(p, True)
+    command("thermal", cmd_thermal, "occupations, rates, cooling factor")
 
-    p = sub.add_parser("polarization", help="population difference vs temperature")
-    common(p, True)
-    p.add_argument("--b0", type=float, default=62.5e-3)
-    p.add_argument("--t-min", type=float, default=0.03)
-    p.add_argument("--t-max", type=float, default=1.0)
-    p.add_argument("--points", type=int, default=50)
+    p = command("polarization", cmd_polarization, "population difference vs temperature")
+    _flag(p, "--b0", NONNEGATIVE, 62.5e-3)
+    _flag(p, "--t-min", NONNEGATIVE, 0.03)
+    _flag(p, "--t-max", NONNEGATIVE, 1.0)
+    _flag(p, "--points", COUNT, 50)
 
-    p = sub.add_parser("coupling", help="wire field map and rho(g)")
-    common(p, True)
-    p.add_argument("--b0", type=float, default=62.5e-3)
+    p = command("coupling", cmd_coupling, "wire field map and rho(g)")
+    _flag(p, "--b0", NONNEGATIVE, 62.5e-3)
 
-    for name, help_text in (
-        ("echo", "single Hahn echo"),
-        ("invrec", "inversion recovery sweep"),
-        ("rabi", "echo area vs pulse amplitude"),
-        ("cpmg", "multi-echo train"),
+    seq = {}
+    for name, handler, help_text in (
+        ("echo", cmd_echo, "single Hahn echo"),
+        ("invrec", cmd_invrec, "inversion recovery sweep"),
+        ("rabi", cmd_rabi, "echo area vs pulse amplitude"),
+        ("cpmg", cmd_cpmg, "multi-echo train"),
     ):
-        p = sub.add_parser(name, help=help_text)
-        common(p, True)
-        p.add_argument("--b0", type=float, default=62.5e-3)
-        p.add_argument("--tau-us", type=float, default=None)
-        if name == "invrec":
-            p.add_argument("--dt-list-s", type=str, default=None,
-                           help="comma-separated recovery delays in seconds")
-        if name == "rabi":
-            p.add_argument("--amp-list", type=str, default=None)
-            p.add_argument("--amp-points", type=int, default=25)
-        if name == "cpmg":
-            p.add_argument("--n-cpmg", type=int, default=None)
+        p = seq[name] = command(name, handler, help_text)
+        _flag(p, "--b0", NONNEGATIVE, 62.5e-3)
+        _flag(p, "--tau-us", POSITIVE)
+    _flag(seq["invrec"], "--dt-list-s", DELAYS,
+          help="comma-separated recovery delays in seconds")
+    _flag(seq["rabi"], "--amp-list", AMPLITUDES)
+    _flag(seq["rabi"], "--amp-points", COUNT, 25)
+    _flag(seq["cpmg"], "--n-cpmg", COUNT)
 
-    p = sub.add_parser("fit-invrec", help="fit exponential recovery to CSV data")
-    common(p, False)
+    p = command("fit-invrec", cmd_fit, "fit exponential recovery to CSV data", False)
+    p.set_defaults(fit="fit_exponential_recovery")
     p.add_argument("--data", required=True)
 
-    p = sub.add_parser("fit-t2", help="fit Gaussian decay to CSV data")
-    common(p, False)
+    p = command("fit-t2", cmd_fit, "fit Gaussian decay to CSV data", False)
+    p.set_defaults(fit="fit_gaussian_decay")
     p.add_argument("--data", required=True,
                    help="CSV of (total evolution time 2*tau in s, echo area)")
 
-    p = sub.add_parser("fit-psd", help="fit noise spectral density")
-    common(p, True)
+    p = command("fit-psd", cmd_fit_psd, "fit noise spectral density")
     p.add_argument("--data", required=True)
     p.add_argument("--branch", choices=["hot", "cold"], default=None)
-    p.add_argument("--n-twpa", type=float, default=None)
+    _flag(p, "--n-twpa", NONNEGATIVE)
 
-    p = sub.add_parser("snr", help="sensitivity vs repetition time")
-    common(p, False)
-    p.add_argument("--gamma1", type=float, required=True)
-    p.add_argument("--p", type=float, default=1.0)
-    p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument("--trep-min", type=float, default=None)
-    p.add_argument("--trep-max", type=float, default=None)
-    p.add_argument("--trep-points", type=int, default=200)
+    p = command("snr", cmd_snr, "sensitivity vs repetition time", False)
+    _flag(p, "--gamma1", POSITIVE, required=True)
+    _flag(p, "--p", POSITIVE, 1.0)
+    _flag(p, "--sigma", POSITIVE, 1.0)
+    _flag(p, "--trep-min", POSITIVE)
+    _flag(p, "--trep-max", POSITIVE)
+    _flag(p, "--trep-points", COUNT, 200)
     return parser
 
 
 def run(argv):
-    from pathlib import Path
-
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # --help, --version and usage errors
         return exc.code
-    handler, needs_config = _COMMANDS[args.subcommand]
 
     cfg = None
     config_sha = None
@@ -524,16 +446,12 @@ def run(argv):
         with open(args.config, "rb") as fh:
             config_sha = hashlib.sha256(fh.read()).hexdigest()
         cfg = parse_config(args.config)
-    elif needs_config:
-        raise SchemaError(f"{args.subcommand} requires --config")
-    if args.seed is not None and args.seed < 0:
-        raise ValueError(f"--seed must be nonnegative, got {args.seed}")
     seed = args.seed if args.seed is not None else (cfg.seed if cfg else 0)
 
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     t0 = time.monotonic()
-    outputs = handler(cfg, args, outdir)
+    outputs = args.handler(cfg, args, outdir)
     manifest = {
         "tool": "purcell-cool",
         "version": __version__,
@@ -559,7 +477,7 @@ def main(argv=None):
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 4
-    except (PurcellCoolError, ValueError) as exc:
+    except (PurcellCoolError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

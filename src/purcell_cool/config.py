@@ -23,6 +23,11 @@ from .thermal import LoadScenario, ResonatorParams
 
 REQUIRED = object()  # the default of a field that must be given
 
+# The most points a grid, a list or an echo train may ask for: a spectrum
+# field costs about 7 KB, and a larger request would otherwise run out of
+# memory or run for hours instead of failing.
+MAX_POINTS = 10_001
+
 # Every config field, once: section -> key -> (kind, bound, default). kind is
 # "number", "integer", "numbers" (a non-empty list of numbers) or a tuple of
 # the allowed strings; a trailing "?" also allows null. bound holds pairs of
@@ -87,7 +92,7 @@ FIELDS = {
         "pi_ns": ("number", (">", 0), 250.0),
         "amp": ("number?", (">", 0), None),
         "dt_list_s": ("numbers?", (">=", 0), None),
-        "n_cpmg": ("integer", (">=", 1), 4),
+        "n_cpmg": ("integer", (">=", 1, "<=", MAX_POINTS), 4),
         "sample_dt_s": ("number", (">", 0), 1e-8),
         "acquire_width_s": ("number", (">", 0), 4e-6),
     },
@@ -265,6 +270,8 @@ def parse_config_text(text, name="<config>"):
         data = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise SchemaError(f"{name}: not valid YAML: {exc}") from exc
+    except ValueError as exc:  # a scalar YAML cannot build, say an over-long integer
+        raise SchemaError(f"{name}: a value cannot be read: {exc}") from exc
     if data is None:
         data = {}
     if not isinstance(data, dict):

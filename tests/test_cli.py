@@ -1,3 +1,5 @@
+import argparse
+import functools
 import json
 import math
 import os
@@ -363,6 +365,97 @@ def test_cli_import_leaves_scipy_solvers_unloaded():
     assert out.stdout.strip() == "[]"
 
 
+def test_every_numeric_flag_is_checked_where_it_is_declared():
+    # a flag's check is its argparse type, so no handler sees an unchecked value
+    strings = {"--config", "--out", "--data", "--branch"}
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    for name, sub in subparsers.choices.items():
+        for action in sub._actions:
+            flag = action.option_strings[-1]
+            if action.dest == "help" or flag in strings:
+                continue
+            assert isinstance(action.type, functools.partial), (name, flag)
+            assert action.type.func is cli._check and action.type.args[0] == flag, (name, flag)
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["echo", "--b0", "nan"], "--b0"),
+    (["coupling", "--b0", "-inf"], "--b0"),
+    (["fit-psd", "--data", "unread.csv", "--n-twpa", "-3"], "--n-twpa"),
+    (["invrec", "--dt-list-s", "1e-3,0"], "--dt-list-s"),
+    (["invrec", "--dt-list-s", ",".join(["1e-3"] * (cli.MAX_POINTS + 1))], "--dt-list-s"),
+    (["rabi", "--amp-list", "1e6,inf"], "--amp-list"),
+    (["cpmg", "--n-cpmg", "100000000"], "--n-cpmg"),
+    (["polarization", "--points", "2.5"], "--points"),
+])
+def test_flags_without_a_check_before_are_checked(tmp_path, cfg_path, capsys, argv, flag):
+    out = tmp_path / "o"
+    rc = cli.main(argv + ["--config", str(cfg_path), "--out", str(out)])
+    assert rc == 2
+    assert f"{flag} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_echo_train_length_in_the_config_is_bounded(tmp_path, capsys):
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(SMALL + "sequence:\n  n_cpmg: 100000000\n", encoding="utf-8")
+    assert cli.main(["cpmg", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "sequence.n_cpmg" in err
+
+
+def test_config_integer_too_long_to_convert_is_a_config_error(tmp_path, capsys):
+    # PyYAML's int() refuses more than 4300 digits with a ValueError
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(SMALL.replace(repr(KAPPA_EXT), "1" * 5001), encoding="utf-8")
+    assert cli.main(["thermal", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {cfg}: ")
+
+
+def test_allocation_beyond_the_address_space_exits_two(tmp_path, capsys):
+    # 10**15 groups of 8-byte entries are 8e15 B, beyond any 128 TiB address
+    # space, so the request fails whatever the overcommit setting
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(SMALL.replace("n_g: 2", "n_g: 1000000000000000"), encoding="utf-8")
+    assert cli.main(["echo", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_cpmg_acquires_the_configured_window(tmp_path):
+    width, sample_dt = 2.0e-6, 1e-8
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(SMALL + f"sequence:\n  acquire_width_s: {width!r}\n", encoding="utf-8")
+    run_ok(["echo", "--config", cfg, "--out", tmp_path / "echo"])
+    run_ok(["cpmg", "--config", cfg, "--out", tmp_path / "cpmg", "--n-cpmg", "1"])
+    samples = round(width / sample_dt) + 1
+    assert len(load_csv(tmp_path / "cpmg" / "cpmg_00.csv")) == samples
+    assert len(load_csv(tmp_path / "echo" / "echo_0.csv")) == samples
+
+
+@pytest.mark.parametrize("name", ["fit-invrec", "fit-t2", "fit-psd"])
+@pytest.mark.parametrize("bad, why", [
+    ("foo,bar", "not two numbers"),
+    ("2e-3", "not two numbers"),
+    ("nan,0.5", "numbers must be finite"),
+    ("2e-3,inf", "numbers must be finite"),
+])
+def test_fit_data_rows_are_all_read_or_refused(tmp_path, cfg_path, capsys, name, bad, why):
+    # only the first line may be a header; a later bad line names itself
+    data = tmp_path / "data.csv"
+    data.write_text("x,y\n1e-3,0.9\n\n" + bad + "\n3e-3,0.7\n4e-3,0.6\n", encoding="utf-8")
+    out = tmp_path / "o"
+    psd = ["--config", str(cfg_path), "--branch", "hot"] if name == "fit-psd" else []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main([name, "--data", str(data), "--out", str(out)] + psd)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{data}:4: {why}" in err
+    assert not (out / "manifest.json").exists()
+
+
 # ---------------------------------------------------------------- fuzzing
 
 _FUZZ_NUMBERS = st.one_of(
@@ -384,6 +477,7 @@ _FUZZ_COMMANDS = {
     "snr": (["--gamma1", "2.5"], ["--gamma1", "--p", "--sigma", "--trep-min", "--trep-max",
                                   "--trep-points", "--seed"]),
     "thermal": ([], ["--seed"]),
+    "coupling": ([], ["--b0", "--seed"]),
 }
 
 

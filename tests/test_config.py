@@ -288,7 +288,7 @@ REFERENCE_SCHEMA = {
                     "items": {"type": "number", "minimum": 0},
                     "minItems": 1,
                 },
-                "n_cpmg": {"type": "integer", "minimum": 1},
+                "n_cpmg": {"type": "integer", "minimum": 1, "maximum": 10001},
                 "sample_dt_s": {"type": "number", "exclusiveMinimum": 0},
                 "acquire_width_s": {"type": "number", "exclusiveMinimum": 0},
             },
