@@ -12,17 +12,21 @@ with g in angular units inside the equations and s- = (s_x - i s_y)/2, so
 integrated angle theta = 2 g |a| t rotates the group by theta. The output
 field is a_out = sqrt(kappa_ext) a - a_in.
 
-Free-evolution delays much longer than the cavity lifetime are advanced in
-closed form (pure T1/T2/detuning decay); pulse and acquisition segments go
-through the adaptive integrator. Sequences that share one event skeleton (a
-Rabi or inversion-recovery sweep) advance together, one state row each. Thermal noise between pulses is not driven
+The state of one sequence is one packed row [a, s-_1..s-_n, s_z,1..s_z,n]
+(complex; the s_z entries stay real). Sequences that share one event
+skeleton (a Rabi or inversion-recovery sweep) advance together as the rows
+of one (R, 1+2n) array. The diagonal linear part of the equations (_linear)
+is advanced exactly, both by the integrator and by the closed form that
+takes free-evolution delays much longer than the cavity lifetime (pure
+T1/T2/detuning decay); pulse and acquisition segments go through the
+adaptive integrator. Thermal noise between pulses is not driven
 explicitly; temperature enters through sz_eq and the per-group rates.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,29 +50,6 @@ class Ensemble:
 
     def __len__(self):
         return len(self.g)
-
-
-@dataclass
-class EnsembleState:
-    """Cavity amplitude and per-group spin components; inside a batched
-    sweep every field carries a leading axis with one entry per row."""
-
-    s_minus: np.ndarray  # complex, one per group
-    s_z: np.ndarray  # real
-    cavity: complex = 0.0
-
-    @classmethod
-    def equilibrium(cls, groups):
-        return cls(
-            s_minus=np.zeros(len(groups), dtype=complex),
-            s_z=np.array(groups.sz_eq, dtype=float),
-            cavity=0.0,
-        )
-
-    def bloch_excess(self):
-        """Largest violation of 4|s-|^2 + s_z^2 <= 1 over the ensemble."""
-        norm = 4 * np.abs(self.s_minus) ** 2 + self.s_z**2
-        return float(norm.max() - 1.0)
 
 
 @dataclass(frozen=True)
@@ -96,7 +77,6 @@ def _length(ev):
 @dataclass(frozen=True)
 class PulseSequence:
     events: list
-    repetition_time: float | None = None
 
     def __post_init__(self):
         for ev in self.events:
@@ -147,19 +127,13 @@ def init_ensemble(rho, res, spin_temp, t2, *, freq_width=3e6, n_g=40, n_delta=41
     )
 
 
-def _pack(state):
-    """Row [a, s-..., s_z...] of a state; one row per entry of a batched one."""
-    cavity = np.asarray(state.cavity, dtype=complex)[..., None]
-    return np.concatenate((cavity, state.s_minus, state.s_z.astype(complex)), axis=-1)
-
-
-def _unpack(y, n):
-    cavity = y[..., 0]
-    return EnsembleState(
-        s_minus=y[..., 1 : 1 + n].copy(),
-        s_z=y[..., 1 + n :].real.copy(),
-        cavity=cavity.copy() if y.ndim > 1 else complex(cavity),
-    )
+def _linear(groups, res):
+    """Diagonal linear part of the equations on a row [a, s-..., s_z...]:
+    -kappa/2 on a, -(2 pi i delta_k + 1/T2) on s-_k, and 0 on s_z, whose T1
+    term relaxes towards sz_eq and so stays out of it."""
+    return np.concatenate((
+        [-res.kappa / 2], -(2j * math.pi * groups.detuning + 1.0 / groups.t2),
+        np.zeros(len(groups))))
 
 
 def _advance(y, groups, res, a_in, duration, *, sample_dt=None, rtol=1e-8,
@@ -167,10 +141,9 @@ def _advance(y, groups, res, a_in, duration, *, sample_dt=None, rtol=1e-8,
     """Advance the rows of y, shape (R, 1+2n), by `duration` with one shared
     step; row r is driven by the constant complex amplitude a_in[r].
 
-    The diagonal linear part, -kappa/2 on a and -(2 pi i delta_k + 1/T2) on
-    s-_k, is advanced exactly by the integrating-factor solver; the rhs
-    keeps the coupling terms, the drive and the T1 term. Returns
-    (y, t, amp): amp[j, r] is row r's output field
+    The diagonal linear part (_linear) is advanced exactly by the
+    integrating-factor solver; the rhs keeps the coupling terms, the drive
+    and the T1 term. Returns (y, t, amp): amp[j, r] is row r's output field
     a_out = sqrt(kappa_ext) a - a_in at t[j] on a uniform sample_dt comb,
     and t and amp are None without sample_dt. Only the cavity column is
     evaluated at the sample times, from the solver's dense output.
@@ -179,8 +152,7 @@ def _advance(y, groups, res, a_in, duration, *, sample_dt=None, rtol=1e-8,
     g_ang = 2 * math.pi * groups.g
     ig_ang = 1j * g_ang
     g4_ang = 4.0 * g_ang
-    linear = np.concatenate((
-        [-res.kappa / 2], -(2j * math.pi * groups.detuning + 1.0 / groups.t2), np.zeros(n)))
+    linear = _linear(groups, res)
     gamma1 = groups.gamma1
     sz_eq = groups.sz_eq
     # da/dt without the decay and the drive is this row times [s-...]
@@ -213,34 +185,16 @@ def _advance(y, groups, res, a_in, duration, *, sample_dt=None, rtol=1e-8,
     return y1, sample_times, root_kext * cavity - a_in
 
 
-def evolve(state, groups, res, a_in, duration, *, sample_dt=None, rtol=1e-8,
-           atol=1e-13, fixed_step=None):
-    """Advance the coupled equations by `duration` under constant drive a_in.
-
-    groups is an Ensemble and a_in a complex input amplitude. Returns
-    (state, EchoTrace or None); a trace of the output field
-    a_out = sqrt(kappa_ext) a - a_in is recorded on a uniform sample_dt comb
-    when sample_dt is given. Error control alone sets the integrator step.
-    """
-    y, t, amp = _advance(_pack(state)[None], groups, res, [a_in], duration,
-                         sample_dt=sample_dt, rtol=rtol, atol=atol,
-                         fixed_step=fixed_step)
-    trace = None if t is None else EchoTrace(t=t, amp=amp[:, 0])
-    return _unpack(y[0], len(groups)), trace
-
-
-def _closed_form_delay(state, groups, res, duration):
-    """Exact free decay used for delays far beyond the cavity lifetime.
-
-    duration is a scalar, or one value per entry of a batched state.
-    """
-    duration = np.asarray(duration, dtype=float)
-    column = duration[..., None]
-    sm = state.s_minus * np.exp(
-        -(2j * math.pi * groups.detuning + 1.0 / groups.t2) * column)
-    sz = groups.sz_eq + (state.s_z - groups.sz_eq) * np.exp(-groups.gamma1 * column)
-    a = state.cavity * np.exp(-res.kappa * duration / 2)
-    return EnsembleState(s_minus=sm, s_z=sz, cavity=a)
+def _closed_form_delay(y, groups, res, durations):
+    """Exact free decay of the rows of y, row r for durations[r], used for
+    delays far beyond the cavity lifetime: the linear part alone, and each
+    s_z relaxing towards sz_eq at its own Gamma_1."""
+    n = len(groups)
+    column = np.asarray(durations, dtype=float)[:, None]
+    out = y * np.exp(_linear(groups, res) * column)
+    sz = y[:, 1 + n :].real
+    out[:, 1 + n :] = groups.sz_eq + (sz - groups.sz_eq) * np.exp(-groups.gamma1 * column)
+    return out
 
 
 def _skeleton(seq, long_delay):
@@ -282,7 +236,8 @@ def run_sweep(seqs, groups, res, *, sample_dt=1e-8, rtol=1e-8, atol=1e-13,
 def _run_batch(seqs, groups, res, long_delay, sample_dt, solver):
     """Run sequences of one skeleton as rows of one state; each one's traces."""
     n = len(groups)
-    y = np.repeat(_pack(EnsembleState.equilibrium(groups))[None], len(seqs), axis=0)
+    y = np.zeros((len(seqs), 1 + 2 * n), dtype=complex)
+    y[:, 1 + n :] = groups.sz_eq
     idle = np.zeros(len(seqs))
     cursor = np.zeros(len(seqs))
     traces = [[] for _ in seqs]
@@ -297,7 +252,7 @@ def _run_batch(seqs, groups, res, long_delay, sample_dt, solver):
             # which the closed form would silently drop
             y, _, _ = _advance(y, groups, res, idle, long_delay, **solver)
             rest = np.array([e.duration for e in events]) - long_delay
-            y = _pack(_closed_form_delay(_unpack(y, n), groups, res, rest))
+            y = _closed_form_delay(y, groups, res, rest)
         elif isinstance(ev, Delay):
             y, _, _ = _advance(y, groups, res, idle, ev.duration, **solver)
         else:
@@ -310,52 +265,44 @@ def _run_batch(seqs, groups, res, long_delay, sample_dt, solver):
 
 
 def run_sequence(seq, groups, res, *, sample_dt=1e-8, rtol=1e-8, atol=1e-13,
-                 fixed_step=None, ref_trace=None):
+                 fixed_step=None):
     """Execute one pulse sequence; returns (traces, areas).
 
     The one-row case of run_sweep: one EchoTrace per Acquire event, with
-    absolute time stamps. Echo areas are phase-aligned against the
-    reference trace (ref_trace index, or the trace holding the globally
-    largest sample when None).
+    absolute time stamps. Echo areas are phase-aligned against the trace
+    holding the globally largest sample.
     """
     traces = run_sweep([seq], groups, res, sample_dt=sample_dt, rtol=rtol,
                        atol=atol, fixed_step=fixed_step)[0]
-    areas, _ = phase_aligned_areas(traces, ref_index=ref_trace)
+    areas, _ = phase_aligned_areas(traces)
     return traces, areas
 
 
-def echo_phase(trace, window=None):
-    """Phase of the largest-magnitude sample, used as alignment reference."""
-    _, amp = _windowed(trace, window)
-    idx = int(np.argmax(np.abs(amp)))
-    if amp[idx] == 0:
-        return 0.0
-    return float(np.angle(amp[idx]))
-
-
-def _windowed(trace, window):
+def _require_samples(trace):
     if trace.t.size == 0:
         raise EmptyWindow("trace holds no samples")
-    if window is None:
-        return trace.t, trace.amp
-    lo, hi = window
-    mask = (trace.t >= lo) & (trace.t <= hi)
-    if not mask.any():
-        raise EmptyWindow(f"no samples inside [{lo:g}, {hi:g}] s")
-    return trace.t[mask], trace.amp[mask]
 
 
-def integrate_echo(trace, window=None, phase=None):
-    """Real part of the phase-aligned output integral over the window.
+def echo_phase(trace):
+    """Phase of the largest-magnitude sample, used as alignment reference."""
+    _require_samples(trace)
+    idx = int(np.argmax(np.abs(trace.amp)))
+    if trace.amp[idx] == 0:
+        return 0.0
+    return float(np.angle(trace.amp[idx]))
+
+
+def integrate_echo(trace, phase=None):
+    """Real part of the phase-aligned output integral over the trace.
 
     With an explicit phase the result is exactly linear in the trace; when
     the phase is derived from the trace itself a sign inversion of the echo
     shows up as a 180-degree phase and flips the sign of the area.
     """
-    t, amp = _windowed(trace, window)
+    _require_samples(trace)
     if phase is None:
-        phase = echo_phase(trace, window)
-    return float(np.real(np.exp(-1j * phase) * np.trapezoid(amp, t)))
+        phase = echo_phase(trace)
+    return float(np.real(np.exp(-1j * phase) * np.trapezoid(trace.amp, trace.t)))
 
 
 def phase_aligned_areas(traces, ref_index=None):
@@ -410,12 +357,10 @@ def inversion_recovery(delta_t, tau, amp, *, pi_duration=250e-9, acquire_width=4
     return PulseSequence(events=[Pulse(amp, 0.0, pi_duration), Delay(delta_t)] + hahn.events)
 
 
-def cpmg(n_pi, tau, amp, *, pi_duration=250e-9, acquire_width=None):
+def cpmg(n_pi, tau, amp, *, pi_duration=250e-9, acquire_width=4e-6):
     """pi/2 - [tau - pi - tau - echo]^n with 90-degree-shifted pi pulses."""
     if n_pi < 1:
         raise ValueError("need at least one refocusing pulse")
-    if acquire_width is None:
-        acquire_width = min(4e-6, tau)
     half = pi_duration / 2
     events = [Pulse(amp, 0.0, half)]
     d1 = tau - half / 2 - pi_duration / 2

@@ -29,9 +29,10 @@ REQUIRED = object()  # the default of a field that must be given
 MAX_POINTS = 10_001
 
 # Every config field, once: section -> key -> (kind, bound, default). kind is
-# "number", "integer", "numbers" (a non-empty list of numbers) or a tuple of
-# the allowed strings; a trailing "?" also allows null. bound holds pairs of
-# comparison and limit that a number, or each number of a list, must meet.
+# "number", "integer", "numbers" (a list of 1 to MAX_POINTS numbers) or a
+# tuple of the allowed strings; a trailing "?" also allows null. bound holds
+# pairs of comparison and limit that a number, or each number of a list, must
+# meet.
 # A section with a REQUIRED field must be given; the seed is a top-level field.
 FIELDS = {
     "resonator": {
@@ -91,7 +92,7 @@ FIELDS = {
         "tau_us": ("number", (">", 0), 15.0),
         "pi_ns": ("number", (">", 0), 250.0),
         "amp": ("number?", (">", 0), None),
-        "dt_list_s": ("numbers?", (">=", 0), None),
+        "dt_list_s": ("numbers?", (">", 0), None),
         "n_cpmg": ("integer", (">=", 1, "<=", MAX_POINTS), 4),
         "sample_dt_s": ("number", (">", 0), 1e-8),
         "acquire_width_s": ("number", (">", 0), 4e-6),
@@ -175,6 +176,8 @@ def _field_error(value, kind, bound, path):
     if kind == "numbers":
         if not (isinstance(value, list) and value):
             return path, f"{value!r} is not a non-empty list of numbers"
+        if len(value) > MAX_POINTS:
+            return path, f"holds {len(value)} numbers, more than {MAX_POINTS}"
         errors = (_field_error(v, "number", bound, path + (i,)) for i, v in enumerate(value))
         return next(filter(None, errors), None)
     if (isinstance(value, bool) or not isinstance(value, (int, float))

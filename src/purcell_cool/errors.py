@@ -46,7 +46,7 @@ class EmptyDistribution(PurcellCoolError):
 
 
 class EmptyWindow(PurcellCoolError):
-    """Echo integration window contains no trace samples."""
+    """Echo trace to phase-align or integrate holds no samples."""
 
 
 class InsufficientSpan(PurcellCoolError):

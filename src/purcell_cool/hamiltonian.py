@@ -1,4 +1,4 @@
-"""Donor spin Hamiltonian: construction, sector-by-sector eigenpairs, labels.
+"""Donor spin Hamiltonian: sector-by-sector eigenpairs, labels, transitions.
 
 The electron (S = 1/2) couples to the host nucleus (I = 9/2 for Bi in Si)
 through an isotropic hyperfine term, and both carry a Zeeman term:
@@ -15,13 +15,12 @@ therefore built sector by sector in closed form (Breit & Rabi 1931), as
 arrays over a whole field grid: spectrum_vs_field runs the grid, and
 labeled_eigensystem and transition_table are its one-field slice. The
 transition matrix elements follow in closed form from each level's two
-sector amplitudes. build_hamiltonian keeps the full matrix as the reference
-they are tested against.
+sector amplitudes. No 20 x 20 matrix is built; the test suite keeps the
+dense Hamiltonian as the reference the sectors are checked against.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,20 +30,6 @@ from .errors import MissingLevel
 GAMMA_E_SI_BI = 27.997e9  # Hz/T
 GAMMA_N_SI_BI = 6.9e6  # Hz/T
 HYPERFINE_SI_BI = 1.475e9  # Hz
-
-
-def angular_momentum_ops(j):
-    """Jx, Jy, Jz for spin j in the |j, m> basis with m descending."""
-    dim = int(round(2 * j)) + 1
-    m = j - np.arange(dim)
-    jz = np.diag(m).astype(complex)
-    jplus = np.zeros((dim, dim), dtype=complex)
-    for k in range(1, dim):
-        jplus[k - 1, k] = math.sqrt(j * (j + 1) - m[k] * (m[k] + 1))
-    jminus = jplus.conj().T
-    jx = (jplus + jminus) / 2
-    jy = (jplus - jminus) / 2j
-    return jx, jy, jz
 
 
 @dataclass(frozen=True)
@@ -73,55 +58,6 @@ class SpinSystemParams:
     @classmethod
     def si_bi(cls):
         return cls(GAMMA_E_SI_BI, GAMMA_N_SI_BI, HYPERFINE_SI_BI, 0.5, 4.5)
-
-
-@dataclass(frozen=True)
-class HermitianOperator:
-    dim: int
-    entries: np.ndarray  # Hz
-
-    def __post_init__(self):
-        a = np.asarray(self.entries)
-        if a.shape != (self.dim, self.dim):
-            raise ValueError("entries shape does not match dim")
-        scale = np.linalg.norm(a)
-        if scale > 0 and np.linalg.norm(a - a.conj().T) > 1e-12 * scale:
-            raise ValueError("operator is not Hermitian to 1e-12 relative")
-
-
-def _spin_operators(params):
-    """Full-space Sx..Iz, F_z and F^2 in the product basis."""
-    sx, sy, sz = angular_momentum_ops(params.s)
-    ix, iy, iz = angular_momentum_ops(params.i)
-    es = np.eye(sx.shape[0])
-    ei = np.eye(ix.shape[0])
-    ops = {
-        "sx": np.kron(sx, ei),
-        "sy": np.kron(sy, ei),
-        "sz": np.kron(sz, ei),
-        "ix": np.kron(es, ix),
-        "iy": np.kron(es, iy),
-        "iz": np.kron(es, iz),
-    }
-    ops["fz"] = ops["sz"] + ops["iz"]
-    sdoti = ops["sx"] @ ops["ix"] + ops["sy"] @ ops["iy"] + ops["sz"] @ ops["iz"]
-    ops["f2"] = (
-        params.s * (params.s + 1) * np.eye(params.dim)
-        + params.i * (params.i + 1) * np.eye(params.dim)
-        + 2 * sdoti
-    )
-    ops["sdoti"] = sdoti
-    return ops
-
-
-def build_hamiltonian(params, b0):
-    """H in Hz for a static field b0 (tesla) along z."""
-    if b0 < 0:
-        raise ValueError("b0 must be nonnegative")
-    ops = _spin_operators(params)
-    h = b0 * (params.gamma_e * ops["sz"] - params.gamma_n * ops["iz"])
-    h = h + params.hyperfine_a * ops["sdoti"]
-    return HermitianOperator(params.dim, h)
 
 
 @dataclass(frozen=True)
@@ -220,8 +156,9 @@ def labeled_eigensystem(params, b0):
     """Eigenpairs and adiabatic (F, m) labels at field b0: one field of the
     sector solution that spectrum_vs_field runs over a grid.
 
-    Returns (levels in ascending energy, aligned eigenvector columns in the
-    product basis of build_hamiltonian).
+    Returns (levels in ascending energy, aligned real eigenvector columns).
+    A column's entries are on the product states |m_S> x |m_I>, both m
+    descending: |m_S, m_I> is row (1/2 - m_S)(2I + 1) + I - m_I.
     """
     f, m, energy, c_p, c_q = _sectors(params, np.array([b0], dtype=float))
     # rows of |+1/2, m - 1/2> and |-1/2, m + 1/2>; a stretched state's

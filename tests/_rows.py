@@ -1,0 +1,33 @@
+"""Packed state rows, for driving blochsim._advance one sequence at a time.
+
+The state of one sequence is the complex row [a, s-_1..s-_n, s_z,1..s_z,n].
+"""
+
+import numpy as np
+
+from purcell_cool import blochsim as bs
+
+
+def row(groups, s_minus=None, s_z=None, cavity=0.0):
+    """A packed row; by default the equilibrium of groups."""
+    s_minus = np.zeros(len(groups)) if s_minus is None else s_minus
+    s_z = groups.sz_eq if s_z is None else s_z
+    return np.concatenate(([cavity], s_minus, s_z)).astype(complex)
+
+
+def split(y, n):
+    """(a, s-, s_z) of a packed row of n groups."""
+    return y[0], y[1 : 1 + n], y[1 + n :].real
+
+
+def advance(y, groups, res, a_in, duration, **solver):
+    """Advance one row under the constant drive a_in; returns the row and,
+    with sample_dt, the EchoTrace of the output field."""
+    y1, t, amp = bs._advance(y[None], groups, res, [a_in], duration, **solver)
+    return y1[0], None if t is None else bs.EchoTrace(t=t, amp=amp[:, 0])
+
+
+def bloch_excess(y, n):
+    """Largest violation of 4|s-|^2 + s_z^2 <= 1 over the groups of a row."""
+    _, s_minus, s_z = split(y, n)
+    return float((4 * np.abs(s_minus) ** 2 + s_z**2).max() - 1.0)

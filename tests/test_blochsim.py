@@ -10,6 +10,8 @@ from purcell_cool.coupling import CouplingDistribution
 from purcell_cool.errors import EmptyWindow
 from purcell_cool.thermal import ResonatorParams, purcell_rate, spin_polarization
 
+from _rows import advance, bloch_excess, row, split
+
 OMEGA0 = 7.408e9
 RES = ResonatorParams(omega0=OMEGA0, kappa_int=2 * math.pi * 0.4e6,
                       kappa_ext=2 * math.pi * 0.6e6)
@@ -79,13 +81,14 @@ class TestInitEnsemble:
 def test_no_drive_longitudinal_relaxation():
     """Empty cavity, no coherence: pure exponential s_z recovery per group."""
     groups = single_group(g=60.0)
-    state = bs.EnsembleState(s_minus=np.zeros(1, complex), s_z=np.array([0.4]))
+    y = row(groups, s_z=[0.4])
     dt = 5e-6
-    state, _ = bs.evolve(state, groups, RES, 0.0, dt)
+    y, _ = advance(y, groups, RES, 0.0, dt)
+    _, s_minus, s_z = split(y, 1)
     g1 = groups.gamma1[0]
     expect = groups.sz_eq[0] + (0.4 - groups.sz_eq[0]) * math.exp(-g1 * dt)
-    assert abs(state.s_z[0] - expect) < 1e-10
-    assert abs(state.s_minus[0]) < 1e-12
+    assert abs(s_z[0] - expect) < 1e-10
+    assert abs(s_minus[0]) < 1e-12
 
 
 class TestRabiRotation:
@@ -99,18 +102,17 @@ class TestRabiRotation:
     def test_sz_rotates_by_theta(self, frac):
         groups = single_group(g=50.0)
         amp = frac * bs.pi_pulse_amplitude(50.0, RES, 250e-9)
-        state = bs.EnsembleState.equilibrium(groups)
-        state, _ = bs.evolve(state, groups, RES, amp + 0j, 250e-9)
-        state, _ = bs.evolve(state, groups, RES, 0.0, 3e-6)  # ring-down
+        y, _ = advance(row(groups), groups, RES, amp + 0j, 250e-9)
+        y, _ = advance(y, groups, RES, 0.0, 3e-6)  # ring-down
+        _, _, s_z = split(y, 1)
         theta = frac * math.pi
-        assert abs(state.s_z[0] - (-POL * math.cos(theta))) < 0.01 * POL
+        assert abs(s_z[0] - (-POL * math.cos(theta))) < 0.01 * POL
 
     def test_bloch_norm_preserved_through_pulse(self):
         groups = single_group(g=50.0)
         amp = bs.pi_pulse_amplitude(50.0, RES, 250e-9)
-        state = bs.EnsembleState.equilibrium(groups)
-        state, _ = bs.evolve(state, groups, RES, amp + 0j, 250e-9)
-        assert state.bloch_excess() < 1e-6
+        y, _ = advance(row(groups), groups, RES, amp + 0j, 250e-9)
+        assert bloch_excess(y, 1) < 1e-6
 
 
 def test_opposite_detunings_evolve_as_conjugates():
@@ -119,24 +121,21 @@ def test_opposite_detunings_evolve_as_conjugates():
     groups = ensemble(g=[50.0, 50.0], detuning=[+0.5e6, -0.5e6], gamma1=0.05,
                       t2=600e-6, sz_eq=-POL, weight=0.5)
     amp = bs.pi_pulse_amplitude(50.0, RES, 250e-9)
-    state = bs.EnsembleState.equilibrium(groups)
-    state, _ = bs.evolve(state, groups, RES, 1j * amp, 250e-9)
-    state, _ = bs.evolve(state, groups, RES, 0.0, 1e-6)
-    assert abs(state.s_minus[0] - np.conj(state.s_minus[1])) < 1e-9
-    assert abs(state.s_z[0] - state.s_z[1]) < 1e-9
-    assert abs(state.cavity.real) < 1e-9 * max(abs(state.cavity), 1e-30)
+    y, _ = advance(row(groups), groups, RES, 1j * amp, 250e-9)
+    y, _ = advance(y, groups, RES, 0.0, 1e-6)
+    cavity, s_minus, s_z = split(y, 2)
+    assert abs(s_minus[0] - np.conj(s_minus[1])) < 1e-9
+    assert abs(s_z[0] - s_z[1]) < 1e-9
+    assert abs(cavity.real) < 1e-9 * max(abs(cavity), 1e-30)
 
 
-def test_evolve_against_library_integrator():
+def test_advance_against_library_integrator():
     """Three detuned groups under constant drive vs scipy solve_ivp."""
     rng = np.random.default_rng(7)
     groups = ensemble(g=rng.uniform(30, 90, 3), detuning=(-8e5, 1e5, 6e5), gamma1=0.1,
                       t2=1e-4, sz_eq=-0.2, weight=1 / 3)
-    state = bs.EnsembleState(
-        s_minus=(rng.normal(size=3) + 1j * rng.normal(size=3)) * 0.05,
-        s_z=rng.uniform(-0.3, 0.1, 3),
-        cavity=100.0 + 50.0j,
-    )
+    y0 = row(groups, s_minus=(rng.normal(size=3) + 1j * rng.normal(size=3)) * 0.05,
+             s_z=rng.uniform(-0.3, 0.1, 3), cavity=100.0 + 50.0j)
     a_in = 2e4 * np.exp(0.3j)
     duration = 2e-6
 
@@ -152,44 +151,44 @@ def test_evolve_against_library_integrator():
         dsz = -0.1 * (sz - (-0.2)) - 4 * g_ang * (np.conj(a) * sm).imag
         return np.concatenate(([da], dsm, dsz.astype(complex))).view(float)
 
-    y0 = np.concatenate(([state.cavity], state.s_minus, state.s_z.astype(complex)))
     ref = solve_ivp(rhs, (0, duration), y0.view(float), rtol=1e-11, atol=1e-12)
     ref_y = ref.y[:, -1].view(complex)
 
-    out, _ = bs.evolve(state, groups, RES, a_in, duration, rtol=1e-10, atol=1e-12)
-    assert abs(out.cavity - ref_y[0]) < 1e-6 * max(1.0, abs(ref_y[0]))
-    assert np.allclose(out.s_minus, ref_y[1:4], atol=1e-9)
-    assert np.allclose(out.s_z, ref_y[4:7].real, atol=1e-9)
+    out, _ = advance(y0, groups, RES, a_in, duration, rtol=1e-10, atol=1e-12)
+    cavity, s_minus, s_z = split(out, 3)
+    assert abs(cavity - ref_y[0]) < 1e-6 * max(1.0, abs(ref_y[0]))
+    assert np.allclose(s_minus, ref_y[1:4], atol=1e-9)
+    assert np.allclose(s_z, ref_y[4:7].real, atol=1e-9)
 
 
 def test_spin_energy_conserved_without_relaxation():
     # decoupled limit: no decay channels, detuned coherences just precess
     groups = ensemble(g=np.zeros(4), detuning=(-1e6, -3e5, 4e5, 1.2e6), gamma1=0.0,
                       t2=math.inf, sz_eq=0.0, weight=0.25)
-    state = bs.EnsembleState(
-        s_minus=np.full(4, 0.2 + 0.1j), s_z=np.array([0.5, -0.3, 0.1, 0.8]),
-        cavity=10.0 + 0j,
-    )
-    energy0 = float(np.dot(groups.weight, state.s_z))
-    out, _ = bs.evolve(state, groups, RES, 0.0, 1e-3, rtol=1e-10, atol=1e-13)
-    energy1 = float(np.dot(groups.weight, out.s_z))
+    y0 = row(groups, s_minus=np.full(4, 0.2 + 0.1j), s_z=[0.5, -0.3, 0.1, 0.8],
+             cavity=10.0 + 0j)
+    _, s_minus0, s_z0 = split(y0, 4)
+    energy0 = float(np.dot(groups.weight, s_z0))
+    out, _ = advance(y0, groups, RES, 0.0, 1e-3, rtol=1e-10, atol=1e-13)
+    _, s_minus, s_z = split(out, 4)
+    energy1 = float(np.dot(groups.weight, s_z))
     assert abs(energy1 - energy0) < 1e-9
     # coherences precess ~1200 cycles; integrator drift stays small
-    assert np.allclose(np.abs(out.s_minus), np.abs(state.s_minus), atol=1e-6)
+    assert np.allclose(np.abs(s_minus), np.abs(s_minus0), atol=1e-6)
 
 
 def test_closed_form_delay_matches_ode():
     """After ring-down the closed form tracks the ODE to the (tiny)
     cavity back-action scale 2 g^2/kappa * dt that it neglects."""
     groups = single_group(g=45.0)
-    state = bs.EnsembleState(
-        s_minus=np.array([0.1 - 0.05j]), s_z=np.array([-0.1]), cavity=1e-9 + 0j
-    )
+    y = row(groups, s_minus=[0.1 - 0.05j], s_z=[-0.1], cavity=1e-9 + 0j)
     dt = 40e-6
-    direct, _ = bs.evolve(state, groups, RES, 0.0, dt, rtol=1e-10, atol=1e-13)
-    closed = bs._closed_form_delay(state, groups, RES, dt)
-    assert abs(direct.s_minus[0] - closed.s_minus[0]) < 2e-7
-    assert abs(direct.s_z[0] - closed.s_z[0]) < 2e-7
+    direct, _ = advance(y, groups, RES, 0.0, dt, rtol=1e-10, atol=1e-13)
+    closed = bs._closed_form_delay(y[None], groups, RES, [dt])[0]
+    _, direct_sm, direct_sz = split(direct, 1)
+    _, closed_sm, closed_sz = split(closed, 1)
+    assert abs(direct_sm[0] - closed_sm[0]) < 2e-7
+    assert abs(direct_sz[0] - closed_sz[0]) < 2e-7
 
 
 class TestSequences:
@@ -237,15 +236,15 @@ class TestSequences:
     def test_bloch_ball_through_full_sequence(self):
         groups, amp = self.make()
         seq = bs.hahn_echo(15e-6, amp)
-        state = bs.EnsembleState.equilibrium(groups)
+        y = row(groups)
         for ev in seq.events:
             if isinstance(ev, bs.Pulse):
-                state, _ = bs.evolve(state, groups, RES,
-                                     ev.amplitude * np.exp(1j * ev.phase), ev.duration)
+                y, _ = advance(y, groups, RES, ev.amplitude * np.exp(1j * ev.phase),
+                               ev.duration)
             else:
                 dur = ev.duration if isinstance(ev, bs.Delay) else ev.window
-                state, _ = bs.evolve(state, groups, RES, 0.0, dur)
-            assert state.bloch_excess() < 1e-6
+                y, _ = advance(y, groups, RES, 0.0, dur)
+            assert bloch_excess(y, len(groups)) < 1e-6
 
     def test_cpmg_structure_and_decay(self):
         groups, amp = self.make()
@@ -285,10 +284,13 @@ def test_echo_phase_detects_inversion():
 
 
 def test_empty_window_raises():
-    t = np.linspace(0, 1e-6, 11)
-    tr = bs.EchoTrace(t=t, amp=np.ones(11, complex))
+    empty = bs.EchoTrace(t=np.zeros(0), amp=np.zeros(0, complex))
     with pytest.raises(EmptyWindow):
-        bs.integrate_echo(tr, window=(2e-6, 3e-6))
+        bs.integrate_echo(empty)
+    with pytest.raises(EmptyWindow):
+        bs.echo_phase(empty)
+    with pytest.raises(EmptyWindow):
+        bs.phase_aligned_areas([empty])
 
 
 def test_sequence_validation():
@@ -359,28 +361,28 @@ class TestBatchedSweeps:
         for g, w in zip(got, want):
             assert abs(g - w) < 1e-6 * abs(w)
 
-    def test_single_row_matches_event_by_event_evolve(self):
-        """R = 1 against the per-event loop of evolve and the closed form."""
+    def test_single_row_matches_event_by_event_advance(self):
+        """R = 1 against a per-event loop of one-row advances and the closed form."""
         groups = self.detuned_ensemble()
         amp = bs.pi_pulse_amplitude(50.0, RES, 250e-9)
         seq = bs.inversion_recovery(0.3 / float(np.median(groups.gamma1)), 15e-6, amp)
         long_delay = bs.LONG_DELAY_FACTOR / RES.kappa
-        state = bs.EnsembleState.equilibrium(groups)
+        y = row(groups)
         cursor, want = 0.0, []
         for ev in seq.events:
             if isinstance(ev, bs.Pulse):
-                state, _ = bs.evolve(state, groups, RES,
-                                     ev.amplitude * np.exp(1j * ev.phase), ev.duration)
+                y, _ = advance(y, groups, RES, ev.amplitude * np.exp(1j * ev.phase),
+                               ev.duration)
                 cursor += ev.duration
             elif isinstance(ev, bs.Delay) and ev.duration >= long_delay:
-                state, _ = bs.evolve(state, groups, RES, 0.0, long_delay)
-                state = bs._closed_form_delay(state, groups, RES, ev.duration - long_delay)
+                y, _ = advance(y, groups, RES, 0.0, long_delay)
+                y = bs._closed_form_delay(y[None], groups, RES, [ev.duration - long_delay])[0]
                 cursor += ev.duration
             elif isinstance(ev, bs.Delay):
-                state, _ = bs.evolve(state, groups, RES, 0.0, ev.duration)
+                y, _ = advance(y, groups, RES, 0.0, ev.duration)
                 cursor += ev.duration
             else:
-                state, tr = bs.evolve(state, groups, RES, 0.0, ev.window, sample_dt=1e-8)
+                y, tr = advance(y, groups, RES, 0.0, ev.window, sample_dt=1e-8)
                 want.append(bs.EchoTrace(t=tr.t + cursor, amp=tr.amp))
                 cursor += ev.window
         got, _ = bs.run_sequence(seq, groups, RES)

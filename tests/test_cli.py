@@ -405,6 +405,19 @@ def test_echo_train_length_in_the_config_is_bounded(tmp_path, capsys):
     assert err.startswith("config error: ") and "sequence.n_cpmg" in err
 
 
+@pytest.mark.parametrize("command, delays, path", [
+    ("invrec", [0.0, 1.0], "sequence.dt_list_s.0"),
+    ("thermal", [1e-3] * (cli.MAX_POINTS + 1), "sequence.dt_list_s"),
+])
+def test_config_delays_are_checked_like_the_flag(tmp_path, capsys, command, delays, path):
+    # positive delays, at most MAX_POINTS of them, as --dt-list-s takes
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(SMALL + f"sequence:\n  dt_list_s: {delays!r}\n", encoding="utf-8")
+    assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {cfg}: {path}: ")
+
+
 def test_config_integer_too_long_to_convert_is_a_config_error(tmp_path, capsys):
     # PyYAML's int() refuses more than 4300 digits with a ValueError
     cfg = tmp_path / "run.yaml"

@@ -285,8 +285,9 @@ REFERENCE_SCHEMA = {
                 "amp": {"type": ["number", "null"], "exclusiveMinimum": 0},
                 "dt_list_s": {
                     "type": ["array", "null"],
-                    "items": {"type": "number", "minimum": 0},
+                    "items": {"type": "number", "exclusiveMinimum": 0},
                     "minItems": 1,
+                    "maxItems": 10001,
                 },
                 "n_cpmg": {"type": "integer", "minimum": 1, "maximum": 10001},
                 "sample_dt_s": {"type": "number", "exclusiveMinimum": 0},

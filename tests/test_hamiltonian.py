@@ -6,12 +6,14 @@ from hypothesis import strategies as st
 from purcell_cool import hamiltonian as ham
 from purcell_cool.errors import MissingLevel
 
+from _dense_hamiltonian import (
+    HermitianOperator, angular_momentum_ops, build_hamiltonian, spin_operators)
 from _frozen import FROZEN
 
 
 def test_angular_momentum_algebra():
     for j in (0.5, 4.5):
-        jx, jy, jz = ham.angular_momentum_ops(j)
+        jx, jy, jz = angular_momentum_ops(j)
         assert np.allclose(jx @ jy - jy @ jx, 1j * jz, atol=1e-12)
         j2 = jx @ jx + jy @ jy + jz @ jz
         assert np.allclose(j2, j * (j + 1) * np.eye(jx.shape[0]), atol=1e-12)
@@ -19,7 +21,7 @@ def test_angular_momentum_algebra():
 
 def test_hermitian_operator_rejects_nonhermitian():
     with pytest.raises(ValueError):
-        ham.HermitianOperator(dim=2, entries=np.array([[0.0, 1.0], [0.0, 0.0]]))
+        HermitianOperator(dim=2, entries=np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 class TestDonorSpectrum:
@@ -27,11 +29,11 @@ class TestDonorSpectrum:
 
     def test_dimension(self):
         assert self.params.dim == 20
-        assert ham.build_hamiltonian(self.params, 0.05).entries.shape == (20, 20)
+        assert build_hamiltonian(self.params, 0.05).entries.shape == (20, 20)
 
     def test_commutes_with_fz(self):
-        ops = ham._spin_operators(self.params)
-        h = ham.build_hamiltonian(self.params, 37e-3).entries
+        ops = spin_operators(self.params)
+        h = build_hamiltonian(self.params, 37e-3).entries
         fz = ops["fz"]
         assert np.linalg.norm(h @ fz - fz @ h) < 1e-3 * np.linalg.norm(h)
 
@@ -151,7 +153,7 @@ FIELDS_T = (0.0, 1e-4, 1.3e-3, 1.68e-3, 9.5e-3, 30e-3, 62.5e-3, 1.0)
 @pytest.mark.parametrize("b0", FIELDS_T)
 def test_sector_energies_match_full_diagonalization(b0):
     params = ham.SpinSystemParams.si_bi()
-    h = ham.build_hamiltonian(params, b0).entries
+    h = build_hamiltonian(params, b0).entries
     levels, _ = ham.labeled_eigensystem(params, b0)
     ref = np.linalg.eigvalsh(h)
     w = np.array([lv.energy for lv in levels])
@@ -162,8 +164,8 @@ def test_sector_energies_match_full_diagonalization(b0):
 @pytest.mark.parametrize("b0", FIELDS_T)
 def test_sector_eigenvectors_diagonalize_h_and_fz(b0):
     params = ham.SpinSystemParams.si_bi()
-    ops = ham._spin_operators(params)
-    h = ham.build_hamiltonian(params, b0).entries
+    ops = spin_operators(params)
+    h = build_hamiltonian(params, b0).entries
     levels, v = ham.labeled_eigensystem(params, b0)
     scale = np.linalg.norm(h)
     assert np.allclose(v.conj().T @ v, np.eye(params.dim), atol=1e-12)
@@ -175,7 +177,7 @@ def test_sector_eigenvectors_diagonalize_h_and_fz(b0):
 
 def test_zero_field_labels_agree_with_total_angular_momentum():
     params = ham.SpinSystemParams.si_bi()
-    f2 = ham._spin_operators(params)["f2"]
+    f2 = spin_operators(params)["f2"]
     levels, v = ham.labeled_eigensystem(params, 0.0)
     for k, lv in enumerate(levels):
         f2_exp = float((v[:, k].conj() @ f2 @ v[:, k]).real)
@@ -199,7 +201,7 @@ def test_sector_labels_and_energies_for_any_half_odd_nucleus(i, gamma_e, gamma_n
     labels = [(lv.f, lv.m) for lv in levels]
     assert len(labels) == len(set(labels)) == params.dim
     assert set(labels) == expected
-    h = ham.build_hamiltonian(params, b0).entries
+    h = build_hamiltonian(params, b0).entries
     w = np.array([lv.energy for lv in levels])
     assert np.allclose(w, np.linalg.eigvalsh(h), rtol=0, atol=1e-9 * np.linalg.norm(h))
 
@@ -219,7 +221,7 @@ def test_labeled_eigensystem_rejects_unsupported_spins(s, i):
 
 def test_closed_form_elements_match_full_operator_products():
     params = ham.SpinSystemParams.si_bi()
-    ops = ham._spin_operators(params)
+    ops = spin_operators(params)
     for b0 in FIELDS_T:
         levels, v = ham.labeled_eigensystem(params, b0)
         sx = np.abs(v.T @ ops["sx"] @ v)

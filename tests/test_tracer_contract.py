@@ -1,13 +1,42 @@
-"""Signatures the benchmark tracer (perfbench/tracer.py) relies on.
+"""Names and signatures the benchmark tracer (perfbench/tracer.py) relies on.
 
-The tracer reads the arguments of wrapped calls by position and by name:
-the pulse sequence as the first argument of blochsim.run_sequence, and the
-rhs, initial state and sample times of ode.dormand_prince.
+The tracer wraps package functions by module and name, and skips a name the
+package no longer defines, so deleting or renaming one of the functions below
+would silently read 0 in a per-layer metric instead of failing. It also reads
+the arguments of wrapped calls by position and by name: the pulse sequence as
+the first argument of blochsim.run_sequence, and the rhs, initial state and
+sample times of ode.dormand_prince.
 """
 
+import importlib
 import inspect
 
+import pytest
+
 from purcell_cool import blochsim, ode
+
+# (module, function) of every call a per-layer metric counts or times
+METRIC_SOURCES = [
+    ("cli", "main"),
+    ("config", "parse_config"),
+    ("blochsim", "run_sequence"),
+    ("blochsim", "init_ensemble"),
+    ("ode", "dormand_prince"),
+    ("hamiltonian", "labeled_eigensystem"),
+    ("hamiltonian", "transition_table"),
+    ("hamiltonian", "spectrum_vs_field"),
+    ("coupling", "field_map"),
+    ("coupling", "coupling_distribution"),
+    ("estimators", "fit_exponential_recovery"),
+    ("estimators", "fit_gaussian_decay"),
+    ("estimators", "fit_psd"),
+    ("optimize", "levenberg_marquardt"),
+]
+
+
+@pytest.mark.parametrize("module, name", METRIC_SOURCES)
+def test_every_function_a_metric_reads_is_defined(module, name):
+    assert inspect.isfunction(getattr(importlib.import_module(f"purcell_cool.{module}"), name))
 
 
 def test_run_sequence_takes_the_sequence_first():
