@@ -329,26 +329,9 @@ def pi_pulse_amplitude(g, res, duration=250e-9, angle=math.pi):
 
 
 def hahn_echo(tau, amp, *, pi_duration=250e-9, acquire_width=4e-6):
-    """pi/2 - tau - pi - echo sequence with center-to-center delay tau.
-
-    The refocusing pulse follows the convention of a 90-degree phase shift
-    relative to the first pulse. The acquisition window is centered on the
-    echo time.
-    """
-    half = pi_duration / 2
-    d1 = tau - half / 2 - pi_duration / 2  # pi/2 pulse end -> pi pulse start
-    echo_delay = tau - pi_duration / 2 - acquire_width / 2  # pi end -> window
-    if d1 <= 0 or echo_delay <= 0:
-        raise ValueError("tau too short for the pulse widths / acquire window")
-    return PulseSequence(
-        events=[
-            Pulse(amp, 0.0, half),
-            Delay(d1),
-            Pulse(amp, math.pi / 2, pi_duration),
-            Delay(echo_delay),
-            Acquire(acquire_width),
-        ]
-    )
+    """pi/2 - tau - pi - echo sequence with center-to-center delay tau: the
+    CPMG train with one refocusing pulse."""
+    return cpmg(1, tau, amp, pi_duration=pi_duration, acquire_width=acquire_width)
 
 
 def inversion_recovery(delta_t, tau, amp, *, pi_duration=250e-9, acquire_width=4e-6):
@@ -358,14 +341,18 @@ def inversion_recovery(delta_t, tau, amp, *, pi_duration=250e-9, acquire_width=4
 
 
 def cpmg(n_pi, tau, amp, *, pi_duration=250e-9, acquire_width=4e-6):
-    """pi/2 - [tau - pi - tau - echo]^n with 90-degree-shifted pi pulses."""
+    """pi/2 - [tau - pi - tau - echo]^n with 90-degree-shifted pi pulses.
+
+    Successive pulse and echo centres are tau apart, and the acquisition
+    window is centred on each echo.
+    """
     if n_pi < 1:
         raise ValueError("need at least one refocusing pulse")
     half = pi_duration / 2
     events = [Pulse(amp, 0.0, half)]
-    d1 = tau - half / 2 - pi_duration / 2
-    echo_delay = tau - pi_duration / 2 - acquire_width / 2
-    post_echo = tau - acquire_width / 2 - pi_duration / 2
+    d1 = tau - half / 2 - pi_duration / 2  # pi/2 pulse end -> pi pulse start
+    echo_delay = tau - pi_duration / 2 - acquire_width / 2  # pi end -> window
+    post_echo = tau - acquire_width / 2 - pi_duration / 2  # window end -> pi
     if min(d1, echo_delay, post_echo) <= 0:
         raise ValueError("tau too short for the pulse widths / acquire window")
     events.append(Delay(d1))

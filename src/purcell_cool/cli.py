@@ -298,7 +298,15 @@ def cmd_cpmg(cfg, args, outdir):
     return outputs + ["cpmg.csv"]
 
 
-def _fit_json(outdir, args, result):
+def _fit_json(outdir, args, fit, *inputs):
+    """Run fit(*inputs) and write its result. Finite data can still
+    overflow in the fit's sums of squares, and such a result is refused."""
+    with np.errstate(all="ignore"):
+        result = fit(*inputs)
+    numbers = [*result.parameters.values(), *result.std_errors.values(), result.residual_norm]
+    if not all(map(math.isfinite, numbers)):
+        raise ValueError(f"{args.subcommand}: the fit to {args.data} overflows to a "
+                         "non-finite result")
     name = args.subcommand.replace("-", "_") + ".json"
     _write_json(outdir / name, dataclasses.asdict(result))
     return [name]
@@ -306,8 +314,7 @@ def _fit_json(outdir, args, result):
 
 def cmd_fit(cfg, args, outdir):
     """fit-invrec and fit-t2: the subcommand's curve fit to --data."""
-    fit = getattr(estimators, args.fit)
-    return _fit_json(outdir, args, fit(_read_xy_csv(args.data)))
+    return _fit_json(outdir, args, getattr(estimators, args.fit), _read_xy_csv(args.data))
 
 
 def cmd_fit_psd(cfg, args, outdir):
@@ -319,7 +326,7 @@ def cmd_fit_psd(cfg, args, outdir):
         fixed["n_twpa"] = args.n_twpa
     elif branch == "cold":
         raise ValueError("cold PSD fit needs --n-twpa from the hot-stage fit")
-    return _fit_json(outdir, args, estimators.fit_psd(data, fixed, branch))
+    return _fit_json(outdir, args, estimators.fit_psd, data, fixed, branch)
 
 
 def cmd_snr(cfg, args, outdir):

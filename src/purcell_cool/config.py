@@ -53,7 +53,7 @@ FIELDS = {
         "gamma_phon_hz": ("number", (">=", 0), 0.0),
         "gamma_phot_hz": ("number", (">=", 0), 1.0),
     },
-    "spin_system": {
+    "spin_system": {  # the Si:Bi donor
         "gamma_e_hz_per_t": ("number", (">", 0), 27.997e9),
         "gamma_n_hz_per_t": ("number", (), 6.9e6),
         "hyperfine_hz": ("number", (">", 0), 1.475e9),
@@ -270,16 +270,17 @@ class ExperimentConfig:
 
 def parse_config_text(text, name="<config>"):
     try:
-        data = yaml.safe_load(text)
+        data = _coerce_numeric_strings(yaml.safe_load(text))
     except yaml.YAMLError as exc:
         raise SchemaError(f"{name}: not valid YAML: {exc}") from exc
     except ValueError as exc:  # a scalar YAML cannot build, say an over-long integer
         raise SchemaError(f"{name}: a value cannot be read: {exc}") from exc
+    except RecursionError:  # an alias inside its own anchor, or nesting past the stack
+        raise SchemaError(f"{name}: the document refers to itself or nests too deeply") from None
     if data is None:
         data = {}
     if not isinstance(data, dict):
         raise SchemaError(f"{name}: top level must be a mapping")
-    data = _coerce_numeric_strings(data)
     error = _first_error(data, FIELDS)
     if error is not None:
         path = ".".join(str(p) for p in error[0]) or "<root>"

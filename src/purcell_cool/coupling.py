@@ -21,11 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptySupport, GridOverlapsConductor
-from .hamiltonian import GAMMA_E_SI_BI
 from .thermal import PLANCK
 
 HBAR = PLANCK / (2 * math.pi)  # J s
 MU0 = 1.25663706127e-06  # H/m, vacuum permeability (CODATA 2022)
+N_BINS = 200  # log-spaced histogram bins of rho(g); couplings span decades
 
 
 def vacuum_current(res):
@@ -61,17 +61,12 @@ class FieldGrid:
 
 @dataclass(frozen=True)
 class ImplantationProfile:
-    """Spin density vs depth; uniform down to cutoff_depth unless tabulated."""
+    """Spin density vs depth: uniform down to cutoff_depth."""
 
     cutoff_depth: float = 1e-6  # m
-    depths: np.ndarray | None = None
-    weights: np.ndarray | None = None
 
     def density(self, depth):
         depth = np.asarray(depth, dtype=float)
-        if self.depths is not None:
-            w = np.interp(depth, self.depths, self.weights, left=0.0, right=0.0)
-            return np.where(depth >= 0, w, 0.0)
         return np.where((depth >= 0) & (depth <= self.cutoff_depth), 1.0, 0.0)
 
 
@@ -120,7 +115,7 @@ def field_map(geom, current, x_range, y_range, nx, ny):
     return FieldGrid(x=x, y=y, bx=bx, by=by)
 
 
-def coupling_map(field, matrix_element, gamma_e=GAMMA_E_SI_BI):
+def coupling_map(field, matrix_element, gamma_e):
     """Per-cell coupling g = gamma_e * matrix_element * |B| in Hz.
 
     B0 points along the wire, so the full in-plane field is transverse and
@@ -142,10 +137,6 @@ class CouplingDistribution:
         eps = max(abs(g) * 1e-9, 1e-30)
         return cls(bin_edges=np.array([g - eps, g + eps]), weights=np.array([1.0]))
 
-    def mean(self):
-        centers = 0.5 * (self.bin_edges[:-1] + self.bin_edges[1:])
-        return float(np.dot(centers, self.weights))
-
     def quantile(self, q):
         """Inverse CDF, linear within bins."""
         cum = np.concatenate([[0.0], np.cumsum(self.weights)])
@@ -153,11 +144,11 @@ class CouplingDistribution:
         return np.interp(q, cum, self.bin_edges)
 
 
-def coupling_distribution(maps, grid, profile, bins=200):
-    """Histogram of couplings weighted by depth density and transition weight.
+def coupling_distribution(maps, grid, profile):
+    """Histogram of couplings weighted by depth density and transition
+    weight, over N_BINS log-spaced bins.
 
-    maps: list of (g_map, weight) sharing `grid`. Bins may be an integer
-    (log-spaced; couplings span decades near the wire) or explicit edges.
+    maps: list of (g_map, weight) sharing `grid`.
     """
     depth_w = profile.density(-grid.y)  # depth below the surface is -y
     gs = []
@@ -174,18 +165,13 @@ def coupling_distribution(maps, grid, profile, bins=200):
     if total <= 0:
         raise EmptySupport("no spin weight inside the profile support")
     w = w / total
-    if np.isscalar(bins):
-        lo = g[w > 0].min()
-        hi = g[w > 0].max()
-        if hi <= lo * (1 + 1e-12):
-            return CouplingDistribution.delta(float(lo))
-        edges = np.geomspace(lo, hi, int(bins) + 1)
-        edges[0] *= 1 - 1e-12
-        edges[-1] *= 1 + 1e-12
-    else:
-        edges = np.asarray(bins, dtype=float)
+    lo = g[w > 0].min()
+    hi = g[w > 0].max()
+    if hi <= lo * (1 + 1e-12):
+        return CouplingDistribution.delta(float(lo))
+    edges = np.geomspace(lo, hi, N_BINS + 1)
+    edges[0] *= 1 - 1e-12
+    edges[-1] *= 1 + 1e-12
+    # the edges enclose every weighted coupling, so the bins hold all the mass
     hist, _ = np.histogram(g, bins=edges, weights=w)
-    mass = hist.sum()
-    if mass <= 0:
-        raise EmptySupport("histogram bins do not cover the coupling support")
-    return CouplingDistribution(bin_edges=edges, weights=hist / mass)
+    return CouplingDistribution(bin_edges=edges, weights=hist / hist.sum())

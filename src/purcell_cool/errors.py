@@ -21,12 +21,8 @@ class StepUnderflow(PurcellCoolError):
     """Adaptive ODE control drove the step below 1e-15 s."""
 
 
-class MissingLevel(PurcellCoolError):
-    """A requested (F, m) level is not present in the labeled set."""
-
-
 class AllRatesZero(PurcellCoolError):
-    """Bath mixture requested with every coupling rate equal to zero."""
+    """Spin temperature requested with every bath rate equal to zero."""
 
 
 class StateCollision(PurcellCoolError):

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InsufficientSpan
 from .optimize import levenberg_marquardt
-from .thermal import BOLTZMANN, PLANCK, BathCoupling, cooling_factor
+from .thermal import BOLTZMANN, PLANCK
 
 
 @dataclass(frozen=True)
@@ -47,6 +47,17 @@ def _least_squares(residual, x0, names):
     )
 
 
+def _points(data, minimum, message):
+    """The (x, y) pairs of data as two arrays sorted by x; fewer than
+    `minimum` distinct x raise ValueError(message), since repeated rows add
+    no degree of freedom to a fit."""
+    pts = sorted((float(a), float(b)) for a, b in data)
+    x = np.array([p[0] for p in pts])
+    if np.unique(x).size < minimum:
+        raise ValueError(message)
+    return x, np.array([p[1] for p in pts])
+
+
 def fit_exponential_recovery(data):
     """Fit A (1 - 2 exp(-gamma1 dt)) + c to inversion-recovery areas.
 
@@ -54,11 +65,7 @@ def fit_exponential_recovery(data):
     result is reported in the gauge A >= 0: a fit with A < 0 is returned as
     (-A, gamma1, -c), the parameters of the negated data.
     """
-    pts = sorted((float(a), float(b)) for a, b in data)
-    if len(pts) < 4:
-        raise ValueError("need at least 4 recovery points")
-    dt = np.array([p[0] for p in pts])
-    y = np.array([p[1] for p in pts])
+    dt, y = _points(data, 4, "need at least 4 recovery points")
     if (dt < 0).any():
         raise ValueError("delays must be nonnegative")
 
@@ -87,11 +94,7 @@ def fit_exponential_recovery(data):
 
 def fit_gaussian_decay(data):
     """Fit A exp(-(x / t2)^2) where x is the total evolution time 2 tau."""
-    pts = sorted((float(a), float(b)) for a, b in data)
-    if len(pts) < 4:
-        raise ValueError("need at least 4 decay points")
-    x = np.array([p[0] for p in pts])
-    y = np.array([p[1] for p in pts])
+    x, y = _points(data, 4, "need at least 4 decay points")
     a0 = y[0] if y[0] != 0 else float(np.abs(y).max()) or 1.0
     # 1/e crossing as the T2 seed
     below = np.nonzero(y < a0 / math.e)[0]
@@ -107,18 +110,12 @@ def fit_gaussian_decay(data):
 
 @dataclass(frozen=True)
 class PsdModelParams:
-    gain: object  # scalar, or [(hz, gain)] table interpolated linearly
+    gain: float | None  # None is unit gain
     n_twpa: float
     t_int: float  # K
     alpha: float
     resonator: object  # ResonatorParams
     t_phon: float  # K
-
-    def gain_at(self, omega):
-        if np.isscalar(self.gain) or self.gain is None:
-            return 1.0 if self.gain is None else float(self.gain)
-        table = np.asarray(self.gain, dtype=float)
-        return np.interp(omega, table[:, 0], table[:, 1])
 
 
 def _beta(omega, res):
@@ -147,7 +144,8 @@ def psd_model(omega, params, config):
     n_phon, n_int = np.where(x > 700, 0.0, 1.0 / np.expm1(np.minimum(x, 700.0)))
     off = n_phon if config == "hot" else params.alpha * n_phon
     bracket = (1 - beta) * off + beta * n_int + 0.5 + params.n_twpa
-    return params.gain_at(omega) * PLANCK * omega * bracket
+    gain = 1.0 if params.gain is None else float(params.gain)
+    return gain * PLANCK * omega * bracket
 
 
 def fit_psd(data, fixed, config):
@@ -157,11 +155,7 @@ def fit_psd(data, fixed, config):
     jointly); cold: fits (alpha, t_int) with n_twpa fixed. `fixed` must carry
     resonator, t_phon and optionally gain. Data must bracket the resonance.
     """
-    pts = sorted((float(a), float(b)) for a, b in data)
-    if len(pts) < 8:
-        raise ValueError("need at least 8 spectral points")
-    omega = np.array([p[0] for p in pts])
-    s = np.array([p[1] for p in pts])
+    omega, s = _points(data, 8, "need at least 8 spectral points")
     res = fixed["resonator"]
     if omega.min() >= res.omega0 or omega.max() <= res.omega0:
         raise InsufficientSpan("data do not bracket the resonator frequency")
@@ -237,14 +231,3 @@ def optimal_trep(gamma1):
     if gamma1 <= 0:
         raise ValueError("gamma1 must be positive")
     return snr_argmax_x() / gamma1
-
-
-def eta_vs_phonon(gamma_phon_grid, res, scen_hot, scen_cold, gamma_phot_rate, omega):
-    """Cooling factor against the phonon rate; returns rows of
-    (gamma_phon, eta, gamma1_hot, gamma1_cold)."""
-    rows = []
-    for rate in gamma_phon_grid:
-        bath = BathCoupling(rate=float(rate), temperature=scen_hot.t_phon)
-        cool = cooling_factor(res, scen_hot, scen_cold, bath, gamma_phot_rate, omega)
-        rows.append((float(rate), cool.eta, cool.gamma1_hot, cool.gamma1_cold))
-    return rows

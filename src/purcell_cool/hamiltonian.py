@@ -25,12 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MissingLevel
-
-GAMMA_E_SI_BI = 27.997e9  # Hz/T
-GAMMA_N_SI_BI = 6.9e6  # Hz/T
-HYPERFINE_SI_BI = 1.475e9  # Hz
-
 
 @dataclass(frozen=True)
 class SpinSystemParams:
@@ -50,14 +44,6 @@ class SpinSystemParams:
         for q in (self.s, self.i):
             if abs(2 * q - round(2 * q)) > 1e-12 or q < 0:
                 raise ValueError("spin quantum numbers must be nonnegative half-integers")
-
-    @property
-    def dim(self):
-        return int(round(2 * self.s + 1)) * int(round(2 * self.i + 1))
-
-    @classmethod
-    def si_bi(cls):
-        return cls(GAMMA_E_SI_BI, GAMMA_N_SI_BI, HYPERFINE_SI_BI, 0.5, 4.5)
 
 
 @dataclass(frozen=True)
@@ -287,13 +273,3 @@ def resonance_groups(resonances):
         groups.setdefault(key, []).append(r)
     out = sorted(groups.values(), key=lambda g: np.mean([r.b0 for r in g]))
     return out
-
-
-def hyperfine_splitting(levels, f, m):
-    """E(f, m+1) - E(f, m) within one manifold."""
-    by_label = {(lv.f, lv.m): lv for lv in levels}
-    lo = by_label.get((f, m))
-    hi = by_label.get((f, m + 1))
-    if lo is None or hi is None:
-        raise MissingLevel(f"levels ({f},{m}) and ({f},{m + 1}) are not both present")
-    return hi.energy - lo.energy

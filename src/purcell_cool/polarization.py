@@ -9,22 +9,14 @@ splittings this reduces to simple closed forms in x = h omega0 / k T.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import StateCollision
 from .thermal import BOLTZMANN, PLANCK, spin_polarization
 
 
-@dataclass(frozen=True)
-class PopulationVector:
-    probabilities: np.ndarray  # aligned with the LabeledLevel list passed in
-    temperature: float
-
-
 def boltzmann_populations(levels, t):
-    """Thermal populations p = exp(-E/kT)/Z over the given levels.
+    """Thermal populations p = exp(-E/kT)/Z, aligned with the given levels.
 
     t = 0 is handled as the limit: all weight spread uniformly over the
     lowest-energy set. Energies are shifted by the minimum before
@@ -35,10 +27,9 @@ def boltzmann_populations(levels, t):
     energies = np.array([lv.energy for lv in levels])
     if BOLTZMANN * t == 0:  # t = 0, or so small that k t underflows
         ground = energies - energies.min() < 1e-6 * max(np.ptp(energies), 1.0)
-        p = ground / ground.sum()
-        return PopulationVector(probabilities=p, temperature=float(t))
+        return ground / ground.sum()
     w = np.exp(-(energies - energies.min()) * PLANCK / (BOLTZMANN * t))
-    return PopulationVector(probabilities=w / w.sum(), temperature=float(t))
+    return w / w.sum()
 
 
 def _pair_states(pair):
@@ -65,9 +56,8 @@ def population_difference(levels, pair, t):
     weight per total donor count N = 1.
     """
     t1, t2 = _pair_states(pair)
-    pv = boltzmann_populations(levels, t)
+    p = boltzmann_populations(levels, t)
     index = {(lv.f, lv.m): k for k, lv in enumerate(levels)}
-    p = pv.probabilities
     return float(
         p[index[t1.lower]] + p[index[t2.lower]] - p[index[t1.upper]] - p[index[t2.upper]]
     )

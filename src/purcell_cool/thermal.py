@@ -101,15 +101,6 @@ def spin_polarization(t, omega):
     return math.tanh(PLANCK * omega / (2 * BOLTZMANN * t))
 
 
-def effective_occupation(baths, omega):
-    """Rate-weighted occupation of a mode coupled to several baths."""
-    total = sum(b.rate for b in baths)
-    if total == 0:
-        raise AllRatesZero("every bath rate is zero")
-    n = sum(b.rate * bose_occupation(b.temperature, omega) for b in baths) / total
-    return ThermalState(occupation=n, effective_temperature=occupation_temperature(n, omega))
-
-
 def cavity_occupation(res, scen):
     """Resonator mode occupation for a hot or cold load configuration.
 

@@ -55,9 +55,10 @@ def spin_operators(params):
     }
     ops["fz"] = ops["sz"] + ops["iz"]
     sdoti = ops["sx"] @ ops["ix"] + ops["sy"] @ ops["iy"] + ops["sz"] @ ops["iz"]
+    one = np.eye(sdoti.shape[0])
     ops["f2"] = (
-        params.s * (params.s + 1) * np.eye(params.dim)
-        + params.i * (params.i + 1) * np.eye(params.dim)
+        params.s * (params.s + 1) * one
+        + params.i * (params.i + 1) * one
         + 2 * sdoti
     )
     ops["sdoti"] = sdoti
@@ -71,4 +72,4 @@ def build_hamiltonian(params, b0):
     ops = spin_operators(params)
     h = b0 * (params.gamma_e * ops["sz"] - params.gamma_n * ops["iz"])
     h = h + params.hyperfine_a * ops["sdoti"]
-    return HermitianOperator(params.dim, h)
+    return HermitianOperator(h.shape[0], h)

@@ -246,6 +246,21 @@ class TestSequences:
                 y, _ = advance(y, groups, RES, 0.0, dur)
             assert bloch_excess(y, len(groups)) < 1e-6
 
+    def test_bloch_norm_stays_within_its_equilibrium_value(self):
+        # rotations conserve 4|s-|^2 + s_z^2 and relaxation towards sz_eq
+        # cannot raise it, so it stays at or below sz_eq^2 at every event
+        # boundary: unlike the Bloch-ball bound of 1, this catches a wrong
+        # rotation at the small polarization the ensemble starts from
+        groups = bs.init_ensemble(CouplingDistribution.delta(50.0), RES, T_SPIN, 600e-6,
+                                  n_g=2, n_delta=3)
+        amp = bs.pi_pulse_amplitude(50.0, RES, 250e-9)
+        y = row(groups)
+        for ev in bs.cpmg(2, 15e-6, amp).events:
+            drive = ev.amplitude * np.exp(1j * ev.phase) if isinstance(ev, bs.Pulse) else 0.0
+            y, _ = advance(y, groups, RES, drive, bs._length(ev))
+            _, s_minus, s_z = split(y, len(groups))
+            assert np.all(4 * np.abs(s_minus) ** 2 + s_z**2 <= groups.sz_eq**2 * (1 + 1e-6))
+
     def test_cpmg_structure_and_decay(self):
         groups, amp = self.make()
         seq = bs.cpmg(4, 15e-6, amp)

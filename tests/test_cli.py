@@ -341,12 +341,16 @@ def test_config_integer_beyond_float_range_exits_two(tmp_path, capsys):
     ["spectrum", "--b0-min", "1e299", "--b0-max", "1e299"],
     ["snr", "--gamma1", "1e-300", "--p", "1e308", "--sigma", "5e-324"],
     ["snr", "--gamma1", "1", "--sigma", "5e-324", "--trep-min", "1e-10"],
+    ["fit-invrec", "--data", "{data}"],
+    ["fit-t2", "--data", "{data}"],
 ])
 def test_rejected_overflow_prints_only_the_error_line(tmp_path, cfg_path, argv):
     # the overflow is caught by a finiteness check, not announced by numpy
+    data = tmp_path / "overflow.csv"  # finite areas whose squares overflow
+    data.write_text("".join(f"{k * 1e-3!r},{(-1) ** k * 1e300!r}\n" for k in range(5)))
     out = subprocess.run(
-        [sys.executable, "-m", "purcell_cool.cli", *argv, "--out", str(tmp_path / "o"),
-         "--config", str(cfg_path)],
+        [sys.executable, "-m", "purcell_cool.cli", *(a.format(data=data) for a in argv),
+         "--out", str(tmp_path / "o"), "--config", str(cfg_path)],
         capture_output=True, text=True)
     assert out.returncode == 2
     assert out.stderr.splitlines() == [out.stderr.strip()]
@@ -466,6 +470,30 @@ def test_fit_data_rows_are_all_read_or_refused(tmp_path, cfg_path, capsys, name,
     assert rc == 2
     err = capsys.readouterr().err
     assert f"{data}:4: {why}" in err
+    assert not (out / "manifest.json").exists()
+
+
+_PSD_RES = ResonatorParams(omega0=7.408e9, kappa_int=KAPPA_INT, kappa_ext=KAPPA_EXT)
+_PSD_TWO_FREQUENCIES = [
+    (f, float(est.psd_model(f, est.PsdModelParams(
+        gain=1.0, n_twpa=0.75, t_int=0.95, alpha=1.0, resonator=_PSD_RES, t_phon=0.85), "hot")))
+    for f in (7.407e9, 7.409e9)] * 4
+
+
+@pytest.mark.parametrize("name, rows, why", [
+    ("fit-invrec", [(0.0, 1.0)] * 4, "need at least 4 recovery points"),
+    ("fit-t2", [(1e-3, 1.0), (2e-3, 0.5)] * 2, "need at least 4 decay points"),
+    ("fit-psd", _PSD_TWO_FREQUENCIES, "need at least 8 spectral points"),
+])
+def test_fits_count_distinct_abscissae(tmp_path, cfg_path, capsys, name, rows, why):
+    # a repeated row adds no degree of freedom, so it cannot make up the
+    # minimum number of delays or frequencies
+    data = tmp_path / "data.csv"
+    data.write_text("".join(f"{x!r},{y!r}\n" for x, y in rows), encoding="utf-8")
+    out = tmp_path / "o"
+    psd = ["--config", str(cfg_path), "--branch", "hot"] if name == "fit-psd" else []
+    assert cli.main([name, "--data", str(data), "--out", str(out)] + psd) == 2
+    assert f"error: {why}" in capsys.readouterr().err
     assert not (out / "manifest.json").exists()
 
 

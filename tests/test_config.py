@@ -123,6 +123,15 @@ class TestSchemaErrors:
             cfg.parse_config_text("resonator: [unclosed\n")
         assert "not valid YAML" in str(err.value)
 
+    @pytest.mark.parametrize("text", [
+        RESON + "ensemble: &e\n  n_g: *e\n",
+        "resonator: " + "[" * 1000 + "]" * 1000 + "\n",
+    ], ids=["alias inside its own anchor", "1000 nested lists"])
+    def test_self_referring_or_too_deep_document_rejected(self, text):
+        with pytest.raises(SchemaError) as err:
+            cfg.parse_config_text(text, name="run.yaml")
+        assert str(err.value) == "run.yaml: the document refers to itself or nests too deeply"
+
     @pytest.mark.parametrize("text, field", [
         (RESON.replace("7.408e+9", ".inf"), "resonator.omega0_hz"),
         (RESON + "ensemble:\n  t2_s: .nan\n", "ensemble.t2_s"),
@@ -396,7 +405,8 @@ _PROBES = st.one_of(
     st.sampled_from([None, True, False, "fast", "hot", "uniform", "", 0, -0.0, 1, -1, 0.5,
                      1.5, 2, 2.0, 2.5, -1e300, 1e300, 10**30, 10**400, math.nan, math.inf,
                      -math.inf,
-                     [], [1.0], [-1.0], [0, math.inf], [math.nan], ["1"], {}, {"a": 1}]),
+                     [], [1.0], [-1.0], [0, math.inf], [math.nan], ["1"], {}, {"a": 1}]
+                    ).map(copy.deepcopy),  # a document may be edited after it is drawn
     st.floats(),
     st.integers(),
 )

@@ -5,6 +5,7 @@ import pytest
 from scipy.constants import mu_0
 
 from purcell_cool import coupling
+from purcell_cool.config import DEFAULTS
 from purcell_cool.errors import EmptySupport, GridOverlapsConductor
 from purcell_cool.thermal import ResonatorParams
 
@@ -12,6 +13,7 @@ from _frozen import FROZEN
 
 RES = ResonatorParams(omega0=7.408e9, kappa_int=2 * math.pi * 0.4e6,
                       kappa_ext=2 * math.pi * 0.6e6)
+GAMMA_E = DEFAULTS["spin_system"]["gamma_e_hz_per_t"]  # Si:Bi
 
 
 def test_vacuum_current_value():
@@ -62,15 +64,15 @@ def test_coupling_map_scale():
         x=np.array([0.0]), y=np.array([-1e-6]),
         bx=np.array([[1e-6]]), by=np.array([[0.0]]),
     )
-    g = coupling.coupling_map(field, 0.5)
+    g = coupling.coupling_map(field, 0.5, GAMMA_E)
     assert abs(g[0, 0] - 13998.5) < 0.1
     with pytest.raises(ValueError):
-        coupling.coupling_map(field, 0.7)
+        coupling.coupling_map(field, 0.7, GAMMA_E)
 
 
 def test_delta_distribution():
     rho = coupling.CouplingDistribution.delta(120.0)
-    assert abs(rho.mean() - 120.0) < 1e-6
+    assert np.abs(rho.bin_edges - 120.0).max() < 1e-6
     assert abs(float(rho.quantile(0.5)) - 120.0) < 1e-6
     assert abs(rho.weights.sum() - 1.0) < 1e-15
 
@@ -88,8 +90,8 @@ def make_distribution(geom=None, profile=None, weights=(0.5, 0.5)):
     profile = profile or coupling.ImplantationProfile()
     field = coupling.field_map(geom, coupling.vacuum_current(RES),
                                (-3e-6, 3e-6), (-1.2e-6, -0.1e-6), 41, 23)
-    g1 = coupling.coupling_map(field, 0.28)
-    g2 = coupling.coupling_map(field, 0.22)
+    g1 = coupling.coupling_map(field, 0.28, GAMMA_E)
+    g2 = coupling.coupling_map(field, 0.22, GAMMA_E)
     maps = [(g1, weights[0]), (g2, weights[1])]
     return coupling.coupling_distribution(maps, field, profile), field
 
@@ -97,14 +99,14 @@ def make_distribution(geom=None, profile=None, weights=(0.5, 0.5)):
 def test_distribution_normalized_and_bounded():
     rho, field = make_distribution()
     assert abs(rho.weights.sum() - 1.0) < 1e-12
-    g_max = coupling.coupling_map(field, 0.28).max()
+    g_max = coupling.coupling_map(field, 0.28, GAMMA_E).max()
     assert rho.bin_edges[-1] <= g_max * (1 + 1e-9)
 
 
 def test_identical_maps_mixture_identity():
     field = coupling.field_map(coupling.WireGeometry(), 1e-6,
                                (-3e-6, 3e-6), (-1.2e-6, -0.1e-6), 31, 17)
-    g = coupling.coupling_map(field, 0.25)
+    g = coupling.coupling_map(field, 0.25, GAMMA_E)
     prof = coupling.ImplantationProfile()
     one = coupling.coupling_distribution([(g, 1.0)], field, prof)
     two = coupling.coupling_distribution([(g, 0.5), (g, 0.5)], field, prof)

@@ -7,7 +7,7 @@ from scipy.optimize import curve_fit
 from _frozen import FROZEN
 from purcell_cool import estimators as est
 from purcell_cool.errors import InsufficientSpan
-from purcell_cool.thermal import LoadScenario, ResonatorParams, bose_occupation
+from purcell_cool.thermal import ResonatorParams, bose_occupation
 
 OMEGA0 = 7.408e9
 RES = ResonatorParams(omega0=OMEGA0, kappa_int=2 * math.pi * 0.4e6,
@@ -146,12 +146,6 @@ class TestPsd:
         fit = est.fit_psd(zip(omega, noisy), fixed, "cold")
         assert abs(fit.parameters["alpha"] - 0.47) < 0.04
 
-    def test_gain_table_interpolated(self):
-        table = [(OMEGA0 - 5e6, 2.0), (OMEGA0 + 5e6, 4.0)]
-        p = est.PsdModelParams(gain=table, n_twpa=0.5, t_int=0.9, alpha=1.0,
-                               resonator=RES, t_phon=0.85)
-        assert p.gain_at(OMEGA0) == 3.0
-
     def test_requires_bracketing_data(self):
         omega, s = psd_points("hot", 0.75, 0.95, 1.0)
         low = omega < OMEGA0
@@ -191,15 +185,3 @@ class TestSnr:
             est.snr_model(0.0, 1.0, 0.1, 1.0)
         with pytest.raises(ValueError):
             est.optimal_trep(0.0)
-
-
-def test_eta_vs_phonon_decreases_toward_one():
-    hot = LoadScenario(config="hot", alpha=0.47, t_cold=0.02, t_phon=0.85, t_int=0.95)
-    cold = LoadScenario(config="cold", alpha=0.47, t_cold=0.02, t_phon=0.85, t_int=0.95)
-    rows = est.eta_vs_phonon([0.0, 0.01, 0.1, 1.0, 10.0], RES, hot, cold, 0.06, OMEGA0)
-    etas = [r[1] for r in rows]
-    assert all(e > 1 for e in etas)
-    assert all(a > b for a, b in zip(etas, etas[1:]))
-    assert abs(etas[-1] - 1) < 0.05
-    for _, eta, g_hot, g_cold in rows:
-        assert abs(eta - g_hot / g_cold) < 1e-12 * eta

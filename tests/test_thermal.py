@@ -48,18 +48,6 @@ def test_temperatures_whose_k_t_underflows_take_the_zero_temperature_limit():
     assert thermal.bose_occupation(1e-320, OMEGA0) == 0.0
 
 
-def test_effective_occupation_rate_weighting():
-    baths = [
-        thermal.BathCoupling(rate=3.0, temperature=0.85),
-        thermal.BathCoupling(rate=1.0, temperature=0.1),
-    ]
-    st = thermal.effective_occupation(baths, OMEGA0)
-    expect = (3 * thermal.bose_occupation(0.85, OMEGA0) + thermal.bose_occupation(0.1, OMEGA0)) / 4
-    assert abs(st.occupation - expect) < 1e-15
-    with pytest.raises(AllRatesZero):
-        thermal.effective_occupation([thermal.BathCoupling(0.0, 1.0)], OMEGA0)
-
-
 def test_cavity_occupation_hot_and_cold():
     hot = thermal.LoadScenario("hot", alpha=0.47, t_cold=0.02, t_phon=0.85, t_int=0.95)
     cold = thermal.LoadScenario("cold", alpha=0.47, t_cold=0.02, t_phon=0.85, t_int=0.95)
@@ -137,6 +125,17 @@ def test_cooling_factor_with_phonon_bath_degrades():
     assert 1.0 < mixed.eta < pure.eta
     # identity survives the phonon bath
     assert abs(mixed.eta - mixed.polarization_ratio) < 1e-12
+    # eta falls towards 1 as the phonon rate grows
+    cold = thermal.LoadScenario("cold", alpha=0.47, t_cold=0.02, t_phon=0.85, t_int=0.95)
+    etas = []
+    for rate in (0.0, 0.01, 0.1, 1.0, 10.0):
+        cool = thermal.cooling_factor(RES, hot, cold, thermal.BathCoupling(rate, 0.85), 0.06,
+                                      OMEGA0)
+        assert abs(cool.eta - cool.gamma1_hot / cool.gamma1_cold) < 1e-12 * cool.eta
+        etas.append(cool.eta)
+    assert all(e > 1 for e in etas)
+    assert all(a > b for a, b in zip(etas, etas[1:]))
+    assert abs(etas[-1] - 1) < 0.05
 
 
 def test_resonator_params_validation():
