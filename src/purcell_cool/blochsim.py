@@ -66,12 +66,7 @@ class Delay:
 
 @dataclass(frozen=True)
 class Acquire:
-    window: float  # s of recorded output
-
-
-def _length(ev):
-    """Time an event takes, in s."""
-    return ev.window if isinstance(ev, Acquire) else ev.duration
+    duration: float  # s of recorded output
 
 
 @dataclass(frozen=True)
@@ -82,8 +77,7 @@ class PulseSequence:
         for ev in self.events:
             if not isinstance(ev, (Pulse, Delay, Acquire)):
                 raise TypeError(f"unknown event {ev!r}")
-            length = _length(ev)
-            if not (math.isfinite(length) and length > 0):
+            if not (math.isfinite(ev.duration) and ev.duration > 0):
                 raise ValueError("event durations must be positive and finite")
             if isinstance(ev, Pulse) and not (
                     math.isfinite(ev.amplitude) and math.isfinite(ev.phase)):
@@ -203,7 +197,7 @@ def _skeleton(seq, long_delay):
     and phases may differ."""
     return tuple(
         (type(ev), None if isinstance(ev, Delay) and ev.duration >= long_delay
-         else _length(ev))
+         else ev.duration)
         for ev in seq.events
     )
 
@@ -243,24 +237,22 @@ def _run_batch(seqs, groups, res, long_delay, sample_dt, solver):
     traces = [[] for _ in seqs]
     for events in zip(*(seq.events for seq in seqs)):
         ev = events[0]
-        if isinstance(ev, Pulse):
-            a_in = [e.amplitude * np.exp(1j * e.phase) for e in events]
-            y, _, _ = _advance(y, groups, res, a_in, ev.duration, **solver)
-        elif isinstance(ev, Delay) and ev.duration >= long_delay:
-            # ring the cavity down through the ODE first: immediately
-            # after a pulse the decaying field still rotates the spins,
-            # which the closed form would silently drop
-            y, _, _ = _advance(y, groups, res, idle, long_delay, **solver)
+        a_in = ([e.amplitude * np.exp(1j * e.phase) for e in events]
+                if isinstance(ev, Pulse) else idle)
+        # a long delay rings the cavity down through the ODE first: right
+        # after a pulse the decaying field still rotates the spins, which
+        # the closed form would silently drop
+        long = isinstance(ev, Delay) and ev.duration >= long_delay
+        acquire = isinstance(ev, Acquire)
+        y, t, amp = _advance(y, groups, res, a_in, long_delay if long else ev.duration,
+                             sample_dt=sample_dt if acquire else None, **solver)
+        if long:
             rest = np.array([e.duration for e in events]) - long_delay
             y = _closed_form_delay(y, groups, res, rest)
-        elif isinstance(ev, Delay):
-            y, _, _ = _advance(y, groups, res, idle, ev.duration, **solver)
-        else:
-            y, t, amp = _advance(y, groups, res, idle, ev.window,
-                                 sample_dt=sample_dt, **solver)
+        if acquire:
             for r, row_traces in enumerate(traces):
                 row_traces.append(EchoTrace(t=t + cursor[r], amp=amp[:, r]))
-        cursor += [_length(e) for e in events]
+        cursor += [e.duration for e in events]
     return traces
 
 

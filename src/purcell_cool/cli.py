@@ -128,7 +128,7 @@ def _resonant_pair(cfg, b0):
     params = cfg.spin_params()
     res = cfg.resonator_params()
     levels, vecs = hamiltonian.labeled_eigensystem(params, b0)
-    transitions = hamiltonian.transition_table(levels, vecs, params)
+    transitions = hamiltonian.transition_table(levels, vecs)
     window = cfg.raw["ensemble"]["pair_window_hz"]
     pair = polarization.find_quasi_degenerate_pair(transitions, res.omega0, window=window)
     return levels, pair

@@ -108,92 +108,57 @@ def fit_gaussian_decay(data):
     return _least_squares(residual, [a0, t0], ["amplitude", "t2"])
 
 
-@dataclass(frozen=True)
-class PsdModelParams:
-    gain: float | None  # None is unit gain
-    n_twpa: float
-    t_int: float  # K
-    alpha: float
-    resonator: object  # ResonatorParams
-    t_phon: float  # K
-
-
-def _beta(omega, res):
-    det = 2 * math.pi * (np.asarray(omega, dtype=float) - res.omega0)
-    return 4 * res.kappa_int * res.kappa_ext / (res.kappa**2 + 4 * det**2)
-
-
-def psd_model(omega, params, config):
+def psd_model(omega, config, *, resonator, t_phon, n_twpa, t_int, alpha):
     """Output noise spectral density around the resonator, photon units.
 
-    hot:  S / (G h f) = (1 - beta) n(T_phon) + beta n(T_int) + 1/2 + n_twpa
+    hot:  S / (h f) = (1 - beta) n(T_phon) + beta n(T_int) + 1/2 + n_twpa
     cold: the off-resonant term picks up the transmission loss alpha.
+    Temperatures are in K; resonator is a ResonatorParams.
     """
     if config not in ("hot", "cold"):
         raise ValueError("config must be 'hot' or 'cold'")
     omega = np.asarray(omega, dtype=float)
-    res = params.resonator
-    beta = _beta(omega, res)
+    det = 2 * math.pi * (omega - resonator.omega0)
+    beta = 4 * resonator.kappa_int * resonator.kappa_ext / (resonator.kappa**2 + 4 * det**2)
     # bose_occupation at both bath temperatures over the whole grid at once,
     # with its t = 0 and x > 700 limits
-    t = np.reshape([params.t_phon, params.t_int], (2,) + (1,) * omega.ndim)
+    t = np.reshape([t_phon, t_int], (2,) + (1,) * omega.ndim)
     if (t < 0).any() or (omega <= 0).any():
         raise ValueError("need t >= 0 and omega > 0")
     with np.errstate(divide="ignore"):
         x = PLANCK * omega / (BOLTZMANN * t)
     n_phon, n_int = np.where(x > 700, 0.0, 1.0 / np.expm1(np.minimum(x, 700.0)))
-    off = n_phon if config == "hot" else params.alpha * n_phon
-    bracket = (1 - beta) * off + beta * n_int + 0.5 + params.n_twpa
-    gain = 1.0 if params.gain is None else float(params.gain)
-    return gain * PLANCK * omega * bracket
+    off = n_phon if config == "hot" else alpha * n_phon
+    bracket = (1 - beta) * off + beta * n_int + 0.5 + n_twpa
+    return PLANCK * omega * bracket
 
 
 def fit_psd(data, fixed, config):
     """Staged PSD fit.
 
     hot: fits t_int (n_twpa taken from `fixed` when present, otherwise fit
-    jointly); cold: fits (alpha, t_int) with n_twpa fixed. `fixed` must carry
-    resonator, t_phon and optionally gain. Data must bracket the resonance.
+    jointly); cold: fits (alpha, t_int) with n_twpa fixed. `fixed` carries
+    the other keywords of psd_model: resonator, t_phon and, for cold,
+    n_twpa. Data must bracket the resonance.
     """
     omega, s = _points(data, 8, "need at least 8 spectral points")
-    res = fixed["resonator"]
-    if omega.min() >= res.omega0 or omega.max() <= res.omega0:
+    omega0 = fixed["resonator"].omega0
+    if omega.min() >= omega0 or omega.max() <= omega0:
         raise InsufficientSpan("data do not bracket the resonator frequency")
-    gain = fixed.get("gain")
-    t_phon = fixed["t_phon"]
+    if config == "cold":
+        if "n_twpa" not in fixed:
+            raise ValueError("the cold PSD fit needs n_twpa from the hot-stage fit")
+        names = ["alpha", "t_int"]
+    else:
+        names = ["t_int"] if "n_twpa" in fixed else ["n_twpa", "t_int"]
+    start = {"n_twpa": 0.75, "alpha": 0.5, "t_int": 0.8 if config == "cold" else 0.9}
+    known = {"alpha": 1.0, **fixed}  # hot: no transmission loss
     scale = float(np.median(np.abs(s))) or 1.0
 
-    def model(n_twpa, t_int, alpha):
-        p = PsdModelParams(gain=gain, n_twpa=n_twpa, t_int=t_int, alpha=alpha,
-                           resonator=res, t_phon=t_phon)
-        return psd_model(omega, p, config)
+    def residual(p):
+        return (psd_model(omega, config, **{**known, **dict(zip(names, p))}) - s) / scale
 
-    if config == "hot":
-        if "n_twpa" in fixed:
-            names = ["t_int"]
-
-            def residual(p):
-                return (model(fixed["n_twpa"], p[0], 1.0) - s) / scale
-
-            x0 = [0.9]
-        else:
-            names = ["n_twpa", "t_int"]
-
-            def residual(p):
-                return (model(p[0], p[1], 1.0) - s) / scale
-
-            x0 = [0.75, 0.9]
-    elif config == "cold":
-        names = ["alpha", "t_int"]
-        n_twpa = fixed["n_twpa"]
-
-        def residual(p):
-            return (model(n_twpa, p[1], p[0]) - s) / scale
-
-        x0 = [0.5, 0.8]
-    else:
-        raise ValueError("config must be 'hot' or 'cold'")
-    return _least_squares(residual, x0, names)
+    return _least_squares(residual, [start[name] for name in names], names)
 
 
 def snr_model(t_rep, gamma1, p, sigma):
@@ -205,21 +170,12 @@ def snr_model(t_rep, gamma1, p, sigma):
     return float(out) if np.isscalar(t_rep) else out
 
 
-_XSTAR_BRACKET = (1.0, 2.0)
-
-
 def snr_argmax_x():
-    """Root of e^x = 1 + 2x by bisection, to 1e-12."""
-    lo, hi = _XSTAR_BRACKET
-
-    def f(x):
-        return math.exp(x) - 1.0 - 2.0 * x
-
-    for _ in range(200):
+    """Root of e^x = 1 + 2x in [1, 2] by bisection, to 1e-12."""
+    lo, hi = 1.0, 2.0
+    while hi - lo >= 1e-12:
         mid = 0.5 * (lo + hi)
-        if hi - lo < 1e-12:
-            break
-        if f(mid) > 0:
+        if math.exp(mid) - 1.0 - 2.0 * mid > 0:
             hi = mid
         else:
             lo = mid

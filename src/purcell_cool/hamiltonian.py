@@ -162,7 +162,7 @@ def labeled_eigensystem(params, b0):
     return levels, vecs[:, order]
 
 
-def transition_table(levels, eigenvectors, params, floor=MATRIX_ELEMENT_FLOOR):
+def transition_table(levels, eigenvectors, floor=MATRIX_ELEMENT_FLOOR):
     """All |dF . dm| = 1 transitions with |S_x|, |S_y| matrix elements.
 
     levels and eigenvectors are those of labeled_eigensystem. Each of its

@@ -12,34 +12,35 @@ import numpy as np
 from .errors import NoConvergence
 
 _FD_STEP = 1e-6  # relative central-difference step for Jacobians
+_STEP_TOL = 1e-10  # relative parameter step that counts as converged
 
 
 def numeric_jacobian(residual, x):
     """Central-difference Jacobian of a residual vector, step 1e-6 per scale."""
     x = np.asarray(x, dtype=float)
-    r0 = np.asarray(residual(x), dtype=float)
-    jac = np.empty((r0.size, x.size))
+    columns = []
     for i in range(x.size):
         step = _FD_STEP * max(abs(x[i]), 1.0)
         xp = x.copy()
         xm = x.copy()
         xp[i] += step
         xm[i] -= step
-        jac[:, i] = (np.asarray(residual(xp)) - np.asarray(residual(xm))) / (2 * step)
-    return jac, r0
+        columns.append((np.asarray(residual(xp)) - np.asarray(residual(xm))) / (2 * step))
+    return np.stack(columns, axis=1)
 
 
-def levenberg_marquardt(residual, x0, *, max_iter=200, step_tol=1e-10):
+def levenberg_marquardt(residual, x0, *, max_iter=200):
     """Minimize sum(residual(x)**2).
 
     Returns (x, jac, r, converged) at the last accepted point. converged
-    is True when the relative parameter step dropped below step_tol, and
+    is True when the relative parameter step dropped below 1e-10, and
     False when the damping grew past 1e12 without a step that lowers the
     cost; exhausting max_iter raises NoConvergence.
     """
     x = np.asarray(x0, dtype=float).copy()
     lam = 1e-3
-    jac, r = numeric_jacobian(residual, x)
+    r = np.asarray(residual(x), dtype=float)
+    jac = numeric_jacobian(residual, x)
     cost = float(r @ r)
     for _ in range(max_iter):
         jtj = jac.T @ jac
@@ -57,13 +58,13 @@ def levenberg_marquardt(residual, x0, *, max_iter=200, step_tol=1e-10):
         cost_new = float(r_new @ r_new)
         if np.isfinite(cost_new) and cost_new <= cost:
             rel = float(np.max(np.abs(delta) / np.maximum(np.abs(x_new), 1.0)))
-            x, cost = x_new, cost_new
-            jac, r = numeric_jacobian(residual, x)
+            x, r, cost = x_new, r_new, cost_new
+            jac = numeric_jacobian(residual, x)
             lam = max(lam / 10.0, 1e-12)
-            if rel < step_tol:
+            if rel < _STEP_TOL:
                 return x, jac, r, True
         else:
             lam *= 10.0
             if lam > 1e12:
                 return x, jac, r, False
-    raise NoConvergence(f"no parameter step below {step_tol} in {max_iter} iterations")
+    raise NoConvergence(f"no parameter step below {_STEP_TOL} in {max_iter} iterations")

@@ -155,9 +155,8 @@ def test_08_psd_round_trip():
     truth = dict(n_twpa=0.75, t_int_hot=0.95, alpha=0.47, t_int_cold=0.76)
 
     def synth(config, t_int, alpha):
-        p = estimators.PsdModelParams(gain=1.0, n_twpa=truth["n_twpa"], t_int=t_int,
-                                      alpha=alpha, resonator=RES, t_phon=0.85)
-        return estimators.psd_model(omega, p, config)
+        return estimators.psd_model(omega, config, resonator=RES, t_phon=0.85,
+                                    n_twpa=truth["n_twpa"], t_int=t_int, alpha=alpha)
 
     s_hot = synth("hot", truth["t_int_hot"], 1.0)
     s_cold = synth("cold", truth["t_int_cold"], truth["alpha"])
@@ -234,8 +233,7 @@ class Test09BlochSimulator:
                 y, _ = advance(y, groups, RES, ev.amplitude * np.exp(1j * ev.phase),
                                ev.duration)
             else:
-                dur = ev.duration if isinstance(ev, bs.Delay) else ev.window
-                y, _ = advance(y, groups, RES, 0.0, dur)
+                y, _ = advance(y, groups, RES, 0.0, ev.duration)
             assert bloch_excess(y, len(groups)) < 1e-6
 
         short = bs.hahn_echo(2e-6, amp, acquire_width=1e-6)

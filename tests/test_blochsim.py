@@ -242,8 +242,7 @@ class TestSequences:
                 y, _ = advance(y, groups, RES, ev.amplitude * np.exp(1j * ev.phase),
                                ev.duration)
             else:
-                dur = ev.duration if isinstance(ev, bs.Delay) else ev.window
-                y, _ = advance(y, groups, RES, 0.0, dur)
+                y, _ = advance(y, groups, RES, 0.0, ev.duration)
             assert bloch_excess(y, len(groups)) < 1e-6
 
     def test_bloch_norm_stays_within_its_equilibrium_value(self):
@@ -257,7 +256,7 @@ class TestSequences:
         y = row(groups)
         for ev in bs.cpmg(2, 15e-6, amp).events:
             drive = ev.amplitude * np.exp(1j * ev.phase) if isinstance(ev, bs.Pulse) else 0.0
-            y, _ = advance(y, groups, RES, drive, bs._length(ev))
+            y, _ = advance(y, groups, RES, drive, ev.duration)
             _, s_minus, s_z = split(y, len(groups))
             assert np.all(4 * np.abs(s_minus) ** 2 + s_z**2 <= groups.sz_eq**2 * (1 + 1e-6))
 
@@ -273,7 +272,7 @@ class TestSequences:
         for ev in seq.events:
             if isinstance(ev, bs.Pulse) and ev.duration == 250e-9:
                 centers.append(cursor + ev.duration / 2)
-            cursor += ev.duration if isinstance(ev, (bs.Pulse, bs.Delay)) else ev.window
+            cursor += ev.duration
         assert np.allclose(np.diff(centers), 30e-6, atol=1e-12)
 
 
@@ -397,9 +396,9 @@ class TestBatchedSweeps:
                 y, _ = advance(y, groups, RES, 0.0, ev.duration)
                 cursor += ev.duration
             else:
-                y, tr = advance(y, groups, RES, 0.0, ev.window, sample_dt=1e-8)
+                y, tr = advance(y, groups, RES, 0.0, ev.duration, sample_dt=1e-8)
                 want.append(bs.EchoTrace(t=tr.t + cursor, amp=tr.amp))
-                cursor += ev.window
+                cursor += ev.duration
         got, _ = bs.run_sequence(seq, groups, RES)
         assert len(got) == len(want) == 1
         assert np.array_equal(got[0].t, want[0].t)

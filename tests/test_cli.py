@@ -245,9 +245,8 @@ def test_fit_psd_stages(tmp_path, cfg_path):
     omega = 7.408e9 + np.linspace(-3e6, 3e6, 41)
 
     def dump(config, alpha, t_int, path):
-        p = est.PsdModelParams(gain=1.0, n_twpa=0.75, t_int=t_int, alpha=alpha,
-                               resonator=res, t_phon=0.85)
-        s = est.psd_model(omega, p, config)
+        s = est.psd_model(omega, config, resonator=res, t_phon=0.85, n_twpa=0.75,
+                          t_int=t_int, alpha=alpha)
         path.write_text("f_hz,s\n"
                         + "".join(f"{float(a)!r},{float(b)!r}\n" for a, b in zip(omega, s)))
 
@@ -262,11 +261,6 @@ def test_fit_psd_stages(tmp_path, cfg_path):
         hot = json.load(fh)
     assert abs(hot["parameters"]["n_twpa"] - 0.75) < 1e-5
     assert abs(hot["parameters"]["t_int"] - 0.95) < 1e-5
-
-    # the cold stage refuses to run without the hot-stage TWPA number
-    rc = cli.main(["fit-psd", "--config", str(cfg_path), "--out", str(tmp_path / "x"),
-                   "--data", str(cold_csv), "--branch", "cold"])
-    assert rc == 2
 
     out_c = tmp_path / "c"
     run_ok(["fit-psd", "--config", cfg_path, "--out", out_c, "--data", cold_csv,
@@ -475,8 +469,8 @@ def test_fit_data_rows_are_all_read_or_refused(tmp_path, cfg_path, capsys, name,
 
 _PSD_RES = ResonatorParams(omega0=7.408e9, kappa_int=KAPPA_INT, kappa_ext=KAPPA_EXT)
 _PSD_TWO_FREQUENCIES = [
-    (f, float(est.psd_model(f, est.PsdModelParams(
-        gain=1.0, n_twpa=0.75, t_int=0.95, alpha=1.0, resonator=_PSD_RES, t_phon=0.85), "hot")))
+    (f, float(est.psd_model(f, "hot", resonator=_PSD_RES, t_phon=0.85, n_twpa=0.75,
+                            t_int=0.95, alpha=1.0)))
     for f in (7.407e9, 7.409e9)] * 4
 
 
@@ -494,6 +488,24 @@ def test_fits_count_distinct_abscissae(tmp_path, cfg_path, capsys, name, rows, w
     psd = ["--config", str(cfg_path), "--branch", "hot"] if name == "fit-psd" else []
     assert cli.main([name, "--data", str(data), "--out", str(out)] + psd) == 2
     assert f"error: {why}" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("branch", [["--branch", "cold"], []])
+def test_cold_psd_fit_without_n_twpa_exits_2(tmp_path, cfg_path, capsys, branch):
+    # the cold stage needs the hot-stage TWPA number; without --branch the
+    # config's scenario decides, and it defaults to cold
+    omega = 7.408e9 + np.linspace(-3e6, 3e6, 41)
+    s = est.psd_model(omega, "cold", resonator=_PSD_RES, t_phon=0.85, n_twpa=0.75,
+                      t_int=0.76, alpha=0.47)
+    data = tmp_path / "cold.csv"
+    data.write_text("".join(f"{float(a)!r},{float(b)!r}\n" for a, b in zip(omega, s)))
+    out = tmp_path / "o"
+    rc = cli.main(["fit-psd", "--config", str(cfg_path), "--data", str(data),
+                   "--out", str(out)] + branch)
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "--n-twpa" in err[0]
     assert not (out / "manifest.json").exists()
 
 

@@ -81,11 +81,10 @@ class TestGaussianDecay:
             est.fit_gaussian_decay([(1e-4, 1.0), (2e-4, 0.9), (3e-4, 0.7)])
 
 
-def psd_points(config, n_twpa, t_int, alpha, gain=1.0, span=3e6, n=41):
+def psd_points(config, n_twpa, t_int, alpha, span=3e6, n=41):
     omega = OMEGA0 + np.linspace(-span, span, n)
-    p = est.PsdModelParams(gain=gain, n_twpa=n_twpa, t_int=t_int, alpha=alpha,
-                           resonator=RES, t_phon=0.85)
-    return omega, est.psd_model(omega, p, config)
+    return omega, est.psd_model(omega, config, resonator=RES, t_phon=0.85,
+                                n_twpa=n_twpa, t_int=t_int, alpha=alpha)
 
 
 class TestPsd:
@@ -101,25 +100,21 @@ class TestPsd:
     @pytest.mark.parametrize("config", ["hot", "cold"])
     def test_array_occupations_match_scalar(self, t_phon, config):
         omega = OMEGA0 + np.linspace(-3e6, 3e6, 41)
-        p = est.PsdModelParams(gain=1.0, n_twpa=0.6, t_int=0.95, alpha=0.47,
-                               resonator=RES, t_phon=t_phon)
+        p = dict(resonator=RES, t_phon=t_phon, n_twpa=0.6, t_int=0.95, alpha=0.47)
         n_phon = np.array([bose_occupation(t_phon, f) for f in omega])
         n_int = np.array([bose_occupation(0.95, f) for f in omega])
         beta = 4 * RES.kappa_int * RES.kappa_ext / (
             RES.kappa**2 + 4 * (2 * math.pi * (omega - OMEGA0)) ** 2)
         off = n_phon if config == "hot" else 0.47 * n_phon
         want = est.PLANCK * omega * ((1 - beta) * off + beta * n_int + 0.5 + 0.6)
-        assert np.allclose(est.psd_model(omega, p, config), want, rtol=1e-12, atol=0)
+        assert np.allclose(est.psd_model(omega, config, **p), want, rtol=1e-12, atol=0)
 
     def test_occupation_inputs_validated(self):
-        p = est.PsdModelParams(gain=1.0, n_twpa=0.6, t_int=-0.1, alpha=1.0,
-                               resonator=RES, t_phon=0.85)
+        p = dict(resonator=RES, t_phon=0.85, n_twpa=0.6, alpha=1.0)
         with pytest.raises(ValueError):
-            est.psd_model(OMEGA0, p, "hot")
-        p = est.PsdModelParams(gain=1.0, n_twpa=0.6, t_int=0.95, alpha=1.0,
-                               resonator=RES, t_phon=0.85)
+            est.psd_model(OMEGA0, "hot", t_int=-0.1, **p)
         with pytest.raises(ValueError):
-            est.psd_model(np.array([OMEGA0, 0.0]), p, "hot")
+            est.psd_model(np.array([OMEGA0, 0.0]), "hot", t_int=0.95, **p)
 
     def test_hot_joint_round_trip(self):
         omega, s = psd_points("hot", 1.1, 1.3, 1.0)
@@ -146,6 +141,11 @@ class TestPsd:
         fit = est.fit_psd(zip(omega, noisy), fixed, "cold")
         assert abs(fit.parameters["alpha"] - 0.47) < 0.04
 
+    def test_cold_needs_n_twpa(self):
+        omega, s = psd_points("cold", 0.75, 0.76, 0.47)
+        with pytest.raises(ValueError, match="n_twpa"):
+            est.fit_psd(zip(omega, s), {"resonator": RES, "t_phon": 0.85}, "cold")
+
     def test_requires_bracketing_data(self):
         omega, s = psd_points("hot", 0.75, 0.95, 1.0)
         low = omega < OMEGA0
@@ -154,10 +154,9 @@ class TestPsd:
                         {"resonator": RES, "t_phon": 0.85}, "hot")
 
     def test_config_validation(self):
-        p = est.PsdModelParams(gain=1.0, n_twpa=0.5, t_int=0.9, alpha=1.0,
-                               resonator=RES, t_phon=0.85)
         with pytest.raises(ValueError):
-            est.psd_model(OMEGA0, p, "warm")
+            est.psd_model(OMEGA0, "warm", resonator=RES, t_phon=0.85, n_twpa=0.5,
+                          t_int=0.9, alpha=1.0)
 
 
 class TestSnr:

@@ -60,7 +60,7 @@ class TestDonorSpectrum:
 
     def test_doublet_at_62p5_mt(self):
         levels, vecs = ham.labeled_eigensystem(self.params, 62.5e-3)
-        table = ham.transition_table(levels, vecs, self.params)
+        table = ham.transition_table(levels, vecs)
         by_label = {(t.lower, t.upper): t for t in table}
         t1 = by_label[((4, 0), (5, -1))]
         t2 = by_label[((4, -1), (5, 0))]
@@ -71,15 +71,15 @@ class TestDonorSpectrum:
 
     def test_selection_rules(self):
         levels, vecs = ham.labeled_eigensystem(self.params, 30e-3)
-        for t in ham.transition_table(levels, vecs, self.params):
+        for t in ham.transition_table(levels, vecs):
             assert abs((t.upper[0] - t.lower[0]) * (t.upper[1] - t.lower[1])) == 1
             assert t.frequency > 0
             assert 0 <= t.sx_element <= 0.5 + 1e-12
 
     def test_matrix_element_floor_drops_weak_lines(self):
         levels, vecs = ham.labeled_eigensystem(self.params, 62.5e-3)
-        loose = ham.transition_table(levels, vecs, self.params, floor=0.0)
-        tight = ham.transition_table(levels, vecs, self.params, floor=0.2)
+        loose = ham.transition_table(levels, vecs, floor=0.0)
+        tight = ham.transition_table(levels, vecs, floor=0.2)
         assert len(tight) < len(loose)
         assert all(t.sx_element >= 0.2 for t in tight)
 
@@ -124,7 +124,7 @@ class TestHyperfineSplitting:
 def test_sx_sy_elements_agree():
     params = SI_BI
     levels, vecs = ham.labeled_eigensystem(params, 62.5e-3)
-    for t in ham.transition_table(levels, vecs, params):
+    for t in ham.transition_table(levels, vecs):
         assert abs(t.sx_element - t.sy_element) < 1e-10
 
 
@@ -226,7 +226,7 @@ def test_closed_form_elements_match_full_operator_products():
         sx = np.abs(v.T @ ops["sx"] @ v)
         sy = np.abs(v.T @ ops["sy"] @ v)
         index = {(lv.f, lv.m): k for k, lv in enumerate(levels)}
-        table = ham.transition_table(levels, v, params, floor=0.0)
+        table = ham.transition_table(levels, v, floor=0.0)
         pairs = [(index[t.lower], index[t.upper]) for t in table]
         expected = [(a, b) for a in range(len(levels)) for b in range(a + 1, len(levels))
                     if abs(levels[a].f - levels[b].f) == 1
@@ -243,7 +243,7 @@ def per_field_rows(params, grid):
     rows = []
     for b0 in grid:
         levels, vecs = ham.labeled_eigensystem(params, float(b0))
-        table = ham.transition_table(levels, vecs, params)
+        table = ham.transition_table(levels, vecs)
         rows += sorted((float(b0), t.lower, t.upper, t.frequency, t.sx_element, t.sy_element)
                        for t in table)
     return rows
@@ -284,7 +284,7 @@ def test_probe_on_a_grid_point_gives_one_crossing_there(at):
     params = SI_BI
     grid = np.linspace(60e-3, 65e-3, 11)
     levels, vecs = ham.labeled_eigensystem(params, float(grid[at]))
-    line = {(t.lower, t.upper): t for t in ham.transition_table(levels, vecs, params)}
+    line = {(t.lower, t.upper): t for t in ham.transition_table(levels, vecs)}
     omega0 = line[((4, 0), (5, -1))].frequency
     spec = ham.spectrum_vs_field(params, grid, omega0)
     hits = [r for r in spec.resonances if (r.lower, r.upper) == ((4, 0), (5, -1))]

@@ -18,7 +18,7 @@ OMEGA0 = 7.408e9
 
 def doublet(b0):
     levels, vecs = ham.labeled_eigensystem(PARAMS, b0)
-    table = ham.transition_table(levels, vecs, PARAMS)
+    table = ham.transition_table(levels, vecs)
     pair = pol.find_quasi_degenerate_pair(table, OMEGA0)
     return levels, pair
 
@@ -62,7 +62,7 @@ def test_find_quasi_degenerate_pair_at_operating_points():
 
 def test_no_pair_far_from_resonance():
     levels, vecs = ham.labeled_eigensystem(PARAMS, 40e-3)
-    table = ham.transition_table(levels, vecs, PARAMS)
+    table = ham.transition_table(levels, vecs)
     with pytest.raises(ValueError):
         pol.find_quasi_degenerate_pair(table, 7.408e9, window=1e5)
 

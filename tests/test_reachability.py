@@ -93,10 +93,9 @@ def write_inputs(tmp_path):
     write_xy(tmp_path / "t2.csv", x, 3 * np.exp(-(x / 4e-4) ** 2))
     res = ResonatorParams(omega0=7.408e9, kappa_int=2 * math.pi * 0.4e6,
                           kappa_ext=2 * math.pi * 0.6e6)
-    params = estimators.PsdModelParams(gain=None, n_twpa=0.7, t_int=0.9, alpha=1.0,
-                                       resonator=res, t_phon=0.85)
     f = 7.408e9 + np.linspace(-3e6, 3e6, 12)
-    write_xy(tmp_path / "psd.csv", f, estimators.psd_model(f, params, "hot"))
+    write_xy(tmp_path / "psd.csv", f, estimators.psd_model(
+        f, "hot", resonator=res, t_phon=0.85, n_twpa=0.7, t_int=0.9, alpha=1.0))
 
 
 def subcommands(tmp_path):

@@ -4,8 +4,9 @@ The tracer wraps package functions by module and name, and skips a name the
 package no longer defines, so deleting or renaming one of the functions below
 would silently read 0 in a per-layer metric instead of failing. It also reads
 the arguments of wrapped calls by position and by name: the pulse sequence as
-the first argument of blochsim.run_sequence, and the rhs, initial state and
-sample times of ode.dormand_prince.
+the first argument of blochsim.run_sequence, the rhs, initial state and
+sample times of ode.dormand_prince, and the residual as the first argument of
+optimize.levenberg_marquardt.
 """
 
 import importlib
@@ -13,7 +14,7 @@ import inspect
 
 import pytest
 
-from purcell_cool import blochsim, ode
+from purcell_cool import blochsim, ode, optimize
 
 # (module, function) of every call a per-layer metric counts or times
 METRIC_SOURCES = [
@@ -47,3 +48,8 @@ def test_dormand_prince_argument_layout():
     params = inspect.signature(ode.dormand_prince).parameters
     assert list(params)[:4] == ["f", "t0", "y0", "t1"]
     assert "sample_times" in params
+
+
+def test_levenberg_marquardt_takes_the_residual_first():
+    # the tracer counts optimize.residual_evals through this argument
+    assert next(iter(inspect.signature(optimize.levenberg_marquardt).parameters)) == "residual"
