@@ -30,7 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyDistribution, EmptyWindow
 from .ode import dormand_prince
 from .thermal import purcell_rate, spin_polarization
 
@@ -101,7 +100,7 @@ def init_ensemble(rho, res, spin_temp, t2, *, freq_width=3e6, n_g=40, n_delta=41
     if n_g < 1 or n_delta < 1:
         raise ValueError("need at least one group along each axis")
     if np.sum(rho.weights) <= 0:
-        raise EmptyDistribution("coupling distribution carries no weight")
+        raise ValueError("coupling distribution carries no weight")
     qs = (np.arange(n_g) + 0.5) / n_g
     g_vals = np.atleast_1d(rho.quantile(qs))
     if n_delta == 1:
@@ -266,46 +265,24 @@ def run_sequence(seq, groups, res, *, sample_dt=1e-8, rtol=1e-8, atol=1e-13,
     """
     traces = run_sweep([seq], groups, res, sample_dt=sample_dt, rtol=rtol,
                        atol=atol, fixed_step=fixed_step)[0]
-    areas, _ = phase_aligned_areas(traces)
-    return traces, areas
-
-
-def _require_samples(trace):
-    if trace.t.size == 0:
-        raise EmptyWindow("trace holds no samples")
-
-
-def echo_phase(trace):
-    """Phase of the largest-magnitude sample, used as alignment reference."""
-    _require_samples(trace)
-    idx = int(np.argmax(np.abs(trace.amp)))
-    if trace.amp[idx] == 0:
-        return 0.0
-    return float(np.angle(trace.amp[idx]))
-
-
-def integrate_echo(trace, phase=None):
-    """Real part of the phase-aligned output integral over the trace.
-
-    With an explicit phase the result is exactly linear in the trace; when
-    the phase is derived from the trace itself a sign inversion of the echo
-    shows up as a 180-degree phase and flips the sign of the area.
-    """
-    _require_samples(trace)
-    if phase is None:
-        phase = echo_phase(trace)
-    return float(np.real(np.exp(-1j * phase) * np.trapezoid(trace.amp, trace.t)))
+    return traces, phase_aligned_areas(traces)
 
 
 def phase_aligned_areas(traces, ref_index=None):
-    """Echo areas of several traces sharing one phase reference."""
-    if not traces:
-        return [], 0.0
+    """Echo areas of several traces sharing one phase reference.
+
+    Each area is the real part of the trace's output integral rotated by
+    the phase of the reference's largest-magnitude sample, so an echo
+    inverted against the reference has a negative area. The reference
+    defaults to the trace holding the globally largest sample. An empty
+    reference, or any empty trace when the reference is chosen, raises
+    numpy's ValueError.
+    """
     if ref_index is None:
-        peaks = [float(np.max(np.abs(tr.amp))) if tr.amp.size else 0.0 for tr in traces]
-        ref_index = int(np.argmax(peaks))
-    phase = echo_phase(traces[ref_index])
-    return [integrate_echo(tr, phase=phase) for tr in traces], phase
+        ref_index = int(np.argmax([np.max(np.abs(tr.amp)) for tr in traces]))
+    ref = traces[ref_index].amp
+    phase = float(np.angle(ref[np.argmax(np.abs(ref))]))
+    return [float(np.real(np.exp(-1j * phase) * np.trapezoid(tr.amp, tr.t))) for tr in traces]
 
 
 def pi_pulse_amplitude(g, res, duration=250e-9, angle=math.pi):

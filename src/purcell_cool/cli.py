@@ -24,12 +24,7 @@ import numpy as np
 from . import __version__
 from . import blochsim, coupling, estimators, hamiltonian, polarization, thermal
 from .config import MAX_POINTS, parse_config
-from .errors import (
-    NoConvergence,
-    PurcellCoolError,
-    SchemaError,
-    StepUnderflow,
-)
+from .errors import NoConvergence, SchemaError
 
 
 def _write_csv(path, header, *columns):
@@ -193,7 +188,7 @@ def cmd_spectrum(cfg, args, outdir):
         outdir / "spectrum.csv",
         ["b0_T", "lowerF", "lowerM", "upperF", "upperM", "freq_Hz", "sx", "sy"],
         spec.b0, *spec.lower.T, *spec.upper.T, spec.frequency,
-        spec.sx_element, spec.sy_element,
+        spec.sx_element, spec.sx_element,  # |S_y| = |S_x| on every listed transition
     )
     rows = [(gi, r.b0, *r.lower, *r.upper)
             for gi, group in enumerate(hamiltonian.resonance_groups(spec.resonances))
@@ -273,7 +268,7 @@ def cmd_invrec(cfg, args, outdir):
     seqs = [blochsim.inversion_recovery(dt, tau, amp, **widths) for dt in dts]
     traces = [runs[0] for runs in blochsim.run_sweep(seqs, **ensemble)]
     # one shared phase reference (longest delay is closest to equilibrium)
-    areas, _ = blochsim.phase_aligned_areas(traces, ref_index=int(np.argmax(dts)))
+    areas = blochsim.phase_aligned_areas(traces, ref_index=int(np.argmax(dts)))
     outputs = [_trace_csv(outdir, f"invrec_{k:02d}.csv", tr) for k, tr in enumerate(traces)]
     _write_csv(outdir / "invrec.csv", ["dt_s", "A_e"], dts, areas)
     return outputs + ["invrec.csv"]
@@ -284,7 +279,7 @@ def cmd_rabi(cfg, args, outdir):
     amps = args.amp_list or [float(s) * amp for s in np.linspace(0.1, 3.0, args.amp_points)]
     seqs = [blochsim.hahn_echo(tau, a, **widths) for a in amps]
     traces = [runs[0] for runs in blochsim.run_sweep(seqs, **ensemble)]
-    areas, _ = blochsim.phase_aligned_areas(traces)
+    areas = blochsim.phase_aligned_areas(traces)
     _write_csv(outdir / "rabi.csv", ["amp", "A_e"], amps, areas)
     return ["rabi.csv"]
 
@@ -333,9 +328,9 @@ def cmd_snr(cfg, args, outdir):
     gamma1, p, sigma = args.gamma1, args.p, args.sigma
     t_lo = 0.01 / gamma1 if args.trep_min is None else args.trep_min
     t_hi = 10.0 / gamma1 if args.trep_max is None else args.trep_max
-    ts = np.geomspace(t_lo, t_hi, args.trep_points)
     # each flag is in range alone, but together they may overflow
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        ts = np.geomspace(t_lo, t_hi, args.trep_points)
         snr = estimators.snr_model(ts, gamma1, p, sigma)
         t_opt = estimators.optimal_trep(gamma1)
         peak = estimators.snr_model(t_opt, gamma1, p, sigma)
@@ -478,13 +473,13 @@ def main(argv=None):
     except SchemaError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (NoConvergence, StepUnderflow) as exc:
+    except NoConvergence as exc:
         print(f"convergence failure: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 4
-    except (PurcellCoolError, ValueError, MemoryError) as exc:
+    except (ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptySupport, GridOverlapsConductor
 from .thermal import PLANCK
 
 HBAR = PLANCK / (2 * math.pi)  # J s
@@ -100,7 +99,7 @@ def field_map(geom, current, x_range, y_range, nx, ny):
     inside_x = np.abs(x) <= geom.width / 2
     inside_y = (y >= 0) & (y <= geom.thickness)
     if inside_x.any() and inside_y.any():
-        raise GridOverlapsConductor("grid cells fall inside the strip cross-section")
+        raise ValueError("grid cells fall inside the strip cross-section")
     fx, fy, fi = _filaments(geom, current)
     gx, gy = np.meshgrid(x, y)
     bx = np.zeros_like(gx)
@@ -163,7 +162,7 @@ def coupling_distribution(maps, grid, profile):
     w = np.concatenate(ws)
     total = w.sum()
     if total <= 0:
-        raise EmptySupport("no spin weight inside the profile support")
+        raise ValueError("no spin weight inside the profile support")
     w = w / total
     lo = g[w > 0].min()
     hi = g[w > 0].max()

@@ -1,49 +1,15 @@
-"""Exception types raised across the toolkit.
+"""The two failures the CLI reports under their own exit codes.
 
-Every error deriving from PurcellCoolError maps to a stable CLI exit code:
-schema problems exit 2, solver/fit convergence failures exit 3, I/O exits 4.
+SchemaError exits 2 with a `config error:` prefix and NoConvergence exits 3
+with a `convergence failure:` prefix. Every other rejected input raises
+ValueError (exit 2, `error:`), and I/O failures surface as OSError (exit 4).
 """
 
 
-class PurcellCoolError(Exception):
-    """Base class for all toolkit errors."""
-
-
-class SchemaError(PurcellCoolError):
+class SchemaError(Exception):
     """Config file failed validation; message carries the dotted field path."""
 
 
-class NoConvergence(PurcellCoolError):
-    """Nonlinear fit exhausted its iteration budget."""
-
-
-class StepUnderflow(PurcellCoolError):
-    """Adaptive ODE control drove the step below 1e-15 s."""
-
-
-class AllRatesZero(PurcellCoolError):
-    """Spin temperature requested with every bath rate equal to zero."""
-
-
-class StateCollision(PurcellCoolError):
-    """Two transitions handed in do not form a quasi-degenerate pair."""
-
-
-class GridOverlapsConductor(PurcellCoolError):
-    """Field evaluation grid intersects the conductor cross-section."""
-
-
-class EmptySupport(PurcellCoolError):
-    """Coupling histogram would have zero total weight."""
-
-
-class EmptyDistribution(PurcellCoolError):
-    """Ensemble initialization from a distribution with no support."""
-
-
-class EmptyWindow(PurcellCoolError):
-    """Echo trace to phase-align or integrate holds no samples."""
-
-
-class InsufficientSpan(PurcellCoolError):
-    """PSD fit data do not bracket the resonator frequency."""
+class NoConvergence(Exception):
+    """A fit exhausted its iteration budget, or the ODE step control drove
+    the step below 1e-15 s or ran out of attempts."""

@@ -13,7 +13,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InsufficientSpan
 from .optimize import levenberg_marquardt
 from .thermal import BOLTZMANN, PLANCK
 
@@ -144,7 +143,7 @@ def fit_psd(data, fixed, config):
     omega, s = _points(data, 8, "need at least 8 spectral points")
     omega0 = fixed["resonator"].omega0
     if omega.min() >= omega0 or omega.max() <= omega0:
-        raise InsufficientSpan("data do not bracket the resonator frequency")
+        raise ValueError("data do not bracket the resonator frequency")
     if config == "cold":
         if "n_twpa" not in fixed:
             raise ValueError("the cold PSD fit needs n_twpa from the hot-stage fit")

@@ -48,7 +48,6 @@ class SpinSystemParams:
 
 @dataclass(frozen=True)
 class LabeledLevel:
-    index: int
     energy: float  # Hz, relative to the mean of all eigenvalues
     f: int
     m: int
@@ -59,8 +58,7 @@ class Transition:
     lower: tuple  # (F, m)
     upper: tuple
     frequency: float  # Hz
-    sx_element: float
-    sy_element: float
+    sx_element: float  # |<upper|S_x|lower>|, equal to |S_y| on every link
 
 
 MATRIX_ELEMENT_FLOOR = 1e-4  # |S_x| below which a transition is not listed
@@ -156,14 +154,13 @@ def labeled_eigensystem(params, b0):
     vecs[p + round(2 * params.i), cols] = c_q[0]
     order = np.argsort(energy[0], kind="stable")
     levels = [
-        LabeledLevel(index=k, energy=float(energy[0, j]), f=int(f[j]), m=int(m[j]))
-        for k, j in enumerate(order)
+        LabeledLevel(energy=float(energy[0, j]), f=int(f[j]), m=int(m[j])) for j in order
     ]
     return levels, vecs[:, order]
 
 
 def transition_table(levels, eigenvectors, floor=MATRIX_ELEMENT_FLOOR):
-    """All |dF . dm| = 1 transitions with |S_x|, |S_y| matrix elements.
+    """All |dF . dm| = 1 transitions with their |S_x| matrix element.
 
     levels and eigenvectors are those of labeled_eigensystem. Each of its
     eigenvectors lies in one F_z sector, so its only amplitude with
@@ -182,7 +179,6 @@ def transition_table(levels, eigenvectors, floor=MATRIX_ELEMENT_FLOOR):
             upper=(int(f[upper[c]]), int(m[upper[c]])),
             frequency=float(frequency[c]),
             sx_element=float(element[c]),
-            sy_element=float(element[c]),
         )
         for c in np.lexsort((upper, lower))
         if element[c] >= floor
@@ -205,8 +201,7 @@ class FieldSpectrum:
     lower: np.ndarray  # (rows, 2): (F, m) of the lower level
     upper: np.ndarray  # (rows, 2): (F, m) of the upper level
     frequency: np.ndarray  # Hz
-    sx_element: np.ndarray
-    sy_element: np.ndarray
+    sx_element: np.ndarray  # |S_x|, equal to |S_y|
     resonances: list  # ResonantField, by crossing field
 
 
@@ -247,14 +242,12 @@ def spectrum_vs_field(params, b0_grid, omega0):
     order = np.argsort(rank[lower] * m.size + rank[upper], axis=1)
     lower, upper, frequency, element, listed = (
         np.take_along_axis(x, order, axis=1) for x in (lower, upper, frequency, element, listed))
-    element = element[listed]
     return FieldSpectrum(
         b0=np.broadcast_to(grid[:, None], listed.shape)[listed],
         lower=labels[lower[listed]],
         upper=labels[upper[listed]],
         frequency=frequency[listed],
-        sx_element=element,
-        sy_element=element,
+        sx_element=element[listed],
         resonances=resonances,
     )
 

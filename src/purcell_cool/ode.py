@@ -36,7 +36,7 @@ import math
 
 import numpy as np
 
-from .errors import StepUnderflow
+from .errors import NoConvergence
 
 # Dormand-Prince tableau. Row i of _A weights the earlier stages of stage i;
 # row 6 is the FSAL 5th-order solution. _E is the 5th- minus 4th-order row.
@@ -119,7 +119,8 @@ def dormand_prince(f, t0, y0, t1, *, linear=None, rtol=1e-8, atol=1e-10,
     fixed_step disables error control and marches with the given step, or
     with 600 / max(-Re L) where that is shorter.
 
-    Raises StepUnderflow if error control pushes the step below 1e-15 s.
+    Raises NoConvergence if error control pushes the step below 1e-15 s
+    or the step budget runs out.
     """
     y = np.asarray(y0, dtype=complex).copy()
     t = float(t0)
@@ -156,56 +157,59 @@ def dormand_prince(f, t0, y0, t1, *, linear=None, rtol=1e-8, atol=1e-10,
     z = np.empty((8,) + y.shape, dtype=complex)
     flat = z.reshape(8, -1).view(float)  # real view: the sums are real products
     z[0] = y
-    if span > 0:
-        z[1] = f(t, y)
 
     def frame_sum(coef, rows):
         """sum_r coef_r z[rows][r], one real matrix product over every column."""
         return (coef @ flat[rows]).view(complex).reshape(y.shape)
 
-    attempts = 0
-    while t < t1 - 1e-18 * max(1.0, abs(t1)):
-        attempts += 1
-        if attempts > _MAX_ATTEMPTS:
-            raise StepUnderflow("step budget exhausted before reaching t1")
-        if fixed_step is None and h < _MIN_STEP:
-            raise StepUnderflow(f"dt={h:.3e} s below 1e-15 s at t={t:.6e}")
-        last = t + h >= t1
-        h_try = t1 - t if last else h
-        # e^{c hL} and e^{-c hL} per nonzero node, from the distinct entries
-        fac = np.exp(np.multiply.outer(h_try * _NODES, vals))
-        up, down = np.split(np.take(np.concatenate((fac, 1 / fac)), inv, axis=1), 2)
-        coef = np.hstack((np.ones((7, 1)), h_try * _A))  # on [y, K_0, ...]
-        for i in range(1, 7):
-            node = min(i, len(_NODES)) - 1  # stages 5 and 6 share c = 1
-            y_new = frame_sum(coef[i, : i + 1], slice(0, i + 1))
-            y_new[..., :p] *= up[node]
-            z[i + 1] = f(t + _C[i] * h_try, y_new)
-            z[i + 1, ..., :p] *= down[node]
-        if fixed_step is None:
-            err = frame_sum(h_try * _E, slice(1, 8))
-            err[..., :p] *= up[-1]
-            err = _error_norm(err, y, y_new, rtol, atol, observe)
-            if not math.isfinite(err):
-                h = h_try / 10.0
-                continue
-            if err > 1.0:
-                h = h_try * max(0.2, 0.9 * err ** -0.2)
-                continue
-            grow = 5.0 if err == 0 else min(5.0, 0.9 * err ** -0.2)
-            h = min(h_cap, h_try * max(1.0, grow))
-        t_new = t1 if last else t + h_try
-        # samples inside the step; one at t1 itself is the final state
-        j_end = int(np.searchsorted(stops, t_new, side="left" if last else "right"))
-        if j_end > j:
-            theta = np.clip((stops[j:j_end] - t) / h_try, 0.0, 1.0)
-            k_seen = np.stack([np.asarray(seen(z[r])) for r in range(1, 8)])
-            samples[j:j_end] = _dense(theta, h_try, np.asarray(seen(y)), k_seen, lin_seen)
-            j = j_end
-        t = t_new
-        y = y_new
-        z[0] = y
-        z[1] = z[7]  # FSAL, back from the frame
-        z[1, ..., :p] *= up[-1]
+    # an overflowing or non-finite trial step is retried with a smaller h,
+    # or ends the run with NoConvergence, so numpy need not warn of it
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if span > 0:
+            z[1] = f(t, y)
+        attempts = 0
+        while t < t1 - 1e-18 * max(1.0, abs(t1)):
+            attempts += 1
+            if attempts > _MAX_ATTEMPTS:
+                raise NoConvergence("step budget exhausted before reaching t1")
+            if fixed_step is None and h < _MIN_STEP:
+                raise NoConvergence(f"dt={h:.3e} s below 1e-15 s at t={t:.6e}")
+            last = t + h >= t1
+            h_try = t1 - t if last else h
+            # e^{c hL} and e^{-c hL} per nonzero node, from the distinct entries
+            fac = np.exp(np.multiply.outer(h_try * _NODES, vals))
+            up, down = np.split(np.take(np.concatenate((fac, 1 / fac)), inv, axis=1), 2)
+            coef = np.hstack((np.ones((7, 1)), h_try * _A))  # on [y, K_0, ...]
+            for i in range(1, 7):
+                node = min(i, len(_NODES)) - 1  # stages 5 and 6 share c = 1
+                y_new = frame_sum(coef[i, : i + 1], slice(0, i + 1))
+                y_new[..., :p] *= up[node]
+                z[i + 1] = f(t + _C[i] * h_try, y_new)
+                z[i + 1, ..., :p] *= down[node]
+            if fixed_step is None:
+                err = frame_sum(h_try * _E, slice(1, 8))
+                err[..., :p] *= up[-1]
+                err = _error_norm(err, y, y_new, rtol, atol, observe)
+                if not math.isfinite(err):
+                    h = h_try / 10.0
+                    continue
+                if err > 1.0:
+                    h = h_try * max(0.2, 0.9 * err ** -0.2)
+                    continue
+                grow = 5.0 if err == 0 else min(5.0, 0.9 * err ** -0.2)
+                h = min(h_cap, h_try * max(1.0, grow))
+            t_new = t1 if last else t + h_try
+            # samples inside the step; one at t1 itself is the final state
+            j_end = int(np.searchsorted(stops, t_new, side="left" if last else "right"))
+            if j_end > j:
+                theta = np.clip((stops[j:j_end] - t) / h_try, 0.0, 1.0)
+                k_seen = np.stack([np.asarray(seen(z[r])) for r in range(1, 8)])
+                samples[j:j_end] = _dense(theta, h_try, np.asarray(seen(y)), k_seen, lin_seen)
+                j = j_end
+            t = t_new
+            y = y_new
+            z[0] = y
+            z[1] = z[7]  # FSAL, back from the frame
+            z[1, ..., :p] *= up[-1]
     samples[j:] = seen(y)
     return y, samples

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import numpy as np
 
-from .errors import StateCollision
 from .thermal import BOLTZMANN, PLANCK, spin_polarization
 
 
@@ -36,16 +35,16 @@ def _pair_states(pair):
     """Validate the doublet pattern and return its four (F, m) labels.
 
     The two transitions must be |f, m-1> <-> |f', m| and |f, m> <-> |f', m-1>
-    for one common m; anything else raises StateCollision.
+    for one common m; anything else raises ValueError.
     """
     t1, t2 = pair
     states = {t1.lower, t1.upper, t2.lower, t2.upper}
     if len(states) != 4:
-        raise StateCollision("transitions share a state")
+        raise ValueError("transitions share a state")
     if t1.lower[0] != t2.lower[0] or t1.upper[0] != t2.upper[0]:
-        raise StateCollision("transitions do not share manifolds")
+        raise ValueError("transitions do not share manifolds")
     if t1.lower[1] != t2.upper[1] or t1.upper[1] != t2.lower[1]:
-        raise StateCollision("m labels do not form the crossed doublet pattern")
+        raise ValueError("m labels do not form the crossed doublet pattern")
     return t1, t2
 
 
@@ -74,7 +73,7 @@ def find_quasi_degenerate_pair(transitions, target, window=5e6):
         for b in range(a + 1, len(near)):
             try:
                 _pair_states((near[a], near[b]))
-            except StateCollision:
+            except ValueError:
                 continue
             return near[a], near[b]
     raise ValueError(f"no quasi-degenerate pair within {window:g} Hz of {target:g} Hz")

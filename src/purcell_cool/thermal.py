@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllRatesZero
 
 PLANCK = 6.62607015e-34  # J s, exact in the SI
 BOLTZMANN = 1.380649e-23  # J/K, exact in the SI
@@ -151,7 +150,7 @@ def spin_temperature(gamma_phon, gamma_phot_rate, photon_state, omega):
     """
     total = gamma_phon.rate + gamma_phot_rate
     if total == 0:
-        raise AllRatesZero("phonon and photon rates are both zero")
+        raise ValueError("phonon and photon rates are both zero")
     gamma1 = spin_relaxation_rate(gamma_phon, gamma_phot_rate, photon_state, omega)
     p = total / gamma1
     n = (1.0 / p - 1.0) / 2.0

@@ -194,7 +194,7 @@ class Test09BlochSimulator:
             seq = bs.inversion_recovery(dt, 15e-6, amp)
             trs, _ = bs.run_sequence(seq, groups, RES)
             traces.append(trs[0])
-        areas, _ = bs.phase_aligned_areas(traces, ref_index=len(dts) - 1)
+        areas = bs.phase_aligned_areas(traces, ref_index=len(dts) - 1)
         assert areas[0] * areas[-1] < 0  # (b) short-dt echo is inverted
         fit = estimators.fit_exponential_recovery(zip(dts, areas))
         err = abs(fit.parameters["gamma1"] / gamma1 - 1)
@@ -211,7 +211,7 @@ class Test09BlochSimulator:
             seq = bs.hahn_echo(15e-6, s * amp0)
             trs, _ = bs.run_sequence(seq, groups, RES)
             traces.append(trs[0])
-        areas, _ = bs.phase_aligned_areas(traces)
+        areas = bs.phase_aligned_areas(traces)
         mags = np.abs(areas)
         k = int(np.argmax(mags))
         assert 0 < k < len(scales) - 1

@@ -7,7 +7,6 @@ from scipy.integrate import solve_ivp
 from purcell_cool import blochsim as bs
 from purcell_cool import ode
 from purcell_cool.coupling import CouplingDistribution
-from purcell_cool.errors import EmptyWindow
 from purcell_cool.thermal import ResonatorParams, purcell_rate, spin_polarization
 
 from _rows import advance, bloch_excess, row, split
@@ -205,7 +204,7 @@ class TestSequences:
             seq = bs.inversion_recovery(dt, 15e-6, amp)
             traces, _ = bs.run_sequence(seq, groups, RES)
             areas.append(traces[0])
-        ae, phase = bs.phase_aligned_areas(areas, ref_index=1)
+        ae = bs.phase_aligned_areas(areas, ref_index=1)
         assert ae[0] * ae[1] < 0
         # magnitudes agree within 5 percent (Purcell decay during the
         # sequence breaks the symmetry slightly)
@@ -276,35 +275,55 @@ class TestSequences:
         assert np.allclose(np.diff(centers), 30e-6, atol=1e-12)
 
 
-def test_integrate_echo_linearity_and_zero():
+def _echo(t, scale=1.0, phase=0.0):
+    return bs.EchoTrace(t=t, amp=scale * np.exp(1j * phase) * np.sin(math.pi * t / 1e-6))
+
+
+def _half_sine_area(t):
+    return float(np.trapezoid(np.sin(math.pi * t / 1e-6), t))
+
+
+def test_aligned_areas_linearity_and_zero():
     t = np.linspace(0, 1e-6, 101)
+    tr = _echo(t, phase=0.7)
     zero = bs.EchoTrace(t=t, amp=np.zeros(101, complex))
-    assert bs.integrate_echo(zero, phase=0.0) == 0.0
-    tr = bs.EchoTrace(t=t, amp=np.exp(1j * 0.7) * np.sin(math.pi * t / 1e-6))
-    a1 = bs.integrate_echo(tr, phase=0.7)
-    tr3 = bs.EchoTrace(t=t, amp=3.0 * tr.amp)
-    assert abs(bs.integrate_echo(tr3, phase=0.7) - 3 * a1) < 1e-12 * abs(a1)
-    trm = bs.EchoTrace(t=t, amp=-tr.amp)
-    assert abs(bs.integrate_echo(trm, phase=0.7) + a1) < 1e-12 * abs(a1)
+    a1, a3, am, a0 = bs.phase_aligned_areas([tr, _echo(t, 3.0, 0.7), _echo(t, -1.0, 0.7), zero],
+                                            ref_index=0)
+    assert abs(a1 - _half_sine_area(t)) < 1e-12 * a1
+    assert abs(a3 - 3 * a1) < 1e-12 * a1
+    assert abs(am + a1) < 1e-12 * a1
+    assert a0 == 0.0
+    # an all-zero reference has phase 0
+    assert bs.phase_aligned_areas([zero, tr], ref_index=0)[1] == pytest.approx(
+        math.cos(0.7) * a1, rel=1e-12)
 
 
-def test_echo_phase_detects_inversion():
+def test_aligned_areas_detect_inversion():
     t = np.linspace(0, 1e-6, 101)
-    env = np.sin(math.pi * t / 1e-6)
-    up = bs.EchoTrace(t=t, amp=env.astype(complex))
-    down = bs.EchoTrace(t=t, amp=-env.astype(complex))
-    assert abs(bs.echo_phase(up)) < 1e-12
-    assert abs(abs(bs.echo_phase(down)) - math.pi) < 1e-12
+    up, down = _echo(t), _echo(t, -1.0)
+    a_up, a_down = bs.phase_aligned_areas([up, down], ref_index=0)
+    assert a_up > 0 and abs(a_down + a_up) < 1e-12 * a_up
+    # against itself an inverted echo is a 180-degree phase, and its area is positive
+    assert bs.phase_aligned_areas([down]) == pytest.approx([a_up], rel=1e-12)
+    assert bs.phase_aligned_areas([up, down], ref_index=1) == pytest.approx(
+        [-a_up, a_up], rel=1e-12)
+
+
+def test_aligned_areas_default_to_the_largest_sample():
+    t = np.linspace(0, 1e-6, 101)
+    small, big = _echo(t, 0.5, 0.3), _echo(t, 2.0, 1.1)
+    a_small, a_big = bs.phase_aligned_areas([small, big])
+    assert bs.phase_aligned_areas([small, big], ref_index=1) == [a_small, a_big]
+    assert a_big == pytest.approx(2.0 * _half_sine_area(t), rel=1e-12)
+    assert a_small == pytest.approx(math.cos(0.8) * a_big / 4, rel=1e-12)
 
 
 def test_empty_window_raises():
+    t = np.linspace(0, 1e-6, 101)
     empty = bs.EchoTrace(t=np.zeros(0), amp=np.zeros(0, complex))
-    with pytest.raises(EmptyWindow):
-        bs.integrate_echo(empty)
-    with pytest.raises(EmptyWindow):
-        bs.echo_phase(empty)
-    with pytest.raises(EmptyWindow):
-        bs.phase_aligned_areas([empty])
+    for traces, ref in (([empty], None), ([_echo(t), empty], None), ([_echo(t), empty], 1)):
+        with pytest.raises(ValueError):
+            bs.phase_aligned_areas(traces, ref_index=ref)
 
 
 def test_sequence_validation():
@@ -344,8 +363,8 @@ class TestBatchedSweeps:
         batch = bs.run_sweep(seqs, groups, RES)
         single = self.per_point(seqs, groups)
         ref = int(np.argmax([np.abs(trs[0].amp).max() for trs in single]))
-        got, _ = bs.phase_aligned_areas([trs[0] for trs in batch], ref_index=ref)
-        want, _ = bs.phase_aligned_areas([trs[0] for trs in single], ref_index=ref)
+        got = bs.phase_aligned_areas([trs[0] for trs in batch], ref_index=ref)
+        want = bs.phase_aligned_areas([trs[0] for trs in single], ref_index=ref)
         for g, w in zip(got, want):
             assert abs(g - w) < 1e-6 * abs(w)
 
@@ -368,8 +387,8 @@ class TestBatchedSweeps:
             assert abs(got[0].t[0] - start) < 1e-12 * start
             assert np.array_equal(got[0].t, want[0].t)
             assert dt == seq.events[1].duration
-        got, _ = bs.phase_aligned_areas([trs[0] for trs in batch], ref_index=0)
-        want, _ = bs.phase_aligned_areas([trs[0] for trs in single], ref_index=0)
+        got = bs.phase_aligned_areas([trs[0] for trs in batch], ref_index=0)
+        want = bs.phase_aligned_areas([trs[0] for trs in single], ref_index=0)
         # input order: only the two shortest delays leave the echo inverted
         assert got[1] * got[0] < 0 and got[2] * got[0] < 0 and got[3] * got[0] > 0
         for g, w in zip(got, want):

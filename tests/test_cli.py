@@ -32,6 +32,7 @@ ensemble:
   g_hz: 50.0
 seed: 3
 """
+WIRE = SMALL.replace("  g_hz: 50.0\n", "")  # couplings from the wire model
 
 
 @pytest.fixture
@@ -148,9 +149,8 @@ def test_polarization_columns(tmp_path, cfg_path):
 
 
 def test_coupling_writes_field_and_density(tmp_path):
-    text = SMALL.replace("  g_hz: 50.0\n", "")  # use the wire model
     p = tmp_path / "wire.yaml"
-    p.write_text(text, encoding="utf-8")
+    p.write_text(WIRE, encoding="utf-8")
     out = tmp_path / "o"
     run_ok(["coupling", "--config", p, "--out", out])
     rho = load_csv(out / "rho_g.csv")
@@ -161,7 +161,7 @@ def test_coupling_writes_field_and_density(tmp_path):
 
 
 def test_integer_field_given_as_integral_float_runs(tmp_path):
-    text = SMALL.replace("  g_hz: 50.0\n", "") + "grid:\n  nx: 50.0\n"
+    text = WIRE + "grid:\n  nx: 50.0\n"
     p = tmp_path / "wire.yaml"
     p.write_text(text, encoding="utf-8")
     out = tmp_path / "o"
@@ -335,6 +335,7 @@ def test_config_integer_beyond_float_range_exits_two(tmp_path, capsys):
     ["spectrum", "--b0-min", "1e299", "--b0-max", "1e299"],
     ["snr", "--gamma1", "1e-300", "--p", "1e308", "--sigma", "5e-324"],
     ["snr", "--gamma1", "1", "--sigma", "5e-324", "--trep-min", "1e-10"],
+    ["snr", "--gamma1", "1e-320"],  # the default --trep range overflows
     ["fit-invrec", "--data", "{data}"],
     ["fit-t2", "--data", "{data}"],
 ])
@@ -509,6 +510,51 @@ def test_cold_psd_fit_without_n_twpa_exits_2(tmp_path, cfg_path, capsys, branch)
     assert not (out / "manifest.json").exists()
 
 
+_PSD_BELOW_OMEGA0 = [
+    (f, float(est.psd_model(f, "hot", resonator=_PSD_RES, t_phon=0.85, n_twpa=0.75,
+                            t_int=0.95, alpha=1.0)))
+    for f in (7.408e9 - np.linspace(3e6, 1e5, 12)).tolist()]
+
+
+@pytest.mark.parametrize("name, config, message", [
+    ("thermal", SMALL + "spins: {gamma_phon_hz: 0, gamma_phot_hz: 0}\n",
+     "phonon and photon rates are both zero"),
+    ("coupling", WIRE + "grid: {y_min_m: -1.0e-6, y_max_m: 1.0e-7}\n",
+     "grid cells fall inside the strip cross-section"),
+    ("polarization", SMALL.replace("  g_hz: 50.0\n", "  pair_window_hz: 1\n"),
+     "no quasi-degenerate pair within 1 Hz of 7.408e+09 Hz"),
+    ("coupling", WIRE + "implantation: {cutoff_depth_m: 1.0e-8}\n",
+     "no spin weight inside the profile support"),
+    ("fit-psd", SMALL, "data do not bracket the resonator frequency"),
+], ids=["zero-rates", "grid-in-strip", "pair-window", "grid-above-cutoff", "psd-one-side"])
+def test_rejected_physics_input_exits_2_with_its_message(tmp_path, capsys, name, config,
+                                                          message):
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(config, encoding="utf-8")
+    data = tmp_path / "psd.csv"
+    data.write_text("".join(f"{x!r},{y!r}\n" for x, y in _PSD_BELOW_OMEGA0), encoding="utf-8")
+    fit = ["--data", str(data), "--branch", "hot"] if name == "fit-psd" else []
+    out = tmp_path / "o"
+    assert cli.main([name, "--config", str(cfg), "--out", str(out)] + fit) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (out / "manifest.json").exists()
+
+
+def test_solver_overflow_exits_3_without_numpy_warnings(tmp_path):
+    # an input amplitude of 1e300 overflows every trial step until the step
+    # falls below its floor; numpy must not announce the retried steps
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(SMALL.replace("n_g: 2", "n_g: 1") + "sequence: {amp: 1.0e+300}\n",
+                   encoding="utf-8")
+    out = tmp_path / "o"
+    run = subprocess.run([sys.executable, "-m", "purcell_cool.cli", "echo", "--config",
+                          str(cfg), "--out", str(out)], capture_output=True, text=True)
+    assert run.returncode == 3
+    assert len(run.stderr.splitlines()) == 1
+    assert run.stderr.startswith("convergence failure: dt=")
+    assert not (out / "manifest.json").exists()
+
+
 # ---------------------------------------------------------------- fuzzing
 
 _FUZZ_NUMBERS = st.one_of(
@@ -562,9 +608,7 @@ def test_cli_fuzz_ends_in_a_documented_exit_code(argv):
         full = argv + ["--out", out]
         if argv[0] != "snr":
             full += ["--config", cfg]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            rc = cli.main(full)
+        rc = cli.main(full)  # a numpy RuntimeWarning is an error (pyproject.toml)
         assert rc in (0, 2, 3, 4)
         if rc == 0:
             _assert_outputs_finite(out)

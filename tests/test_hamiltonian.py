@@ -121,13 +121,6 @@ class TestHyperfineSplitting:
         assert self.splittings(9.5e-3).max() < self.splittings(65e-3).min()
 
 
-def test_sx_sy_elements_agree():
-    params = SI_BI
-    levels, vecs = ham.labeled_eigensystem(params, 62.5e-3)
-    for t in ham.transition_table(levels, vecs):
-        assert abs(t.sx_element - t.sy_element) < 1e-10
-
-
 def test_two_spin_half_matches_breit_rabi():
     """Fictitious S=1/2, I=1/2 system against the closed-form eigenvalues."""
     a = 1.0e9
@@ -234,7 +227,7 @@ def test_closed_form_elements_match_full_operator_products():
         assert pairs == expected  # triu order over the energy-sorted levels
         for t, (a, b) in zip(table, pairs):
             assert abs(t.sx_element - sx[a, b]) < 1e-12
-            assert abs(t.sy_element - sy[a, b]) < 1e-12
+            assert abs(t.sx_element - sy[a, b]) < 1e-12  # |S_y| = |S_x|
             assert t.frequency == levels[b].energy - levels[a].energy
 
 
@@ -244,7 +237,7 @@ def per_field_rows(params, grid):
     for b0 in grid:
         levels, vecs = ham.labeled_eigensystem(params, float(b0))
         table = ham.transition_table(levels, vecs)
-        rows += sorted((float(b0), t.lower, t.upper, t.frequency, t.sx_element, t.sy_element)
+        rows += sorted((float(b0), t.lower, t.upper, t.frequency, t.sx_element)
                        for t in table)
     return rows
 
@@ -252,7 +245,7 @@ def per_field_rows(params, grid):
 def spectrum_rows(spec):
     return list(zip(spec.b0.tolist(), map(tuple, spec.lower.tolist()),
                     map(tuple, spec.upper.tolist()), spec.frequency.tolist(),
-                    spec.sx_element.tolist(), spec.sy_element.tolist()))
+                    spec.sx_element.tolist()))
 
 
 def test_field_scan_columns_equal_the_one_field_slices():
