@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NoConvergence
 from .ode import dormand_prince
 from .thermal import purcell_rate, spin_polarization
 
@@ -234,7 +235,7 @@ def _run_batch(seqs, groups, res, long_delay, sample_dt, solver):
     idle = np.zeros(len(seqs))
     cursor = np.zeros(len(seqs))
     traces = [[] for _ in seqs]
-    for events in zip(*(seq.events for seq in seqs)):
+    for k, events in enumerate(zip(*(seq.events for seq in seqs))):
         ev = events[0]
         a_in = ([e.amplitude * np.exp(1j * e.phase) for e in events]
                 if isinstance(ev, Pulse) else idle)
@@ -243,8 +244,15 @@ def _run_batch(seqs, groups, res, long_delay, sample_dt, solver):
         # the closed form would silently drop
         long = isinstance(ev, Delay) and ev.duration >= long_delay
         acquire = isinstance(ev, Acquire)
-        y, t, amp = _advance(y, groups, res, a_in, long_delay if long else ev.duration,
-                             sample_dt=sample_dt if acquire else None, **solver)
+        try:
+            y, t, amp = _advance(y, groups, res, a_in, long_delay if long else ev.duration,
+                                 sample_dt=sample_dt if acquire else None, **solver)
+        except NoConvergence as exc:  # its t counts from the event's start
+            kind = "ring-down" if long else type(ev).__name__.lower()
+            lo, hi = cursor.min(), cursor.max()
+            start = f"{lo:.6e} s" if lo == hi else f"{lo:.6e} to {hi:.6e} s"
+            raise NoConvergence(f"{exc} into event {k + 1} of {len(seqs[0].events)} "
+                                f"(a {kind} from t={start})") from None
         if long:
             rest = np.array([e.duration for e in events]) - long_delay
             y = _closed_form_delay(y, groups, res, rest)

@@ -147,7 +147,7 @@ def _coupling_density(cfg, b0):
     maps = [
         (coupling.coupling_map(field, t.sx_element, gamma_e=gamma_e), 0.5) for t in pair
     ]
-    rho = coupling.coupling_distribution(maps, field, cfg.implantation_profile())
+    rho = coupling.coupling_distribution(maps, field, cfg.raw["implantation"]["cutoff_depth_m"])
     return rho, field
 
 
@@ -202,21 +202,22 @@ def cmd_thermal(cfg, args, outdir):
     res = cfg.resonator_params()
     scen = cfg.load_scenario()
     spins = cfg.raw["spins"]
-    bath = thermal.BathCoupling(rate=spins["gamma_phon_hz"], temperature=scen.t_phon)
-    photon = thermal.cavity_occupation(res, scen)
-    gamma1 = thermal.spin_relaxation_rate(bath, spins["gamma_phot_hz"], photon, res.omega0)
-    t_spin = thermal.spin_temperature(bath, spins["gamma_phot_hz"], photon, res.omega0)
-    cool = thermal.cooling_factor(
-        res, cfg.load_scenario("hot"), cfg.load_scenario("cold"),
-        bath, spins["gamma_phot_hz"], res.omega0,
-    )
-    _write_json(outdir / "thermal.json", {
-        "n_phot": photon.occupation,
-        "t_phot_k": photon.effective_temperature,
-        "t_spin_k": t_spin.effective_temperature,
+    gamma_phon, gamma_phot = spins["gamma_phon_hz"], spins["gamma_phot_hz"]
+    n_phot = thermal.cavity_occupation(res, scen)
+    gamma1 = thermal.spin_relaxation_rate(gamma_phon, scen.t_phon, gamma_phot, n_phot,
+                                          res.omega0)
+    values = {
+        "n_phot": n_phot,
+        "t_phot_k": thermal.occupation_temperature(n_phot, res.omega0),
+        "t_spin_k": thermal.spin_temperature(gamma_phon, gamma_phot, gamma1, res.omega0),
         "gamma1_hz": gamma1,
-        "eta": cool.eta,
-    })
+        "eta": thermal.cooling_factor(res, cfg.load_scenario("hot"), cfg.load_scenario("cold"),
+                                      gamma_phon, gamma_phot),
+    }
+    overflowing = [name for name, v in values.items() if not math.isfinite(v)]
+    if overflowing:
+        raise ValueError(f"thermal: {', '.join(overflowing)} overflow to a non-finite value")
+    _write_json(outdir / "thermal.json", values)
     return ["thermal.json"]
 
 

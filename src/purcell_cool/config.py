@@ -12,11 +12,12 @@ from __future__ import annotations
 import math
 import operator
 import re
+import reprlib
 from dataclasses import dataclass
 
 import yaml
 
-from .coupling import ImplantationProfile, WireGeometry
+from .coupling import WireGeometry
 from .errors import SchemaError
 from .hamiltonian import SpinSystemParams
 from .thermal import LoadScenario, ResonatorParams
@@ -159,6 +160,10 @@ def _nonfinite_path(node, path=()):
 # compares false, so it passes here and the finiteness check names it.
 _BREAKS = {">": operator.le, ">=": operator.lt, "<=": operator.gt}
 
+# Shows a value's first items on two levels: aliases can make a repr huge.
+_brief = reprlib.Repr()
+_brief.maxlevel = 2
+
 
 def _required(spec):
     if isinstance(spec, dict):
@@ -167,25 +172,27 @@ def _required(spec):
 
 
 def _field_error(value, kind, bound, path):
-    """(path, message) of the first way value misses its field, or None."""
+    """(path, message) of the first way value misses its field, or None. A
+    string in scientific notation counts as its number."""
+    value = _coerce_numeric_strings(value) if isinstance(value, str) else value
     if isinstance(kind, tuple):
-        return None if value in kind else (path, f"{value!r} is not one of {list(kind)}")
+        return None if value in kind else (path, f"{_brief.repr(value)} is not one of {[*kind]}")
     if value is None and kind.endswith("?"):
         return None
     kind = kind.rstrip("?")
     if kind == "numbers":
         if not (isinstance(value, list) and value):
-            return path, f"{value!r} is not a non-empty list of numbers"
+            return path, f"{_brief.repr(value)} is not a non-empty list of numbers"
         if len(value) > MAX_POINTS:
             return path, f"holds {len(value)} numbers, more than {MAX_POINTS}"
         errors = (_field_error(v, "number", bound, path + (i,)) for i, v in enumerate(value))
         return next(filter(None, errors), None)
     if (isinstance(value, bool) or not isinstance(value, (int, float))
             or kind == "integer" and isinstance(value, float) and not value.is_integer()):
-        return path, f"{value!r} is not of type {kind!r}"
+        return path, f"{_brief.repr(value)} is not of type {kind!r}"
     for op, limit in zip(bound[::2], bound[1::2]):
         if _BREAKS[op](value, limit):
-            return path, f"{value!r} is not {op} {limit}"
+            return path, f"{_brief.repr(value)} is not {op} {limit}"
     return None
 
 
@@ -196,7 +203,7 @@ def _first_error(node, table, path=()):
     required key) come before those of its entries, and entries are taken
     in key order."""
     if not isinstance(node, dict):
-        return path, f"{node!r} is not a mapping"
+        return path, f"{_brief.repr(node)} is not a mapping"
     unknown = [key for key in node if key not in table]
     if unknown:
         return path, f"unknown keys {unknown}"
@@ -260,9 +267,6 @@ class ExperimentConfig:
             n_layers=g["n_layers"],
         )
 
-    def implantation_profile(self):
-        return ImplantationProfile(cutoff_depth=self.raw["implantation"]["cutoff_depth_m"])
-
     @property
     def seed(self):
         return self.raw["seed"]
@@ -270,21 +274,19 @@ class ExperimentConfig:
 
 def parse_config_text(text, name="<config>"):
     try:
-        data = _coerce_numeric_strings(yaml.safe_load(text))
+        data = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise SchemaError(f"{name}: not valid YAML: {exc}") from exc
     except ValueError as exc:  # a scalar YAML cannot build, say an over-long integer
         raise SchemaError(f"{name}: a value cannot be read: {exc}") from exc
-    except RecursionError:  # an alias inside its own anchor, or nesting past the stack
+    except RecursionError:  # nesting past the stack
         raise SchemaError(f"{name}: the document refers to itself or nests too deeply") from None
-    if data is None:
-        data = {}
-    if not isinstance(data, dict):
-        raise SchemaError(f"{name}: top level must be a mapping")
-    error = _first_error(data, FIELDS)
+    # checked before anything walks it: aliases can make it huge
+    error = _first_error({} if data is None else data, FIELDS)
     if error is not None:
         path = ".".join(str(p) for p in error[0]) or "<root>"
         raise SchemaError(f"{name}: {path}: {error[1]}")
+    data = _coerce_numeric_strings(data)
     path = _nonfinite_path(data)
     if path is not None:
         raise SchemaError(f"{name}: {path}: numbers must be finite")

@@ -58,17 +58,6 @@ class FieldGrid:
     by: np.ndarray
 
 
-@dataclass(frozen=True)
-class ImplantationProfile:
-    """Spin density vs depth: uniform down to cutoff_depth."""
-
-    cutoff_depth: float = 1e-6  # m
-
-    def density(self, depth):
-        depth = np.asarray(depth, dtype=float)
-        return np.where((depth >= 0) & (depth <= self.cutoff_depth), 1.0, 0.0)
-
-
 def _filaments(geom, current):
     """Filament positions and currents for the strip cross-section."""
     if geom.current_model == "edge-peaked":
@@ -143,13 +132,15 @@ class CouplingDistribution:
         return np.interp(q, cum, self.bin_edges)
 
 
-def coupling_distribution(maps, grid, profile):
-    """Histogram of couplings weighted by depth density and transition
-    weight, over N_BINS log-spaced bins.
+def coupling_distribution(maps, grid, cutoff_depth):
+    """Histogram of couplings weighted by transition weight, over N_BINS
+    log-spaced bins, for spins implanted uniformly from the surface down to
+    cutoff_depth (m).
 
     maps: list of (g_map, weight) sharing `grid`.
     """
-    depth_w = profile.density(-grid.y)  # depth below the surface is -y
+    depth = -grid.y  # depth below the surface is -y
+    depth_w = np.where((depth >= 0) & (depth <= cutoff_depth), 1.0, 0.0)
     gs = []
     ws = []
     for g_map, tw in maps:

@@ -22,16 +22,6 @@ BOLTZMANN = 1.380649e-23  # J/K, exact in the SI
 
 
 @dataclass(frozen=True)
-class BathCoupling:
-    rate: float  # s^-1, zero-temperature emission rate into this bath
-    temperature: float  # K
-
-    def __post_init__(self):
-        if self.rate < 0 or self.temperature < 0:
-            raise ValueError("bath rate and temperature must be nonnegative")
-
-
-@dataclass(frozen=True)
 class ResonatorParams:
     omega0: float  # Hz
     kappa_int: float  # s^-1
@@ -66,14 +56,9 @@ class LoadScenario:
             raise ValueError("temperatures must be nonnegative")
 
 
-@dataclass(frozen=True)
-class ThermalState:
-    occupation: float
-    effective_temperature: float  # K
-
-
 def bose_occupation(t, omega):
-    """Mean photon number n = 1/(exp(h omega / k t) - 1); 0 at t = 0."""
+    """Mean photon number n = 1/(exp(h omega / k t) - 1); 0 at t = 0, and
+    inf where h omega / k t underflows to 0."""
     if t < 0 or omega <= 0:
         raise ValueError("need t >= 0 and omega > 0")
     if BOLTZMANN * t == 0:  # t = 0, or so small that k t underflows
@@ -81,14 +66,18 @@ def bose_occupation(t, omega):
     x = PLANCK * omega / (BOLTZMANN * t)
     if x > 700:  # exp overflow; occupation is denormal territory anyway
         return 0.0
-    return 1.0 / math.expm1(x)
+    return 1.0 / math.expm1(x) if x else math.inf
 
 
 def occupation_temperature(n, omega):
-    """Invert the occupation relation; occupations below 1e-15 map to 0 K."""
+    """Invert the occupation relation; occupations below 1e-15 map to 0 K
+    and an infinite occupation to inf."""
     if n < 1e-15:
         return 0.0
-    return PLANCK * omega / (BOLTZMANN * math.log1p(1.0 / n))
+    y = math.log1p(1.0 / n)
+    if BOLTZMANN * y == 0:  # k y underflows, so divide by k first
+        return PLANCK / BOLTZMANN * omega / y if y else math.inf
+    return PLANCK * omega / (BOLTZMANN * y)
 
 
 def spin_polarization(t, omega):
@@ -101,7 +90,7 @@ def spin_polarization(t, omega):
 
 
 def cavity_occupation(res, scen):
-    """Resonator mode occupation for a hot or cold load configuration.
+    """Resonator mode occupation n for a hot or cold load configuration.
 
     hot:  n = (k_int/k) n(T_int) + (k_ext/k) n(T_phon)
     cold: n = (k_int/k) n(T_int) + (k_ext/k) [(1-alpha) n(T_cold) + alpha n(T_phon)]
@@ -114,8 +103,7 @@ def cavity_occupation(res, scen):
         n_line = (1 - scen.alpha) * bose_occupation(scen.t_cold, res.omega0) + (
             scen.alpha * bose_occupation(scen.t_phon, res.omega0)
         )
-    n = (res.kappa_int / k) * n_int + (res.kappa_ext / k) * n_line
-    return ThermalState(occupation=n, effective_temperature=occupation_temperature(n, res.omega0))
+    return (res.kappa_int / k) * n_int + (res.kappa_ext / k) * n_line
 
 
 def purcell_rate(g, res, delta=0.0):
@@ -131,57 +119,33 @@ def purcell_rate(g, res, delta=0.0):
     return res.kappa * ga * ga / (res.kappa**2 / 4 + da * da)
 
 
-def spin_relaxation_rate(gamma_phon, gamma_phot_rate, photon_state, omega):
-    """Gamma_1 = Gamma_phon (2 n_phon + 1) + Gamma_phot (2 n_phot + 1)."""
-    if gamma_phon.rate < 0 or gamma_phot_rate < 0:
+def spin_relaxation_rate(gamma_phon, t_phon, gamma_phot, n_phot, omega):
+    """Gamma_1 = Gamma_phon (2 n(t_phon) + 1) + Gamma_phot (2 n_phot + 1)."""
+    if gamma_phon < 0 or gamma_phot < 0:
         raise ValueError("rates must be nonnegative")
-    n_phon = bose_occupation(gamma_phon.temperature, omega)
-    return gamma_phon.rate * (2 * n_phon + 1) + gamma_phot_rate * (
-        2 * photon_state.occupation + 1
-    )
+    n_phon = bose_occupation(t_phon, omega)
+    return gamma_phon * (2 * n_phon + 1) + gamma_phot * (2 * n_phot + 1)
 
 
-def spin_temperature(gamma_phon, gamma_phot_rate, photon_state, omega):
+def spin_temperature(gamma_phon, gamma_phot, gamma1, omega):
     """Steady-state spin temperature under phonon and photon baths.
 
     Each bath pulls the polarization toward its own thermal value at its
     stimulated rate, so p(T_spin) = (Gamma_phon + Gamma_phot) / Gamma_1: the
     (2n+1) factor of each bath cancels against its polarization.
     """
-    total = gamma_phon.rate + gamma_phot_rate
+    total = gamma_phon + gamma_phot
     if total == 0:
         raise ValueError("phonon and photon rates are both zero")
-    gamma1 = spin_relaxation_rate(gamma_phon, gamma_phot_rate, photon_state, omega)
-    p = total / gamma1
-    n = (1.0 / p - 1.0) / 2.0
-    return ThermalState(occupation=n, effective_temperature=occupation_temperature(n, omega))
+    p = total / gamma1  # 0 where Gamma_1 overflows
+    return occupation_temperature((1.0 / p - 1.0) / 2.0 if p else math.inf, omega)
 
 
-@dataclass(frozen=True)
-class CoolingResult:
-    eta: float  # Gamma_1 hot over cold
-    polarization_ratio: float  # p cold over hot; equals eta in this model
-    gamma1_hot: float
-    gamma1_cold: float
-    t_spin_hot: float
-    t_spin_cold: float
+def cooling_factor(res, scen_hot, scen_cold, gamma_phon, gamma_phot):
+    """Cooling factor eta = Gamma_1(hot) / Gamma_1(cold), which equals the
+    polarization ratio p_cold / p_hot (see spin_temperature)."""
+    def gamma1(scen):
+        return spin_relaxation_rate(gamma_phon, scen.t_phon, gamma_phot,
+                                    cavity_occupation(res, scen), res.omega0)
 
-
-def cooling_factor(res, scen_hot, scen_cold, gamma_phon, gamma_phot_rate, omega):
-    """Cooling factor eta and its polarization-ratio twin."""
-    state_hot = cavity_occupation(res, scen_hot)
-    state_cold = cavity_occupation(res, scen_cold)
-    g1_hot = spin_relaxation_rate(gamma_phon, gamma_phot_rate, state_hot, omega)
-    g1_cold = spin_relaxation_rate(gamma_phon, gamma_phot_rate, state_cold, omega)
-    ts_hot = spin_temperature(gamma_phon, gamma_phot_rate, state_hot, omega)
-    ts_cold = spin_temperature(gamma_phon, gamma_phot_rate, state_cold, omega)
-    p_hot = 1.0 / (2 * ts_hot.occupation + 1)
-    p_cold = 1.0 / (2 * ts_cold.occupation + 1)
-    return CoolingResult(
-        eta=g1_hot / g1_cold,
-        polarization_ratio=p_cold / p_hot,
-        gamma1_hot=g1_hot,
-        gamma1_cold=g1_cold,
-        t_spin_hot=ts_hot.effective_temperature,
-        t_spin_cold=ts_cold.effective_temperature,
-    )
+    return gamma1(scen_hot) / gamma1(scen_cold)

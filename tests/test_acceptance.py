@@ -74,6 +74,22 @@ def test_03_doublet_matrix_elements():
     print(f"criterion 3: PASS (|Sx| = {sx[0]:.4f}, {sx[1]:.4f}; sum {sum(sx):.4f})")
 
 
+def cooling(res, gamma_phot):
+    """eta of the demo loads under pure radiative decay, with Gamma_1 and the
+    ratio p_cold / p_hot at the spin temperature of each load."""
+    hot, cold = CFG.load_scenario("hot"), CFG.load_scenario("cold")
+    eta = thermal.cooling_factor(res, hot, cold, 0.0, gamma_phot)
+    rates, temps = [], []
+    for scen in (hot, cold):
+        n_phot = thermal.cavity_occupation(res, scen)
+        rates.append(thermal.spin_relaxation_rate(0.0, scen.t_phon, gamma_phot, n_phot,
+                                                  res.omega0))
+        temps.append(thermal.spin_temperature(0.0, gamma_phot, rates[-1], res.omega0))
+    p_ratio = (thermal.spin_polarization(temps[1], res.omega0)
+               / thermal.spin_polarization(temps[0], res.omega0))
+    return eta, rates, p_ratio
+
+
 def test_04_occupation_identities():
     for t in np.geomspace(1e-3, 10.0, 3000):
         n = thermal.bose_occupation(t, OMEGA0)
@@ -81,11 +97,8 @@ def test_04_occupation_identities():
         assert abs(1.0 / (2 * n + 1) - math.tanh(x)) < 1e-12
     n085 = thermal.bose_occupation(0.85, OMEGA0)
     assert abs(n085 - 1.925) <= 0.001
-    bath = thermal.BathCoupling(rate=0.0, temperature=0.85)
-    hot = thermal.ThermalState(occupation=n085, effective_temperature=0.85)
-    cold = thermal.ThermalState(occupation=0.0, effective_temperature=0.0)
-    ratio = (thermal.spin_relaxation_rate(bath, 1.0, hot, OMEGA0)
-             / thermal.spin_relaxation_rate(bath, 1.0, cold, OMEGA0))
+    ratio = (thermal.spin_relaxation_rate(0.0, 0.85, 1.0, n085, OMEGA0)
+             / thermal.spin_relaxation_rate(0.0, 0.85, 1.0, 0.0, OMEGA0))
     assert abs(ratio - 4.85) <= 0.01
     print(f"criterion 4: PASS (nbar {n085:.4f}, rate ratio {ratio:.4f})")
 
@@ -97,16 +110,11 @@ def test_05_spin_temperature_and_eta_identity():
     assert abs(t_spin - 0.350) <= 0.010
     assert abs(t_spin - FROZEN["t_spin_eta_2p3"]) < 1e-9
 
-    bath = thermal.BathCoupling(rate=0.0, temperature=0.85)
-    cool = thermal.cooling_factor(RES, CFG.load_scenario("hot"),
-                                  CFG.load_scenario("cold"), bath, 1.0, OMEGA0)
-    assert abs(cool.eta - cool.polarization_ratio) < 1e-12 * cool.eta
-    p_ratio = (thermal.spin_polarization(cool.t_spin_cold, OMEGA0)
-               / thermal.spin_polarization(cool.t_spin_hot, OMEGA0))
-    assert abs(cool.eta - p_ratio) < 1e-12 * cool.eta
-    assert abs(cool.eta - cool.gamma1_hot / cool.gamma1_cold) < 1e-12 * cool.eta
+    eta, (g1_hot, g1_cold), p_ratio = cooling(RES, 1.0)
+    assert abs(eta - p_ratio) < 1e-12 * eta
+    assert abs(eta - g1_hot / g1_cold) < 1e-12 * eta
     print(f"criterion 5: PASS (T_spin {t_spin * 1e3:.1f} mK, eta identity "
-          f"{cool.eta:.5f})")
+          f"{eta:.5f})")
 
 
 def test_06_snr_optimum():
@@ -263,20 +271,14 @@ def test_10_absolute_rates_are_config_dependent():
     the spin density, which are not part of this repository; what is checked
     is that everything scale-free survives any kappa choice, and that the
     README says so."""
-    bath = thermal.BathCoupling(rate=0.0, temperature=0.85)
     etas, rates = [], []
     for ki, ke in ((1e5, 2e5), (2.5e6, 3.8e6), (4e6, 9e6)):
         res = thermal.ResonatorParams(omega0=OMEGA0, kappa_int=ki, kappa_ext=ke)
-        gamma_phot = thermal.purcell_rate(50.0, res)
-        cool = thermal.cooling_factor(res, CFG.load_scenario("hot"),
-                                      CFG.load_scenario("cold"), bath,
-                                      gamma_phot, OMEGA0)
-        assert abs(cool.eta - cool.gamma1_hot / cool.gamma1_cold) < 1e-12 * cool.eta
-        p_ratio = (thermal.spin_polarization(cool.t_spin_cold, OMEGA0)
-                   / thermal.spin_polarization(cool.t_spin_hot, OMEGA0))
-        assert abs(cool.eta - p_ratio) < 1e-12 * cool.eta
-        etas.append(cool.eta)
-        rates.append(cool.gamma1_hot)
+        eta, (g1_hot, g1_cold), p_ratio = cooling(res, thermal.purcell_rate(50.0, res))
+        assert abs(eta - g1_hot / g1_cold) < 1e-12 * eta
+        assert abs(eta - p_ratio) < 1e-12 * eta
+        etas.append(eta)
+        rates.append(g1_hot)
     # both the absolute rates and eta itself move with kappa, which is why
     # neither is pinned to a published number; the identities above are
     assert np.ptp(rates) > 0.9 * max(rates)

@@ -1,21 +1,28 @@
 import argparse
+import contextlib
+import copy
 import functools
+import io
 import json
 import math
 import os
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+import yaml
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from _frozen import FROZEN
 from purcell_cool import cli
 from purcell_cool import estimators as est
+from purcell_cool.config import FIELDS, parse_config_text, serialize
 from purcell_cool.thermal import ResonatorParams
 
 KAPPA_INT = 2 * math.pi * 0.4e6
@@ -33,6 +40,7 @@ ensemble:
 seed: 3
 """
 WIRE = SMALL.replace("  g_hz: 50.0\n", "")  # couplings from the wire model
+DEMO = (Path(__file__).resolve().parents[1] / "configs" / "demo.yaml").read_text("utf-8")
 
 
 @pytest.fixture
@@ -137,6 +145,42 @@ def test_thermal_outputs(tmp_path, cfg_path):
     assert data["eta"] > 1
     # default config has no phonon channel: spins thermalize to the photons
     assert abs(data["t_spin_k"] - data["t_phot_k"]) < 1e-12
+
+
+def test_thermal_values_on_the_demo_config(tmp_path):
+    cfg = tmp_path / "demo.yaml"
+    cfg.write_text(DEMO, encoding="utf-8")
+    run_ok(["thermal", "--config", cfg, "--out", tmp_path / "o"])
+    with open(tmp_path / "o" / "thermal.json") as fh:
+        data = json.load(fh)
+    expected = {"n_phot": 1.4242881020937401, "t_phot_k": 0.6684541934839231,
+                "t_spin_k": 0.6684541934839231, "gamma1_hz": 3.8485762041874803,
+                "eta": 1.3182110527428643}
+    assert data.keys() == expected.keys()
+    for key, value in expected.items():
+        assert math.isclose(data[key], value, rel_tol=1e-14), key
+
+
+@pytest.mark.parametrize("old, new, rc", [
+    # h omega / k T underflows to 0: every occupation overflows
+    ("omega0_hz: 7.408e+9", "omega0_hz: 1.0e-300", 2),
+    # k log(1 + 1/n) underflows, but T_phot and T_spin stay finite
+    ("t_int_k: 0.95", "t_int_k: 1.0e+305", 0),
+    ("t_phon_k: 0.85", "t_phon_k: 1.0e+306", 0),
+], ids=["omega0", "t_int", "t_phon"])
+def test_thermal_beyond_float_range_exits_0_or_2(tmp_path, capsys, old, new, rc):
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(DEMO.replace(old, new), encoding="utf-8")
+    out = tmp_path / "o"
+    assert cli.main(["thermal", "--config", str(cfg), "--out", str(out)]) == rc
+    err = capsys.readouterr().err
+    if rc == 2:
+        assert err.startswith("error: thermal: n_phot") and err.count("\n") == 1
+        assert "overflow to a non-finite value" in err
+        assert not (out / "manifest.json").exists()
+    else:
+        assert err == ""
+        _assert_outputs_finite(out)
 
 
 def test_polarization_columns(tmp_path, cfg_path):
@@ -417,6 +461,30 @@ def test_config_delays_are_checked_like_the_flag(tmp_path, capsys, command, dela
     assert err.startswith(f"config error: {cfg}: {path}: ")
 
 
+def test_alias_inside_its_own_anchor_is_rejected_at_the_field(tmp_path, capsys):
+    cfg = tmp_path / "run.yaml"
+    text = SMALL.replace("  n_g: 2\n", "")
+    cfg.write_text(text.replace("ensemble:\n", "ensemble: &e\n  n_g: *e\n"), encoding="utf-8")
+    assert cli.main(["thermal", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {cfg}: ensemble.n_g: ")
+    assert err.count("\n") == 1
+
+
+def test_alias_expansion_is_rejected_before_it_is_walked(tmp_path, capsys):
+    # each anchor repeats the one before ten times: 393 bytes that expand to
+    # ten million numbers
+    lines = ["x0: &x0 [1, 2, 3, 4, 5, 6, 7, 8, 9, 0]"] + [
+        f"x{k}: &x{k} [" + ", ".join([f"*x{k - 1}"] * 10) + "]" for k in range(1, 7)]
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert cfg.stat().st_size == 393
+    t0 = time.monotonic()
+    assert cli.main(["thermal", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert time.monotonic() - t0 < 1.0
+    assert capsys.readouterr().err.startswith(f"config error: {cfg}: <root>: unknown keys")
+
+
 def test_config_integer_too_long_to_convert_is_a_config_error(tmp_path, capsys):
     # PyYAML's int() refuses more than 4300 digits with a ValueError
     cfg = tmp_path / "run.yaml"
@@ -552,6 +620,7 @@ def test_solver_overflow_exits_3_without_numpy_warnings(tmp_path):
     assert run.returncode == 3
     assert len(run.stderr.splitlines()) == 1
     assert run.stderr.startswith("convergence failure: dt=")
+    assert "into event 1 of 5 (a pulse from t=0.000000e+00 s)" in run.stderr
     assert not (out / "manifest.json").exists()
 
 
@@ -633,3 +702,92 @@ def _assert_outputs_finite(outdir):
                 except ValueError:
                     continue
                 assert math.isfinite(value), (name, line)
+
+
+# ------------------------------------------------------------ config fuzz
+
+# values that miss a config field in every way the table knows: wrong
+# types, nested junk, lists in place of scalars, numeric strings, and
+# numbers at and beyond both ends of the float range
+_CONFIG_JUNK = st.one_of(
+    st.sampled_from([None, True, "", "hot", "uniform", "fast", "1e5", "1e400", "-2.5E-3",
+                     "0.5", [], {}, [1.0], [[0.5]], [0.0, 1.0], {"a": [1, {"b": None}]},
+                     0, -0.0, 1, 5e-324, 1e-300, 0.47, 1e300, -1e300,
+                     1.7976931348623157e308, 10**20, 10**400, math.nan, math.inf, -math.inf]
+                    ).map(copy.deepcopy),
+    st.floats(),
+    st.integers(),
+    st.lists(st.floats(0.0, 1e308), max_size=3),
+)
+
+# YAML spliced into the text in place of a value: tags, and aliases to
+# anchors that are undefined, shared or inside their own node
+_CONFIG_SPLICES = st.sampled_from([
+    "!!str 7.5", "!!float '2.5e+2'", "!!int '3'", "!!binary aGk=", "!!timestamp 2001-12-14",
+    "!!set {a, b}", "!!python/name:os.system", "!!null ''", "!!float .nan", "*nowhere",
+    "&a [*a]", "&b {n_g: *b}", "&c [&d [1.0, 2.0], *d, *d]", "!custom 1.0",
+])
+
+
+@st.composite
+def _demo_configs(draw):
+    """configs/demo.yaml with one to three edits, as YAML text: a section or
+    key dropped, an unknown key added, a field set to a fitting value or to
+    junk, a value replaced by a tag or an alias, or two fields sharing one
+    list (which the dump writes as an anchor and an alias)."""
+    doc = yaml.safe_load(DEMO)
+    splices = {}
+    for k in range(draw(st.integers(1, 3))):
+        name = draw(st.sampled_from(sorted(FIELDS)))
+        table = FIELDS[name]
+        if not isinstance(table, dict) or not isinstance(doc.get(name, {}), dict):
+            target, key = doc, name
+        else:
+            target, key = doc.setdefault(name, {}), draw(st.sampled_from(sorted(table)))
+        edit = draw(st.sampled_from(["drop", "drop section", "unknown", "junk", "junk",
+                                     "fit", "splice", "share"]))
+        if edit == "drop":
+            target.pop(key, None)
+        elif edit == "drop section":
+            doc.pop(name, None)
+        elif edit == "unknown":
+            target[draw(st.sampled_from(["q_factor", "resonator", "n_g", 7]))] = 1.0
+        elif edit == "junk":
+            target[key] = draw(_CONFIG_JUNK)
+        elif edit == "fit":
+            target[key] = draw(st.floats(0.0, 1.0) | st.floats(1.0, 1e308) | st.integers(1, 50))
+        elif edit == "splice":
+            target[key] = f"SPLICE{k}"
+            splices[f"SPLICE{k}"] = draw(_CONFIG_SPLICES)
+        else:
+            shared = [0.5, 1.0]
+            target[key] = doc.setdefault("sequence", {})["dt_list_s"] = shared
+    text = yaml.safe_dump(doc)
+    for marker, snippet in splices.items():
+        text = text.replace(marker, snippet)
+    return text
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=_demo_configs())
+@example(text=DEMO.replace("omega0_hz: 7.408e+9", "omega0_hz: 1.0e-300"))
+@example(text=DEMO.replace("t_int_k: 0.95", "t_int_k: 1.0e+305"))
+@example(text=DEMO.replace("t_phon_k: 0.85", "t_phon_k: 1.0e+306"))
+def test_thermal_config_fuzz_ends_in_exit_0_or_2(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "run.yaml")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        out = os.path.join(tmp, "o")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = cli.main(["thermal", "--config", path, "--out", out])
+        assert rc in (0, 2), err.getvalue()
+        event(f"exit {rc}")
+        if rc == 2:  # a message, not a traceback
+            assert err.getvalue().startswith(("config error: ", "error: ")), err.getvalue()
+            return
+        _assert_outputs_finite(out)
+        filled = parse_config_text(text)
+        assert parse_config_text(serialize(filled)).raw == filled.raw
+

@@ -124,9 +124,8 @@ class TestSchemaErrors:
         assert "not valid YAML" in str(err.value)
 
     @pytest.mark.parametrize("text", [
-        RESON + "ensemble: &e\n  n_g: *e\n",
         "resonator: " + "[" * 1000 + "]" * 1000 + "\n",
-    ], ids=["alias inside its own anchor", "1000 nested lists"])
+    ], ids=["1000 nested lists"])
     def test_self_referring_or_too_deep_document_rejected(self, text):
         with pytest.raises(SchemaError) as err:
             cfg.parse_config_text(text, name="run.yaml")

@@ -84,15 +84,14 @@ def test_quantiles_monotone():
     assert qs[0] == 1.0 and qs[-1] == 8.0
 
 
-def make_distribution(geom=None, profile=None, weights=(0.5, 0.5)):
+def make_distribution(geom=None, cutoff_depth=1e-6, weights=(0.5, 0.5)):
     geom = geom or coupling.WireGeometry()
-    profile = profile or coupling.ImplantationProfile()
     field = coupling.field_map(geom, coupling.vacuum_current(RES),
                                (-3e-6, 3e-6), (-1.2e-6, -0.1e-6), 41, 23)
     g1 = coupling.coupling_map(field, 0.28, GAMMA_E)
     g2 = coupling.coupling_map(field, 0.22, GAMMA_E)
     maps = [(g1, weights[0]), (g2, weights[1])]
-    return coupling.coupling_distribution(maps, field, profile), field
+    return coupling.coupling_distribution(maps, field, cutoff_depth), field
 
 
 def test_distribution_normalized_and_bounded():
@@ -106,9 +105,8 @@ def test_identical_maps_mixture_identity():
     field = coupling.field_map(coupling.WireGeometry(), 1e-6,
                                (-3e-6, 3e-6), (-1.2e-6, -0.1e-6), 31, 17)
     g = coupling.coupling_map(field, 0.25, GAMMA_E)
-    prof = coupling.ImplantationProfile()
-    one = coupling.coupling_distribution([(g, 1.0)], field, prof)
-    two = coupling.coupling_distribution([(g, 0.5), (g, 0.5)], field, prof)
+    one = coupling.coupling_distribution([(g, 1.0)], field, 1e-6)
+    two = coupling.coupling_distribution([(g, 0.5), (g, 0.5)], field, 1e-6)
     assert np.allclose(one.bin_edges, two.bin_edges)
     assert np.allclose(one.weights, two.weights, atol=1e-15)
 
@@ -116,14 +114,22 @@ def test_identical_maps_mixture_identity():
 def test_empty_support_raises():
     # profile cutoff shallower than every grid cell leaves no weight
     with pytest.raises(ValueError, match="no spin weight"):
-        make_distribution(profile=coupling.ImplantationProfile(cutoff_depth=1e-8))
+        make_distribution(cutoff_depth=1e-8)
 
 
 def test_implantation_profile_support():
-    prof = coupling.ImplantationProfile(cutoff_depth=1e-6)
-    assert prof.density(0.5e-6) > 0
-    assert prof.density(1.5e-6) == 0.0
-    assert prof.density(-0.1e-6) == 0.0
+    # the spins lie from the surface (y = 0) down to the cutoff depth: rows
+    # above the surface or below the cutoff carry no weight
+    def grid(y):
+        return coupling.FieldGrid(x=np.zeros(2), y=np.array(y), bx=None, by=None)
+
+    g = np.array([[1.0, 2.0], [3.0, 4.0], [10.0, 20.0], [30.0, 40.0], [50.0, 60.0]])
+    rho = coupling.coupling_distribution(
+        [(g, 1.0)], grid([0.4e-6, 0.1e-6, -0.2e-6, -0.9e-6, -1.5e-6]), 1e-6)
+    inside = coupling.coupling_distribution([(g[2:4], 1.0)], grid([-0.2e-6, -0.9e-6]), 1e-6)
+    assert np.array_equal(rho.bin_edges, inside.bin_edges)
+    assert np.array_equal(rho.weights, inside.weights)
+    assert rho.bin_edges[0] < 10.0 < 40.0 < rho.bin_edges[-1] < 50.0
 
 
 def test_filament_count_enforced():

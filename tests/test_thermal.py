@@ -14,6 +14,18 @@ RES = thermal.ResonatorParams(
 )
 
 
+def spin_state(scen, gamma_phon, gamma_phot):
+    """(Gamma_1, T_spin) under one load configuration, with the phonon bath
+    at the scenario's t_phon."""
+    n_phot = thermal.cavity_occupation(RES, scen)
+    g1 = thermal.spin_relaxation_rate(gamma_phon, scen.t_phon, gamma_phot, n_phot, OMEGA0)
+    return g1, thermal.spin_temperature(gamma_phon, gamma_phot, g1, OMEGA0)
+
+
+def polarization_ratio(t_cold, t_hot):
+    return thermal.spin_polarization(t_cold, OMEGA0) / thermal.spin_polarization(t_hot, OMEGA0)
+
+
 def test_bose_occupation_frozen_value():
     n = thermal.bose_occupation(0.85, OMEGA0)
     assert abs(n - FROZEN["nbar_0p85"]) < 1e-12
@@ -47,6 +59,16 @@ def test_temperatures_whose_k_t_underflows_take_the_zero_temperature_limit():
     assert thermal.bose_occupation(1e-320, OMEGA0) == 0.0
 
 
+def test_occupations_beyond_float_range_take_their_limits():
+    # h omega / k t underflows to 0, and the occupation overflows
+    assert thermal.bose_occupation(0.95, 1e-300) == math.inf
+    assert thermal.occupation_temperature(math.inf, OMEGA0) == math.inf
+    assert thermal.spin_temperature(0.0, 1.0, math.inf, OMEGA0) == math.inf
+    # k log(1 + 1/n) underflows, T = h omega (n + 1/2) / k does not
+    t = thermal.occupation_temperature(1e305, OMEGA0)
+    assert math.isclose(t, thermal.PLANCK * OMEGA0 / thermal.BOLTZMANN * 1e305, rel_tol=1e-12)
+
+
 def test_cavity_occupation_hot_and_cold():
     hot = thermal.LoadScenario("hot", alpha=0.47, t_cold=0.02, t_phon=0.85, t_int=0.95)
     cold = thermal.LoadScenario("cold", alpha=0.47, t_cold=0.02, t_phon=0.85, t_int=0.95)
@@ -54,8 +76,8 @@ def test_cavity_occupation_hot_and_cold():
     n_phon = thermal.bose_occupation(0.85, OMEGA0)
     n_cold = thermal.bose_occupation(0.02, OMEGA0)
     ki, ke, k = RES.kappa_int, RES.kappa_ext, RES.kappa
-    nh = thermal.cavity_occupation(RES, hot).occupation
-    nc = thermal.cavity_occupation(RES, cold).occupation
+    nh = thermal.cavity_occupation(RES, hot)
+    nc = thermal.cavity_occupation(RES, cold)
     assert abs(nh - (ki / k * n_int + ke / k * n_phon)) < 1e-15
     assert abs(nc - (ki / k * n_int + ke / k * (0.53 * n_cold + 0.47 * n_phon))) < 1e-15
     assert nc < nh
@@ -86,52 +108,49 @@ def test_purcell_rate_rejects_any_negative_coupling():
 
 def test_rate_ratio_vs_zero_temperature():
     """Gamma_1(0.85 K) / Gamma_1(0) = 2 nbar + 1 under pure radiative decay."""
-    bath = thermal.BathCoupling(rate=0.0, temperature=0.85)
-    hot = thermal.ThermalState(FROZEN["nbar_0p85"], 0.85)
-    vac = thermal.ThermalState(0.0, 0.0)
-    g1_hot = thermal.spin_relaxation_rate(bath, 1.0, hot, OMEGA0)
-    g1_vac = thermal.spin_relaxation_rate(bath, 1.0, vac, OMEGA0)
+    g1_hot = thermal.spin_relaxation_rate(0.0, 0.85, 1.0, FROZEN["nbar_0p85"], OMEGA0)
+    g1_vac = thermal.spin_relaxation_rate(0.0, 0.85, 1.0, 0.0, OMEGA0)
     assert abs(g1_hot / g1_vac - FROZEN["rate_ratio_0p85"]) < 1e-10
 
 
 def test_spin_temperature_tracks_photon_bath():
     # pure Purcell: the spin thermalizes to the photon temperature exactly
-    bath = thermal.BathCoupling(rate=0.0, temperature=0.85)
-    photon = thermal.ThermalState(occupation=1.3, effective_temperature=0.0)
-    st = thermal.spin_temperature(bath, 2.0, photon, OMEGA0)
-    assert abs(st.occupation - 1.3) < 1e-12
+    gamma1 = thermal.spin_relaxation_rate(0.0, 0.85, 2.0, 1.3, OMEGA0)
+    t_spin = thermal.spin_temperature(0.0, 2.0, gamma1, OMEGA0)
+    assert abs(thermal.bose_occupation(t_spin, OMEGA0) - 1.3) < 1e-12
     with pytest.raises(ValueError, match="rates are both zero"):
-        thermal.spin_temperature(thermal.BathCoupling(0.0, 0.85), 0.0, photon, OMEGA0)
+        thermal.spin_temperature(0.0, 0.0, gamma1, OMEGA0)
 
 
 def test_cooling_factor_identities():
     """eta = Gamma1_hot/Gamma1_cold = p_cold/p_hot, exact in the model."""
     hot = thermal.LoadScenario("hot", alpha=0.47, t_cold=0.02, t_phon=0.85, t_int=0.95)
     cold = thermal.LoadScenario("cold", alpha=0.47, t_cold=0.02, t_phon=0.85, t_int=0.76)
-    bath = thermal.BathCoupling(rate=0.0, temperature=0.85)
-    res = thermal.cooling_factor(RES, hot, cold, bath, 1.0, OMEGA0)
-    assert abs(res.eta - res.polarization_ratio) < 1e-12
-    assert abs(res.eta - res.gamma1_hot / res.gamma1_cold) < 1e-14
-    assert res.eta > 1.0
-    assert res.t_spin_cold < res.t_spin_hot
+    eta = thermal.cooling_factor(RES, hot, cold, 0.0, 1.0)
+    (g1_hot, ts_hot), (g1_cold, ts_cold) = spin_state(hot, 0.0, 1.0), spin_state(cold, 0.0, 1.0)
+    assert abs(eta - polarization_ratio(ts_cold, ts_hot)) < 1e-12
+    assert abs(eta - g1_hot / g1_cold) < 1e-14
+    assert eta > 1.0
+    assert ts_cold < ts_hot
 
 
 def test_cooling_factor_with_phonon_bath_degrades():
     hot = thermal.LoadScenario("hot", alpha=0.47, t_cold=0.02, t_phon=0.85, t_int=0.95)
     cold = thermal.LoadScenario("cold", alpha=0.47, t_cold=0.02, t_phon=0.85, t_int=0.76)
-    pure = thermal.cooling_factor(RES, hot, cold, thermal.BathCoupling(0.0, 0.85), 1.0, OMEGA0)
-    mixed = thermal.cooling_factor(RES, hot, cold, thermal.BathCoupling(0.5, 0.85), 1.0, OMEGA0)
-    assert 1.0 < mixed.eta < pure.eta
+    pure = thermal.cooling_factor(RES, hot, cold, 0.0, 1.0)
+    mixed = thermal.cooling_factor(RES, hot, cold, 0.5, 1.0)
+    assert 1.0 < mixed < pure
     # identity survives the phonon bath
-    assert abs(mixed.eta - mixed.polarization_ratio) < 1e-12
+    (_, ts_hot), (_, ts_cold) = spin_state(hot, 0.5, 1.0), spin_state(cold, 0.5, 1.0)
+    assert abs(mixed - polarization_ratio(ts_cold, ts_hot)) < 1e-12
     # eta falls towards 1 as the phonon rate grows
     cold = thermal.LoadScenario("cold", alpha=0.47, t_cold=0.02, t_phon=0.85, t_int=0.95)
     etas = []
     for rate in (0.0, 0.01, 0.1, 1.0, 10.0):
-        cool = thermal.cooling_factor(RES, hot, cold, thermal.BathCoupling(rate, 0.85), 0.06,
-                                      OMEGA0)
-        assert abs(cool.eta - cool.gamma1_hot / cool.gamma1_cold) < 1e-12 * cool.eta
-        etas.append(cool.eta)
+        eta = thermal.cooling_factor(RES, hot, cold, rate, 0.06)
+        g1_hot, g1_cold = spin_state(hot, rate, 0.06)[0], spin_state(cold, rate, 0.06)[0]
+        assert abs(eta - g1_hot / g1_cold) < 1e-12 * eta
+        etas.append(eta)
     assert all(e > 1 for e in etas)
     assert all(a > b for a, b in zip(etas, etas[1:]))
     assert abs(etas[-1] - 1) < 0.05
