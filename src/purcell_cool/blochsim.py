@@ -12,12 +12,14 @@ with g in angular units inside the equations and s- = (s_x - i s_y)/2, so
 integrated angle theta = 2 g |a| t rotates the group by theta. The output
 field is a_out = sqrt(kappa_ext) a - a_in.
 
-The state of one sequence is one packed row [a, s-_1..s-_n, s_z,1..s_z,n]
-(complex; the s_z entries stay real). Sequences that share one event
-skeleton (a Rabi or inversion-recovery sweep) advance together as the rows
-of one (R, 1+2n) array. The diagonal linear part of the equations (_linear)
-is advanced exactly, both by the integrator and by the closed form that
-takes free-evolution delays much longer than the cavity lifetime (pure
+The state of one sequence is one packed float row
+[Re a, Im a, Re s-_1, Im s-_1, .., Re s-_n, Im s-_n, s_z,1..s_z,n] of 2 + 3n
+floats: the 1 + n complex entries as (re, im) pairs, then the real s_z.
+Sequences that share one event skeleton (a Rabi or inversion-recovery
+sweep) advance together as the rows of one (R, 2+3n) array. The diagonal
+linear part of the equations (_linear), which acts on the complex entries
+alone, is advanced exactly, both by the integrator and by the closed form
+that takes free-evolution delays much longer than the cavity lifetime (pure
 T1/T2/detuning decay); pulse and acquisition segments go through the
 adaptive integrator. Thermal noise between pulses is not driven
 explicitly; temperature enters through sz_eq and the per-group rates.
@@ -122,17 +124,16 @@ def init_ensemble(rho, res, spin_temp, t2, *, freq_width=3e6, n_g=40, n_delta=41
 
 
 def _linear(groups, res):
-    """Diagonal linear part of the equations on a row [a, s-..., s_z...]:
-    -kappa/2 on a, -(2 pi i delta_k + 1/T2) on s-_k, and 0 on s_z, whose T1
-    term relaxes towards sz_eq and so stays out of it."""
+    """Diagonal linear part of the equations on the complex entries
+    [a, s-...] of a row: -kappa/2 on a and -(2 pi i delta_k + 1/T2) on s-_k.
+    It is 0 on s_z, whose T1 term relaxes towards sz_eq and so stays out."""
     return np.concatenate((
-        [-res.kappa / 2], -(2j * math.pi * groups.detuning + 1.0 / groups.t2),
-        np.zeros(len(groups))))
+        [-res.kappa / 2], -(2j * math.pi * groups.detuning + 1.0 / groups.t2)))
 
 
 def _advance(y, groups, res, a_in, duration, *, sample_dt=None, rtol=1e-8,
              atol=1e-13, fixed_step=None):
-    """Advance the rows of y, shape (R, 1+2n), by `duration` with one shared
+    """Advance the rows of y, shape (R, 2+3n), by `duration` with one shared
     step; row r is driven by the constant complex amplitude a_in[r].
 
     The diagonal linear part (_linear) is advanced exactly by the
@@ -143,12 +144,11 @@ def _advance(y, groups, res, a_in, duration, *, sample_dt=None, rtol=1e-8,
     evaluated at the sample times, from the solver's dense output.
     """
     n = len(groups)
+    m = 2 + 2 * n  # floats of the complex entries [a, s-...]
     g_ang = 2 * math.pi * groups.g
-    ig_ang = 1j * g_ang
     g4_ang = 4.0 * g_ang
-    linear = _linear(groups, res)
     gamma1 = groups.gamma1
-    sz_eq = groups.sz_eq
+    relax_to = gamma1 * groups.sz_eq
     # da/dt without the decay and the drive is this row times [s-...]
     coupling_row = -1j * groups.weight * g_ang
     root_kext = math.sqrt(res.kappa_ext)
@@ -156,14 +156,19 @@ def _advance(y, groups, res, a_in, duration, *, sample_dt=None, rtol=1e-8,
     drive = root_kext * a_in
 
     def rhs(t, y):
-        a = y[:, :1]
-        sm = y[:, 1 : 1 + n]
-        sz = y[:, 1 + n :].real
+        rows = len(y)
+        c = y[:, :m].view(complex)  # [a, s-...]
+        sz = y[:, m:]
+        i_a = 1j * c[:, :1]
+        out = np.empty_like(y)
+        dc = out[:, :m].view(complex)
         # one fixed-order product per row keeps the reduction deterministic
-        da = sm @ coupling_row + drive
-        dsm = ig_ang * a * sz
-        dsz = -gamma1 * (sz - sz_eq) - g4_ang * (np.conj(a) * sm).imag
-        return np.concatenate((da[:, None], dsm, dsz), axis=1)
+        dc[:, 0] = c[:, 1:] @ coupling_row + drive
+        np.multiply(g_ang * sz, i_a, out=dc[:, 1:])
+        # Im(a* s-_k) = s-_k . (i a) over (re, im) pairs
+        im = np.matmul(y[:, 2:m].reshape(rows, n, 2), i_a.view(float)[:, :, None])[:, :, 0]
+        out[:, m:] = relax_to - gamma1 * sz - g4_ang * im
+        return out
 
     sample_times = None
     if sample_dt is not None:
@@ -171,8 +176,8 @@ def _advance(y, groups, res, a_in, duration, *, sample_dt=None, rtol=1e-8,
         sample_times = np.arange(n_samp) * sample_dt
 
     y1, cavity = dormand_prince(
-        rhs, 0.0, y, duration, linear=linear, rtol=rtol, atol=atol,
-        fixed_step=fixed_step, sample_times=sample_times, observe=lambda y: y[:, 0],
+        rhs, 0.0, y, duration, linear=_linear(groups, res), rtol=rtol, atol=atol,
+        fixed_step=fixed_step, sample_times=sample_times, observe=lambda c: c[:, 0],
     )
     if sample_dt is None:
         return y1, None, None
@@ -183,11 +188,13 @@ def _closed_form_delay(y, groups, res, durations):
     """Exact free decay of the rows of y, row r for durations[r], used for
     delays far beyond the cavity lifetime: the linear part alone, and each
     s_z relaxing towards sz_eq at its own Gamma_1."""
-    n = len(groups)
+    m = 2 + 2 * len(groups)
     column = np.asarray(durations, dtype=float)[:, None]
-    out = y * np.exp(_linear(groups, res) * column)
-    sz = y[:, 1 + n :].real
-    out[:, 1 + n :] = groups.sz_eq + (sz - groups.sz_eq) * np.exp(-groups.gamma1 * column)
+    out = y.copy()
+    decaying = out[:, :m].view(complex)
+    decaying *= np.exp(_linear(groups, res) * column)
+    sz = y[:, m:]
+    out[:, m:] = groups.sz_eq + (sz - groups.sz_eq) * np.exp(-groups.gamma1 * column)
     return out
 
 
@@ -207,7 +214,7 @@ def run_sweep(seqs, groups, res, *, sample_dt=1e-8, rtol=1e-8, atol=1e-13,
     """Execute pulse sequences; returns each one's EchoTraces, in input order.
 
     Sequences with the same skeleton (see _skeleton) advance together as the
-    rows of one (R, 1+2n) state under one adaptive step, which the hardest
+    rows of one (R, 2+3n) state under one adaptive step, which the hardest
     row sets; every row meets its own tolerance. Delays of at least
     LONG_DELAY_FACTOR / kappa ring the cavity down through the ODE for that
     long, then decay in closed form for the rest of each row's own delay.
@@ -230,8 +237,8 @@ def run_sweep(seqs, groups, res, *, sample_dt=1e-8, rtol=1e-8, atol=1e-13,
 def _run_batch(seqs, groups, res, long_delay, sample_dt, solver):
     """Run sequences of one skeleton as rows of one state; each one's traces."""
     n = len(groups)
-    y = np.zeros((len(seqs), 1 + 2 * n), dtype=complex)
-    y[:, 1 + n :] = groups.sz_eq
+    y = np.zeros((len(seqs), 2 + 3 * n))
+    y[:, 2 + 2 * n :] = groups.sz_eq
     idle = np.zeros(len(seqs))
     cursor = np.zeros(len(seqs))
     traces = [[] for _ in seqs]

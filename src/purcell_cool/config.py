@@ -275,8 +275,14 @@ class ExperimentConfig:
 def parse_config_text(text, name="<config>"):
     try:
         data = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        raise SchemaError(f"{name}: not valid YAML: {exc}") from exc
+    except yaml.YAMLError as exc:  # on one line: the problem and where it was found
+        mark = getattr(exc, "problem_mark", None) or getattr(exc, "context_mark", None)
+        if mark is None:  # a reader error: its first line names the character
+            problem = str(exc).splitlines()[0]
+        else:
+            problem = (f"{' '.join(str(exc.problem or exc.context).split())} "
+                       f"at line {mark.line + 1}, column {mark.column + 1}")
+        raise SchemaError(f"{name}: not valid YAML: {problem}") from None
     except ValueError as exc:  # a scalar YAML cannot build, say an over-long integer
         raise SchemaError(f"{name}: a value cannot be read: {exc}") from exc
     except RecursionError:  # nesting past the stack

@@ -31,8 +31,8 @@ class ResonatorParams:
     def __post_init__(self):
         if self.omega0 <= 0 or self.z0 <= 0:
             raise ValueError("omega0 and z0 must be positive")
-        if self.kappa_int < 0 or self.kappa_ext < 0 or self.kappa == 0:
-            raise ValueError("kappa_int, kappa_ext must be >= 0 with a positive sum")
+        if self.kappa_int < 0 or self.kappa_ext < 0 or not 0 < self.kappa < math.inf:
+            raise ValueError("kappa_int, kappa_ext must be >= 0 with a positive, finite sum")
 
     @property
     def kappa(self):

@@ -1,6 +1,8 @@
 """Packed state rows, for driving blochsim._advance one sequence at a time.
 
-The state of one sequence is the complex row [a, s-_1..s-_n, s_z,1..s_z,n].
+The state of one sequence is the float row [Re a, Im a, Re s-_1, Im s-_1, ..,
+s_z,1..s_z,n]: the complex entries [a, s-_1..s-_n] as (re, im) pairs, then
+the real s_z entries.
 """
 
 import numpy as np
@@ -12,12 +14,14 @@ def row(groups, s_minus=None, s_z=None, cavity=0.0):
     """A packed row; by default the equilibrium of groups."""
     s_minus = np.zeros(len(groups)) if s_minus is None else s_minus
     s_z = groups.sz_eq if s_z is None else s_z
-    return np.concatenate(([cavity], s_minus, s_z)).astype(complex)
+    entries = np.concatenate(([cavity], s_minus)).astype(complex)
+    return np.concatenate((entries.view(float), np.asarray(s_z, dtype=float)))
 
 
 def split(y, n):
     """(a, s-, s_z) of a packed row of n groups."""
-    return y[0], y[1 : 1 + n], y[1 + n :].real
+    entries = y[: 2 + 2 * n].view(complex)
+    return entries[0], entries[1:], y[2 + 2 * n :]
 
 
 def advance(y, groups, res, a_in, duration, **solver):

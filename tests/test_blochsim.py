@@ -1,11 +1,13 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
 from purcell_cool import blochsim as bs
-from purcell_cool import ode
+from purcell_cool import cli, ode
+from purcell_cool.config import parse_config
 from purcell_cool.coupling import CouplingDistribution
 from purcell_cool.thermal import ResonatorParams, purcell_rate, spin_polarization
 
@@ -150,7 +152,9 @@ def test_advance_against_library_integrator():
         dsz = -0.1 * (sz - (-0.2)) - 4 * g_ang * (np.conj(a) * sm).imag
         return np.concatenate(([da], dsm, dsz.astype(complex))).view(float)
 
-    ref = solve_ivp(rhs, (0, duration), y0.view(float), rtol=1e-11, atol=1e-12)
+    cavity0, s_minus0, s_z0 = split(y0, 3)
+    ref0 = np.concatenate(([cavity0], s_minus0, s_z0)).astype(complex)
+    ref = solve_ivp(rhs, (0, duration), ref0.view(float), rtol=1e-11, atol=1e-12)
     ref_y = ref.y[:, -1].view(complex)
 
     out, _ = advance(y0, groups, RES, a_in, duration, rtol=1e-10, atol=1e-12)
@@ -426,12 +430,11 @@ class TestBatchedSweeps:
 
     def test_batched_error_norm_is_the_largest_row_norm(self):
         rng = np.random.default_rng(11)
-        shape = (5, 9)
-        err, y0, y1 = (rng.normal(size=shape) + 1j * rng.normal(size=shape)
-                       for _ in range(3))
+        err = rng.normal(size=(5, 2 * 9 + 4))  # 9 complex entries, then 4 real ones
+        scale = rng.uniform(1.0, 2.0, size=(5, 9 + 4))
         err[3] *= 50.0  # one row far worse than the rest
-        rows = [ode._error_norm(err[r], y0[r], y1[r], 1e-8, 1e-10) for r in range(5)]
-        assert ode._error_norm(err, y0, y1, 1e-8, 1e-10) == max(rows)
+        rows = [ode._error_norm(err[r], scale[r]) for r in range(5)]
+        assert ode._error_norm(err, scale) == max(rows)
 
     def test_batched_solver_rows_are_independent_and_observed(self):
         rates = np.array([0.5, 2.0, 7.0])
@@ -443,3 +446,19 @@ class TestBatchedSweeps:
         assert y1.shape == (3, 2) and obs.shape == (3, 3)
         assert np.allclose(obs, np.exp(-np.outer(ts, rates)), rtol=1e-8)
         assert np.allclose(y1[:, 1], 1j * np.exp(-rates), rtol=1e-8)
+
+
+@pytest.mark.parametrize("subcommand", ["echo", "cpmg"])
+def test_demo_echo_areas_at_the_default_tolerances_match_a_converged_run(subcommand):
+    """The Hahn echo and the 2-echo CPMG train of configs/demo.yaml (8x9
+    groups), as the subcommands run them, against rtol 1e-11 / atol 1e-14."""
+    demo = Path(__file__).resolve().parents[1] / "configs" / "demo.yaml"
+    args = cli.build_parser().parse_args([subcommand, "--config", str(demo), "--out", "-"])
+    ensemble, amp, tau, widths = cli._sequence_setup(parse_config(demo), args)
+    seq = (bs.hahn_echo(tau, amp, **widths) if subcommand == "echo"
+           else bs.cpmg(2, tau, amp, **widths))
+    got = bs.phase_aligned_areas(bs.run_sweep([seq], **ensemble)[0])
+    want = bs.phase_aligned_areas(bs.run_sweep([seq], rtol=1e-11, atol=1e-14, **ensemble)[0])
+    assert len(got) == len(want) == (1 if subcommand == "echo" else 2)
+    for g, w in zip(got, want):
+        assert abs(g - w) <= 1e-7 * abs(w)

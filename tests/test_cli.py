@@ -23,7 +23,7 @@ from _frozen import FROZEN
 from purcell_cool import cli
 from purcell_cool import estimators as est
 from purcell_cool.config import FIELDS, parse_config_text, serialize
-from purcell_cool.thermal import ResonatorParams
+from purcell_cool.thermal import ResonatorParams, bose_occupation
 
 KAPPA_INT = 2 * math.pi * 0.4e6
 KAPPA_EXT = 2 * math.pi * 0.6e6
@@ -471,6 +471,15 @@ def test_alias_inside_its_own_anchor_is_rejected_at_the_field(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_invalid_yaml_is_one_line_naming_the_problem_and_its_place(tmp_path, capsys):
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(SMALL.replace("  n_delta: 1\n", "  n_delta: *nowhere\n"), encoding="utf-8")
+    assert cli.main(["thermal", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: {cfg}: not valid YAML: found undefined alias 'nowhere' "
+        "at line 7, column 12\n")
+
+
 def test_alias_expansion_is_rejected_before_it_is_walked(tmp_path, capsys):
     # each anchor repeats the one before ten times: 393 bytes that expand to
     # ten million numbers
@@ -773,6 +782,8 @@ def _demo_configs(draw):
 @example(text=DEMO.replace("omega0_hz: 7.408e+9", "omega0_hz: 1.0e-300"))
 @example(text=DEMO.replace("t_int_k: 0.95", "t_int_k: 1.0e+305"))
 @example(text=DEMO.replace("t_phon_k: 0.85", "t_phon_k: 1.0e+306"))
+@example(text=DEMO.replace("2.513274122871834e+6", "1.0e+308")
+         .replace("3.7699111843077517e+6", "1.0e+308"))  # kappa sums to inf
 def test_thermal_config_fuzz_ends_in_exit_0_or_2(text):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "run.yaml")
@@ -784,10 +795,17 @@ def test_thermal_config_fuzz_ends_in_exit_0_or_2(text):
             rc = cli.main(["thermal", "--config", path, "--out", out])
         assert rc in (0, 2), err.getvalue()
         event(f"exit {rc}")
-        if rc == 2:  # a message, not a traceback
+        if rc == 2:  # one line of message, not a traceback
             assert err.getvalue().startswith(("config error: ", "error: ")), err.getvalue()
+            assert err.getvalue().count("\n") == 1, err.getvalue()
             return
         _assert_outputs_finite(out)
         filled = parse_config_text(text)
         assert parse_config_text(serialize(filled)).raw == filled.raw
+        # the mode's occupation mixes its baths' occupations, weights summing to 1
+        scen, omega0 = filled.raw["scenario"], filled.raw["resonator"]["omega0_hz"]
+        baths = [bose_occupation(scen[key], omega0) for key in ("t_int_k", "t_phon_k", "t_cold_k")]
+        with open(os.path.join(out, "thermal.json"), encoding="utf-8") as fh:
+            n_phot = json.load(fh)["n_phot"]
+        assert min(baths) * (1 - 1e-12) <= n_phot <= max(baths) * (1 + 1e-12), (n_phot, baths)
 

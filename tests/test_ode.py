@@ -97,14 +97,20 @@ def test_tolerance_controls_error():
 
 @pytest.mark.parametrize("width", [3, 3281])
 def test_observed_error_is_not_diluted_by_the_state_width(width):
-    # an error confined to the observed column 0: the plain RMS shrinks as
+    # an error confined to the observed entry 0: the plain RMS shrinks as
     # 1/sqrt(width), the observe-aware norm does not
     err = np.zeros((2, width), dtype=complex)
     err[1, 0] = 3e-10
-    y = np.zeros((2, width), dtype=complex)
-    norm = ode._error_norm(err, y, y, 1e-8, 1e-10, observe=lambda v: v[:, 0])
+    scale = np.full((2, width), 1e-10)
+    norm = ode._error_norm(err.view(float), scale, observe=lambda v: v[:, 0])
     assert norm == pytest.approx(3.0, rel=1e-12)
-    assert ode._error_norm(err, y, y, 1e-8, 1e-10) == pytest.approx(3.0 / math.sqrt(width))
+    assert ode._error_norm(err.view(float), scale) == pytest.approx(3.0 / math.sqrt(width))
+
+
+def test_error_norm_counts_a_complex_entry_once_by_its_modulus():
+    # two complex entries (3 + 4i, 0) and one real entry 12: RMS over 3 entries
+    err = np.array([3.0, 4.0, 0.0, 0.0, -12.0])
+    assert ode._error_norm(err, np.ones(3)) == pytest.approx(math.sqrt(169 / 3), rel=1e-15)
 
 
 KAPPA_HALF = 3.1e6  # s^-1, the cavity decay rate of the simulator's resonator
@@ -173,8 +179,10 @@ def _lawson_step(f, t, y, h, lin):
     return stages, err
 
 
-@pytest.mark.parametrize("rows", [1, 3])
-def test_interaction_frame_step_matches_per_column_weights(rows, monkeypatch):
+def _check_first_step(rows, real, monkeypatch):
+    """The solver's first trial step against _lawson_step, on rows of 9
+    complex entries and `real` real ones (a real state packing the complex
+    entries as (re, im) pairs in front when real > 0)."""
     rng = np.random.default_rng(rows)
     # random decaying, rotating, both, repeated and zero entries, up to
     # h |L| of about 30; L = 0 past column 6
@@ -182,19 +190,30 @@ def test_interaction_frame_step_matches_per_column_weights(rows, monkeypatch):
     turn = rng.normal(size=3) * 3e7
     lin = np.array([decay[0], decay[1] + 1j * turn[0], 1j * turn[1], decay[2] + 1j * turn[2],
                     0.0, decay[0], 1j * turn[1], 0.0, 0.0])
-    width = len(lin)
+    q = len(lin)
+    width = q + real
     mix = (rng.normal(size=(width, width)) + 1j * rng.normal(size=(width, width))) * 3e5
     drive = (rng.normal(size=width) + 1j * rng.normal(size=width)) * 1e6
     y0 = rng.normal(size=(rows, width)) + 1j * rng.normal(size=(rows, width))
+    y0[:, q:] = y0[:, q:].real
 
     def f(t, y):  # nonzero in every column, nonlinear and time dependent
-        return y @ mix + drive * np.exp(2j * math.pi * 3e5 * t) + 1e5 * y * np.abs(y)
+        dy = y @ mix + drive * np.exp(2j * math.pi * 3e5 * t) + 1e5 * y * np.abs(y)
+        dy[:, q:] = dy[:, q:].real  # real entries stay real
+        return dy
+
+    def pack(y):
+        return y if not real else np.concatenate((y[:, :q].view(float), y[:, q:].real), axis=1)
+
+    def unpack(v):
+        return v if not real else np.concatenate(
+            (v[:, : 2 * q].view(complex), v[:, 2 * q :]), axis=1)
 
     calls = []
 
     def record(t, y):
-        calls.append(y.copy())
-        return f(t, y)
+        calls.append(unpack(y.copy()))
+        return pack(f(t, unpack(y)))
 
     class FirstStep(Exception):
         pass
@@ -205,12 +224,27 @@ def test_interaction_frame_step_matches_per_column_weights(rows, monkeypatch):
     monkeypatch.setattr(ode, "_error_norm", stop_at_the_error)
     span = 5e-5
     with pytest.raises(FirstStep) as first:
-        dormand_prince(record, 0.0, y0, span, linear=lin)
-    stages, err = _lawson_step(f, 0.0, y0, span / 50.0, lin)  # the first trial step
+        dormand_prince(record, 0.0, pack(y0), span, linear=lin)
+    full_lin = np.concatenate((lin, np.zeros(real)))
+    stages, err = _lawson_step(f, 0.0, y0, span / 50.0, full_lin)  # the first trial step
     assert len(calls) == 7 and np.array_equal(calls[0], y0)
     for new, ref in zip(calls[1:], stages):
         assert np.abs(new - ref).max() <= 1e-12 * np.abs(ref).max()
-    assert np.abs(first.value.args[0] - err).max() <= 1e-12 * np.abs(err).max()
+    # the error estimate reaches the norm as floats, complex entries as pairs
+    got = first.value.args[0]
+    got = got.view(complex) if not real else unpack(got)
+    assert np.abs(got - err).max() <= 1e-12 * np.abs(err).max()
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+def test_interaction_frame_step_matches_per_column_weights(rows, monkeypatch):
+    _check_first_step(rows, 0, monkeypatch)
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+def test_packed_real_columns_step_matches_per_column_weights(rows, monkeypatch):
+    # 4 real entries after the 9 complex ones: L is 0 on them and they stay real
+    _check_first_step(rows, 4, monkeypatch)
 
 
 def test_step_cap_keeps_a_stiff_fixed_step_finite_and_exact():

@@ -165,6 +165,12 @@ def test_resonator_params_validation():
         thermal.LoadScenario("warm", 0.5, 0.02, 0.85, 0.95)
 
 
+def test_resonator_linewidths_summing_past_float_range_are_rejected():
+    # each rate is finite, their sum is inf, which would weigh every bath by 0
+    with pytest.raises(ValueError, match="finite sum"):
+        thermal.ResonatorParams(omega0=7.408e9, kappa_int=1e308, kappa_ext=1e308)
+
+
 def test_constants_equal_scipy_bit_for_bit():
     assert thermal.PLANCK == scipy.constants.h
     assert thermal.BOLTZMANN == scipy.constants.k

@@ -6,12 +6,15 @@ would silently read 0 in a per-layer metric instead of failing. It also reads
 the arguments of wrapped calls by position and by name: the pulse sequence as
 the first argument of blochsim.run_sequence, the rhs, initial state and
 sample times of ode.dormand_prince, and the residual as the first argument of
-optimize.levenberg_marquardt.
+optimize.levenberg_marquardt. It derives ode.step_attempts from the number of
+rhs calls, reading the state as the rhs's second argument.
 """
 
 import importlib
 import inspect
+import math
 
+import numpy as np
 import pytest
 
 from purcell_cool import blochsim, ode, optimize
@@ -53,3 +56,30 @@ def test_dormand_prince_argument_layout():
 def test_levenberg_marquardt_takes_the_residual_first():
     # the tracer counts optimize.residual_evals through this argument
     assert next(iter(inspect.signature(optimize.levenberg_marquardt).parameters)) == "residual"
+
+
+def test_rhs_calls_are_one_plus_six_per_attempt(monkeypatch):
+    # from y0 = 10 the first trial step of y' = -y^3 turns non-finite and
+    # later ones are rejected; every attempt, accepted or not, costs six rhs
+    # calls after the one at t0, and calls the error norm once
+    norms, calls = [], []
+    error_norm = ode._error_norm
+
+    def counted_norm(*args, **kwargs):
+        norms.append(error_norm(*args, **kwargs))
+        return norms[-1]
+
+    def rhs(*args):
+        calls.append(args)
+        t, y = args
+        return -y**3
+
+    monkeypatch.setattr(ode, "_error_norm", counted_norm)
+    y0 = np.array([10.0 + 0j])
+    ode.dormand_prince(rhs, 0.0, y0, 10.0)
+    assert any(not math.isfinite(n) for n in norms)
+    assert any(1.0 < n < math.inf for n in norms)
+    assert len(calls) == 1 + 6 * len(norms)
+    for t, y in calls:
+        assert isinstance(t, float) and 0.0 <= t <= 10.0
+        assert isinstance(y, np.ndarray) and y.shape == y0.shape and y.dtype == y0.dtype
