@@ -784,6 +784,7 @@ def _demo_configs(draw):
 @example(text=DEMO.replace("t_phon_k: 0.85", "t_phon_k: 1.0e+306"))
 @example(text=DEMO.replace("2.513274122871834e+6", "1.0e+308")
          .replace("3.7699111843077517e+6", "1.0e+308"))  # kappa sums to inf
+@example(text=DEMO.replace("t_int_k: 0.95", "t_int_k: 0.95\n  t_int_cold_k: 1.0e+20"))
 def test_thermal_config_fuzz_ends_in_exit_0_or_2(text):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "run.yaml")
@@ -804,7 +805,11 @@ def test_thermal_config_fuzz_ends_in_exit_0_or_2(text):
         assert parse_config_text(serialize(filled)).raw == filled.raw
         # the mode's occupation mixes its baths' occupations, weights summing to 1
         scen, omega0 = filled.raw["scenario"], filled.raw["resonator"]["omega0_hz"]
-        baths = [bose_occupation(scen[key], omega0) for key in ("t_int_k", "t_phon_k", "t_cold_k")]
+        # in the cold configuration an explicit t_int_cold_k is the internal bath
+        t_int = scen["t_int_k"]
+        if scen["config"] == "cold" and scen.get("t_int_cold_k") is not None:
+            t_int = scen["t_int_cold_k"]
+        baths = [bose_occupation(t, omega0) for t in (t_int, scen["t_phon_k"], scen["t_cold_k"])]
         with open(os.path.join(out, "thermal.json"), encoding="utf-8") as fh:
             n_phot = json.load(fh)["n_phot"]
         assert min(baths) * (1 - 1e-12) <= n_phot <= max(baths) * (1 + 1e-12), (n_phot, baths)
