@@ -16,12 +16,15 @@ The state of one sequence is one packed float row
 [Re a, Im a, Re s-_1, Im s-_1, .., Re s-_n, Im s-_n, s_z,1..s_z,n] of 2 + 3n
 floats: the 1 + n complex entries as (re, im) pairs, then the real s_z.
 Sequences that share one event skeleton (a Rabi or inversion-recovery
-sweep) advance together as the rows of one (R, 2+3n) array. The diagonal
-linear part of the equations (_linear), which acts on the complex entries
-alone, is advanced exactly, both by the integrator and by the closed form
-that takes free-evolution delays much longer than the cavity lifetime (pure
-T1/T2/detuning decay); pulse and acquisition segments go through the
-adaptive integrator. Thermal noise between pulses is not driven
+sweep) advance together as the rows of one (R, 2+3n) array. The linear
+part of the equations acts on the complex entries alone: the diagonal
+(_linear, the decay and detuning) and the spins' feed -i w_k g_k s-_k into
+da/dt. The integrator advances both exactly, so that between pulses, where
+little else drives the state, its steps are long; the closed form that
+takes free-evolution delays much longer than the cavity lifetime advances
+the diagonal alone (pure T1/T2/detuning decay, the cavity having rung
+down). Pulse, delay and acquisition segments go through the adaptive
+integrator. Thermal noise between pulses is not driven
 explicitly; temperature enters through sz_eq and the per-group rates.
 """
 
@@ -136,9 +139,10 @@ def _advance(y, groups, res, a_in, duration, *, sample_dt=None, rtol=1e-8,
     """Advance the rows of y, shape (R, 2+3n), by `duration` with one shared
     step; row r is driven by the constant complex amplitude a_in[r].
 
-    The diagonal linear part (_linear) is advanced exactly by the
-    integrating-factor solver; the rhs keeps the coupling terms, the drive
-    and the T1 term. Returns (y, t, amp): amp[j, r] is row r's output field
+    The linear part, _linear and the spins' feed into the cavity, is
+    advanced exactly by the integrating-factor solver; the rhs keeps the
+    field's action on the spins (i g a s_z and the s_z term), the drive and
+    the T1 term. Returns (y, t, amp): amp[j, r] is row r's output field
     a_out = sqrt(kappa_ext) a - a_in at t[j] on a uniform sample_dt comb,
     and t and amp are None without sample_dt. Only the cavity column is
     evaluated at the sample times, from the solver's dense output.
@@ -149,7 +153,7 @@ def _advance(y, groups, res, a_in, duration, *, sample_dt=None, rtol=1e-8,
     g4_ang = 4.0 * g_ang
     gamma1 = groups.gamma1
     relax_to = gamma1 * groups.sz_eq
-    # da/dt without the decay and the drive is this row times [s-...]
+    # the spins' linear feed into da/dt: this row times [s-...]
     coupling_row = -1j * groups.weight * g_ang
     root_kext = math.sqrt(res.kappa_ext)
     a_in = np.asarray(a_in, dtype=complex)
@@ -162,8 +166,7 @@ def _advance(y, groups, res, a_in, duration, *, sample_dt=None, rtol=1e-8,
         i_a = 1j * c[:, :1]
         out = np.empty_like(y)
         dc = out[:, :m].view(complex)
-        # one fixed-order product per row keeps the reduction deterministic
-        dc[:, 0] = c[:, 1:] @ coupling_row + drive
+        dc[:, 0] = drive
         np.multiply(g_ang * sz, i_a, out=dc[:, 1:])
         # Im(a* s-_k) = s-_k . (i a) over (re, im) pairs
         im = np.matmul(y[:, 2:m].reshape(rows, n, 2), i_a.view(float)[:, :, None])[:, :, 0]
@@ -176,7 +179,8 @@ def _advance(y, groups, res, a_in, duration, *, sample_dt=None, rtol=1e-8,
         sample_times = np.arange(n_samp) * sample_dt
 
     y1, cavity = dormand_prince(
-        rhs, 0.0, y, duration, linear=_linear(groups, res), rtol=rtol, atol=atol,
+        rhs, 0.0, y, duration, linear=_linear(groups, res), feed=coupling_row,
+        rtol=rtol, atol=atol,
         fixed_step=fixed_step, sample_times=sample_times, observe=lambda c: c[:, 0],
     )
     if sample_dt is None:

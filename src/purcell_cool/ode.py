@@ -1,19 +1,30 @@
-"""Dormand-Prince 5(4) integrator with an exact diagonal linear part.
+"""Dormand-Prince 5(4) integrator with an exact bordered linear part.
 
 Self-contained embedded Runge-Kutta pair (Hairer, Norsett & Wanner, Solving
 ODEs I, II.4-6), used by the ensemble simulator. It integrates
-dy/dt = L y + f(t, y) for a diagonal L given by its entries: the linear part
-is advanced exactly and the pair integrates only f (Lawson's integrating
-factor; Lawson, SIAM J. Numer. Anal. 4, 372 (1967); Hochbruck & Ostermann,
-Acta Numerica 19, 209 (2010)). A step runs in the interaction frame of its
-start: each k_j = f(t + c_j h, Y_j) is stored as K_j = e^{-c_j hL} k_j,
-stage i is Y_i = e^{c_i hL} (y + h sum_j a_ij K_j) and the error estimate is
-e^{hL} h sum_j e_j K_j. So each sum is one real-coefficient matrix product
-over the whole state, written into a preallocated row, and L enters through
-one row of factors e^{c hL} (and one of e^{-c hL}) per nonzero node, built
-from the distinct entries of L only when the step size changes. With L = 0
-the step is classical DP5. The step is capped at h max(-Re L) <= 600, in
-fixed-step mode too, so that no factor e^{c h |Re L|} overflows.
+dy/dt = L' y + f(t, y), where L' is a diagonal L given by its entries plus,
+optionally, one border row f that feeds every other complex entry into
+entry 0 (blochsim's cavity, fed by its spins): y_0' = L_0 y_0 + sum_k f_k
+y_k. The linear part is advanced exactly and the pair integrates only f
+(Lawson's integrating factor; Lawson, SIAM J. Numer. Anal. 4, 372 (1967);
+Hochbruck & Ostermann, Acta Numerica 19, 209 (2010)). e^{tL'} is e^{tL}
+with the border row f_k psi_{L_k}(t) in entry 0, where
+psi_v(t) = (e^{vt} - e^{L_0 t}) / (v - L_0) = t e^{L_0 t} phi1((v - L_0) t)
+and phi1(x) = (e^x - 1) / x, exact at v = L_0 and free of cancellation
+where (v - L_0) t is tiny. A step runs in the interaction frame of its
+start: each k_j = f(t + c_j h, Y_j) is stored as K_j = e^{-c_j hL'} k_j,
+stage i is Y_i = e^{c_i hL'} (y + h sum_j a_ij K_j) and the error estimate
+is e^{hL'} h sum_j e_j K_j. So each sum is one real-coefficient matrix
+product over the whole state, written into a preallocated row, and L'
+enters through one row of factors e^{c hL} (and one of e^{-c hL}) per
+nonzero node and, with a feed, one border row of e^{c hL'} per node (that
+of e^{-c hL'} follows from it and the factors), built into preallocated
+rows from the distinct entries of L only when the step size changes. With
+L' = 0 the step is classical DP5. The step is capped at
+h max(-Re L) <= 600, in fixed-step mode too, so that no factor
+e^{c h |Re L|} overflows. The frame is exact to rounding when no fed entry
+decays faster than entry 0; otherwise rounding in entry 0 grows as
+e^{c h (|Re L_k| - |Re L_0|)}, and error control shortens the step.
 
 The state is complex, or real with complex entries packed in front: a real
 row of w floats whose L has q entries holds q complex entries as (re, im)
@@ -35,9 +46,13 @@ after a rejection does not grow, and a proposed growth below 1.2 keeps h
 (as RADAU5 does), so that the factor rows are reused. Fixed-step mode runs
 the same loop and only skips the accept test. Steps are not clipped to the
 requested sample times: observe(y) at a sample inside a step is
-e^{theta hL} (y + h sum_j b_j(theta) K_j), the DP5 continuous extension
+e^{theta hL'} (y + h sum_j b_j(theta) K_j), the DP5 continuous extension
 (Hairer's contd5 weights b_j) in the frame; a sample at t0 or t1 is the
-state itself.
+state itself. For an observed entry 0 the feed is summed within each
+distinct entry v of L first (8 numbers per row and v per step), then
+weighted by psi_v(theta h). The extension scales stage data by up to
+e^{(c_j - theta) h max(-Re L)}, so with error control a step that holds a
+sample inside it is capped at h max(-Re L) <= 10.
 """
 
 from __future__ import annotations
@@ -85,6 +100,8 @@ _SIGNED_NODES = np.concatenate((_NODES, -_NODES))
 _MIN_STEP = 1e-15  # s; adaptive control below this aborts the run
 _MAX_ATTEMPTS = 10_000_000
 _MAX_DECAY = 600.0  # cap on h max(-Re L): e^{600} ~ 4e260 is finite
+_DENSE_DECAY = 10.0  # the cap where samples are taken
+_CHUNK = 64  # samples per piece of entry 0's dense feed
 # PI control as in DOPRI5: err^{-_EXPO} err_prev^{_BETA}, safety 0.9
 _BETA = 0.04
 _EXPO = 0.2 - 0.75 * _BETA
@@ -114,23 +131,75 @@ def _error_norm(err, scale, observe=None):
     return math.sqrt(norm.max())
 
 
+def _border(t, vals, lam0):
+    """psi_v(t) = (e^{vt} - e^{lam0 t}) / (v - lam0) = t e^{lam0 t} phi1((v - lam0) t)
+    for each t (rows) and v (columns): entry 0's weight in e^{tL'} of an
+    entry whose entry of L is v, per unit feed."""
+    x = np.multiply.outer(t, vals - lam0)
+    zero = x == 0
+    psi = np.expm1(x)
+    np.divide(psi, x, out=psi, where=~zero)  # phi1(x) = (e^x - 1) / x, 1 at x = 0
+    psi[zero] = 1.0
+    psi *= (t * np.exp(t * lam0))[:, None]
+    return psi
+
+
+def _up(w, fac, border):
+    """w <- e^{tL'} w in place, on the complex entries (..., p) where L'
+    acts: fac is e^{tL} and border the border row of e^{tL'} (None
+    without feed)."""
+    if border is not None:
+        fed = w[..., 1:] @ border
+    w *= fac
+    if border is not None:
+        w[..., 0] += fed
+
+
+def _down(w, fac, border):
+    """w <- e^{-tL'} w in place: fac is e^{-tL} and border the border row
+    of e^{tL'}, so that e^{-tL'} has the border row -border fac[0] fac[1:]."""
+    w *= fac
+    if border is not None:
+        w[..., 0] -= fac[0] * (w[..., 1:] @ border)
+
+
 def _dense(theta, h, y, k, lin):
     """Observed state at t + theta h from the observed y, frame stages k
-    (7, ...) and linear part lin of one step."""
+    (7, ...) and diagonal lin of one step; _dense_feed adds entry 0's feed."""
     weights = (theta[:, None] ** np.arange(1, 5)) @ _DENSE  # b_j(theta)
     frame = y + h * (weights @ k.reshape(7, -1)).reshape(theta.shape + y.shape)
     return np.exp(np.multiply.outer(theta * h, lin)) * frame
 
 
-def dormand_prince(f, t0, y0, t1, *, linear=None, rtol=1e-8, atol=1e-10,
+def _dense_feed(theta, h, sums, vals, lam0):
+    """Entry 0's feed at t + theta h, sum_v psi_v(theta h) F_v(theta), for
+    sums (8, rows, V): the fed entries of y, K_0, ..., K_6, weighted by the
+    feed and summed within each entry v of L, and F_v their frame
+    interpolant. Samples go in chunks, so memory does not grow with them."""
+    rows, width = sums.shape[1:]
+    # F_v(theta) = sum_i theta^i poly[i, :, v], i = 0..4
+    poly = np.concatenate((sums[:1], h * (_DENSE @ sums[1:].reshape(7, -1)).reshape(4, rows, width)))
+    poly = poly.reshape(-1, width).T
+    out = np.empty((len(theta), rows), dtype=complex)
+    for lo in range(0, len(theta), _CHUNK):
+        part = theta[lo : lo + _CHUNK]
+        at = (_border(part * h, vals, lam0) @ poly).reshape(len(part), 5, rows)
+        out[lo : lo + _CHUNK] = np.matmul((part[:, None] ** np.arange(5))[:, None], at)[:, 0]
+    return out
+
+
+def dormand_prince(f, t0, y0, t1, *, linear=None, feed=None, rtol=1e-8, atol=1e-10,
                    fixed_step=None, sample_times=None, observe=None):
-    """Integrate dy/dt = L y + f(t, y) from t0 to t1.
+    """Integrate dy/dt = L' y + f(t, y) from t0 to t1.
 
     y0 is 1-D, or 2-D with one independent system per row, complex or real
     with packed complex entries (see the module docstring); f(t, y) returns
     an array of the shape and type of y. linear holds the diagonal of L,
     one entry per complex entry of y (for a complex y, per column; None for
-    L = 0); its real parts should not be positive. Returns (y_end, samples)
+    L = 0); its real parts should not be positive. feed holds one entry per
+    complex entry after the first: L' is L plus the border row that feeds
+    complex entry k into entry 0 with weight feed[k - 1] (L' = L for None).
+    Returns (y_end, samples)
     where samples[j] is observe(c) at sample_times[j], c being the complex
     entries of the state (shape (..., q); the whole state when it is
     complex, and c itself when observe is None), stored in one buffer of
@@ -138,7 +207,7 @@ def dormand_prince(f, t0, y0, t1, *, linear=None, rtol=1e-8, atol=1e-10,
     sample_times must not decrease. observe must pick entries of c (a slice
     or index), keeping the rows of a 2-D state on its first axis.
     fixed_step disables error control and marches with the given step, or
-    with 600 / max(-Re L) where that is shorter.
+    with the step cap (see the module docstring) where that is shorter.
 
     Raises NoConvergence if error control pushes the step below 1e-15 s
     or the step budget runs out.
@@ -172,33 +241,55 @@ def dormand_prince(f, t0, y0, t1, *, linear=None, rtol=1e-8, atol=1e-10,
     lin = np.zeros(q, dtype=complex)
     if linear is not None:
         lin[:] = linear
-    nonzero = np.flatnonzero(lin)
-    p = nonzero[-1] + 1 if nonzero.size else 0  # complex entries [p:) have L = 0
+    fd = np.zeros(q, dtype=complex)  # fd[k] feeds complex entry k into entry 0
+    if feed is not None:
+        if len(feed) != q - 1:
+            raise ValueError("feed needs one entry per complex entry after the first")
+        fd[1:] = feed
+    nonzero = np.flatnonzero((lin != 0) | (fd != 0))
+    p = nonzero[-1] + 1 if nonzero.size else 0  # complex entries [p:) have L' = 0
     vals, inv = np.unique(lin[:p], return_inverse=True)
     # the observed entries, as the offsets of their (re, im) floats in z[r]
-    ids = np.asarray(seen(np.arange(y.size // width * q).reshape(y.shape[:-1] + (q,))))
+    n_rows = y.size // width
+    ids = np.asarray(seen(np.arange(n_rows * q).reshape(y.shape[:-1] + (q,))))
     pairs = (ids // q * width + ids % q * 2)[..., None] + np.arange(2)
     lin_seen = lin[ids % q]
     decay = -lin.real.min(initial=0.0)
     h_cap = span if decay == 0 else min(span, _MAX_DECAY / decay)
+    # the dense output scales stage data by up to e^{(c - theta) h decay}
+    h_dense = math.inf if decay == 0 else _DENSE_DECAY / decay
+
+    # factor rows e^{c hL} per signed node and, with feed, the border rows
+    # of e^{c hL'} per node; the fed entries grouped by their entry of L
+    # (fvals) for the dense output of entry 0
+    fac = np.empty((len(_SIGNED_NODES), p), dtype=complex)
+    border = [None] * len(_NODES)
+    feeds = bool(fd.any())
+    if feeds:
+        border = np.empty((len(_NODES), p - 1), dtype=complex)
+        fvals, finv = np.unique(lin[1:p], return_inverse=True)
+        order = np.argsort(finv, kind="stable")
+        starts = np.flatnonzero(np.diff(finv[order], prepend=-1))
+        at0 = ids % q == 0  # the observed entries 0, and their rows
+        rows0 = ids[at0] // q
 
     samples = np.empty((len(stops),) + ids.shape, dtype=complex)
     j = int(np.searchsorted(stops, t, side="right"))  # samples at t0: y0
     # fixed step, or a cheap conservative start that control rescales fast
     h = min(h_cap, span / 50.0 if fixed_step is None else fixed_step)
     # z = [y, K_0, ..., K_6]; rows past a stage's own are stale (or unset);
-    # work = [stage, 5th-order solution, error estimate]
+    # work = [stage, then the error estimate; 5th-order solution]
     z = np.empty((8,) + y.shape)
-    work = np.empty((3,) + y.shape)
+    work = np.empty((2,) + y.shape)
     z[0] = y
-    flat, work_flat = z.reshape(8, -1), work.reshape(3, -1)
+    flat, work_flat = z.reshape(8, -1), work.reshape(2, -1)
 
     def observed(rows):
         """The observed entries of z[rows], complex."""
         return flat[rows].take(pairs, axis=-1).view(complex)[..., 0]
 
     samples[:j] = observed(0)
-    z_lin, work_lin = (a[..., : 2 * p].view(complex) for a in (z, work))  # where L acts
+    z_lin, work_lin = (a[..., : 2 * p].view(complex) for a in (z, work))  # where L' acts
     z_typed = z.view(dtype)
     # |entry| of the state and of the trial solution, and the tolerances
     mag, mag_new, scale = np.empty((3,) + y.shape[:-1] + (width - q,))
@@ -211,6 +302,7 @@ def dormand_prince(f, t0, y0, t1, *, linear=None, rtol=1e-8, atol=1e-10,
     built = None  # the h_try the factor rows hold
     err_prev = 1e-4
     rejected = False
+    up = len(_NODES) - 1  # the node c = 1: e^{hL'}
 
     # an overflowing or non-finite trial step is retried with a smaller h,
     # or ends the run with NoConvergence, so numpy need not warn of it
@@ -226,11 +318,17 @@ def dormand_prince(f, t0, y0, t1, *, linear=None, rtol=1e-8, atol=1e-10,
                 raise NoConvergence(f"dt={h:.3e} s below 1e-15 s at t={t:.6e}")
             last = t + h >= t1
             h_try = t1 - t if last else h
+            if (fixed_step is None and h_try > h_dense and j < len(stops)
+                    and stops[j] < t + h_try):  # a sample inside the step
+                h_try, last = h_dense, False
             if h_try != built:
-                # e^{c hL} and e^{-c hL} per nonzero node, from the distinct entries
-                fac = np.take(np.exp(np.multiply.outer(h_try * _SIGNED_NODES, vals)),
-                              inv, axis=1)
-                up, down = fac[: len(_NODES)], fac[len(_NODES) :]
+                # from the distinct entries of L, gathered into preallocated rows
+                times = h_try * _SIGNED_NODES
+                np.exp(np.multiply.outer(times, vals)).take(inv, axis=1, out=fac, mode="clip")
+                if feeds:
+                    _border(times[: len(_NODES)], fvals, lin[0]).take(
+                        finv, axis=1, out=border, mode="clip")
+                    border *= fd[1:p]
                 coef = h_try * _STAGES
                 coef[:, 0] = 1.0
                 err_coef = h_try * _E
@@ -239,17 +337,17 @@ def dormand_prince(f, t0, y0, t1, *, linear=None, rtol=1e-8, atol=1e-10,
                 node = min(i, len(_NODES)) - 1  # stages 5 and 6 share c = 1
                 out = i // 6  # stage 6 is the 5th-order solution
                 np.matmul(coef[i, : i + 1], flat[: i + 1], out=work_flat[out])
-                work_lin[out] *= up[node]
+                _up(work_lin[out], fac[node], border[node])
                 z_typed[i + 1] = f(t + _C[i] * h_try, work[out].view(dtype))
-                z_lin[i + 1] *= down[node]
+                _down(z_lin[i + 1], fac[node + len(_NODES)], border[node])
             if fixed_step is None:
-                np.matmul(err_coef, flat[1:], out=work_flat[2])
-                work_lin[2] *= up[-1]
+                np.matmul(err_coef, flat[1:], out=work_flat[0])
+                _up(work_lin[0], fac[up], border[up])
                 modulus(work[1], mag_new)
                 np.maximum(mag, mag_new, out=scale)
                 scale *= rtol
                 scale += atol
-                err = _error_norm(work[2], scale, observe)
+                err = _error_norm(work[0], scale, observe)
                 if not math.isfinite(err):
                     h, rejected = h_try / 10.0, True
                     continue
@@ -271,10 +369,17 @@ def dormand_prince(f, t0, y0, t1, *, linear=None, rtol=1e-8, atol=1e-10,
                 theta = np.clip((stops[j:j_end] - t) / h_try, 0.0, 1.0)
                 samples[j:j_end] = _dense(theta, h_try, observed(0), observed(slice(1, 8)),
                                           lin_seen)
+                if feeds and rows0.size:
+                    # the feed into entry 0, summed within each entry of L
+                    sums = np.stack([
+                        np.add.reduceat((row * fd[1:p]).take(order, axis=-1), starts, axis=-1)
+                        for row in z_lin[..., 1:p]]).reshape(8, n_rows, -1)
+                    into0 = _dense_feed(theta, h_try, sums, fvals, lin[0])
+                    samples[j:j_end, at0] += into0[:, rows0]
                 j = j_end
             t = t_new
             z[0] = work[1]
             z[1] = z[7]  # FSAL, back from the frame
-            z_lin[1] *= up[-1]
+            _up(z_lin[1], fac[up], border[up])
     samples[j:] = observed(0)
     return z_typed[0].copy(), samples

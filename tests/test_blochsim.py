@@ -448,17 +448,57 @@ class TestBatchedSweeps:
         assert np.allclose(y1[:, 1], 1j * np.exp(-rates), rtol=1e-8)
 
 
-@pytest.mark.parametrize("subcommand", ["echo", "cpmg"])
-def test_demo_echo_areas_at_the_default_tolerances_match_a_converged_run(subcommand):
-    """The Hahn echo and the 2-echo CPMG train of configs/demo.yaml (8x9
-    groups), as the subcommands run them, against rtol 1e-11 / atol 1e-14."""
+def _demo(subcommand):
+    """The Hahn echo or the 2-echo CPMG train of configs/demo.yaml (8x9
+    groups) as the subcommand builds it, and run_sweep's keyword arguments."""
     demo = Path(__file__).resolve().parents[1] / "configs" / "demo.yaml"
     args = cli.build_parser().parse_args([subcommand, "--config", str(demo), "--out", "-"])
     ensemble, amp, tau, widths = cli._sequence_setup(parse_config(demo), args)
     seq = (bs.hahn_echo(tau, amp, **widths) if subcommand == "echo"
            else bs.cpmg(2, tau, amp, **widths))
+    return seq, ensemble
+
+
+@pytest.mark.parametrize("subcommand", ["echo", "cpmg"])
+def test_demo_echo_areas_at_the_default_tolerances_match_a_converged_run(subcommand):
+    """The Hahn echo and the 2-echo CPMG train of configs/demo.yaml (8x9
+    groups), as the subcommands run them, against rtol 1e-11 / atol 1e-14."""
+    seq, ensemble = _demo(subcommand)
     got = bs.phase_aligned_areas(bs.run_sweep([seq], **ensemble)[0])
     want = bs.phase_aligned_areas(bs.run_sweep([seq], rtol=1e-11, atol=1e-14, **ensemble)[0])
     assert len(got) == len(want) == (1 if subcommand == "echo" else 2)
     for g, w in zip(got, want):
         assert abs(g - w) <= 1e-7 * abs(w)
+
+
+def test_demo_echo_trace_at_the_default_tolerances_matches_a_tight_run():
+    # every sample of the demo Hahn echo, against rtol 1e-12 / atol 1e-16
+    # (4.8e-9 of the peak measured; 3.5e-7 with the cavity's feed in the rhs)
+    seq, ensemble = _demo("echo")
+    [got] = bs.run_sweep([seq], **ensemble)[0]
+    [want] = bs.run_sweep([seq], rtol=1e-12, atol=1e-16, **ensemble)[0]
+    assert np.array_equal(got.t, want.t)
+    assert np.abs(got.amp - want.amp).max() <= 5e-8 * np.abs(want.amp).max()
+
+
+def test_demo_echo_window_takes_few_steps(monkeypatch):
+    # the feed from the spins is in the exact linear part, so the window's
+    # free induction costs the pair nothing: 5 attempts measured (93 with the
+    # feed in the rhs); each attempt costs six rhs calls after the first
+    seq, ensemble = _demo("echo")
+    calls = []
+    solver = bs.dormand_prince
+
+    def counted(f, *args, **kwargs):
+        calls.append([0, kwargs.get("sample_times") is not None])
+
+        def rhs(t, y):
+            calls[-1][0] += 1
+            return f(t, y)
+
+        return solver(rhs, *args, **kwargs)
+
+    monkeypatch.setattr(bs, "dormand_prince", counted)
+    bs.run_sweep([seq], **ensemble)
+    [window] = [n for n, sampled in calls if sampled]
+    assert (window - 1) % 6 == 0 and window <= 1 + 6 * 10
