@@ -163,12 +163,20 @@ def _down(w, fac, border):
         w[..., 0] -= fac[0] * (w[..., 1:] @ border)
 
 
+def _frame(theta, h, y, k):
+    """The frame interpolant y + h sum_j b_j(theta) k_j at each theta, for
+    y (..., m) and frame stages k (7, ..., m) of one step."""
+    weights = (theta[:, None] ** np.arange(1, 5)) @ _DENSE  # b_j(theta)
+    # a real product on the float view of complex k: the first complex
+    # matrix-matrix product of a run alone raises peak RSS by about 0.5 MB
+    flat = k.reshape(7, -1).view(float)
+    return y + h * (weights @ flat).view(k.dtype).reshape(theta.shape + y.shape)
+
+
 def _dense(theta, h, y, k, lin):
     """Observed state at t + theta h from the observed y, frame stages k
     (7, ...) and diagonal lin of one step; _dense_feed adds entry 0's feed."""
-    weights = (theta[:, None] ** np.arange(1, 5)) @ _DENSE  # b_j(theta)
-    frame = y + h * (weights @ k.reshape(7, -1)).reshape(theta.shape + y.shape)
-    return np.exp(np.multiply.outer(theta * h, lin)) * frame
+    return np.exp(np.multiply.outer(theta * h, lin)) * _frame(theta, h, y, k)
 
 
 def _dense_feed(theta, h, sums, vals, lam0):
@@ -176,15 +184,11 @@ def _dense_feed(theta, h, sums, vals, lam0):
     sums (8, rows, V): the fed entries of y, K_0, ..., K_6, weighted by the
     feed and summed within each entry v of L, and F_v their frame
     interpolant. Samples go in chunks, so memory does not grow with them."""
-    rows, width = sums.shape[1:]
-    # F_v(theta) = sum_i theta^i poly[i, :, v], i = 0..4
-    poly = np.concatenate((sums[:1], h * (_DENSE @ sums[1:].reshape(7, -1)).reshape(4, rows, width)))
-    poly = poly.reshape(-1, width).T
-    out = np.empty((len(theta), rows), dtype=complex)
+    out = np.empty((len(theta), sums.shape[1]), dtype=complex)
     for lo in range(0, len(theta), _CHUNK):
         part = theta[lo : lo + _CHUNK]
-        at = (_border(part * h, vals, lam0) @ poly).reshape(len(part), 5, rows)
-        out[lo : lo + _CHUNK] = np.matmul((part[:, None] ** np.arange(5))[:, None], at)[:, 0]
+        psi = _border(part * h, vals, lam0)[:, None]
+        out[lo : lo + _CHUNK] = (psi * _frame(part, h, sums[0], sums[1:])).sum(axis=-1)
     return out
 
 

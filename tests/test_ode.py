@@ -228,6 +228,11 @@ def test_dense_samples_in_steps_past_a_fast_decay_stay_accurate():
     assert np.abs(samples - exact).max() < 1e-7 * np.abs(exact).max()
 
 
+def test_feed_needs_one_entry_per_complex_entry_after_the_first():
+    with pytest.raises(ValueError, match="feed"):
+        dormand_prince(lambda t, y: -y, 0.0, FED_Y0, 1e-6, linear=FED_LINEAR, feed=FEED[:-1])
+
+
 def test_sample_times_must_not_decrease():
     with pytest.raises(ValueError):
         dormand_prince(lambda t, y: -y, 0.0, np.array([1.0 + 0j]), 1.0,
