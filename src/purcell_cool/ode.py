@@ -100,7 +100,7 @@ _SIGNED_NODES = np.concatenate((_NODES, -_NODES))
 _MIN_STEP = 1e-15  # s; adaptive control below this aborts the run
 _MAX_ATTEMPTS = 10_000_000
 _MAX_DECAY = 600.0  # cap on h max(-Re L): e^{600} ~ 4e260 is finite
-_DENSE_DECAY = 10.0  # the cap where samples are taken
+_DENSE_DECAY = 10.0  # cap on h max(-Re L) for an adaptive step that holds a sample
 _CHUNK = 64  # samples per piece of entry 0's dense feed
 # PI control as in DOPRI5: err^{-_EXPO} err_prev^{_BETA}, safety 0.9
 _BETA = 0.04
