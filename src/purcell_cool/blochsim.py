@@ -135,7 +135,7 @@ def _linear(groups, res):
 
 
 def _advance(y, groups, res, a_in, duration, *, sample_dt=None, rtol=1e-8,
-             atol=1e-13, fixed_step=None):
+             atol=1e-13):
     """Advance the rows of y, shape (R, 2+3n), by `duration` with one shared
     step; row r is driven by the constant complex amplitude a_in[r].
 
@@ -180,8 +180,7 @@ def _advance(y, groups, res, a_in, duration, *, sample_dt=None, rtol=1e-8,
 
     y1, cavity = dormand_prince(
         rhs, 0.0, y, duration, linear=_linear(groups, res), feed=coupling_row,
-        rtol=rtol, atol=atol,
-        fixed_step=fixed_step, sample_times=sample_times, observe=lambda c: c[:, 0],
+        rtol=rtol, atol=atol, sample_times=sample_times,
     )
     if sample_dt is None:
         return y1, None, None
@@ -213,8 +212,7 @@ def _skeleton(seq, long_delay):
     )
 
 
-def run_sweep(seqs, groups, res, *, sample_dt=1e-8, rtol=1e-8, atol=1e-13,
-              fixed_step=None):
+def run_sweep(seqs, groups, res, *, sample_dt=1e-8, rtol=1e-8, atol=1e-13):
     """Execute pulse sequences; returns each one's EchoTraces, in input order.
 
     Sequences with the same skeleton (see _skeleton) advance together as the
@@ -229,7 +227,7 @@ def run_sweep(seqs, groups, res, *, sample_dt=1e-8, rtol=1e-8, atol=1e-13,
     for i, seq in enumerate(seqs):
         batches.setdefault(_skeleton(seq, long_delay), []).append(i)
     out = [None] * len(seqs)
-    solver = dict(rtol=rtol, atol=atol, fixed_step=fixed_step)
+    solver = dict(rtol=rtol, atol=atol)
     for rows in batches.values():
         runs = _run_batch([seqs[i] for i in rows], groups, res, long_delay,
                           sample_dt, solver)
@@ -274,16 +272,14 @@ def _run_batch(seqs, groups, res, long_delay, sample_dt, solver):
     return traces
 
 
-def run_sequence(seq, groups, res, *, sample_dt=1e-8, rtol=1e-8, atol=1e-13,
-                 fixed_step=None):
+def run_sequence(seq, groups, res, *, sample_dt=1e-8, rtol=1e-8, atol=1e-13):
     """Execute one pulse sequence; returns (traces, areas).
 
     The one-row case of run_sweep: one EchoTrace per Acquire event, with
     absolute time stamps. Echo areas are phase-aligned against the trace
     holding the globally largest sample.
     """
-    traces = run_sweep([seq], groups, res, sample_dt=sample_dt, rtol=rtol,
-                       atol=atol, fixed_step=fixed_step)[0]
+    traces = run_sweep([seq], groups, res, sample_dt=sample_dt, rtol=rtol, atol=atol)[0]
     return traces, phase_aligned_areas(traces)
 
 
@@ -304,8 +300,8 @@ def phase_aligned_areas(traces, ref_index=None):
     return [float(np.real(np.exp(-1j * phase) * np.trapezoid(tr.amp, tr.t))) for tr in traces]
 
 
-def pi_pulse_amplitude(g, res, duration=250e-9, angle=math.pi):
-    """Input amplitude rotating a group at coupling g by `angle`.
+def pi_pulse_amplitude(g, res, duration=250e-9):
+    """Input amplitude rotating a group at coupling g by pi.
 
     Uses the quasi-steady cavity relation a_ss = 2 sqrt(kappa_ext) a_in/kappa
     and theta = 2 g_ang a_ss t_p; the cavity rise and ring-down areas cancel
@@ -313,7 +309,7 @@ def pi_pulse_amplitude(g, res, duration=250e-9, angle=math.pi):
     cavity has rung down.
     """
     g_ang = 2 * math.pi * g
-    return angle * res.kappa / (4 * g_ang * math.sqrt(res.kappa_ext) * duration)
+    return math.pi * res.kappa / (4 * g_ang * math.sqrt(res.kappa_ext) * duration)
 
 
 def hahn_echo(tau, amp, *, pi_duration=250e-9, acquire_width=4e-6):

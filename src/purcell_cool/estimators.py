@@ -29,15 +29,12 @@ def _least_squares(residual, x0, names):
     """Levenberg-Marquardt fit with standard errors from the final Jacobian."""
     x, jac, r, converged = levenberg_marquardt(residual, x0)
     rss = float(r @ r)
-    n, p = r.size, x.size
-    if n > p:
-        try:
-            cov = rss / (n - p) * np.linalg.pinv(jac.T @ jac)
-            std = np.sqrt(np.maximum(np.diag(cov), 0.0))
-        except np.linalg.LinAlgError:
-            std = np.full(p, math.nan)
-    else:
-        std = np.zeros(p)
+    n, p = r.size, x.size  # every fitter needs more distinct points than parameters
+    try:
+        cov = rss / (n - p) * np.linalg.pinv(jac.T @ jac)
+        std = np.sqrt(np.maximum(np.diag(cov), 0.0))
+    except np.linalg.LinAlgError:
+        std = np.full(p, math.nan)
     return FitResult(
         parameters=dict(zip(names, (float(v) for v in x))),
         std_errors=dict(zip(names, (float(s) for s in std))),

@@ -1,9 +1,9 @@
 """Dormand-Prince 5(4) integrator with an exact bordered linear part.
 
 Self-contained embedded Runge-Kutta pair (Hairer, Norsett & Wanner, Solving
-ODEs I, II.4-6), used by the ensemble simulator. It integrates
-dy/dt = L' y + f(t, y), where L' is a diagonal L given by its entries plus,
-optionally, one border row f that feeds every other complex entry into
+ODEs I, II.4-6), specialised to the ensemble simulator's state. It
+integrates dy/dt = L' y + f(t, y), where L' is a diagonal L given by its
+entries plus one border row f that feeds every other complex entry into
 entry 0 (blochsim's cavity, fed by its spins): y_0' = L_0 y_0 + sum_k f_k
 y_k. The linear part is advanced exactly and the pair integrates only f
 (Lawson's integrating factor; Lawson, SIAM J. Numer. Anal. 4, 372 (1967);
@@ -16,43 +16,39 @@ start: each k_j = f(t + c_j h, Y_j) is stored as K_j = e^{-c_j hL'} k_j,
 stage i is Y_i = e^{c_i hL'} (y + h sum_j a_ij K_j) and the error estimate
 is e^{hL'} h sum_j e_j K_j. So each sum is one real-coefficient matrix
 product over the whole state, written into a preallocated row, and L'
-enters through one row of factors e^{c hL} (and one of e^{-c hL}) per
-nonzero node and, with a feed, one border row of e^{c hL'} per node (that
-of e^{-c hL'} follows from it and the factors), built into preallocated
-rows from the distinct entries of L only when the step size changes. With
-L' = 0 the step is classical DP5. The step is capped at
-h max(-Re L) <= 600, in fixed-step mode too, so that no factor
-e^{c h |Re L|} overflows. The frame is exact to rounding when no fed entry
-decays faster than entry 0; otherwise rounding in entry 0 grows as
-e^{c h (|Re L_k| - |Re L_0|)}, and error control shortens the step.
+enters through one row of factors e^{c hL} (and one of e^{-c hL}) and one
+border row of e^{c hL'} per nonzero node (that of e^{-c hL'} follows from
+it and the factors), built into preallocated rows from the distinct
+entries of L only when the step size changes. The step is capped at
+h max(-Re L) <= 600, so that no factor e^{c h |Re L|} overflows. The frame
+is exact to rounding when no fed entry decays faster than entry 0;
+otherwise rounding in entry 0 grows as e^{c h (|Re L_k| - |Re L_0|)}, and
+error control shortens the step.
 
-The state is complex, or real with complex entries packed in front: a real
-row of w floats whose L has q entries holds q complex entries as (re, im)
-pairs in its first 2q floats, then w - 2q real entries, on which L is 0. A
-complex state is the case 2q = w. A 2-D state (R, w) is R independent rows
-advanced with one shared step. The state and the seven stages of a step
-live in one preallocated float array; the last stage is the derivative at
-the 5th-order solution and becomes the first stage of the next step
-(FSAL).
+The state is R independent rows advanced with one shared step, a float
+array (R, w): with q entries in L, the first 2q floats of a row hold its q
+complex entries as (re, im) pairs, and the other w - 2q floats are real
+entries, on which L is 0. The state and the seven stages of a step live in
+one preallocated float array; the last stage is the derivative at the
+5th-order solution and becomes the first stage of the next step (FSAL).
 
 The error norm is the RMS of each row over its entries, a complex entry
-counting once by its modulus, maximised over rows, so every row meets its
-own tolerance; with observe, a row's norm is at least the RMS over its
-observed entries, which a wide state would otherwise dilute. Step control
-is the PI controller of Hairer's DOPRI5 (Gustafsson, ACM TOMS 17, 533
-(1991)): the next step is h 0.9 err^{-0.17} err_prev^{0.04}, between 0.2 h
-and 5 h, with err_prev the norm of the previous accepted step. A step right
-after a rejection does not grow, and a proposed growth below 1.2 keeps h
-(as RADAU5 does), so that the factor rows are reused. Fixed-step mode runs
-the same loop and only skips the accept test. Steps are not clipped to the
-requested sample times: observe(y) at a sample inside a step is
-e^{theta hL'} (y + h sum_j b_j(theta) K_j), the DP5 continuous extension
-(Hairer's contd5 weights b_j) in the frame; a sample at t0 or t1 is the
-state itself. For an observed entry 0 the feed is summed within each
-distinct entry v of L first (8 numbers per row and v per step), then
-weighted by psi_v(theta h). The extension scales stage data by up to
-e^{(c_j - theta) h max(-Re L)}, so with error control a step that holds a
-sample inside it is capped at h max(-Re L) <= 10.
+counting once by its modulus, and at least the row's entry 0, the sampled
+one, which a wide state would otherwise dilute; it is maximised over rows,
+so every row meets its own tolerance. Step control is the PI controller of
+Hairer's DOPRI5 (Gustafsson, ACM TOMS 17, 533 (1991)): the next step is
+h 0.9 err^{-0.17} err_prev^{0.04}, between 0.2 h and 5 h, with err_prev
+the norm of the previous accepted step. A step right after a rejection
+does not grow, and a proposed growth below 1.2 keeps h (as RADAU5 does),
+so that the factor rows are reused. Steps are not clipped to the requested
+sample times, and only entry 0 of each row is sampled: at a sample inside
+a step it is e^{theta hL'} (y + h sum_j b_j(theta) K_j), the DP5
+continuous extension (Hairer's contd5 weights b_j) in the frame, with the
+feed summed within each distinct entry v of L first (8 numbers per row and
+v per step), then weighted by psi_v(theta h); a sample at t0 or t1 is the
+state itself. The extension scales stage data by up to
+e^{(c_j - theta) h max(-Re L)}, so a step that holds a sample inside it is
+capped at h max(-Re L) <= 10.
 """
 
 from __future__ import annotations
@@ -97,10 +93,10 @@ _DENSE = np.array([_FIRST, 3 * _B5 - 2 * _FIRST - _LAST + _D5,
 _NODES = _C[1:6]
 _SIGNED_NODES = np.concatenate((_NODES, -_NODES))
 
-_MIN_STEP = 1e-15  # s; adaptive control below this aborts the run
+_MIN_STEP = 1e-15  # s; error control below this aborts the run
 _MAX_ATTEMPTS = 10_000_000
 _MAX_DECAY = 600.0  # cap on h max(-Re L): e^{600} ~ 4e260 is finite
-_DENSE_DECAY = 10.0  # cap on h max(-Re L) for an adaptive step that holds a sample
+_DENSE_DECAY = 10.0  # cap on h max(-Re L) for a step that holds a sample
 _CHUNK = 64  # samples per piece of entry 0's dense feed
 # PI control as in DOPRI5: err^{-_EXPO} err_prev^{_BETA}, safety 0.9
 _BETA = 0.04
@@ -108,27 +104,23 @@ _EXPO = 0.2 - 0.75 * _BETA
 _HOLD = 1.2  # a proposed growth in [1, _HOLD] keeps the step
 
 
-def _error_norm(err, scale, observe=None):
-    """Largest per-row RMS of err / scale (the plain RMS for 1-D).
+def _error_norm(err, scale):
+    """Largest over rows of the RMS of err / scale, or of entry 0's ratio
+    where that is larger.
 
     err is the float view of the error estimate, its first 2q floats q
     complex entries as (re, im) pairs; scale has one tolerance per entry,
     the q complex ones first, and a complex entry counts once by its
-    modulus. With observe, each row's norm is the larger of its RMS and the
-    RMS over observe(its complex entries), so the observed entries meet the
-    tolerance however wide the rest of the state is.
+    modulus. Entry 0, the sampled one, meets the tolerance however wide the
+    rest of the state is.
     """
     q = err.shape[-1] - scale.shape[-1]
     ratio = np.empty_like(scale)
     np.abs(err[..., : 2 * q].view(complex), out=ratio[..., :q])
     ratio[..., q:] = err[..., 2 * q :]
     ratio /= scale
-    rows = ratio.reshape(-1, ratio.shape[-1])
-    norm = np.vecdot(rows, rows) / rows.shape[-1]
-    if observe is not None:
-        seen = np.asarray(observe(ratio[..., :q])).reshape(len(rows), -1)
-        norm = np.maximum(norm, np.vecdot(seen, seen) / seen.shape[-1])
-    return math.sqrt(norm.max())
+    norm = np.vecdot(ratio, ratio) / ratio.shape[-1]
+    return math.sqrt(np.maximum(norm, ratio[..., 0] ** 2).max())
 
 
 def _border(t, vals, lam0):
@@ -145,22 +137,18 @@ def _border(t, vals, lam0):
 
 
 def _up(w, fac, border):
-    """w <- e^{tL'} w in place, on the complex entries (..., p) where L'
-    acts: fac is e^{tL} and border the border row of e^{tL'} (None
-    without feed)."""
-    if border is not None:
-        fed = w[..., 1:] @ border
+    """w <- e^{tL'} w in place, on the complex entries (..., q): fac is
+    e^{tL} and border the border row of e^{tL'}."""
+    fed = w[..., 1:] @ border
     w *= fac
-    if border is not None:
-        w[..., 0] += fed
+    w[..., 0] += fed
 
 
 def _down(w, fac, border):
     """w <- e^{-tL'} w in place: fac is e^{-tL} and border the border row
     of e^{tL'}, so that e^{-tL'} has the border row -border fac[0] fac[1:]."""
     w *= fac
-    if border is not None:
-        w[..., 0] -= fac[0] * (w[..., 1:] @ border)
+    w[..., 0] -= fac[0] * (w[..., 1:] @ border)
 
 
 def _frame(theta, h, y, k):
@@ -173,10 +161,11 @@ def _frame(theta, h, y, k):
     return y + h * (weights @ flat).view(k.dtype).reshape(theta.shape + y.shape)
 
 
-def _dense(theta, h, y, k, lin):
-    """Observed state at t + theta h from the observed y, frame stages k
-    (7, ...) and diagonal lin of one step; _dense_feed adds entry 0's feed."""
-    return np.exp(np.multiply.outer(theta * h, lin)) * _frame(theta, h, y, k)
+def _dense(theta, h, y, k, lam0):
+    """Entry 0 at t + theta h from its value y (rows), its frame stages k
+    (7, rows) and its entry lam0 of L in one step; _dense_feed adds its
+    feed."""
+    return np.exp(theta * h * lam0)[:, None] * _frame(theta, h, y, k)
 
 
 def _dense_feed(theta, h, sums, vals, lam0):
@@ -192,39 +181,29 @@ def _dense_feed(theta, h, sums, vals, lam0):
     return out
 
 
-def dormand_prince(f, t0, y0, t1, *, linear=None, feed=None, rtol=1e-8, atol=1e-10,
-                   fixed_step=None, sample_times=None, observe=None):
+def dormand_prince(f, t0, y0, t1, *, linear, feed, rtol=1e-8, atol=1e-10,
+                   sample_times=None):
     """Integrate dy/dt = L' y + f(t, y) from t0 to t1.
 
-    y0 is 1-D, or 2-D with one independent system per row, complex or real
-    with packed complex entries (see the module docstring); f(t, y) returns
-    an array of the shape and type of y. linear holds the diagonal of L,
-    one entry per complex entry of y (for a complex y, per column; None for
-    L = 0); its real parts should not be positive. feed holds one entry per
-    complex entry after the first: L' is L plus the border row that feeds
-    complex entry k into entry 0 with weight feed[k - 1] (L' = L for None).
-    Returns (y_end, samples)
-    where samples[j] is observe(c) at sample_times[j], c being the complex
-    entries of the state (shape (..., q); the whole state when it is
-    complex, and c itself when observe is None), stored in one buffer of
-    len(sample_times) entries (empty when none were requested).
-    sample_times must not decrease. observe must pick entries of c (a slice
-    or index), keeping the rows of a 2-D state on its first axis.
-    fixed_step disables error control and marches with the given step, or
-    with the step cap (see the module docstring) where that is shorter.
+    y0 is a float array (R, w) of R independent rows, each packing the
+    complex entries of L in front (see the module docstring); f(t, y)
+    returns a float array of the shape of y. linear holds the diagonal of
+    L, one entry per complex entry; its real parts should not be positive.
+    feed holds one entry per complex entry after the first: L' is L plus
+    the border row that feeds complex entry k into entry 0 with weight
+    feed[k - 1]. Returns (y_end, samples), where samples[j, r] is complex
+    entry 0 of row r at sample_times[j], stored in one buffer (empty when
+    no sample was requested). sample_times must not decrease.
 
     Raises NoConvergence if error control pushes the step below 1e-15 s
     or the step budget runs out.
     """
-    y0 = np.asarray(y0)
-    dtype = complex if np.iscomplexobj(y0) else float
-    state = np.array(y0, dtype=dtype)
+    y = np.array(y0, dtype=float)
     t = float(t0)
     t1 = float(t1)
     span = t1 - t
     if span < 0:
         raise ValueError("t1 must be >= t0")
-    seen = (lambda v: v) if observe is None else observe
 
     stops = np.array([] if sample_times is None else sample_times, dtype=float)
     if stops.size and (stops.min() < t0 - 1e-18
@@ -233,70 +212,41 @@ def dormand_prince(f, t0, y0, t1, *, linear=None, feed=None, rtol=1e-8, atol=1e-
     if np.any(np.diff(stops) < 0):
         raise ValueError("sample times must not decrease")
 
-    y = state.view(float)
-    width = y.shape[-1]
-    # complex entries: every column of a complex state, one per entry of L otherwise
-    if dtype is complex:
-        q = state.shape[-1]
-    else:
-        q = 0 if linear is None else len(linear)
-    if 2 * q > width:
-        raise ValueError("linear has more entries than the state has room for")
-    lin = np.zeros(q, dtype=complex)
-    if linear is not None:
-        lin[:] = linear
-    fd = np.zeros(q, dtype=complex)  # fd[k] feeds complex entry k into entry 0
-    if feed is not None:
-        if len(feed) != q - 1:
-            raise ValueError("feed needs one entry per complex entry after the first")
-        fd[1:] = feed
-    nonzero = np.flatnonzero((lin != 0) | (fd != 0))
-    p = nonzero[-1] + 1 if nonzero.size else 0  # complex entries [p:) have L' = 0
-    vals, inv = np.unique(lin[:p], return_inverse=True)
-    # the observed entries, as the offsets of their (re, im) floats in z[r]
-    n_rows = y.size // width
-    ids = np.asarray(seen(np.arange(n_rows * q).reshape(y.shape[:-1] + (q,))))
-    pairs = (ids // q * width + ids % q * 2)[..., None] + np.arange(2)
-    lin_seen = lin[ids % q]
+    lin = np.asarray(linear, dtype=complex)
+    fd = np.asarray(feed, dtype=complex)  # fd[k - 1] feeds complex entry k into entry 0
+    q = len(lin)
+    if y.ndim != 2 or 2 * q > y.shape[1]:
+        raise ValueError("y0 must be rows with room for one complex entry per entry of linear")
+    if len(fd) != q - 1:
+        raise ValueError("feed needs one entry per complex entry after the first")
+    vals, inv = np.unique(lin, return_inverse=True)
     decay = -lin.real.min(initial=0.0)
     h_cap = span if decay == 0 else min(span, _MAX_DECAY / decay)
     # the dense output scales stage data by up to e^{(c - theta) h decay}
     h_dense = math.inf if decay == 0 else _DENSE_DECAY / decay
 
-    # factor rows e^{c hL} per signed node and, with feed, the border rows
-    # of e^{c hL'} per node; the fed entries grouped by their entry of L
-    # (fvals) for the dense output of entry 0
-    fac = np.empty((len(_SIGNED_NODES), p), dtype=complex)
-    border = [None] * len(_NODES)
-    feeds = bool(fd.any())
-    if feeds:
-        border = np.empty((len(_NODES), p - 1), dtype=complex)
-        fvals, finv = np.unique(lin[1:p], return_inverse=True)
-        order = np.argsort(finv, kind="stable")
-        starts = np.flatnonzero(np.diff(finv[order], prepend=-1))
-        at0 = ids % q == 0  # the observed entries 0, and their rows
-        rows0 = ids[at0] // q
+    # factor rows e^{c hL} per signed node and the border rows of e^{c hL'}
+    # per node; the fed entries grouped by their entry of L (fvals) for the
+    # dense output of entry 0
+    fac = np.empty((len(_SIGNED_NODES), q), dtype=complex)
+    border = np.empty((len(_NODES), q - 1), dtype=complex)
+    fvals, finv = np.unique(lin[1:], return_inverse=True)
+    order = np.argsort(finv, kind="stable")
+    starts = np.flatnonzero(np.diff(finv[order], prepend=-1))
 
-    samples = np.empty((len(stops),) + ids.shape, dtype=complex)
+    samples = np.empty((len(stops), len(y)), dtype=complex)
     j = int(np.searchsorted(stops, t, side="right"))  # samples at t0: y0
-    # fixed step, or a cheap conservative start that control rescales fast
-    h = min(h_cap, span / 50.0 if fixed_step is None else fixed_step)
+    h = min(h_cap, span / 50.0)  # a cheap conservative start that control rescales fast
     # z = [y, K_0, ..., K_6]; rows past a stage's own are stale (or unset);
     # work = [stage, then the error estimate; 5th-order solution]
     z = np.empty((8,) + y.shape)
     work = np.empty((2,) + y.shape)
     z[0] = y
     flat, work_flat = z.reshape(8, -1), work.reshape(2, -1)
-
-    def observed(rows):
-        """The observed entries of z[rows], complex."""
-        return flat[rows].take(pairs, axis=-1).view(complex)[..., 0]
-
-    samples[:j] = observed(0)
-    z_lin, work_lin = (a[..., : 2 * p].view(complex) for a in (z, work))  # where L' acts
-    z_typed = z.view(dtype)
+    z_lin, work_lin = (a[..., : 2 * q].view(complex) for a in (z, work))  # where L' acts
+    samples[:j] = z_lin[0, :, 0]
     # |entry| of the state and of the trial solution, and the tolerances
-    mag, mag_new, scale = np.empty((3,) + y.shape[:-1] + (width - q,))
+    mag, mag_new, scale = np.empty((3, len(y), y.shape[1] - q))
 
     def modulus(v, out):
         np.abs(v[..., : 2 * q].view(complex), out=out[..., :q])
@@ -312,27 +262,25 @@ def dormand_prince(f, t0, y0, t1, *, linear=None, feed=None, rtol=1e-8, atol=1e-
     # or ends the run with NoConvergence, so numpy need not warn of it
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if span > 0:
-            z_typed[1] = f(t, state)
+            z[1] = f(t, y)
         attempts = 0
         while t < t1 - 1e-18 * max(1.0, abs(t1)):
             attempts += 1
             if attempts > _MAX_ATTEMPTS:
                 raise NoConvergence("step budget exhausted before reaching t1")
-            if fixed_step is None and h < _MIN_STEP:
+            if h < _MIN_STEP:
                 raise NoConvergence(f"dt={h:.3e} s below 1e-15 s at t={t:.6e}")
             last = t + h >= t1
             h_try = t1 - t if last else h
-            if (fixed_step is None and h_try > h_dense and j < len(stops)
-                    and stops[j] < t + h_try):  # a sample inside the step
-                h_try, last = h_dense, False
+            if h_try > h_dense and j < len(stops) and stops[j] < t + h_try:
+                h_try, last = h_dense, False  # a sample inside the step
             if h_try != built:
                 # from the distinct entries of L, gathered into preallocated rows
                 times = h_try * _SIGNED_NODES
                 np.exp(np.multiply.outer(times, vals)).take(inv, axis=1, out=fac, mode="clip")
-                if feeds:
-                    _border(times[: len(_NODES)], fvals, lin[0]).take(
-                        finv, axis=1, out=border, mode="clip")
-                    border *= fd[1:p]
+                _border(times[: len(_NODES)], fvals, lin[0]).take(
+                    finv, axis=1, out=border, mode="clip")
+                border *= fd
                 coef = h_try * _STAGES
                 coef[:, 0] = 1.0
                 err_coef = h_try * _E
@@ -342,48 +290,46 @@ def dormand_prince(f, t0, y0, t1, *, linear=None, feed=None, rtol=1e-8, atol=1e-
                 out = i // 6  # stage 6 is the 5th-order solution
                 np.matmul(coef[i, : i + 1], flat[: i + 1], out=work_flat[out])
                 _up(work_lin[out], fac[node], border[node])
-                z_typed[i + 1] = f(t + _C[i] * h_try, work[out].view(dtype))
+                z[i + 1] = f(t + _C[i] * h_try, work[out])
                 _down(z_lin[i + 1], fac[node + len(_NODES)], border[node])
-            if fixed_step is None:
-                np.matmul(err_coef, flat[1:], out=work_flat[0])
-                _up(work_lin[0], fac[up], border[up])
-                modulus(work[1], mag_new)
-                np.maximum(mag, mag_new, out=scale)
-                scale *= rtol
-                scale += atol
-                err = _error_norm(work[0], scale, observe)
-                if not math.isfinite(err):
-                    h, rejected = h_try / 10.0, True
-                    continue
-                if err > 1.0:
-                    h, rejected = h_try * max(0.2, 0.9 * err ** -_EXPO), True
-                    continue
-                grow = 5.0 if err == 0 else min(5.0, 0.9 * err ** -_EXPO * err_prev ** _BETA)
-                if rejected:
-                    grow = min(grow, 1.0)
-                if 1.0 <= grow <= _HOLD:
-                    grow = 1.0
-                h = min(h_cap, h_try * grow)
-                err_prev, rejected = max(err, 1e-4), False
-                mag, mag_new = mag_new, mag
+            np.matmul(err_coef, flat[1:], out=work_flat[0])
+            _up(work_lin[0], fac[up], border[up])
+            modulus(work[1], mag_new)
+            np.maximum(mag, mag_new, out=scale)
+            scale *= rtol
+            scale += atol
+            err = _error_norm(work[0], scale)
+            if not math.isfinite(err):
+                h, rejected = h_try / 10.0, True
+                continue
+            if err > 1.0:
+                h, rejected = h_try * max(0.2, 0.9 * err ** -_EXPO), True
+                continue
+            grow = 5.0 if err == 0 else min(5.0, 0.9 * err ** -_EXPO * err_prev ** _BETA)
+            if rejected:
+                grow = min(grow, 1.0)
+            if 1.0 <= grow <= _HOLD:
+                grow = 1.0
+            h = min(h_cap, h_try * grow)
+            err_prev, rejected = max(err, 1e-4), False
+            mag, mag_new = mag_new, mag
             t_new = t1 if last else t + h_try
             # samples inside the step; one at t1 itself is the final state
             if j < len(stops) and stops[j] <= t_new:
                 j_end = int(np.searchsorted(stops, t_new, side="left" if last else "right"))
                 theta = np.clip((stops[j:j_end] - t) / h_try, 0.0, 1.0)
-                samples[j:j_end] = _dense(theta, h_try, observed(0), observed(slice(1, 8)),
-                                          lin_seen)
-                if feeds and rows0.size:
-                    # the feed into entry 0, summed within each entry of L
-                    sums = np.stack([
-                        np.add.reduceat((row * fd[1:p]).take(order, axis=-1), starts, axis=-1)
-                        for row in z_lin[..., 1:p]]).reshape(8, n_rows, -1)
-                    into0 = _dense_feed(theta, h_try, sums, fvals, lin[0])
-                    samples[j:j_end, at0] += into0[:, rows0]
+                # the frame interpolant reads entry 0's stages as one contiguous block
+                stages0 = np.ascontiguousarray(z_lin[1:, :, 0])
+                # the feed into entry 0, summed within each entry of L
+                sums = np.stack([
+                    np.add.reduceat((row * fd).take(order, axis=-1), starts, axis=-1)
+                    for row in z_lin[..., 1:]])
+                samples[j:j_end] = (_dense(theta, h_try, z_lin[0, :, 0], stages0, lin[0])
+                                    + _dense_feed(theta, h_try, sums, fvals, lin[0]))
                 j = j_end
             t = t_new
             z[0] = work[1]
             z[1] = z[7]  # FSAL, back from the frame
             _up(z_lin[1], fac[up], border[up])
-    samples[j:] = observed(0)
-    return z_typed[0].copy(), samples
+    samples[j:] = z_lin[0, :, 0]
+    return z[0].copy(), samples

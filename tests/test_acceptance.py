@@ -16,6 +16,7 @@ import pytest
 from scipy.optimize import brentq
 
 from _frozen import FROZEN
+from _lawson import fixed_step_solver
 from _rows import advance, bloch_excess, row
 from purcell_cool import blochsim as bs
 from purcell_cool import cli, estimators, hamiltonian, polarization, thermal
@@ -229,7 +230,7 @@ class Test09BlochSimulator:
         print(f"criterion 9c: PASS (peak at {scales[k]:.2f}x, second lobe "
               f"{late.max() / mags[k]:.2f}x peak)")
 
-    def test_d_invariants(self):
+    def test_d_invariants(self, monkeypatch):
         from purcell_cool.coupling import CouplingDistribution
         rho = CouplingDistribution.delta(50.0)
         groups = bs.init_ensemble(rho, RES, 0.85, 600e-6, n_g=2, n_delta=3)
@@ -247,8 +248,9 @@ class Test09BlochSimulator:
         short = bs.hahn_echo(2e-6, amp, acquire_width=1e-6)
         single = bs.init_ensemble(rho, RES, 0.85, 600e-6, n_g=1, n_delta=1)
         ae = {}
-        for h in (2e-9, 1e-9):
-            _, areas = bs.run_sequence(short, single, RES, fixed_step=h)
+        for h in (2e-9, 1e-9):  # fixed Lawson DP5 steps of the simulator's own equations
+            monkeypatch.setattr(bs, "dormand_prince", fixed_step_solver(h))
+            _, areas = bs.run_sequence(short, single, RES)
             ae[h] = areas[0]
         assert abs(ae[1e-9] - ae[2e-9]) < 1e-3 * abs(ae[1e-9])
         print("criterion 9d: PASS (Bloch ball <= 1e-6, step halving < 0.1%)")

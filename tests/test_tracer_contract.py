@@ -7,7 +7,8 @@ the arguments of wrapped calls by position and by name: the pulse sequence as
 the first argument of blochsim.run_sequence, the rhs, initial state and
 sample times of ode.dormand_prince, and the residual as the first argument of
 optimize.levenberg_marquardt. It derives ode.step_attempts from the number of
-rhs calls, reading the state as the rhs's second argument.
+rhs calls, reading the state as the rhs's second argument, and
+blochsim.state_width from the size of the state blochsim hands the solver.
 """
 
 import importlib
@@ -18,6 +19,11 @@ import numpy as np
 import pytest
 
 from purcell_cool import blochsim, ode, optimize
+from purcell_cool.coupling import CouplingDistribution
+from purcell_cool.thermal import ResonatorParams
+
+RES = ResonatorParams(omega0=7.408e9, kappa_int=2 * math.pi * 0.4e6,
+                      kappa_ext=2 * math.pi * 0.6e6)
 
 # (module, function) of every call a per-layer metric counts or times
 METRIC_SOURCES = [
@@ -59,7 +65,8 @@ def test_levenberg_marquardt_takes_the_residual_first():
 
 
 def test_rhs_calls_are_one_plus_six_per_attempt(monkeypatch):
-    # from y0 = 10 the first trial step of y' = -y^3 turns non-finite and
+    # a packed row of one complex entry, 10 + 0i, and one real entry, 10:
+    # from there the first trial step of y' = -y^3 turns non-finite and
     # later ones are rejected; every attempt, accepted or not, costs six rhs
     # calls after the one at t0, and calls the error norm once
     norms, calls = [], []
@@ -72,14 +79,38 @@ def test_rhs_calls_are_one_plus_six_per_attempt(monkeypatch):
     def rhs(*args):
         calls.append(args)
         t, y = args
-        return -y**3
+        return -y**3  # the imaginary part stays 0, so this is the complex cube too
 
     monkeypatch.setattr(ode, "_error_norm", counted_norm)
-    y0 = np.array([10.0 + 0j])
-    ode.dormand_prince(rhs, 0.0, y0, 10.0)
+    y0 = np.array([[10.0, 0.0, 10.0]])
+    ode.dormand_prince(rhs, 0.0, y0, 10.0, linear=[0.0], feed=[])
     assert any(not math.isfinite(n) for n in norms)
     assert any(1.0 < n < math.inf for n in norms)
     assert len(calls) == 1 + 6 * len(norms)
     for t, y in calls:
         assert isinstance(t, float) and 0.0 <= t <= 10.0
         assert isinstance(y, np.ndarray) and y.shape == y0.shape and y.dtype == y0.dtype
+
+
+def test_advance_hands_the_solver_packed_rows_and_sample_times_by_keyword(monkeypatch):
+    # the tracer takes blochsim.state_width from y0.size and ode.samples from
+    # kwargs["sample_times"]: a two-point sweep of a 2 x 3 ensemble is one
+    # (2, 2 + 3 n) float state, and only its acquisition is sampled
+    rho = CouplingDistribution.delta(50.0)
+    groups = blochsim.init_ensemble(rho, RES, 0.85, 600e-6, n_g=2, n_delta=3)
+    amp = blochsim.pi_pulse_amplitude(50.0, RES)
+    seqs = [blochsim.hahn_echo(2e-6, scale * amp, acquire_width=1e-6) for scale in (1.0, 0.5)]
+    solver = blochsim.dormand_prince
+    seen = []
+
+    def recorded(f, t0, y0, t1, **kwargs):
+        seen.append((y0, kwargs.get("sample_times")))
+        return solver(f, t0, y0, t1, **kwargs)
+
+    monkeypatch.setattr(blochsim, "dormand_prince", recorded)
+    blochsim.run_sweep(seqs, groups, RES)
+    assert len(seen) == len(seqs[0].events)
+    for y0, _ in seen:
+        assert y0.dtype == float and y0.shape == (2, 2 + 3 * len(groups))
+    sampled = [len(times) for _, times in seen if times is not None]
+    assert sampled == [101]  # the 1 us window on the 10 ns comb, both ends included
