@@ -116,10 +116,16 @@ def init_ensemble(rho, res, spin_temp, t2, *, freq_width=3e6, n_g=40, n_delta=41
     g = np.repeat(g_vals, n_delta)
     detuning = np.tile(deltas, n_g)
     n = n_g * n_delta
+    with np.errstate(over="ignore", invalid="ignore"):
+        gamma1 = purcell_rate(g, res, detuning)
+    if not np.all(np.isfinite(gamma1)):
+        raise ValueError("the couplings' Purcell rates overflow the float range")
+    if not math.isfinite(1.0 / float(t2)):
+        raise ValueError("t2 is too short: 1/T2 overflows the float range")
     return Ensemble(
         g=g,
         detuning=detuning,
-        gamma1=purcell_rate(g, res, detuning),
+        gamma1=gamma1,
         t2=np.full(n, float(t2)),
         sz_eq=np.full(n, -spin_polarization(spin_temp, res.omega0)),
         weight=np.full(n, 1.0 / n),
@@ -142,7 +148,8 @@ def _advance(y, groups, res, a_in, duration, *, sample_dt=None, rtol=1e-8,
     The linear part, _linear and the spins' feed into the cavity, is
     advanced exactly by the integrating-factor solver; the rhs keeps the
     field's action on the spins (i g a s_z and the s_z term), the drive and
-    the T1 term. Returns (y, t, amp): amp[j, r] is row r's output field
+    the T1 term, and writes them into the row `out` that the solver hands
+    it, allocating no state-sized array. Returns (y, t, amp): amp[j, r] is row r's output field
     a_out = sqrt(kappa_ext) a - a_in at t[j] on a uniform sample_dt comb,
     and t and amp are None without sample_dt. Only the cavity column is
     evaluated at the sample times, from the solver's dense output.
@@ -159,19 +166,15 @@ def _advance(y, groups, res, a_in, duration, *, sample_dt=None, rtol=1e-8,
     a_in = np.asarray(a_in, dtype=complex)
     drive = root_kext * a_in
 
-    def rhs(t, y):
-        rows = len(y)
+    def rhs(t, y, out):
         c = y[:, :m].view(complex)  # [a, s-...]
         sz = y[:, m:]
-        i_a = 1j * c[:, :1]
-        out = np.empty_like(y)
+        a = c[:, :1]
         dc = out[:, :m].view(complex)
         dc[:, 0] = drive
-        np.multiply(g_ang * sz, i_a, out=dc[:, 1:])
-        # Im(a* s-_k) = s-_k . (i a) over (re, im) pairs
-        im = np.matmul(y[:, 2:m].reshape(rows, n, 2), i_a.view(float)[:, :, None])[:, :, 0]
+        np.multiply(g_ang * sz, 1j * a, out=dc[:, 1:])
+        im = (c[:, 1:] * a.conj()).imag  # Im(a* s-_k)
         out[:, m:] = relax_to - gamma1 * sz - g4_ang * im
-        return out
 
     sample_times = None
     if sample_dt is not None:
@@ -193,11 +196,19 @@ def _closed_form_delay(y, groups, res, durations):
     s_z relaxing towards sz_eq at its own Gamma_1."""
     m = 2 + 2 * len(groups)
     column = np.asarray(durations, dtype=float)[:, None]
+    # a delay so long that L t or Gamma_1 t overflows has decayed to 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        rate = _linear(groups, res) * column
+        decay = np.exp(rate)
+        relax = np.exp(-groups.gamma1 * column)
+    decay[rate.real < -800.0] = 0.0  # e^{-800} is 0 in floats, whatever the phase
+    if not np.all(np.isfinite(decay)):
+        raise ValueError("a delay is too long to resolve the spins' precession")
     out = y.copy()
     decaying = out[:, :m].view(complex)
-    decaying *= np.exp(_linear(groups, res) * column)
+    decaying *= decay
     sz = y[:, m:]
-    out[:, m:] = groups.sz_eq + (sz - groups.sz_eq) * np.exp(-groups.gamma1 * column)
+    out[:, m:] = groups.sz_eq + (sz - groups.sz_eq) * relax
     return out
 
 
@@ -309,7 +320,10 @@ def pi_pulse_amplitude(g, res, duration=250e-9):
     cavity has rung down.
     """
     g_ang = 2 * math.pi * g
-    return math.pi * res.kappa / (4 * g_ang * math.sqrt(res.kappa_ext) * duration)
+    rotation = 4 * g_ang * math.sqrt(res.kappa_ext) * duration  # per unit input amplitude
+    if not rotation > 0:
+        raise ValueError(f"no pi pulse at g = {g!r} Hz: its rotation underflows to 0")
+    return math.pi * res.kappa / rotation
 
 
 def hahn_echo(tau, amp, *, pi_duration=250e-9, acquire_width=4e-6):

@@ -9,9 +9,11 @@ Exit codes: 0 ok, 2 config/usage, 3 solver or fit convergence, 4 I/O.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import hashlib
+import io
 import json
 import math
 import re
@@ -438,9 +440,15 @@ def build_parser():
 
 
 def run(argv):
+    usage = io.StringIO()
     try:
-        args = build_parser().parse_args(argv)
+        with contextlib.redirect_stderr(usage):
+            args = build_parser().parse_args(argv)
     except SystemExit as exc:  # --help, --version and usage errors
+        # a usage error is its last line, one line as every other rejection
+        lines = usage.getvalue().splitlines()
+        if lines:
+            print(lines[-1], file=sys.stderr)
         return exc.code
 
     cfg = None

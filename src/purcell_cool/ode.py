@@ -7,30 +7,38 @@ entries plus one border row f that feeds every other complex entry into
 entry 0 (blochsim's cavity, fed by its spins): y_0' = L_0 y_0 + sum_k f_k
 y_k. The linear part is advanced exactly and the pair integrates only f
 (Lawson's integrating factor; Lawson, SIAM J. Numer. Anal. 4, 372 (1967);
-Hochbruck & Ostermann, Acta Numerica 19, 209 (2010)). e^{tL'} is e^{tL}
-with the border row f_k psi_{L_k}(t) in entry 0, where
+Hochbruck & Ostermann, Acta Numerica 19, 209 (2010)). The rhs is called as
+f(t, y, out) and writes f(t, y) into out, one of seven rows that the
+solver owns and reuses; what it returns is ignored.
+
+e^{tL'} is e^{tL} with the border row f_k psi_{L_k}(t) in entry 0, where
 psi_v(t) = (e^{vt} - e^{L_0 t}) / (v - L_0) = t e^{L_0 t} phi1((v - L_0) t)
 and phi1(x) = (e^x - 1) / x, exact at v = L_0 and free of cancellation
 where (v - L_0) t is tiny. A step runs in the interaction frame of its
 start: each k_j = f(t + c_j h, Y_j) is stored as K_j = e^{-c_j hL'} k_j,
-stage i is Y_i = e^{c_i hL'} (y + h sum_j a_ij K_j) and the error estimate
-is e^{hL'} h sum_j e_j K_j. So each sum is one real-coefficient matrix
-product over the whole state, written into a preallocated row, and L'
-enters through one row of factors e^{c hL} (and one of e^{-c hL}) and one
-border row of e^{c hL'} per nonzero node (that of e^{-c hL'} follows from
-it and the factors), built into preallocated rows from the distinct
-entries of L only when the step size changes. The step is capped at
-h max(-Re L) <= 600, so that no factor e^{c h |Re L|} overflows. The frame
-is exact to rounding when no fed entry decays faster than entry 0;
-otherwise rounding in entry 0 grows as e^{c h (|Re L_k| - |Re L_0|)}, and
-error control shortens the step.
+and stage i is Y_i = e^{c_i hL'} (y + h sum_j a_ij K_j). The last
+derivative, k_6 = f(t + h, Y_6) at the 5th-order solution Y_6 (DOPRI5's
+k7), stays out of the frame: since e^{hL'} K_6 = k_6, the error estimate
+is e^{hL'} h sum_{j<6} e_j K_j + h e_6 k_6, and k_6 is the next step's
+K_0 as it is (FSAL, one row copy). K_6 is framed only on a step that
+holds a sample, where the dense output needs it. So each sum is one
+real-coefficient matrix product over the whole state, written into a
+preallocated row, and L' enters through one row of factors e^{c hL} (and
+one of e^{-c hL}) and one border row of e^{c hL'} per nonzero node (that
+of e^{-c hL'} follows from it and the factors), built into preallocated
+rows from the distinct entries of L only when the step size changes. The
+step is capped at h max(-Re L) <= 600, so that no factor e^{c h |Re L|}
+overflows. The frame is exact to rounding when no fed entry decays faster
+than entry 0; otherwise rounding in entry 0 grows as
+e^{c h (|Re L_k| - |Re L_0|)}, and error control shortens the step.
 
 The state is R independent rows advanced with one shared step, a float
 array (R, w): with q entries in L, the first 2q floats of a row hold its q
 complex entries as (re, im) pairs, and the other w - 2q floats are real
-entries, on which L is 0. The state and the seven stages of a step live in
-one preallocated float array; the last stage is the derivative at the
-5th-order solution and becomes the first stage of the next step (FSAL).
+entries, on which L is 0. The state and the stages of a step live in one
+preallocated float array, and k_6 in one more row; each stage's views of
+them are built once per solve, and its coefficients are rewritten in place
+when the step size changes.
 
 The error norm is the RMS of each row over its entries, a complex entry
 counting once by its modulus, and at least the row's entry 0, the sampled
@@ -186,8 +194,9 @@ def dormand_prince(f, t0, y0, t1, *, linear, feed, rtol=1e-8, atol=1e-10,
     """Integrate dy/dt = L' y + f(t, y) from t0 to t1.
 
     y0 is a float array (R, w) of R independent rows, each packing the
-    complex entries of L in front (see the module docstring); f(t, y)
-    returns a float array of the shape of y. linear holds the diagonal of
+    complex entries of L in front (see the module docstring); f(t, y, out)
+    writes the derivative, a float array of the shape of y, into out, a
+    solver-owned row that it must not keep. linear holds the diagonal of
     L, one entry per complex entry; its real parts should not be positive.
     feed holds one entry per complex entry after the first: L' is L plus
     the border row that feeds complex entry k into entry 0 with weight
@@ -237,10 +246,13 @@ def dormand_prince(f, t0, y0, t1, *, linear, feed, rtol=1e-8, atol=1e-10,
     samples = np.empty((len(stops), len(y)), dtype=complex)
     j = int(np.searchsorted(stops, t, side="right"))  # samples at t0: y0
     h = min(h_cap, span / 50.0)  # a cheap conservative start that control rescales fast
-    # z = [y, K_0, ..., K_6]; rows past a stage's own are stale (or unset);
-    # work = [stage, then the error estimate; 5th-order solution]
+    # z = [y, K_0, ..., K_6]; rows past a stage's own are stale (or unset),
+    # and K_6's row is scratch on a step without samples; work = [stage,
+    # then the error estimate; 5th-order solution]; fsal = k_6, f at the
+    # 5th-order solution outside the frame: the next step's K_0
     z = np.empty((8,) + y.shape)
     work = np.empty((2,) + y.shape)
+    fsal = np.empty_like(y)
     z[0] = y
     flat, work_flat = z.reshape(8, -1), work.reshape(2, -1)
     z_lin, work_lin = (a[..., : 2 * q].view(complex) for a in (z, work))  # where L' acts
@@ -253,16 +265,25 @@ def dormand_prince(f, t0, y0, t1, *, linear, feed, rtol=1e-8, atol=1e-10,
         np.abs(v[..., 2 * q :], out=out[..., q:])
 
     modulus(y, mag)
-    built = None  # the h_try the factor rows hold
+    built = None  # the h_try the factor rows and coefficients hold
+    coef = np.empty_like(_STAGES)  # h _STAGES, y's weight 1
+    err_coef = np.empty(6)  # h _E on K_0, ..., K_5; K_6's weight goes on k_6
+    err_last = 0.0
     err_prev = 1e-4
     rejected = False
-    up = len(_NODES) - 1  # the node c = 1: e^{hL'}
+    # the views of stages 1-5, built once: node, stage weights and the rows
+    # they weight, factor rows into and out of the frame, border row, K row
+    stages = [(_C[i], coef[i, : i + 1], flat[: i + 1], fac[i - 1], fac[i - 1 + len(_NODES)],
+               border[i - 1], z[i + 1], z_lin[i + 1]) for i in range(1, 6)]
+    # the node c = 1 of stage 6, the error estimate and K_6: e^{hL'}, e^{-hL'}
+    fac_one, fac_back, border_one = fac[len(_NODES) - 1], fac[-1], border[-1]
+    solution, solution_rows, err_rows = coef[6], flat[:7], flat[1:7]
 
     # an overflowing or non-finite trial step is retried with a smaller h,
     # or ends the run with NoConvergence, so numpy need not warn of it
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if span > 0:
-            z[1] = f(t, y)
+            f(t, y, z[1])
         attempts = 0
         while t < t1 - 1e-18 * max(1.0, abs(t1)):
             attempts += 1
@@ -281,19 +302,26 @@ def dormand_prince(f, t0, y0, t1, *, linear, feed, rtol=1e-8, atol=1e-10,
                 _border(times[: len(_NODES)], fvals, lin[0]).take(
                     finv, axis=1, out=border, mode="clip")
                 border *= fd
-                coef = h_try * _STAGES
+                np.multiply(h_try, _STAGES, out=coef)
                 coef[:, 0] = 1.0
-                err_coef = h_try * _E
+                np.multiply(h_try, _E[:6], out=err_coef)
+                err_last = h_try * _E[6]
                 built = h_try
-            for i in range(1, 7):
-                node = min(i, len(_NODES)) - 1  # stages 5 and 6 share c = 1
-                out = i // 6  # stage 6 is the 5th-order solution
-                np.matmul(coef[i, : i + 1], flat[: i + 1], out=work_flat[out])
-                _up(work_lin[out], fac[node], border[node])
-                z[i + 1] = f(t + _C[i] * h_try, work[out])
-                _down(z_lin[i + 1], fac[node + len(_NODES)], border[node])
-            np.matmul(err_coef, flat[1:], out=work_flat[0])
-            _up(work_lin[0], fac[up], border[up])
+            for c, weights, rows, fac_up, fac_down, bord, k, k_lin in stages:
+                np.matmul(weights, rows, out=work_flat[0])
+                _up(work_lin[0], fac_up, bord)
+                f(t + c * h_try, work[0], k)
+                _down(k_lin, fac_down, bord)
+            # stage 6 is the 5th-order solution; its derivative k_6 stays
+            # outside the frame
+            np.matmul(solution, solution_rows, out=work_flat[1])
+            _up(work_lin[1], fac_one, border_one)
+            f(t + h_try, work[1], fsal)
+            # e^{hL'} h sum_{j<6} e_j K_j + h e_6 k_6, as e^{hL'} K_6 = k_6
+            np.matmul(err_coef, err_rows, out=work_flat[0])
+            _up(work_lin[0], fac_one, border_one)
+            np.multiply(fsal, err_last, out=z[7])
+            work[0] += z[7]
             modulus(work[1], mag_new)
             np.maximum(mag, mag_new, out=scale)
             scale *= rtol
@@ -318,6 +346,8 @@ def dormand_prince(f, t0, y0, t1, *, linear, feed, rtol=1e-8, atol=1e-10,
             if j < len(stops) and stops[j] <= t_new:
                 j_end = int(np.searchsorted(stops, t_new, side="left" if last else "right"))
                 theta = np.clip((stops[j:j_end] - t) / h_try, 0.0, 1.0)
+                z[7] = fsal  # K_6, into the frame for the dense output
+                _down(z_lin[7], fac_back, border_one)
                 # the frame interpolant reads entry 0's stages as one contiguous block
                 stages0 = np.ascontiguousarray(z_lin[1:, :, 0])
                 # the feed into entry 0, summed within each entry of L
@@ -329,7 +359,6 @@ def dormand_prince(f, t0, y0, t1, *, linear, feed, rtol=1e-8, atol=1e-10,
                 j = j_end
             t = t_new
             z[0] = work[1]
-            z[1] = z[7]  # FSAL, back from the frame
-            _up(z_lin[1], fac[up], border[up])
+            z[1] = fsal  # FSAL: K_0 of the next step needs no frame
     samples[j:] = z_lin[0, :, 0]
     return z[0].copy(), samples

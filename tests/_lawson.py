@@ -4,7 +4,7 @@ lawson_step takes one step of y' = M y + f(t, y) on complex rows, with
 scipy's expm of the dense matrix M in place of the solver's closed-form
 factors and interaction frame, and lawson_error gives its error estimate.
 fixed_step_solver(h) wraps the step in the call signature of
-purcell_cool.ode.dormand_prince, so that monkeypatching
+purcell_cool.ode.dormand_prince, rhs f(t, y, out) included, so that monkeypatching
 blochsim.dormand_prince with it marches blochsim's own rhs, linear part and
 feed with fixed steps.
 """
@@ -79,7 +79,9 @@ def fixed_step_solver(h):
         cache = {}
 
         def rhs(t, v):
-            return unpack(f(t, pack(v, q)), q)
+            out = np.empty_like(y0)
+            f(t, pack(v, q), out)
+            return unpack(out, q)
 
         entry0 = [c[:, 0]]
         k_last = None

@@ -445,8 +445,12 @@ class TestBatchedSweeps:
         rates = np.array([0.5, 2.0, 7.0])
         ts = np.array([0.0, 0.3, 1.0])
         y0 = np.tile([1.0, 0.0, 0.0, 1.0, 1.0], (3, 1))
-        y1, obs = ode.dormand_prince(lambda t, y: -rates[:, None] * y, 0.0, y0, 1.0,
-                                     linear=np.zeros(2), feed=np.zeros(1), sample_times=ts)
+
+        def rhs(t, y, out):
+            np.multiply(-rates[:, None], y, out=out)
+
+        y1, obs = ode.dormand_prince(rhs, 0.0, y0, 1.0, linear=np.zeros(2), feed=np.zeros(1),
+                                     sample_times=ts)
         assert y1.shape == (3, 5) and obs.shape == (3, 3)
         assert np.allclose(obs, np.exp(-np.outer(ts, rates)), rtol=1e-8)
         assert np.allclose(y1[:, 2:4].view(complex)[:, 0], 1j * np.exp(-rates), rtol=1e-8)
@@ -497,9 +501,9 @@ def test_demo_echo_window_takes_few_steps(monkeypatch):
     def counted(f, *args, **kwargs):
         calls.append([0, kwargs.get("sample_times") is not None])
 
-        def rhs(t, y):
+        def rhs(t, y, out):
             calls[-1][0] += 1
-            return f(t, y)
+            f(t, y, out)
 
         return solver(rhs, *args, **kwargs)
 

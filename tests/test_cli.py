@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from hypothesis import event, example, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from _frozen import FROZEN
@@ -729,6 +729,9 @@ _CONFIG_JUNK = st.one_of(
     st.lists(st.floats(0.0, 1e308), max_size=3),
 )
 
+# values that a numeric field may take
+_CONFIG_FITTING = st.floats(0.0, 1.0) | st.floats(1.0, 1e308) | st.integers(1, 50)
+
 # YAML spliced into the text in place of a value: tags, and aliases to
 # anchors that are undefined, shared or inside their own node
 _CONFIG_SPLICES = st.sampled_from([
@@ -764,7 +767,7 @@ def _demo_configs(draw):
         elif edit == "junk":
             target[key] = draw(_CONFIG_JUNK)
         elif edit == "fit":
-            target[key] = draw(st.floats(0.0, 1.0) | st.floats(1.0, 1e308) | st.integers(1, 50))
+            target[key] = draw(_CONFIG_FITTING)
         elif edit == "splice":
             target[key] = f"SPLICE{k}"
             splices[f"SPLICE{k}"] = draw(_CONFIG_SPLICES)
@@ -814,3 +817,89 @@ def test_thermal_config_fuzz_ends_in_exit_0_or_2(text):
             n_phot = json.load(fh)["n_phot"]
         assert min(baths) * (1 - 1e-12) <= n_phot <= max(baths) * (1 + 1e-12), (n_phot, baths)
 
+
+
+# ------------------------------------------------------- simulation fuzz
+
+# the sequence subcommands with the numeric flags each takes, on a 1x1
+# ensemble whose fields a draw may drop, set to junk or set to a fitting value
+_SIM_FLAGS = {
+    "echo": ["--tau-us", "--b0"],
+    "cpmg": ["--tau-us", "--b0"],
+    "rabi": ["--tau-us", "--b0", "--amp-list"],
+    "invrec": ["--tau-us", "--b0", "--dt-list-s"],
+}
+_SIM_FIELDS = ["freq_width_hz", "g_hz", "pair_window_hz", "spin_temp_k", "t2_s"]
+_FUZZ_LISTS = st.lists(_FUZZ_NUMBERS, min_size=1, max_size=3).map(",".join)
+
+
+def _number(value):
+    """value as a float if it reads as a number, else None."""
+    if isinstance(value, bool):
+        return None
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        return None
+
+
+def _crawls(argv, ensemble):
+    """Inputs whose 1x1 run takes seconds to hours, as the solver resolves a
+    rotation or decay far faster than the sequence: a coupling above 1 MHz
+    (2 s at 10 MHz), a T2 below 10 ns (16 s at 0.1 ns) or a drive amplitude
+    above 1e9 (15 s at 1e11). Nothing bounds such a run's time yet."""
+    g, t2 = _number(ensemble.get("g_hz")), _number(ensemble.get("t2_s"))
+    amps = argv[argv.index("--amp-list") + 1].split(",") if "--amp-list" in argv else []
+    return ((g is not None and 1e6 < g < math.inf)
+            or (t2 is not None and 0 < t2 < 1e-8)
+            or any(1e9 < abs(a) < math.inf for a in map(_number, amps) if a is not None))
+
+
+@st.composite
+def _sim_runs(draw):
+    name = draw(st.sampled_from(sorted(_SIM_FLAGS)))
+    argv = [name]
+    if name == "cpmg":
+        argv += ["--n-cpmg", str(draw(st.integers(1, 3)))]
+    for flag in draw(st.lists(st.sampled_from(_SIM_FLAGS[name]), unique=True)):
+        argv += [flag, draw(_FUZZ_LISTS if flag.endswith("list-s") or flag.endswith("list")
+                            else _FUZZ_NUMBERS)]
+    ensemble = {"n_g": 1, "n_delta": 1, "g_hz": 50.0}
+    for field in draw(st.lists(st.sampled_from(_SIM_FIELDS), unique=True, max_size=3)):
+        edit = draw(st.sampled_from(["drop", "junk", "fit", "fit"]))
+        if edit == "drop":
+            ensemble.pop(field, None)
+        else:
+            ensemble[field] = draw(_CONFIG_JUNK if edit == "junk" else _CONFIG_FITTING)
+    return argv, ensemble
+
+
+_ONE_GROUP = {"n_g": 1, "n_delta": 1, "g_hz": 50.0}
+
+
+@settings(max_examples=300, deadline=None)
+@given(run=_sim_runs())
+@example(run=(["echo"], {**_ONE_GROUP, "t2_s": 5e-324}))  # 1/T2 overflows
+@example(run=(["echo"], {**_ONE_GROUP, "g_hz": 5.2e199}))  # the Purcell rate overflows
+@example(run=(["echo"], {**_ONE_GROUP, "g_hz": 1e-100}))  # the pi pulse's rotation is 0
+@example(run=(["cpmg", "--n-cpmg", "1", "--tau-us", "1e308"], _ONE_GROUP))  # L t overflows
+@example(run=(["rabi", "--tau-us", "0"], _ONE_GROUP))  # a usage error
+def test_simulation_fuzz_ends_in_a_documented_exit_code(run):
+    argv, ensemble = run
+    assume(not _crawls(argv, ensemble))
+    doc = yaml.safe_load(SMALL)
+    doc["ensemble"] = ensemble
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "run.yaml")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(yaml.safe_dump(doc))
+        out = os.path.join(tmp, "o")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = cli.main(argv + ["--config", path, "--out", out])
+        assert rc in (0, 2, 3, 4), err.getvalue()
+        event(f"exit {rc}")
+        if rc == 0:
+            _assert_outputs_finite(out)
+        else:  # one line of message, not a traceback or a usage text
+            assert err.getvalue().count("\n") == 1, err.getvalue()

@@ -13,14 +13,18 @@ from purcell_cool.ode import dormand_prince
 
 def solve(f, y0, t1, *, linear=None, feed=None, **kwargs):
     """dormand_prince on complex rows y0 (R, q), with f taking and returning
-    complex rows; L is 0 and the feed 0 unless given. Returns the complex
+    complex rows (the solver's rhs writes them into its out); L is 0 and the feed 0 unless given. Returns the complex
     rows at t1 and the samples of entry 0."""
     y0 = np.atleast_2d(np.asarray(y0, dtype=complex))
     q = y0.shape[1]
     linear = np.zeros(q) if linear is None else linear
     feed = np.zeros(q - 1) if feed is None else feed
-    y1, samples = dormand_prince(lambda t, y: f(t, y.view(complex)).view(float), 0.0,
-                                 y0.view(float), t1, linear=linear, feed=feed, **kwargs)
+
+    def rhs(t, y, out):
+        out.view(complex)[...] = f(t, y.view(complex))
+
+    y1, samples = dormand_prince(rhs, 0.0, y0.view(float), t1, linear=linear, feed=feed,
+                                 **kwargs)
     return y1.view(complex), samples
 
 
@@ -267,9 +271,9 @@ def _check_first_step(rows, real, monkeypatch, fed=False):
 
     calls = []
 
-    def record(t, y):
+    def record(t, y, out):
         calls.append(unpack(y, q))
-        return pack(f(t, unpack(y, q)), q)
+        out[...] = pack(f(t, unpack(y, q)), q)
 
     class FirstStep(Exception):
         pass
@@ -335,3 +339,28 @@ def test_step_cap_keeps_a_stiff_step_finite_and_exact():
     decays = (nodes[:, 4] - nodes[:, 0]) / (1 - ode._C[1]) * KAPPA_HALF
     assert decays.max() <= ode._MAX_DECAY * (1 + 1e-9)
     assert decays.max() >= ode._MAX_DECAY * (1 - 1e-9)
+
+
+# ---------------------------------------------------------------- the rhs contract
+
+def test_rhs_writes_into_at_most_seven_solver_rows_and_may_return_none():
+    # f(t, y, out) writes the derivative into out and returns None: the
+    # solver reads only out, and every out is one of at most seven rows it
+    # owns (six stage rows and the FSAL row), reused from attempt to attempt
+    w = 2 * math.pi * 2.0
+    y0 = np.array([[1.0, 0.0, 2.0]])  # one complex entry 1 + 0i, one real entry 2
+    outs, calls = [], []
+
+    def f(t, y, out):
+        calls.append(t)
+        assert out.shape == y.shape and out.dtype == y.dtype and out.flags.c_contiguous
+        assert not np.shares_memory(out, y) and not np.shares_memory(out, y0)
+        outs.append(out)  # held, so that a row made per call could not be recycled
+        out[:, :2] = (1j * w * y[:, :2].view(complex)).view(float)  # y' = i w y
+        out[:, 2] = -y[:, 2]  # r' = -r
+
+    y1, _ = dormand_prince(f, 0.0, y0, 2.0, linear=[0.0], feed=[], rtol=1e-10, atol=1e-12)
+    assert (len(calls) - 1) % 6 == 0 and (len(calls) - 1) // 6 >= 100  # 766 measured
+    assert len({out.__array_interface__["data"][0] for out in outs}) <= 7
+    assert abs(y1[0, :2].view(complex)[0] - np.exp(2j * w)) < 1e-8
+    assert abs(y1[0, 2] - 2 * math.exp(-2.0)) < 1e-12

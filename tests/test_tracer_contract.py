@@ -78,8 +78,8 @@ def test_rhs_calls_are_one_plus_six_per_attempt(monkeypatch):
 
     def rhs(*args):
         calls.append(args)
-        t, y = args
-        return -y**3  # the imaginary part stays 0, so this is the complex cube too
+        t, y, out = args
+        np.negative(y**3, out=out)  # the imaginary part stays 0, so this is the complex cube too
 
     monkeypatch.setattr(ode, "_error_norm", counted_norm)
     y0 = np.array([[10.0, 0.0, 10.0]])
@@ -87,9 +87,10 @@ def test_rhs_calls_are_one_plus_six_per_attempt(monkeypatch):
     assert any(not math.isfinite(n) for n in norms)
     assert any(1.0 < n < math.inf for n in norms)
     assert len(calls) == 1 + 6 * len(norms)
-    for t, y in calls:
+    for t, y, out in calls:
         assert isinstance(t, float) and 0.0 <= t <= 10.0
         assert isinstance(y, np.ndarray) and y.shape == y0.shape and y.dtype == y0.dtype
+        assert out.shape == y0.shape and out.dtype == y0.dtype
 
 
 def test_advance_hands_the_solver_packed_rows_and_sample_times_by_keyword(monkeypatch):
