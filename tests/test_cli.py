@@ -830,6 +830,7 @@ _SIM_FLAGS = {
     "invrec": ["--tau-us", "--b0", "--dt-list-s"],
 }
 _SIM_FIELDS = ["freq_width_hz", "g_hz", "pair_window_hz", "spin_temp_k", "t2_s"]
+_ONE_GROUP = {"n_g": 1, "n_delta": 1, "g_hz": 50.0}
 _FUZZ_LISTS = st.lists(_FUZZ_NUMBERS, min_size=1, max_size=3).map(",".join)
 
 
@@ -844,10 +845,10 @@ def _number(value):
 
 
 def _crawls(argv, ensemble):
-    """Inputs whose 1x1 run takes seconds to hours, as the solver resolves a
-    rotation or decay far faster than the sequence: a coupling above 1 MHz
-    (2 s at 10 MHz), a T2 below 10 ns (16 s at 0.1 ns) or a drive amplitude
-    above 1e9 (15 s at 1e11). Nothing bounds such a run's time yet."""
+    """Inputs whose 1x1 run takes seconds to hours, because the solver
+    resolves a rotation or decay far faster than the sequence: a coupling
+    above 1 MHz, a T2 below 10 ns or a drive amplitude above 1e9. Nothing
+    bounds such a run's time yet, so the fuzz leaves them out."""
     g, t2 = _number(ensemble.get("g_hz")), _number(ensemble.get("t2_s"))
     amps = argv[argv.index("--amp-list") + 1].split(",") if "--amp-list" in argv else []
     return ((g is not None and 1e6 < g < math.inf)
@@ -862,9 +863,8 @@ def _sim_runs(draw):
     if name == "cpmg":
         argv += ["--n-cpmg", str(draw(st.integers(1, 3)))]
     for flag in draw(st.lists(st.sampled_from(_SIM_FLAGS[name]), unique=True)):
-        argv += [flag, draw(_FUZZ_LISTS if flag.endswith("list-s") or flag.endswith("list")
-                            else _FUZZ_NUMBERS)]
-    ensemble = {"n_g": 1, "n_delta": 1, "g_hz": 50.0}
+        argv += [flag, draw(_FUZZ_LISTS if "list" in flag else _FUZZ_NUMBERS)]
+    ensemble = dict(_ONE_GROUP)
     for field in draw(st.lists(st.sampled_from(_SIM_FIELDS), unique=True, max_size=3)):
         edit = draw(st.sampled_from(["drop", "junk", "fit", "fit"]))
         if edit == "drop":
@@ -872,9 +872,6 @@ def _sim_runs(draw):
         else:
             ensemble[field] = draw(_CONFIG_JUNK if edit == "junk" else _CONFIG_FITTING)
     return argv, ensemble
-
-
-_ONE_GROUP = {"n_g": 1, "n_delta": 1, "g_hz": 50.0}
 
 
 @settings(max_examples=300, deadline=None)
