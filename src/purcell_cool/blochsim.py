@@ -174,7 +174,7 @@ def _advance(y, groups, res, a_in, duration, *, sample_dt=None, rtol=1e-8,
         dc[:, 0] = drive
         np.multiply(g_ang * sz, 1j * a, out=dc[:, 1:])
         im = (c[:, 1:] * a.conj()).imag  # Im(a* s-_k)
-        out[:, m:] = relax_to - gamma1 * sz - g4_ang * im
+        np.subtract(relax_to - gamma1 * sz, g4_ang * im, out=out[:, m:])
 
     sample_times = None
     if sample_dt is not None:

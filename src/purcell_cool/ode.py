@@ -23,7 +23,8 @@ is e^{hL'} h sum_{j<6} e_j K_j + h e_6 k_6, and k_6 is the next step's
 K_0 as it is (FSAL, one row copy). K_6 is framed only on a step that
 holds a sample, where the dense output needs it. So each sum is one
 real-coefficient matrix product over the whole state, written into a
-preallocated row, and L' enters through one row of factors e^{c hL} (and
+preallocated row (the error estimate and stage 6 share one product and
+one pass out of the frame), and L' enters through one row of factors e^{c hL} (and
 one of e^{-c hL}) and one border row of e^{c hL'} per nonzero node (that
 of e^{-c hL'} follows from it and the factors), built into preallocated
 rows from the distinct entries of L only when the step size changes. The
@@ -79,12 +80,16 @@ _A = np.array([
     [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0],
     [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
 ])
-_STAGES = np.hstack((np.ones((7, 1)), _A))  # row i on [y, K_0, ..., K_5], y's weight 1
 _B4 = np.array(
     [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
 )
 _B5 = np.append(_A[6], 0.0)
 _E = _B5 - _B4
+# the weights on [y, K_0, ..., K_5] of stages 1-5, then of the error estimate
+# without its k_6 term and of stage 6, the 5th-order solution: h times these,
+# but y's weight is 1 in a stage and 0 in the error estimate
+_WEIGHTS = np.vstack((np.hstack((np.ones((5, 1)), _A[1:6])), np.append(0.0, _E[:6]),
+                      np.append(1.0, _A[6])))
 # continuous extension (Hairer's contd5): the theta^2 (1 - theta)^2 term
 _D5 = np.array([-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
                 -10690763975 / 1880347072, 701980252875 / 199316789632,
@@ -144,19 +149,21 @@ def _border(t, vals, lam0):
     return psi
 
 
-def _up(w, fac, border):
-    """w <- e^{tL'} w in place, on the complex entries (..., q): fac is
-    e^{tL} and border the border row of e^{tL'}."""
-    fed = w[..., 1:] @ border
+def _up(w, head, tail, fac, border):
+    """w <- e^{tL'} w in place, on the complex entries (..., q), whose views
+    head = w[..., 0] and tail = w[..., 1:] the caller holds: fac is e^{tL}
+    and border the border row of e^{tL'}."""
+    fed = tail @ border
     w *= fac
-    w[..., 0] += fed
+    head += fed
 
 
-def _down(w, fac, border):
-    """w <- e^{-tL'} w in place: fac is e^{-tL} and border the border row
-    of e^{tL'}, so that e^{-tL'} has the border row -border fac[0] fac[1:]."""
+def _down(w, head, tail, fac, border):
+    """w <- e^{-tL'} w in place, with head and tail as in _up: fac is
+    e^{-tL} and border the border row of e^{tL'}, so that e^{-tL'} has the
+    border row -border fac[0] fac[1:]."""
     w *= fac
-    w[..., 0] -= fac[0] * (w[..., 1:] @ border)
+    head -= fac[0] * (tail @ border)
 
 
 def _frame(theta, h, y, k):
@@ -265,19 +272,26 @@ def dormand_prince(f, t0, y0, t1, *, linear, feed, rtol=1e-8, atol=1e-10,
         np.abs(v[..., 2 * q :], out=out[..., q:])
 
     modulus(y, mag)
-    built = None  # the h_try the factor rows and coefficients hold
-    coef = np.empty_like(_STAGES)  # h _STAGES, y's weight 1
-    err_coef = np.empty(6)  # h _E on K_0, ..., K_5; K_6's weight goes on k_6
-    err_last = 0.0
+    built = None  # the h_try the factor rows and weights hold
+    weights = np.empty_like(_WEIGHTS)
+    err_last = 0.0  # h e_6, the weight of k_6 in the error estimate
     err_prev = 1e-4
     rejected = False
+
+    def split(w):  # a row of complex entries and its head and tail views
+        return w, w[..., 0], w[..., 1:]
+
     # the views of stages 1-5, built once: node, stage weights and the rows
     # they weight, factor rows into and out of the frame, border row, K row
-    stages = [(_C[i], coef[i, : i + 1], flat[: i + 1], fac[i - 1], fac[i - 1 + len(_NODES)],
-               border[i - 1], z[i + 1], z_lin[i + 1]) for i in range(1, 6)]
-    # the node c = 1 of stage 6, the error estimate and K_6: e^{hL'}, e^{-hL'}
+    stages = [(_C[i], weights[i - 1, : i + 1], flat[: i + 1], fac[i - 1],
+               fac[i - 1 + len(_NODES)], border[i - 1], z[i + 1], split(z_lin[i + 1]))
+              for i in range(1, 6)]
+    stage = split(work_lin[0])
+    # the error estimate and stage 6, rows 0 and 1 of work, go out of the
+    # frame together through the node c = 1, and K_6 into it on a step
+    # with samples
+    final, k6 = split(work_lin), split(z_lin[7])
     fac_one, fac_back, border_one = fac[len(_NODES) - 1], fac[-1], border[-1]
-    solution, solution_rows, err_rows = coef[6], flat[:7], flat[1:7]
 
     # an overflowing or non-finite trial step is retried with a smaller h,
     # or ends the run with NoConvergence, so numpy need not warn of it
@@ -302,24 +316,21 @@ def dormand_prince(f, t0, y0, t1, *, linear, feed, rtol=1e-8, atol=1e-10,
                 _border(times[: len(_NODES)], fvals, lin[0]).take(
                     finv, axis=1, out=border, mode="clip")
                 border *= fd
-                np.multiply(h_try, _STAGES, out=coef)
-                coef[:, 0] = 1.0
-                np.multiply(h_try, _E[:6], out=err_coef)
+                np.multiply(h_try, _WEIGHTS, out=weights)
+                weights[:, 0] = _WEIGHTS[:, 0]
                 err_last = h_try * _E[6]
                 built = h_try
-            for c, weights, rows, fac_up, fac_down, bord, k, k_lin in stages:
-                np.matmul(weights, rows, out=work_flat[0])
-                _up(work_lin[0], fac_up, bord)
+            for c, row_weights, rows, fac_up, fac_down, bord, k, k_lin in stages:
+                np.matmul(row_weights, rows, out=work_flat[0])
+                _up(*stage, fac_up, bord)
                 f(t + c * h_try, work[0], k)
-                _down(k_lin, fac_down, bord)
-            # stage 6 is the 5th-order solution; its derivative k_6 stays
-            # outside the frame
-            np.matmul(solution, solution_rows, out=work_flat[1])
-            _up(work_lin[1], fac_one, border_one)
+                _down(*k_lin, fac_down, bord)
+            # e^{hL'} h sum_{j<6} e_j K_j and stage 6, the 5th-order solution,
+            # whose derivative k_6 stays outside the frame: as e^{hL'} K_6 =
+            # k_6, the error estimate adds h e_6 k_6
+            np.matmul(weights[5:], flat[:7], out=work_flat)
+            _up(*final, fac_one, border_one)
             f(t + h_try, work[1], fsal)
-            # e^{hL'} h sum_{j<6} e_j K_j + h e_6 k_6, as e^{hL'} K_6 = k_6
-            np.matmul(err_coef, err_rows, out=work_flat[0])
-            _up(work_lin[0], fac_one, border_one)
             np.multiply(fsal, err_last, out=z[7])
             work[0] += z[7]
             modulus(work[1], mag_new)
@@ -347,7 +358,7 @@ def dormand_prince(f, t0, y0, t1, *, linear, feed, rtol=1e-8, atol=1e-10,
                 j_end = int(np.searchsorted(stops, t_new, side="left" if last else "right"))
                 theta = np.clip((stops[j:j_end] - t) / h_try, 0.0, 1.0)
                 z[7] = fsal  # K_6, into the frame for the dense output
-                _down(z_lin[7], fac_back, border_one)
+                _down(*k6, fac_back, border_one)
                 # the frame interpolant reads entry 0's stages as one contiguous block
                 stages0 = np.ascontiguousarray(z_lin[1:, :, 0])
                 # the feed into entry 0, summed within each entry of L
