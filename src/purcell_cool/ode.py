@@ -24,14 +24,14 @@ K_0 as it is (FSAL, one row copy). K_6 is framed only on a step that
 holds a sample, where the dense output needs it. So each sum is one
 real-coefficient matrix product over the whole state, written into a
 preallocated row (the error estimate and stage 6 share one product and
-one pass out of the frame), and L' enters through one row of factors e^{c hL} (and
-one of e^{-c hL}) and one border row of e^{c hL'} per nonzero node (that
-of e^{-c hL'} follows from it and the factors), built into preallocated
-rows from the distinct entries of L only when the step size changes. The
-step is capped at h max(-Re L) <= 600, so that no factor e^{c h |Re L|}
-overflows. The frame is exact to rounding when no fed entry decays faster
-than entry 0; otherwise rounding in entry 0 grows as
-e^{c h (|Re L_k| - |Re L_0|)}, and error control shortens the step.
+one pass out of the frame), and L' enters through one row of factors
+e^{c hL} (and one of e^{-c hL}) and one border row of e^{c hL'} per
+nonzero node (that of e^{-c hL'} follows from it and the factors), built
+into preallocated rows from the distinct entries of L only when the step
+size changes. The step is capped at h max(-Re L) <= 600, so that no
+factor e^{c h |Re L|} overflows. The frame is exact to rounding when no
+fed entry decays faster than entry 0; otherwise rounding in entry 0 grows
+as e^{c h (|Re L_k| - |Re L_0|)}, and error control shortens the step.
 
 The state is R independent rows advanced with one shared step, a float
 array (R, w): with q entries in L, the first 2q floats of a row hold its q

@@ -4,9 +4,9 @@ lawson_step takes one step of y' = M y + f(t, y) on complex rows, with
 scipy's expm of the dense matrix M in place of the solver's closed-form
 factors and interaction frame, and lawson_error gives its error estimate.
 fixed_step_solver(h) wraps the step in the call signature of
-purcell_cool.ode.dormand_prince, rhs f(t, y, out) included, so that monkeypatching
-blochsim.dormand_prince with it marches blochsim's own rhs, linear part and
-feed with fixed steps.
+purcell_cool.ode.dormand_prince, its rhs f(t, y, out) included, so that
+monkeypatching blochsim.dormand_prince with it marches blochsim's own rhs,
+linear part and feed with fixed steps.
 """
 
 import numpy as np

@@ -13,8 +13,9 @@ from purcell_cool.ode import dormand_prince
 
 def solve(f, y0, t1, *, linear=None, feed=None, **kwargs):
     """dormand_prince on complex rows y0 (R, q), with f taking and returning
-    complex rows (the solver's rhs writes them into its out); L is 0 and the feed 0 unless given. Returns the complex
-    rows at t1 and the samples of entry 0."""
+    complex rows (the solver's rhs writes them into its out); L is 0 and the
+    feed 0 unless given. Returns the complex rows at t1 and the samples of
+    entry 0."""
     y0 = np.atleast_2d(np.asarray(y0, dtype=complex))
     q = y0.shape[1]
     linear = np.zeros(q) if linear is None else linear
