@@ -195,6 +195,20 @@ def test_closed_form_delay_matches_ode():
     assert abs(direct_sz[0] - closed_sz[0]) < 2e-7
 
 
+def test_closed_form_delay_past_float_range_decays_to_zero_or_raises():
+    # detuned groups 1e302 s on: L t overflows, and the decayed entries are
+    # 0 whatever their phase; with T2 = 1e308 s the s- decay is still 1 while
+    # its phase overflows, which no float can resolve
+    groups = single_group(delta=1e5)
+    y = row(groups, s_minus=[0.1j, 0.2, -0.1], s_z=[-0.1, 0.0, 0.1], cavity=1e-9 + 0j)
+    out = bs._closed_form_delay(y[None], groups, RES, [1e302])[0]
+    cavity, s_minus, s_z = split(out, 3)
+    assert cavity == 0 and np.all(s_minus == 0) and np.allclose(s_z, groups.sz_eq, rtol=1e-15)
+    frozen = bs.Ensemble(**{**vars(groups), "t2": np.full(3, 1e308), "gamma1": np.zeros(3)})
+    with pytest.raises(ValueError, match="precession"):
+        bs._closed_form_delay(y[None], frozen, RES, [1e305])
+
+
 class TestSequences:
     def make(self, g=50.0):
         groups = single_group(g=g)
