@@ -164,7 +164,10 @@ def _advance(y, groups, res, a_in, duration, *, sample_dt=None, rtol=1e-8,
     coupling_row = -1j * groups.weight * g_ang
     root_kext = math.sqrt(res.kappa_ext)
     a_in = np.asarray(a_in, dtype=complex)
-    drive = root_kext * a_in
+    with np.errstate(over="ignore", invalid="ignore"):
+        drive = root_kext * a_in
+    if not np.all(np.isfinite(drive)):
+        raise ValueError("a pulse amplitude overflows the cavity's drive sqrt(kappa_ext) a_in")
 
     def rhs(t, y, out):
         c = y[:, :m].view(complex)  # [a, s-...]

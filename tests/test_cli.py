@@ -847,13 +847,17 @@ def _number(value):
 def _crawls(argv, ensemble):
     """Inputs whose 1x1 run takes seconds to hours, because the solver
     resolves a rotation or decay far faster than the sequence: a coupling
-    above 1 MHz, a T2 below 10 ns or a drive amplitude above 1e9. Nothing
+    above 1 MHz, a T2 below 10 ns, or a drive that turns the spins faster
+    than amplitude 1e9 does at 50 Hz (the rate goes as g |amp|; without
+    g_hz the wire model's couplings stay below about 150 Hz). Nothing
     bounds such a run's time yet, so the fuzz leaves them out."""
     g, t2 = _number(ensemble.get("g_hz")), _number(ensemble.get("t2_s"))
     amps = argv[argv.index("--amp-list") + 1].split(",") if "--amp-list" in argv else []
+    rotating = 150.0 if g is None else g
     return ((g is not None and 1e6 < g < math.inf)
             or (t2 is not None and 0 < t2 < 1e-8)
-            or any(1e9 < abs(a) < math.inf for a in map(_number, amps) if a is not None))
+            or any(5e10 < rotating * abs(a) < math.inf
+                   for a in map(_number, amps) if a is not None))
 
 
 @st.composite
@@ -880,6 +884,7 @@ def _sim_runs(draw):
 @example(run=(["echo"], {**_ONE_GROUP, "g_hz": 5.2e199}))  # the Purcell rate overflows
 @example(run=(["echo"], {**_ONE_GROUP, "g_hz": 1e-100}))  # the pi pulse's rotation is 0
 @example(run=(["cpmg", "--n-cpmg", "1", "--tau-us", "1e308"], _ONE_GROUP))  # L t overflows
+@example(run=(["rabi", "--amp-list", "1e308"], _ONE_GROUP))  # the drive overflows
 @example(run=(["rabi", "--tau-us", "0"], _ONE_GROUP))  # a usage error
 def test_simulation_fuzz_ends_in_a_documented_exit_code(run):
     argv, ensemble = run
