@@ -151,8 +151,10 @@ def _advance(y, groups, res, a_in, duration, *, sample_dt=None, rtol=1e-8,
     the T1 term, and writes them into the row `out` that the solver hands
     it, allocating no state-sized array. Returns (y, t, amp): amp[j, r] is
     row r's output field a_out = sqrt(kappa_ext) a - a_in at t[j] on a
-    uniform sample_dt comb, and t and amp are None without sample_dt. Only the cavity column is
-    evaluated at the sample times, from the solver's dense output.
+    uniform sample_dt comb, and t and amp are None without sample_dt. Only
+    the cavity column is evaluated at the sample times, from the solver's
+    dense output. A drive sqrt(kappa_ext) a_in that overflows raises
+    ValueError.
     """
     n = len(groups)
     m = 2 + 2 * n  # floats of the complex entries [a, s-...]
