@@ -140,8 +140,7 @@ def _linear(groups, res):
         [-res.kappa / 2], -(2j * math.pi * groups.detuning + 1.0 / groups.t2)))
 
 
-def _advance(y, groups, res, a_in, duration, *, sample_dt=None, rtol=1e-8,
-             atol=1e-13):
+def _advance(y, groups, res, a_in, duration, *, rtol, atol, sample_dt=None):
     """Advance the rows of y, shape (R, 2+3n), by `duration` with one shared
     step; row r is driven by the constant complex amplitude a_in[r].
 
@@ -153,7 +152,8 @@ def _advance(y, groups, res, a_in, duration, *, sample_dt=None, rtol=1e-8,
     row r's output field a_out = sqrt(kappa_ext) a - a_in at t[j] on a
     uniform sample_dt comb, and t and amp are None without sample_dt. Only
     the cavity column is evaluated at the sample times, from the solver's
-    dense output. A drive sqrt(kappa_ext) a_in that overflows raises
+    dense output. rtol and atol are the solver's tolerances, whose defaults
+    run_sweep holds. A drive sqrt(kappa_ext) a_in that overflows raises
     ValueError.
     """
     n = len(groups)

@@ -124,8 +124,8 @@ def _resonant_pair(cfg, b0):
     """Quasi-degenerate transition doublet at field b0."""
     params = cfg.spin_params()
     res = cfg.resonator_params()
-    levels, vecs = hamiltonian.labeled_eigensystem(params, b0)
-    transitions = hamiltonian.transition_table(levels, vecs)
+    levels = hamiltonian.labeled_eigensystem(params, b0)
+    transitions = hamiltonian.transition_table(params, b0)
     window = cfg.raw["ensemble"]["pair_window_hz"]
     pair = polarization.find_quasi_degenerate_pair(transitions, res.omega0, window=window)
     return levels, pair
@@ -155,9 +155,9 @@ def _coupling_density(cfg, b0):
 
 def _sequence_setup(cfg, args):
     """What echo, invrec, rabi and cpmg share: the ensemble at --b0 as the
-    keyword arguments of run_sequence and run_sweep, the pi amplitude, tau
-    in seconds, and the pulse widths as the keyword arguments of the
-    sequence builders."""
+    keyword arguments of run_sequence and run_sweep, whose own defaults set
+    the solver's tolerances, the pi amplitude, tau in seconds, and the pulse
+    widths as the keyword arguments of the sequence builders."""
     ens, seq = cfg.raw["ensemble"], cfg.raw["sequence"]
     res = cfg.resonator_params()
     rho, _ = _coupling_density(cfg, args.b0)

@@ -302,8 +302,3 @@ def parse_config_text(text, name="<config>"):
 def parse_config(path):
     with open(path, "r", encoding="utf-8") as fh:
         return parse_config_text(fh.read(), name=str(path))
-
-
-def serialize(config):
-    """YAML dump that parse_config_text round-trips to an identical config."""
-    return yaml.safe_dump(config.raw, sort_keys=True)

@@ -15,8 +15,9 @@ therefore built sector by sector in closed form (Breit & Rabi 1931), as
 arrays over a whole field grid: spectrum_vs_field runs the grid, and
 labeled_eigensystem and transition_table are its one-field slice. The
 transition matrix elements follow in closed form from each level's two
-sector amplitudes. No 20 x 20 matrix is built; the test suite keeps the
-dense Hamiltonian as the reference the sectors are checked against.
+sector amplitudes. No 20 x 20 matrix is built, neither the Hamiltonian nor
+its eigenvectors; the test suite keeps both as the reference the sectors
+are checked against.
 """
 
 from __future__ import annotations
@@ -137,42 +138,25 @@ def _links(f, m, energy, c_p, c_q):
 
 
 def labeled_eigensystem(params, b0):
-    """Eigenpairs and adiabatic (F, m) labels at field b0: one field of the
-    sector solution that spectrum_vs_field runs over a grid.
+    """The levels at field b0 in ascending energy, with their adiabatic
+    (F, m) labels: one field of the sector solution that spectrum_vs_field
+    runs over a grid."""
+    f, m, energy, _, _ = _sectors(params, np.array([b0], dtype=float))
+    return [LabeledLevel(energy=float(energy[0, j]), f=int(f[j]), m=int(m[j]))
+            for j in np.argsort(energy[0], kind="stable")]
 
-    Returns (levels in ascending energy, aligned real eigenvector columns).
-    A column's entries are on the product states |m_S> x |m_I>, both m
-    descending: |m_S, m_I> is row (1/2 - m_S)(2I + 1) + I - m_I.
+
+def transition_table(params, b0):
+    """All |dF . dm| = 1 transitions at field b0 whose |S_x| matrix element
+    reaches MATRIX_ELEMENT_FLOOR, from the sector amplitudes through _links.
+
+    They are ordered by the energy ranks of their lower, then upper level:
+    by their positions in labeled_eigensystem's list.
     """
     f, m, energy, c_p, c_q = _sectors(params, np.array([b0], dtype=float))
-    # rows of |+1/2, m - 1/2> and |-1/2, m + 1/2>; a stretched state's
-    # missing partner lands on an unrelated row with amplitude zero
-    p = np.round(params.i + 0.5 - m).astype(int)
-    cols = np.arange(m.size)
-    vecs = np.zeros((m.size, m.size))
-    vecs[p, cols] = c_p[0]
-    vecs[p + round(2 * params.i), cols] = c_q[0]
-    order = np.argsort(energy[0], kind="stable")
-    levels = [
-        LabeledLevel(energy=float(energy[0, j]), f=int(f[j]), m=int(m[j])) for j in order
-    ]
-    return levels, vecs[:, order]
-
-
-def transition_table(levels, eigenvectors, floor=MATRIX_ELEMENT_FLOOR):
-    """All |dF . dm| = 1 transitions with their |S_x| matrix element.
-
-    levels and eigenvectors are those of labeled_eigensystem. Each of its
-    eigenvectors lies in one F_z sector, so its only amplitude with
-    m_S = +1/2 is c_p and its only one with m_S = -1/2 is c_q. Transitions
-    whose sx element falls below the floor are dropped; the rest are ordered
-    by the positions of their lower, then upper level in `levels`.
-    """
-    f = np.array([lv.f for lv in levels])
-    m = np.array([lv.m for lv in levels])
-    energy = np.array([lv.energy for lv in levels])
-    c_p, c_q = eigenvectors.reshape(2, -1, m.size).sum(axis=1)
-    lower, upper, frequency, element = _links(f, m, energy, c_p, c_q)
+    lower, upper, frequency, element = _links(f, m, energy[0], c_p[0], c_q[0])
+    rank = np.empty_like(m)
+    rank[np.argsort(energy[0], kind="stable")] = np.arange(m.size)
     return [
         Transition(
             lower=(int(f[lower[c]]), int(m[lower[c]])),
@@ -180,8 +164,8 @@ def transition_table(levels, eigenvectors, floor=MATRIX_ELEMENT_FLOOR):
             frequency=float(frequency[c]),
             sx_element=float(element[c]),
         )
-        for c in np.lexsort((upper, lower))
-        if element[c] >= floor
+        for c in np.lexsort((rank[upper], rank[lower]))
+        if element[c] >= MATRIX_ELEMENT_FLOOR
     ]
 
 
@@ -224,7 +208,9 @@ def spectrum_vs_field(params, b0_grid, omega0):
 
     d = frequency - omega0
     same = listed[:-1] & listed[1:] & (lower[:-1] == lower[1:])
-    r, c = np.nonzero(same & (d[:-1] * d[1:] < 0.0))
+    # a sign change, read from the signs: with a huge omega0 the product of
+    # two differences overflows
+    r, c = np.nonzero(same & (np.sign(d[:-1]) * np.sign(d[1:]) < 0.0))
     d1, d2 = d[r, c], d[r + 1, c]
     # an exact hit counts where the next interval keeps the transition, and
     # at the trailing grid point

@@ -52,10 +52,11 @@ does not grow, and a proposed growth below 1.2 keeps h (as RADAU5 does),
 so that the factor rows are reused. Steps are not clipped to the requested
 sample times, and only entry 0 of each row is sampled: at a sample inside
 a step it is e^{theta hL'} (y + h sum_j b_j(theta) K_j), the DP5
-continuous extension (Hairer's contd5 weights b_j) in the frame, with the
-feed summed within each distinct entry v of L first (8 numbers per row and
-v per step), then weighted by psi_v(theta h); a sample at t0 or t1 is the
-state itself. The extension scales stage data by up to
+continuous extension (Hairer's contd5 weights b_j) in the frame: entry 0
+itself, weighted by e^{theta hL_0}, and its feed, summed within each
+distinct entry v of L first (8 numbers per row and v per step), then
+weighted by psi_v(theta h), go through one interpolant; a sample at t0 or
+t1 is the state itself. The extension scales stage data by up to
 e^{(c_j - theta) h max(-Re L)}, so a step that holds a sample inside it is
 capped at h max(-Re L) <= 10.
 """
@@ -176,28 +177,23 @@ def _frame(theta, h, y, k):
     return y + h * (weights @ flat).view(k.dtype).reshape(theta.shape + y.shape)
 
 
-def _dense(theta, h, y, k, lam0):
-    """Entry 0 at t + theta h from its value y (rows), its frame stages k
-    (7, rows) and its entry lam0 of L in one step; _dense_feed adds its
-    feed."""
-    return np.exp(theta * h * lam0)[:, None] * _frame(theta, h, y, k)
-
-
-def _dense_feed(theta, h, sums, vals, lam0):
-    """Entry 0's feed at t + theta h, sum_v psi_v(theta h) F_v(theta), for
-    sums (8, rows, V): the fed entries of y, K_0, ..., K_6, weighted by the
-    feed and summed within each entry v of L, and F_v their frame
-    interpolant. Samples go in chunks, so memory does not grow with them."""
+def _dense(theta, h, sums, vals, lam0):
+    """Entry 0 at t + theta h, sum_v w_v(theta h) F_v(theta), for sums
+    (8, rows, 1 + V) over y, K_0, ..., K_6: column 0 entry 0 itself, with
+    w_0(t) = e^{lam0 t}, and column v the fed entries weighted by the feed
+    and summed within the v-th distinct entry vals[v - 1] of L, with
+    w_v = psi_v; F_v is their frame interpolant. Samples go in chunks, so
+    memory does not grow with them."""
     out = np.empty((len(theta), sums.shape[1]), dtype=complex)
     for lo in range(0, len(theta), _CHUNK):
         part = theta[lo : lo + _CHUNK]
-        psi = _border(part * h, vals, lam0)[:, None]
-        out[lo : lo + _CHUNK] = (psi * _frame(part, h, sums[0], sums[1:])).sum(axis=-1)
+        times = part * h
+        weight = np.hstack((np.exp(times * lam0)[:, None], _border(times, vals, lam0)))
+        out[lo : lo + _CHUNK] = (weight[:, None] * _frame(part, h, sums[0], sums[1:])).sum(axis=-1)
     return out
 
 
-def dormand_prince(f, t0, y0, t1, *, linear, feed, rtol=1e-8, atol=1e-10,
-                   sample_times=None):
+def dormand_prince(f, t0, y0, t1, *, linear, feed, rtol, atol, sample_times=None):
     """Integrate dy/dt = L' y + f(t, y) from t0 to t1.
 
     y0 is a float array (R, w) of R independent rows, each packing the
@@ -207,7 +203,8 @@ def dormand_prince(f, t0, y0, t1, *, linear, feed, rtol=1e-8, atol=1e-10,
     L, one entry per complex entry; its real parts should not be positive.
     feed holds one entry per complex entry after the first: L' is L plus
     the border row that feeds complex entry k into entry 0 with weight
-    feed[k - 1]. Returns (y_end, samples), where samples[j, r] is complex
+    feed[k - 1]. rtol and atol are the relative and absolute tolerances of
+    every entry. Returns (y_end, samples), where samples[j, r] is complex
     entry 0 of row r at sample_times[j], stored in one buffer (empty when
     no sample was requested). sample_times must not decrease.
 
@@ -249,6 +246,7 @@ def dormand_prince(f, t0, y0, t1, *, linear, feed, rtol=1e-8, atol=1e-10,
     fvals, finv = np.unique(lin[1:], return_inverse=True)
     order = np.argsort(finv, kind="stable")
     starts = np.flatnonzero(np.diff(finv[order], prepend=-1))
+    fd_grouped = fd[order]
 
     samples = np.empty((len(stops), len(y)), dtype=complex)
     j = int(np.searchsorted(stops, t, side="right"))  # samples at t0: y0
@@ -359,14 +357,15 @@ def dormand_prince(f, t0, y0, t1, *, linear, feed, rtol=1e-8, atol=1e-10,
                 theta = np.clip((stops[j:j_end] - t) / h_try, 0.0, 1.0)
                 z[7] = fsal  # K_6, into the frame for the dense output
                 _down(*k6, fac_back, border_one)
-                # the frame interpolant reads entry 0's stages as one contiguous block
-                stages0 = np.ascontiguousarray(z_lin[1:, :, 0])
-                # the feed into entry 0, summed within each entry of L
-                sums = np.stack([
-                    np.add.reduceat((row * fd).take(order, axis=-1), starts, axis=-1)
-                    for row in z_lin[..., 1:]])
-                samples[j:j_end] = (_dense(theta, h_try, z_lin[0, :, 0], stages0, lin[0])
-                                    + _dense_feed(theta, h_try, sums, fvals, lin[0]))
+                # entry 0, then the feed into it summed within each entry of L,
+                # a row at a time: all 8 rows at once raise the peak RSS of a
+                # 40 x 41 ensemble's echo by 0.4 MB
+                sums = np.empty((8, len(y), 1 + len(fvals)), dtype=complex)
+                sums[..., 0] = z_lin[..., 0]
+                for row, dest in zip(z_lin[..., 1:], sums[..., 1:]):
+                    np.add.reduceat(row.take(order, axis=-1) * fd_grouped, starts, axis=-1,
+                                    out=dest)
+                samples[j:j_end] = _dense(theta, h_try, sums, fvals, lin[0])
                 j = j_end
             t = t_new
             z[0] = work[1]

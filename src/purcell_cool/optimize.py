@@ -13,6 +13,7 @@ from .errors import NoConvergence
 
 _FD_STEP = 1e-6  # relative central-difference step for Jacobians
 _STEP_TOL = 1e-10  # relative parameter step that counts as converged
+_MAX_ITER = 200  # iterations before a fit raises NoConvergence
 
 
 def numeric_jacobian(residual, x):
@@ -29,20 +30,20 @@ def numeric_jacobian(residual, x):
     return np.stack(columns, axis=1)
 
 
-def levenberg_marquardt(residual, x0, *, max_iter=200):
+def levenberg_marquardt(residual, x0):
     """Minimize sum(residual(x)**2).
 
     Returns (x, jac, r, converged) at the last accepted point. converged
     is True when the relative parameter step dropped below 1e-10, and
     False when the damping grew past 1e12 without a step that lowers the
-    cost; exhausting max_iter raises NoConvergence.
+    cost; 200 iterations without either raise NoConvergence.
     """
     x = np.asarray(x0, dtype=float).copy()
     lam = 1e-3
     r = np.asarray(residual(x), dtype=float)
     jac = numeric_jacobian(residual, x)
     cost = float(r @ r)
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         jtj = jac.T @ jac
         g = jac.T @ r
         # damped normal equations; scale damping by the diagonal so the
@@ -67,4 +68,4 @@ def levenberg_marquardt(residual, x0, *, max_iter=200):
             lam *= 10.0
             if lam > 1e12:
                 return x, jac, r, False
-    raise NoConvergence(f"no parameter step below {_STEP_TOL} in {max_iter} iterations")
+    raise NoConvergence(f"no parameter step below {_STEP_TOL} in {_MAX_ITER} iterations")

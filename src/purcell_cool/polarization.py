@@ -3,12 +3,12 @@
 The echo amplitude at one of the quasi-degenerate doublets measures the
 population imbalance between the two lower and the two upper states involved,
 summed over both transitions. At temperatures large against the in-manifold
-splittings this reduces to simple closed forms in x = h omega0 / k T.
+splittings it is estimated by the spin-1/2 form tanh(x/2)/10 in
+x = h omega0 / k T.
 """
 
 from __future__ import annotations
 
-import math
 import numpy as np
 
 from .thermal import BOLTZMANN, PLANCK, spin_polarization
@@ -82,21 +82,3 @@ def find_quasi_degenerate_pair(transitions, target, window=5e6):
 def approx_population_difference(t, omega0):
     """Spin-1/2 style estimate tanh(x/2)/10 with x = h omega0 / k t."""
     return spin_polarization(t, omega0) / 10.0
-
-
-def manifold_population_difference(t, omega0, n_lower=9, n_upper=11):
-    """Closed form treating the two manifolds as degenerate level sets.
-
-    With x = h omega0 / k t:
-
-        (1/n_lower) (1 + e^-x) / (1 + (n_upper/n_lower) e^-x) tanh(x/2)
-
-    This is the per-transition population difference; the summed doublet
-    value of population_difference approaches exactly twice this as B0 -> 0.
-    """
-    if t <= 0:
-        raise ValueError("temperature must be positive")
-    kt = BOLTZMANN * t
-    x = PLANCK * omega0 / kt if kt else math.inf  # k t may underflow
-    u = math.exp(-x)
-    return (1.0 / n_lower) * (1 + u) / (1 + (n_upper / n_lower) * u) * math.tanh(x / 2)

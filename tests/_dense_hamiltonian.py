@@ -1,14 +1,18 @@
 """Dense donor-spin Hamiltonian: the reference for the Breit-Rabi sectors.
 
 The package builds the eigenpairs sector by sector in closed form and never
-forms the full matrix. This module builds it in the product basis
-|m_S> x |m_I> (both m descending), for the tests to compare against.
+forms the full matrix, nor the matrix of eigenvectors. This module builds
+both in the product basis |m_S> x |m_I> (both m descending), for the tests
+to compare against, and the transition table read back from the
+eigenvector matrix.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from purcell_cool import hamiltonian as ham
 
 
 def angular_momentum_ops(j):
@@ -73,3 +77,42 @@ def build_hamiltonian(params, b0):
     h = b0 * (params.gamma_e * ops["sz"] - params.gamma_n * ops["iz"])
     h = h + params.hyperfine_a * ops["sdoti"]
     return HermitianOperator(h.shape[0], h)
+
+
+def sector_eigenvectors(params, b0):
+    """The sector eigenvectors scattered into the product basis: column k
+    belongs to level k of labeled_eigensystem. |m_S, m_I> is row
+    (1/2 - m_S)(2I + 1) + I - m_I."""
+    _, m, energy, c_p, c_q = ham._sectors(params, np.array([b0], dtype=float))
+    # rows of |+1/2, m - 1/2> and |-1/2, m + 1/2>; a stretched state's
+    # missing partner lands on an unrelated row with amplitude zero
+    p = np.round(params.i + 0.5 - m).astype(int)
+    cols = np.arange(m.size)
+    vecs = np.zeros((m.size, m.size))
+    vecs[p, cols] = c_p[0]
+    vecs[p + round(2 * params.i), cols] = c_q[0]
+    return vecs[:, np.argsort(energy[0], kind="stable")]
+
+
+def reference_transition_table(params, b0, floor=ham.MATRIX_ELEMENT_FLOOR):
+    """The |dF . dm| = 1 transitions with |S_x| >= floor, through the
+    eigenvector matrix: each level's two sector amplitudes are read back out
+    of its column (its only m_S = +1/2 and m_S = -1/2 entries) and go
+    through the package's _links; ordered by the positions of their lower,
+    then upper level in labeled_eigensystem's list."""
+    levels = ham.labeled_eigensystem(params, b0)
+    f = np.array([lv.f for lv in levels])
+    m = np.array([lv.m for lv in levels])
+    energy = np.array([lv.energy for lv in levels])
+    c_p, c_q = sector_eigenvectors(params, b0).reshape(2, -1, m.size).sum(axis=1)
+    lower, upper, frequency, element = ham._links(f, m, energy, c_p, c_q)
+    return [
+        ham.Transition(
+            lower=(int(f[lower[c]]), int(m[lower[c]])),
+            upper=(int(f[upper[c]]), int(m[upper[c]])),
+            frequency=float(frequency[c]),
+            sx_element=float(element[c]),
+        )
+        for c in np.lexsort((upper, lower))
+        if element[c] >= floor
+    ]

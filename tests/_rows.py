@@ -5,9 +5,15 @@ s_z,1..s_z,n]: the complex entries [a, s-_1..s-_n] as (re, im) pairs, then
 the real s_z entries.
 """
 
+import inspect
+
 import numpy as np
 
 from purcell_cool import blochsim as bs
+
+# the solver's tolerances unless a test gives its own: run_sweep's defaults
+TOLERANCES = {name: param.default for name, param in
+              inspect.signature(bs.run_sweep).parameters.items() if name in ("rtol", "atol")}
 
 
 def row(groups, s_minus=None, s_z=None, cavity=0.0):
@@ -27,7 +33,8 @@ def split(y, n):
 def advance(y, groups, res, a_in, duration, **solver):
     """Advance one row under the constant drive a_in; returns the row and,
     with sample_dt, the EchoTrace of the output field."""
-    y1, t, amp = bs._advance(y[None], groups, res, [a_in], duration, **solver)
+    y1, t, amp = bs._advance(y[None], groups, res, [a_in], duration,
+                             **{**TOLERANCES, **solver})
     return y1[0], None if t is None else bs.EchoTrace(t=t, amp=amp[:, 0])
 
 

@@ -37,7 +37,7 @@ OMEGA0 = RES.omega0
 
 def test_01_zero_field_manifolds():
     t0 = time.monotonic()
-    levels, _ = hamiltonian.labeled_eigensystem(SPIN, 0.0)
+    levels = hamiltonian.labeled_eigensystem(SPIN, 0.0)
     elapsed = time.monotonic() - t0
     low = [lv.energy for lv in levels if lv.f == 4]
     high = [lv.energy for lv in levels if lv.f == 5]

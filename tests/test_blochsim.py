@@ -464,7 +464,7 @@ class TestBatchedSweeps:
             np.multiply(-rates[:, None], y, out=out)
 
         y1, obs = ode.dormand_prince(rhs, 0.0, y0, 1.0, linear=np.zeros(2), feed=np.zeros(1),
-                                     sample_times=ts)
+                                     rtol=1e-8, atol=1e-10, sample_times=ts)
         assert y1.shape == (3, 5) and obs.shape == (3, 3)
         assert np.allclose(obs, np.exp(-np.outer(ts, rates)), rtol=1e-8)
         assert np.allclose(y1[:, 2:4].view(complex)[:, 0], 1j * np.exp(-rates), rtol=1e-8)

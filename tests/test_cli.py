@@ -20,9 +20,10 @@ from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from _frozen import FROZEN
+from _serialize import serialize
 from purcell_cool import cli
 from purcell_cool import estimators as est
-from purcell_cool.config import FIELDS, parse_config_text, serialize
+from purcell_cool.config import FIELDS, parse_config_text
 from purcell_cool.thermal import ResonatorParams, bose_occupation
 
 KAPPA_INT = 2 * math.pi * 0.4e6
@@ -677,6 +678,7 @@ def _fuzz_argv(draw):
 @example(argv=["snr", "--gamma1", "1e-320"])  # t_opt overflows
 @example(argv=["snr", "--gamma1", "1e-300", "--p", "1e308", "--sigma", "5e-324"])
 @example(argv=["spectrum", "--b0-min", "1e299", "--b0-max", "1e299"])  # energies overflow
+@example(argv=["spectrum", "--b0-max", "2e-3", "--omega0", "1e308"])  # d1 d2 overflows
 def test_cli_fuzz_ends_in_a_documented_exit_code(argv):
     with tempfile.TemporaryDirectory() as tmp:
         cfg = os.path.join(tmp, "run.yaml")

@@ -7,6 +7,7 @@ import yaml
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
+from _serialize import serialize
 from purcell_cool import config as cfg
 from purcell_cool.errors import SchemaError
 
@@ -86,7 +87,7 @@ def test_scientific_notation_without_signed_exponent():
 
 def test_serialize_round_trip():
     c = cfg.parse_config_text(MINIMAL)
-    again = cfg.parse_config_text(cfg.serialize(c))
+    again = cfg.parse_config_text(serialize(c))
     assert again.raw == c.raw
 
 
@@ -160,7 +161,7 @@ class TestSchemaErrors:
 def test_round_trip_preserves_overrides(n_g, t2_us, seed):
     text = RESON + f"ensemble:\n  n_g: {n_g}\n  t2_s: {t2_us * 1e-6!r}\nseed: {seed}\n"
     c = cfg.parse_config_text(text)
-    again = cfg.parse_config_text(cfg.serialize(c))
+    again = cfg.parse_config_text(serialize(c))
     assert again.raw == c.raw
     assert again.raw["ensemble"]["n_g"] == n_g
     assert math.isclose(again.raw["ensemble"]["t2_s"], t2_us * 1e-6, rel_tol=1e-15)

@@ -7,7 +7,8 @@ from purcell_cool import hamiltonian as ham
 from purcell_cool.config import parse_config_text
 
 from _dense_hamiltonian import (
-    HermitianOperator, angular_momentum_ops, build_hamiltonian, spin_operators)
+    HermitianOperator, angular_momentum_ops, build_hamiltonian, reference_transition_table,
+    sector_eigenvectors, spin_operators)
 from _frozen import FROZEN
 
 # the Si:Bi donor of the config defaults
@@ -33,8 +34,8 @@ class TestDonorSpectrum:
     params = SI_BI
 
     def test_dimension(self):
-        levels, vecs = ham.labeled_eigensystem(self.params, 0.05)
-        assert len(levels) == 20 and vecs.shape == (20, 20)
+        assert len(ham.labeled_eigensystem(self.params, 0.05)) == 20
+        assert sector_eigenvectors(self.params, 0.05).shape == (20, 20)
         assert build_hamiltonian(self.params, 0.05).entries.shape == (20, 20)
 
     def test_commutes_with_fz(self):
@@ -44,7 +45,7 @@ class TestDonorSpectrum:
         assert np.linalg.norm(h @ fz - fz @ h) < 1e-3 * np.linalg.norm(h)
 
     def test_zero_field_manifolds(self):
-        levels, _ = ham.labeled_eigensystem(self.params, 0.0)
+        levels = ham.labeled_eigensystem(self.params, 0.0)
         f4 = [l for l in levels if l.f == 4]
         f5 = [l for l in levels if l.f == 5]
         assert [len(f4), len(f5)] == FROZEN["zero_field_multiplicities"]
@@ -55,12 +56,11 @@ class TestDonorSpectrum:
         assert sorted(l.m for l in f5) == list(range(-5, 6))
 
     def test_labels_complete_at_field(self):
-        levels, _ = ham.labeled_eigensystem(self.params, 62.5e-3)
+        levels = ham.labeled_eigensystem(self.params, 62.5e-3)
         assert len({(l.f, l.m) for l in levels}) == 20
 
     def test_doublet_at_62p5_mt(self):
-        levels, vecs = ham.labeled_eigensystem(self.params, 62.5e-3)
-        table = ham.transition_table(levels, vecs)
+        table = ham.transition_table(self.params, 62.5e-3)
         by_label = {(t.lower, t.upper): t for t in table}
         t1 = by_label[((4, 0), (5, -1))]
         t2 = by_label[((4, -1), (5, 0))]
@@ -70,18 +70,28 @@ class TestDonorSpectrum:
         assert abs(t2.sx_element - FROZEN["doublet_62p5_sx"][1]) < 1e-6
 
     def test_selection_rules(self):
-        levels, vecs = ham.labeled_eigensystem(self.params, 30e-3)
-        for t in ham.transition_table(levels, vecs):
+        for t in ham.transition_table(self.params, 30e-3):
             assert abs((t.upper[0] - t.lower[0]) * (t.upper[1] - t.lower[1])) == 1
             assert t.frequency > 0
             assert 0 <= t.sx_element <= 0.5 + 1e-12
 
     def test_matrix_element_floor_drops_weak_lines(self):
-        levels, vecs = ham.labeled_eigensystem(self.params, 62.5e-3)
-        loose = ham.transition_table(levels, vecs, floor=0.0)
-        tight = ham.transition_table(levels, vecs, floor=0.2)
-        assert len(tight) < len(loose)
-        assert all(t.sx_element >= 0.2 for t in tight)
+        # every |dF . dm| = 1 link the table leaves out is one whose |S_x|,
+        # from the dense operator and eigenvectors, is below the floor
+        sx_op = spin_operators(self.params)["sx"]
+        dropped = 0
+        for b0 in FIELDS_T + (WEAK_LINK_FIELD_T,):
+            levels = ham.labeled_eigensystem(self.params, b0)
+            v = sector_eigenvectors(self.params, b0)
+            sx = np.abs(v.T @ sx_op @ v)
+            listed = {(t.lower, t.upper) for t in ham.transition_table(self.params, b0)}
+            for a, lo in enumerate(levels):
+                for b, up in enumerate(levels[a + 1:], a + 1):
+                    if (abs(lo.f - up.f) == 1 and abs(lo.m - up.m) == 1
+                            and ((lo.f, lo.m), (up.f, up.m)) not in listed):
+                        assert sx[a, b] < ham.MATRIX_ELEMENT_FLOOR
+                        dropped += 1
+        assert dropped > 0
 
 
 class TestFieldScan:
@@ -102,7 +112,7 @@ class TestHyperfineSplitting:
 
     def splittings(self, b0):
         """|E(f, m+1) - E(f, m)| within each manifold."""
-        levels, _ = ham.labeled_eigensystem(self.params, b0)
+        levels = ham.labeled_eigensystem(self.params, b0)
         energy = {(lv.f, lv.m): lv.energy for lv in levels}
         return np.array([abs(energy[f, m + 1] - energy[f, m])
                          for f in (4, 5) for m in range(-f, f)])
@@ -127,7 +137,7 @@ def test_two_spin_half_matches_breit_rabi():
     ge, gn = 28.0e9, 7.0e6
     params = ham.SpinSystemParams(gamma_e=ge, gamma_n=gn, hyperfine_a=a, s=0.5, i=0.5)
     for b0 in (0.0, 1e-3, 20e-3, 0.1):
-        levels, _ = ham.labeled_eigensystem(params, b0)
+        levels = ham.labeled_eigensystem(params, b0)
         w = np.array([lv.energy for lv in levels])
         b = b0 * (ge + gn) / 2
         exact = np.array(sorted([
@@ -140,13 +150,14 @@ def test_two_spin_half_matches_breit_rabi():
 
 
 FIELDS_T = (0.0, 1e-4, 1.3e-3, 1.68e-3, 9.5e-3, 30e-3, 62.5e-3, 1.0)
+WEAK_LINK_FIELD_T = 10.0  # Si:Bi's weakest links fall below the floor here, none up to 5 T
 
 
 @pytest.mark.parametrize("b0", FIELDS_T)
 def test_sector_energies_match_full_diagonalization(b0):
     params = SI_BI
     h = build_hamiltonian(params, b0).entries
-    levels, _ = ham.labeled_eigensystem(params, b0)
+    levels = ham.labeled_eigensystem(params, b0)
     ref = np.linalg.eigvalsh(h)
     w = np.array([lv.energy for lv in levels])
     assert np.all(np.diff(w) >= 0)
@@ -158,7 +169,8 @@ def test_sector_eigenvectors_diagonalize_h_and_fz(b0):
     params = SI_BI
     ops = spin_operators(params)
     h = build_hamiltonian(params, b0).entries
-    levels, v = ham.labeled_eigensystem(params, b0)
+    levels = ham.labeled_eigensystem(params, b0)
+    v = sector_eigenvectors(params, b0)
     scale = np.linalg.norm(h)
     assert np.allclose(v.conj().T @ v, np.eye(len(levels)), atol=1e-12)
     hv = v.conj().T @ h @ v
@@ -170,7 +182,8 @@ def test_sector_eigenvectors_diagonalize_h_and_fz(b0):
 def test_zero_field_labels_agree_with_total_angular_momentum():
     params = SI_BI
     f2 = spin_operators(params)["f2"]
-    levels, v = ham.labeled_eigensystem(params, 0.0)
+    levels = ham.labeled_eigensystem(params, 0.0)
+    v = sector_eigenvectors(params, 0.0)
     for k, lv in enumerate(levels):
         f2_exp = float((v[:, k].conj() @ f2 @ v[:, k]).real)
         assert abs(f2_exp - lv.f * (lv.f + 1)) < 1e-9
@@ -186,7 +199,7 @@ def test_zero_field_labels_agree_with_total_angular_momentum():
 )
 def test_sector_labels_and_energies_for_any_half_odd_nucleus(i, gamma_e, gamma_n, a, b0):
     params = ham.SpinSystemParams(gamma_e=gamma_e, gamma_n=gamma_n, hyperfine_a=a, s=0.5, i=i)
-    levels, _ = ham.labeled_eigensystem(params, b0)
+    levels = ham.labeled_eigensystem(params, b0)
     f_lo, f_up = round(i - 0.5), round(i + 0.5)
     expected = {(f_lo, m) for m in range(-f_lo, f_lo + 1)}
     expected |= {(f_up, m) for m in range(-f_up, f_up + 1)}
@@ -196,6 +209,8 @@ def test_sector_labels_and_energies_for_any_half_odd_nucleus(i, gamma_e, gamma_n
     h = build_hamiltonian(params, b0).entries
     w = np.array([lv.energy for lv in levels])
     assert np.allclose(w, np.linalg.eigvalsh(h), rtol=0, atol=1e-9 * np.linalg.norm(h))
+    # the table from the sectors equals the one read back from the eigenvector matrix
+    assert ham.transition_table(params, b0) == reference_transition_table(params, b0)
 
 
 @pytest.mark.parametrize("b0", [-1e-3, float("nan"), float("inf")])
@@ -215,11 +230,12 @@ def test_closed_form_elements_match_full_operator_products():
     params = SI_BI
     ops = spin_operators(params)
     for b0 in FIELDS_T:
-        levels, v = ham.labeled_eigensystem(params, b0)
+        levels = ham.labeled_eigensystem(params, b0)
+        v = sector_eigenvectors(params, b0)
         sx = np.abs(v.T @ ops["sx"] @ v)
         sy = np.abs(v.T @ ops["sy"] @ v)
         index = {(lv.f, lv.m): k for k, lv in enumerate(levels)}
-        table = ham.transition_table(levels, v, floor=0.0)
+        table = reference_transition_table(params, b0, floor=0.0)  # every link, via _links
         pairs = [(index[t.lower], index[t.upper]) for t in table]
         expected = [(a, b) for a in range(len(levels)) for b in range(a + 1, len(levels))
                     if abs(levels[a].f - levels[b].f) == 1
@@ -231,12 +247,16 @@ def test_closed_form_elements_match_full_operator_products():
             assert t.frequency == levels[b].energy - levels[a].energy
 
 
+@pytest.mark.parametrize("b0", FIELDS_T + (WEAK_LINK_FIELD_T,))
+def test_transition_table_equals_the_eigenvector_matrix_path(b0):
+    assert ham.transition_table(SI_BI, b0) == reference_transition_table(SI_BI, b0)
+
+
 def per_field_rows(params, grid):
     """spectrum_vs_field's rows, built field by field from the one-field slice."""
     rows = []
     for b0 in grid:
-        levels, vecs = ham.labeled_eigensystem(params, float(b0))
-        table = ham.transition_table(levels, vecs)
+        table = ham.transition_table(params, float(b0))
         rows += sorted((float(b0), t.lower, t.upper, t.frequency, t.sx_element)
                        for t in table)
     return rows
@@ -276,8 +296,7 @@ def test_field_scan_equals_the_one_field_slices_for_any_nucleus(
 def test_probe_on_a_grid_point_gives_one_crossing_there(at):
     params = SI_BI
     grid = np.linspace(60e-3, 65e-3, 11)
-    levels, vecs = ham.labeled_eigensystem(params, float(grid[at]))
-    line = {(t.lower, t.upper): t for t in ham.transition_table(levels, vecs)}
+    line = {(t.lower, t.upper): t for t in ham.transition_table(params, float(grid[at]))}
     omega0 = line[((4, 0), (5, -1))].frequency
     spec = ham.spectrum_vs_field(params, grid, omega0)
     hits = [r for r in spec.resonances if (r.lower, r.upper) == ((4, 0), (5, -1))]

@@ -11,7 +11,7 @@ from purcell_cool import ode
 from purcell_cool.ode import dormand_prince
 
 
-def solve(f, y0, t1, *, linear=None, feed=None, **kwargs):
+def solve(f, y0, t1, *, linear=None, feed=None, rtol=1e-8, atol=1e-10, **kwargs):
     """dormand_prince on complex rows y0 (R, q), with f taking and returning
     complex rows (the solver's rhs writes them into its out); L is 0 and the
     feed 0 unless given. Returns the complex rows at t1 and the samples of
@@ -25,7 +25,7 @@ def solve(f, y0, t1, *, linear=None, feed=None, **kwargs):
         out.view(complex)[...] = f(t, y.view(complex))
 
     y1, samples = dormand_prince(rhs, 0.0, y0.view(float), t1, linear=linear, feed=feed,
-                                 **kwargs)
+                                 rtol=rtol, atol=atol, **kwargs)
     return y1.view(complex), samples
 
 
@@ -286,7 +286,8 @@ def _check_first_step(rows, real, monkeypatch, fed=False):
     monkeypatch.setattr(ode, "_error_norm", stop_at_the_error)
     span = 5e-5
     with pytest.raises(FirstStep) as first:
-        dormand_prince(record, 0.0, pack(y0, q), span, linear=lin, feed=feed)
+        dormand_prince(record, 0.0, pack(y0, q), span, linear=lin, feed=feed,
+                       rtol=1e-8, atol=1e-10)
     h, matrix, cache = span / 50.0, linear_matrix(lin, feed, width), {}  # the first trial step
     stages, k = lawson_step(f, 0.0, y0, h, matrix, cache)
     err = lawson_error(k, h, matrix, cache)
