@@ -159,6 +159,7 @@ def _advance(y, groups, res, a_in, duration, *, rtol, atol, sample_dt=None):
     n = len(groups)
     m = 2 + 2 * n  # floats of the complex entries [a, s-...]
     g_ang = 2 * math.pi * groups.g
+    ig_ang = 1j * g_ang
     g4_ang = 4.0 * g_ang
     gamma1 = groups.gamma1
     relax_to = gamma1 * groups.sz_eq
@@ -171,15 +172,31 @@ def _advance(y, groups, res, a_in, duration, *, rtol, atol, sample_dt=None):
     if not np.all(np.isfinite(drive)):
         raise ValueError("a pulse amplitude overflows the cavity's drive sqrt(kappa_ext) a_in")
 
+    # each row's views, made once per row: the solver hands the rhs the same
+    # few row objects on every call, and a view costs about as much as a
+    # ufunc call on this state. An entry holds its row, so that no other
+    # object can take its id; a caller that hands fresh rows fills the
+    # table, which then starts over.
+    views = {}
+
+    def parts(row):  # the row, a as (R,) and as (R, 1), [s-...] and [s_z...]
+        found = views.get(id(row))
+        if found is None:
+            if len(views) >= 16:
+                views.clear()
+            c = row[:, :m].view(complex)
+            found = views[id(row)] = (row, c[:, 0], c[:, :1], c[:, 1:], row[:, m:])
+        return found
+
     def rhs(t, y, out):
-        c = y[:, :m].view(complex)  # [a, s-...]
-        sz = y[:, m:]
-        a = c[:, :1]
-        dc = out[:, :m].view(complex)
-        dc[:, 0] = drive
-        np.multiply(g_ang * sz, 1j * a, out=dc[:, 1:])
-        im = (c[:, 1:] * a.conj()).imag  # Im(a* s-_k)
-        np.subtract(relax_to - gamma1 * sz, g4_ang * im, out=out[:, m:])
+        _, _, a, sm, sz = parts(y)
+        _, da, _, dsm, dsz = parts(out)
+        da[...] = drive
+        np.multiply(ig_ang * sz, a, out=dsm)
+        # ds_z = (relax_to - gamma1 s_z) - 4 g Im(a* s-_k), rounded as written
+        np.multiply(gamma1, sz, out=dsz)
+        np.subtract(relax_to, dsz, out=dsz)
+        dsz -= g4_ang * (sm * a.conj()).imag
 
     sample_times = None
     if sample_dt is not None:

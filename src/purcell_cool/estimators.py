@@ -143,7 +143,8 @@ def fit_psd(data, fixed, config):
         raise ValueError("data do not bracket the resonator frequency")
     if config == "cold":
         if "n_twpa" not in fixed:
-            raise ValueError("the cold PSD fit needs n_twpa from the hot-stage fit")
+            raise ValueError("the cold PSD fit needs n_twpa from the hot-stage fit "
+                             "(fit-psd --n-twpa)")
         names = ["alpha", "t_int"]
     else:
         names = ["t_int"] if "n_twpa" in fixed else ["n_twpa", "t_int"]

@@ -9,7 +9,8 @@ y_k. The linear part is advanced exactly and the pair integrates only f
 (Lawson's integrating factor; Lawson, SIAM J. Numer. Anal. 4, 372 (1967);
 Hochbruck & Ostermann, Acta Numerica 19, 209 (2010)). The rhs is called as
 f(t, y, out) and writes f(t, y) into out, one of seven rows that the
-solver owns and reuses; what it returns is ignored.
+solver owns and reuses; what it returns is ignored. y and out are the same
+few row objects from call to call, so the rhs may keep its views of them.
 
 e^{tL'} is e^{tL} with the border row f_k psi_{L_k}(t) in entry 0, where
 psi_v(t) = (e^{vt} - e^{L_0 t}) / (v - L_0) = t e^{L_0 t} phi1((v - L_0) t)
@@ -24,11 +25,13 @@ K_0 as it is (FSAL, one row copy). K_6 is framed only on a step that
 holds a sample, where the dense output needs it. So each sum is one
 real-coefficient matrix product over the whole state, written into a
 preallocated row (the error estimate and stage 6 share one product and
-one pass out of the frame), and L' enters through one row of factors
-e^{c hL} (and one of e^{-c hL}) and one border row of e^{c hL'} per
-nonzero node (that of e^{-c hL'} follows from it and the factors), built
-into preallocated rows from the distinct entries of L only when the step
-size changes. The step is capped at h max(-Re L) <= 600, so that no
+one pass out of the frame). A pass into or out of the frame is two numpy
+calls on the complex entries: entry 0 becomes one product of the whole
+row with a head row, entry 0's row of e^{c hL'}, and the other entries
+are scaled in place by the factors e^{c hL}; out of the frame the scaling
+comes first (see _frame_rows). Both rows for each node +-c are built into
+preallocated rows from the distinct entries of L only when the step size
+changes. The step is capped at h max(-Re L) <= 600, so that no
 factor e^{c h |Re L|} overflows. The frame is exact to rounding when no
 fed entry decays faster than entry 0; otherwise rounding in entry 0 grows
 as e^{c h (|Re L_k| - |Re L_0|)}, and error control shortens the step.
@@ -118,23 +121,24 @@ _EXPO = 0.2 - 0.75 * _BETA
 _HOLD = 1.2  # a proposed growth in [1, _HOLD] keeps the step
 
 
-def _error_norm(err, scale):
+def _error_norm(err, scale, ratio):
     """Largest over rows of the RMS of err / scale, or of entry 0's ratio
     where that is larger.
 
     err is the float view of the error estimate, its first 2q floats q
     complex entries as (re, im) pairs; scale has one tolerance per entry,
     the q complex ones first, and a complex entry counts once by its
-    modulus. Entry 0, the sampled one, meets the tolerance however wide the
-    rest of the state is.
+    modulus. ratio, of scale's shape, receives |err| / scale. Entry 0, the
+    sampled one, meets the tolerance however wide the rest of the state is.
     """
     q = err.shape[-1] - scale.shape[-1]
-    ratio = np.empty_like(scale)
     np.abs(err[..., : 2 * q].view(complex), out=ratio[..., :q])
     ratio[..., q:] = err[..., 2 * q :]
     ratio /= scale
-    norm = np.vecdot(ratio, ratio) / ratio.shape[-1]
-    return math.sqrt(np.maximum(norm, ratio[..., 0] ** 2).max())
+    # the largest row's mean square; a non-finite ratio makes it NaN or inf,
+    # which max() keeps because it comes first
+    norm = np.vecdot(ratio, ratio).max() / ratio.shape[-1]
+    return math.sqrt(max(norm, ratio[..., 0].max() ** 2))
 
 
 def _border(t, vals, lam0):
@@ -150,21 +154,40 @@ def _border(t, vals, lam0):
     return psi
 
 
-def _up(w, head, tail, fac, border):
-    """w <- e^{tL'} w in place, on the complex entries (..., q), whose views
-    head = w[..., 0] and tail = w[..., 1:] the caller holds: fac is e^{tL}
-    and border the border row of e^{tL'}."""
-    fed = tail @ border
-    w *= fac
-    head += fed
+def _frame_rows(lin, fd, fvals, finv):
+    """The rows that apply e^{c hL'} and e^{-c hL'} at each node c of _NODES,
+    and build(h), which fills them in place for the step size h.
 
+    lin is the diagonal of L, fd its border row, and fvals, finv are
+    np.unique(lin[1:], return_inverse=True). Returns (fac, heads, build):
+    row i of each is node c = _NODES[i], and row i + 5 its negative. fac[i]
+    is e^{c hL}. heads[i] is [e^{c hL_0}, border], with border_k =
+    fd_k psi_{L_k}(c h), and heads[i + 5] is [e^{-c hL_0}, -e^{-c hL_0}
+    border]. So e^{c hL'} w is two products in place: entry 0 becomes
+    w @ heads[i], then w[1:] *= fac[i, 1:]; e^{-c hL'} w takes its two in
+    the opposite order, w[1:] *= fac[i + 5, 1:], then entry 0 becomes
+    w @ heads[i + 5].
+    """
+    vals, inv = np.unique(lin, return_inverse=True)
+    n = len(_NODES)
+    fac = np.empty((2 * n, len(lin)), dtype=complex)
+    heads = np.empty_like(fac)
+    # the feed parts one node at a time: a 2-D operation on these strided
+    # blocks takes numpy's buffered path, whose buffers raise the traced
+    # peak of a 40 x 41 ensemble's solve by about 0.25 MB
+    feeds = list(zip(heads[:n, 1:], heads[n:, 1:], fac[n:, :1]))
 
-def _down(w, head, tail, fac, border):
-    """w <- e^{-tL'} w in place, with head and tail as in _up: fac is
-    e^{-tL} and border the border row of e^{tL'}, so that e^{-tL'} has the
-    border row -border fac[0] fac[1:]."""
-    w *= fac
-    head -= fac[0] * (tail @ border)
+    def build(h):
+        times = h * _SIGNED_NODES
+        # from the distinct entries of L, gathered into the preallocated rows
+        np.exp(np.multiply.outer(times, vals)).take(inv, axis=1, out=fac, mode="clip")
+        heads[:, 0] = fac[:, 0]
+        for psi, (up, down, back) in zip(_border(times[:n], fvals, lin[0]), feeds):
+            psi.take(finv, out=up, mode="clip")
+            up *= fd
+            np.multiply(up, -back, out=down)
+
+    return fac, heads, build
 
 
 def _frame(theta, h, y, k):
@@ -211,7 +234,7 @@ def dormand_prince(f, t0, y0, t1, *, linear, feed, rtol, atol, sample_times=None
     Raises NoConvergence if error control pushes the step below 1e-15 s
     or the step budget runs out.
     """
-    y = np.array(y0, dtype=float)
+    y = np.asarray(y0, dtype=float)
     t = float(t0)
     t1 = float(t1)
     span = t1 - t
@@ -232,21 +255,18 @@ def dormand_prince(f, t0, y0, t1, *, linear, feed, rtol, atol, sample_times=None
         raise ValueError("y0 must be rows with room for one complex entry per entry of linear")
     if len(fd) != q - 1:
         raise ValueError("feed needs one entry per complex entry after the first")
-    vals, inv = np.unique(lin, return_inverse=True)
     decay = -lin.real.min(initial=0.0)
     h_cap = span if decay == 0 else min(span, _MAX_DECAY / decay)
     # the dense output scales stage data by up to e^{(c - theta) h decay}
     h_dense = math.inf if decay == 0 else _DENSE_DECAY / decay
 
-    # factor rows e^{c hL} per signed node and the border rows of e^{c hL'}
-    # per node; the fed entries grouped by their entry of L (fvals) for the
-    # dense output of entry 0
-    fac = np.empty((len(_SIGNED_NODES), q), dtype=complex)
-    border = np.empty((len(_NODES), q - 1), dtype=complex)
+    # the fed entries grouped by their entry of L (fvals), for the frame's
+    # rows and for the dense output of entry 0
     fvals, finv = np.unique(lin[1:], return_inverse=True)
     order = np.argsort(finv, kind="stable")
     starts = np.flatnonzero(np.diff(finv[order], prepend=-1))
     fd_grouped = fd[order]
+    fac, heads, build = _frame_rows(lin, fd, fvals, finv)
 
     samples = np.empty((len(stops), len(y)), dtype=complex)
     j = int(np.searchsorted(stops, t, side="right"))  # samples at t0: y0
@@ -258,44 +278,55 @@ def dormand_prince(f, t0, y0, t1, *, linear, feed, rtol, atol, sample_times=None
     z = np.empty((8,) + y.shape)
     work = np.empty((2,) + y.shape)
     fsal = np.empty_like(y)
-    z[0] = y
+    # every row a call reads or writes, made once: the rhs is handed the
+    # same row objects on every call
+    y_row, k0_row, k6_row = z[0], z[1], z[7]
+    stage_row, trial_row = work  # the stage, then the error estimate; stage 6
+    y_row[...] = y
+    weights = np.empty_like(_WEIGHTS)
     flat, work_flat = z.reshape(8, -1), work.reshape(2, -1)
+    stage_flat, final_weights, final_rows = work_flat[0], weights[5:], flat[:7]
     z_lin, work_lin = (a[..., : 2 * q].view(complex) for a in (z, work))  # where L' acts
     samples[:j] = z_lin[0, :, 0]
-    # |entry| of the state and of the trial solution, and the tolerances
-    mag, mag_new, scale = np.empty((3, len(y), y.shape[1] - q))
 
-    def modulus(v, out):
-        np.abs(v[..., : 2 * q].view(complex), out=out[..., :q])
-        np.abs(v[..., 2 * q :], out=out[..., q:])
-
-    modulus(y, mag)
+    # |entry| of the state and of the trial solution, each with the views of
+    # its complex and real entries, and the tolerances; the error norm's
+    # ratio goes into K_6's row, scratch by then
+    mag, mag_new = ((a, a[..., :q], a[..., q:]) for a in np.empty((2, len(y), y.shape[1] - q)))
+    scale = np.empty_like(mag[0])
+    ratio = k6_row[:, : scale.shape[1]]
+    np.abs(z_lin[0], out=mag[1])
+    np.abs(y_row[:, 2 * q :], out=mag[2])
+    trial = work_lin[1], trial_row[:, 2 * q :]  # the trial solution's parts
     built = None  # the h_try the factor rows and weights hold
-    weights = np.empty_like(_WEIGHTS)
     err_last = 0.0  # h e_6, the weight of k_6 in the error estimate
     err_prev = 1e-4
     rejected = False
 
-    def split(w):  # a row of complex entries and its head and tail views
+    def split(w):  # complex entries, their entry 0 and the rest
         return w, w[..., 0], w[..., 1:]
 
+    n = len(_NODES)
     # the views of stages 1-5, built once: node, stage weights and the rows
-    # they weight, factor rows into and out of the frame, border row, K row
-    stages = [(_C[i], weights[i - 1, : i + 1], flat[: i + 1], fac[i - 1],
-               fac[i - 1 + len(_NODES)], border[i - 1], z[i + 1], split(z_lin[i + 1]))
+    # they weight, head row and factor tail into the frame and out of it, K
+    # row and its complex entries (see _frame_rows)
+    stages = [(_C[i], weights[i - 1, : i + 1], flat[: i + 1], heads[i - 1], fac[i - 1, 1:],
+               heads[i - 1 + n], fac[i - 1 + n, 1:], z[i + 1], split(z_lin[i + 1]))
               for i in range(1, 6)]
-    stage = split(work_lin[0])
+    stage_lin, stage_head, stage_tail = split(work_lin[0])
     # the error estimate and stage 6, rows 0 and 1 of work, go out of the
-    # frame together through the node c = 1, and K_6 into it on a step
-    # with samples
-    final, k6 = split(work_lin), split(z_lin[7])
-    fac_one, fac_back, border_one = fac[len(_NODES) - 1], fac[-1], border[-1]
+    # frame together through the node c = 1, and K_6 into it on a step with
+    # samples
+    _, final_head, final_tail = split(work_lin)
+    k6_lin, k6_head, k6_tail = split(z_lin[7])
+    head_one, tail_one = heads[n - 1], fac[n - 1, 1:]
+    head_back, tail_back = heads[-1], fac[-1, 1:]
 
     # an overflowing or non-finite trial step is retried with a smaller h,
     # or ends the run with NoConvergence, so numpy need not warn of it
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if span > 0:
-            f(t, y, z[1])
+            f(t, y_row, k0_row)
         attempts = 0
         while t < t1 - 1e-18 * max(1.0, abs(t1)):
             attempts += 1
@@ -308,34 +339,34 @@ def dormand_prince(f, t0, y0, t1, *, linear, feed, rtol, atol, sample_times=None
             if h_try > h_dense and j < len(stops) and stops[j] < t + h_try:
                 h_try, last = h_dense, False  # a sample inside the step
             if h_try != built:
-                # from the distinct entries of L, gathered into preallocated rows
-                times = h_try * _SIGNED_NODES
-                np.exp(np.multiply.outer(times, vals)).take(inv, axis=1, out=fac, mode="clip")
-                _border(times[: len(_NODES)], fvals, lin[0]).take(
-                    finv, axis=1, out=border, mode="clip")
-                border *= fd
+                build(h_try)
                 np.multiply(h_try, _WEIGHTS, out=weights)
                 weights[:, 0] = _WEIGHTS[:, 0]
                 err_last = h_try * _E[6]
                 built = h_try
-            for c, row_weights, rows, fac_up, fac_down, bord, k, k_lin in stages:
-                np.matmul(row_weights, rows, out=work_flat[0])
-                _up(*stage, fac_up, bord)
-                f(t + c * h_try, work[0], k)
-                _down(*k_lin, fac_down, bord)
+            for c, row_weights, rows, up, up_fac, down, down_fac, k, k_parts in stages:
+                np.matmul(row_weights, rows, out=stage_flat)
+                np.matvec(stage_lin, up, out=stage_head)
+                stage_tail *= up_fac
+                f(t + c * h_try, stage_row, k)
+                k_lin, k_head, k_tail = k_parts
+                k_tail *= down_fac
+                np.matvec(k_lin, down, out=k_head)
             # e^{hL'} h sum_{j<6} e_j K_j and stage 6, the 5th-order solution,
             # whose derivative k_6 stays outside the frame: as e^{hL'} K_6 =
             # k_6, the error estimate adds h e_6 k_6
-            np.matmul(weights[5:], flat[:7], out=work_flat)
-            _up(*final, fac_one, border_one)
-            f(t + h_try, work[1], fsal)
-            np.multiply(fsal, err_last, out=z[7])
-            work[0] += z[7]
-            modulus(work[1], mag_new)
-            np.maximum(mag, mag_new, out=scale)
+            np.matmul(final_weights, final_rows, out=work_flat)
+            np.matvec(work_lin, head_one, out=final_head)
+            final_tail *= tail_one
+            f(t + h_try, trial_row, fsal)
+            np.multiply(fsal, err_last, out=k6_row)
+            stage_row += k6_row
+            np.abs(trial[0], out=mag_new[1])
+            np.abs(trial[1], out=mag_new[2])
+            np.maximum(mag[0], mag_new[0], out=scale)
             scale *= rtol
             scale += atol
-            err = _error_norm(work[0], scale)
+            err = _error_norm(stage_row, scale, ratio)
             if not math.isfinite(err):
                 h, rejected = h_try / 10.0, True
                 continue
@@ -355,8 +386,9 @@ def dormand_prince(f, t0, y0, t1, *, linear, feed, rtol, atol, sample_times=None
             if j < len(stops) and stops[j] <= t_new:
                 j_end = int(np.searchsorted(stops, t_new, side="left" if last else "right"))
                 theta = np.clip((stops[j:j_end] - t) / h_try, 0.0, 1.0)
-                z[7] = fsal  # K_6, into the frame for the dense output
-                _down(*k6, fac_back, border_one)
+                k6_row[...] = fsal  # K_6, into the frame for the dense output
+                k6_tail *= tail_back
+                np.matvec(k6_lin, head_back, out=k6_head)
                 # entry 0, then the feed into it summed within each entry of L,
                 # a row at a time: all 8 rows at once raise the peak RSS of a
                 # 40 x 41 ensemble's echo by 0.4 MB
@@ -368,7 +400,7 @@ def dormand_prince(f, t0, y0, t1, *, linear, feed, rtol, atol, sample_times=None
                 samples[j:j_end] = _dense(theta, h_try, sums, fvals, lin[0])
                 j = j_end
             t = t_new
-            z[0] = work[1]
-            z[1] = fsal  # FSAL: K_0 of the next step needs no frame
+            y_row[...] = trial_row
+            k0_row[...] = fsal  # FSAL: K_0 of the next step needs no frame
     samples[j:] = z_lin[0, :, 0]
-    return z[0].copy(), samples
+    return y_row.copy(), samples

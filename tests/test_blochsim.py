@@ -450,8 +450,10 @@ class TestBatchedSweeps:
         err = rng.normal(size=(5, 2 * 9 + 4))  # 9 complex entries, then 4 real ones
         scale = rng.uniform(1.0, 2.0, size=(5, 9 + 4))
         err[3] *= 50.0  # one row far worse than the rest
-        rows = [ode._error_norm(err[r : r + 1], scale[r : r + 1]) for r in range(5)]
-        assert ode._error_norm(err, scale) == max(rows)
+        ratio = np.empty_like(scale)
+        rows = [ode._error_norm(err[r : r + 1], scale[r : r + 1], ratio[r : r + 1])
+                for r in range(5)]
+        assert ode._error_norm(err, scale, ratio) == max(rows)
 
     def test_batched_solver_rows_are_independent_and_observed(self):
         # rows of two complex entries (1, i) and one real entry 1, each
@@ -502,6 +504,48 @@ def test_demo_echo_trace_at_the_default_tolerances_matches_a_tight_run():
     [want] = bs.run_sweep([seq], rtol=1e-12, atol=1e-16, **ensemble)[0]
     assert np.array_equal(got.t, want.t)
     assert np.abs(got.amp - want.amp).max() <= 5e-8 * np.abs(want.amp).max()
+
+
+def _with_phases(seq, phase):
+    """seq with each pulse's phase p replaced by phase(p)."""
+    return bs.PulseSequence(events=[
+        bs.Pulse(ev.amplitude, phase(ev.phase), ev.duration) if isinstance(ev, bs.Pulse) else ev
+        for ev in seq.events])
+
+
+def _assert_traces_map(got, want, transform):
+    # every sample within 1e-12 of the largest sample of all traces
+    peak = max(np.abs(tr.amp).max() for tr in want)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert np.array_equal(g.t, w.t)
+        assert np.abs(g.amp - transform(w.amp)).max() <= 1e-12 * peak
+
+
+def test_a_phase_added_to_every_pulse_rotates_every_trace():
+    # a -> a e^{i phi}, s- -> s- e^{i phi} with a_in -> a_in e^{i phi} maps the
+    # equations onto themselves, and the error norm reads only moduli, so
+    # the steps are the same: the output turns by e^{i phi}
+    seq, ensemble = _demo("cpmg")
+    phi = 0.7
+    want = bs.run_sweep([seq], **ensemble)[0]
+    got = bs.run_sweep([_with_phases(seq, lambda p: p + phi)], **ensemble)[0]
+    _assert_traces_map(got, want, lambda amp: np.exp(1j * phi) * amp)
+
+
+def test_negated_pulse_phases_conjugate_every_trace_on_a_symmetric_comb():
+    # a -> a*, s-_k -> -s-_k'* with k' the group at -delta_k and a_in -> a_in*
+    # maps the equations onto themselves when every group has its mirror
+    # image, so the output is conjugated
+    seq, ensemble = _demo("cpmg")
+    groups = ensemble["groups"]
+    mirror = groups.detuning.reshape(-1, 9)[:, ::-1].ravel()  # g-major, 9 detunings
+    assert np.array_equal(mirror, -groups.detuning)
+    assert np.array_equal(groups.g.reshape(-1, 9)[:, ::-1].ravel(), groups.g)
+    assert np.array_equal(groups.gamma1.reshape(-1, 9)[:, ::-1].ravel(), groups.gamma1)
+    want = bs.run_sweep([seq], **ensemble)[0]
+    got = bs.run_sweep([_with_phases(seq, lambda p: -p)], **ensemble)[0]
+    _assert_traces_map(got, want, np.conj)
 
 
 def test_demo_echo_window_takes_few_steps(monkeypatch):

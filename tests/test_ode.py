@@ -101,13 +101,15 @@ def test_observed_error_is_not_diluted_by_the_state_width(width):
     err = np.zeros((2, width), dtype=complex)
     err[1, 0] = 3e-10
     scale = np.full((2, width), 1e-10)
-    assert ode._error_norm(err.view(float), scale) == pytest.approx(3.0, rel=1e-12)
+    ratio = np.empty_like(scale)
+    assert ode._error_norm(err.view(float), scale, ratio) == pytest.approx(3.0, rel=1e-12)
 
 
 def test_error_norm_counts_a_complex_entry_once_by_its_modulus():
     # two complex entries (3 + 4i, 0) and one real entry 12: RMS over 3 entries
     err = np.array([[3.0, 4.0, 0.0, 0.0, -12.0]])
-    assert ode._error_norm(err, np.ones((1, 3))) == pytest.approx(math.sqrt(169 / 3), rel=1e-15)
+    norm = ode._error_norm(err, np.ones((1, 3)), np.empty((1, 3)))
+    assert norm == pytest.approx(math.sqrt(169 / 3), rel=1e-15)
 
 
 KAPPA_HALF = 3.1e6  # s^-1, the cavity decay rate of the simulator's resonator
@@ -315,6 +317,35 @@ def test_bordered_frame_step_matches_a_dense_matrix_lawson_step(rows, real, monk
     # the feed makes e^{chL'} a full matrix exponential in the reference;
     # entry 5 shares entry 0's L and entries 4, 7 and 8 have L = 0
     _check_first_step(rows, real, monkeypatch, fed=True)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_frame_rows_advance_the_bordered_part_and_invert_it(seed):
+    # random decaying and rotating entries of L, some fed entries decaying
+    # faster than entry 0 and some slower, two with entry 0's own L, one
+    # with L = 0; the head row gives entry 0 of e^{c hL'} w in one product,
+    # and going out of the frame, tail first, returns the row
+    rng = np.random.default_rng(seed)
+    decay = -(10 ** rng.uniform(5, 7, 4))
+    turn = rng.normal(size=4) * 3e7
+    lin = np.concatenate(([decay[0]], decay + 1j * turn, [decay[0], 0.0, 1j * turn[0]]))
+    q = len(lin)
+    fd = (rng.normal(size=q - 1) + 1j * rng.normal(size=q - 1)) * 3e6
+    fac, heads, build = ode._frame_rows(lin, fd, *np.unique(lin[1:], return_inverse=True))
+    h = 3.0 / -lin.real.min()  # every e^{c h |Re L|} within e^3
+    build(h)
+    matrix = linear_matrix(lin, fd, q)
+    w0 = rng.normal(size=(3, q)) + 1j * rng.normal(size=(3, q))
+    n = len(ode._NODES)
+    for i, c in enumerate(ode._NODES):
+        w = w0.copy()
+        w[:, 0] = w @ heads[i]
+        w[:, 1:] *= fac[i, 1:]
+        want = w0 @ expm(c * h * matrix).T
+        assert np.abs(w - want).max() <= 1e-13 * np.abs(want).max()
+        w[:, 1:] *= fac[i + n, 1:]
+        w[:, 0] = w @ heads[i + n]
+        assert np.abs(w - w0).max() <= 1e-13 * np.abs(w0).max()
 
 
 def test_step_cap_keeps_a_stiff_step_finite_and_exact():
