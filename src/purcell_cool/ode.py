@@ -9,8 +9,7 @@ y_k. The linear part is advanced exactly and the pair integrates only f
 (Lawson's integrating factor; Lawson, SIAM J. Numer. Anal. 4, 372 (1967);
 Hochbruck & Ostermann, Acta Numerica 19, 209 (2010)). The rhs is called as
 f(t, y, out) and writes f(t, y) into out, one of seven rows that the
-solver owns and reuses; what it returns is ignored. y and out are the same
-few row objects from call to call, so the rhs may keep its views of them.
+solver owns and reuses; what it returns is ignored.
 
 e^{tL'} is e^{tL} with the border row f_k psi_{L_k}(t) in entry 0, where
 psi_v(t) = (e^{vt} - e^{L_0 t}) / (v - L_0) = t e^{L_0 t} phi1((v - L_0) t)
@@ -222,8 +221,10 @@ def dormand_prince(f, t0, y0, t1, *, linear, feed, rtol, atol, sample_times=None
     y0 is a float array (R, w) of R independent rows, each packing the
     complex entries of L in front (see the module docstring); f(t, y, out)
     writes the derivative, a float array of the shape of y, into out, a
-    solver-owned row that it must not keep. linear holds the diagonal of
-    L, one entry per complex entry; its real parts should not be positive.
+    solver-owned row that the solver reuses; y and out are the same few
+    row objects on every call, so f may keep its views of them for the
+    solve. linear holds the diagonal of L, one entry per complex entry; its
+    real parts should not be positive.
     feed holds one entry per complex entry after the first: L' is L plus
     the border row that feeds complex entry k into entry 0 with weight
     feed[k - 1]. rtol and atol are the relative and absolute tolerances of
