@@ -1,11 +1,11 @@
 """Semiclassical dynamics of the spin ensemble coupled to the driven cavity.
 
-Each ensemble group k carries coupling g_k, detuning delta_k, its own Purcell
-rate and a shared T2. In the frame rotating at the cavity frequency:
+Group k has coupling g_k, detuning delta_k and Purcell rate Gamma_1,k; T2,
+sz_eq and the weight w are shared. In the cavity's rotating frame:
 
-    da/dt    = -(kappa/2) a - i sum_k w_k g_k s-_k + sqrt(kappa_ext) a_in(t)
+    da/dt    = -(kappa/2) a - i w sum_k g_k s-_k + sqrt(kappa_ext) a_in(t)
     ds-_k/dt = -(i 2 pi delta_k + 1/T2) s-_k + i g_k a s_z,k
-    ds_z/dt  = -Gamma_1,k (s_z,k - sz_eq,k) + 2 i g_k (a* s-_k - a s-*_k)
+    ds_z/dt  = -Gamma_1,k (s_z,k - sz_eq) + 2 i g_k (a* s-_k - a s-*_k)
 
 with g in angular units inside the equations and s- = (s_x - i s_y)/2, so
 4 |s-|^2 + s_z^2 <= 1 is the Bloch-ball constraint and a resonant drive of
@@ -18,7 +18,7 @@ floats: the 1 + n complex entries as (re, im) pairs, then the real s_z.
 Sequences that share one event skeleton (a Rabi or inversion-recovery
 sweep) advance together as the rows of one (R, 2+3n) array. The linear
 part of the equations acts on the complex entries alone: the diagonal
-(_linear, the decay and detuning) and the spins' feed -i w_k g_k s-_k into
+(_linear, the decay and detuning) and the spins' feed -i w g_k s-_k into
 da/dt. The integrator advances both exactly, so that between pulses, where
 little else drives the state, its steps are long; the closed form that
 takes free-evolution delays much longer than the cavity lifetime advances
@@ -44,14 +44,16 @@ LONG_DELAY_FACTOR = 100.0  # delays beyond this many 1/kappa skip the ODE
 
 @dataclass(frozen=True)
 class Ensemble:
-    """Spin groups as parallel arrays, one entry per group."""
+    """Spin groups that tile one detuning comb: group k has coupling g[k],
+    Purcell rate gamma1[k] and detuning detuning[k % len(detuning)]; T2,
+    the equilibrium s_z and the weight are the same for every group."""
 
-    g: np.ndarray  # Hz
-    detuning: np.ndarray  # Hz
-    gamma1: np.ndarray  # s^-1
-    t2: np.ndarray  # s
-    sz_eq: np.ndarray  # equilibrium s_z, in [-1, 0]
-    weight: np.ndarray
+    g: np.ndarray  # Hz, one per group
+    detuning: np.ndarray  # Hz, the comb
+    gamma1: np.ndarray  # s^-1, one per group
+    t2: float  # s
+    sz_eq: float  # equilibrium s_z, in [-1, 0]
+    weight: float
 
     def __len__(self):
         return len(self.g)
@@ -114,28 +116,22 @@ def init_ensemble(rho, res, spin_temp, t2, *, freq_width=3e6, n_g=40, n_delta=41
     else:
         deltas = np.linspace(-freq_width / 2, freq_width / 2, n_delta)
     g = np.repeat(g_vals, n_delta)
-    detuning = np.tile(deltas, n_g)
-    n = n_g * n_delta
     with np.errstate(over="ignore", invalid="ignore"):
-        gamma1 = purcell_rate(g, res, detuning)
+        gamma1 = purcell_rate(g, res, np.tile(deltas, n_g))
     if not np.all(np.isfinite(gamma1)):
         raise ValueError("the couplings' Purcell rates overflow the float range")
     if not math.isfinite(1.0 / float(t2)):
         raise ValueError("t2 is too short: 1/T2 overflows the float range")
-    return Ensemble(
-        g=g,
-        detuning=detuning,
-        gamma1=gamma1,
-        t2=np.full(n, float(t2)),
-        sz_eq=np.full(n, -spin_polarization(spin_temp, res.omega0)),
-        weight=np.full(n, 1.0 / n),
-    )
+    return Ensemble(g=g, detuning=deltas, gamma1=gamma1, t2=float(t2),
+                    sz_eq=-float(spin_polarization(spin_temp, res.omega0)),
+                    weight=1.0 / len(g))
 
 
 def _linear(groups, res):
     """Diagonal linear part of the equations on the complex entries
-    [a, s-...] of a row: -kappa/2 on a and -(2 pi i delta_k + 1/T2) on s-_k.
-    It is 0 on s_z, whose T1 term relaxes towards sz_eq and so stays out."""
+    [a, s-...] of a row: -kappa/2 on a, then -(2 pi i delta + 1/T2) for each
+    delta of the comb, which each coupling's tile of s- repeats. It is 0 on
+    s_z, whose T1 term relaxes towards sz_eq and so stays out."""
     return np.concatenate((
         [-res.kappa / 2], -(2j * math.pi * groups.detuning + 1.0 / groups.t2)))
 
@@ -163,8 +159,8 @@ def _advance(y, groups, res, a_in, duration, *, rtol, atol, sample_dt=None):
     g4_ang = 4.0 * g_ang
     gamma1 = groups.gamma1
     relax_to = gamma1 * groups.sz_eq
-    # the spins' linear feed into da/dt: this row times [s-...]
-    coupling_row = -1j * groups.weight * g_ang
+    # the spins' linear feed into da/dt: this times [s-...], a comb's tile per row
+    coupling_row = (-1j * groups.weight * g_ang).reshape(-1, len(groups.detuning))
     root_kext = math.sqrt(res.kappa_ext)
     a_in = np.asarray(a_in, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -228,7 +224,9 @@ def _closed_form_delay(y, groups, res, durations):
         raise ValueError("a delay is too long to resolve the spins' precession")
     out = y.copy()
     decaying = out[:, :m].view(complex)
-    decaying *= decay
+    decaying[:, 0] *= decay[:, 0]
+    tiles = decaying[:, 1:].reshape(len(y), -1, len(groups.detuning))  # a view
+    tiles *= decay[:, None, 1:]
     sz = y[:, m:]
     out[:, m:] = groups.sz_eq + (sz - groups.sz_eq) * relax
     return out

@@ -266,6 +266,9 @@ def cmd_invrec(cfg, args, outdir):
     dts = args.dt_list_s or cfg.raw["sequence"]["dt_list_s"]
     if dts is None:
         g1 = float(np.median(ensemble["groups"].gamma1))
+        if not g1 > 0:
+            raise ValueError("the median Purcell rate is 0, so no default recovery delays: "
+                             "give them with --dt-list-s or sequence.dt_list_s")
         dts = [x / g1 for x in (0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 4.0, 8.0)]
     dts = [float(dt) for dt in dts]
     seqs = [blochsim.inversion_recovery(dt, tau, amp, **widths) for dt in dts]

@@ -122,7 +122,7 @@ class CouplingDistribution:
     @classmethod
     def delta(cls, g):
         """All mass at a single coupling value (up to a 1e-9-relative bin)."""
-        eps = max(abs(g) * 1e-9, 1e-30)
+        eps = abs(g) * 1e-9
         return cls(bin_edges=np.array([g - eps, g + eps]), weights=np.array([1.0]))
 
     def quantile(self, q):

@@ -2,14 +2,16 @@
 
 Self-contained embedded Runge-Kutta pair (Hairer, Norsett & Wanner, Solving
 ODEs I, II.4-6), specialised to the ensemble simulator's state. It
-integrates dy/dt = L' y + f(t, y), where L' is a diagonal L given by its
-entries plus one border row f that feeds every other complex entry into
-entry 0 (blochsim's cavity, fed by its spins): y_0' = L_0 y_0 + sum_k f_k
-y_k. The linear part is advanced exactly and the pair integrates only f
-(Lawson's integrating factor; Lawson, SIAM J. Numer. Anal. 4, 372 (1967);
-Hochbruck & Ostermann, Acta Numerica 19, 209 (2010)). The rhs is called as
-f(t, y, out) and writes f(t, y) into out, one of seven rows that the
-solver owns and reuses; what it returns is ignored.
+integrates dy/dt = L' y + f(t, y), where L' is a diagonal L plus one
+border row f that feeds every other complex entry into entry 0 (blochsim's
+cavity, fed by its spins): y_0' = L_0 y_0 + sum_k f_k y_k. The fed entries
+come in tiles that repeat one period of L (blochsim's detuning comb, once
+per coupling), so L is given by L_0 and one period. The linear part is
+advanced exactly and the pair integrates only f (Lawson's integrating
+factor; Lawson, SIAM J. Numer. Anal. 4, 372 (1967); Hochbruck & Ostermann,
+Acta Numerica 19, 209 (2010)). The rhs is called as f(t, y, out) and
+writes f(t, y) into out, one of seven rows that the solver owns and
+reuses; what it returns is ignored.
 
 e^{tL'} is e^{tL} with the border row f_k psi_{L_k}(t) in entry 0, where
 psi_v(t) = (e^{vt} - e^{L_0 t}) / (v - L_0) = t e^{L_0 t} phi1((v - L_0) t)
@@ -29,16 +31,16 @@ calls on the complex entries: entry 0 becomes one product of the whole
 row with a head row, entry 0's row of e^{c hL'}, and the other entries
 are scaled in place by the factors e^{c hL}; out of the frame the scaling
 comes first (see _frame_rows). Both rows for each node +-c are built into
-preallocated rows from the distinct entries of L only when the step size
+preallocated rows from L_0 and the period only when the step size
 changes. The step is capped at h max(-Re L) <= 600, so that no
 factor e^{c h |Re L|} overflows. The frame is exact to rounding when no
 fed entry decays faster than entry 0; otherwise rounding in entry 0 grows
 as e^{c h (|Re L_k| - |Re L_0|)}, and error control shortens the step.
 
 The state is R independent rows advanced with one shared step, a float
-array (R, w): with q entries in L, the first 2q floats of a row hold its q
-complex entries as (re, im) pairs, and the other w - 2q floats are real
-entries, on which L is 0. The state and the stages of a step live in one
+array (R, w): with q complex entries, the first 2q floats of a row hold
+them as (re, im) pairs, and the other w - 2q floats are real entries, on
+which L is 0. The state and the stages of a step live in one
 preallocated float array, and k_6 in one more row; each stage's views of
 them are built once per solve, and its coefficients are rewritten in place
 when the step size changes.
@@ -55,10 +57,10 @@ so that the factor rows are reused. Steps are not clipped to the requested
 sample times, and only entry 0 of each row is sampled: at a sample inside
 a step it is e^{theta hL'} (y + h sum_j b_j(theta) K_j), the DP5
 continuous extension (Hairer's contd5 weights b_j) in the frame: entry 0
-itself, weighted by e^{theta hL_0}, and its feed, summed within each
-distinct entry v of L first (8 numbers per row and v per step), then
-weighted by psi_v(theta h), go through one interpolant; a sample at t0 or
-t1 is the state itself. The extension scales stage data by up to
+itself, weighted by e^{theta hL_0}, and its feed, summed over the tiles
+for each entry v of the period first (8 numbers per row and v per step),
+then weighted by psi_v(theta h), go through one interpolant; a sample at
+t0 or t1 is the state itself. The extension scales stage data by up to
 e^{(c_j - theta) h max(-Re L)}, so a step that holds a sample inside it is
 capped at h max(-Re L) <= 10.
 """
@@ -153,38 +155,40 @@ def _border(t, vals, lam0):
     return psi
 
 
-def _frame_rows(lin, fd, fvals, finv):
+def _frame_rows(lin, fd):
     """The rows that apply e^{c hL'} and e^{-c hL'} at each node c of _NODES,
     and build(h), which fills them in place for the step size h.
 
-    lin is the diagonal of L, fd its border row, and fvals, finv are
-    np.unique(lin[1:], return_inverse=True). Returns (fac, heads, build):
-    row i of each is node c = _NODES[i], and row i + 5 its negative. fac[i]
-    is e^{c hL}. heads[i] is [e^{c hL_0}, border], with border_k =
+    lin is L_0 and the period, and fd, (tiles, period), the border row, as
+    in dormand_prince. Returns (fac, heads, build): row i of each is node
+    c = _NODES[i], and row i + 5 its negative, one entry per complex entry.
+    fac[i] is e^{c hL}. heads[i] is [e^{c hL_0}, border], with border_k =
     fd_k psi_{L_k}(c h), and heads[i + 5] is [e^{-c hL_0}, -e^{-c hL_0}
     border]. So e^{c hL'} w is two products in place: entry 0 becomes
-    w @ heads[i], then w[1:] *= fac[i, 1:]; e^{-c hL'} w takes its two in
+    w @ heads[i], then w[1:] *= fac[i, 1:]; e^{-c hL'} w makes its two in
     the opposite order, w[1:] *= fac[i + 5, 1:], then entry 0 becomes
     w @ heads[i + 5].
     """
-    vals, inv = np.unique(lin, return_inverse=True)
     n = len(_NODES)
-    fac = np.empty((2 * n, len(lin)), dtype=complex)
+    fac = np.empty((2 * n, 1 + fd.size), dtype=complex)
     heads = np.empty_like(fac)
-    # the feed parts one node at a time: a 2-D operation on these strided
-    # blocks takes numpy's buffered path, whose buffers raise the traced
-    # peak of a 40 x 41 ensemble's solve by about 0.25 MB
-    feeds = list(zip(heads[:n, 1:], heads[n:, 1:], fac[n:, :1]))
+    # views of the fed entries as (node, tile, period): a period broadcasts on them
+    fac_tiles, head_tiles = (a[:, 1:].reshape(2 * n, *fd.shape) for a in (fac, heads))
+    head_rows, feed = list(heads[:, 1:]), fd.ravel()
 
     def build(h):
         times = h * _SIGNED_NODES
-        # from the distinct entries of L, gathered into the preallocated rows
-        np.exp(np.multiply.outer(times, vals)).take(inv, axis=1, out=fac, mode="clip")
-        heads[:, 0] = fac[:, 0]
-        for psi, (up, down, back) in zip(_border(times[:n], fvals, lin[0]), feeds):
-            psi.take(finv, out=up, mode="clip")
-            up *= fd
-            np.multiply(up, -back, out=down)
+        period = np.exp(np.multiply.outer(times, lin))
+        fac[:, 0] = heads[:, 0] = period[:, 0]
+        fac_tiles[...] = period[:, None, 1:]
+        psi = _border(times[:n], lin[1:], lin[0])
+        head_tiles[:n] = psi[:, None]
+        head_tiles[n:] = (psi * -period[n:, :1])[:, None]
+        # the feed a row at a time: a product on the strided block takes
+        # numpy's buffered path, whose buffers raise the traced peak of a
+        # 40 x 41 ensemble's solve by about 0.3 MB
+        for row in head_rows:
+            row *= feed
 
     return fac, heads, build
 
@@ -199,18 +203,18 @@ def _frame(theta, h, y, k):
     return y + h * (weights @ flat).view(k.dtype).reshape(theta.shape + y.shape)
 
 
-def _dense(theta, h, sums, vals, lam0):
-    """Entry 0 at t + theta h, sum_v w_v(theta h) F_v(theta), for sums
-    (8, rows, 1 + V) over y, K_0, ..., K_6: column 0 entry 0 itself, with
-    w_0(t) = e^{lam0 t}, and column v the fed entries weighted by the feed
-    and summed within the v-th distinct entry vals[v - 1] of L, with
-    w_v = psi_v; F_v is their frame interpolant. Samples go in chunks, so
-    memory does not grow with them."""
+def _dense(theta, h, sums, lin):
+    """Entry 0 at t + theta h, sum_j w_j(theta h) F_j(theta), for sums
+    (8, rows, len(lin)) over y, K_0, ..., K_6: column 0 entry 0 itself, with
+    w_0(t) = e^{L_0 t}, and column j the fed entries whose L is lin[j],
+    weighted by the feed and summed over the tiles, with w_j = psi_{lin[j]};
+    F_j is their frame interpolant. Samples go in chunks, so memory does not
+    grow with them."""
     out = np.empty((len(theta), sums.shape[1]), dtype=complex)
     for lo in range(0, len(theta), _CHUNK):
         part = theta[lo : lo + _CHUNK]
         times = part * h
-        weight = np.hstack((np.exp(times * lam0)[:, None], _border(times, vals, lam0)))
+        weight = np.hstack((np.exp(times * lin[0])[:, None], _border(times, lin[1:], lin[0])))
         out[lo : lo + _CHUNK] = (weight[:, None] * _frame(part, h, sums[0], sums[1:])).sum(axis=-1)
     return out
 
@@ -223,14 +227,15 @@ def dormand_prince(f, t0, y0, t1, *, linear, feed, rtol, atol, sample_times=None
     writes the derivative, a float array of the shape of y, into out, a
     solver-owned row that the solver reuses; y and out are the same few
     row objects on every call, so f may keep its views of them for the
-    solve. linear holds the diagonal of L, one entry per complex entry; its
-    real parts should not be positive.
-    feed holds one entry per complex entry after the first: L' is L plus
-    the border row that feeds complex entry k into entry 0 with weight
-    feed[k - 1]. rtol and atol are the relative and absolute tolerances of
-    every entry. Returns (y_end, samples), where samples[j, r] is complex
-    entry 0 of row r at sample_times[j], stored in one buffer (empty when
-    no sample was requested). sample_times must not decrease.
+    solve. There are 1 + feed.size complex entries. feed, (tiles, period),
+    is the border row: feed[t, j] feeds complex entry 1 + t period + j into
+    entry 0, and that entry's L is linear[1 + j]; linear[0] is entry 0's L.
+    A 1-D feed is one tile, so a general L is given whole. The real parts
+    of linear should not be positive. rtol and atol are the relative and
+    absolute tolerances of every entry. Returns (y_end, samples), where
+    samples[j, r] is complex entry 0 of row r at sample_times[j], stored in
+    one buffer (empty when no sample was requested). sample_times must not
+    decrease.
 
     Raises NoConvergence if error control pushes the step below 1e-15 s
     or the step budget runs out.
@@ -250,24 +255,18 @@ def dormand_prince(f, t0, y0, t1, *, linear, feed, rtol, atol, sample_times=None
         raise ValueError("sample times must not decrease")
 
     lin = np.asarray(linear, dtype=complex)
-    fd = np.asarray(feed, dtype=complex)  # fd[k - 1] feeds complex entry k into entry 0
-    q = len(lin)
+    fd = np.atleast_2d(np.asarray(feed, dtype=complex))
+    if fd.ndim != 2 or fd.shape[1] != len(lin) - 1:
+        raise ValueError("feed needs one column per entry of linear after the first")
+    q = 1 + fd.size
     if y.ndim != 2 or 2 * q > y.shape[1]:
-        raise ValueError("y0 must be rows with room for one complex entry per entry of linear")
-    if len(fd) != q - 1:
-        raise ValueError("feed needs one entry per complex entry after the first")
+        raise ValueError("y0 must be rows with room for its 1 + feed.size complex entries")
     decay = -lin.real.min(initial=0.0)
     h_cap = span if decay == 0 else min(span, _MAX_DECAY / decay)
     # the dense output scales stage data by up to e^{(c - theta) h decay}
     h_dense = math.inf if decay == 0 else _DENSE_DECAY / decay
 
-    # the fed entries grouped by their entry of L (fvals), for the frame's
-    # rows and for the dense output of entry 0
-    fvals, finv = np.unique(lin[1:], return_inverse=True)
-    order = np.argsort(finv, kind="stable")
-    starts = np.flatnonzero(np.diff(finv[order], prepend=-1))
-    fd_grouped = fd[order]
-    fac, heads, build = _frame_rows(lin, fd, fvals, finv)
+    fac, heads, build = _frame_rows(lin, fd)
 
     samples = np.empty((len(stops), len(y)), dtype=complex)
     j = int(np.searchsorted(stops, t, side="right"))  # samples at t0: y0
@@ -390,15 +389,13 @@ def dormand_prince(f, t0, y0, t1, *, linear, feed, rtol, atol, sample_times=None
                 k6_row[...] = fsal  # K_6, into the frame for the dense output
                 k6_tail *= tail_back
                 np.matvec(k6_lin, head_back, out=k6_head)
-                # entry 0, then the feed into it summed within each entry of L,
-                # a row at a time: all 8 rows at once raise the peak RSS of a
-                # 40 x 41 ensemble's echo by 0.4 MB
-                sums = np.empty((8, len(y), 1 + len(fvals)), dtype=complex)
+                # entry 0, then the feed into it summed over the tiles (vecdot
+                # conjugates its first argument)
+                sums = np.empty((8, len(y), len(lin)), dtype=complex)
                 sums[..., 0] = z_lin[..., 0]
-                for row, dest in zip(z_lin[..., 1:], sums[..., 1:]):
-                    np.add.reduceat(row.take(order, axis=-1) * fd_grouped, starts, axis=-1,
-                                    out=dest)
-                samples[j:j_end] = _dense(theta, h_try, sums, fvals, lin[0])
+                np.vecdot(fd.conj(), z_lin[..., 1:].reshape(8, len(y), *fd.shape), axis=-2,
+                          out=sums[..., 1:])
+                samples[j:j_end] = _dense(theta, h_try, sums, lin)
                 j = j_end
             t = t_new
             y_row[...] = trial_row

@@ -16,11 +16,16 @@ from purcell_cool import ode
 
 
 def linear_matrix(linear, feed, width):
-    """The dense L' on `width` complex entries: diag(linear), 0 past it, plus
-    the border row that feeds entries 1..len(feed) into entry 0."""
+    """The dense L' on `width` complex entries, the tiles of the solver's
+    linear and feed written out: L is linear[0] on entry 0, then the period
+    linear[1:] once per tile of feed, (tiles, period) or one tile (period,),
+    and 0 past them; the border row feeds entries 1..feed.size into entry 0
+    with the weights of feed, tile by tile."""
+    linear, feed = np.asarray(linear), np.atleast_2d(feed)
+    diagonal = np.concatenate((linear[:1], np.tile(linear[1:], len(feed))))
     matrix = np.zeros((width, width), dtype=complex)
-    matrix[np.diag_indices(len(linear))] = linear
-    matrix[0, 1 : len(feed) + 1] = feed
+    matrix[np.diag_indices(len(diagonal))] = diagonal
+    matrix[0, 1 : feed.size + 1] = feed.ravel()
     return matrix
 
 
@@ -71,7 +76,7 @@ def fixed_step_solver(h):
     on that step grid; a sample is complex entry 0 of each row there."""
 
     def solve(f, t0, y0, t1, *, linear, feed, rtol=None, atol=None, sample_times=None):
-        q = len(linear)
+        q = 1 + np.size(feed)
         n = max(1, round((t1 - t0) / h))
         step = (t1 - t0) / n
         c = unpack(y0, q)

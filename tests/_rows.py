@@ -19,7 +19,7 @@ TOLERANCES = {name: param.default for name, param in
 def row(groups, s_minus=None, s_z=None, cavity=0.0):
     """A packed row; by default the equilibrium of groups."""
     s_minus = np.zeros(len(groups)) if s_minus is None else s_minus
-    s_z = groups.sz_eq if s_z is None else s_z
+    s_z = np.full(len(groups), groups.sz_eq) if s_z is None else s_z
     entries = np.concatenate(([cavity], s_minus)).astype(complex)
     return np.concatenate((entries.view(float), np.asarray(s_z, dtype=float)))
 

@@ -28,13 +28,11 @@ def single_group(g=50.0, delta=0.0):
 
 
 def ensemble(g, detuning, gamma1, t2, sz_eq, weight):
-    """Ensemble whose shared scalar parameters are spread over every group."""
+    """Ensemble whose groups tile the comb detuning, with a shared Gamma_1
+    spread over every group."""
     g = np.asarray(g, dtype=float)
-    return bs.Ensemble(
-        g=g, detuning=np.asarray(detuning, dtype=float),
-        gamma1=np.full(g.size, gamma1), t2=np.full(g.size, t2),
-        sz_eq=np.full(g.size, sz_eq), weight=np.full(g.size, weight),
-    )
+    return bs.Ensemble(g=g, detuning=np.asarray(detuning, dtype=float),
+                       gamma1=np.full(g.size, gamma1), t2=t2, sz_eq=sz_eq, weight=weight)
 
 
 class TestInitEnsemble:
@@ -43,7 +41,7 @@ class TestInitEnsemble:
         for n_g, n_d in ((1, 1), (5, 7), (40, 41)):
             groups = bs.init_ensemble(rho, RES, T_SPIN, 600e-6, n_g=n_g, n_delta=n_d)
             assert len(groups) == n_g * n_d
-            assert abs(groups.weight.sum() - 1.0) < 1e-12
+            assert abs(groups.weight * len(groups) - 1.0) < 1e-12
 
     @pytest.mark.parametrize("n_g, n_d", [(1, 1), (5, 7), (40, 41)])
     def test_arrays_g_major_with_per_group_purcell_rate(self, n_g, n_d):
@@ -58,19 +56,20 @@ class TestInitEnsemble:
         for k in range(n):
             i_g, i_d = divmod(k, n_d)
             assert ens.g[k] == g_vals[i_g]
-            assert ens.detuning[k] == deltas[i_d]
-            assert ens.gamma1[k] == purcell_rate(ens.g[k], RES, ens.detuning[k])
-        for name in ("g", "detuning", "gamma1", "t2", "sz_eq", "weight"):
+            assert ens.detuning[k % n_d] == deltas[i_d]
+            assert ens.gamma1[k] == purcell_rate(ens.g[k], RES, deltas[i_d])
+        for name in ("g", "gamma1"):
             assert getattr(ens, name).shape == (n,)
-        assert np.all(ens.sz_eq == -POL)
-        assert np.all(ens.t2 == 600e-6)
-        assert np.all(ens.weight == 1.0 / n)
+        assert ens.detuning.shape == (n_d,)
+        assert ens.sz_eq == -POL
+        assert ens.t2 == 600e-6
+        assert ens.weight == 1.0 / n
 
     def test_single_group_purcell_rate(self):
         ens = single_group(g=80.0)
         expect = 4 * (2 * math.pi * 80.0) ** 2 / RES.kappa
         assert abs(ens.gamma1[0] - expect) < 1e-12 * expect
-        assert abs(ens.sz_eq[0] + POL) < 1e-15
+        assert abs(ens.sz_eq + POL) < 1e-15
 
     def test_detuning_comb_spans_width(self):
         rho = CouplingDistribution.delta(50.0)
@@ -88,7 +87,7 @@ def test_no_drive_longitudinal_relaxation():
     y, _ = advance(y, groups, RES, 0.0, dt)
     _, s_minus, s_z = split(y, 1)
     g1 = groups.gamma1[0]
-    expect = groups.sz_eq[0] + (0.4 - groups.sz_eq[0]) * math.exp(-g1 * dt)
+    expect = groups.sz_eq + (0.4 - groups.sz_eq) * math.exp(-g1 * dt)
     assert abs(s_z[0] - expect) < 1e-10
     assert abs(s_minus[0]) < 1e-12
 
@@ -131,38 +130,43 @@ def test_opposite_detunings_evolve_as_conjugates():
     assert abs(cavity.real) < 1e-9 * max(abs(cavity), 1e-30)
 
 
-def test_advance_against_library_integrator():
-    """Three detuned groups under constant drive vs scipy solve_ivp."""
+@pytest.mark.parametrize("g_tiles, comb, a_in, cavity0", [
+    (1, (-8e5, 1e5, 6e5), 2e4 * np.exp(0.3j), 100.0 + 50.0j),
+    (2, (-8e5, 6e5), 0.0, 0.0),  # the cavity holds only what the spins feed it
+])
+def test_advance_against_library_integrator(g_tiles, comb, a_in, cavity0):
+    """Detuned groups vs scipy solve_ivp: one tile of three detunings under
+    constant drive, and, free, two couplings' tiles of a comb of two."""
     rng = np.random.default_rng(7)
-    groups = ensemble(g=rng.uniform(30, 90, 3), detuning=(-8e5, 1e5, 6e5), gamma1=0.1,
-                      t2=1e-4, sz_eq=-0.2, weight=1 / 3)
-    y0 = row(groups, s_minus=(rng.normal(size=3) + 1j * rng.normal(size=3)) * 0.05,
-             s_z=rng.uniform(-0.3, 0.1, 3), cavity=100.0 + 50.0j)
-    a_in = 2e4 * np.exp(0.3j)
+    n = g_tiles * len(comb)
+    groups = ensemble(g=rng.uniform(30, 90, n), detuning=comb, gamma1=0.1, t2=1e-4,
+                      sz_eq=-0.2, weight=1 / n)
+    y0 = row(groups, s_minus=(rng.normal(size=n) + 1j * rng.normal(size=n)) * 0.05,
+             s_z=rng.uniform(-0.3, 0.1, n), cavity=cavity0)
     duration = 2e-6
 
     g_ang = 2 * math.pi * groups.g
-    det = 2 * math.pi * groups.detuning
+    det = 2 * math.pi * np.tile(groups.detuning, g_tiles)  # g-major
     w = groups.weight
 
     def rhs(t, yf):
         y = yf.view(complex)
-        a, sm, sz = y[0], y[1:4], y[4:7].real
+        a, sm, sz = y[0], y[1 : n + 1], y[n + 1 :].real
         da = -(RES.kappa / 2) * a - 1j * np.sum(w * g_ang * sm) + math.sqrt(RES.kappa_ext) * a_in
         dsm = -(1j * det + 1e4) * sm + 1j * g_ang * a * sz
         dsz = -0.1 * (sz - (-0.2)) - 4 * g_ang * (np.conj(a) * sm).imag
         return np.concatenate(([da], dsm, dsz.astype(complex))).view(float)
 
-    cavity0, s_minus0, s_z0 = split(y0, 3)
+    cavity0, s_minus0, s_z0 = split(y0, n)
     ref0 = np.concatenate(([cavity0], s_minus0, s_z0)).astype(complex)
-    ref = solve_ivp(rhs, (0, duration), ref0.view(float), rtol=1e-11, atol=1e-12)
+    ref = solve_ivp(rhs, (0, duration), ref0.view(float), rtol=1e-11, atol=1e-16)
     ref_y = ref.y[:, -1].view(complex)
 
-    out, _ = advance(y0, groups, RES, a_in, duration, rtol=1e-10, atol=1e-12)
-    cavity, s_minus, s_z = split(out, 3)
-    assert abs(cavity - ref_y[0]) < 1e-6 * max(1.0, abs(ref_y[0]))
-    assert np.allclose(s_minus, ref_y[1:4], atol=1e-9)
-    assert np.allclose(s_z, ref_y[4:7].real, atol=1e-9)
+    out, _ = advance(y0, groups, RES, a_in, duration, rtol=1e-10, atol=1e-16)
+    cavity, s_minus, s_z = split(out, n)
+    assert abs(cavity - ref_y[0]) < 1e-6 * abs(ref_y[0])
+    assert np.allclose(s_minus, ref_y[1 : n + 1], atol=1e-9)
+    assert np.allclose(s_z, ref_y[n + 1 :].real, atol=1e-9)
 
 
 def test_spin_energy_conserved_without_relaxation():
@@ -172,27 +176,32 @@ def test_spin_energy_conserved_without_relaxation():
     y0 = row(groups, s_minus=np.full(4, 0.2 + 0.1j), s_z=[0.5, -0.3, 0.1, 0.8],
              cavity=10.0 + 0j)
     _, s_minus0, s_z0 = split(y0, 4)
-    energy0 = float(np.dot(groups.weight, s_z0))
+    energy0 = groups.weight * float(s_z0.sum())
     out, _ = advance(y0, groups, RES, 0.0, 1e-3, rtol=1e-10, atol=1e-13)
     _, s_minus, s_z = split(out, 4)
-    energy1 = float(np.dot(groups.weight, s_z))
+    energy1 = groups.weight * float(s_z.sum())
     assert abs(energy1 - energy0) < 1e-9
     # coherences precess ~1200 cycles; integrator drift stays small
     assert np.allclose(np.abs(s_minus), np.abs(s_minus0), atol=1e-6)
 
 
-def test_closed_form_delay_matches_ode():
+@pytest.mark.parametrize("n_g, n_delta", [(1, 1), (2, 3)])
+def test_closed_form_delay_matches_ode(n_g, n_delta):
     """After ring-down the closed form tracks the ODE to the (tiny)
-    cavity back-action scale 2 g^2/kappa * dt that it neglects."""
-    groups = single_group(g=45.0)
-    y = row(groups, s_minus=[0.1 - 0.05j], s_z=[-0.1], cavity=1e-9 + 0j)
+    cavity back-action scale 2 g^2/kappa * dt that it neglects; each tile
+    of the detuning comb precesses as the comb does."""
+    groups = bs.init_ensemble(CouplingDistribution.delta(45.0), RES, T_SPIN, 600e-6,
+                              n_g=n_g, n_delta=n_delta, freq_width=1.23e6)
+    n = len(groups)
+    y = row(groups, s_minus=(0.1 - 0.05j) * np.exp(1j * np.arange(n)), s_z=np.full(n, -0.1),
+            cavity=1e-9 + 0j)
     dt = 40e-6
     direct, _ = advance(y, groups, RES, 0.0, dt, rtol=1e-10, atol=1e-13)
     closed = bs._closed_form_delay(y[None], groups, RES, [dt])[0]
-    _, direct_sm, direct_sz = split(direct, 1)
-    _, closed_sm, closed_sz = split(closed, 1)
-    assert abs(direct_sm[0] - closed_sm[0]) < 2e-7
-    assert abs(direct_sz[0] - closed_sz[0]) < 2e-7
+    _, direct_sm, direct_sz = split(direct, n)
+    _, closed_sm, closed_sz = split(closed, n)
+    assert np.abs(direct_sm - closed_sm).max() < 2e-7
+    assert np.abs(direct_sz - closed_sz).max() < 2e-7
 
 
 def test_closed_form_delay_past_float_range_decays_to_zero_or_raises():
@@ -204,7 +213,7 @@ def test_closed_form_delay_past_float_range_decays_to_zero_or_raises():
     out = bs._closed_form_delay(y[None], groups, RES, [1e302])[0]
     cavity, s_minus, s_z = split(out, 3)
     assert cavity == 0 and np.all(s_minus == 0) and np.allclose(s_z, groups.sz_eq, rtol=1e-15)
-    frozen = bs.Ensemble(**{**vars(groups), "t2": np.full(3, 1e308), "gamma1": np.zeros(3)})
+    frozen = bs.Ensemble(**{**vars(groups), "t2": 1e308, "gamma1": np.zeros(3)})
     with pytest.raises(ValueError, match="precession"):
         bs._closed_form_delay(y[None], frozen, RES, [1e305])
 

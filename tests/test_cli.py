@@ -604,7 +604,12 @@ _PSD_BELOW_OMEGA0 = [
     ("coupling", WIRE + "implantation: {cutoff_depth_m: 1.0e-8}\n",
      "no spin weight inside the profile support"),
     ("fit-psd", SMALL, "data do not bracket the resonator frequency"),
-], ids=["zero-rates", "grid-in-strip", "pair-window", "grid-above-cutoff", "psd-one-side"])
+    ("invrec", SMALL.replace("n_g: 2", "n_g: 1").replace("g_hz: 50.0", "g_hz: 1.0e-200")
+     + "sequence: {amp: 1.0e+6}\n",  # Gamma_1 underflows to 0
+     "the median Purcell rate is 0, so no default recovery delays: give them with "
+     "--dt-list-s or sequence.dt_list_s"),
+], ids=["zero-rates", "grid-in-strip", "pair-window", "grid-above-cutoff", "psd-one-side",
+        "invrec-zero-rate"])
 def test_rejected_physics_input_exits_2_with_its_message(tmp_path, capsys, name, config,
                                                           message):
     cfg = tmp_path / "run.yaml"
@@ -823,8 +828,9 @@ def test_thermal_config_fuzz_ends_in_exit_0_or_2(text):
 
 # ------------------------------------------------------- simulation fuzz
 
-# the sequence subcommands with the numeric flags each takes, on a 1x1
-# ensemble whose fields a draw may drop, set to junk or set to a fitting value
+# the sequence subcommands with the numeric flags each takes, on an ensemble
+# of 1-3 couplings by 1-3 detunings whose fields a draw may drop, set to junk
+# or set to a fitting value
 _SIM_FLAGS = {
     "echo": ["--tau-us", "--b0"],
     "cpmg": ["--tau-us", "--b0"],
@@ -847,17 +853,21 @@ def _number(value):
 
 
 def _crawls(argv, ensemble):
-    """Inputs whose 1x1 run takes seconds to hours, because the solver
-    resolves a rotation or decay far faster than the sequence: a coupling
-    above 1 MHz, a T2 below 10 ns, or a drive that turns the spins faster
-    than amplitude 1e9 does at 50 Hz (the rate goes as g |amp|; without
-    g_hz the wire model's couplings stay below about 150 Hz). Nothing
-    bounds such a run's time yet, so the fuzz leaves them out."""
+    """Inputs whose run takes seconds to hours, because the solver resolves
+    a rotation or decay far faster than the sequence: a coupling above
+    1 MHz, a T2 below 10 ns, a detuning comb of several detunings wider
+    than 100 MHz (a 2x3 echo takes 0.7 s at that width and 30 s at 10 GHz),
+    or a drive that turns the spins faster than amplitude 1e9 does at
+    50 Hz (the rate goes as g |amp|; without g_hz the wire model's couplings
+    stay below about 150 Hz). Nothing bounds such a run's time yet, so the
+    fuzz leaves them out."""
     g, t2 = _number(ensemble.get("g_hz")), _number(ensemble.get("t2_s"))
+    width = _number(ensemble.get("freq_width_hz"))
     amps = argv[argv.index("--amp-list") + 1].split(",") if "--amp-list" in argv else []
     rotating = 150.0 if g is None else g
     return ((g is not None and 1e6 < g < math.inf)
             or (t2 is not None and 0 < t2 < 1e-8)
+            or (ensemble["n_delta"] > 1 and width is not None and 1e8 < width < math.inf)
             or any(5e10 < rotating * abs(a) < math.inf
                    for a in map(_number, amps) if a is not None))
 
@@ -870,7 +880,8 @@ def _sim_runs(draw):
         argv += ["--n-cpmg", str(draw(st.integers(1, 3)))]
     for flag in draw(st.lists(st.sampled_from(_SIM_FLAGS[name]), unique=True)):
         argv += [flag, draw(_FUZZ_LISTS if "list" in flag else _FUZZ_NUMBERS)]
-    ensemble = dict(_ONE_GROUP)
+    ensemble = {**_ONE_GROUP, "n_g": draw(st.integers(1, 3)),
+                "n_delta": draw(st.integers(1, 3))}
     for field in draw(st.lists(st.sampled_from(_SIM_FIELDS), unique=True, max_size=3)):
         edit = draw(st.sampled_from(["drop", "junk", "fit", "fit"]))
         if edit == "drop":

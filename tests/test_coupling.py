@@ -76,6 +76,15 @@ def test_delta_distribution():
     assert abs(rho.weights.sum() - 1.0) < 1e-15
 
 
+@pytest.mark.parametrize("g", 10.0 ** np.arange(-300, 301, 20))
+def test_delta_quantiles_stay_within_its_relative_bin(g):
+    # the bin's half-width is 1e-9 g at any scale, up to the rounding of its
+    # edges g -+ 1e-9 g: an absolute floor would put quantiles of a coupling
+    # below 1e-21 Hz below 0
+    qs = coupling.CouplingDistribution.delta(g).quantile(np.linspace(0, 1, 11))
+    assert np.all(np.abs(qs - g) <= 1e-9 * g + 2 * np.spacing(g))
+
+
 def test_quantiles_monotone():
     edges = np.array([1.0, 2.0, 4.0, 8.0])
     rho = coupling.CouplingDistribution(bin_edges=edges, weights=np.array([0.2, 0.3, 0.5]))

@@ -321,17 +321,17 @@ def test_bordered_frame_step_matches_a_dense_matrix_lawson_step(rows, real, monk
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_frame_rows_advance_the_bordered_part_and_invert_it(seed):
-    # random decaying and rotating entries of L, some fed entries decaying
-    # faster than entry 0 and some slower, two with entry 0's own L, one
-    # with L = 0; the head row gives entry 0 of e^{c hL'} w in one product,
-    # and going out of the frame, tail first, returns the row
+    # 3 tiles of a period of random decaying and rotating entries of L, some
+    # decaying faster than entry 0 and some slower, one with entry 0's own
+    # L, one with L = 0; the head row gives entry 0 of e^{c hL'} w in one
+    # product, and going out of the frame, tail first, returns the row
     rng = np.random.default_rng(seed)
     decay = -(10 ** rng.uniform(5, 7, 4))
     turn = rng.normal(size=4) * 3e7
     lin = np.concatenate(([decay[0]], decay + 1j * turn, [decay[0], 0.0, 1j * turn[0]]))
-    q = len(lin)
-    fd = (rng.normal(size=q - 1) + 1j * rng.normal(size=q - 1)) * 3e6
-    fac, heads, build = ode._frame_rows(lin, fd, *np.unique(lin[1:], return_inverse=True))
+    fd = (rng.normal(size=(3, len(lin) - 1)) + 1j * rng.normal(size=(3, len(lin) - 1))) * 3e6
+    q = 1 + fd.size
+    fac, heads, build = ode._frame_rows(lin, fd)
     h = 3.0 / -lin.real.min()  # every e^{c h |Re L|} within e^3
     build(h)
     matrix = linear_matrix(lin, fd, q)
@@ -346,6 +346,30 @@ def test_frame_rows_advance_the_bordered_part_and_invert_it(seed):
         w[:, 1:] *= fac[i + n, 1:]
         w[:, 0] = w @ heads[i + n]
         assert np.abs(w - w0).max() <= 1e-13 * np.abs(w0).max()
+
+
+def test_tiled_feed_solves_as_its_one_tile_form():
+    # 3 tiles of a period of 4 fed entries, two decaying faster than entry
+    # 0 and two slower, under a nonlinear drive with samples inside steps:
+    # the same system given whole, as one tile of 12, takes the same steps
+    # and agrees to rounding
+    lin = np.array([-KAPPA_HALF, -1.2e7 + 2e7j, -(2j * math.pi * 1.5e6 + 1 / 600e-6),
+                    -8e6 - 3e6j, -(-2j * math.pi * 0.4e6 + 1 / 600e-6)])
+    rng = np.random.default_rng(5)
+    fd = (rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))) * 3e6
+    c = (rng.normal(size=13) + 1j * rng.normal(size=13)) * 1e4
+    y0 = (rng.normal(size=(2, 13)) + 1j * rng.normal(size=(2, 13))) * 0.1
+    ts = np.arange(301) * 1e-8
+
+    def f(t, y):
+        return c * np.exp(2j * math.pi * 0.7e6 * t) + 1e5 * y * np.abs(y)
+
+    tiled = solve(f, y0, ts[-1], linear=lin, feed=fd, sample_times=ts)
+    whole = solve(f, y0, ts[-1], linear=np.concatenate((lin[:1], np.tile(lin[1:], 3))),
+                  feed=fd.ravel(), sample_times=ts)
+    for got, want in zip(tiled, whole):
+        peak = np.abs(want).max(axis=0)  # each entry's own
+        assert np.all(np.abs(got - want).max(axis=0) <= 1e-14 * peak)
 
 
 def test_step_cap_keeps_a_stiff_step_finite_and_exact():
