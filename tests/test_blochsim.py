@@ -130,19 +130,21 @@ def test_opposite_detunings_evolve_as_conjugates():
     assert abs(cavity.real) < 1e-9 * max(abs(cavity), 1e-30)
 
 
-@pytest.mark.parametrize("g_tiles, comb, a_in, cavity0", [
-    (1, (-8e5, 1e5, 6e5), 2e4 * np.exp(0.3j), 100.0 + 50.0j),
-    (2, (-8e5, 6e5), 0.0, 0.0),  # the cavity holds only what the spins feed it
-])
-def test_advance_against_library_integrator(g_tiles, comb, a_in, cavity0):
+def test_advance_against_library_integrator():
     """Detuned groups vs scipy solve_ivp: one tile of three detunings under
     constant drive, and, free, two couplings' tiles of a comb of two."""
+    _check_advance_against_library(1, (-8e5, 1e5, 6e5), 2e4 * np.exp(0.3j), 100.0 + 50.0j)
+    # the cavity holds only what the spins feed it, so the feed's tiles show
+    _check_advance_against_library(2, (-8e5, 6e5), 0.0, 0.0)
+
+
+def _check_advance_against_library(g_tiles, comb, a_in, field0):
     rng = np.random.default_rng(7)
     n = g_tiles * len(comb)
     groups = ensemble(g=rng.uniform(30, 90, n), detuning=comb, gamma1=0.1, t2=1e-4,
                       sz_eq=-0.2, weight=1 / n)
     y0 = row(groups, s_minus=(rng.normal(size=n) + 1j * rng.normal(size=n)) * 0.05,
-             s_z=rng.uniform(-0.3, 0.1, n), cavity=cavity0)
+             s_z=rng.uniform(-0.3, 0.1, n), cavity=field0)
     duration = 2e-6
 
     g_ang = 2 * math.pi * groups.g
@@ -185,23 +187,24 @@ def test_spin_energy_conserved_without_relaxation():
     assert np.allclose(np.abs(s_minus), np.abs(s_minus0), atol=1e-6)
 
 
-@pytest.mark.parametrize("n_g, n_delta", [(1, 1), (2, 3)])
-def test_closed_form_delay_matches_ode(n_g, n_delta):
+def test_closed_form_delay_matches_ode():
     """After ring-down the closed form tracks the ODE to the (tiny)
-    cavity back-action scale 2 g^2/kappa * dt that it neglects; each tile
-    of the detuning comb precesses as the comb does."""
-    groups = bs.init_ensemble(CouplingDistribution.delta(45.0), RES, T_SPIN, 600e-6,
-                              n_g=n_g, n_delta=n_delta, freq_width=1.23e6)
-    n = len(groups)
-    y = row(groups, s_minus=(0.1 - 0.05j) * np.exp(1j * np.arange(n)), s_z=np.full(n, -0.1),
-            cavity=1e-9 + 0j)
-    dt = 40e-6
-    direct, _ = advance(y, groups, RES, 0.0, dt, rtol=1e-10, atol=1e-13)
-    closed = bs._closed_form_delay(y[None], groups, RES, [dt])[0]
-    _, direct_sm, direct_sz = split(direct, n)
-    _, closed_sm, closed_sz = split(closed, n)
-    assert np.abs(direct_sm - closed_sm).max() < 2e-7
-    assert np.abs(direct_sz - closed_sz).max() < 2e-7
+    cavity back-action scale 2 g^2/kappa * dt that it neglects, on one
+    group and on two couplings' tiles of a comb of three, each tile
+    precessing as the comb does."""
+    for n_g, n_delta in ((1, 1), (2, 3)):
+        groups = bs.init_ensemble(CouplingDistribution.delta(45.0), RES, T_SPIN, 600e-6,
+                                  n_g=n_g, n_delta=n_delta, freq_width=1.23e6)
+        n = len(groups)
+        y = row(groups, s_minus=(0.1 - 0.05j) * np.exp(1j * np.arange(n)),
+                s_z=np.full(n, -0.1), cavity=1e-9 + 0j)
+        dt = 40e-6
+        direct, _ = advance(y, groups, RES, 0.0, dt, rtol=1e-10, atol=1e-13)
+        closed = bs._closed_form_delay(y[None], groups, RES, [dt])[0]
+        _, direct_sm, direct_sz = split(direct, n)
+        _, closed_sm, closed_sz = split(closed, n)
+        assert np.abs(direct_sm - closed_sm).max() < 2e-7
+        assert np.abs(direct_sz - closed_sz).max() < 2e-7
 
 
 def test_closed_form_delay_past_float_range_decays_to_zero_or_raises():
