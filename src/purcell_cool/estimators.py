@@ -1,9 +1,9 @@
 """Fit models: recovery exponentials, Gaussian decay, noise spectra, SNR.
 
-All fitters share one Levenberg-Marquardt driver with numeric Jacobians and
-report parameter standard errors from the Jacobian at the optimum. They are
-deliberately independent of the simulator so that measured data files can be
-fed straight in.
+All fitters share one Levenberg-Marquardt driver, which measures each
+parameter in its own units, and report standard errors from the Jacobian at
+the optimum. They are deliberately independent of the simulator so that
+measured data files can be fed straight in.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .optimize import levenberg_marquardt
+from .optimize import levenberg_marquardt, scaled_svd
 from .thermal import BOLTZMANN, PLANCK
 
 
@@ -26,18 +26,18 @@ class FitResult:
 
 
 def _least_squares(residual, x0, names):
-    """Levenberg-Marquardt fit with standard errors from the final Jacobian."""
+    """Levenberg-Marquardt fit with standard errors from the final Jacobian:
+    with jac / scale = U S V^T, sqrt(rss / (n - p) sum_k (V_ik / S_k)^2) /
+    scale_i over the S_k above S_max max(n, p) eps."""
     x, jac, r, converged = levenberg_marquardt(residual, x0)
     rss = float(r @ r)
-    n, p = r.size, x.size  # every fitter needs more distinct points than parameters
-    try:
-        cov = rss / (n - p) * np.linalg.pinv(jac.T @ jac)
-        std = np.sqrt(np.maximum(np.diag(cov), 0.0))
-    except np.linalg.LinAlgError:
-        std = np.full(p, math.nan)
+    n, p = jac.shape  # every fitter needs more distinct points than parameters
+    _, s, vt, scale = scaled_svd(jac)
+    keep = s > s[0] * max(n, p) * np.finfo(float).eps
+    std = np.sqrt(rss / (n - p) * ((vt[keep] / s[keep, None]) ** 2).sum(axis=0)) / scale
     return FitResult(
         parameters=dict(zip(names, (float(v) for v in x))),
-        std_errors=dict(zip(names, (float(s) for s in std))),
+        std_errors=dict(zip(names, (float(e) for e in std))),
         residual_norm=math.sqrt(rss),
         converged=converged,
     )
@@ -67,14 +67,16 @@ def fit_exponential_recovery(data):
 
     a0 = (y.max() - y.min()) / 2 or 1.0
     c0 = y[-1] - a0
-    # log-linear slope of the residual from the late-time plateau
+    # log-linear slope of the residual from the late-time plateau, fitted in
+    # units of the longest delay fitted and the largest residual
     z = np.abs(y[-1] - y)[:-1]
-    keep = z > 1e-12 * max(1.0, np.abs(y).max())
-    if keep.sum() >= 2:
-        slope = np.polyfit(dt[:-1][keep], np.log(z[keep]), 1)[0]
-        g0 = max(-slope, 1e-3 / max(dt.max(), 1e-12))
+    keep = z > 1e-12 * np.abs(y).max()
+    t, w = dt[:-1][keep], np.log(z[keep] / z.max())
+    if np.unique(t).size >= 2:
+        u = t / t.max() - np.mean(t / t.max())
+        g0 = max(-(u @ w) / (u @ u) / t.max(), 1e-3 / dt.max())
     else:
-        g0 = 1.0 / max(np.median(dt), 1e-12)
+        g0 = 1.0 / np.median(dt[dt > 0])
 
     def residual(p):
         a, g, c = p
@@ -95,7 +97,7 @@ def fit_gaussian_decay(data):
     # 1/e crossing as the T2 seed
     below = np.nonzero(y < a0 / math.e)[0]
     t0 = x[below[0]] if below.size else x[-1]
-    t0 = t0 if t0 > 0 else float(x[x > 0].min() if (x > 0).any() else 1.0)
+    t0 = t0 if t0 > 0 else float(np.abs(x).max())
 
     def residual(p):
         a, t2 = p
@@ -150,10 +152,9 @@ def fit_psd(data, fixed, config):
         names = ["t_int"] if "n_twpa" in fixed else ["n_twpa", "t_int"]
     start = {"n_twpa": 0.75, "alpha": 0.5, "t_int": 0.8 if config == "cold" else 0.9}
     known = {"alpha": 1.0, **fixed}  # hot: no transmission loss
-    scale = float(np.median(np.abs(s))) or 1.0
 
     def residual(p):
-        return (psd_model(omega, config, **{**known, **dict(zip(names, p))}) - s) / scale
+        return psd_model(omega, config, **{**known, **dict(zip(names, p))}) - s
 
     return _least_squares(residual, [start[name] for name in names], names)
 

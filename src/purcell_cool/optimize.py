@@ -1,8 +1,10 @@
 """Small dense nonlinear least-squares machinery.
 
 Levenberg-Marquardt with central-difference Jacobians; a fit it cannot
-finish raises NoConvergence. Problems here have at most four parameters, so
-O(n^3) linear algebra per iteration is irrelevant.
+finish raises NoConvergence. Each parameter is measured in its own units
+(Moré 1978): the steps and the stop test come from one SVD of the Jacobian
+with its columns scaled to largest |entry| 1. Problems here have at most
+four parameters, so O(n^3) linear algebra per iteration is irrelevant.
 """
 
 from __future__ import annotations
@@ -12,60 +14,56 @@ import numpy as np
 from .errors import NoConvergence
 
 _FD_STEP = 1e-6  # relative central-difference step for Jacobians
-_STEP_TOL = 1e-10  # relative parameter step that counts as converged
+_STEP_TOL = 1e-10  # scaled step, relative to the scaled x, that counts as converged
 _MAX_ITER = 200  # iterations before a fit raises NoConvergence
 
 
 def numeric_jacobian(residual, x):
-    """Central-difference Jacobian of a residual vector, step 1e-6 per scale."""
+    """Central-difference Jacobian of a residual vector, step 1e-6 |x_i| (1e-6 at 0)."""
     x = np.asarray(x, dtype=float)
-    columns = []
-    for i in range(x.size):
-        step = _FD_STEP * max(abs(x[i]), 1.0)
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += step
-        xm[i] -= step
-        columns.append((np.asarray(residual(xp)) - np.asarray(residual(xm))) / (2 * step))
-    return np.stack(columns, axis=1)
+    steps = np.diag(_FD_STEP * np.where(x == 0, 1.0, np.abs(x)))
+    return np.stack([(np.asarray(residual(x + h)) - np.asarray(residual(x - h))) / (2 * h[i])
+                     for i, h in enumerate(steps)], axis=1)
+
+
+def scaled_svd(jac):
+    """(u, s, vt, scale): the thin SVD of jac / scale, scale being each column's
+    largest |entry| (1 for a zero column; a sum of squares underflows)."""
+    scale = np.abs(jac).max(axis=0)
+    scale[scale == 0] = 1.0
+    return *np.linalg.svd(jac / scale, full_matrices=False), scale
 
 
 def levenberg_marquardt(residual, x0):
     """Minimize sum(residual(x)**2).
 
-    Returns (x, jac, r, converged) at the last accepted point. converged
-    is True when the relative parameter step dropped below 1e-10, and
-    False when the damping grew past 1e12 without a step that lowers the
+    Returns (x, jac, r, converged) at the last accepted point. converged is
+    True when the largest |scale dx| fell to 1e-10 of the largest |scale x|,
+    and False when the damping grew past 1e12 without a step that lowers the
     cost; 200 iterations without either raise NoConvergence.
     """
     x = np.asarray(x0, dtype=float).copy()
     lam = 1e-3
     r = np.asarray(residual(x), dtype=float)
     jac = numeric_jacobian(residual, x)
+    u, s, vt, scale = scaled_svd(jac)
     cost = float(r @ r)
     for _ in range(_MAX_ITER):
-        jtj = jac.T @ jac
-        g = jac.T @ r
-        # damped normal equations; scale damping by the diagonal so the
-        # trust region is parameter-relative
-        diag = np.diag(jtj).copy()
-        diag[diag <= 0] = 1.0
-        try:
-            delta = np.linalg.solve(jtj + lam * np.diag(diag), -g)
-        except np.linalg.LinAlgError:
-            delta = -g / (diag * (1 + lam))
-        x_new = x + delta
+        # dz = scale dx minimizes |r + (jac / scale) dz|^2 + lam |dz|^2
+        dz = -vt.T @ (s / (s * s + lam) * (u.T @ r))
+        x_new = x + dz / scale
         r_new = np.asarray(residual(x_new), dtype=float)
         cost_new = float(r_new @ r_new)
         if np.isfinite(cost_new) and cost_new <= cost:
-            rel = float(np.max(np.abs(delta) / np.maximum(np.abs(x_new), 1.0)))
+            done = np.abs(dz).max() <= _STEP_TOL * np.abs(scale * x_new).max()
             x, r, cost = x_new, r_new, cost_new
             jac = numeric_jacobian(residual, x)
+            u, s, vt, scale = scaled_svd(jac)
             lam = max(lam / 10.0, 1e-12)
-            if rel < _STEP_TOL:
+            if done:
                 return x, jac, r, True
         else:
             lam *= 10.0
             if lam > 1e12:
                 return x, jac, r, False
-    raise NoConvergence(f"no parameter step below {_STEP_TOL} in {_MAX_ITER} iterations")
+    raise NoConvergence(f"no scaled step below {_STEP_TOL} in {_MAX_ITER} iterations")

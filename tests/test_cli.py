@@ -393,8 +393,30 @@ def test_rejected_overflow_prints_only_the_error_line(tmp_path, cfg_path, argv):
          "--out", str(tmp_path / "o"), "--config", str(cfg_path)],
         capture_output=True, text=True)
     assert out.returncode == 2
+    assert out.stdout == ""  # LAPACK writes its complaints straight to stdout
     assert out.stderr.splitlines() == [out.stderr.strip()]
     assert out.stderr.startswith("error: ")
+
+
+@pytest.mark.parametrize("rows, code", [
+    # a step with no best fit: the fit runs off towards A -> infinity
+    ([(0.0, 1.0), (1e-200, 1.0), (2e-200, 1.0), (3e-200, 2.0)], 3),
+    ([(k * 1e-200, 1 - 2 * math.exp(-k)) for k in range(4)], 0),
+    ([(k * 1e299, 1 - 2 * math.exp(-k / 3) + 0.01 * (-1) ** k) for k in (0, 1, 2, 5, 10, 30)],
+     0),
+])
+def test_fit_invrec_at_extreme_delays_prints_no_solver_noise(tmp_path, cfg_path, rows, code):
+    # the recovery seed once fitted its slope on the raw delays, whose squares
+    # under- or overflow: LAPACK printed to stdout and numpy warned on stderr
+    data = tmp_path / "invrec.csv"
+    data.write_text("".join(f"{x!r},{y!r}\n" for x, y in rows))
+    out = subprocess.run(
+        [sys.executable, "-m", "purcell_cool.cli", "fit-invrec", "--data", str(data),
+         "--out", str(tmp_path / "o"), "--config", str(cfg_path)],
+        capture_output=True, text=True)
+    assert out.returncode == code
+    assert out.stdout == ""
+    assert len(out.stderr.splitlines()) == (code != 0)
 
 
 def test_cli_import_leaves_scipy_solvers_unloaded():
@@ -697,6 +719,42 @@ def test_cli_fuzz_ends_in_a_documented_exit_code(argv):
         assert rc in (0, 2, 3, 4)
         if rc == 0:
             _assert_outputs_finite(out)
+
+
+@st.composite
+def _fit_files(draw):
+    """4 to 9 (delay, area) rows in units drawn over 1e-320 to 1e300 for the
+    delays and 1e-300 to 1e200 for the areas, with the shape of the data
+    drawn within them."""
+    n = draw(st.integers(4, 9))
+    x_unit = 10.0 ** draw(st.integers(-320, 300))
+    y_unit = 10.0 ** draw(st.integers(-300, 200))
+    xs = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+    ys = draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))
+    return draw(st.sampled_from(["fit-invrec", "fit-t2"])), [
+        (x * x_unit, y * y_unit) for x, y in zip(xs, ys)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(run=_fit_files())
+@example(run=("fit-invrec", [(0.0, 1.0), (1e-200, 1.0), (2e-200, 1.0), (3e-200, 2.0)]))
+@example(run=("fit-invrec", [(k * 1e300, (-1) ** k * 1e200) for k in range(5)]))
+def test_fit_fuzz_ends_in_a_documented_exit_code(run):
+    name, rows = run
+    with tempfile.TemporaryDirectory() as tmp:
+        data = os.path.join(tmp, "data.csv")
+        with open(data, "w", encoding="utf-8") as fh:
+            fh.write("".join(f"{x!r},{y!r}\n" for x, y in rows))
+        out = os.path.join(tmp, "o")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = cli.main([name, "--data", data, "--out", out])
+        assert rc in (0, 2, 3), err.getvalue()
+        event(f"exit {rc}")
+        if rc == 0:
+            _assert_outputs_finite(out)
+        else:  # one line of message, not a traceback or a warning
+            assert err.getvalue().count("\n") == 1, err.getvalue()
 
 
 def _reject_constant(name):

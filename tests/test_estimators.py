@@ -45,12 +45,18 @@ class TestExponentialRecovery:
 
     def test_noisy_matches_library_fit(self):
         rng = np.random.default_rng(11)
-        dt = np.geomspace(0.01, 20.0, 25)
-        y = self.model(dt, 1.0, 0.8, 0.0) + rng.normal(scale=0.01, size=dt.size)
-        fit = est.fit_exponential_recovery(zip(dt, y))
-        ref, _ = curve_fit(self.model, dt, y, p0=[1.0, 0.8, 0.0])
-        assert abs(fit.parameters["gamma1"] - ref[1]) < 1e-6 * abs(ref[1])
-        assert abs(fit.parameters["gamma1"] - 0.8) < 0.05 * 0.8
+        for dt, truth, noise in [
+            (np.geomspace(0.01, 20.0, 25), (1.0, 0.8, 0.0), 0.01),
+            # demo scale: areas about 4e-9, which an unscaled J^T J loses
+            (3.77 * 2.0 ** np.arange(5), (3.7e-9, 0.05, 4e-10), 5e-11),
+        ]:
+            y = self.model(dt, *truth) + rng.normal(scale=noise, size=dt.size)
+            fit = est.fit_exponential_recovery(zip(dt, y))
+            ref, cov = curve_fit(self.model, dt, y, p0=truth, xtol=1e-14, ftol=1e-14)
+            assert abs(fit.parameters["gamma1"] - ref[1]) < 1e-6 * abs(ref[1])
+            assert abs(fit.parameters["gamma1"] - truth[1]) < 0.05 * truth[1]
+            assert np.allclose(list(fit.std_errors.values()), np.sqrt(np.diag(cov)),
+                               rtol=1e-4, atol=0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -70,14 +76,43 @@ class TestGaussianDecay:
 
     def test_noisy_recovery(self):
         rng = np.random.default_rng(3)
-        x = np.linspace(20e-6, 2.0e-3, 40)
-        y = np.exp(-((x / 6.0e-4) ** 2)) * (1 + rng.normal(scale=0.01, size=x.size))
-        fit = est.fit_gaussian_decay(zip(x, y))
-        assert abs(fit.parameters["t2"] - 6.0e-4) < 0.03 * 6.0e-4
+        for t2 in (6.0e-4, 1.0e-4):
+            x = np.linspace(t2 / 30, 10 * t2 / 3, 40)
+            y = np.exp(-((x / t2) ** 2)) * (1 + rng.normal(scale=0.01, size=x.size))
+            fit = est.fit_gaussian_decay(zip(x, y))
+            ref, cov = curve_fit(lambda x, a, t: a * np.exp(-((x / t) ** 2)), x, y,
+                                 p0=[1.0, t2], xtol=1e-14, ftol=1e-14)
+            assert abs(fit.parameters["t2"] - t2) < 0.03 * t2
+            assert np.allclose(list(fit.parameters.values()), ref, rtol=1e-9, atol=0)
+            assert np.allclose(list(fit.std_errors.values()), np.sqrt(np.diag(cov)),
+                               rtol=1e-4, atol=0)
 
     def test_needs_four_points(self):
         with pytest.raises(ValueError):
             est.fit_gaussian_decay([(1e-4, 1.0), (2e-4, 0.9), (3e-4, 0.7)])
+
+
+def test_fits_are_unit_equivariant():
+    # data in other units, x times 2^k and y times 2^m, give the same fit in
+    # those units: each parameter's scale comes from its Jacobian column and
+    # the seeds work in units of the data, so nothing but rounding differs
+    rng = np.random.default_rng(23)
+    dt = np.geomspace(0.05, 40.0, 9)
+    y_rec = 1 - 2 * np.exp(-0.3 * dt) + 0.01 * rng.normal(size=dt.size)
+    x = np.linspace(0.1, 2.5, 12)
+    y_dec = np.exp(-(x ** 2)) + 0.01 * rng.normal(size=x.size)
+    cases = [(est.fit_exponential_recovery, dt, y_rec, [(0, 1), (-1, 0), (0, 1)]),
+             (est.fit_gaussian_decay, x, y_dec, [(0, 1), (1, 0)])]
+    for fit, xs, ys, powers in cases:  # (x, y) power of each parameter's unit
+        ref = fit(zip(xs, ys))
+        for k in range(-60, 61, 20):
+            for m in range(-60, 61, 20):
+                got = fit(zip(xs * 2.0 ** k, ys * 2.0 ** m))
+                unit = np.array([2.0 ** (k * a + m * b) for a, b in powers])
+                for name in ("parameters", "std_errors"):
+                    want = np.array(list(getattr(ref, name).values())) * unit
+                    assert np.allclose(list(getattr(got, name).values()), want,
+                                       rtol=1e-8, atol=0), (fit.__name__, k, m, name)
 
 
 def psd_points(config, n_twpa, t_int, alpha, span=3e6, n=41):

@@ -18,16 +18,23 @@ def test_linear_least_squares_matches_lstsq():
 
 
 def test_nonlinear_fit_matches_curve_fit():
-    rng = np.random.default_rng(5)
-    t = np.linspace(0, 4, 60)
-    y = 2.3 * np.exp(-1.7 * t) + 0.4 + 0.005 * rng.normal(size=60)
-
     def model(t, a, k, c):
         return a * np.exp(-k * t) + c
 
-    ref, _ = curve_fit(model, t, y, p0=[1.0, 1.0, 0.0])
-    x, _, _, _ = levenberg_marquardt(lambda p: model(t, *p) - y, [1.0, 1.0, 0.0])
-    assert np.allclose(x, ref, rtol=1e-6)
+    rng = np.random.default_rng(5)
+    for t, truth, noise, x0 in [
+        (np.linspace(0, 4, 60), (2.3, 1.7, 0.4), 0.005, [1.0, 1.0, 0.0]),
+        # demo-scale recovery: five delays, areas about 4e-9, k about 0.05 s^-1
+        (3.77 * 2.0 ** np.arange(5), (-7.4e-9, 0.05, 4.1e-9), 5e-11, [-5e-9, 0.03, 3e-9]),
+    ]:
+        y = model(t, *truth) + noise * rng.normal(size=t.size)
+        ref, cov = curve_fit(model, t, y, p0=x0, xtol=1e-14, ftol=1e-14)
+        x, _, _, converged = levenberg_marquardt(lambda p: model(t, *p) - y, x0)
+        assert converged
+        assert np.allclose(x, ref, rtol=1e-6)
+        fit = estimators._least_squares(lambda p: model(t, *p) - y, x0, ["a", "k", "c"])
+        assert np.allclose(list(fit.std_errors.values()), np.sqrt(np.diag(cov)),
+                           rtol=1e-4, atol=0)
 
 
 def test_jacobian_central_difference():
