@@ -197,7 +197,9 @@ def _advance(y, groups, res, a_in, duration, *, rtol, atol, sample_dt=None):
     sample_times = None
     if sample_dt is not None:
         n_samp = int(math.floor(duration / sample_dt + 1e-9)) + 1
-        sample_times = np.arange(n_samp) * sample_dt
+        # a window up to 1e-9 of a sample short of n_samp - 1 samples
+        # takes its last sample at its end, not past it
+        sample_times = np.minimum(np.arange(n_samp) * sample_dt, duration)
 
     y1, cavity = dormand_prince(
         rhs, 0.0, y, duration, linear=_linear(groups, res), feed=coupling_row,

@@ -452,12 +452,7 @@ def run(argv):
             print(lines[-1], file=sys.stderr)
         return exc.code
 
-    cfg = None
-    config_sha = None
-    if args.config:
-        with open(args.config, "rb") as fh:
-            config_sha = hashlib.sha256(fh.read()).hexdigest()
-        cfg = parse_config(args.config)
+    cfg = parse_config(args.config) if args.config else None
     seed = args.seed if args.seed is not None else (cfg.seed if cfg else 0)
 
     outdir = Path(args.out)
@@ -468,7 +463,7 @@ def run(argv):
         "tool": "purcell-cool",
         "version": __version__,
         "subcommand": args.subcommand,
-        "config_sha256": config_sha,
+        "config_sha256": cfg.sha256 if cfg else None,
         "seed": seed,
         "wall_seconds": round(time.monotonic() - t0, 3),
         "outputs": {name: _sha256(outdir / name) for name in sorted(outputs)},

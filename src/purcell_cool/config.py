@@ -3,12 +3,16 @@
 One YAML document drives every subcommand. FIELDS declares each field once,
 with its kind, bound and default. Unknown keys are rejected so typos fail
 loudly, and every section except `resonator` has complete defaults.
-Validation errors surface as SchemaError carrying the dotted path of the
-offending field.
+
+The loader is PyYAML's safe loader plus YAML 1.2's exponent floats
+(7.408e9, 1e-06); a quoted number is a string. Nothing walks the document
+before the field check, which raises SchemaError for the error whose dotted
+path sorts first, a non-finite number included.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 import operator
 import re
@@ -115,45 +119,13 @@ def _fill(table, data):
     return out
 
 
-DEFAULTS = _fill(FIELDS, {})
+class _Loader(yaml.SafeLoader):
+    """PyYAML's safe loader (YAML 1.1) plus the YAML 1.2 floats that 1.1
+    reads as strings: 7.408e9, 1e-06, -.5."""
 
 
-# PyYAML implements YAML 1.1, whose float grammar demands a dot in the
-# mantissa and a signed exponent, so common scientific notation such as
-# 7.408e9 or 1e-06 loads as a string. Coerce those back to float. Plain
-# quoted numbers without an exponent are left alone so explicit strings
-# survive.
-_FLOAT_1_2_RE = re.compile(r"^[-+]?(?:\d+\.?\d*[eE][-+]?\d+|\.\d+(?:[eE][-+]?\d+)?)$")
-
-
-def _coerce_numeric_strings(node):
-    if isinstance(node, dict):
-        return {k: _coerce_numeric_strings(v) for k, v in node.items()}
-    if isinstance(node, list):
-        return [_coerce_numeric_strings(v) for v in node]
-    if isinstance(node, str) and _FLOAT_1_2_RE.match(node):
-        return float(node)
-    return node
-
-
-def _nonfinite_path(node, path=()):
-    """Dotted path of the first number in node that is not a finite float
-    (inf, nan, or an int beyond float range), or None."""
-    if isinstance(node, dict):
-        items = node.items()
-    elif isinstance(node, list):
-        items = enumerate(node)
-    else:
-        try:
-            finite = not isinstance(node, (int, float)) or math.isfinite(node)
-        except OverflowError:  # an int beyond float range
-            finite = False
-        return None if finite else ".".join(path)
-    for key, val in items:
-        found = _nonfinite_path(val, path + (str(key),))
-        if found is not None:
-            return found
-    return None
+_Loader.add_implicit_resolver("tag:yaml.org,2002:float", re.compile(
+    r"^[-+]?(?:[0-9]+\.?[0-9]*[eE][-+]?[0-9]+|\.[0-9]+(?:[eE][-+]?[0-9]+)?)$"), "-+.0123456789")
 
 
 # A number breaks a bound when this comparison with the limit holds. nan
@@ -173,8 +145,8 @@ def _required(spec):
 
 def _field_error(value, kind, bound, path):
     """(path, message) of the first way value misses its field, or None. A
-    string in scientific notation counts as its number."""
-    value = _coerce_numeric_strings(value) if isinstance(value, str) else value
+    number that is not finite (nan, an infinity or an int past float range)
+    fails last, once its type and bound hold."""
     if isinstance(kind, tuple):
         return None if value in kind else (path, f"{_brief.repr(value)} is not one of {[*kind]}")
     if value is None and kind.endswith("?"):
@@ -193,7 +165,11 @@ def _field_error(value, kind, bound, path):
     for op, limit in zip(bound[::2], bound[1::2]):
         if _BREAKS[op](value, limit):
             return path, f"{_brief.repr(value)} is not {op} {limit}"
-    return None
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int past float range
+        finite = False
+    return None if finite else (path, "numbers must be finite")
 
 
 def _first_error(node, table, path=()):
@@ -222,6 +198,7 @@ def _first_error(node, table, path=()):
 @dataclass(frozen=True)
 class ExperimentConfig:
     raw: dict
+    sha256: str | None = None  # of the file's bytes, when read from a file
 
     def resonator_params(self):
         r = self.raw["resonator"]
@@ -274,7 +251,7 @@ class ExperimentConfig:
 
 def parse_config_text(text, name="<config>"):
     try:
-        data = yaml.safe_load(text)
+        data = yaml.load(text, Loader=_Loader)
     except yaml.YAMLError as exc:  # on one line: the problem and where it was found
         mark = getattr(exc, "problem_mark", None) or getattr(exc, "context_mark", None)
         if mark is None:  # a reader error: its first line names the character
@@ -292,13 +269,12 @@ def parse_config_text(text, name="<config>"):
     if error is not None:
         path = ".".join(str(p) for p in error[0]) or "<root>"
         raise SchemaError(f"{name}: {path}: {error[1]}")
-    data = _coerce_numeric_strings(data)
-    path = _nonfinite_path(data)
-    if path is not None:
-        raise SchemaError(f"{name}: {path}: numbers must be finite")
     return ExperimentConfig(raw=_fill(FIELDS, data))
 
 
 def parse_config(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read(), name=str(path))
+    """The config in the file at path, with the SHA-256 of the bytes parsed."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    raw = parse_config_text(data.decode("utf-8"), name=str(path)).raw
+    return ExperimentConfig(raw=raw, sha256=hashlib.sha256(data).hexdigest())

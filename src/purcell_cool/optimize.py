@@ -28,7 +28,10 @@ def numeric_jacobian(residual, x):
 
 def scaled_svd(jac):
     """(u, s, vt, scale): the thin SVD of jac / scale, scale being each column's
-    largest |entry| (1 for a zero column; a sum of squares underflows)."""
+    largest |entry| (1 for a zero column; a sum of squares underflows). A
+    Jacobian with an inf or nan raises ValueError."""
+    if not np.isfinite(jac).all():
+        raise ValueError("the fit's Jacobian overflows to a non-finite value")
     scale = np.abs(jac).max(axis=0)
     scale[scale == 0] = 1.0
     return *np.linalg.svd(jac / scale, full_matrices=False), scale

@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import copy
 import functools
+import hashlib
 import io
 import json
 import math
@@ -99,7 +100,6 @@ def test_spectrum_deterministic_and_grouped(tmp_path, cfg_path):
     res = load_csv(outs[0] / "resonances.csv")
     assert set(res["group"].astype(int)) == set(range(FROZEN["n_groups"]))
     # manifest hashes actually describe the files on disk
-    import hashlib
     for name, sha in manifest_outputs(outs[0]).items():
         assert hashlib.sha256((outs[0] / name).read_bytes()).hexdigest() == sha
 
@@ -365,7 +365,7 @@ def test_manifest_seed_override(tmp_path, cfg_path):
         m = json.load(fh)
     assert m["seed"] == 42
     assert m["subcommand"] == "thermal"
-    assert m["config_sha256"]
+    assert m["config_sha256"] == hashlib.sha256(cfg_path.read_bytes()).hexdigest()
 
 
 def test_config_integer_beyond_float_range_exits_two(tmp_path, capsys):
@@ -396,6 +396,20 @@ def test_rejected_overflow_prints_only_the_error_line(tmp_path, cfg_path, argv):
     assert out.stdout == ""  # LAPACK writes its complaints straight to stdout
     assert out.stderr.splitlines() == [out.stderr.strip()]
     assert out.stderr.startswith("error: ")
+
+
+def test_fit_whose_jacobian_overflows_names_the_overflow(tmp_path, cfg_path):
+    # delays times areas pass 1e308, so the gamma1 column of the Jacobian is
+    # inf, and its scaling once divided inf by inf and failed inside LAPACK
+    data = tmp_path / "invrec.csv"
+    data.write_text("".join(f"{k * 6e299!r},{(1 + k) * 1e100!r}\n" for k in range(6)))
+    out = subprocess.run(
+        [sys.executable, "-m", "purcell_cool.cli", "fit-invrec", "--data", str(data),
+         "--out", str(tmp_path / "o"), "--config", str(cfg_path)],
+        capture_output=True, text=True)
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr == "error: the fit's Jacobian overflows to a non-finite value\n"
 
 
 @pytest.mark.parametrize("rows, code", [
@@ -539,6 +553,24 @@ def test_cpmg_acquires_the_configured_window(tmp_path):
     width, sample_dt = 2.0e-6, 1e-8
     cfg = tmp_path / "run.yaml"
     cfg.write_text(SMALL + f"sequence:\n  acquire_width_s: {width!r}\n", encoding="utf-8")
+    run_ok(["echo", "--config", cfg, "--out", tmp_path / "echo"])
+    run_ok(["cpmg", "--config", cfg, "--out", tmp_path / "cpmg", "--n-cpmg", "1"])
+    samples = round(width / sample_dt) + 1
+    assert len(load_csv(tmp_path / "cpmg" / "cpmg_00.csv")) == samples
+    assert len(load_csv(tmp_path / "echo" / "echo_0.csv")) == samples
+
+
+@pytest.mark.parametrize("width, sample_dt", [
+    (3.999999999992e-06, 1e-8),  # 400 samples, 2e-12 of the window short
+    (2.0999999998949997e-07, 3e-8),  # 7 samples, 5e-11 short
+    (1.749999999825e-08, 2.5e-9),  # 7 samples, 1e-10 short
+])
+def test_window_just_short_of_whole_samples_ends_at_its_last_sample(tmp_path, width, sample_dt):
+    # the comb takes a window within 1e-9 samples of k samples as k + 1 sample
+    # times, and the last of them once lay past the window's end
+    cfg = tmp_path / "run.yaml"
+    sequence = f"sequence: {{acquire_width_s: {width!r}, sample_dt_s: {sample_dt!r}}}\n"
+    cfg.write_text(SMALL + sequence, encoding="utf-8")
     run_ok(["echo", "--config", cfg, "--out", tmp_path / "echo"])
     run_ok(["cpmg", "--config", cfg, "--out", tmp_path / "cpmg", "--n-cpmg", "1"])
     samples = round(width / sample_dt) + 1
@@ -946,22 +978,30 @@ def _sim_runs(draw):
             ensemble.pop(field, None)
         else:
             ensemble[field] = draw(_CONFIG_JUNK if edit == "junk" else _CONFIG_FITTING)
-    return argv, ensemble
+    # a window of k samples, or just short of k, whose last sample the comb
+    # puts at the window's end
+    sample_dt = draw(st.sampled_from([1e-9, 2.5e-9, 5e-9, 1e-8]))
+    short = draw(st.just(0.0) | st.floats(1e-12, 1e-10))
+    sequence = {"sample_dt_s": sample_dt,
+                "acquire_width_s": draw(st.integers(1, 600)) * sample_dt * (1 - short)}
+    return argv, ensemble, sequence
 
 
 @settings(max_examples=300, deadline=None)
 @given(run=_sim_runs())
-@example(run=(["echo"], {**_ONE_GROUP, "t2_s": 5e-324}))  # 1/T2 overflows
-@example(run=(["echo"], {**_ONE_GROUP, "g_hz": 5.2e199}))  # the Purcell rate overflows
-@example(run=(["echo"], {**_ONE_GROUP, "g_hz": 1e-100}))  # the pi pulse's rotation is 0
-@example(run=(["cpmg", "--n-cpmg", "1", "--tau-us", "1e308"], _ONE_GROUP))  # L t overflows
-@example(run=(["rabi", "--amp-list", "1e308"], _ONE_GROUP))  # the drive overflows
-@example(run=(["rabi", "--tau-us", "0"], _ONE_GROUP))  # a usage error
+@example(run=(["echo"], {**_ONE_GROUP, "t2_s": 5e-324}, {}))  # 1/T2 overflows
+@example(run=(["echo"], {**_ONE_GROUP, "g_hz": 5.2e199}, {}))  # the Purcell rate overflows
+@example(run=(["echo"], {**_ONE_GROUP, "g_hz": 1e-100}, {}))  # the pi pulse's rotation is 0
+@example(run=(["cpmg", "--n-cpmg", "1", "--tau-us", "1e308"], _ONE_GROUP, {}))  # L t overflows
+@example(run=(["rabi", "--amp-list", "1e308"], _ONE_GROUP, {}))  # the drive overflows
+@example(run=(["rabi", "--tau-us", "0"], _ONE_GROUP, {}))  # a usage error
+@example(run=(["echo"], _ONE_GROUP, {"acquire_width_s": 3.999999999992e-06}))  # 2e-12 short
 def test_simulation_fuzz_ends_in_a_documented_exit_code(run):
-    argv, ensemble = run
+    argv, ensemble, sequence = run
     assume(not _crawls(argv, ensemble))
     doc = yaml.safe_load(SMALL)
     doc["ensemble"] = ensemble
+    doc["sequence"] = sequence
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "run.yaml")
         with open(path, "w", encoding="utf-8") as fh:

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import math
 
 import jsonschema
@@ -38,8 +39,8 @@ def test_minimal_config_fills_defaults():
     c = cfg.parse_config_text(RESON)
     assert c.seed == 0
     assert c.raw["sequence"]["pi_ns"] == 250.0
-    assert c.raw["ensemble"] == cfg.DEFAULTS["ensemble"]
-    assert c.raw["resonator"]["z0_ohm"] == cfg.DEFAULTS["resonator"]["z0_ohm"]
+    assert c.raw["ensemble"] == {key: spec[2] for key, spec in cfg.FIELDS["ensemble"].items()}
+    assert c.raw["resonator"]["z0_ohm"] == cfg.FIELDS["resonator"]["z0_ohm"][2]
 
 
 def test_partial_override_keeps_other_defaults():
@@ -80,9 +81,18 @@ def test_scientific_notation_without_signed_exponent():
     c = cfg.parse_config_text(text)
     assert c.raw["resonator"]["omega0_hz"] == 7.408e9
     assert c.raw["resonator"]["kappa_int_hz"] == 1e-6
-    # quoted plain numbers stay strings and are rejected by the schema
+    # quoted numbers stay strings, with or without an exponent, and are
+    # rejected by the schema
     with pytest.raises(SchemaError):
         cfg.parse_config_text(RESON + "ensemble:\n  t2_s: '0.0006'\n")
+    with pytest.raises(SchemaError) as err:
+        cfg.parse_config_text(RESON.replace("7.408e+9", "'7.408e9'"), name="run.yaml")
+    assert str(err.value) == "run.yaml: resonator.omega0_hz: '7.408e9' is not of type 'number'"
+
+
+def test_pyyaml_own_loader_is_left_at_yaml_1_1():
+    # the exponent floats live in the package's loader subclass only
+    assert yaml.safe_load("a: 1e9") == {"a": "1e9"}
 
 
 def test_serialize_round_trip():
@@ -94,7 +104,9 @@ def test_serialize_round_trip():
 def test_parse_config_reads_file(tmp_path):
     p = tmp_path / "run.yaml"
     p.write_text(MINIMAL, encoding="utf-8")
-    assert cfg.parse_config(p).raw == cfg.parse_config_text(MINIMAL).raw
+    c = cfg.parse_config(p)
+    assert c.raw == cfg.parse_config_text(MINIMAL).raw
+    assert c.sha256 == hashlib.sha256(p.read_bytes()).hexdigest()
 
 
 class TestSchemaErrors:
@@ -139,6 +151,8 @@ class TestSchemaErrors:
         # an integer beyond float range
         (RESON.replace("3.770e+6", "1" + "0" * 320), "resonator.kappa_ext_hz"),
         (RESON + "ensemble:\n  n_g: 1" + "0" * 320 + "\n", "ensemble.n_g"),
+        # the first error in path order, though a later field is out of bounds
+        (RESON.replace("7.408e+9", ".inf") + "scenario:\n  alpha: 2\n", "resonator.omega0_hz"),
     ])
     def test_nonfinite_number_rejected(self, text, field):
         with pytest.raises(SchemaError) as err:
@@ -377,16 +391,27 @@ def _merge(base, overlay):
 _REFERENCE = jsonschema.Draft202012Validator(REFERENCE_SCHEMA)
 
 
+def _nonfinite_paths(node, path=()):
+    """The path of every number in node that is not a finite float: nan, an
+    infinity, or an int beyond float range."""
+    if isinstance(node, (dict, list)):
+        for key, val in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _nonfinite_paths(val, path + (key,))
+    elif isinstance(node, (int, float)):
+        try:
+            if not math.isfinite(node):
+                yield path
+        except OverflowError:
+            yield path
+
+
 def _reference(data):
-    """(path of the first error, None) or (None, merged config), the way the
-    schema-checked parser ordered its errors: schema errors by path, then the
-    first non-finite number."""
-    errors = sorted(_REFERENCE.iter_errors(data), key=lambda e: list(e.absolute_path))
-    if errors:
-        return ".".join(str(p) for p in errors[0].absolute_path) or "<root>", None
-    path = cfg._nonfinite_path(data)
-    if path is not None:
-        return path, None
+    """(path of the first error, None) or (None, merged config): the schema's
+    errors and the non-finite numbers, the one whose path sorts first."""
+    paths = [list(e.absolute_path) for e in _REFERENCE.iter_errors(data)]
+    paths += [list(p) for p in _nonfinite_paths(data)]
+    if paths:
+        return ".".join(str(p) for p in min(paths)) or "<root>", None
     return None, _merge(REFERENCE_DEFAULTS, data)
 
 
@@ -476,7 +501,7 @@ def _documents(draw):
               "seed": 10**400})
 def test_fields_table_matches_the_json_schema(doc):
     text = yaml.safe_dump(doc, sort_keys=False)
-    ref_path, ref_raw = _reference(cfg._coerce_numeric_strings(yaml.safe_load(text)))
+    ref_path, ref_raw = _reference(yaml.safe_load(text))
     try:
         raw = cfg.parse_config_text(text, name="t").raw
     except SchemaError as exc:

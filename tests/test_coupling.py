@@ -5,14 +5,14 @@ import pytest
 from scipy.constants import mu_0
 
 from purcell_cool import coupling
-from purcell_cool.config import DEFAULTS
+from purcell_cool.config import FIELDS
 from purcell_cool.thermal import ResonatorParams
 
 from _frozen import FROZEN
 
 RES = ResonatorParams(omega0=7.408e9, kappa_int=2 * math.pi * 0.4e6,
                       kappa_ext=2 * math.pi * 0.6e6)
-GAMMA_E = DEFAULTS["spin_system"]["gamma_e_hz_per_t"]  # Si:Bi
+GAMMA_E = FIELDS["spin_system"]["gamma_e_hz_per_t"][2]  # Si:Bi
 
 
 def test_vacuum_current_value():
