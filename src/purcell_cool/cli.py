@@ -29,6 +29,9 @@ from .config import MAX_POINTS, parse_config
 from .errors import NoConvergence, SchemaError
 
 
+FLOAT = "%.17g"  # _write_csv's float format, which round-trips every bit
+
+
 def _write_csv(path, header, *columns):
     """One row per entry of the columns, through one line template taken
     from the first row: floats as %.17g, which round-trips every bit,
@@ -37,7 +40,7 @@ def _write_csv(path, header, *columns):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         if rows:
-            line = ",".join("%.17g" if isinstance(v, float) else "%s" for v in rows[0]) + "\n"
+            line = ",".join(FLOAT if isinstance(v, float) else "%s" for v in rows[0]) + "\n"
             fh.writelines(line % row for row in rows)
 
 
@@ -159,6 +162,12 @@ def _sequence_setup(cfg, args):
     the solver's tolerances, the pi amplitude, tau in seconds, and the pulse
     widths as the keyword arguments of the sequence builders."""
     ens, seq = cfg.raw["ensemble"], cfg.raw["sequence"]
+    # a window takes floor(width / dt + 1e-9) + 1 samples; compared in floats,
+    # so that a ratio past float range is refused too
+    ratio = seq["acquire_width_s"] / seq["sample_dt_s"]
+    if not ratio + 1e-9 < MAX_POINTS:
+        raise ValueError(f"an acquisition window takes at most {MAX_POINTS} samples, but "
+                         f"sequence.acquire_width_s / sequence.sample_dt_s is {ratio:.6g}")
     res = cfg.resonator_params()
     rho, _ = _coupling_density(cfg, args.b0)
     groups = blochsim.init_ensemble(
@@ -239,9 +248,12 @@ def cmd_coupling(cfg, args, outdir):
     rho, field = _coupling_density(cfg, args.b0)
     outputs = []
     if field is not None:
-        x, y = np.meshgrid(field.x, field.y)
+        # each axis value formatted once, then laid out row-major like bx and by;
+        # object arrays repeat references to those strings, not copies of them
+        x, y = (np.array([FLOAT % v for v in axis.tolist()], dtype=object)
+                for axis in (field.x, field.y))
         _write_csv(outdir / "fieldmap.csv", ["x_m", "y_m", "bx_T", "by_T"],
-                   *(a.ravel() for a in (x, y, field.bx, field.by)))
+                   np.tile(x, len(y)), np.repeat(y, len(x)), field.bx.ravel(), field.by.ravel())
         outputs.append("fieldmap.csv")
     centers = 0.5 * (rho.bin_edges[:-1] + rho.bin_edges[1:])
     _write_csv(outdir / "rho_g.csv", ["g_hz", "weight"], centers, rho.weights)

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from _frozen import FROZEN
 from _serialize import serialize
-from purcell_cool import cli
+from purcell_cool import blochsim, cli
 from purcell_cool import estimators as est
 from purcell_cool.config import FIELDS, parse_config_text
 from purcell_cool.thermal import ResonatorParams, bose_occupation
@@ -576,6 +576,41 @@ def test_window_just_short_of_whole_samples_ends_at_its_last_sample(tmp_path, wi
     samples = round(width / sample_dt) + 1
     assert len(load_csv(tmp_path / "cpmg" / "cpmg_00.csv")) == samples
     assert len(load_csv(tmp_path / "echo" / "echo_0.csv")) == samples
+
+
+@pytest.mark.parametrize("width, sample_dt, tau_us", [
+    (1.0e-3, 1.0e-9, "1000"),  # 1,000,001 samples
+    (1.0e300, 1.0e-300, "1e306"),  # a ratio past float range
+])
+@pytest.mark.parametrize("command", ["echo", "cpmg", "rabi", "invrec"])
+def test_acquisition_window_beyond_max_points_is_refused_before_any_solve(
+        tmp_path, capsys, monkeypatch, command, width, sample_dt, tau_us):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the solver ran")
+
+    monkeypatch.setattr(blochsim, "dormand_prince", no_solve)
+    cfg = tmp_path / "run.yaml"
+    sequence = f"sequence: {{acquire_width_s: {width!r}, sample_dt_s: {sample_dt!r}}}\n"
+    cfg.write_text(SMALL + sequence, encoding="utf-8")
+    out = tmp_path / "o"
+    argv = [command, "--config", str(cfg), "--out", str(out), "--tau-us", tau_us]
+    assert cli.main(argv + (["--dt-list-s", "1e-3"] if command == "invrec" else [])) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "sequence.acquire_width_s" in err and "sequence.sample_dt_s" in err
+    assert f"at most {cli.MAX_POINTS} samples" in err
+    assert not (out / "manifest.json").exists()
+
+
+def test_acquisition_window_of_max_points_samples_runs(tmp_path):
+    # 10,000 sample intervals: the largest window the bound lets through
+    cfg = tmp_path / "run.yaml"
+    sample_dt = 1e-9
+    width = (cli.MAX_POINTS - 1) * sample_dt
+    sequence = f"sequence: {{acquire_width_s: {width!r}, sample_dt_s: {sample_dt!r}}}\n"
+    cfg.write_text(SMALL + sequence, encoding="utf-8")
+    run_ok(["echo", "--config", cfg, "--out", tmp_path / "echo", "--tau-us", "20"])
+    assert len(load_csv(tmp_path / "echo" / "echo_0.csv")) == cli.MAX_POINTS
 
 
 @pytest.mark.parametrize("name", ["fit-invrec", "fit-t2", "fit-psd"])

@@ -8,6 +8,7 @@ from purcell_cool import coupling
 from purcell_cool.config import FIELDS
 from purcell_cool.thermal import ResonatorParams
 
+from _filament_sum import field_map_reference
 from _frozen import FROZEN
 
 RES = ResonatorParams(omega0=7.408e9, kappa_int=2 * math.pi * 0.4e6,
@@ -49,6 +50,43 @@ def test_edge_peaked_concentrates_near_edges():
     # same total current, but the edge-peaked model is stronger above the edge
     edge_ix = np.argmin(np.abs(x - 1e-6))
     assert be[edge_ix] > bu[edge_ix]
+
+
+MODELS = ["uniform", "edge-peaked"]
+
+
+@pytest.mark.parametrize("model", MODELS)
+@pytest.mark.parametrize("n_filaments, n_layers", [(96, 1), (64, 4)])
+@pytest.mark.parametrize("x_range, y_range, nx, ny", [
+    ((-2.3e-6, 3.1e-6), (-1.4e-6, -0.02e-6), 37, 23),  # below the strip, off centre
+    ((1.05e-6, 2.9e-6), (-0.6e-6, 0.45e-6), 19, 31),  # beside it, across its thickness
+])
+def test_field_map_matches_the_filament_by_filament_sum(model, n_filaments, n_layers,
+                                                         x_range, y_range, nx, ny):
+    geom = coupling.WireGeometry(current_model=model, n_filaments=n_filaments,
+                                 n_layers=n_layers)
+    field = coupling.field_map(geom, 1e-3, x_range, y_range, nx, ny)
+    x, y, bx, by = field_map_reference(geom, 1e-3, x_range, y_range, nx, ny)
+    assert np.array_equal(field.x, x) and np.array_equal(field.y, y)
+    assert field.bx.shape == field.by.shape == (ny, nx)
+    miss = np.hypot(field.bx - bx, field.by - by).max()
+    assert miss <= 1e-13 * np.hypot(bx, by).max()
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_circulation_around_the_strip_is_mu0_times_its_current(model):
+    # Ampere's law on the rectangle x = +-3 um, y = +-1 um, counterclockwise,
+    # each side a 1-D field map of 2,001 points integrated by the trapezoid rule
+    geom = coupling.WireGeometry(current_model=model)
+    current, n = 1e-3, 2001
+    xa, ya = 3e-6, 1e-6
+    bottom = coupling.field_map(geom, current, (-xa, xa), (-ya, -ya), n, 1)
+    top = coupling.field_map(geom, current, (-xa, xa), (ya, ya), n, 1)
+    right = coupling.field_map(geom, current, (xa, xa), (-ya, ya), 1, n)
+    left = coupling.field_map(geom, current, (-xa, -xa), (-ya, ya), 1, n)
+    circulation = (np.trapezoid(bottom.bx[0], bottom.x) - np.trapezoid(top.bx[0], top.x)
+                   + np.trapezoid(right.by[:, 0], right.y) - np.trapezoid(left.by[:, 0], left.y))
+    assert abs(circulation / (mu_0 * current) - 1) <= 1e-6
 
 
 def test_grid_overlapping_strip_rejected():
