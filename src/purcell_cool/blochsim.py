@@ -35,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import MAX_POINTS
 from .errors import NoConvergence
 from .ode import dormand_prince
 from .thermal import purcell_rate, spin_polarization
@@ -253,8 +254,18 @@ def run_sweep(seqs, groups, res, *, sample_dt=1e-8, rtol=1e-8, atol=1e-13):
     row sets; every row meets its own tolerance. Delays of at least
     LONG_DELAY_FACTOR / kappa ring the cavity down through the ODE for that
     long, then decay in closed form for the rest of each row's own delay.
-    Traces carry absolute time stamps from each row's own time cursor.
+    Traces carry absolute time stamps from each row's own time cursor. An
+    acquisition window of more than MAX_POINTS samples raises ValueError
+    before any solve.
     """
+    # a window takes floor(width / dt + 1e-9) + 1 samples; compared in floats,
+    # so that a ratio past float range is refused too
+    widest = max((ev.duration for seq in seqs for ev in seq.events
+                  if isinstance(ev, Acquire)), default=0.0)
+    if not widest / sample_dt + 1e-9 < MAX_POINTS:
+        raise ValueError(f"an acquisition window takes at most {MAX_POINTS} samples, but "
+                         f"one of {widest:.6g} s spans {widest / sample_dt:.6g} intervals "
+                         f"of sample_dt {sample_dt:.6g} s")
     long_delay = LONG_DELAY_FACTOR / res.kappa
     batches = {}
     for i, seq in enumerate(seqs):

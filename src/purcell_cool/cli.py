@@ -30,18 +30,53 @@ from .errors import NoConvergence, SchemaError
 
 
 FLOAT = "%.17g"  # _write_csv's float format, which round-trips every bit
+BLOCK_ROWS = 2048  # rows that _write_csv formats and writes at a time
+
+
+def _format(values):
+    """Each entry of a 1-D array as text: floats as FLOAT, all of them in one
+    % operation, which is faster than a call per value; anything else as str."""
+    if values.dtype.kind == "f":
+        texts = (((FLOAT + "\n") * len(values)) % tuple(values.tolist())).split("\n")
+        texts.pop()  # the empty text after the last newline
+        return texts
+    return list(map(str, values.tolist()))
+
+
+def _texts(values):
+    """_format of each entry of a 1-D array, a number formatted once per run
+    of equal bits: 0.0 and -0.0 keep their own text, and the run's rows
+    share that string."""
+    kind = values.dtype.kind
+    if kind not in "biuf":
+        return _format(values)
+    if kind == "f":
+        values = values.astype(float, copy=False)
+    bits = values.view(f"u{values.itemsize}")
+    firsts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
+    if len(firsts) == len(values):  # no runs
+        return _format(values)
+    texts = np.array(_format(values[firsts]), dtype=object)
+    return np.repeat(texts, np.diff(firsts, append=len(values))).tolist()
 
 
 def _write_csv(path, header, *columns):
-    """One row per entry of the columns, through one line template taken
-    from the first row: floats as %.17g, which round-trips every bit,
-    anything else as %s."""
-    rows = list(zip(*(np.asarray(col).tolist() for col in columns)))
+    """One row per entry of the columns, which must be equally long: floats
+    as FLOAT, which round-trips every bit, anything else as str. The rows
+    are formatted and written BLOCK_ROWS at a time, and a column object
+    given twice is formatted once."""
+    slot = {}  # id of each distinct column -> its place in arrays
+    places = [slot.setdefault(id(col), len(slot)) for col in columns]
+    arrays = [np.asarray(col) for col in {id(col): col for col in columns}.values()]
+    lengths = sorted({len(a) for a in arrays})
+    if len(lengths) > 1:
+        raise ValueError(f"{path}: columns of unequal lengths {lengths}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        if rows:
-            line = ",".join(FLOAT if isinstance(v, float) else "%s" for v in rows[0]) + "\n"
-            fh.writelines(line % row for row in rows)
+        for start in range(0, lengths[0] if lengths else 0, BLOCK_ROWS):
+            texts = [_texts(a[start : start + BLOCK_ROWS]) for a in arrays]
+            fh.write("\n".join(map(",".join, zip(*(texts[p] for p in places)))))
+            fh.write("\n")
 
 
 def _write_json(path, obj):

@@ -369,6 +369,32 @@ def test_sequence_validation():
         bs.cpmg(0, 1e-5, 1.0)
 
 
+class _Solved(Exception):
+    pass
+
+
+def _no_solve(*args, **kwargs):
+    raise _Solved
+
+
+@pytest.mark.parametrize("tau, width, sample_dt, refused", [
+    (1e306, 1e300, 1e-300, True),  # the sample count is past float range
+    (1e-4, (cli.MAX_POINTS + 1) * 1e-9, 1e-9, True),
+    (1e-4, (cli.MAX_POINTS - 1) * 1e-9, 1e-9, False),  # MAX_POINTS samples
+])
+def test_acquisition_window_beyond_max_points_is_refused_before_any_solve(
+        monkeypatch, tau, width, sample_dt, refused):
+    monkeypatch.setattr(bs, "dormand_prince", _no_solve)
+    # one sequence of the sweep asks for the window, the other for the default
+    seqs = [bs.hahn_echo(1e-4, 1.0), bs.hahn_echo(tau, 2.0, acquire_width=width)]
+    if refused:
+        with pytest.raises(ValueError, match=f"at most {cli.MAX_POINTS} samples"):
+            bs.run_sweep(seqs, single_group(), RES, sample_dt=sample_dt)
+    else:
+        with pytest.raises(_Solved):
+            bs.run_sweep(seqs, single_group(), RES, sample_dt=sample_dt)
+
+
 def test_pi_pulse_amplitude_scaling():
     a1 = bs.pi_pulse_amplitude(50.0, RES, 250e-9)
     assert abs(bs.pi_pulse_amplitude(50.0, RES, 500e-9) - a1 / 2) < 1e-9 * a1
