@@ -254,10 +254,12 @@ def run_sweep(seqs, groups, res, *, sample_dt=1e-8, rtol=1e-8, atol=1e-13):
     row sets; every row meets its own tolerance. Delays of at least
     LONG_DELAY_FACTOR / kappa ring the cavity down through the ODE for that
     long, then decay in closed form for the rest of each row's own delay.
-    Traces carry absolute time stamps from each row's own time cursor. An
-    acquisition window of more than MAX_POINTS samples raises ValueError
-    before any solve.
+    Traces carry absolute time stamps from each row's own time cursor. A
+    sample_dt that is not positive and finite, or an acquisition window of
+    more than MAX_POINTS samples, raises ValueError before any solve.
     """
+    if not 0 < sample_dt < math.inf:
+        raise ValueError(f"sample_dt must be positive and finite, got {sample_dt!r}")
     # a window takes floor(width / dt + 1e-9) + 1 samples; compared in floats,
     # so that a ratio past float range is refused too
     widest = max((ev.duration for seq in seqs for ev in seq.events

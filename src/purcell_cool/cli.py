@@ -60,7 +60,19 @@ def _texts(values):
     return np.repeat(texts, np.diff(firsts, append=len(values))).tolist()
 
 
-def _write_csv(path, header, *columns):
+def _write_output(directory, digests, name, texts):
+    """The one opener of a run's outputs: writes the texts to directory / name
+    as UTF-8 and records the SHA-256 of the same bytes as digests[name]."""
+    digest = hashlib.sha256()
+    with open(directory / name, "wb") as fh:
+        for text in texts:
+            data = text.encode()
+            digest.update(data)
+            fh.write(data)
+    digests[name] = digest.hexdigest()
+
+
+def _write_csv(write, name, header, *columns):
     """One row per entry of the columns, which must be equally long: floats
     as FLOAT, which round-trips every bit, anything else as str. The rows
     are formatted and written BLOCK_ROWS at a time, and a column object
@@ -70,28 +82,22 @@ def _write_csv(path, header, *columns):
     arrays = [np.asarray(col) for col in {id(col): col for col in columns}.values()]
     lengths = sorted({len(a) for a in arrays})
     if len(lengths) > 1:
-        raise ValueError(f"{path}: columns of unequal lengths {lengths}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
+        raise ValueError(f"{name}: columns of unequal lengths {lengths}")
+
+    def blocks():
+        yield ",".join(header) + "\n"
         for start in range(0, lengths[0] if lengths else 0, BLOCK_ROWS):
             texts = [_texts(a[start : start + BLOCK_ROWS]) for a in arrays]
-            fh.write("\n".join(map(",".join, zip(*(texts[p] for p in places)))))
-            fh.write("\n")
+            yield "\n".join(map(",".join, zip(*(texts[p] for p in places))))
+            yield "\n"
+
+    write(name, blocks())
 
 
-def _write_json(path, obj):
+def _write_json(write, name, obj):
     """Standard JSON: a nan or an infinity raises ValueError before the file
     is opened."""
-    text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-
-
-def _sha256(path):
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        digest.update(fh.read())
-    return digest.hexdigest()
+    write(name, [json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"])
 
 
 def _read_xy_csv(path):
@@ -221,7 +227,7 @@ def _sequence_setup(cfg, args):
 # -------------------------------------------------------------- subcommands
 
 
-def cmd_spectrum(cfg, args, outdir):
+def cmd_spectrum(cfg, args, write):
     params = cfg.spin_params()
     omega0 = cfg.resonator_params().omega0 if args.omega0 is None else args.omega0
     steps = (args.b0_max - args.b0_min) / args.b0_step
@@ -231,7 +237,7 @@ def cmd_spectrum(cfg, args, outdir):
     grid = np.linspace(args.b0_min, args.b0_max, int(round(steps)) + 1)
     spec = hamiltonian.spectrum_vs_field(params, grid, omega0)
     _write_csv(
-        outdir / "spectrum.csv",
+        write, "spectrum.csv",
         ["b0_T", "lowerF", "lowerM", "upperF", "upperM", "freq_Hz", "sx", "sy"],
         spec.b0, *spec.lower.T, *spec.upper.T, spec.frequency,
         spec.sx_element, spec.sx_element,  # |S_y| = |S_x| on every listed transition
@@ -239,12 +245,11 @@ def cmd_spectrum(cfg, args, outdir):
     rows = [(gi, r.b0, *r.lower, *r.upper)
             for gi, group in enumerate(hamiltonian.resonance_groups(spec.resonances))
             for r in sorted(group, key=lambda r: r.b0)]
-    _write_csv(outdir / "resonances.csv",
+    _write_csv(write, "resonances.csv",
                ["group", "b0_T", "lowerF", "lowerM", "upperF", "upperM"], *zip(*rows))
-    return ["spectrum.csv", "resonances.csv"]
 
 
-def cmd_thermal(cfg, args, outdir):
+def cmd_thermal(cfg, args, write):
     res = cfg.resonator_params()
     scen = cfg.load_scenario()
     spins = cfg.raw["spins"]
@@ -263,52 +268,47 @@ def cmd_thermal(cfg, args, outdir):
     overflowing = [name for name, v in values.items() if not math.isfinite(v)]
     if overflowing:
         raise ValueError(f"thermal: {', '.join(overflowing)} overflow to a non-finite value")
-    _write_json(outdir / "thermal.json", values)
-    return ["thermal.json"]
+    _write_json(write, "thermal.json", values)
 
 
-def cmd_polarization(cfg, args, outdir):
+def cmd_polarization(cfg, args, write):
     omega0 = cfg.resonator_params().omega0
     levels, pair = _resonant_pair(cfg, args.b0)
     ts = np.linspace(args.t_min, args.t_max, args.points).tolist()
-    _write_csv(outdir / "polarization.csv", ["T_K", "dn_exact", "dn_approx", "p_spin_half"],
+    _write_csv(write, "polarization.csv", ["T_K", "dn_exact", "dn_approx", "p_spin_half"],
                ts,
                [polarization.population_difference(levels, pair, t) for t in ts],
                [polarization.approx_population_difference(t, omega0) for t in ts],
                [thermal.spin_polarization(t, omega0) for t in ts])
-    return ["polarization.csv"]
 
 
-def cmd_coupling(cfg, args, outdir):
+def cmd_coupling(cfg, args, write):
     rho, field = _coupling_density(cfg, args.b0)
-    outputs = []
     if field is not None:
         # each axis value formatted once, then laid out row-major like bx and by;
         # object arrays repeat references to those strings, not copies of them
         x, y = (np.array([FLOAT % v for v in axis.tolist()], dtype=object)
                 for axis in (field.x, field.y))
-        _write_csv(outdir / "fieldmap.csv", ["x_m", "y_m", "bx_T", "by_T"],
+        _write_csv(write, "fieldmap.csv", ["x_m", "y_m", "bx_T", "by_T"],
                    np.tile(x, len(y)), np.repeat(y, len(x)), field.bx.ravel(), field.by.ravel())
-        outputs.append("fieldmap.csv")
     centers = 0.5 * (rho.bin_edges[:-1] + rho.bin_edges[1:])
-    _write_csv(outdir / "rho_g.csv", ["g_hz", "weight"], centers, rho.weights)
-    outputs.append("rho_g.csv")
-    return outputs
+    _write_csv(write, "rho_g.csv", ["g_hz", "weight"], centers, rho.weights)
 
 
-def _trace_csv(outdir, name, trace):
-    _write_csv(outdir / name, ["t_s", "re", "im"], trace.t, trace.amp.real, trace.amp.imag)
-    return name
+def _trace_csvs(write, name, traces):
+    """Each trace as the CSV name.format(k), k its index."""
+    for k, tr in enumerate(traces):
+        _write_csv(write, name.format(k), ["t_s", "re", "im"], tr.t, tr.amp.real, tr.amp.imag)
 
 
-def cmd_echo(cfg, args, outdir):
+def cmd_echo(cfg, args, write):
     ensemble, amp, tau, widths = _sequence_setup(cfg, args)
     traces, areas = blochsim.run_sequence(blochsim.hahn_echo(tau, amp, **widths), **ensemble)
-    _write_csv(outdir / "summary.csv", ["param", "A_e"], [tau * 1e6], areas[:1])
-    return [_trace_csv(outdir, "echo_0.csv", traces[0]), "summary.csv"]
+    _trace_csvs(write, "echo_{}.csv", traces[:1])
+    _write_csv(write, "summary.csv", ["param", "A_e"], [tau * 1e6], areas[:1])
 
 
-def cmd_invrec(cfg, args, outdir):
+def cmd_invrec(cfg, args, write):
     ensemble, amp, tau, widths = _sequence_setup(cfg, args)
     dts = args.dt_list_s or cfg.raw["sequence"]["dt_list_s"]
     if dts is None:
@@ -322,31 +322,28 @@ def cmd_invrec(cfg, args, outdir):
     traces = [runs[0] for runs in blochsim.run_sweep(seqs, **ensemble)]
     # one shared phase reference (longest delay is closest to equilibrium)
     areas = blochsim.phase_aligned_areas(traces, ref_index=int(np.argmax(dts)))
-    outputs = [_trace_csv(outdir, f"invrec_{k:02d}.csv", tr) for k, tr in enumerate(traces)]
-    _write_csv(outdir / "invrec.csv", ["dt_s", "A_e"], dts, areas)
-    return outputs + ["invrec.csv"]
+    _trace_csvs(write, "invrec_{:02d}.csv", traces)
+    _write_csv(write, "invrec.csv", ["dt_s", "A_e"], dts, areas)
 
 
-def cmd_rabi(cfg, args, outdir):
+def cmd_rabi(cfg, args, write):
     ensemble, amp, tau, widths = _sequence_setup(cfg, args)
     amps = args.amp_list or [float(s) * amp for s in np.linspace(0.1, 3.0, args.amp_points)]
     seqs = [blochsim.hahn_echo(tau, a, **widths) for a in amps]
     traces = [runs[0] for runs in blochsim.run_sweep(seqs, **ensemble)]
     areas = blochsim.phase_aligned_areas(traces)
-    _write_csv(outdir / "rabi.csv", ["amp", "A_e"], amps, areas)
-    return ["rabi.csv"]
+    _write_csv(write, "rabi.csv", ["amp", "A_e"], amps, areas)
 
 
-def cmd_cpmg(cfg, args, outdir):
+def cmd_cpmg(cfg, args, write):
     ensemble, amp, tau, widths = _sequence_setup(cfg, args)
     n = cfg.raw["sequence"]["n_cpmg"] if args.n_cpmg is None else args.n_cpmg
     traces, areas = blochsim.run_sequence(blochsim.cpmg(n, tau, amp, **widths), **ensemble)
-    outputs = [_trace_csv(outdir, f"cpmg_{k:02d}.csv", tr) for k, tr in enumerate(traces)]
-    _write_csv(outdir / "cpmg.csv", ["echo_index", "A_e"], range(len(areas)), areas)
-    return outputs + ["cpmg.csv"]
+    _trace_csvs(write, "cpmg_{:02d}.csv", traces)
+    _write_csv(write, "cpmg.csv", ["echo_index", "A_e"], range(len(areas)), areas)
 
 
-def _fit_json(outdir, args, fit, *inputs):
+def _fit_json(write, args, fit, *inputs):
     """Run fit(*inputs) and write its result. Finite data can still
     overflow in the fit's sums of squares, and such a result is refused."""
     with np.errstate(all="ignore"):
@@ -355,27 +352,25 @@ def _fit_json(outdir, args, fit, *inputs):
     if not all(map(math.isfinite, numbers)):
         raise ValueError(f"{args.subcommand}: the fit to {args.data} overflows to a "
                          "non-finite result")
-    name = args.subcommand.replace("-", "_") + ".json"
-    _write_json(outdir / name, dataclasses.asdict(result))
-    return [name]
+    _write_json(write, args.subcommand.replace("-", "_") + ".json", dataclasses.asdict(result))
 
 
-def cmd_fit(cfg, args, outdir):
+def cmd_fit(cfg, args, write):
     """fit-invrec and fit-t2: the subcommand's curve fit to --data."""
-    return _fit_json(outdir, args, getattr(estimators, args.fit), _read_xy_csv(args.data))
+    _fit_json(write, args, getattr(estimators, args.fit), _read_xy_csv(args.data))
 
 
-def cmd_fit_psd(cfg, args, outdir):
+def cmd_fit_psd(cfg, args, write):
     data = _read_xy_csv(args.data)
     scen = cfg.load_scenario()
     branch = scen.config if args.branch is None else args.branch
     fixed = {"resonator": cfg.resonator_params(), "t_phon": scen.t_phon}
     if args.n_twpa is not None:  # a cold fit without it is refused by fit_psd
         fixed["n_twpa"] = args.n_twpa
-    return _fit_json(outdir, args, estimators.fit_psd, data, fixed, branch)
+    _fit_json(write, args, estimators.fit_psd, data, fixed, branch)
 
 
-def cmd_snr(cfg, args, outdir):
+def cmd_snr(cfg, args, write):
     gamma1, p, sigma = args.gamma1, args.p, args.sigma
     t_lo = 0.01 / gamma1 if args.trep_min is None else args.trep_min
     t_hi = 10.0 / gamma1 if args.trep_max is None else args.trep_max
@@ -389,13 +384,12 @@ def cmd_snr(cfg, args, outdir):
             and math.isfinite(t_opt) and math.isfinite(peak)):
         raise ValueError("--gamma1, --p, --sigma and the --trep range overflow to a "
                          "non-finite repetition time or SNR")
-    _write_csv(outdir / "snr.csv", ["t_rep_s", "snr"], ts, snr)
-    _write_json(outdir / "snr.json", {
+    _write_csv(write, "snr.csv", ["t_rep_s", "snr"], ts, snr)
+    _write_json(write, "snr.json", {
         "t_opt_s": t_opt,
         "x_star": estimators.snr_argmax_x(),
         "peak_snr": peak,
     })
-    return ["snr.csv", "snr.json"]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -504,8 +498,10 @@ def run(argv):
 
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
+    outputs = {}  # name -> SHA-256 of each file the handler writes
+    write = functools.partial(_write_output, outdir, outputs)
     t0 = time.monotonic()
-    outputs = args.handler(cfg, args, outdir)
+    args.handler(cfg, args, write)
     manifest = {
         "tool": "purcell-cool",
         "version": __version__,
@@ -513,9 +509,9 @@ def run(argv):
         "config_sha256": cfg.sha256 if cfg else None,
         "seed": seed,
         "wall_seconds": round(time.monotonic() - t0, 3),
-        "outputs": {name: _sha256(outdir / name) for name in sorted(outputs)},
+        "outputs": dict(outputs),  # taken before manifest.json itself is written
     }
-    _write_json(outdir / "manifest.json", manifest)
+    _write_json(write, "manifest.json", manifest)
     return 0
 
 

@@ -381,6 +381,9 @@ def _no_solve(*args, **kwargs):
     (1e306, 1e300, 1e-300, True),  # the sample count is past float range
     (1e-4, (cli.MAX_POINTS + 1) * 1e-9, 1e-9, True),
     (1e-4, (cli.MAX_POINTS - 1) * 1e-9, 1e-9, False),  # MAX_POINTS samples
+    # a sample_dt that is not positive and finite is refused by name
+    *((2e-5, 1e-6, dt, "sample_dt must be positive and finite")
+      for dt in (0.0, -1e-8, math.nan, math.inf)),
 ])
 def test_acquisition_window_beyond_max_points_is_refused_before_any_solve(
         monkeypatch, tau, width, sample_dt, refused):
@@ -388,7 +391,8 @@ def test_acquisition_window_beyond_max_points_is_refused_before_any_solve(
     # one sequence of the sweep asks for the window, the other for the default
     seqs = [bs.hahn_echo(1e-4, 1.0), bs.hahn_echo(tau, 2.0, acquire_width=width)]
     if refused:
-        with pytest.raises(ValueError, match=f"at most {cli.MAX_POINTS} samples"):
+        message = refused if isinstance(refused, str) else f"at most {cli.MAX_POINTS} samples"
+        with pytest.raises(ValueError, match=message):
             bs.run_sweep(seqs, single_group(), RES, sample_dt=sample_dt)
     else:
         with pytest.raises(_Solved):

@@ -368,6 +368,83 @@ def test_manifest_seed_override(tmp_path, cfg_path):
     assert m["config_sha256"] == hashlib.sha256(cfg_path.read_bytes()).hexdigest()
 
 
+def _fit_data(name):
+    """Noise-free (x, y) rows for fit-invrec, fit-t2 and the hot fit-psd."""
+    if name == "fit-invrec":
+        x = np.linspace(1e-3, 2.0, 12)
+        return x, 1 - 2 * np.exp(-0.5 * x)
+    if name == "fit-t2":
+        x = np.linspace(3e-5, 2e-3, 20)
+        return x, 0.4 * np.exp(-((x / 6e-4) ** 2))
+    omega = 7.408e9 + np.linspace(-3e6, 3e6, 41)
+    return omega, est.psd_model(omega, "hot", resonator=_PSD_RES, t_phon=0.85, n_twpa=0.75,
+                                t_int=0.95, alpha=1.0)
+
+
+# every subcommand on a small input; coupling twice, with and without a field map
+_EVERY_SUBCOMMAND = [
+    (SMALL, ["spectrum", "--b0-max", "0.01", "--b0-step", "1e-3"]),
+    (SMALL, ["thermal"]),
+    (SMALL, ["polarization", "--points", "7"]),
+    (SMALL, ["coupling"]),
+    (WIRE, ["coupling"]),
+    (SMALL, ["echo"]),
+    (SMALL, ["invrec", "--dt-list-s", "1e-3,2e-3,4e-3"]),
+    (SMALL, ["rabi", "--amp-points", "3"]),
+    (SMALL, ["cpmg", "--n-cpmg", "3"]),
+    (SMALL, ["fit-invrec"]),
+    (SMALL, ["fit-t2"]),
+    (SMALL, ["fit-psd", "--branch", "hot"]),
+    (SMALL, ["snr", "--gamma1", "0.27", "--trep-points", "20"]),
+]
+
+
+def test_every_subcommand_has_a_manifest_case():
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    assert {argv[0] for _, argv in _EVERY_SUBCOMMAND} == set(subparsers.choices)
+
+
+@pytest.mark.parametrize("config, argv", _EVERY_SUBCOMMAND,
+                         ids=[" ".join(argv[:1]) + (" wire" if config == WIRE else "")
+                              for config, argv in _EVERY_SUBCOMMAND])
+def test_manifest_hashes_exactly_the_files_its_run_wrote(tmp_path, config, argv):
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(config, encoding="utf-8")
+    if argv[0].startswith("fit-"):
+        data = tmp_path / "data.csv"
+        data.write_text("x,y\n" + "".join(f"{float(a)!r},{float(b)!r}\n"
+                                          for a, b in zip(*_fit_data(argv[0]))))
+        argv = argv + ["--data", data]
+    out = tmp_path / "o"
+    run_ok([*argv, "--config", cfg, "--out", out])
+    outputs = manifest_outputs(out)
+    assert outputs and set(outputs) == {p.name for p in out.iterdir()} - {"manifest.json"}
+    for name, sha in outputs.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == sha
+
+
+@pytest.mark.parametrize("first, second, shorter, left", [
+    (["cpmg", "--n-cpmg", "3"], ["cpmg", "--n-cpmg", "2"], "cpmg.csv", "cpmg_02.csv"),
+    (["spectrum", "--b0-step", "1e-4"], ["spectrum", "--b0-step", "1e-3"], "spectrum.csv",
+     None),
+], ids=["cpmg", "spectrum"])
+def test_rerun_into_the_same_out_writes_the_bytes_of_a_fresh_run(tmp_path, cfg_path, first,
+                                                                 second, shorter, left):
+    again, fresh = tmp_path / "again", tmp_path / "fresh"
+    run_ok([*first, "--config", cfg_path, "--out", again])
+    longer = (again / shorter).stat().st_size
+    run_ok([*second, "--config", cfg_path, "--out", again])
+    run_ok([*second, "--config", cfg_path, "--out", fresh])
+    assert (fresh / shorter).stat().st_size < longer  # so the rerun had to cut the file
+    outputs = manifest_outputs(again)
+    assert outputs == manifest_outputs(fresh)
+    for name in outputs:
+        assert (again / name).read_bytes() == (fresh / name).read_bytes()
+    if left is not None:  # the first run's extra file stays, unnamed
+        assert left not in outputs and (again / left).read_bytes()
+
+
 def test_config_integer_beyond_float_range_exits_two(tmp_path, capsys):
     cfg = tmp_path / "run.yaml"
     cfg.write_text(SMALL.replace(repr(KAPPA_EXT), "1" + "0" * 320), encoding="utf-8")

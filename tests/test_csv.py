@@ -1,3 +1,5 @@
+import functools
+import hashlib
 import math
 import tempfile
 import tracemalloc
@@ -23,6 +25,12 @@ ELEMENTS = {
     np.bool_: st.booleans(),
     object: st.text(max_size=6),
 }
+
+
+def _writer(directory, digests=None):
+    """The writer cli.run hands a subcommand, into directory."""
+    return functools.partial(cli._write_output, Path(directory),
+                             {} if digests is None else digests)
 
 
 @st.composite
@@ -58,9 +66,11 @@ def test_block_writer_bytes_equal_the_row_writer(columns):
     header = [f"c{k}" for k in range(len(columns))]
     with tempfile.TemporaryDirectory() as tmp:
         got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
-        cli._write_csv(got, header, *columns)
+        digests = {}
+        cli._write_csv(_writer(tmp, digests), got.name, header, *columns)
         write_rows(want, header, *columns)
         assert got.read_bytes() == want.read_bytes()
+        assert digests == {got.name: hashlib.sha256(want.read_bytes()).hexdigest()}
 
 
 @pytest.mark.parametrize("columns", [
@@ -71,7 +81,7 @@ def test_block_writer_bytes_equal_the_row_writer(columns):
 def test_columns_of_unequal_length_are_refused_before_the_file_is_made(tmp_path, columns):
     path = tmp_path / "t.csv"
     with pytest.raises(ValueError, match="unequal lengths"):
-        cli._write_csv(path, ["a", "b"], *columns)
+        cli._write_csv(_writer(tmp_path), path.name, ["a", "b"], *columns)
     assert not path.exists()
 
 
@@ -94,7 +104,7 @@ def test_a_column_given_twice_is_formatted_once(tmp_path, monkeypatch):
 
     texts = cli._texts
     monkeypatch.setattr(cli, "_texts", counted)
-    cli._write_csv(tmp_path / "spectrum.csv", [str(k) for k in range(8)], *columns)
+    cli._write_csv(_writer(tmp_path), "spectrum.csv", [str(k) for k in range(8)], *columns)
     # 7 distinct columns, each once per block
     assert len(calls) == 7 * math.ceil(len(columns[0]) / B)
     assert sum(calls) == 7 * len(columns[0])
@@ -108,7 +118,7 @@ def test_writing_spectrum_csv_peaks_below_2_mb(tmp_path):
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        cli._write_csv(path, [str(k) for k in range(8)], *columns)
+        cli._write_csv(_writer(tmp_path), path.name, [str(k) for k in range(8)], *columns)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()

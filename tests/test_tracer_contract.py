@@ -36,11 +36,25 @@ METRIC_SOURCES = [
     ("hamiltonian", "transition_table"),
     ("hamiltonian", "spectrum_vs_field"),
     ("coupling", "field_map"),
+    ("coupling", "coupling_map"),
     ("coupling", "coupling_distribution"),
     ("estimators", "fit_exponential_recovery"),
     ("estimators", "fit_gaussian_decay"),
     ("estimators", "fit_psd"),
     ("optimize", "levenberg_marquardt"),
+    # the self time of these makes up thermal.s and polarization.s
+    ("thermal", "bose_occupation"),
+    ("thermal", "occupation_temperature"),
+    ("thermal", "spin_polarization"),
+    ("thermal", "cavity_occupation"),
+    ("thermal", "purcell_rate"),
+    ("thermal", "spin_relaxation_rate"),
+    ("thermal", "spin_temperature"),
+    ("thermal", "cooling_factor"),
+    ("polarization", "boltzmann_populations"),
+    ("polarization", "population_difference"),
+    ("polarization", "find_quasi_degenerate_pair"),
+    ("polarization", "approx_population_difference"),
 ]
 
 
