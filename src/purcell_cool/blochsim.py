@@ -137,6 +137,23 @@ def _linear(groups, res):
         [-res.kappa / 2], -(2j * math.pi * groups.detuning + 1.0 / groups.t2)))
 
 
+def sample_comb(width, sample_dt):
+    """The sample times of an acquisition window of this width: one every
+    sample_dt from 0, floor(width / sample_dt + 1e-9) + 1 of them, so that a
+    window up to 1e-9 of a sample short of a whole number takes its last
+    sample at its end, not past it. A sample_dt that is not positive and
+    finite, or more than MAX_POINTS samples, raises ValueError; the count is
+    compared in floats, so that a ratio past float range is refused too."""
+    if not 0 < sample_dt < math.inf:
+        raise ValueError(f"sample_dt must be positive and finite, got {sample_dt!r}")
+    ratio = width / sample_dt
+    if not ratio + 1e-9 < MAX_POINTS:
+        raise ValueError(f"an acquisition window takes at most {MAX_POINTS} samples, but "
+                         f"one of {width:.6g} s spans {ratio:.6g} intervals "
+                         f"of sample_dt {sample_dt:.6g} s")
+    return np.minimum(np.arange(math.floor(ratio + 1e-9) + 1) * sample_dt, width)
+
+
 def _advance(y, groups, res, a_in, duration, *, rtol, atol, sample_dt=None):
     """Advance the rows of y, shape (R, 2+3n), by `duration` with one shared
     step; row r is driven by the constant complex amplitude a_in[r].
@@ -146,12 +163,12 @@ def _advance(y, groups, res, a_in, duration, *, rtol, atol, sample_dt=None):
     field's action on the spins (i g a s_z and the s_z term), the drive and
     the T1 term, and writes them into the row `out` that the solver hands
     it, allocating no state-sized array. Returns (y, t, amp): amp[j, r] is
-    row r's output field a_out = sqrt(kappa_ext) a - a_in at t[j] on a
-    uniform sample_dt comb, and t and amp are None without sample_dt. Only
-    the cavity column is evaluated at the sample times, from the solver's
-    dense output. rtol and atol are the solver's tolerances, whose defaults
-    run_sweep holds. A drive sqrt(kappa_ext) a_in that overflows raises
-    ValueError.
+    row r's output field a_out = sqrt(kappa_ext) a - a_in at the times
+    t = sample_comb(duration, sample_dt), and t and amp are None without
+    sample_dt. Only the cavity column is evaluated at the sample times,
+    from the solver's dense output. rtol and atol are the solver's
+    tolerances, whose defaults run_sweep holds. A drive sqrt(kappa_ext) a_in
+    that overflows raises ValueError.
     """
     n = len(groups)
     m = 2 + 2 * n  # floats of the complex entries [a, s-...]
@@ -195,13 +212,7 @@ def _advance(y, groups, res, a_in, duration, *, rtol, atol, sample_dt=None):
         np.subtract(relax_to, dsz, out=dsz)
         dsz -= g4_ang * (sm * a.conj()).imag
 
-    sample_times = None
-    if sample_dt is not None:
-        n_samp = int(math.floor(duration / sample_dt + 1e-9)) + 1
-        # a window up to 1e-9 of a sample short of n_samp - 1 samples
-        # takes its last sample at its end, not past it
-        sample_times = np.minimum(np.arange(n_samp) * sample_dt, duration)
-
+    sample_times = None if sample_dt is None else sample_comb(duration, sample_dt)
     y1, cavity = dormand_prince(
         rhs, 0.0, y, duration, linear=_linear(groups, res), feed=coupling_row,
         rtol=rtol, atol=atol, sample_times=sample_times,
@@ -254,20 +265,12 @@ def run_sweep(seqs, groups, res, *, sample_dt=1e-8, rtol=1e-8, atol=1e-13):
     row sets; every row meets its own tolerance. Delays of at least
     LONG_DELAY_FACTOR / kappa ring the cavity down through the ODE for that
     long, then decay in closed form for the rest of each row's own delay.
-    Traces carry absolute time stamps from each row's own time cursor. A
-    sample_dt that is not positive and finite, or an acquisition window of
-    more than MAX_POINTS samples, raises ValueError before any solve.
+    Traces carry absolute time stamps from each row's own time cursor.
+    sample_comb's ValueError for the widest window, a bad sample_dt or too
+    many samples, is raised before any solve.
     """
-    if not 0 < sample_dt < math.inf:
-        raise ValueError(f"sample_dt must be positive and finite, got {sample_dt!r}")
-    # a window takes floor(width / dt + 1e-9) + 1 samples; compared in floats,
-    # so that a ratio past float range is refused too
-    widest = max((ev.duration for seq in seqs for ev in seq.events
-                  if isinstance(ev, Acquire)), default=0.0)
-    if not widest / sample_dt + 1e-9 < MAX_POINTS:
-        raise ValueError(f"an acquisition window takes at most {MAX_POINTS} samples, but "
-                         f"one of {widest:.6g} s spans {widest / sample_dt:.6g} intervals "
-                         f"of sample_dt {sample_dt:.6g} s")
+    sample_comb(max((ev.duration for seq in seqs for ev in seq.events
+                     if isinstance(ev, Acquire)), default=0.0), sample_dt)
     long_delay = LONG_DELAY_FACTOR / res.kappa
     batches = {}
     for i, seq in enumerate(seqs):

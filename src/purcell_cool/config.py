@@ -34,10 +34,10 @@ REQUIRED = object()  # the default of a field that must be given
 MAX_POINTS = 10_001
 
 # Every config field, once: section -> key -> (kind, bound, default). kind is
-# "number", "integer", "numbers" (a list of 1 to MAX_POINTS numbers) or a
-# tuple of the allowed strings; a trailing "?" also allows null. bound holds
-# pairs of comparison and limit that a number, or each number of a list, must
-# meet.
+# "number", "integer", "half-odd-integer" (n + 1/2 for an integer n),
+# "numbers" (a list of 1 to MAX_POINTS numbers) or a tuple of the allowed
+# strings; a trailing "?" also allows null. bound holds pairs of comparison
+# and limit that a number, or each number of a list, must meet.
 # A section with a REQUIRED field must be given; the seed is a top-level field.
 FIELDS = {
     "resonator": {
@@ -58,12 +58,12 @@ FIELDS = {
         "gamma_phon_hz": ("number", (">=", 0), 0.0),
         "gamma_phot_hz": ("number", (">=", 0), 1.0),
     },
-    "spin_system": {  # the Si:Bi donor
+    "spin_system": {  # the Si:Bi donor; the sector solution needs S = 1/2
         "gamma_e_hz_per_t": ("number", (">", 0), 27.997e9),
         "gamma_n_hz_per_t": ("number", (), 6.9e6),
         "hyperfine_hz": ("number", (">", 0), 1.475e9),
-        "s": ("number", (">=", 0), 0.5),
-        "i": ("number", (">=", 0), 4.5),
+        "s": ("number", (">=", 0.5, "<=", 0.5), 0.5),
+        "i": ("half-odd-integer", (">", 0), 4.5),
     },
     "geometry": {
         "width_m": ("number", (">", 0), 2e-6),
@@ -160,7 +160,8 @@ def _field_error(value, kind, bound, path):
         errors = (_field_error(v, "number", bound, path + (i,)) for i, v in enumerate(value))
         return next(filter(None, errors), None)
     if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or kind == "integer" and isinstance(value, float) and not value.is_integer()):
+            or kind == "integer" and isinstance(value, float) and not value.is_integer()
+            or kind == "half-odd-integer" and 2 * value % 2 != 1):
         return path, f"{_brief.repr(value)} is not of type {kind!r}"
     for op, limit in zip(bound[::2], bound[1::2]):
         if _BREAKS[op](value, limit):
@@ -229,7 +230,6 @@ class ExperimentConfig:
             gamma_e=sp["gamma_e_hz_per_t"],
             gamma_n=sp["gamma_n_hz_per_t"],
             hyperfine_a=sp["hyperfine_hz"],
-            s=sp["s"],
             i=sp["i"],
         )
 

@@ -29,12 +29,12 @@ import numpy as np
 
 @dataclass(frozen=True)
 class SpinSystemParams:
-    """Gyromagnetic ratios (Hz/T), hyperfine constant (Hz), spin quantum numbers."""
+    """Gyromagnetic ratios (Hz/T), hyperfine constant (Hz) and the nuclear
+    spin I, a positive half-odd-integer; the electron spin is 1/2."""
 
     gamma_e: float
     gamma_n: float
     hyperfine_a: float
-    s: float = 0.5
     i: float = 4.5
 
     def __post_init__(self):
@@ -42,9 +42,9 @@ class SpinSystemParams:
             raise ValueError("gamma_e must be positive")
         if self.hyperfine_a <= 0:
             raise ValueError("hyperfine_a must be positive")
-        for q in (self.s, self.i):
-            if abs(2 * q - round(2 * q)) > 1e-12 or q < 0:
-                raise ValueError("spin quantum numbers must be nonnegative half-integers")
+        if not (self.i > 0 and 2 * self.i % 2 == 1):
+            raise ValueError(f"the nuclear spin I = {self.i!r} is not a positive "
+                             "half-odd-integer")
 
 
 @dataclass(frozen=True)
@@ -81,10 +81,6 @@ def _sectors(params, b0):
     """
     if not np.all(np.isfinite(b0) & (b0 >= 0)):
         raise ValueError("b0 must be finite and nonnegative")
-    if params.s != 0.5:
-        raise ValueError("the sector solution needs an electron spin of 1/2")
-    if params.i <= 0 or float(params.i).is_integer():
-        raise ValueError("the sector solution needs I to be a positive half-odd-integer")
     a, i = params.hyperfine_a, params.i
     dim_i = int(round(2 * i)) + 1
     # at huge fields this overflows to inf or nan, which the span check rejects
@@ -244,7 +240,7 @@ def resonance_groups(resonances):
     The |f_low, m-1> <-> |f_up, m> and |f_low, m> <-> |f_up, m-1> branches
     share the unordered {m_lower, m_upper} pair and meet the probe at nearly
     the same field; each group is one operating point. Groups are returned
-    sorted by mean crossing field.
+    sorted by mean crossing field, and each keeps its crossings in input order.
     """
     groups = {}
     for r in resonances:

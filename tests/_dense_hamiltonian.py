@@ -14,6 +14,8 @@ import numpy as np
 
 from purcell_cool import hamiltonian as ham
 
+S = 0.5  # the electron spin, the one the package solves for
+
 
 def angular_momentum_ops(j):
     """Jx, Jy, Jz for spin j in the |j, m> basis with m descending."""
@@ -45,7 +47,7 @@ class HermitianOperator:
 
 def spin_operators(params):
     """Full-space Sx..Iz, F_z and F^2 in the product basis."""
-    sx, sy, sz = angular_momentum_ops(params.s)
+    sx, sy, sz = angular_momentum_ops(S)
     ix, iy, iz = angular_momentum_ops(params.i)
     es = np.eye(sx.shape[0])
     ei = np.eye(ix.shape[0])
@@ -61,7 +63,7 @@ def spin_operators(params):
     sdoti = ops["sx"] @ ops["ix"] + ops["sy"] @ ops["iy"] + ops["sz"] @ ops["iz"]
     one = np.eye(sdoti.shape[0])
     ops["f2"] = (
-        params.s * (params.s + 1) * one
+        S * (S + 1) * one
         + params.i * (params.i + 1) * one
         + 2 * sdoti
     )

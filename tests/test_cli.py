@@ -205,6 +205,16 @@ def test_coupling_writes_field_and_density(tmp_path):
     assert set(fm.dtype.names) == {"x_m", "y_m", "bx_T", "by_T"}
 
 
+def test_coupling_runs_the_edge_peaked_current_model(tmp_path):
+    p = tmp_path / "wire.yaml"
+    p.write_text(WIRE + "geometry: {current_model: edge-peaked}\n", encoding="utf-8")
+    out = tmp_path / "o"
+    run_ok(["coupling", "--config", p, "--out", out])
+    fm = load_csv(out / "fieldmap.csv")
+    assert len(fm) == 121 * 59
+    assert all(np.isfinite(fm[name]).all() for name in fm.dtype.names)
+
+
 def test_integer_field_given_as_integral_float_runs(tmp_path):
     text = WIRE + "grid:\n  nx: 50.0\n"
     p = tmp_path / "wire.yaml"
@@ -769,13 +779,15 @@ _PSD_BELOW_OMEGA0 = [
      "no quasi-degenerate pair within 1 Hz of 7.408e+09 Hz"),
     ("coupling", WIRE + "implantation: {cutoff_depth_m: 1.0e-8}\n",
      "no spin weight inside the profile support"),
+    ("coupling", WIRE + "geometry: {current_model: edge-peaked, edge_cutoff_m: 1.0e-6}\n",
+     "edge cutoff consumes the whole strip"),  # half the 2 um width
     ("fit-psd", SMALL, "data do not bracket the resonator frequency"),
     ("invrec", SMALL.replace("n_g: 2", "n_g: 1").replace("g_hz: 50.0", "g_hz: 1.0e-200")
      + "sequence: {amp: 1.0e+6}\n",  # Gamma_1 underflows to 0
      "the median Purcell rate is 0, so no default recovery delays: give them with "
      "--dt-list-s or sequence.dt_list_s"),
-], ids=["zero-rates", "grid-in-strip", "pair-window", "grid-above-cutoff", "psd-one-side",
-        "invrec-zero-rate"])
+], ids=["zero-rates", "grid-in-strip", "pair-window", "grid-above-cutoff", "edge-cutoff",
+        "psd-one-side", "invrec-zero-rate"])
 def test_rejected_physics_input_exits_2_with_its_message(tmp_path, capsys, name, config,
                                                           message):
     cfg = tmp_path / "run.yaml"

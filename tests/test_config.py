@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import math
+from fractions import Fraction
 
 import jsonschema
 import pytest
@@ -56,7 +57,7 @@ def test_accessors_build_params():
     assert res.omega0 == 7.408e9
     assert res.kappa == res.kappa_int + res.kappa_ext
     sp = c.spin_params()
-    assert sp.i == 4.5 and sp.s == 0.5
+    assert sp.i == 4.5
     assert c.wire_geometry().n_filaments >= 1
 
 
@@ -204,9 +205,10 @@ seed: 3.0
 
 # ------------------------------------------------- equivalence to JSON Schema
 
-# The config schema as it stood when jsonschema checked it, kept verbatim as
-# the reference for FIELDS: the same configs must pass, a rejected config
-# must name the same path, and an accepted one must fill the same defaults.
+# The config schema as it stood when jsonschema checked it, kept verbatim but
+# for the spin-system rules learnt since, as the reference for FIELDS: the
+# same configs must pass, a rejected config must name the same path, and an
+# accepted one must fill the same defaults.
 
 REFERENCE_SCHEMA = {
     "type": "object",
@@ -251,8 +253,12 @@ REFERENCE_SCHEMA = {
                 "gamma_e_hz_per_t": {"type": "number", "exclusiveMinimum": 0},
                 "gamma_n_hz_per_t": {"type": "number"},
                 "hyperfine_hz": {"type": "number", "exclusiveMinimum": 0},
-                "s": {"type": "number", "minimum": 0},
-                "i": {"type": "number", "minimum": 0},
+                # the two rules the sector solution adds: S = 1/2, I = n + 1/2 > 0;
+                # 1/2 as a Fraction takes jsonschema's exact `%` path, where
+                # its float path raises on inf, nan and ints past float range
+                "s": {"type": "number", "minimum": 0.5, "maximum": 0.5},
+                "i": {"type": "number", "exclusiveMinimum": 0, "multipleOf": Fraction(1, 2),
+                      "not": {"multipleOf": 1}},
             },
         },
         "geometry": {
@@ -447,9 +453,13 @@ def _fitting(kind, bound):
     if kind == "integer":
         ints = st.integers(min_value=low, max_value=10**6)
         return ints | ints.map(float)
-    number = (st.floats(min_value=low, max_value=high, exclude_min=">" in limits,
-                        allow_nan=False)
-              | st.integers(min_value=math.ceil(low) + (">" in limits), max_value=int(high)))
+    if kind == "half-odd-integer":
+        return st.integers(min_value=math.floor(low), max_value=10**6).map(lambda n: n + 0.5)
+    number = st.floats(min_value=low, max_value=high, exclude_min=">" in limits,
+                       allow_nan=False)
+    low_int, high_int = math.ceil(low) + (">" in limits), int(high)
+    if low_int <= high_int:  # no integer lies in [0.5, 0.5]
+        number |= st.integers(min_value=low_int, max_value=high_int)
     if kind == "numbers?":
         number = st.lists(number, min_size=1, max_size=3)
     return st.none() | number if kind.endswith("?") else number
@@ -499,6 +509,10 @@ def _documents(draw):
 @example(doc={"seed": True, "resonator": 1})
 @example(doc={"resonator": {"omega0_hz": 1, "kappa_int_hz": 1, "kappa_ext_hz": 10**320},
               "seed": 10**400})
+@example(doc={"resonator": {"omega0_hz": 1, "kappa_int_hz": 1, "kappa_ext_hz": 1},
+              "spin_system": {"s": 3.0, "i": 2.0}})
+@example(doc={"resonator": {"omega0_hz": 1, "kappa_int_hz": 1, "kappa_ext_hz": 1},
+              "spin_system": {"s": 0.5, "i": 10**400}})
 def test_fields_table_matches_the_json_schema(doc):
     text = yaml.safe_dump(doc, sort_keys=False)
     ref_path, ref_raw = _reference(yaml.safe_load(text))

@@ -5,16 +5,16 @@ from hypothesis import strategies as st
 
 from purcell_cool import hamiltonian as ham
 from purcell_cool.config import parse_config_text
+from purcell_cool.errors import SchemaError
 
 from _dense_hamiltonian import (
     HermitianOperator, angular_momentum_ops, build_hamiltonian, reference_transition_table,
     sector_eigenvectors, spin_operators)
 from _frozen import FROZEN
 
+RESONATOR = "resonator: {omega0_hz: 7.408e+9, kappa_int_hz: 2.5e+6, kappa_ext_hz: 3.8e+6}\n"
 # the Si:Bi donor of the config defaults
-SI_BI = parse_config_text(
-    "resonator: {omega0_hz: 7.408e+9, kappa_int_hz: 2.5e+6, kappa_ext_hz: 3.8e+6}"
-).spin_params()
+SI_BI = parse_config_text(RESONATOR).spin_params()
 
 
 def test_angular_momentum_algebra():
@@ -135,7 +135,7 @@ def test_two_spin_half_matches_breit_rabi():
     """Fictitious S=1/2, I=1/2 system against the closed-form eigenvalues."""
     a = 1.0e9
     ge, gn = 28.0e9, 7.0e6
-    params = ham.SpinSystemParams(gamma_e=ge, gamma_n=gn, hyperfine_a=a, s=0.5, i=0.5)
+    params = ham.SpinSystemParams(gamma_e=ge, gamma_n=gn, hyperfine_a=a, i=0.5)
     for b0 in (0.0, 1e-3, 20e-3, 0.1):
         levels = ham.labeled_eigensystem(params, b0)
         w = np.array([lv.energy for lv in levels])
@@ -198,7 +198,7 @@ def test_zero_field_labels_agree_with_total_angular_momentum():
     b0=st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
 )
 def test_sector_labels_and_energies_for_any_half_odd_nucleus(i, gamma_e, gamma_n, a, b0):
-    params = ham.SpinSystemParams(gamma_e=gamma_e, gamma_n=gamma_n, hyperfine_a=a, s=0.5, i=i)
+    params = ham.SpinSystemParams(gamma_e=gamma_e, gamma_n=gamma_n, hyperfine_a=a, i=i)
     levels = ham.labeled_eigensystem(params, b0)
     f_lo, f_up = round(i - 0.5), round(i + 0.5)
     expected = {(f_lo, m) for m in range(-f_lo, f_lo + 1)}
@@ -221,9 +221,13 @@ def test_labeled_eigensystem_rejects_bad_field(b0):
 
 @pytest.mark.parametrize("s, i", [(1.5, 4.5), (1.0, 4.5), (0.5, 1.0), (0.5, 0.0)])
 def test_labeled_eigensystem_rejects_unsupported_spins(s, i):
-    params = ham.SpinSystemParams(28e9, 7e6, 1e9, s, i)
-    with pytest.raises(ValueError):
-        ham.labeled_eigensystem(params, 0.0)
+    # the electron spin is 1/2 by construction, so only a config can name another
+    if s != 0.5:
+        with pytest.raises(SchemaError, match=r"spin_system\.s: "):
+            parse_config_text(f"{RESONATOR}spin_system: {{s: {s}, i: {i}}}\n")
+    else:
+        with pytest.raises(ValueError, match="half-odd-integer"):
+            ham.SpinSystemParams(28e9, 7e6, 1e9, i)
 
 
 def test_closed_form_elements_match_full_operator_products():
@@ -286,7 +290,7 @@ def test_field_scan_columns_equal_the_one_field_slices():
 )
 def test_field_scan_equals_the_one_field_slices_for_any_nucleus(
         i, gamma_e, gamma_n, a, fields, from_zero):
-    params = ham.SpinSystemParams(gamma_e=gamma_e, gamma_n=gamma_n, hyperfine_a=a, s=0.5, i=i)
+    params = ham.SpinSystemParams(gamma_e=gamma_e, gamma_n=gamma_n, hyperfine_a=a, i=i)
     grid = np.unique(fields + [0.0] if from_zero else fields)
     spec = ham.spectrum_vs_field(params, grid, 7.408e9)
     assert spectrum_rows(spec) == per_field_rows(params, grid)
