@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from . import blochsim, coupling, estimators, hamiltonian, polarization, thermal
-from .config import MAX_POINTS, parse_config
+from .config import FIELDS, MAX_POINTS, field_error, parse_config
 from .errors import NoConvergence, SchemaError
 
 
@@ -62,7 +62,9 @@ def _texts(values):
 
 def _write_output(directory, digests, name, texts):
     """The one opener of a run's outputs: writes the texts to directory / name
-    as UTF-8 and records the SHA-256 of the same bytes as digests[name]."""
+    as UTF-8 and records the SHA-256 of the same bytes as digests[name]. What
+    is there already is unlinked, not truncated or written through."""
+    (directory / name).unlink(missing_ok=True)
     digest = hashlib.sha256()
     with open(directory / name, "wb") as fh:
         for text in texts:
@@ -126,38 +128,34 @@ def _read_xy_csv(path):
 
 # ------------------------------------------------------------ flag checks
 
-# What a numeric flag accepts: (conversion, condition, what it must be).
-POSITIVE = (float, lambda v: math.isfinite(v) and v > 0, "positive and finite")
-NONNEGATIVE = (float, lambda v: math.isfinite(v) and v >= 0, "nonnegative and finite")
-COUNT = (int, lambda v: 0 < v <= MAX_POINTS, f"an integer between 1 and {MAX_POINTS}")
-SEED = (int, lambda v: v >= 0, "a nonnegative integer")
+# What a flag accepts, as a config field's (kind, bound); a flag that sets a
+# config field passes that field's FIELDS entry. _KINDS: how each kind reads
+# a flag's text, and the kind's name (an int past float range is not finite).
+POSITIVE = ("number", (">", 0))
+NONNEGATIVE = ("number", (">=", 0))
+COUNT = ("integer", (">=", 1, "<=", MAX_POINTS))
+_KINDS = {"number": (float, "a finite number"), "integer": (int, "a finite integer"),
+          "numbers": (lambda text: [float(v) for v in text.split(",")],
+                      f"a comma-separated list of at most {MAX_POINTS} finite numbers")}
 
 
-def _numbers(ok, what):
-    """A comma-separated list of at most MAX_POINTS numbers that each meet ok."""
-    return (lambda text: [float(v) for v in text.split(",")],
-            lambda values: len(values) <= MAX_POINTS and all(map(ok, values)),
-            f"a comma-separated list of at most {MAX_POINTS} {what}")
-
-
-DELAYS = _numbers(POSITIVE[1], "positive, finite delays")
-AMPLITUDES = _numbers(math.isfinite, "finite amplitudes")
-
-
-def _check(flag, check, text):
-    """The argparse type of a numeric flag: text converted and checked."""
-    convert, ok, wording = check
+def _check(flag, rule, text):
+    """The argparse type of a flag: text read as its rule's kind, or kept for
+    a tuple of strings, then checked by config.field_error."""
+    kind, bound = rule[:2]
+    read, noun = _KINDS[kind.rstrip("?")] if isinstance(kind, str) else (str, f"one of {[*kind]}")
     try:
-        value = convert(text)
+        value = read(text)
     except ValueError:
         value = None
-    if value is None or not ok(value):
-        raise argparse.ArgumentTypeError(f"{flag} must be {wording}, got {text!r}")
+    if value is None or field_error(value, kind, bound, ()) is not None:
+        limits = " and".join(f" {op} {limit}" for op, limit in zip(bound[::2], bound[1::2]))
+        raise argparse.ArgumentTypeError(f"{flag} must be {noun}{limits}, got {text!r}")
     return value
 
 
-def _flag(parser, name, check, default=None, **kwargs):
-    parser.add_argument(name, type=functools.partial(_check, name, check), default=default,
+def _flag(parser, name, rule, default=None, **kwargs):
+    parser.add_argument(name, type=functools.partial(_check, name, rule), default=default,
                         **kwargs)
 
 
@@ -419,14 +417,14 @@ def build_parser():
         p.set_defaults(handler=handler)
         p.add_argument("--config", required=needs_config, help="YAML config file")
         p.add_argument("--out", required=True, help="output directory")
-        _flag(p, "--seed", SEED, help="override config seed")
+        _flag(p, "--seed", FIELDS["seed"], help="override config seed")
         return p
 
     p = command("spectrum", cmd_spectrum, "transition frequencies vs field")
     _flag(p, "--b0-min", NONNEGATIVE, 0.0)
     _flag(p, "--b0-max", NONNEGATIVE, 0.07)
     _flag(p, "--b0-step", POSITIVE, 0.5e-3)
-    _flag(p, "--omega0", POSITIVE)
+    _flag(p, "--omega0", FIELDS["resonator"]["omega0_hz"])
 
     command("thermal", cmd_thermal, "occupations, rates, cooling factor")
 
@@ -448,12 +446,12 @@ def build_parser():
     ):
         p = seq[name] = command(name, handler, help_text)
         _flag(p, "--b0", NONNEGATIVE, 62.5e-3)
-        _flag(p, "--tau-us", POSITIVE)
-    _flag(seq["invrec"], "--dt-list-s", DELAYS,
+        _flag(p, "--tau-us", FIELDS["sequence"]["tau_us"])
+    _flag(seq["invrec"], "--dt-list-s", FIELDS["sequence"]["dt_list_s"],
           help="comma-separated recovery delays in seconds")
-    _flag(seq["rabi"], "--amp-list", AMPLITUDES)
+    _flag(seq["rabi"], "--amp-list", ("numbers", ()))
     _flag(seq["rabi"], "--amp-points", COUNT, 25)
-    _flag(seq["cpmg"], "--n-cpmg", COUNT)
+    _flag(seq["cpmg"], "--n-cpmg", FIELDS["sequence"]["n_cpmg"])
 
     p = command("fit-invrec", cmd_fit, "fit exponential recovery to CSV data", False)
     p.set_defaults(fit="fit_exponential_recovery")
@@ -466,7 +464,7 @@ def build_parser():
 
     p = command("fit-psd", cmd_fit_psd, "fit noise spectral density")
     p.add_argument("--data", required=True)
-    p.add_argument("--branch", choices=["hot", "cold"], default=None)
+    _flag(p, "--branch", FIELDS["scenario"]["config"])
     _flag(p, "--n-twpa", NONNEGATIVE)
 
     p = command("snr", cmd_snr, "sensitivity vs repetition time", False)

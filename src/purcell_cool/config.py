@@ -143,7 +143,7 @@ def _required(spec):
     return spec[2] is REQUIRED
 
 
-def _field_error(value, kind, bound, path):
+def field_error(value, kind, bound, path):
     """(path, message) of the first way value misses its field, or None. A
     number that is not finite (nan, an infinity or an int past float range)
     fails last, once its type and bound hold."""
@@ -157,7 +157,7 @@ def _field_error(value, kind, bound, path):
             return path, f"{_brief.repr(value)} is not a non-empty list of numbers"
         if len(value) > MAX_POINTS:
             return path, f"holds {len(value)} numbers, more than {MAX_POINTS}"
-        errors = (_field_error(v, "number", bound, path + (i,)) for i, v in enumerate(value))
+        errors = (field_error(v, "number", bound, path + (i,)) for i, v in enumerate(value))
         return next(filter(None, errors), None)
     if (isinstance(value, bool) or not isinstance(value, (int, float))
             or kind == "integer" and isinstance(value, float) and not value.is_integer()
@@ -190,7 +190,7 @@ def _first_error(node, table, path=()):
     for key in sorted(node):
         spec = table[key]
         found = (_first_error(node[key], spec, path + (key,)) if isinstance(spec, dict)
-                 else _field_error(node[key], *spec[:2], path + (key,)))
+                 else field_error(node[key], *spec[:2], path + (key,)))
         if found is not None:
             return found
     return None

@@ -55,6 +55,8 @@ class WireGeometry:
             raise ValueError("current_model must be 'uniform' or 'edge-peaked'")
         if self.n_filaments * self.n_layers < 64:
             raise ValueError("need at least 64 filaments in the cross-section")
+        if self.current_model == "edge-peaked" and self.edge_cutoff >= self.width / 2:
+            raise ValueError("edge cutoff consumes the whole strip")
 
 
 @dataclass(frozen=True)
@@ -70,9 +72,7 @@ def _filaments(geom, current):
     column x positions, the layer y positions and the current each column
     carries in every layer."""
     if geom.current_model == "edge-peaked":
-        half = geom.width / 2 - geom.edge_cutoff
-        if half <= 0:
-            raise ValueError("edge cutoff consumes the whole strip")
+        half = geom.width / 2 - geom.edge_cutoff  # positive, as WireGeometry checks
         xs = (np.arange(geom.n_filaments) + 0.5) / geom.n_filaments * 2 * half - half
         wx = 1.0 / np.sqrt(1.0 - (2 * xs / geom.width) ** 2)
     else:

@@ -25,6 +25,7 @@ from _serialize import serialize
 from purcell_cool import blochsim, cli
 from purcell_cool import estimators as est
 from purcell_cool.config import FIELDS, parse_config_text
+from purcell_cool.errors import SchemaError
 from purcell_cool.thermal import ResonatorParams, bose_occupation
 
 KAPPA_INT = 2 * math.pi * 0.4e6
@@ -118,7 +119,7 @@ def test_negative_b0_step_in_any_notation_reaches_the_range_check(tmp_path, cfg_
     rc = cli.main(["spectrum", "--config", str(cfg_path), "--out", str(tmp_path / "o"),
                    "--b0-step", step])
     assert rc == 2
-    assert "--b0-step must be positive and finite" in capsys.readouterr().err
+    assert f"--b0-step must be a finite number > 0, got '{step}'" in capsys.readouterr().err
 
 
 def test_spectrum_rejects_unsupported_nuclear_spin(tmp_path, capsys):
@@ -358,6 +359,7 @@ def test_snr_rejects_bad_gamma1(tmp_path, capsys, gamma1):
     (["snr", "--gamma1", "0.07", "--trep-points", "0"], "--trep-points"),
     (["snr", "--gamma1", "0.07", "--trep-min", "0"], "--trep-min"),
     (["thermal", "--seed", "-1"], "--seed"),
+    (["thermal", "--seed", "1" + "0" * 400], "--seed"),  # beyond float range, as in the config
 ])
 def test_numeric_flags_are_checked_not_defaulted(tmp_path, cfg_path, capsys, argv, flag):
     # a zero must not fall back to the default, and nan must not run
@@ -455,6 +457,27 @@ def test_rerun_into_the_same_out_writes_the_bytes_of_a_fresh_run(tmp_path, cfg_p
         assert left not in outputs and (again / left).read_bytes()
 
 
+@pytest.mark.parametrize("target", ["symlink", "read-only"])
+def test_rerun_replaces_a_symlinked_or_read_only_output(tmp_path, cfg_path, target):
+    # the writer unlinks what is at an output's name and creates a new file
+    argv = ["spectrum", "--b0-max", "0.01", "--b0-step", "1e-3", "--config", cfg_path]
+    again, fresh, outside = tmp_path / "again", tmp_path / "fresh", tmp_path / "outside.csv"
+    outside.write_text("not an output\n")
+    again.mkdir()
+    if target == "symlink":
+        (again / "spectrum.csv").symlink_to(outside)
+    else:
+        (again / "spectrum.csv").write_text("old\n")
+        (again / "spectrum.csv").chmod(0o444)
+    run_ok([*argv, "--out", again])
+    run_ok([*argv, "--out", fresh])
+    assert outside.read_text() == "not an output\n"  # a link's target keeps its bytes
+    written = again / "spectrum.csv"
+    assert not written.is_symlink() and written.stat().st_mode & 0o200
+    assert written.read_bytes() == (fresh / "spectrum.csv").read_bytes()
+    assert manifest_outputs(again) == manifest_outputs(fresh)
+
+
 def test_config_integer_beyond_float_range_exits_two(tmp_path, capsys):
     cfg = tmp_path / "run.yaml"
     cfg.write_text(SMALL.replace(repr(KAPPA_EXT), "1" + "0" * 320), encoding="utf-8")
@@ -534,7 +557,7 @@ def test_cli_import_leaves_scipy_solvers_unloaded():
 
 def test_every_numeric_flag_is_checked_where_it_is_declared():
     # a flag's check is its argparse type, so no handler sees an unchecked value
-    strings = {"--config", "--out", "--data", "--branch"}
+    strings = {"--config", "--out", "--data"}
     subparsers = next(a for a in cli.build_parser()._actions
                       if isinstance(a, argparse._SubParsersAction))
     for name, sub in subparsers.choices.items():
@@ -544,6 +567,57 @@ def test_every_numeric_flag_is_checked_where_it_is_declared():
                 continue
             assert isinstance(action.type, functools.partial), (name, flag)
             assert action.type.func is cli._check and action.type.args[0] == flag, (name, flag)
+
+
+# The six flags that set a config field: its subcommand, the field's path, a
+# strategy for values of the field's kind, and the flag's reading of the value
+# the config holds. A value goes to the flag as its repr (a list as its items'
+# reprs joined by commas, a string as itself). Integer flags read only integer
+# digits (int("5.0") fails, while the config takes 5.0 as 5), so they are
+# drawn no integral floats.
+_INTS = st.one_of(st.integers(-5, 20), st.integers(-10**400, 10**400))
+_NUMBERS = st.one_of(st.floats(), _INTS)  # nan and +-inf included
+_CONFIG_FLAGS = {
+    "--seed": ("thermal", ("seed",), _INTS, int),
+    "--n-cpmg": ("cpmg", ("sequence", "n_cpmg"), _INTS, int),
+    "--omega0": ("spectrum", ("resonator", "omega0_hz"), _NUMBERS, float),
+    "--tau-us": ("echo", ("sequence", "tau_us"), _NUMBERS, float),
+    "--dt-list-s": ("invrec", ("sequence", "dt_list_s"), st.lists(_NUMBERS, max_size=4),
+                    lambda held: [float(v) for v in held]),
+    "--branch": ("fit-psd", ("scenario", "config"),
+                 st.one_of(st.sampled_from(["hot", "cold"]), st.text(max_size=6)), str),
+}
+
+
+@pytest.mark.parametrize("flag", _CONFIG_FLAGS)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_config_backed_flag_accepts_exactly_what_its_field_accepts(flag, data):
+    command, path, values, read = _CONFIG_FLAGS[flag]
+    value = data.draw(values)
+    text = (value if isinstance(value, str) else ",".join(map(repr, value))
+            if isinstance(value, list) else repr(value))
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    check = next(a.type for a in subparsers.choices[command]._actions
+                 if flag in a.option_strings)
+    try:
+        got = check(text)
+    except argparse.ArgumentTypeError as exc:
+        assert str(exc).startswith(f"{flag} must be ") and str(exc).endswith(f"got {text!r}")
+        got = None
+    doc = {"resonator": {"omega0_hz": 7.408e9, "kappa_int_hz": KAPPA_INT,
+                         "kappa_ext_hz": KAPPA_EXT}}
+    (doc if len(path) == 1 else doc.setdefault(path[0], {}))[path[-1]] = value
+    try:
+        held = parse_config_text(yaml.safe_dump(doc)).raw
+    except SchemaError:
+        assert got is None, (text, got)
+        return
+    for key in path:
+        held = held[key]
+    expected = read(held)
+    assert got == expected and type(got) is type(expected), (text, got, held)
 
 
 @pytest.mark.parametrize("argv, flag", [

@@ -182,3 +182,11 @@ def test_implantation_profile_support():
 def test_filament_count_enforced():
     with pytest.raises(ValueError):
         coupling.WireGeometry(n_filaments=4, n_layers=2)
+
+
+@pytest.mark.parametrize("edge_cutoff", [1e-6, 1.5e-6, math.inf])  # half the width and more
+def test_edge_cutoff_that_consumes_the_strip_is_refused_by_the_geometry(edge_cutoff):
+    with pytest.raises(ValueError, match="edge cutoff consumes the whole strip"):
+        coupling.WireGeometry(current_model="edge-peaked", edge_cutoff=edge_cutoff)
+    # the cutoff clamps only the edge-peaked current
+    assert coupling.WireGeometry(edge_cutoff=edge_cutoff).edge_cutoff == edge_cutoff
