@@ -1,8 +1,10 @@
 """Command-line front end.
 
-Every subcommand reads one YAML config, writes CSV/JSON artifacts plus a
-run manifest into --out, and is a pure function of (config, flags, seed):
-rerunning with identical inputs reproduces every output byte for byte.
+Every subcommand reads one YAML config and writes CSV/JSON artifacts plus
+a run manifest into --out. Every output is a pure function of (config,
+flags): rerunning with identical inputs reproduces every output byte for
+byte. The seed (the config's, or --seed) is recorded in the manifest and
+changes no other output.
 Exit codes: 0 ok, 2 config/usage, 3 solver or fit convergence, 4 I/O.
 """
 
@@ -105,10 +107,11 @@ def _write_json(write, name, obj):
 def _read_xy_csv(path):
     """(x, y) pairs from the first two columns of a CSV. The first line may
     be a header; every later line must hold two finite numbers, or a
-    ValueError names the file and the line. Blank lines are skipped."""
+    ValueError names the file and the line. Blank lines are skipped, and so
+    is a UTF-8 byte order mark."""
     rows = []
     header_allowed = True
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue
@@ -164,12 +167,11 @@ def _flag(parser, name, rule, default=None, **kwargs):
 
 def _resonant_pair(cfg, b0):
     """Quasi-degenerate transition doublet at field b0."""
-    params = cfg.spin_params()
-    res = cfg.resonator_params()
-    levels = hamiltonian.labeled_eigensystem(params, b0)
-    transitions = hamiltonian.transition_table(params, b0)
+    levels = hamiltonian.labeled_eigensystem(cfg.spin_system, b0)
+    transitions = hamiltonian.transition_table(cfg.spin_system, b0)
     window = cfg.raw["ensemble"]["pair_window_hz"]
-    pair = polarization.find_quasi_degenerate_pair(transitions, res.omega0, window=window)
+    pair = polarization.find_quasi_degenerate_pair(transitions, cfg.resonator.omega0,
+                                                   window=window)
     return levels, pair
 
 
@@ -178,16 +180,14 @@ def _coupling_density(cfg, b0):
     ens = cfg.raw["ensemble"]
     if ens["g_hz"] is not None:
         return coupling.CouplingDistribution.delta(ens["g_hz"]), None
-    res = cfg.resonator_params()
-    geom = cfg.wire_geometry()
     gr = cfg.raw["grid"]
-    current = coupling.vacuum_current(res)
+    current = coupling.vacuum_current(cfg.resonator)
     field = coupling.field_map(
-        geom, current, (gr["x_min_m"], gr["x_max_m"]), (gr["y_min_m"], gr["y_max_m"]),
+        cfg.geometry, current, (gr["x_min_m"], gr["x_max_m"]), (gr["y_min_m"], gr["y_max_m"]),
         gr["nx"], gr["ny"],
     )
     _, pair = _resonant_pair(cfg, b0)
-    gamma_e = cfg.raw["spin_system"]["gamma_e_hz_per_t"]
+    gamma_e = cfg.spin_system.gamma_e
     maps = [
         (coupling.coupling_map(field, t.sx_element, gamma_e=gamma_e), 0.5) for t in pair
     ]
@@ -205,7 +205,7 @@ def _sequence_setup(cfg, args):
         blochsim.sample_comb(seq["acquire_width_s"], seq["sample_dt_s"])
     except ValueError as exc:
         raise ValueError(f"sequence.acquire_width_s, sequence.sample_dt_s: {exc}") from None
-    res = cfg.resonator_params()
+    res = cfg.resonator
     rho, _ = _coupling_density(cfg, args.b0)
     groups = blochsim.init_ensemble(
         rho, res, ens["spin_temp_k"], ens["t2_s"],
@@ -224,14 +224,13 @@ def _sequence_setup(cfg, args):
 
 
 def cmd_spectrum(cfg, args, write):
-    params = cfg.spin_params()
-    omega0 = cfg.resonator_params().omega0 if args.omega0 is None else args.omega0
+    omega0 = cfg.resonator.omega0 if args.omega0 is None else args.omega0
     steps = (args.b0_max - args.b0_min) / args.b0_step
     if not 0 <= steps <= MAX_POINTS - 1:
         raise ValueError(f"--b0-min to --b0-max must span 0 to {MAX_POINTS - 1} steps "
                          f"of --b0-step, got {steps:.3g}")
     grid = np.linspace(args.b0_min, args.b0_max, int(round(steps)) + 1)
-    spec = hamiltonian.spectrum_vs_field(params, grid, omega0)
+    spec = hamiltonian.spectrum_vs_field(cfg.spin_system, grid, omega0)
     _write_csv(
         write, "spectrum.csv",
         ["b0_T", "lowerF", "lowerM", "upperF", "upperM", "freq_Hz", "sx", "sy"],
@@ -246,8 +245,7 @@ def cmd_spectrum(cfg, args, write):
 
 
 def cmd_thermal(cfg, args, write):
-    res = cfg.resonator_params()
-    scen = cfg.load_scenario()
+    res, scen = cfg.resonator, cfg.scenario
     spins = cfg.raw["spins"]
     gamma_phon, gamma_phot = spins["gamma_phon_hz"], spins["gamma_phot_hz"]
     n_phot = thermal.cavity_occupation(res, scen)
@@ -258,7 +256,7 @@ def cmd_thermal(cfg, args, write):
         "t_phot_k": thermal.occupation_temperature(n_phot, res.omega0),
         "t_spin_k": thermal.spin_temperature(gamma_phon, gamma_phot, gamma1, res.omega0),
         "gamma1_hz": gamma1,
-        "eta": thermal.cooling_factor(res, cfg.load_scenario("hot"), cfg.load_scenario("cold"),
+        "eta": thermal.cooling_factor(res, cfg.scenarios["hot"], cfg.scenarios["cold"],
                                       gamma_phon, gamma_phot),
     }
     overflowing = [name for name, v in values.items() if not math.isfinite(v)]
@@ -268,7 +266,7 @@ def cmd_thermal(cfg, args, write):
 
 
 def cmd_polarization(cfg, args, write):
-    omega0 = cfg.resonator_params().omega0
+    omega0 = cfg.resonator.omega0
     levels, pair = _resonant_pair(cfg, args.b0)
     ts = np.linspace(args.t_min, args.t_max, args.points).tolist()
     _write_csv(write, "polarization.csv", ["T_K", "dn_exact", "dn_approx", "p_spin_half"],
@@ -358,9 +356,8 @@ def cmd_fit(cfg, args, write):
 
 def cmd_fit_psd(cfg, args, write):
     data = _read_xy_csv(args.data)
-    scen = cfg.load_scenario()
-    branch = scen.config if args.branch is None else args.branch
-    fixed = {"resonator": cfg.resonator_params(), "t_phon": scen.t_phon}
+    branch = cfg.scenario.config if args.branch is None else args.branch
+    fixed = {"resonator": cfg.resonator, "t_phon": cfg.scenario.t_phon}
     if args.n_twpa is not None:  # a cold fit without it is refused by fit_psd
         fixed["n_twpa"] = args.n_twpa
     _fit_json(write, args, estimators.fit_psd, data, fixed, branch)

@@ -1,4 +1,4 @@
-"""Config file parsing, validation, and typed accessors.
+"""Config file parsing, validation, and the parameter objects it builds.
 
 One YAML document drives every subcommand. FIELDS declares each field once,
 with its kind, bound and default. Unknown keys are rejected so typos fail
@@ -7,7 +7,10 @@ loudly, and every section except `resonator` has complete defaults.
 The loader is PyYAML's safe loader plus YAML 1.2's exponent floats
 (7.408e9, 1e-06); a quoted number is a string. Nothing walks the document
 before the field check, which raises SchemaError for the error whose dotted
-path sorts first, a non-finite number included.
+path sorts first, a non-finite number included. Once every field holds,
+the parse builds each section's parameter object, whose own rules span
+several fields; every subcommand reads those objects, so every one refuses
+the same configs.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import math
 import operator
 import re
 import reprlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import yaml
 
@@ -196,53 +199,40 @@ def _first_error(node, table, path=()):
     return None
 
 
+# The parameter object each section builds, as (section, ExperimentConfig
+# field, builder), in section path order. A rule over several fields lives
+# in its object, whose ValueError is reported as its section's error.
+_OBJECTS = (
+    ("geometry", "geometry", lambda g: WireGeometry(
+        width=g["width_m"], thickness=g["thickness_m"], current_model=g["current_model"],
+        edge_cutoff=g["edge_cutoff_m"], n_filaments=g["n_filaments"], n_layers=g["n_layers"])),
+    ("resonator", "resonator", lambda r: ResonatorParams(
+        omega0=r["omega0_hz"], kappa_int=r["kappa_int_hz"], kappa_ext=r["kappa_ext_hz"],
+        z0=r["z0_ohm"])),
+    # the hot and the cold load; in the cold one t_int_cold_k, if given, is t_int
+    ("scenario", "scenarios", lambda s: {config: LoadScenario(
+        config=config, alpha=s["alpha"], t_cold=s["t_cold_k"], t_phon=s["t_phon_k"],
+        t_int=s["t_int_k"] if config == "hot" or s["t_int_cold_k"] is None
+        else s["t_int_cold_k"]) for config in ("hot", "cold")}),
+    ("spin_system", "spin_system", lambda sp: SpinSystemParams(
+        gamma_e=sp["gamma_e_hz_per_t"], gamma_n=sp["gamma_n_hz_per_t"],
+        hyperfine_a=sp["hyperfine_hz"], i=sp["i"])),
+)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     raw: dict
+    geometry: WireGeometry
+    resonator: ResonatorParams
+    scenarios: dict  # "hot" and "cold" -> LoadScenario
+    spin_system: SpinSystemParams
     sha256: str | None = None  # of the file's bytes, when read from a file
 
-    def resonator_params(self):
-        r = self.raw["resonator"]
-        return ResonatorParams(
-            omega0=r["omega0_hz"],
-            kappa_int=r["kappa_int_hz"],
-            kappa_ext=r["kappa_ext_hz"],
-            z0=r["z0_ohm"],
-        )
-
-    def load_scenario(self, which=None):
-        s = self.raw["scenario"]
-        config = which or s["config"]
-        t_int = s["t_int_k"]
-        if config == "cold" and s.get("t_int_cold_k") is not None:
-            t_int = s["t_int_cold_k"]
-        return LoadScenario(
-            config=config,
-            alpha=s["alpha"],
-            t_cold=s["t_cold_k"],
-            t_phon=s["t_phon_k"],
-            t_int=t_int,
-        )
-
-    def spin_params(self):
-        sp = self.raw["spin_system"]
-        return SpinSystemParams(
-            gamma_e=sp["gamma_e_hz_per_t"],
-            gamma_n=sp["gamma_n_hz_per_t"],
-            hyperfine_a=sp["hyperfine_hz"],
-            i=sp["i"],
-        )
-
-    def wire_geometry(self):
-        g = self.raw["geometry"]
-        return WireGeometry(
-            width=g["width_m"],
-            thickness=g["thickness_m"],
-            current_model=g["current_model"],
-            edge_cutoff=g["edge_cutoff_m"],
-            n_filaments=g["n_filaments"],
-            n_layers=g["n_layers"],
-        )
+    @property
+    def scenario(self):
+        """The configured load, scenario.config's entry of scenarios."""
+        return self.scenarios[self.raw["scenario"]["config"]]
 
     @property
     def seed(self):
@@ -269,12 +259,19 @@ def parse_config_text(text, name="<config>"):
     if error is not None:
         path = ".".join(str(p) for p in error[0]) or "<root>"
         raise SchemaError(f"{name}: {path}: {error[1]}")
-    return ExperimentConfig(raw=_fill(FIELDS, data))
+    raw = _fill(FIELDS, data)
+    objects = {}
+    for section, field, build in _OBJECTS:
+        try:
+            objects[field] = build(raw[section])
+        except ValueError as exc:
+            raise SchemaError(f"{name}: {section}: {exc}") from None
+    return ExperimentConfig(raw=raw, **objects)
 
 
 def parse_config(path):
     """The config in the file at path, with the SHA-256 of the bytes parsed."""
     with open(path, "rb") as fh:
         data = fh.read()
-    raw = parse_config_text(data.decode("utf-8"), name=str(path)).raw
-    return ExperimentConfig(raw=raw, sha256=hashlib.sha256(data).hexdigest())
+    config = parse_config_text(data.decode("utf-8"), name=str(path))
+    return replace(config, sha256=hashlib.sha256(data).hexdigest())

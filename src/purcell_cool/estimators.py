@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .optimize import levenberg_marquardt, scaled_svd
+from .optimize import levenberg_marquardt
 from .thermal import BOLTZMANN, PLANCK
 
 
@@ -29,10 +29,9 @@ def _least_squares(residual, x0, names):
     """Levenberg-Marquardt fit with standard errors from the final Jacobian:
     with jac / scale = U S V^T, sqrt(rss / (n - p) sum_k (V_ik / S_k)^2) /
     scale_i over the S_k above S_max max(n, p) eps."""
-    x, jac, r, converged = levenberg_marquardt(residual, x0)
+    x, (_, s, vt, scale), r, converged = levenberg_marquardt(residual, x0)
     rss = float(r @ r)
-    n, p = jac.shape  # every fitter needs more distinct points than parameters
-    _, s, vt, scale = scaled_svd(jac)
+    n, p = len(r), len(x)  # every fitter needs more distinct points than parameters
     keep = s > s[0] * max(n, p) * np.finfo(float).eps
     std = np.sqrt(rss / (n - p) * ((vt[keep] / s[keep, None]) ** 2).sum(axis=0)) / scale
     return FitResult(

@@ -19,9 +19,11 @@ _MAX_ITER = 200  # iterations before a fit raises NoConvergence
 
 
 def numeric_jacobian(residual, x):
-    """Central-difference Jacobian of a residual vector, step 1e-6 |x_i| (1e-6 at 0)."""
+    """Central-difference Jacobian of a residual vector, step 1e-6 |x_i|, or
+    1e-6 where that rounds to 0: at x_i = 0 and below about 2.5e-318."""
     x = np.asarray(x, dtype=float)
-    steps = np.diag(_FD_STEP * np.where(x == 0, 1.0, np.abs(x)))
+    steps = _FD_STEP * np.abs(x)
+    steps = np.diag(np.where(steps == 0, _FD_STEP, steps))
     return np.stack([(np.asarray(residual(x + h)) - np.asarray(residual(x - h))) / (2 * h[i])
                      for i, h in enumerate(steps)], axis=1)
 
@@ -40,16 +42,16 @@ def scaled_svd(jac):
 def levenberg_marquardt(residual, x0):
     """Minimize sum(residual(x)**2).
 
-    Returns (x, jac, r, converged) at the last accepted point. converged is
-    True when the largest |scale dx| fell to 1e-10 of the largest |scale x|,
-    and False when the damping grew past 1e12 without a step that lowers the
-    cost; 200 iterations without either raise NoConvergence.
+    Returns (x, svd, r, converged) at the last accepted point, svd being
+    scaled_svd of the Jacobian there. converged is True when the largest
+    |scale dx| fell to 1e-10 of the largest |scale x|, and False when the
+    damping grew past 1e12 without a step that lowers the cost; 200
+    iterations without either raise NoConvergence.
     """
     x = np.asarray(x0, dtype=float).copy()
     lam = 1e-3
     r = np.asarray(residual(x), dtype=float)
-    jac = numeric_jacobian(residual, x)
-    u, s, vt, scale = scaled_svd(jac)
+    u, s, vt, scale = svd = scaled_svd(numeric_jacobian(residual, x))
     cost = float(r @ r)
     for _ in range(_MAX_ITER):
         # dz = scale dx minimizes |r + (jac / scale) dz|^2 + lam |dz|^2
@@ -60,13 +62,12 @@ def levenberg_marquardt(residual, x0):
         if np.isfinite(cost_new) and cost_new <= cost:
             done = np.abs(dz).max() <= _STEP_TOL * np.abs(scale * x_new).max()
             x, r, cost = x_new, r_new, cost_new
-            jac = numeric_jacobian(residual, x)
-            u, s, vt, scale = scaled_svd(jac)
+            u, s, vt, scale = svd = scaled_svd(numeric_jacobian(residual, x))
             lam = max(lam / 10.0, 1e-12)
             if done:
-                return x, jac, r, True
+                return x, svd, r, True
         else:
             lam *= 10.0
             if lam > 1e12:
-                return x, jac, r, False
+                return x, svd, r, False
     raise NoConvergence(f"no scaled step below {_STEP_TOL} in {_MAX_ITER} iterations")

@@ -31,7 +31,9 @@ class ResonatorParams:
     def __post_init__(self):
         if self.omega0 <= 0 or self.z0 <= 0:
             raise ValueError("omega0 and z0 must be positive")
-        if self.kappa_int < 0 or self.kappa_ext < 0 or not 0 < self.kappa < math.inf:
+        # summed as floats: two integers can each fit float range and sum past it
+        if (self.kappa_int < 0 or self.kappa_ext < 0
+                or not 0 < float(self.kappa_int) + float(self.kappa_ext) < math.inf):
             raise ValueError("kappa_int, kappa_ext must be >= 0 with a positive, finite sum")
 
     @property

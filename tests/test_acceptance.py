@@ -30,8 +30,8 @@ resonator:
 """
 
 CFG = parse_config_text(BASE)
-RES = CFG.resonator_params()
-SPIN = CFG.spin_params()
+RES = CFG.resonator
+SPIN = CFG.spin_system
 OMEGA0 = RES.omega0
 
 
@@ -78,7 +78,7 @@ def test_03_doublet_matrix_elements():
 def cooling(res, gamma_phot):
     """eta of the demo loads under pure radiative decay, with Gamma_1 and the
     ratio p_cold / p_hot at the spin temperature of each load."""
-    hot, cold = CFG.load_scenario("hot"), CFG.load_scenario("cold")
+    hot, cold = CFG.scenarios["hot"], CFG.scenarios["cold"]
     eta = thermal.cooling_factor(res, hot, cold, 0.0, gamma_phot)
     rates, temps = [], []
     for scen in (hot, cold):

@@ -380,6 +380,18 @@ def test_manifest_seed_override(tmp_path, cfg_path):
     assert m["config_sha256"] == hashlib.sha256(cfg_path.read_bytes()).hexdigest()
 
 
+@pytest.mark.parametrize("name", ["thermal", "echo"])
+def test_the_seed_changes_only_the_manifest(tmp_path, cfg_path, name):
+    outs = [tmp_path / f"seed{seed}" for seed in (1, 2)]
+    for seed, out in zip((1, 2), outs):
+        run_ok([name, "--config", cfg_path, "--out", out, "--seed", seed])
+    names = {p.name for p in outs[0].iterdir()}
+    assert names == {p.name for p in outs[1].iterdir()} and len(names) > 1
+    for name in names - {"manifest.json"}:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+    assert [json.loads((out / "manifest.json").read_text())["seed"] for out in outs] == [1, 2]
+
+
 def _fit_data(name):
     """Noise-free (x, y) rows for fit-invrec, fit-t2 and the hot fit-psd."""
     if name == "fit-invrec":
@@ -520,6 +532,18 @@ def test_fit_whose_jacobian_overflows_names_the_overflow(tmp_path, cfg_path):
     assert out.returncode == 2
     assert out.stdout == ""
     assert out.stderr == "error: the fit's Jacobian overflows to a non-finite value\n"
+
+
+@pytest.mark.parametrize("name", ["fit-invrec", "fit-t2"])
+def test_fit_to_all_zero_areas_drives_the_amplitude_to_0(tmp_path, name):
+    # the amplitude falls below 2.5e-318, where a relative Jacobian step
+    # rounds to 0; that column was once 0/0 and refused as an overflow
+    data = tmp_path / "zero.csv"
+    data.write_text("0,0\n1,0\n2,0\n3,0\n", encoding="utf-8")
+    out = tmp_path / "o"
+    run_ok([name, "--data", data, "--out", out])
+    result = json.loads((out / (name.replace("-", "_") + ".json")).read_text())
+    assert abs(result["parameters"]["amplitude"]) <= 1e-300
 
 
 @pytest.mark.parametrize("rows, code", [
@@ -775,16 +799,21 @@ def test_acquisition_window_of_max_points_samples_runs(tmp_path):
 
 
 @pytest.mark.parametrize("name", ["fit-invrec", "fit-t2", "fit-psd"])
-@pytest.mark.parametrize("bad, why", [
-    ("foo,bar", "not two numbers"),
-    ("2e-3", "not two numbers"),
-    ("nan,0.5", "numbers must be finite"),
-    ("2e-3,inf", "numbers must be finite"),
+@pytest.mark.parametrize("text, line, why", [
+    *(pytest.param(f"x,y\n1e-3,0.9\n\n{bad}\n3e-3,0.7\n4e-3,0.6\n", 4, why, id=f"{bad}-{why}")
+      for bad, why in [("foo,bar", "not two numbers"), ("2e-3", "not two numbers"),
+                       ("nan,0.5", "numbers must be finite"),
+                       ("2e-3,inf", "numbers must be finite")]),
+    # a byte order mark is not text of the first line, so a header-less
+    # file's first row is read as data, not dropped as a header
+    pytest.param("\ufeffnan,0.5\n1e-3,0.9\n2e-3,0.8\n3e-3,0.7\n4e-3,0.6\n", 1,
+                 "numbers must be finite", id="bom-first-row"),
 ])
-def test_fit_data_rows_are_all_read_or_refused(tmp_path, cfg_path, capsys, name, bad, why):
+def test_fit_data_rows_are_all_read_or_refused(tmp_path, cfg_path, capsys, name, text, line,
+                                               why):
     # only the first line may be a header; a later bad line names itself
     data = tmp_path / "data.csv"
-    data.write_text("x,y\n1e-3,0.9\n\n" + bad + "\n3e-3,0.7\n4e-3,0.6\n", encoding="utf-8")
+    data.write_text(text, encoding="utf-8")
     out = tmp_path / "o"
     psd = ["--config", str(cfg_path), "--branch", "hot"] if name == "fit-psd" else []
     with warnings.catch_warnings():
@@ -792,7 +821,7 @@ def test_fit_data_rows_are_all_read_or_refused(tmp_path, cfg_path, capsys, name,
         rc = cli.main([name, "--data", str(data), "--out", str(out)] + psd)
     assert rc == 2
     err = capsys.readouterr().err
-    assert f"{data}:4: {why}" in err
+    assert f"{data}:{line}: {why}" in err
     assert not (out / "manifest.json").exists()
 
 
@@ -853,15 +882,13 @@ _PSD_BELOW_OMEGA0 = [
      "no quasi-degenerate pair within 1 Hz of 7.408e+09 Hz"),
     ("coupling", WIRE + "implantation: {cutoff_depth_m: 1.0e-8}\n",
      "no spin weight inside the profile support"),
-    ("coupling", WIRE + "geometry: {current_model: edge-peaked, edge_cutoff_m: 1.0e-6}\n",
-     "edge cutoff consumes the whole strip"),  # half the 2 um width
     ("fit-psd", SMALL, "data do not bracket the resonator frequency"),
     ("invrec", SMALL.replace("n_g: 2", "n_g: 1").replace("g_hz: 50.0", "g_hz: 1.0e-200")
      + "sequence: {amp: 1.0e+6}\n",  # Gamma_1 underflows to 0
      "the median Purcell rate is 0, so no default recovery delays: give them with "
      "--dt-list-s or sequence.dt_list_s"),
-], ids=["zero-rates", "grid-in-strip", "pair-window", "grid-above-cutoff", "edge-cutoff",
-        "psd-one-side", "invrec-zero-rate"])
+], ids=["zero-rates", "grid-in-strip", "pair-window", "grid-above-cutoff", "psd-one-side",
+        "invrec-zero-rate"])
 def test_rejected_physics_input_exits_2_with_its_message(tmp_path, capsys, name, config,
                                                           message):
     cfg = tmp_path / "run.yaml"
@@ -872,6 +899,42 @@ def test_rejected_physics_input_exits_2_with_its_message(tmp_path, capsys, name,
     out = tmp_path / "o"
     assert cli.main([name, "--config", str(cfg), "--out", str(out)] + fit) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (out / "manifest.json").exists()
+
+
+# every subcommand that reads a config, with its flags; coupling reads g_hz
+_CONFIG_READERS = [
+    ["spectrum", "--omega0", "7.4e9"], ["thermal"], ["polarization"], ["coupling"], ["echo"],
+    ["invrec"], ["rabi"], ["cpmg"], ["fit-psd", "--branch", "hot"],
+]
+
+
+@pytest.mark.parametrize("argv", _CONFIG_READERS, ids=[argv[0] for argv in _CONFIG_READERS])
+@pytest.mark.parametrize("config, section, message", [
+    (SMALL + "geometry: {n_filaments: 8, n_layers: 1}\n", "geometry",
+     "need at least 64 filaments in the cross-section"),
+    (SMALL + "geometry: {current_model: edge-peaked, edge_cutoff_m: 1.0e-6}\n", "geometry",
+     "edge cutoff consumes the whole strip"),  # half the 2 um width
+    (SMALL.replace(repr(KAPPA_INT), "0").replace(repr(KAPPA_EXT), "0"), "resonator",
+     "kappa_int, kappa_ext must be >= 0 with a positive, finite sum"),
+    (SMALL.replace(repr(KAPPA_INT), "1.0e+308").replace(repr(KAPPA_EXT), "1.0e+308"),
+     "resonator", "kappa_int, kappa_ext must be >= 0 with a positive, finite sum"),
+    # integers that each fit float range; their sum once overflowed in echo
+    (SMALL.replace(repr(KAPPA_INT), "1" + "0" * 308).replace(repr(KAPPA_EXT), "1" + "0" * 308),
+     "resonator", "kappa_int, kappa_ext must be >= 0 with a positive, finite sum"),
+], ids=["filaments", "edge-cutoff", "kappa-zero", "kappa-inf", "kappa-int-inf"])
+def test_a_config_rule_is_refused_by_every_subcommand(tmp_path, capsys, argv, config, section,
+                                                      message):
+    # the rules over several fields are checked when the config is parsed,
+    # whether or not the subcommand uses the object that states them
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(config, encoding="utf-8")
+    data = tmp_path / "psd.csv"
+    data.write_text("".join(f"{x!r},{y!r}\n" for x, y in _PSD_BELOW_OMEGA0), encoding="utf-8")
+    fit = ["--data", str(data)] if argv[0] == "fit-psd" else []
+    out = tmp_path / "o"
+    assert cli.main([*argv, "--config", str(cfg), "--out", str(out)] + fit) == 2
+    assert capsys.readouterr().err == f"config error: {cfg}: {section}: {message}\n"
     assert not (out / "manifest.json").exists()
 
 

@@ -51,14 +51,14 @@ def test_partial_override_keeps_other_defaults():
     assert c.raw["ensemble"]["t2_s"] == 600e-6
 
 
-def test_accessors_build_params():
+def test_parse_builds_params():
     c = cfg.parse_config_text(MINIMAL)
-    res = c.resonator_params()
+    res = c.resonator
     assert res.omega0 == 7.408e9
     assert res.kappa == res.kappa_int + res.kappa_ext
-    sp = c.spin_params()
+    sp = c.spin_system
     assert sp.i == 4.5
-    assert c.wire_geometry().n_filaments >= 1
+    assert c.geometry.n_filaments >= 1
 
 
 def test_cold_scenario_uses_cold_interferometer_temp():
@@ -69,11 +69,12 @@ scenario:
   t_int_cold_k: 0.76
 """
     c = cfg.parse_config_text(text)
-    assert c.load_scenario().t_int == 0.76
-    assert c.load_scenario("hot").t_int == 0.95
+    assert c.scenario is c.scenarios["cold"]
+    assert c.scenario.t_int == 0.76
+    assert c.scenarios["hot"].t_int == 0.95
     # without the override the cold branch falls back to t_int_k
     c2 = cfg.parse_config_text(RESON + "scenario:\n  config: cold\n")
-    assert c2.load_scenario().t_int == c2.raw["scenario"]["t_int_k"]
+    assert c2.scenario.t_int == c2.raw["scenario"]["t_int_k"]
 
 
 def test_scientific_notation_without_signed_exponent():
@@ -208,7 +209,8 @@ seed: 3.0
 # The config schema as it stood when jsonschema checked it, kept verbatim but
 # for the spin-system rules learnt since, as the reference for FIELDS: the
 # same configs must pass, a rejected config must name the same path, and an
-# accepted one must fill the same defaults.
+# accepted one must fill the same defaults. REFERENCE_RULES adds the rules
+# over several fields, which a config meets once its fields all hold.
 
 REFERENCE_SCHEMA = {
     "type": "object",
@@ -384,6 +386,15 @@ REFERENCE_DEFAULTS = {
 }
 
 
+# section -> whether its fields, defaults filled in, meet the section's rules
+REFERENCE_RULES = {
+    "geometry": lambda g: (g["n_filaments"] * g["n_layers"] >= 64
+                           and (g["current_model"] != "edge-peaked"
+                                or g["edge_cutoff_m"] < g["width_m"] / 2)),
+    "resonator": lambda r: 0 < float(r["kappa_int_hz"]) + float(r["kappa_ext_hz"]) < math.inf,
+}
+
+
 def _merge(base, overlay):
     out = copy.deepcopy(base)
     for key, val in overlay.items():
@@ -413,12 +424,15 @@ def _nonfinite_paths(node, path=()):
 
 def _reference(data):
     """(path of the first error, None) or (None, merged config): the schema's
-    errors and the non-finite numbers, the one whose path sorts first."""
+    errors and the non-finite numbers, the one whose path sorts first, or
+    else the first section in path order whose rules fail."""
     paths = [list(e.absolute_path) for e in _REFERENCE.iter_errors(data)]
     paths += [list(p) for p in _nonfinite_paths(data)]
     if paths:
         return ".".join(str(p) for p in min(paths)) or "<root>", None
-    return None, _merge(REFERENCE_DEFAULTS, data)
+    merged = _merge(REFERENCE_DEFAULTS, data)
+    broken = [name for name, holds in sorted(REFERENCE_RULES.items()) if not holds(merged[name])]
+    return (broken[0], None) if broken else (None, merged)
 
 
 def _assert_same_values(new, ref, schema):
@@ -513,6 +527,14 @@ def _documents(draw):
               "spin_system": {"s": 3.0, "i": 2.0}})
 @example(doc={"resonator": {"omega0_hz": 1, "kappa_int_hz": 1, "kappa_ext_hz": 1},
               "spin_system": {"s": 0.5, "i": 10**400}})
+@example(doc={"resonator": {"omega0_hz": 1, "kappa_int_hz": 1, "kappa_ext_hz": 1},
+              "geometry": {"n_filaments": 8, "n_layers": 1}})
+@example(doc={"resonator": {"omega0_hz": 1, "kappa_int_hz": 1, "kappa_ext_hz": 1},
+              "geometry": {"current_model": "edge-peaked", "width_m": 2e-6,
+                           "edge_cutoff_m": 1e-6}})
+@example(doc={"resonator": {"omega0_hz": 1, "kappa_int_hz": 0, "kappa_ext_hz": 0}})
+@example(doc={"resonator": {"omega0_hz": 1, "kappa_int_hz": 1e308, "kappa_ext_hz": 1e308}})
+@example(doc={"resonator": {"omega0_hz": 1, "kappa_int_hz": 10**308, "kappa_ext_hz": 10**308}})
 def test_fields_table_matches_the_json_schema(doc):
     text = yaml.safe_dump(doc, sort_keys=False)
     ref_path, ref_raw = _reference(yaml.safe_load(text))

@@ -89,7 +89,7 @@ def _spectrum_columns():
     """spectrum.csv's columns at --b0-step 1e-4 on the demo config: 12,618 rows."""
     cfg = parse_config(DEMO)
     grid = np.linspace(0.0, 0.07, 701)
-    spec = hamiltonian.spectrum_vs_field(cfg.spin_params(), grid, cfg.resonator_params().omega0)
+    spec = hamiltonian.spectrum_vs_field(cfg.spin_system, grid, cfg.resonator.omega0)
     return (spec.b0, *spec.lower.T, *spec.upper.T, spec.frequency,
             spec.sx_element, spec.sx_element)
 

@@ -14,7 +14,7 @@ from _frozen import FROZEN
 
 RESONATOR = "resonator: {omega0_hz: 7.408e+9, kappa_int_hz: 2.5e+6, kappa_ext_hz: 3.8e+6}\n"
 # the Si:Bi donor of the config defaults
-SI_BI = parse_config_text(RESONATOR).spin_params()
+SI_BI = parse_config_text(RESONATOR).spin_system
 
 
 def test_angular_momentum_algebra():

@@ -42,6 +42,14 @@ def test_jacobian_central_difference():
     assert np.allclose(jac, [[4.0, 0.0], [3.0, 2.0]], atol=1e-6)
 
 
+def test_jacobian_step_that_rounds_to_0_is_the_absolute_step():
+    # 1e-6 * 1e-320 rounds to 0, which once made the column 0/0
+    a = np.array([[2.0, -1.0], [0.5, 3.0], [-4.0, 0.25]])
+    jac = numeric_jacobian(lambda p: a @ p + 1.0, np.array([1e-320, 0.3]))
+    assert np.isfinite(jac).all()
+    assert np.allclose(jac, a, rtol=1e-9, atol=0)
+
+
 def test_rosenbrock_valley():
     def residual(p):
         return np.array([10 * (p[1] - p[0] ** 2), 1 - p[0]])

@@ -12,7 +12,7 @@ from _frozen import FROZEN
 
 PARAMS = parse_config_text(
     "resonator: {omega0_hz: 7.408e+9, kappa_int_hz: 2.5e+6, kappa_ext_hz: 3.8e+6}"
-).spin_params()
+).spin_system
 OMEGA0 = 7.408e9
 
 

@@ -169,6 +169,9 @@ def test_resonator_linewidths_summing_past_float_range_are_rejected():
     # each rate is finite, their sum is inf, which would weigh every bath by 0
     with pytest.raises(ValueError, match="finite sum"):
         thermal.ResonatorParams(omega0=7.408e9, kappa_int=1e308, kappa_ext=1e308)
+    # integers sum exactly, past float range, and overflowed where they were used
+    with pytest.raises(ValueError, match="finite sum"):
+        thermal.ResonatorParams(omega0=7.408e9, kappa_int=10**308, kappa_ext=10**308)
 
 
 def test_constants_equal_scipy_bit_for_bit():
