@@ -106,8 +106,8 @@ def init_ensemble(rho, res, spin_temp, t2, *, freq_width=3e6, n_g=40, n_delta=41
     and the equilibrium polarization of spin_temp. Groups are laid out
     g-major: group k = i_g * n_delta + i_delta, all of equal weight.
     """
-    if n_g < 1 or n_delta < 1:
-        raise ValueError("need at least one group along each axis")
+    if not (n_g >= 1 and n_delta >= 1 and 0 <= freq_width < math.inf):
+        raise ValueError("need n_g, n_delta >= 1 and a finite freq_width >= 0")
     if np.sum(rho.weights) <= 0:
         raise ValueError("coupling distribution carries no weight")
     qs = (np.arange(n_g) + 0.5) / n_g

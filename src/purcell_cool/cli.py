@@ -6,6 +6,9 @@ flags): rerunning with identical inputs reproduces every output byte for
 byte. The seed (the config's, or --seed) is recorded in the manifest and
 changes no other output.
 Exit codes: 0 ok, 2 config/usage, 3 solver or fit convergence, 4 I/O.
+The CLI loads `config` and the modules whose objects the config builds;
+each handler imports the simulator, the fitters or the polarization model
+where it runs them, so a subcommand loads only what it uses.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from . import blochsim, coupling, estimators, hamiltonian, polarization, thermal
+from . import coupling, hamiltonian, thermal
 from .config import FIELDS, MAX_POINTS, field_error, parse_config
 from .errors import NoConvergence, SchemaError
 
@@ -167,6 +170,7 @@ def _flag(parser, name, rule, default=None, **kwargs):
 
 def _resonant_pair(cfg, b0):
     """Quasi-degenerate transition doublet at field b0."""
+    from . import polarization
     levels = hamiltonian.labeled_eigensystem(cfg.spin_system, b0)
     transitions = hamiltonian.transition_table(cfg.spin_system, b0)
     window = cfg.raw["ensemble"]["pair_window_hz"]
@@ -200,6 +204,7 @@ def _sequence_setup(cfg, args):
     keyword arguments of run_sequence and run_sweep, whose own defaults set
     the solver's tolerances, the pi amplitude, tau in seconds, and the pulse
     widths as the keyword arguments of the sequence builders."""
+    from . import blochsim
     ens, seq = cfg.raw["ensemble"], cfg.raw["sequence"]
     try:  # refused before the field map is built
         blochsim.sample_comb(seq["acquire_width_s"], seq["sample_dt_s"])
@@ -266,6 +271,7 @@ def cmd_thermal(cfg, args, write):
 
 
 def cmd_polarization(cfg, args, write):
+    from . import polarization
     omega0 = cfg.resonator.omega0
     levels, pair = _resonant_pair(cfg, args.b0)
     ts = np.linspace(args.t_min, args.t_max, args.points).tolist()
@@ -296,6 +302,7 @@ def _trace_csvs(write, name, traces):
 
 
 def cmd_echo(cfg, args, write):
+    from . import blochsim
     ensemble, amp, tau, widths = _sequence_setup(cfg, args)
     traces, areas = blochsim.run_sequence(blochsim.hahn_echo(tau, amp, **widths), **ensemble)
     _trace_csvs(write, "echo_{}.csv", traces[:1])
@@ -303,6 +310,7 @@ def cmd_echo(cfg, args, write):
 
 
 def cmd_invrec(cfg, args, write):
+    from . import blochsim
     ensemble, amp, tau, widths = _sequence_setup(cfg, args)
     dts = args.dt_list_s or cfg.raw["sequence"]["dt_list_s"]
     if dts is None:
@@ -321,6 +329,7 @@ def cmd_invrec(cfg, args, write):
 
 
 def cmd_rabi(cfg, args, write):
+    from . import blochsim
     ensemble, amp, tau, widths = _sequence_setup(cfg, args)
     amps = args.amp_list or [float(s) * amp for s in np.linspace(0.1, 3.0, args.amp_points)]
     seqs = [blochsim.hahn_echo(tau, a, **widths) for a in amps]
@@ -330,6 +339,7 @@ def cmd_rabi(cfg, args, write):
 
 
 def cmd_cpmg(cfg, args, write):
+    from . import blochsim
     ensemble, amp, tau, widths = _sequence_setup(cfg, args)
     n = cfg.raw["sequence"]["n_cpmg"] if args.n_cpmg is None else args.n_cpmg
     traces, areas = blochsim.run_sequence(blochsim.cpmg(n, tau, amp, **widths), **ensemble)
@@ -351,10 +361,12 @@ def _fit_json(write, args, fit, *inputs):
 
 def cmd_fit(cfg, args, write):
     """fit-invrec and fit-t2: the subcommand's curve fit to --data."""
+    from . import estimators
     _fit_json(write, args, getattr(estimators, args.fit), _read_xy_csv(args.data))
 
 
 def cmd_fit_psd(cfg, args, write):
+    from . import estimators
     data = _read_xy_csv(args.data)
     branch = cfg.scenario.config if args.branch is None else args.branch
     fixed = {"resonator": cfg.resonator, "t_phon": cfg.scenario.t_phon}
@@ -364,6 +376,7 @@ def cmd_fit_psd(cfg, args, write):
 
 
 def cmd_snr(cfg, args, write):
+    from . import estimators
     gamma1, p, sigma = args.gamma1, args.p, args.sigma
     t_lo = 0.01 / gamma1 if args.trep_min is None else args.trep_min
     t_hi = 10.0 / gamma1 if args.trep_max is None else args.trep_max

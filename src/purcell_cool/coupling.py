@@ -89,6 +89,12 @@ def field_map(geom, current, x_range, y_range, nx, ny):
     infinite-line field and the superposition is exact for the discretized
     current distribution.
     """
+    bad = [f"{name} {value!r}" for name, value, ok in (
+        ("x_range", x_range, all(map(math.isfinite, x_range))),
+        ("y_range", y_range, all(map(math.isfinite, y_range))),
+        ("nx", nx, nx >= 1), ("ny", ny, ny >= 1)) if not ok]
+    if bad:
+        raise ValueError(f"need finite ranges and at least 1 point per axis, got {', '.join(bad)}")
     x = np.linspace(x_range[0], x_range[1], nx)
     y = np.linspace(y_range[0], y_range[1], ny)
     inside_x = np.abs(x) <= geom.width / 2

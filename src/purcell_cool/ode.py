@@ -232,10 +232,10 @@ def dormand_prince(f, t0, y0, t1, *, linear, feed, rtol, atol, sample_times=None
     entry 0, and that entry's L is linear[1 + j]; linear[0] is entry 0's L.
     A 1-D feed is one tile, so a general L is given whole. The real parts
     of linear should not be positive. rtol and atol are the relative and
-    absolute tolerances of every entry. Returns (y_end, samples), where
-    samples[j, r] is complex entry 0 of row r at sample_times[j], stored in
-    one buffer (empty when no sample was requested). sample_times must not
-    decrease.
+    absolute tolerances of every entry: finite, >= 0 and not both 0.
+    Returns (y_end, samples), where samples[j, r] is complex entry 0 of row
+    r at sample_times[j], stored in one buffer (empty when no sample was
+    requested). sample_times must lie in [t0, t1] and not decrease.
 
     Raises NoConvergence if error control pushes the step below 1e-15 s
     or the step budget runs out.
@@ -244,15 +244,13 @@ def dormand_prince(f, t0, y0, t1, *, linear, feed, rtol, atol, sample_times=None
     t = float(t0)
     t1 = float(t1)
     span = t1 - t
-    if span < 0:
-        raise ValueError("t1 must be >= t0")
-
     stops = np.array([] if sample_times is None else sample_times, dtype=float)
-    if stops.size and (stops.min() < t0 - 1e-18
-                       or stops.max() > t1 + abs(t1) * 1e-12 + 1e-18):
-        raise ValueError("sample time outside integration span")
-    if np.any(np.diff(stops) < 0):
-        raise ValueError("sample times must not decrease")
+    in_span = not stops.size or (stops.min() >= t0 - 1e-18
+                                 and stops.max() <= t1 + abs(t1) * 1e-12 + 1e-18)
+    if not (span >= 0 and in_span and np.all(np.diff(stops) >= 0)):
+        raise ValueError("need t0 <= t1 and sample times in order within [t0, t1]")
+    if not (0 <= rtol < math.inf and 0 <= atol < math.inf and rtol + atol > 0):
+        raise ValueError(f"need finite rtol, atol >= 0, not both 0, got {rtol!r}, {atol!r}")
 
     lin = np.asarray(linear, dtype=complex)
     fd = np.atleast_2d(np.asarray(feed, dtype=complex))

@@ -360,6 +360,19 @@ def test_empty_window_raises():
             bs.phase_aligned_areas(traces, ref_index=ref)
 
 
+@pytest.mark.parametrize("freq_width", [math.nan, math.inf, -1e6])
+def test_init_ensemble_refuses_a_bad_comb_width(freq_width):
+    with pytest.raises(ValueError, match="freq_width"):
+        bs.init_ensemble(CouplingDistribution.delta(50.0), RES, T_SPIN, 600e-6,
+                         freq_width=freq_width, n_g=1, n_delta=3)
+
+
+@pytest.mark.parametrize("tolerances", [{"rtol": math.nan}, {"rtol": 0.0, "atol": 0.0}])
+def test_run_sweep_refuses_bad_tolerances_before_a_step(tolerances):
+    with pytest.raises(ValueError, match="rtol, atol"):
+        bs.run_sweep([bs.hahn_echo(2e-5, 1.0)], single_group(), RES, **tolerances)
+
+
 def test_sequence_validation():
     with pytest.raises(ValueError):
         bs.PulseSequence(events=[bs.Delay(0.0)])

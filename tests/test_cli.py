@@ -579,6 +579,38 @@ def test_cli_import_leaves_scipy_solvers_unloaded():
     assert out.stdout.strip() == "[]"
 
 
+# Imports purcell_cool.cli and parses argv[1], then runs thermal and fit-t2
+# (on the data file argv[2]) into argv[3], and prints which of the modules the
+# CLI defers are loaded after each step.
+DEFERRED_PROBE = """\
+import json, sys
+import purcell_cool.cli as cli
+from purcell_cool.config import parse_config
+config, data, out = sys.argv[1:]
+deferred = ["blochsim", "ode", "estimators", "optimize", "polarization"]
+loaded = lambda: [m for m in deferred if "purcell_cool." + m in sys.modules]
+parse_config(config)
+seen = [loaded()]
+seen.append([cli.main(["thermal", "--config", config, "--out", out])] + loaded())
+seen.append([cli.main(["fit-t2", "--data", data, "--out", out])] + loaded())
+print(json.dumps(seen))
+"""
+
+
+def test_cli_loads_the_simulator_and_the_fitters_only_in_the_subcommands_that_run_them(
+        tmp_path):
+    data = tmp_path / "t2.csv"
+    data.write_text("".join(f"{x!r},{3 * math.exp(-(x / 4e-4) ** 2)!r}\n"
+                            for x in np.linspace(1e-5, 1e-3, 6).tolist()))
+    config = Path(__file__).resolve().parents[1] / "configs" / "demo.yaml"
+    out = subprocess.run([sys.executable, "-c", DEFERRED_PROBE, str(config), str(data),
+                          str(tmp_path / "out")], capture_output=True, text=True, check=True)
+    parsed, thermal, fit = json.loads(out.stdout)
+    assert parsed == []
+    assert thermal == [0]  # thermal needs none of them
+    assert fit == [0, "estimators", "optimize"]
+
+
 def test_every_numeric_flag_is_checked_where_it_is_declared():
     # a flag's check is its argparse type, so no handler sees an unchecked value
     strings = {"--config", "--out", "--data"}

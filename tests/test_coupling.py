@@ -95,6 +95,18 @@ def test_grid_overlapping_strip_rejected():
         coupling.field_map(geom, 1e-3, (-1e-6, 1e-6), (-1e-7, 2e-8), 11, 5)
 
 
+@pytest.mark.parametrize("x_range, y_range, nx, ny, name", [
+    ((math.nan, 3e-6), (-2e-6, -1e-7), 11, 5, "x_range"),
+    ((-3e-6, 3e-6), (-2e-6, math.inf), 11, 5, "y_range"),
+    ((-3e-6, 3e-6), (-2e-6, -1e-7), 0, 5, "nx"),
+    ((-3e-6, 3e-6), (-2e-6, -1e-7), 11, -1, "ny"),
+])
+def test_field_map_refuses_a_bad_grid_by_name(x_range, y_range, nx, ny, name):
+    geom = coupling.WireGeometry()
+    with pytest.raises(ValueError, match=name):
+        coupling.field_map(geom, 1e-3, x_range, y_range, nx, ny)
+
+
 def test_coupling_map_scale():
     # matrix element 0.5 and |B1| = 1 uT gives 14.0 kHz
     field = coupling.FieldGrid(

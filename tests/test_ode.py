@@ -239,9 +239,28 @@ def test_feed_needs_one_entry_per_complex_entry_after_the_first():
         solve(lambda t, y: -y, FED_Y0, 1e-6, linear=FED_LINEAR, feed=FEED[:-1])
 
 
-def test_sample_times_must_not_decrease():
-    with pytest.raises(ValueError):
-        solve(lambda t, y: -y, [1.0], 1.0, sample_times=[0.5, 0.2])
+@pytest.mark.parametrize("t1, sample_times", [
+    (1.0, [0.5, 0.2]), (1.0, [0.5, 1.5]), (1.0, [-0.5]), (1.0, [math.nan]), (-1.0, None),
+])
+def test_sample_times_must_lie_in_the_span_and_not_decrease(t1, sample_times):
+    with pytest.raises(ValueError, match="sample times in order"):
+        solve(lambda t, y: -y, [1.0], t1, sample_times=sample_times)
+
+
+@pytest.mark.parametrize("rtol, atol", [
+    (math.nan, 1e-10), (1e-8, math.nan), (math.inf, 1e-10), (1e-8, math.inf),
+    (-1e-8, 1e-10), (1e-8, -1e-10), (0.0, 0.0),
+])
+def test_tolerances_must_be_finite_nonnegative_and_not_both_zero(rtol, atol):
+    # refused as a bad argument, not taken into a step collapse (NoConvergence)
+    with pytest.raises(ValueError, match="rtol, atol"):
+        solve(lambda t, y: -y, [1.0], 1.0, rtol=rtol, atol=atol)
+
+
+def test_either_tolerance_alone_may_be_zero():
+    for rtol, atol in ((0.0, 1e-10), (1e-8, 0.0)):
+        y1, _ = solve(lambda t, y: -2.0 * y, [1.0], 3.0, rtol=rtol, atol=atol)
+        assert abs(y1[0, 0] - math.exp(-6.0)) < 1e-8
 
 
 # -------------------------------------- the step against a Lawson reference step

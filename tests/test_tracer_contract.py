@@ -73,6 +73,37 @@ def test_dormand_prince_argument_layout():
     assert "sample_times" in params
 
 
+def test_cli_calls_what_is_wrapped_after_it_is_imported(tmp_path, monkeypatch):
+    # the tracer imports cli, then wraps module attributes; a handler imports
+    # its module when it runs, and so calls the wrapper
+    from purcell_cool import cli, estimators
+
+    calls = []
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(blochsim, "run_sweep")
+    counted(estimators, "fit_gaussian_decay")
+    config = tmp_path / "run.yaml"
+    config.write_text(f"resonator: {{omega0_hz: {RES.omega0!r}, "
+                      f"kappa_int_hz: {RES.kappa_int!r}, kappa_ext_hz: {RES.kappa_ext!r}}}\n"
+                      "ensemble: {n_g: 1, n_delta: 1, g_hz: 50.0}\n")
+    data = tmp_path / "t2.csv"
+    data.write_text("".join(f"{x!r},{3 * math.exp(-(x / 4e-4) ** 2)!r}\n"
+                            for x in np.linspace(1e-5, 1e-3, 6).tolist()))
+    assert cli.main(["rabi", "--config", str(config), "--amp-points", "1",
+                     "--out", str(tmp_path / "rabi")]) == 0
+    assert calls == ["run_sweep"]
+    assert cli.main(["fit-t2", "--data", str(data), "--out", str(tmp_path / "fit")]) == 0
+    assert calls == ["run_sweep", "fit_gaussian_decay"]
+
+
 def test_levenberg_marquardt_takes_the_residual_first():
     # the tracer counts optimize.residual_evals through this argument
     assert next(iter(inspect.signature(optimize.levenberg_marquardt).parameters)) == "residual"
