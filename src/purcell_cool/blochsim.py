@@ -1,7 +1,8 @@
 """Semiclassical dynamics of the spin ensemble coupled to the driven cavity.
 
-Group k has coupling g_k, detuning delta_k and Purcell rate Gamma_1,k; T2,
-sz_eq and the weight w are shared. In the cavity's rotating frame:
+Group k has coupling g_k, detuning delta_k and Purcell rate Gamma_1,k; T2
+and sz_eq are shared, and each of the n groups carries the weight w = 1/n.
+In the cavity's rotating frame:
 
     da/dt    = -(kappa/2) a - i w sum_k g_k s-_k + sqrt(kappa_ext) a_in(t)
     ds-_k/dt = -(i 2 pi delta_k + 1/T2) s-_k + i g_k a s_z,k
@@ -14,18 +15,19 @@ field is a_out = sqrt(kappa_ext) a - a_in.
 
 The state of one sequence is one packed float row
 [Re a, Im a, Re s-_1, Im s-_1, .., Re s-_n, Im s-_n, s_z,1..s_z,n] of 2 + 3n
-floats: the 1 + n complex entries as (re, im) pairs, then the real s_z.
-Sequences that share one event skeleton (a Rabi or inversion-recovery
-sweep) advance together as the rows of one (R, 2+3n) array. The linear
-part of the equations acts on the complex entries alone: the diagonal
-(_linear, the decay and detuning) and the spins' feed -i w g_k s-_k into
-da/dt. The integrator advances both exactly, so that between pulses, where
-little else drives the state, its steps are long; the closed form that
-takes free-evolution delays much longer than the cavity lifetime advances
-the diagonal alone (pure T1/T2/detuning decay, the cavity having rung
-down). Pulse, delay and acquisition segments go through the adaptive
-integrator. Thermal noise between pulses is not driven
-explicitly; temperature enters through sz_eq and the per-group rates.
+floats: the 1 + n complex entries as (re, im) pairs, then the real s_z, so
+no float is spent on an always-zero imaginary part. Sequences that share
+one event skeleton (a Rabi or inversion-recovery sweep) advance together
+as the rows of one (R, 2+3n) array. The linear part of the equations acts
+on the complex entries alone: the diagonal (_linear, the decay and
+detuning) and the spins' feed -i w g_k s-_k into da/dt. The integrator
+advances both exactly, so that between pulses, where little else drives
+the state, its steps are long (microseconds); the closed form that takes
+free-evolution delays much longer than the cavity lifetime advances the
+diagonal alone (pure T1/T2/detuning decay, the cavity having rung down).
+Pulse, delay and acquisition segments go through the adaptive integrator.
+Thermal noise between pulses is not driven explicitly; temperature enters
+through sz_eq and the per-group rates.
 """
 
 from __future__ import annotations
@@ -46,15 +48,15 @@ LONG_DELAY_FACTOR = 100.0  # delays beyond this many 1/kappa skip the ODE
 @dataclass(frozen=True)
 class Ensemble:
     """Spin groups that tile one detuning comb: group k has coupling g[k],
-    Purcell rate gamma1[k] and detuning detuning[k % len(detuning)]; T2,
-    the equilibrium s_z and the weight are the same for every group."""
+    Purcell rate gamma1[k] and detuning detuning[k % len(detuning)]; T2
+    and the equilibrium s_z are the same for every group, and every group
+    has the weight 1 / len(g)."""
 
     g: np.ndarray  # Hz, one per group
     detuning: np.ndarray  # Hz, the comb
     gamma1: np.ndarray  # s^-1, one per group
     t2: float  # s
     sz_eq: float  # equilibrium s_z, in [-1, 0]
-    weight: float
 
     def __len__(self):
         return len(self.g)
@@ -124,8 +126,7 @@ def init_ensemble(rho, res, spin_temp, t2, *, freq_width=3e6, n_g=40, n_delta=41
     if not math.isfinite(1.0 / float(t2)):
         raise ValueError("t2 is too short: 1/T2 overflows the float range")
     return Ensemble(g=g, detuning=deltas, gamma1=gamma1, t2=float(t2),
-                    sz_eq=-float(spin_polarization(spin_temp, res.omega0)),
-                    weight=1.0 / len(g))
+                    sz_eq=-float(spin_polarization(spin_temp, res.omega0)))
 
 
 def _linear(groups, res):
@@ -143,7 +144,9 @@ def sample_comb(width, sample_dt):
     window up to 1e-9 of a sample short of a whole number takes its last
     sample at its end, not past it. A sample_dt that is not positive and
     finite, or more than MAX_POINTS samples, raises ValueError; the count is
-    compared in floats, so that a ratio past float range is refused too."""
+    compared in floats, so that a ratio past float range is refused too.
+    This is the one statement of the rule: the CLI, run_sweep (for its
+    widest window, before any solve) and each acquisition call it."""
     if not 0 < sample_dt < math.inf:
         raise ValueError(f"sample_dt must be positive and finite, got {sample_dt!r}")
     ratio = width / sample_dt
@@ -178,7 +181,7 @@ def _advance(y, groups, res, a_in, duration, *, rtol, atol, sample_dt=None):
     gamma1 = groups.gamma1
     relax_to = gamma1 * groups.sz_eq
     # the spins' linear feed into da/dt: this times [s-...], a comb's tile per row
-    coupling_row = (-1j * groups.weight * g_ang).reshape(-1, len(groups.detuning))
+    coupling_row = (-1j * (1.0 / n) * g_ang).reshape(-1, len(groups.detuning))
     root_kext = math.sqrt(res.kappa_ext)
     a_in = np.asarray(a_in, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -321,14 +324,15 @@ def _run_batch(seqs, groups, res, long_delay, sample_dt, solver):
     return traces
 
 
-def run_sequence(seq, groups, res, *, sample_dt=1e-8, rtol=1e-8, atol=1e-13):
+def run_sequence(seq, groups, res, **solver):
     """Execute one pulse sequence; returns (traces, areas).
 
-    The one-row case of run_sweep: one EchoTrace per Acquire event, with
+    The one-row case of run_sweep, which takes the keywords sample_dt, rtol
+    and atol and holds their defaults: one EchoTrace per Acquire event, with
     absolute time stamps. Echo areas are phase-aligned against the trace
     holding the globally largest sample.
     """
-    traces = run_sweep([seq], groups, res, sample_dt=sample_dt, rtol=rtol, atol=atol)[0]
+    traces = run_sweep([seq], groups, res, **solver)[0]
     return traces, phase_aligned_areas(traces)
 
 

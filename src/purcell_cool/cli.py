@@ -82,8 +82,9 @@ def _write_output(directory, digests, name, texts):
 def _write_csv(write, name, header, *columns):
     """One row per entry of the columns, which must be equally long: floats
     as FLOAT, which round-trips every bit, anything else as str. The rows
-    are formatted and written BLOCK_ROWS at a time, and a column object
-    given twice is formatted once."""
+    are formatted and written BLOCK_ROWS at a time, so a large table's text
+    is never held whole, and a column object given twice is formatted
+    once."""
     slot = {}  # id of each distinct column -> its place in arrays
     places = [slot.setdefault(id(col), len(slot)) for col in columns]
     arrays = [np.asarray(col) for col in {id(col): col for col in columns}.values()]
@@ -192,9 +193,7 @@ def _coupling_density(cfg, b0):
     )
     _, pair = _resonant_pair(cfg, b0)
     gamma_e = cfg.spin_system.gamma_e
-    maps = [
-        (coupling.coupling_map(field, t.sx_element, gamma_e=gamma_e), 0.5) for t in pair
-    ]
+    maps = [coupling.coupling_map(field, t.sx_element, gamma_e=gamma_e) for t in pair]
     rho = coupling.coupling_distribution(maps, field, cfg.raw["implantation"]["cutoff_depth_m"])
     return rho, field
 
@@ -347,22 +346,16 @@ def cmd_cpmg(cfg, args, write):
     _write_csv(write, "cpmg.csv", ["echo_index", "A_e"], range(len(areas)), areas)
 
 
-def _fit_json(write, args, fit, *inputs):
-    """Run fit(*inputs) and write its result. Finite data can still
-    overflow in the fit's sums of squares, and such a result is refused."""
-    with np.errstate(all="ignore"):
-        result = fit(*inputs)
-    numbers = [*result.parameters.values(), *result.std_errors.values(), result.residual_norm]
-    if not all(map(math.isfinite, numbers)):
-        raise ValueError(f"{args.subcommand}: the fit to {args.data} overflows to a "
-                         "non-finite result")
+def _fit_json(write, args, result):
+    """Write a fit's result as the subcommand's JSON; an undetermined
+    parameter's standard error is null."""
     _write_json(write, args.subcommand.replace("-", "_") + ".json", dataclasses.asdict(result))
 
 
 def cmd_fit(cfg, args, write):
     """fit-invrec and fit-t2: the subcommand's curve fit to --data."""
     from . import estimators
-    _fit_json(write, args, getattr(estimators, args.fit), _read_xy_csv(args.data))
+    _fit_json(write, args, getattr(estimators, args.fit)(_read_xy_csv(args.data)))
 
 
 def cmd_fit_psd(cfg, args, write):
@@ -372,7 +365,7 @@ def cmd_fit_psd(cfg, args, write):
     fixed = {"resonator": cfg.resonator, "t_phon": cfg.scenario.t_phon}
     if args.n_twpa is not None:  # a cold fit without it is refused by fit_psd
         fixed["n_twpa"] = args.n_twpa
-    _fit_json(write, args, estimators.fit_psd, data, fixed, branch)
+    _fit_json(write, args, estimators.fit_psd(data, fixed, branch))
 
 
 def cmd_snr(cfg, args, write):

@@ -147,22 +147,21 @@ class CouplingDistribution:
 
 
 def coupling_distribution(maps, grid, cutoff_depth):
-    """Histogram of couplings weighted by transition weight, over N_BINS
-    log-spaced bins, for spins implanted uniformly from the surface down to
-    cutoff_depth (m).
+    """Histogram of couplings over N_BINS log-spaced bins, for spins
+    implanted uniformly from the surface down to cutoff_depth (m).
 
-    maps: list of (g_map, weight) sharing `grid`.
+    maps: the coupling maps of the transitions, each over `grid`, all of
+    equal weight (the resonant doublet's two transitions share its spins).
     """
     depth = -grid.y  # depth below the surface is -y
     depth_w = np.where((depth >= 0) & (depth <= cutoff_depth), 1.0, 0.0)
     gs = []
     ws = []
-    for g_map, tw in maps:
+    for g_map in maps:
         if g_map.shape != (grid.y.size, grid.x.size):
             raise ValueError("coupling map does not share the field grid")
-        cell_w = np.broadcast_to(depth_w[:, None], g_map.shape) * tw
         gs.append(g_map.ravel())
-        ws.append(cell_w.ravel())
+        ws.append(np.broadcast_to(depth_w[:, None], g_map.shape).ravel())
     g = np.concatenate(gs)
     w = np.concatenate(ws)
     total = w.sum()

@@ -9,6 +9,7 @@ measured data files can be fed straight in.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -17,10 +18,15 @@ from .optimize import levenberg_marquardt
 from .thermal import BOLTZMANN, PLANCK
 
 
+# a dropped right singular vector weighs on a parameter whose entry in it
+# exceeds this, about sqrt(eps): far above the rounding of an exact null vector
+UNDETERMINED_WEIGHT = 1.5e-8
+
+
 @dataclass(frozen=True)
 class FitResult:
     parameters: dict
-    std_errors: dict
+    std_errors: dict  # a float, or None for a parameter the data leave undetermined
     residual_norm: float
     converged: bool
 
@@ -28,31 +34,55 @@ class FitResult:
 def _least_squares(residual, x0, names):
     """Levenberg-Marquardt fit with standard errors from the final Jacobian:
     with jac / scale = U S V^T, sqrt(rss / (n - p) sum_k (V_ik / S_k)^2) /
-    scale_i over the S_k above S_max max(n, p) eps."""
+    scale_i over the S_k above S_max max(n, p) eps; dividing by the scale
+    after the root keeps every number in range. The data leave parameter
+    i undetermined when a dropped singular vector weighs on it, |V_ki| above
+    UNDETERMINED_WEIGHT: its error would divide by a zero S_k, and it is
+    reported as None. A parameter, standard error or residual norm that is
+    not finite raises ValueError naming each."""
     x, (_, s, vt, scale), r, converged = levenberg_marquardt(residual, x0)
     rss = float(r @ r)
     n, p = len(r), len(x)  # every fitter needs more distinct points than parameters
     keep = s > s[0] * max(n, p) * np.finfo(float).eps
     std = np.sqrt(rss / (n - p) * ((vt[keep] / s[keep, None]) ** 2).sum(axis=0)) / scale
+    undetermined = (np.abs(vt[~keep]) > UNDETERMINED_WEIGHT).any(axis=0)
+    errors = [None if u else float(e) for u, e in zip(undetermined, std)]
+    values = [*zip(names, x), ("residual norm", rss),
+              *((f"standard error of {name}", e) for name, e in zip(names, errors)
+                if e is not None)]
+    bad = [name for name, v in values if not math.isfinite(v)]
+    if bad:
+        raise ValueError(f"the fit overflows to a non-finite {', '.join(bad)}")
     return FitResult(
         parameters=dict(zip(names, (float(v) for v in x))),
-        std_errors=dict(zip(names, (float(e) for e in std))),
+        std_errors=dict(zip(names, errors)),
         residual_norm=math.sqrt(rss),
         converged=converged,
     )
 
 
 def _points(data, minimum, message):
-    """The (x, y) pairs of data as two arrays sorted by x; fewer than
-    `minimum` distinct x raise ValueError(message), since repeated rows add
-    no degree of freedom to a fit."""
-    pts = sorted((float(a), float(b)) for a, b in data)
+    """The (x, y) pairs of data as two arrays sorted by x. A pair that is not
+    finite (nan, an infinity or an int past float range) raises ValueError
+    naming it; fewer than `minimum` distinct x raise ValueError(message),
+    since repeated rows add no degree of freedom to a fit."""
+    pts = []
+    for a, b in data:
+        try:
+            pt = float(a), float(b)
+        except OverflowError:  # an int past float range
+            pt = math.inf, math.inf
+        if not (math.isfinite(pt[0]) and math.isfinite(pt[1])):
+            raise ValueError(f"fit data must be finite, got the row {reprlib.repr((a, b))}")
+        pts.append(pt)
+    pts.sort()
     x = np.array([p[0] for p in pts])
     if np.unique(x).size < minimum:
         raise ValueError(message)
     return x, np.array([p[1] for p in pts])
 
 
+@np.errstate(all="ignore")
 def fit_exponential_recovery(data):
     """Fit A (1 - 2 exp(-gamma1 dt)) + c to inversion-recovery areas.
 
@@ -89,6 +119,7 @@ def fit_exponential_recovery(data):
     return res
 
 
+@np.errstate(all="ignore")
 def fit_gaussian_decay(data):
     """Fit A exp(-(x / t2)^2) where x is the total evolution time 2 tau."""
     x, y = _points(data, 4, "need at least 4 decay points")
@@ -130,13 +161,15 @@ def psd_model(omega, config, *, resonator, t_phon, n_twpa, t_int, alpha):
     return PLANCK * omega * bracket
 
 
+@np.errstate(all="ignore")
 def fit_psd(data, fixed, config):
     """Staged PSD fit.
 
     hot: fits t_int (n_twpa taken from `fixed` when present, otherwise fit
     jointly); cold: fits (alpha, t_int) with n_twpa fixed. `fixed` carries
     the other keywords of psd_model: resonator, t_phon and, for cold,
-    n_twpa. Data must bracket the resonance.
+    n_twpa; hot takes alpha = 1, no transmission loss. Data must bracket
+    the resonance.
     """
     omega, s = _points(data, 8, "need at least 8 spectral points")
     omega0 = fixed["resonator"].omega0

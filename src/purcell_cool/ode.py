@@ -142,16 +142,17 @@ def _error_norm(err, scale, ratio):
     return math.sqrt(max(norm, ratio[..., 0].max() ** 2))
 
 
-def _border(t, vals, lam0):
-    """psi_v(t) = (e^{vt} - e^{lam0 t}) / (v - lam0) = t e^{lam0 t} phi1((v - lam0) t)
-    for each t (rows) and v (columns): entry 0's weight in e^{tL'} of an
-    entry whose entry of L is v, per unit feed."""
-    x = np.multiply.outer(t, vals - lam0)
+def _border(t, lin):
+    """psi_v(t) = (e^{vt} - e^{L_0 t}) / (v - L_0) = t e^{L_0 t} phi1((v - L_0) t)
+    for each t (rows) and each v of the period lin[1:] (columns), with L_0 =
+    lin[0]: entry 0's weight in e^{tL'} of an entry whose entry of L is v,
+    per unit feed."""
+    x = np.multiply.outer(t, lin[1:] - lin[0])
     zero = x == 0
     psi = np.expm1(x)
     np.divide(psi, x, out=psi, where=~zero)  # phi1(x) = (e^x - 1) / x, 1 at x = 0
     psi[zero] = 1.0
-    psi *= (t * np.exp(t * lam0))[:, None]
+    psi *= (t * np.exp(t * lin[0]))[:, None]
     return psi
 
 
@@ -181,7 +182,7 @@ def _frame_rows(lin, fd):
         period = np.exp(np.multiply.outer(times, lin))
         fac[:, 0] = heads[:, 0] = period[:, 0]
         fac_tiles[...] = period[:, None, 1:]
-        psi = _border(times[:n], lin[1:], lin[0])
+        psi = _border(times[:n], lin)
         head_tiles[:n] = psi[:, None]
         head_tiles[n:] = (psi * -period[n:, :1])[:, None]
         # the feed a row at a time: a product on the strided block takes
@@ -193,29 +194,25 @@ def _frame_rows(lin, fd):
     return fac, heads, build
 
 
-def _frame(theta, h, y, k):
-    """The frame interpolant y + h sum_j b_j(theta) k_j at each theta, for
-    y (..., m) and frame stages k (7, ..., m) of one step."""
-    weights = (theta[:, None] ** np.arange(1, 5)) @ _DENSE  # b_j(theta)
-    # a real product on the float view of complex k: the first complex
-    # matrix-matrix product of a run alone raises peak RSS by about 0.5 MB
-    flat = k.reshape(7, -1).view(float)
-    return y + h * (weights @ flat).view(k.dtype).reshape(theta.shape + y.shape)
-
-
 def _dense(theta, h, sums, lin):
     """Entry 0 at t + theta h, sum_j w_j(theta h) F_j(theta), for sums
     (8, rows, len(lin)) over y, K_0, ..., K_6: column 0 entry 0 itself, with
     w_0(t) = e^{L_0 t}, and column j the fed entries whose L is lin[j],
     weighted by the feed and summed over the tiles, with w_j = psi_{lin[j]};
-    F_j is their frame interpolant. Samples go in chunks, so memory does not
-    grow with them."""
+    F_j is their frame interpolant y + h sum_j b_j(theta) K_j. Samples go in
+    chunks, so memory does not grow with them."""
     out = np.empty((len(theta), sums.shape[1]), dtype=complex)
+    # a real product on the float view of the complex stages: the first
+    # complex matrix-matrix product of a run alone raises peak RSS by about
+    # 0.5 MB
+    stages = sums[1:].reshape(7, -1).view(float)
     for lo in range(0, len(theta), _CHUNK):
         part = theta[lo : lo + _CHUNK]
         times = part * h
-        weight = np.hstack((np.exp(times * lin[0])[:, None], _border(times, lin[1:], lin[0])))
-        out[lo : lo + _CHUNK] = (weight[:, None] * _frame(part, h, sums[0], sums[1:])).sum(axis=-1)
+        weight = np.hstack((np.exp(times * lin[0])[:, None], _border(times, lin)))
+        b = (part[:, None] ** np.arange(1, 5)) @ _DENSE  # b_j(theta)
+        frame = sums[0] + h * (b @ stages).view(complex).reshape(part.shape + sums[0].shape)
+        out[lo : lo + _CHUNK] = (weight[:, None] * frame).sum(axis=-1)
     return out
 
 
@@ -237,8 +234,9 @@ def dormand_prince(f, t0, y0, t1, *, linear, feed, rtol, atol, sample_times=None
     r at sample_times[j], stored in one buffer (empty when no sample was
     requested). sample_times must lie in [t0, t1] and not decrease.
 
-    Raises NoConvergence if error control pushes the step below 1e-15 s
-    or the step budget runs out.
+    A trial step that overflows or turns non-finite is retried, silently,
+    with a tenth of its h. Raises NoConvergence if error control pushes the
+    step below 1e-15 s or the budget of _MAX_ATTEMPTS attempts runs out.
     """
     y = np.asarray(y0, dtype=float)
     t = float(t0)

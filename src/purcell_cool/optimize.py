@@ -43,7 +43,8 @@ def levenberg_marquardt(residual, x0):
     """Minimize sum(residual(x)**2).
 
     Returns (x, svd, r, converged) at the last accepted point, svd being
-    scaled_svd of the Jacobian there. converged is True when the largest
+    scaled_svd of the Jacobian there and r the residual computed there,
+    which is kept, not evaluated again. converged is True when the largest
     |scale dx| fell to 1e-10 of the largest |scale x|, and False when the
     damping grew past 1e12 without a step that lowers the cost; 200
     iterations without either raise NoConvergence.

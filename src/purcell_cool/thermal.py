@@ -7,6 +7,13 @@ and the input line; switching the input line between a hot and a cold load
 the radiative spin relaxation rate and equilibrium spin polarization. All
 frequencies are cyclic Hz; all rates (kappa, Gamma) are plain s^-1; factors
 of 2 pi enter only inside dynamical formulas.
+
+The formulas are scalar `math` on plain floats: each function takes and
+returns rates, temperatures and occupations, with no container types
+(purcell_rate also takes arrays). estimators.psd_model evaluates the same
+occupation over a frequency grid with numpy; the two stay apart because
+numpy's expm1 and tanh differ from math's in the last bit on some inputs,
+so merging them would change output bytes.
 """
 
 from __future__ import annotations

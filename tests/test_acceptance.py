@@ -7,6 +7,7 @@ and are deliberately not asserted; the scale-free identities they
 instantiate are (see test_10).
 """
 
+import inspect
 import math
 import time
 from pathlib import Path
@@ -19,8 +20,9 @@ from _frozen import FROZEN
 from _lawson import fixed_step_solver
 from _rows import advance, bloch_excess, row
 from purcell_cool import blochsim as bs
-from purcell_cool import cli, estimators, hamiltonian, polarization, thermal
-from purcell_cool.config import parse_config_text
+from purcell_cool import cli, coupling, estimators, hamiltonian, ode, optimize, polarization
+from purcell_cool import thermal
+from purcell_cool.config import MAX_POINTS, parse_config_text
 
 BASE = """\
 resonator:
@@ -290,3 +292,34 @@ def test_10_absolute_rates_are_config_dependent():
     assert "configuration-dependent" in readme
     print("criterion 10: PASS (identities kappa-invariant; README documents "
           "config dependence of absolute rates)")
+
+
+def _sci(x):
+    return np.format_float_scientific(x, trim="-", exp_digits=1)  # 1e-08 as 1e-8
+
+
+def test_readme_numbers_are_the_constants_that_hold_them():
+    """Each number README gives as contract, in the phrase that gives it,
+    built from the constant in the code that holds the number."""
+    readme_path = Path(__file__).resolve().parents[1] / "README.md"
+    readme = " ".join(readme_path.read_text(encoding="utf-8").split())
+    tolerances = inspect.signature(bs.run_sweep).parameters
+    phrases = [
+        f"holds at most {MAX_POINTS:,} points",
+        f"holds at most {MAX_POINTS:,} samples",
+        f">= 1 and <= {MAX_POINTS}, got '0'",
+        f"rtol {_sci(tolerances['rtol'].default)} and atol "
+        f"{_sci(tolerances['atol'].default)}, `run_sweep`'s defaults",
+        f"`MATRIX_ELEMENT_FLOOR` ({_sci(hamiltonian.MATRIX_ELEMENT_FLOOR)})",
+        f"a histogram on {coupling.N_BINS} log-spaced bins",
+        f"written as `{cli.FLOAT}`",
+        f"A step driven below {_sci(ode._MIN_STEP)} s",
+        f"a solve past {ode._MAX_ATTEMPTS:,} attempts",
+        f"the step {_sci(optimize._FD_STEP)} |x_i|, or {_sci(optimize._FD_STEP)} where",
+        f"falls to {_sci(optimize._STEP_TOL)} of the largest scaled parameter",
+        f"After {optimize._MAX_ITER} iterations",
+        f"`UNDETERMINED_WEIGHT` ({_sci(estimators.UNDETERMINED_WEIGHT)})",
+    ]
+    missing = [phrase for phrase in phrases if phrase not in readme]
+    assert not missing, missing
+    print(f"README numbers: PASS ({len(phrases)} phrases match the code's constants)")

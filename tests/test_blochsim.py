@@ -27,21 +27,32 @@ def single_group(g=50.0, delta=0.0):
                             freq_width=2 * delta)
 
 
-def ensemble(g, detuning, gamma1, t2, sz_eq, weight):
+def ensemble(g, detuning, gamma1, t2, sz_eq):
     """Ensemble whose groups tile the comb detuning, with a shared Gamma_1
     spread over every group."""
     g = np.asarray(g, dtype=float)
     return bs.Ensemble(g=g, detuning=np.asarray(detuning, dtype=float),
-                       gamma1=np.full(g.size, gamma1), t2=t2, sz_eq=sz_eq, weight=weight)
+                       gamma1=np.full(g.size, gamma1), t2=t2, sz_eq=sz_eq)
 
 
 class TestInitEnsemble:
-    def test_weights_normalized(self):
+    def test_weights_normalized(self, monkeypatch):
+        # every group has the weight 1/n, so the spins' feed into the cavity,
+        # w 2 pi g per group, sums to 2 pi g whatever the ensemble's size
+        feeds = []
+
+        def no_solve(f, t0, y0, t1, *, feed, **kwargs):
+            feeds.append(feed)
+            return y0, np.empty((0, len(y0)), dtype=complex)
+
+        monkeypatch.setattr(bs, "dormand_prince", no_solve)
         rho = CouplingDistribution.delta(80.0)
         for n_g, n_d in ((1, 1), (5, 7), (40, 41)):
             groups = bs.init_ensemble(rho, RES, T_SPIN, 600e-6, n_g=n_g, n_delta=n_d)
             assert len(groups) == n_g * n_d
-            assert abs(groups.weight * len(groups) - 1.0) < 1e-12
+            advance(row(groups), groups, RES, 0.0, 1e-9)
+            assert feeds[-1].shape == (n_g, n_d)
+            assert abs(feeds[-1].sum() / (-2j * math.pi * 80.0) - 1.0) < 1e-12
 
     @pytest.mark.parametrize("n_g, n_d", [(1, 1), (5, 7), (40, 41)])
     def test_arrays_g_major_with_per_group_purcell_rate(self, n_g, n_d):
@@ -63,7 +74,6 @@ class TestInitEnsemble:
         assert ens.detuning.shape == (n_d,)
         assert ens.sz_eq == -POL
         assert ens.t2 == 600e-6
-        assert ens.weight == 1.0 / n
 
     def test_single_group_purcell_rate(self):
         ens = single_group(g=80.0)
@@ -120,7 +130,7 @@ def test_opposite_detunings_evolve_as_conjugates():
     """With a purely imaginary drive the +delta and -delta groups satisfy
     s-(+d) = conj(s-(-d)) and the cavity amplitude stays imaginary."""
     groups = ensemble(g=[50.0, 50.0], detuning=[+0.5e6, -0.5e6], gamma1=0.05,
-                      t2=600e-6, sz_eq=-POL, weight=0.5)
+                      t2=600e-6, sz_eq=-POL)
     amp = bs.pi_pulse_amplitude(50.0, RES, 250e-9)
     y, _ = advance(row(groups), groups, RES, 1j * amp, 250e-9)
     y, _ = advance(y, groups, RES, 0.0, 1e-6)
@@ -142,14 +152,14 @@ def _check_advance_against_library(g_tiles, comb, a_in, field0):
     rng = np.random.default_rng(7)
     n = g_tiles * len(comb)
     groups = ensemble(g=rng.uniform(30, 90, n), detuning=comb, gamma1=0.1, t2=1e-4,
-                      sz_eq=-0.2, weight=1 / n)
+                      sz_eq=-0.2)
     y0 = row(groups, s_minus=(rng.normal(size=n) + 1j * rng.normal(size=n)) * 0.05,
              s_z=rng.uniform(-0.3, 0.1, n), cavity=field0)
     duration = 2e-6
 
     g_ang = 2 * math.pi * groups.g
     det = 2 * math.pi * np.tile(groups.detuning, g_tiles)  # g-major
-    w = groups.weight
+    w = 1 / n
 
     def rhs(t, yf):
         y = yf.view(complex)
@@ -174,14 +184,14 @@ def _check_advance_against_library(g_tiles, comb, a_in, field0):
 def test_spin_energy_conserved_without_relaxation():
     # decoupled limit: no decay channels, detuned coherences just precess
     groups = ensemble(g=np.zeros(4), detuning=(-1e6, -3e5, 4e5, 1.2e6), gamma1=0.0,
-                      t2=math.inf, sz_eq=0.0, weight=0.25)
+                      t2=math.inf, sz_eq=0.0)
     y0 = row(groups, s_minus=np.full(4, 0.2 + 0.1j), s_z=[0.5, -0.3, 0.1, 0.8],
              cavity=10.0 + 0j)
     _, s_minus0, s_z0 = split(y0, 4)
-    energy0 = groups.weight * float(s_z0.sum())
+    energy0 = float(s_z0.sum()) / 4
     out, _ = advance(y0, groups, RES, 0.0, 1e-3, rtol=1e-10, atol=1e-13)
     _, s_minus, s_z = split(out, 4)
-    energy1 = groups.weight * float(s_z.sum())
+    energy1 = float(s_z.sum()) / 4
     assert abs(energy1 - energy0) < 1e-9
     # coherences precess ~1200 cycles; integrator drift stays small
     assert np.allclose(np.abs(s_minus), np.abs(s_minus0), atol=1e-6)

@@ -546,6 +546,19 @@ def test_fit_to_all_zero_areas_drives_the_amplitude_to_0(tmp_path, name):
     assert abs(result["parameters"]["amplitude"]) <= 1e-300
 
 
+@pytest.mark.parametrize("name, undetermined", [("fit-invrec", "gamma1"), ("fit-t2", "t2")])
+def test_an_undetermined_fit_parameter_is_written_as_null(tmp_path, name, undetermined):
+    # with all-zero areas no rate or T2 fits better than another: its error
+    # is null, not the 0 that the zero residual scales every error to
+    data = tmp_path / "zero.csv"
+    data.write_text("0,0\n1,0\n2,0\n3,0\n", encoding="utf-8")
+    out = tmp_path / "o"
+    run_ok([name, "--data", data, "--out", out])
+    errors = json.loads((out / (name.replace("-", "_") + ".json")).read_text())["std_errors"]
+    assert errors.pop(undetermined) is None
+    assert all(e == 0.0 for e in errors.values())
+
+
 @pytest.mark.parametrize("rows, code", [
     # a step with no best fit: the fit runs off towards A -> infinity
     ([(0.0, 1.0), (1e-200, 1.0), (2e-200, 1.0), (3e-200, 2.0)], 3),

@@ -143,14 +143,13 @@ def test_quantiles_monotone():
     assert qs[0] == 1.0 and qs[-1] == 8.0
 
 
-def make_distribution(geom=None, cutoff_depth=1e-6, weights=(0.5, 0.5)):
+def make_distribution(geom=None, cutoff_depth=1e-6):
     geom = geom or coupling.WireGeometry()
     field = coupling.field_map(geom, coupling.vacuum_current(RES),
                                (-3e-6, 3e-6), (-1.2e-6, -0.1e-6), 41, 23)
     g1 = coupling.coupling_map(field, 0.28, GAMMA_E)
     g2 = coupling.coupling_map(field, 0.22, GAMMA_E)
-    maps = [(g1, weights[0]), (g2, weights[1])]
-    return coupling.coupling_distribution(maps, field, cutoff_depth), field
+    return coupling.coupling_distribution([g1, g2], field, cutoff_depth), field
 
 
 def test_distribution_normalized_and_bounded():
@@ -164,8 +163,8 @@ def test_identical_maps_mixture_identity():
     field = coupling.field_map(coupling.WireGeometry(), 1e-6,
                                (-3e-6, 3e-6), (-1.2e-6, -0.1e-6), 31, 17)
     g = coupling.coupling_map(field, 0.25, GAMMA_E)
-    one = coupling.coupling_distribution([(g, 1.0)], field, 1e-6)
-    two = coupling.coupling_distribution([(g, 0.5), (g, 0.5)], field, 1e-6)
+    one = coupling.coupling_distribution([g], field, 1e-6)
+    two = coupling.coupling_distribution([g, g], field, 1e-6)
     assert np.allclose(one.bin_edges, two.bin_edges)
     assert np.allclose(one.weights, two.weights, atol=1e-15)
 
@@ -184,8 +183,8 @@ def test_implantation_profile_support():
 
     g = np.array([[1.0, 2.0], [3.0, 4.0], [10.0, 20.0], [30.0, 40.0], [50.0, 60.0]])
     rho = coupling.coupling_distribution(
-        [(g, 1.0)], grid([0.4e-6, 0.1e-6, -0.2e-6, -0.9e-6, -1.5e-6]), 1e-6)
-    inside = coupling.coupling_distribution([(g[2:4], 1.0)], grid([-0.2e-6, -0.9e-6]), 1e-6)
+        [g], grid([0.4e-6, 0.1e-6, -0.2e-6, -0.9e-6, -1.5e-6]), 1e-6)
+    inside = coupling.coupling_distribution([g[2:4]], grid([-0.2e-6, -0.9e-6]), 1e-6)
     assert np.array_equal(rho.bin_edges, inside.bin_edges)
     assert np.array_equal(rho.weights, inside.weights)
     assert rho.bin_edges[0] < 10.0 < 40.0 < rho.bin_edges[-1] < 50.0

@@ -1,11 +1,15 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import curve_fit
 
 from _frozen import FROZEN
 from purcell_cool import estimators as est
+from purcell_cool.errors import NoConvergence
 from purcell_cool.thermal import ResonatorParams, bose_occupation
 
 OMEGA0 = 7.408e9
@@ -113,6 +117,59 @@ def test_fits_are_unit_equivariant():
                     want = np.array(list(getattr(ref, name).values())) * unit
                     assert np.allclose(list(getattr(got, name).values()), want,
                                        rtol=1e-8, atol=0), (fit.__name__, k, m, name)
+
+
+@pytest.mark.parametrize("fit, undetermined", [
+    (est.fit_exponential_recovery, "gamma1"),  # no amplitude, so no rate
+    (est.fit_gaussian_decay, "t2"),
+])
+def test_an_undetermined_parameter_has_no_standard_error(fit, undetermined):
+    # all-zero areas fit exactly with a zero amplitude, at any rate or T2:
+    # that parameter's Jacobian column is 0, and its singular value is dropped
+    result = fit([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (3.0, 0.0)])
+    assert result.std_errors[undetermined] is None
+    assert all(e == 0.0 for name, e in result.std_errors.items() if name != undetermined)
+
+
+# a resonator at 1 Hz, so that the fuzz's rows can bracket it
+PSD_FIXED = {"resonator": ResonatorParams(omega0=1.0, kappa_int=0.5, kappa_ext=0.5),
+             "t_phon": 0.1}
+
+
+@st.composite
+def _fit_rows(draw):
+    """4 to 12 rows of finite, zero, subnormal and 1e308-sized numbers: the
+    abscissae nonnegative, some of them repeated, and the values of either
+    sign, many of them repeats of a few."""
+    size = st.one_of(st.floats(0.0, 1e3), st.sampled_from([0.0, 5e-324, 1e-310, 1e308]))
+    signed = st.builds(lambda v, sign: sign * v, size, st.sampled_from([1.0, -1.0]))
+    n = draw(st.integers(4, 12))
+    xs = draw(st.lists(size, min_size=n, max_size=n))
+    xs[draw(st.integers(0, n - 1))] = draw(st.sampled_from(xs))  # one repeat, or none
+    pool = draw(st.lists(signed, min_size=1, max_size=4))
+    ys = draw(st.lists(st.one_of(signed, st.sampled_from(pool)), min_size=n, max_size=n))
+    return list(zip(xs, ys))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=_fit_rows())
+@example(rows=list(zip(range(4), [1.0, 1e308, 0.1, 0.01])))  # overflowed in LM's matmul
+@example(rows=list(zip(range(4), [1.0, math.inf, 0.1, 0.01])))  # nan in the residual
+@example(rows=list(zip(range(4), [1.0] * 4)))  # all-equal areas: no recovery rate
+@example(rows=[(10**400, 1.0), (1.0, 2.0), (2.0, 3.0), (3.0, 4.0)])  # past float range
+def test_fitters_return_finite_results_or_refuse_with_their_own_error(rows):
+    fits = [est.fit_exponential_recovery, est.fit_gaussian_decay,
+            lambda data: est.fit_psd(data, PSD_FIXED, "hot")]
+    for fit in fits:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                result = fit(rows)
+            except (ValueError, NoConvergence):
+                continue
+        numbers = [*result.parameters.values(), result.residual_norm,
+                   *(e for e in result.std_errors.values() if e is not None)]
+        assert all(map(math.isfinite, numbers)), result
 
 
 def psd_points(config, n_twpa, t_int, alpha, span=3e6, n=41):
