@@ -20,8 +20,8 @@ from _frozen import FROZEN
 from _lawson import fixed_step_solver
 from _rows import advance, bloch_excess, row
 from purcell_cool import blochsim as bs
-from purcell_cool import cli, coupling, estimators, hamiltonian, ode, optimize, polarization
-from purcell_cool import thermal
+from purcell_cool import cli, coupling, estimators, hamiltonian, ode, optimize
+from purcell_cool import polarization, thermal
 from purcell_cool.config import MAX_POINTS, parse_config_text
 
 BASE = """\
