@@ -18,14 +18,18 @@ The state of one sequence is one packed float row
 floats: the 1 + n complex entries as (re, im) pairs, then the real s_z, so
 no float is spent on an always-zero imaginary part. Sequences that share
 one event skeleton (a Rabi or inversion-recovery sweep) advance together
-as the rows of one (R, 2+3n) array. The linear part of the equations acts
-on the complex entries alone: the diagonal (_linear, the decay and
-detuning) and the spins' feed -i w g_k s-_k into da/dt. The integrator
-advances both exactly, so that between pulses, where little else drives
-the state, its steps are long (microseconds); the closed form that takes
-free-evolution delays much longer than the cavity lifetime advances the
-diagonal alone (pure T1/T2/detuning decay, the cavity having rung down).
-Pulse, delay and acquisition segments go through the adaptive integrator.
+as the rows of one (R, 2+3n) array. Inside a solve the integrator holds
+those floats entry-major (see ode): one entry's values for the R rows
+next to each other, the 1 + n complex entries as one (1 + n, R) complex
+block and the s_z as one (n, R) block, so that the rhs's per-group
+products run over the batch as contiguous loops. The linear part of the
+equations acts on the complex entries alone: the diagonal (_linear, the
+decay and detuning) and the spins' feed -i w g_k s-_k into da/dt. The
+integrator advances both exactly, so that between pulses, where little
+else drives the state, its steps are long (microseconds); the closed form
+that takes free-evolution delays much longer than the cavity lifetime
+advances the diagonal alone (pure T1/T2/detuning decay, the cavity having
+rung down). Pulse, delay and acquisition segments go through the adaptive integrator.
 Thermal noise between pulses is not driven explicitly; temperature enters
 through sz_eq and the per-group rates.
 """
@@ -39,7 +43,7 @@ import numpy as np
 
 from .config import MAX_POINTS
 from .errors import NoConvergence
-from .ode import dormand_prince
+from .ode import dormand_prince, entry_blocks
 from .thermal import purcell_rate, spin_polarization
 
 LONG_DELAY_FACTOR = 100.0  # delays beyond this many 1/kappa skip the ODE
@@ -174,12 +178,13 @@ def _advance(y, groups, res, a_in, duration, *, rtol, atol, sample_dt=None):
     that overflows raises ValueError.
     """
     n = len(groups)
-    m = 2 + 2 * n  # floats of the complex entries [a, s-...]
+    rows = len(y)
     g_ang = 2 * math.pi * groups.g
-    ig_ang = 1j * g_ang
-    g4_ang = 4.0 * g_ang
-    gamma1 = groups.gamma1
-    relax_to = gamma1 * groups.sz_eq
+    # the per-group coefficients once per row, entry-major as the solver
+    # hands the rhs its rows
+    ig_ang, g4_ang, gamma1, relax_to = (
+        np.repeat(v, rows).reshape(n, rows)
+        for v in (1j * g_ang, 4.0 * g_ang, groups.gamma1, groups.gamma1 * groups.sz_eq))
     # the spins' linear feed into da/dt: this times [s-...], a comb's tile per row
     coupling_row = (-1j * (1.0 / n) * g_ang).reshape(-1, len(groups.detuning))
     root_kext = math.sqrt(res.kappa_ext)
@@ -196,18 +201,18 @@ def _advance(y, groups, res, a_in, duration, *, rtol, atol, sample_dt=None):
     # table, which then starts over.
     views = {}
 
-    def parts(row):  # the row, a as (R,) and as (R, 1), [s-...] and [s_z...]
+    def parts(row):  # the row, a (R,), [s-...] (n, R) and [s_z...] (n, R)
         found = views.get(id(row))
         if found is None:
             if len(views) >= 16:
                 views.clear()
-            c = row[:, :m].view(complex)
-            found = views[id(row)] = (row, c[:, 0], c[:, :1], c[:, 1:], row[:, m:])
+            c, sz = entry_blocks(row, 1 + n)
+            found = views[id(row)] = (row, c[0], c[1:], sz)
         return found
 
     def rhs(t, y, out):
-        _, _, a, sm, sz = parts(y)
-        _, da, _, dsm, dsz = parts(out)
+        _, a, sm, sz = parts(y)
+        _, da, dsm, dsz = parts(out)
         da[...] = drive
         np.multiply(ig_ang * sz, a, out=dsm)
         # ds_z = (relax_to - gamma1 s_z) - 4 g Im(a* s-_k), rounded as written

@@ -27,23 +27,31 @@ holds a sample, where the dense output needs it. So each sum is one
 real-coefficient matrix product over the whole state, written into a
 preallocated row (the error estimate and stage 6 share one product and
 one pass out of the frame). A pass into or out of the frame is two numpy
-calls on the complex entries: entry 0 becomes one product of the whole
-row with a head row, entry 0's row of e^{c hL'}, and the other entries
-are scaled in place by the factors e^{c hL}; out of the frame the scaling
-comes first (see _frame_rows). Both rows for each node +-c are built into
-preallocated rows from L_0 and the period only when the step size
-changes. The step is capped at h max(-Re L) <= 600, so that no
-factor e^{c h |Re L|} overflows. The frame is exact to rounding when no
-fed entry decays faster than entry 0; otherwise rounding in entry 0 grows
-as e^{c h (|Re L_k| - |Re L_0|)}, and error control shortens the step.
+calls on the complex entries: entry 0 of each row becomes one product of
+a head row, entry 0's row of e^{c hL'}, with the complex entries, and
+the other entries are scaled in place by the factors e^{c hL}, each held
+once per row; out of the frame the scaling comes first (see _frame_rows).
+The head row and the factors of each node +-c are built into preallocated
+rows from L_0 and the period only when the step size changes. The step is
+capped at h max(-Re L) <= 600, so that no factor e^{c h |Re L|}
+overflows. The frame is exact to rounding when no fed entry decays faster
+than entry 0; otherwise rounding in entry 0 grows as
+e^{c h (|Re L_k| - |Re L_0|)}, and error control shortens the step.
 
 The state is R independent rows advanced with one shared step, a float
 array (R, w): with q complex entries, the first 2q floats of a row hold
 them as (re, im) pairs, and the other w - 2q floats are real entries, on
-which L is 0. The state and the stages of a step live in one
-preallocated float array, and k_6 in one more row; each stage's views of
-them are built once per solve, and its coefficients are rewritten in place
-when the step size changes.
+which L is 0. Inside a solve every state-sized array (the state, the
+stages, the work rows and k_6) holds the same R w floats entry-major, so
+that one entry's values for the R rows sit next to each other: the q
+complex entries as one (q, R) complex block of (re, im) pairs, then the
+w - 2q real entries as one (w - 2q, R) block. The caller's rows go into
+this order and back once per solve. So each per-entry operation (a
+frame's scaling, the rhs's products, the tolerances) is one contiguous
+loop over the batch, and a single row (R = 1) is in its own order. The
+state and the stages of a step live in one preallocated float array, and
+k_6 in one more row; each stage's views of them are built once per solve,
+and its coefficients are rewritten in place when the step size changes.
 
 The error norm is the RMS of each row over its entries, a complex entry
 counting once by its modulus, and at least the row's entry 0, the sampled
@@ -126,20 +134,34 @@ def _error_norm(err, scale, ratio):
     """Largest over rows of the RMS of err / scale, or of entry 0's ratio
     where that is larger.
 
-    err is the float view of the error estimate, its first 2q floats q
-    complex entries as (re, im) pairs; scale has one tolerance per entry,
-    the q complex ones first, and a complex entry counts once by its
-    modulus. ratio, of scale's shape, receives |err| / scale. Entry 0, the
-    sampled one, meets the tolerance however wide the rest of the state is.
+    err is the error estimate's complex block (q, R) and real block
+    (w - 2q, R), entry-major; scale, (w - q, R), has one tolerance per entry
+    and row, the q complex entries first, and a complex entry counts once
+    by its modulus. ratio, (R, w - q), receives |err| / scale row by row, so
+    that each row's sum of squares is one contiguous sum whatever R is, and
+    a row's norm does not depend on the batch it is in. Entry 0, the sampled
+    one, meets the tolerance however wide the rest of the state is.
     """
-    q = err.shape[-1] - scale.shape[-1]
-    np.abs(err[..., : 2 * q].view(complex), out=ratio[..., :q])
-    ratio[..., q:] = err[..., 2 * q :]
-    ratio /= scale
+    lin, real = err
+    q = len(lin)
+    np.abs(lin, out=ratio[:, :q].T)
+    ratio[:, q:] = real.T
+    ratio /= scale.T
     # the largest row's mean square; a non-finite ratio makes it NaN or inf,
     # which max() keeps because it comes first
     norm = np.vecdot(ratio, ratio).max() / ratio.shape[-1]
-    return math.sqrt(max(norm, ratio[..., 0].max() ** 2))
+    return math.sqrt(max(norm, ratio[:, 0].max() ** 2))
+
+
+def entry_blocks(a, q):
+    """The complex block (..., q, R) and the real block (..., w - 2q, R) of
+    state-sized float arrays a (..., R, w) in the solver's entry-major
+    order, with q complex entries: how an rhs reads its y and writes its
+    out."""
+    *lead, rows, width = a.shape
+    flat = a.reshape(*lead, rows * width)
+    return (flat[..., : 2 * q * rows].view(complex).reshape(*lead, q, rows),
+            flat[..., 2 * q * rows :].reshape(*lead, width - 2 * q, rows))
 
 
 def _border(t, lin):
@@ -156,32 +178,37 @@ def _border(t, lin):
     return psi
 
 
-def _frame_rows(lin, fd):
-    """The rows that apply e^{c hL'} and e^{-c hL'} at each node c of _NODES,
-    and build(h), which fills them in place for the step size h.
+def _frame_rows(lin, fd, rows=1):
+    """The rows that apply e^{c hL'} and e^{-c hL'} at each node c of _NODES
+    to `rows` rows, and build(h), which fills them in place for the step
+    size h.
 
     lin is L_0 and the period, and fd, (tiles, period), the border row, as
     in dormand_prince. Returns (fac, heads, build): row i of each is node
-    c = _NODES[i], and row i + 5 its negative, one entry per complex entry.
-    fac[i] is e^{c hL}. heads[i] is [e^{c hL_0}, border], with border_k =
-    fd_k psi_{L_k}(c h), and heads[i + 5] is [e^{-c hL_0}, -e^{-c hL_0}
-    border]. So e^{c hL'} w is two products in place: entry 0 becomes
-    w @ heads[i], then w[1:] *= fac[i, 1:]; e^{-c hL'} w makes its two in
-    the opposite order, w[1:] *= fac[i + 5, 1:], then entry 0 becomes
-    w @ heads[i + 5].
+    c = _NODES[i], and row i + 5 its negative. fac[i] is e^{c hL}: entry
+    0's factor, then each fed entry's factor once per row, entry-major, so
+    that fac[i, 1:] scales the fed entries (q - 1, rows) of the complex
+    block w in one contiguous pass. heads[i], one entry per complex entry,
+    is [e^{c hL_0}, border], with border_k = fd_k psi_{L_k}(c h), and
+    heads[i + 5] is [e^{-c hL_0}, -e^{-c hL_0} border]. So e^{c hL'} w is two
+    products in place: entry 0 becomes heads[i] @ w, then w[1:] *= fac[i,
+    1:]; e^{-c hL'} w makes its two in the opposite order, w[1:] *= fac[i +
+    5, 1:], then entry 0 becomes heads[i + 5] @ w.
     """
     n = len(_NODES)
-    fac = np.empty((2 * n, 1 + fd.size), dtype=complex)
-    heads = np.empty_like(fac)
-    # views of the fed entries as (node, tile, period): a period broadcasts on them
-    fac_tiles, head_tiles = (a[:, 1:].reshape(2 * n, *fd.shape) for a in (fac, heads))
+    fac = np.empty((2 * n, 1 + fd.size * rows), dtype=complex)
+    heads = np.empty((2 * n, 1 + fd.size), dtype=complex)
+    # views of the fed entries as (node, tile, period[, row]): a period
+    # broadcasts on them
+    fac_tiles = fac[:, 1:].reshape(2 * n, *fd.shape, rows)
+    head_tiles = heads[:, 1:].reshape(2 * n, *fd.shape)
     head_rows, feed = list(heads[:, 1:]), fd.ravel()
 
     def build(h):
         times = h * _SIGNED_NODES
         period = np.exp(np.multiply.outer(times, lin))
         fac[:, 0] = heads[:, 0] = period[:, 0]
-        fac_tiles[...] = period[:, None, 1:]
+        fac_tiles[...] = period[:, None, 1:, None]
         psi = _border(times[:n], lin)
         head_tiles[:n] = psi[:, None]
         head_tiles[n:] = (psi * -period[n:, :1])[:, None]
@@ -220,14 +247,18 @@ def dormand_prince(f, t0, y0, t1, *, linear, feed, rtol, atol, sample_times=None
     """Integrate dy/dt = L' y + f(t, y) from t0 to t1.
 
     y0 is a float array (R, w) of R independent rows, each packing the
-    complex entries of L in front (see the module docstring); f(t, y, out)
+    complex entries of L in front (see the module docstring). f(t, y, out)
     writes the derivative, a float array of the shape of y, into out, a
     solver-owned row that the solver reuses; y and out are the same few
     row objects on every call, so f may keep its views of them for the
-    solve. There are 1 + feed.size complex entries. feed, (tiles, period),
-    is the border row: feed[t, j] feeds complex entry 1 + t period + j into
-    entry 0, and that entry's L is linear[1 + j]; linear[0] is entry 0's L.
-    A 1-D feed is one tile, so a general L is given whole. The real parts
+    solve. They have y0's shape and dtype, but hold its floats entry-major:
+    flat, they are the q complex entries as one (q, R) complex block of
+    (re, im) pairs, then the w - 2q real entries as one (w - 2q, R) block
+    (entry_blocks gives both), which for R = 1 is the row itself. There
+    are q = 1 + feed.size complex entries. feed, (tiles, period), is the
+    border row: feed[t, j] feeds complex entry 1 + t period + j into entry
+    0, and that entry's L is linear[1 + j]; linear[0] is entry 0's L. A 1-D
+    feed is one tile, so a general L is given whole. The real parts
     of linear should not be positive. rtol and atol are the relative and
     absolute tolerances of every entry: finite, >= 0 and not both 0.
     Returns (y_end, samples), where samples[j, r] is complex entry 0 of row
@@ -236,9 +267,9 @@ def dormand_prince(f, t0, y0, t1, *, linear, feed, rtol, atol, sample_times=None
 
     A trial step that overflows or turns non-finite is retried, silently,
     with a tenth of its h. Raises NoConvergence if error control pushes the
-    step below 1e-15 s or the budget of _MAX_ATTEMPTS attempts runs out.
+    step below _MIN_STEP or the budget of _MAX_ATTEMPTS attempts runs out.
     """
-    y = np.asarray(y0, dtype=float)
+    y = np.ascontiguousarray(y0, dtype=float)
     t = float(t0)
     t1 = float(t1)
     span = t1 - t
@@ -262,9 +293,10 @@ def dormand_prince(f, t0, y0, t1, *, linear, feed, rtol, atol, sample_times=None
     # the dense output scales stage data by up to e^{(c - theta) h decay}
     h_dense = math.inf if decay == 0 else _DENSE_DECAY / decay
 
-    fac, heads, build = _frame_rows(lin, fd)
+    rows, width = y.shape
+    fac, heads, build = _frame_rows(lin, fd, rows)
 
-    samples = np.empty((len(stops), len(y)), dtype=complex)
+    samples = np.empty((len(stops), rows), dtype=complex)
     j = int(np.searchsorted(stops, t, side="right"))  # samples at t0: y0
     h = min(h_cap, span / 50.0)  # a cheap conservative start that control rescales fast
     # z = [y, K_0, ..., K_6]; rows past a stage's own are stale (or unset),
@@ -278,45 +310,51 @@ def dormand_prince(f, t0, y0, t1, *, linear, feed, rtol, atol, sample_times=None
     # same row objects on every call
     y_row, k0_row, k6_row = z[0], z[1], z[7]
     stage_row, trial_row = work  # the stage, then the error estimate; stage 6
-    y_row[...] = y
     weights = np.empty_like(_WEIGHTS)
     flat, work_flat = z.reshape(8, -1), work.reshape(2, -1)
     stage_flat, final_weights, final_rows = work_flat[0], weights[5:], flat[:7]
-    z_lin, work_lin = (a[..., : 2 * q].view(complex) for a in (z, work))  # where L' acts
-    samples[:j] = z_lin[0, :, 0]
+    # each row's complex block, where L' acts, and real block, entry-major
+    (z_lin, z_real), (work_lin, work_real) = entry_blocks(z, q), entry_blocks(work, q)
+    z_lin[0] = y[:, : 2 * q].view(complex).T
+    z_real[0] = y[:, 2 * q :].T
+    samples[:j] = z_lin[0, 0]
 
     # |entry| of the state and of the trial solution, each with the views of
     # its complex and real entries, and the tolerances; the error norm's
-    # ratio goes into K_6's row, scratch by then
-    mag, mag_new = ((a, a[..., :q], a[..., q:]) for a in np.empty((2, len(y), y.shape[1] - q)))
+    # ratio, row by row, goes into K_6's row, scratch by then
+    mag, mag_new = ((a, a[:q], a[q:]) for a in np.empty((2, width - q, rows)))
     scale = np.empty_like(mag[0])
-    ratio = k6_row[:, : scale.shape[1]]
+    ratio = k6_row.reshape(-1)[: scale.size].reshape(rows, -1)
     np.abs(z_lin[0], out=mag[1])
-    np.abs(y_row[:, 2 * q :], out=mag[2])
-    trial = work_lin[1], trial_row[:, 2 * q :]  # the trial solution's parts
+    np.abs(z_real[0], out=mag[2])
+    trial = work_lin[1], work_real[1]  # the trial solution's blocks
+    error = work_lin[0], work_real[0]  # the error estimate's
     built = None  # the h_try the factor rows and weights hold
     err_last = 0.0  # h e_6, the weight of k_6 in the error estimate
     err_prev = 1e-4
     rejected = False
 
-    def split(w):  # complex entries, their entry 0 and the rest
-        return w, w[..., 0], w[..., 1:]
+    def split(w):  # a complex block's rows (R, q), its entry 0 and the rest
+        return np.swapaxes(w, -1, -2), w[..., 0, :], w[..., 1:, :]
 
     n = len(_NODES)
+    tails = fac[:, 1:].reshape(2 * n, q - 1, rows)
     # the views of stages 1-5, built once: node, stage weights and the rows
     # they weight, head row and factor tail into the frame and out of it, K
-    # row and its complex entries (see _frame_rows)
-    stages = [(_C[i], weights[i - 1, : i + 1], flat[: i + 1], heads[i - 1], fac[i - 1, 1:],
-               heads[i - 1 + n], fac[i - 1 + n, 1:], z[i + 1], split(z_lin[i + 1]))
+    # row and its complex block (see _frame_rows)
+    stages = [(_C[i], weights[i - 1, : i + 1], flat[: i + 1], heads[i - 1], tails[i - 1],
+               heads[i - 1 + n], tails[i - 1 + n], z[i + 1], split(z_lin[i + 1]))
               for i in range(1, 6)]
     stage_lin, stage_head, stage_tail = split(work_lin[0])
     # the error estimate and stage 6, rows 0 and 1 of work, go out of the
     # frame together through the node c = 1, and K_6 into it on a step with
     # samples
-    _, final_head, final_tail = split(work_lin)
+    final_lin, final_head, final_tail = split(work_lin)
     k6_lin, k6_head, k6_tail = split(z_lin[7])
-    head_one, tail_one = heads[n - 1], fac[n - 1, 1:]
-    head_back, tail_back = heads[-1], fac[-1, 1:]
+    head_one, tail_one = heads[n - 1], tails[n - 1]
+    head_back, tail_back = heads[-1], tails[-1]
+    # the feed into entry 0 as (stage, row, tile, period), for the dense output
+    z_tiles = np.moveaxis(z_lin[:, 1:].reshape(8, *fd.shape, rows), -1, 1)
 
     # an overflowing or non-finite trial step is retried with a smaller h,
     # or ends the run with NoConvergence, so numpy need not warn of it
@@ -329,7 +367,7 @@ def dormand_prince(f, t0, y0, t1, *, linear, feed, rtol, atol, sample_times=None
             if attempts > _MAX_ATTEMPTS:
                 raise NoConvergence("step budget exhausted before reaching t1")
             if h < _MIN_STEP:
-                raise NoConvergence(f"dt={h:.3e} s below 1e-15 s at t={t:.6e}")
+                raise NoConvergence(f"dt={h:.3e} s below {_MIN_STEP:g} s at t={t:.6e}")
             last = t + h >= t1
             h_try = t1 - t if last else h
             if h_try > h_dense and j < len(stops) and stops[j] < t + h_try:
@@ -340,8 +378,8 @@ def dormand_prince(f, t0, y0, t1, *, linear, feed, rtol, atol, sample_times=None
                 weights[:, 0] = _WEIGHTS[:, 0]
                 err_last = h_try * _E[6]
                 built = h_try
-            for c, row_weights, rows, up, up_fac, down, down_fac, k, k_parts in stages:
-                np.matmul(row_weights, rows, out=stage_flat)
+            for c, row_weights, weighted, up, up_fac, down, down_fac, k, k_parts in stages:
+                np.matmul(row_weights, weighted, out=stage_flat)
                 np.matvec(stage_lin, up, out=stage_head)
                 stage_tail *= up_fac
                 f(t + c * h_try, stage_row, k)
@@ -352,7 +390,7 @@ def dormand_prince(f, t0, y0, t1, *, linear, feed, rtol, atol, sample_times=None
             # whose derivative k_6 stays outside the frame: as e^{hL'} K_6 =
             # k_6, the error estimate adds h e_6 k_6
             np.matmul(final_weights, final_rows, out=work_flat)
-            np.matvec(work_lin, head_one, out=final_head)
+            np.matvec(final_lin, head_one, out=final_head)
             final_tail *= tail_one
             f(t + h_try, trial_row, fsal)
             np.multiply(fsal, err_last, out=k6_row)
@@ -362,7 +400,7 @@ def dormand_prince(f, t0, y0, t1, *, linear, feed, rtol, atol, sample_times=None
             np.maximum(mag[0], mag_new[0], out=scale)
             scale *= rtol
             scale += atol
-            err = _error_norm(stage_row, scale, ratio)
+            err = _error_norm(error, scale, ratio)
             if not math.isfinite(err):
                 h, rejected = h_try / 10.0, True
                 continue
@@ -387,14 +425,16 @@ def dormand_prince(f, t0, y0, t1, *, linear, feed, rtol, atol, sample_times=None
                 np.matvec(k6_lin, head_back, out=k6_head)
                 # entry 0, then the feed into it summed over the tiles (vecdot
                 # conjugates its first argument)
-                sums = np.empty((8, len(y), len(lin)), dtype=complex)
-                sums[..., 0] = z_lin[..., 0]
-                np.vecdot(fd.conj(), z_lin[..., 1:].reshape(8, len(y), *fd.shape), axis=-2,
-                          out=sums[..., 1:])
+                sums = np.empty((8, rows, len(lin)), dtype=complex)
+                sums[..., 0] = z_lin[:, 0]
+                np.vecdot(fd.conj(), z_tiles, axis=-2, out=sums[..., 1:])
                 samples[j:j_end] = _dense(theta, h_try, sums, lin)
                 j = j_end
             t = t_new
             y_row[...] = trial_row
             k0_row[...] = fsal  # FSAL: K_0 of the next step needs no frame
-    samples[j:] = z_lin[0, :, 0]
-    return y_row.copy(), samples
+    samples[j:] = z_lin[0, 0]
+    y_end = np.empty_like(y)
+    y_end[:, : 2 * q].view(complex)[...] = z_lin[0].T
+    y_end[:, 2 * q :] = z_real[0].T
+    return y_end, samples

@@ -7,6 +7,10 @@ fixed_step_solver(h) wraps the step in the call signature of
 purcell_cool.ode.dormand_prince, its rhs f(t, y, out) included, so that
 monkeypatching blochsim.dormand_prince with it marches blochsim's own rhs,
 linear part and feed with fixed steps.
+
+entry_major and from_entry_major convert complex rows to and from the
+order in which the solver hands its rhs the state, and blocks splits
+complex rows as the solver's error norm takes an error estimate.
 """
 
 import numpy as np
@@ -38,6 +42,33 @@ def unpack(y, q):
 def pack(c, q):
     """The inverse of unpack: complex rows as packed float rows."""
     return np.concatenate((c[:, :q].view(float), c[:, q:].real), axis=1)
+
+
+def entry_major(c, q):
+    """Complex rows (R, m) as the solver hands them to its rhs: a float
+    array of the shape of pack(c, q) that holds, flat, the q complex entries
+    as one (q, R) block of (re, im) pairs, then the m - q real ones as one
+    (m - q, R) block."""
+    rows = len(c)
+    out = np.empty((rows, q + c.shape[1]))
+    flat = out.reshape(-1)
+    flat[: 2 * q * rows].view(complex).reshape(q, rows)[...] = c[:, :q].T
+    flat[2 * q * rows :].reshape(-1, rows)[...] = c[:, q:].real.T
+    return out
+
+
+def from_entry_major(y, q):
+    """The inverse of entry_major: complex rows."""
+    rows = len(y)
+    flat = y.reshape(-1)
+    return np.concatenate((flat[: 2 * q * rows].view(complex).reshape(q, rows).T,
+                           flat[2 * q * rows :].reshape(-1, rows).T), axis=1)
+
+
+def blocks(c, q):
+    """The complex block (q, R) and the real block (m - q, R) of complex
+    rows (R, m)."""
+    return c[:, :q].T, c[:, q:].real.T
 
 
 def _weight(d, h, matrix, cache, v):

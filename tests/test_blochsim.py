@@ -11,7 +11,7 @@ from purcell_cool.config import parse_config
 from purcell_cool.coupling import CouplingDistribution
 from purcell_cool.thermal import ResonatorParams, purcell_rate, spin_polarization
 
-from _lawson import fixed_step_solver
+from _lawson import blocks, entry_major, fixed_step_solver, from_entry_major, unpack
 from _rows import advance, bloch_excess, row, split
 
 OMEGA0 = 7.408e9
@@ -510,15 +510,39 @@ class TestBatchedSweeps:
         peak = np.abs(want[0].amp).max()
         assert np.abs(got[0].amp - want[0].amp).max() < 1e-12 * peak
 
+    def test_a_sequence_does_not_depend_on_its_row_in_the_batch(self):
+        # two couplings' tiles of a comb of three, so that the groups of a
+        # row differ tile by tile: permuting a sweep's sequences permutes
+        # their traces, and identical rows each give the one-row run
+        rho = CouplingDistribution(bin_edges=np.array([20.0, 60.0, 90.0]),
+                                   weights=np.array([0.3, 0.7]))
+        groups = bs.init_ensemble(rho, RES, T_SPIN, 600e-6, n_g=2, n_delta=3,
+                                  freq_width=4e5)
+        assert len(set(groups.g)) == 2
+        amp = bs.pi_pulse_amplitude(50.0, RES, 250e-9)
+        seqs = [bs.hahn_echo(8e-6, s * amp, acquire_width=2e-6) for s in (0.3, 0.7, 1.0, 1.6)]
+        order = [2, 0, 3, 1]
+        batch = bs.run_sweep(seqs, groups, RES)
+        [one] = bs.run_sweep(seqs[1:2], groups, RES)
+        pairs = list(zip(bs.run_sweep([seqs[i] for i in order], groups, RES),
+                         [batch[i] for i in order]))
+        pairs += [(got, one) for got in bs.run_sweep([seqs[1]] * 3, groups, RES)]
+        for got, want in pairs:
+            assert len(got) == len(want) == 1
+            assert np.array_equal(got[0].t, want[0].t)
+            peak = np.abs(want[0].amp).max()
+            assert np.abs(got[0].amp - want[0].amp).max() <= 1e-13 * peak
+
     def test_batched_error_norm_is_the_largest_row_norm(self):
         rng = np.random.default_rng(11)
         err = rng.normal(size=(5, 2 * 9 + 4))  # 9 complex entries, then 4 real ones
         scale = rng.uniform(1.0, 2.0, size=(5, 9 + 4))
         err[3] *= 50.0  # one row far worse than the rest
         ratio = np.empty_like(scale)
-        rows = [ode._error_norm(err[r : r + 1], scale[r : r + 1], ratio[r : r + 1])
+        rows = [ode._error_norm(blocks(unpack(err[r : r + 1], 9), 9), scale[r : r + 1].T,
+                                ratio[r : r + 1])
                 for r in range(5)]
-        assert ode._error_norm(err, scale, ratio) == max(rows)
+        assert ode._error_norm(blocks(unpack(err, 9), 9), scale.T, ratio) == max(rows)
 
     def test_batched_solver_rows_are_independent_and_observed(self):
         # rows of two complex entries (1, i) and one real entry 1, each
@@ -527,8 +551,8 @@ class TestBatchedSweeps:
         ts = np.array([0.0, 0.3, 1.0])
         y0 = np.tile([1.0, 0.0, 0.0, 1.0, 1.0], (3, 1))
 
-        def rhs(t, y, out):
-            np.multiply(-rates[:, None], y, out=out)
+        def rhs(t, y, out):  # y and out in the solver's entry-major order
+            out[...] = entry_major(-rates[:, None] * from_entry_major(y, 2), 2)
 
         y1, obs = ode.dormand_prince(rhs, 0.0, y0, 1.0, linear=np.zeros(2), feed=np.zeros(1),
                                      rtol=1e-8, atol=1e-10, sample_times=ts)

@@ -5,7 +5,8 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from _lawson import lawson_error, lawson_step, linear_matrix, pack, unpack
+from _lawson import (blocks, entry_major, from_entry_major, lawson_error, lawson_step,
+                     linear_matrix, pack, unpack)
 from purcell_cool.errors import NoConvergence
 from purcell_cool import ode
 from purcell_cool.ode import dormand_prince
@@ -13,16 +14,16 @@ from purcell_cool.ode import dormand_prince
 
 def solve(f, y0, t1, *, linear=None, feed=None, rtol=1e-8, atol=1e-10, **kwargs):
     """dormand_prince on complex rows y0 (R, q), with f taking and returning
-    complex rows (the solver's rhs writes them into its out); L is 0 and the
-    feed 0 unless given. Returns the complex rows at t1 and the samples of
-    entry 0."""
+    complex rows (the solver's rhs converts them from and to its order and
+    writes them into its out); L is 0 and the feed 0 unless given. Returns
+    the complex rows at t1 and the samples of entry 0."""
     y0 = np.atleast_2d(np.asarray(y0, dtype=complex))
     q = y0.shape[1]
     linear = np.zeros(q) if linear is None else linear
     feed = np.zeros(q - 1) if feed is None else feed
 
     def rhs(t, y, out):
-        out.view(complex)[...] = f(t, y.view(complex))
+        out[...] = entry_major(f(t, from_entry_major(y, q)), q)
 
     y1, samples = dormand_prince(rhs, 0.0, y0.view(float), t1, linear=linear, feed=feed,
                                  rtol=rtol, atol=atol, **kwargs)
@@ -102,13 +103,13 @@ def test_observed_error_is_not_diluted_by_the_state_width(width):
     err[1, 0] = 3e-10
     scale = np.full((2, width), 1e-10)
     ratio = np.empty_like(scale)
-    assert ode._error_norm(err.view(float), scale, ratio) == pytest.approx(3.0, rel=1e-12)
+    assert ode._error_norm(blocks(err, width), scale.T, ratio) == pytest.approx(3.0, rel=1e-12)
 
 
 def test_error_norm_counts_a_complex_entry_once_by_its_modulus():
     # two complex entries (3 + 4i, 0) and one real entry 12: RMS over 3 entries
     err = np.array([[3.0, 4.0, 0.0, 0.0, -12.0]])
-    norm = ode._error_norm(err, np.ones((1, 3)), np.empty((1, 3)))
+    norm = ode._error_norm(blocks(unpack(err, 2), 2), np.ones((3, 1)), np.empty((1, 3)))
     assert norm == pytest.approx(math.sqrt(169 / 3), rel=1e-15)
 
 
@@ -294,14 +295,14 @@ def _check_first_step(rows, real, monkeypatch, fed=False):
     calls = []
 
     def record(t, y, out):
-        calls.append(unpack(y, q))
-        out[...] = pack(f(t, unpack(y, q)), q)
+        calls.append(from_entry_major(y, q))
+        out[...] = entry_major(f(t, calls[-1]), q)
 
     class FirstStep(Exception):
         pass
 
-    def stop_at_the_error(err, *args, **kwargs):
-        raise FirstStep(err.copy())
+    def stop_at_the_error(err, *args, **kwargs):  # err: the blocks, as complex rows
+        raise FirstStep(np.concatenate([part.T for part in err], axis=1))
 
     feed = (rng.normal(size=q - 1) + 1j * rng.normal(size=q - 1)) * 3e6 * fed
     monkeypatch.setattr(ode, "_error_norm", stop_at_the_error)
@@ -315,8 +316,8 @@ def _check_first_step(rows, real, monkeypatch, fed=False):
     assert len(calls) == 7 and np.array_equal(calls[0], y0)
     for new, ref in zip(calls[1:], stages):
         assert np.abs(new - ref).max() <= 1e-12 * np.abs(ref).max()
-    # the error estimate reaches the norm as floats, complex entries as pairs
-    got = unpack(first.value.args[0], q)
+    # the error estimate reaches the norm as its complex and real blocks
+    got = first.value.args[0]
     assert np.abs(got - err).max() <= 1e-12 * np.abs(err).max()
 
 
