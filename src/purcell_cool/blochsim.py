@@ -18,11 +18,11 @@ The state of one sequence is one packed float row
 floats: the 1 + n complex entries as (re, im) pairs, then the real s_z, so
 no float is spent on an always-zero imaginary part. Sequences that share
 one event skeleton (a Rabi or inversion-recovery sweep) advance together
-as the rows of one (R, 2+3n) array. Inside a solve the integrator holds
-those floats entry-major (see ode): one entry's values for the R rows
-next to each other, the 1 + n complex entries as one (1 + n, R) complex
-block and the s_z as one (n, R) block, so that the rhs's per-group
-products run over the batch as contiguous loops. The linear part of the
+as the R rows of one (R, 2+3n) float state in the solver's entry-major
+order (see ode): one entry's values for the R rows next to each other,
+the 1 + n complex entries as one (1 + n, R) complex block and the s_z as
+one (n, R) block, so that the per-group products run over the batch as
+contiguous loops. For R = 1 it is the packed row. The linear part of the
 equations acts on the complex entries alone: the diagonal (_linear, the
 decay and detuning) and the spins' feed -i w g_k s-_k into da/dt. The
 integrator advances both exactly, so that between pulses, where little
@@ -114,6 +114,8 @@ def init_ensemble(rho, res, spin_temp, t2, *, freq_width=3e6, n_g=40, n_delta=41
     """
     if not (n_g >= 1 and n_delta >= 1 and 0 <= freq_width < math.inf):
         raise ValueError("need n_g, n_delta >= 1 and a finite freq_width >= 0")
+    if not t2 > 0:
+        raise ValueError(f"t2 must be positive, got {t2!r}")
     if np.sum(rho.weights) <= 0:
         raise ValueError("coupling distribution carries no weight")
     qs = (np.arange(n_g) + 0.5) / n_g
@@ -162,8 +164,9 @@ def sample_comb(width, sample_dt):
 
 
 def _advance(y, groups, res, a_in, duration, *, rtol, atol, sample_dt=None):
-    """Advance the rows of y, shape (R, 2+3n), by `duration` with one shared
-    step; row r is driven by the constant complex amplitude a_in[r].
+    """Advance the R rows of the state y (see the module docstring) by
+    `duration` with one shared step; row r is driven by the constant complex
+    amplitude a_in[r].
 
     The linear part, _linear and the spins' feed into the cavity, is
     advanced exactly by the integrating-factor solver; the rhs keeps the
@@ -180,8 +183,7 @@ def _advance(y, groups, res, a_in, duration, *, rtol, atol, sample_dt=None):
     n = len(groups)
     rows = len(y)
     g_ang = 2 * math.pi * groups.g
-    # the per-group coefficients once per row, entry-major as the solver
-    # hands the rhs its rows
+    # the per-group coefficients once per row, entry-major as the state
     ig_ang, g4_ang, gamma1, relax_to = (
         np.repeat(v, rows).reshape(n, rows)
         for v in (1j * g_ang, 4.0 * g_ang, groups.gamma1, groups.gamma1 * groups.sz_eq))
@@ -231,26 +233,25 @@ def _advance(y, groups, res, a_in, duration, *, rtol, atol, sample_dt=None):
 
 
 def _closed_form_delay(y, groups, res, durations):
-    """Exact free decay of the rows of y, row r for durations[r], used for
-    delays far beyond the cavity lifetime: the linear part alone, and each
-    s_z relaxing towards sz_eq at its own Gamma_1."""
-    m = 2 + 2 * len(groups)
-    column = np.asarray(durations, dtype=float)[:, None]
+    """Exact free decay of the R rows of the state y, row r for
+    durations[r], used for delays far beyond the cavity lifetime: the
+    linear part alone, and each s_z relaxing towards sz_eq at its own
+    Gamma_1."""
+    durations = np.asarray(durations, dtype=float)
     # a delay so long that L t or Gamma_1 t overflows has decayed to 0
     with np.errstate(over="ignore", invalid="ignore"):
-        rate = _linear(groups, res) * column
+        rate = np.multiply.outer(_linear(groups, res), durations)
         decay = np.exp(rate)
-        relax = np.exp(-groups.gamma1 * column)
+        relax = np.exp(np.multiply.outer(-groups.gamma1, durations))
     decay[rate.real < -800.0] = 0.0  # e^{-800} is 0 in floats, whatever the phase
     if not np.all(np.isfinite(decay)):
         raise ValueError("a delay is too long to resolve the spins' precession")
     out = y.copy()
-    decaying = out[:, :m].view(complex)
-    decaying[:, 0] *= decay[:, 0]
-    tiles = decaying[:, 1:].reshape(len(y), -1, len(groups.detuning))  # a view
-    tiles *= decay[:, None, 1:]
-    sz = y[:, m:]
-    out[:, m:] = groups.sz_eq + (sz - groups.sz_eq) * relax
+    decaying, sz = entry_blocks(out, 1 + len(groups))
+    decaying[0] *= decay[0]
+    tiles = decaying[1:].reshape(-1, len(groups.detuning), len(y))  # a view
+    tiles *= decay[1:]
+    sz[...] = groups.sz_eq + (sz - groups.sz_eq) * relax
     return out
 
 
@@ -269,8 +270,8 @@ def run_sweep(seqs, groups, res, *, sample_dt=1e-8, rtol=1e-8, atol=1e-13):
     """Execute pulse sequences; returns each one's EchoTraces, in input order.
 
     Sequences with the same skeleton (see _skeleton) advance together as the
-    rows of one (R, 2+3n) state under one adaptive step, which the hardest
-    row sets; every row meets its own tolerance. Delays of at least
+    rows of one state (see the module docstring) under one adaptive step,
+    which the hardest row sets; every row meets its own tolerance. Delays of at least
     LONG_DELAY_FACTOR / kappa ring the cavity down through the ODE for that
     long, then decay in closed form for the rest of each row's own delay.
     Traces carry absolute time stamps from each row's own time cursor.
@@ -295,9 +296,8 @@ def run_sweep(seqs, groups, res, *, sample_dt=1e-8, rtol=1e-8, atol=1e-13):
 
 def _run_batch(seqs, groups, res, long_delay, sample_dt, solver):
     """Run sequences of one skeleton as rows of one state; each one's traces."""
-    n = len(groups)
-    y = np.zeros((len(seqs), 2 + 3 * n))
-    y[:, 2 + 2 * n :] = groups.sz_eq
+    y = np.zeros((len(seqs), 2 + 3 * len(groups)))
+    entry_blocks(y, 1 + len(groups))[1][...] = groups.sz_eq
     idle = np.zeros(len(seqs))
     cursor = np.zeros(len(seqs))
     traces = [[] for _ in seqs]

@@ -38,20 +38,20 @@ overflows. The frame is exact to rounding when no fed entry decays faster
 than entry 0; otherwise rounding in entry 0 grows as
 e^{c h (|Re L_k| - |Re L_0|)}, and error control shortens the step.
 
-The state is R independent rows advanced with one shared step, a float
-array (R, w): with q complex entries, the first 2q floats of a row hold
-them as (re, im) pairs, and the other w - 2q floats are real entries, on
-which L is 0. Inside a solve every state-sized array (the state, the
-stages, the work rows and k_6) holds the same R w floats entry-major, so
-that one entry's values for the R rows sit next to each other: the q
-complex entries as one (q, R) complex block of (re, im) pairs, then the
-w - 2q real entries as one (w - 2q, R) block. The caller's rows go into
-this order and back once per solve. So each per-entry operation (a
+The state is R independent rows advanced with one shared step: q
+complex entries and w - 2q real ones, on which L is 0, per row, held in a
+float array (R, w) entry-major, so that one entry's values for the R rows
+sit next to each other. Flat, it is the q complex entries as one (q, R)
+complex block of (re, im) pairs, then the real entries as one (w - 2q, R)
+block (entry_blocks gives both). This is the state's only order: the
+caller's y0, the returned state, the rhs's y and out and every
+state-sized array of a solve hold it, so each per-entry operation (a
 frame's scaling, the rhs's products, the tolerances) is one contiguous
-loop over the batch, and a single row (R = 1) is in its own order. The
-state and the stages of a step live in one preallocated float array, and
-k_6 in one more row; each stage's views of them are built once per solve,
-and its coefficients are rewritten in place when the step size changes.
+loop over the batch. A single row (R = 1) is its own packed row: its 2q
+floats of (re, im) pairs, then its real entries. The state and the
+stages of a step live in one preallocated float array, and k_6 in one
+more row; each stage's views of them are built once per solve, and its
+coefficients are rewritten in place when the step size changes.
 
 The error norm is the RMS of each row over its entries, a complex entry
 counting once by its modulus, and at least the row's entry 0, the sampled
@@ -155,9 +155,9 @@ def _error_norm(err, scale, ratio):
 
 def entry_blocks(a, q):
     """The complex block (..., q, R) and the real block (..., w - 2q, R) of
-    state-sized float arrays a (..., R, w) in the solver's entry-major
-    order, with q complex entries: how an rhs reads its y and writes its
-    out."""
+    state-sized float arrays a (..., R, w), with q complex entries, as
+    views: how a caller builds y0 and reads the result, and how an rhs
+    reads its y and writes its out."""
     *lead, rows, width = a.shape
     flat = a.reshape(*lead, rows * width)
     return (flat[..., : 2 * q * rows].view(complex).reshape(*lead, q, rows),
@@ -246,30 +246,28 @@ def _dense(theta, h, sums, lin):
 def dormand_prince(f, t0, y0, t1, *, linear, feed, rtol, atol, sample_times=None):
     """Integrate dy/dt = L' y + f(t, y) from t0 to t1.
 
-    y0 is a float array (R, w) of R independent rows, each packing the
-    complex entries of L in front (see the module docstring). f(t, y, out)
-    writes the derivative, a float array of the shape of y, into out, a
-    solver-owned row that the solver reuses; y and out are the same few
-    row objects on every call, so f may keep its views of them for the
-    solve. They have y0's shape and dtype, but hold its floats entry-major:
-    flat, they are the q complex entries as one (q, R) complex block of
-    (re, im) pairs, then the w - 2q real entries as one (w - 2q, R) block
-    (entry_blocks gives both), which for R = 1 is the row itself. There
-    are q = 1 + feed.size complex entries. feed, (tiles, period), is the
-    border row: feed[t, j] feeds complex entry 1 + t period + j into entry
-    0, and that entry's L is linear[1 + j]; linear[0] is entry 0's L. A 1-D
-    feed is one tile, so a general L is given whole. The real parts
-    of linear should not be positive. rtol and atol are the relative and
-    absolute tolerances of every entry: finite, >= 0 and not both 0.
-    Returns (y_end, samples), where samples[j, r] is complex entry 0 of row
-    r at sample_times[j], stored in one buffer (empty when no sample was
-    requested). sample_times must lie in [t0, t1] and not decrease.
+    y0 is the state of R independent rows, a float array (R, w) in the
+    entry-major order of the module docstring (entry_blocks gives its
+    blocks), with q = 1 + feed.size complex entries. f(t, y, out) writes
+    the derivative, a float array of the shape, dtype and order of y, into
+    out, a solver-owned row that the solver reuses; y and out are the same
+    few row objects on every call, so f may keep its views of them for the
+    solve. feed, (tiles, period), is the border row: feed[t, j] feeds
+    complex entry 1 + t period + j into entry 0, and that entry's L is
+    linear[1 + j]; linear[0] is entry 0's L. A 1-D feed is one tile, so a
+    general L is given whole. The real parts of linear should not be
+    positive. rtol and atol are the relative and absolute tolerances of
+    every entry: finite, >= 0 and not both 0. Returns (y_end, samples):
+    y_end is the state at t1, in y0's shape and order, and samples[j, r] is
+    complex entry 0 of row r at sample_times[j], stored in one buffer
+    (empty when no sample was requested). sample_times must lie in [t0, t1]
+    and not decrease.
 
     A trial step that overflows or turns non-finite is retried, silently,
     with a tenth of its h. Raises NoConvergence if error control pushes the
     step below _MIN_STEP or the budget of _MAX_ATTEMPTS attempts runs out.
     """
-    y = np.ascontiguousarray(y0, dtype=float)
+    y = np.asarray(y0, dtype=float)
     t = float(t0)
     t1 = float(t1)
     span = t1 - t
@@ -315,8 +313,7 @@ def dormand_prince(f, t0, y0, t1, *, linear, feed, rtol, atol, sample_times=None
     stage_flat, final_weights, final_rows = work_flat[0], weights[5:], flat[:7]
     # each row's complex block, where L' acts, and real block, entry-major
     (z_lin, z_real), (work_lin, work_real) = entry_blocks(z, q), entry_blocks(work, q)
-    z_lin[0] = y[:, : 2 * q].view(complex).T
-    z_real[0] = y[:, 2 * q :].T
+    y_row[...] = y
     samples[:j] = z_lin[0, 0]
 
     # |entry| of the state and of the trial solution, each with the views of
@@ -434,7 +431,4 @@ def dormand_prince(f, t0, y0, t1, *, linear, feed, rtol, atol, sample_times=None
             y_row[...] = trial_row
             k0_row[...] = fsal  # FSAL: K_0 of the next step needs no frame
     samples[j:] = z_lin[0, 0]
-    y_end = np.empty_like(y)
-    y_end[:, : 2 * q].view(complex)[...] = z_lin[0].T
-    y_end[:, 2 * q :] = z_real[0].T
-    return y_end, samples
+    return y_row.copy(), samples

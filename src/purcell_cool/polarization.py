@@ -21,7 +21,7 @@ def boltzmann_populations(levels, t):
     lowest-energy set. Energies are shifted by the minimum before
     exponentiation so low temperatures cannot underflow the partition sum.
     """
-    if t < 0:
+    if not t >= 0:
         raise ValueError("temperature must be nonnegative")
     energies = np.array([lv.energy for lv in levels])
     if BOLTZMANN * t == 0:  # t = 0, or so small that k t underflows

@@ -68,7 +68,7 @@ class LoadScenario:
 def bose_occupation(t, omega):
     """Mean photon number n = 1/(exp(h omega / k t) - 1); 0 at t = 0, and
     inf where h omega / k t underflows to 0."""
-    if t < 0 or omega <= 0:
+    if not t >= 0 or omega <= 0:
         raise ValueError("need t >= 0 and omega > 0")
     if BOLTZMANN * t == 0:  # t = 0, or so small that k t underflows
         return 0.0
@@ -91,7 +91,7 @@ def occupation_temperature(n, omega):
 
 def spin_polarization(t, omega):
     """Two-level thermal polarization tanh(h omega / 2 k t); 1 at t = 0."""
-    if t < 0:
+    if not t >= 0:
         raise ValueError("temperature must be nonnegative")
     if BOLTZMANN * t == 0:  # t = 0, or so small that k t underflows
         return 1.0

@@ -4,13 +4,14 @@ lawson_step takes one step of y' = M y + f(t, y) on complex rows, with
 scipy's expm of the dense matrix M in place of the solver's closed-form
 factors and interaction frame, and lawson_error gives its error estimate.
 fixed_step_solver(h) wraps the step in the call signature of
-purcell_cool.ode.dormand_prince, its rhs f(t, y, out) included, so that
-monkeypatching blochsim.dormand_prince with it marches blochsim's own rhs,
-linear part and feed with fixed steps.
+purcell_cool.ode.dormand_prince, its entry-major state and its rhs
+f(t, y, out) included, so that monkeypatching blochsim.dormand_prince with
+it marches blochsim's own rhs, linear part and feed with fixed steps.
 
 entry_major and from_entry_major convert complex rows to and from the
-order in which the solver hands its rhs the state, and blocks splits
-complex rows as the solver's error norm takes an error estimate.
+solver's state order, unpack reads packed float rows (R = 1 states, or
+error estimates row by row) as complex rows, and blocks splits complex
+rows as the solver's error norm takes an error estimate.
 """
 
 import numpy as np
@@ -39,16 +40,10 @@ def unpack(y, q):
     return np.concatenate((y[:, : 2 * q].view(complex), y[:, 2 * q :]), axis=1)
 
 
-def pack(c, q):
-    """The inverse of unpack: complex rows as packed float rows."""
-    return np.concatenate((c[:, :q].view(float), c[:, q:].real), axis=1)
-
-
 def entry_major(c, q):
-    """Complex rows (R, m) as the solver hands them to its rhs: a float
-    array of the shape of pack(c, q) that holds, flat, the q complex entries
-    as one (q, R) block of (re, im) pairs, then the m - q real ones as one
-    (m - q, R) block."""
+    """Complex rows (R, m) as the solver's state: a float array
+    (R, m + q) that holds, flat, the q complex entries as one (q, R) block
+    of (re, im) pairs, then the m - q real ones as one (m - q, R) block."""
     rows = len(c)
     out = np.empty((rows, q + c.shape[1]))
     flat = out.reshape(-1)
@@ -103,21 +98,23 @@ def lawson_error(k, h, matrix, cache):
 
 def fixed_step_solver(h):
     """A stand-in for ode.dormand_prince that ignores rtol and atol and
-    marches round(span / h) equal Lawson DP5 steps. Sample times must lie
-    on that step grid; a sample is complex entry 0 of each row there."""
+    marches round(span / h) equal Lawson DP5 steps. It takes and returns
+    the solver's entry-major state and hands its rhs entry-major rows.
+    Sample times must lie on that step grid; a sample is complex entry 0 of
+    each row there."""
 
     def solve(f, t0, y0, t1, *, linear, feed, rtol=None, atol=None, sample_times=None):
         q = 1 + np.size(feed)
         n = max(1, round((t1 - t0) / h))
         step = (t1 - t0) / n
-        c = unpack(y0, q)
+        c = from_entry_major(y0, q)
         matrix = linear_matrix(linear, feed, c.shape[1])
         cache = {}
 
         def rhs(t, v):
             out = np.empty_like(y0)
-            f(t, pack(v, q), out)
-            return unpack(out, q)
+            f(t, entry_major(v, q), out)
+            return from_entry_major(out, q)
 
         entry0 = [c[:, 0]]
         k_last = None
@@ -128,6 +125,6 @@ def fixed_step_solver(h):
         stops = np.array([] if sample_times is None else sample_times, dtype=float)
         at = np.rint((stops - t0) / step).astype(int)
         assert np.allclose(t0 + at * step, stops, rtol=0, atol=1e-6 * step)
-        return pack(c, q), np.array(entry0)[at].reshape(len(stops), len(c))
+        return entry_major(c, q), np.array(entry0)[at].reshape(len(stops), len(c))
 
     return solve

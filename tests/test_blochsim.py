@@ -217,6 +217,24 @@ def test_closed_form_delay_matches_ode():
         assert np.abs(direct_sz - closed_sz).max() < 2e-7
 
 
+def test_closed_form_delay_takes_each_row_of_a_batch_as_its_one_row_call():
+    # three rows of different states on two couplings' tiles of a comb of
+    # three, each for its own delay, one past float range: each row of the
+    # batch is its own one-row call, bit for bit
+    groups = TestBatchedSweeps.two_couplings()
+    n = len(groups)
+    rng = np.random.default_rng(3)
+    rows = np.array([row(groups, s_minus=0.1 * (rng.normal(size=n) + 1j * rng.normal(size=n)),
+                         s_z=rng.uniform(-0.5, 0.5, n), cavity=(1 + r) * 1e-9 + 0j)
+                     for r in range(3)])
+    durations = [40e-6, 3e-3, 1e302]
+    batch = bs._closed_form_delay(entry_major(unpack(rows, 1 + n), 1 + n), groups, RES,
+                                  durations)
+    for got, y, dt in zip(from_entry_major(batch, 1 + n), rows, durations):
+        want = bs._closed_form_delay(y[None], groups, RES, [dt])
+        assert np.array_equal(got, unpack(want, 1 + n)[0])
+
+
 def test_closed_form_delay_past_float_range_decays_to_zero_or_raises():
     # detuned groups 1e302 s on: L t overflows, and the decayed entries are
     # 0 whatever their phase; with T2 = 1e308 s the s- decay is still 1 while
@@ -377,6 +395,16 @@ def test_init_ensemble_refuses_a_bad_comb_width(freq_width):
                          freq_width=freq_width, n_g=1, n_delta=3)
 
 
+@pytest.mark.parametrize("spin_temp, t2, match", [
+    (T_SPIN, 0.0, "t2 must be positive"), (T_SPIN, -1e-6, "t2 must be positive"),
+    (T_SPIN, math.nan, "t2 must be positive"), (math.nan, 600e-6, "temperature")])
+def test_init_ensemble_refuses_a_bad_t2_or_temperature(spin_temp, t2, match):
+    # refused by name, not as ZeroDivisionError, growing coherence, 1/T2
+    # overflowing or a later step collapse
+    with pytest.raises(ValueError, match=match):
+        bs.init_ensemble(CouplingDistribution.delta(50.0), RES, spin_temp, t2, n_g=1, n_delta=1)
+
+
 @pytest.mark.parametrize("tolerances", [{"rtol": math.nan}, {"rtol": 0.0, "atol": 0.0}])
 def test_run_sweep_refuses_bad_tolerances_before_a_step(tolerances):
     with pytest.raises(ValueError, match="rtol, atol"):
@@ -437,6 +465,16 @@ class TestBatchedSweeps:
         # real echo and gives each group its own Purcell rate
         return bs.init_ensemble(CouplingDistribution.delta(50.0), RES, T_SPIN, 600e-6,
                                 n_g=1, n_delta=5, freq_width=4e5)
+
+    @staticmethod
+    def two_couplings():
+        # two couplings' tiles of a comb of three, so that the groups of a
+        # row differ tile by tile
+        rho = CouplingDistribution(bin_edges=np.array([20.0, 60.0, 90.0]),
+                                   weights=np.array([0.3, 0.7]))
+        groups = bs.init_ensemble(rho, RES, T_SPIN, 600e-6, n_g=2, n_delta=3, freq_width=4e5)
+        assert len(set(groups.g)) == 2
+        return groups
 
     @staticmethod
     def per_point(seqs, groups):
@@ -511,14 +549,9 @@ class TestBatchedSweeps:
         assert np.abs(got[0].amp - want[0].amp).max() < 1e-12 * peak
 
     def test_a_sequence_does_not_depend_on_its_row_in_the_batch(self):
-        # two couplings' tiles of a comb of three, so that the groups of a
-        # row differ tile by tile: permuting a sweep's sequences permutes
-        # their traces, and identical rows each give the one-row run
-        rho = CouplingDistribution(bin_edges=np.array([20.0, 60.0, 90.0]),
-                                   weights=np.array([0.3, 0.7]))
-        groups = bs.init_ensemble(rho, RES, T_SPIN, 600e-6, n_g=2, n_delta=3,
-                                  freq_width=4e5)
-        assert len(set(groups.g)) == 2
+        # permuting a sweep's sequences permutes their traces, and identical
+        # rows each give the one-row run
+        groups = self.two_couplings()
         amp = bs.pi_pulse_amplitude(50.0, RES, 250e-9)
         seqs = [bs.hahn_echo(8e-6, s * amp, acquire_width=2e-6) for s in (0.3, 0.7, 1.0, 1.6)]
         order = [2, 0, 3, 1]
@@ -532,6 +565,18 @@ class TestBatchedSweeps:
             assert np.array_equal(got[0].t, want[0].t)
             peak = np.abs(want[0].amp).max()
             assert np.abs(got[0].amp - want[0].amp).max() <= 1e-13 * peak
+
+    def test_fixed_step_lawson_reference_takes_each_row_as_its_one_row_run(self, monkeypatch):
+        # the reference marches a batch in the solver's state order: two
+        # Hahn echoes at different amplitudes, each row against its own run
+        groups = self.two_couplings()
+        amp = bs.pi_pulse_amplitude(50.0, RES, 250e-9)
+        seqs = [bs.hahn_echo(3e-6, s * amp, acquire_width=1e-6) for s in (0.7, 1.3)]
+        monkeypatch.setattr(bs, "dormand_prince", fixed_step_solver(5e-9))
+        for seq, [got] in zip(seqs, bs.run_sweep(seqs, groups, RES)):
+            [[want]] = bs.run_sweep([seq], groups, RES)
+            assert np.array_equal(got.t, want.t)
+            assert np.abs(got.amp - want.amp).max() <= 1e-12 * np.abs(want.amp).max()
 
     def test_batched_error_norm_is_the_largest_row_norm(self):
         rng = np.random.default_rng(11)
@@ -549,17 +594,18 @@ class TestBatchedSweeps:
         # decaying at its row's rate; entry 0 of each row is sampled
         rates = np.array([0.5, 2.0, 7.0])
         ts = np.array([0.0, 0.3, 1.0])
-        y0 = np.tile([1.0, 0.0, 0.0, 1.0, 1.0], (3, 1))
+        y0 = entry_major(np.tile([1.0, 1j, 1.0], (3, 1)), 2)  # the solver's order
 
-        def rhs(t, y, out):  # y and out in the solver's entry-major order
+        def rhs(t, y, out):
             out[...] = entry_major(-rates[:, None] * from_entry_major(y, 2), 2)
 
         y1, obs = ode.dormand_prince(rhs, 0.0, y0, 1.0, linear=np.zeros(2), feed=np.zeros(1),
                                      rtol=1e-8, atol=1e-10, sample_times=ts)
         assert y1.shape == (3, 5) and obs.shape == (3, 3)
         assert np.allclose(obs, np.exp(-np.outer(ts, rates)), rtol=1e-8)
-        assert np.allclose(y1[:, 2:4].view(complex)[:, 0], 1j * np.exp(-rates), rtol=1e-8)
-        assert np.allclose(y1[:, 4], np.exp(-rates), rtol=1e-8)
+        rows = from_entry_major(y1, 2)
+        assert np.allclose(rows[:, 1], 1j * np.exp(-rates), rtol=1e-8)
+        assert np.allclose(rows[:, 2].real, np.exp(-rates), rtol=1e-8)
 
 
 def _demo(subcommand):

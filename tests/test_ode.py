@@ -6,7 +6,7 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from _lawson import (blocks, entry_major, from_entry_major, lawson_error, lawson_step,
-                     linear_matrix, pack, unpack)
+                     linear_matrix, unpack)
 from purcell_cool.errors import NoConvergence
 from purcell_cool import ode
 from purcell_cool.ode import dormand_prince
@@ -25,9 +25,9 @@ def solve(f, y0, t1, *, linear=None, feed=None, rtol=1e-8, atol=1e-10, **kwargs)
     def rhs(t, y, out):
         out[...] = entry_major(f(t, from_entry_major(y, q)), q)
 
-    y1, samples = dormand_prince(rhs, 0.0, y0.view(float), t1, linear=linear, feed=feed,
+    y1, samples = dormand_prince(rhs, 0.0, entry_major(y0, q), t1, linear=linear, feed=feed,
                                  rtol=rtol, atol=atol, **kwargs)
-    return y1.view(complex), samples
+    return from_entry_major(y1, q), samples
 
 
 def zero(t, y):
@@ -268,8 +268,8 @@ def test_either_tolerance_alone_may_be_zero():
 
 def _check_first_step(rows, real, monkeypatch, fed=False):
     """The solver's first trial step against the reference lawson_step, on
-    rows of 9 complex entries and `real` real ones, packed as (re, im) pairs
-    in front of the real ones; with fed, complex entries 1..8 feed entry 0
+    rows of 9 complex entries and `real` real ones, in the solver's
+    entry-major order; with fed, complex entries 1..8 feed entry 0
     linearly."""
     rng = np.random.default_rng(rows)
     # random decaying, rotating, both, repeated and zero entries, up to
@@ -308,7 +308,7 @@ def _check_first_step(rows, real, monkeypatch, fed=False):
     monkeypatch.setattr(ode, "_error_norm", stop_at_the_error)
     span = 5e-5
     with pytest.raises(FirstStep) as first:
-        dormand_prince(record, 0.0, pack(y0, q), span, linear=lin, feed=feed,
+        dormand_prince(record, 0.0, entry_major(y0, q), span, linear=lin, feed=feed,
                        rtol=1e-8, atol=1e-10)
     h, matrix, cache = span / 50.0, linear_matrix(lin, feed, width), {}  # the first trial step
     stages, k = lawson_step(f, 0.0, y0, h, matrix, cache)

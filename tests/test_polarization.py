@@ -65,6 +65,8 @@ def test_temperatures_whose_k_t_underflows_take_the_zero_temperature_limit():
     levels = ham.labeled_eigensystem(PARAMS, 62.5e-3)
     zero = pol.boltzmann_populations(levels, 0.0)
     assert np.array_equal(pol.boltzmann_populations(levels, 1e-320), zero)
+    with pytest.raises(ValueError):  # nan is no temperature, not even a limit
+        pol.boltzmann_populations(levels, math.nan)
     assert manifold_population_difference(1e-320, OMEGA0) == pytest.approx(
         manifold_population_difference(1e-3, OMEGA0))
 

@@ -50,8 +50,11 @@ def test_polarization_occupation_identity():
 def test_spin_polarization_limits():
     assert thermal.spin_polarization(0.0, OMEGA0) == 1.0
     assert thermal.spin_polarization(100.0, OMEGA0) < 2e-3
+    for t in (-0.1, math.nan):
+        with pytest.raises(ValueError):
+            thermal.spin_polarization(t, OMEGA0)
     with pytest.raises(ValueError):
-        thermal.spin_polarization(-0.1, OMEGA0)
+        thermal.bose_occupation(math.nan, OMEGA0)
 
 
 def test_temperatures_whose_k_t_underflows_take_the_zero_temperature_limit():
