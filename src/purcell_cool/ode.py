@@ -60,12 +60,16 @@ so every row meets its own tolerance. Step control is the PI controller of
 Hairer's DOPRI5 (Gustafsson, ACM TOMS 17, 533 (1991)): the next step is
 h 0.9 err^{-0.17} err_prev^{0.04}, between 0.2 h and 5 h, with err_prev
 the norm of the previous accepted step. A step right after a rejection
-does not grow, and a proposed growth below 1.2 keeps h (as RADAU5 does),
-so that the factor rows are reused. Steps are not clipped to the requested
-sample times, and only entry 0 of each row is sampled: at a sample inside
-a step it is e^{theta hL'} (y + h sum_j b_j(theta) K_j), the DP5
-continuous extension (Hairer's contd5 weights b_j) in the frame: entry 0
-itself, weighted by e^{theta hL_0}, and its feed, summed over the tiles
+does not grow, and the step after an accepted one is never shorter than
+it: a proposed growth below 1.1 keeps h, so that the factor rows are
+reused, and one at or above 1.1 grows h by at least 1.3. Growth then comes
+in few, large jumps, and steps run near the target error instead of
+drifting far below it while they wait for a growth past the hold, which
+saves attempts and rebuilds of the factor rows. Steps are not clipped to
+the requested sample times, and only entry 0 of each row is sampled: at a
+sample inside a step it is e^{theta hL'} (y + h sum_j b_j(theta) K_j), the
+DP5 continuous extension (Hairer's contd5 weights b_j) in the frame: entry
+0 itself, weighted by e^{theta hL_0}, and its feed, summed over the tiles
 for each entry v of the period first (8 numbers per row and v per step),
 then weighted by psi_v(theta h), go through one interpolant; a sample at
 t0 or t1 is the state itself. The extension scales stage data by up to
@@ -127,7 +131,8 @@ _CHUNK = 64  # samples per piece of entry 0's dense feed
 # PI control as in DOPRI5: err^{-_EXPO} err_prev^{_BETA}, safety 0.9
 _BETA = 0.04
 _EXPO = 0.2 - 0.75 * _BETA
-_HOLD = 1.2  # a proposed growth in [1, _HOLD] keeps the step
+_HOLD = 1.1  # a proposed growth below this keeps the step
+_QUANTUM = 1.3  # and one at or above it grows the step by at least this
 
 
 def _error_norm(err, scale, ratio):
@@ -405,10 +410,7 @@ def dormand_prince(f, t0, y0, t1, *, linear, feed, rtol, atol, sample_times=None
                 h, rejected = h_try * max(0.2, 0.9 * err ** -_EXPO), True
                 continue
             grow = 5.0 if err == 0 else min(5.0, 0.9 * err ** -_EXPO * err_prev ** _BETA)
-            if rejected:
-                grow = min(grow, 1.0)
-            if 1.0 <= grow <= _HOLD:
-                grow = 1.0
+            grow = 1.0 if rejected or grow < _HOLD else max(grow, _QUANTUM)
             h = min(h_cap, h_try * grow)
             err_prev, rejected = max(err, 1e-4), False
             mag, mag_new = mag_new, mag

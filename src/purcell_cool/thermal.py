@@ -36,8 +36,9 @@ class ResonatorParams:
     z0: float = 46.0  # ohm
 
     def __post_init__(self):
-        if self.omega0 <= 0 or self.z0 <= 0:
-            raise ValueError("omega0 and z0 must be positive")
+        for name, value in (("omega0", self.omega0), ("z0", self.z0)):
+            if not 0 < value < math.inf:  # false for nan too
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
         # summed as floats: two integers can each fit float range and sum past it
         if (self.kappa_int < 0 or self.kappa_ext < 0
                 or not 0 < float(self.kappa_int) + float(self.kappa_ext) < math.inf):
@@ -61,8 +62,10 @@ class LoadScenario:
             raise ValueError("config must be 'hot' or 'cold'")
         if not 0 <= self.alpha <= 1:
             raise ValueError("alpha must lie in [0, 1]")
-        if min(self.t_cold, self.t_phon, self.t_int) < 0:
-            raise ValueError("temperatures must be nonnegative")
+        for name, value in (("t_cold", self.t_cold), ("t_phon", self.t_phon),
+                            ("t_int", self.t_int)):
+            if not value >= 0:  # false for nan too
+                raise ValueError(f"{name} must be nonnegative, got {value!r}")
 
 
 def bose_occupation(t, omega):

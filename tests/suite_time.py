@@ -5,7 +5,9 @@ Raw suite times drift severalfold between sessions and machines. This runs
 in its own process meanwhile, samples the machine's speed with
 perfbench/run.py's kernel(), once every SAMPLE_EVERY_S (its SpeedSampler).
 It prints the raw seconds and the reference seconds, raw * KERNEL_REF_S /
-(mean kernel time), the unit of perfbench's times. Run from the repository
+(mean kernel time), the unit of perfbench's times, and the child's CPU
+seconds (user + system), which do not depend on that mean: within one
+session they compare two commits more steadily. Run from the repository
 root; every argument goes to pytest, so --hypothesis-seed=N makes two
 commits time the same fuzz draws:
 
@@ -20,6 +22,7 @@ runs. The exit code is pytest's.
 
 import importlib.util
 import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -40,15 +43,18 @@ def load_perfbench():
 def main(args):
     env = dict(os.environ)
     bench = load_perfbench()
+    cpu0 = resource.getrusage(resource.RUSAGE_CHILDREN)
     t0 = time.perf_counter()
     with bench.SpeedSampler() as sampler:
         code = subprocess.run([sys.executable, "-m", "pytest", *args], cwd=ROOT,
                               env=env).returncode
     raw = time.perf_counter() - t0
+    cpu1 = resource.getrusage(resource.RUSAGE_CHILDREN)
+    cpu = cpu1.ru_utime - cpu0.ru_utime + cpu1.ru_stime - cpu0.ru_stime
     samples = sampler.samples or [bench.kernel()]  # a run shorter than one interval
     mean = statistics.mean(samples)
     print(f"suite_time: {raw:.2f} s raw, {raw * bench.KERNEL_REF_S / mean:.2f} s reference "
-          f"({len(samples)} kernel samples, mean {mean * 1e3:.3f} ms)")
+          f"({len(samples)} kernel samples, mean {mean * 1e3:.3f} ms), {cpu:.2f} s child CPU")
     return code
 
 

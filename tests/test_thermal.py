@@ -168,6 +168,22 @@ def test_resonator_params_validation():
         thermal.LoadScenario("warm", 0.5, 0.02, 0.85, 0.95)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("omega0", math.nan), ("omega0", math.inf), ("z0", math.nan), ("z0", math.inf), ("z0", 0.0),
+])
+def test_resonator_params_refuse_a_frequency_or_impedance_not_positive_and_finite(field, value):
+    args = {"omega0": 7.408e9, "kappa_int": 1.0, "kappa_ext": 1.0, field: value}
+    with pytest.raises(ValueError, match=f"^{field} must be positive and finite"):
+        thermal.ResonatorParams(**args)
+
+
+@pytest.mark.parametrize("field", ["t_cold", "t_phon", "t_int"])
+def test_load_scenario_refuses_a_nan_temperature(field):
+    temps = {"t_cold": 0.02, "t_phon": 0.85, "t_int": 0.95, field: math.nan}
+    with pytest.raises(ValueError, match=f"^{field} must be nonnegative"):
+        thermal.LoadScenario("hot", 0.5, **temps)
+
+
 def test_resonator_linewidths_summing_past_float_range_are_rejected():
     # each rate is finite, their sum is inf, which would weigh every bath by 0
     with pytest.raises(ValueError, match="finite sum"):
