@@ -376,11 +376,12 @@ def cmd_snr(cfg, args, write):
     # each flag is in range alone, but together they may overflow
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         ts = np.geomspace(t_lo, t_hi, args.trep_points)
-        snr = estimators.snr_model(ts, gamma1, p, sigma)
         t_opt = estimators.optimal_trep(gamma1)
-        peak = estimators.snr_model(t_opt, gamma1, p, sigma)
-    if not (np.isfinite(ts).all() and np.isfinite(snr).all()
-            and math.isfinite(t_opt) and math.isfinite(peak)):
+        snr = peak = math.nan  # the model refuses an overflowed repetition time
+        if np.isfinite(ts).all() and math.isfinite(t_opt):
+            snr = estimators.snr_model(ts, gamma1, p, sigma)
+            peak = estimators.snr_model(t_opt, gamma1, p, sigma)
+    if not (np.isfinite(snr).all() and math.isfinite(peak)):
         raise ValueError("--gamma1, --p, --sigma and the --trep range overflow to a "
                          "non-finite repetition time or SNR")
     _write_csv(write, "snr.csv", ["t_rep_s", "snr"], ts, snr)

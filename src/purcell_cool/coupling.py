@@ -49,14 +49,16 @@ class WireGeometry:
     n_layers: int = 4  # across the thickness
 
     def __post_init__(self):
-        if self.width <= 0 or self.thickness <= 0:
-            raise ValueError("width and thickness must be positive")
+        for name in ("width", "thickness"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)!r}")
         if self.current_model not in ("uniform", "edge-peaked"):
             raise ValueError("current_model must be 'uniform' or 'edge-peaked'")
         if self.n_filaments * self.n_layers < 64:
             raise ValueError("need at least 64 filaments in the cross-section")
-        if self.current_model == "edge-peaked" and self.edge_cutoff >= self.width / 2:
-            raise ValueError("edge cutoff consumes the whole strip")
+        if self.current_model == "edge-peaked" and not 0 <= self.edge_cutoff < self.width / 2:
+            raise ValueError("edge cutoff consumes the whole strip" if self.edge_cutoff >= 0
+                             else f"edge_cutoff must be >= 0, got {self.edge_cutoff!r}")
 
 
 @dataclass(frozen=True)

@@ -194,8 +194,10 @@ def fit_psd(data, fixed, config):
 def snr_model(t_rep, gamma1, p, sigma):
     """Sensitivity p (1 - exp(-gamma1 t)) / (sigma sqrt(t)) per repetition."""
     t = np.asarray(t_rep, dtype=float)
-    if (t <= 0).any():
-        raise ValueError("repetition time must be positive")
+    for name, value in (("t_rep", t), ("gamma1", np.asarray(gamma1, dtype=float))):
+        if not ((0 < value) & (value < math.inf)).all():
+            raise ValueError(f"{name} must be positive and finite, got "
+                             f"{reprlib.repr(value.tolist())}")
     out = p * (1 - np.exp(-gamma1 * t)) / (sigma * np.sqrt(t))
     return float(out) if np.isscalar(t_rep) else out
 
@@ -214,6 +216,6 @@ def snr_argmax_x():
 
 def optimal_trep(gamma1):
     """Repetition time maximizing snr_model, x*/gamma1 with e^x* = 1 + 2x*."""
-    if gamma1 <= 0:
-        raise ValueError("gamma1 must be positive")
+    if not 0 < gamma1 < math.inf:
+        raise ValueError(f"gamma1 must be positive and finite, got {gamma1!r}")
     return snr_argmax_x() / gamma1

@@ -22,6 +22,7 @@ are checked against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,10 +39,11 @@ class SpinSystemParams:
     i: float = 4.5
 
     def __post_init__(self):
-        if self.gamma_e <= 0:
-            raise ValueError("gamma_e must be positive")
-        if self.hyperfine_a <= 0:
-            raise ValueError("hyperfine_a must be positive")
+        for name in ("gamma_e", "hyperfine_a"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)!r}")
+        if not math.isfinite(self.gamma_n):
+            raise ValueError(f"gamma_n must be finite, got {self.gamma_n!r}")
         if not (self.i > 0 and 2 * self.i % 2 == 1):
             raise ValueError(f"the nuclear spin I = {self.i!r} is not a positive "
                              "half-odd-integer")

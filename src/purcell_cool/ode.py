@@ -56,16 +56,14 @@ coefficients are rewritten in place when the step size changes.
 The error norm is the RMS of each row over its entries, a complex entry
 counting once by its modulus, and at least the row's entry 0, the sampled
 one, which a wide state would otherwise dilute; it is maximised over rows,
-so every row meets its own tolerance. Step control is the PI controller of
-Hairer's DOPRI5 (Gustafsson, ACM TOMS 17, 533 (1991)): the next step is
-h 0.9 err^{-0.17} err_prev^{0.04}, between 0.2 h and 5 h, with err_prev
-the norm of the previous accepted step. A step right after a rejection
-does not grow, and the step after an accepted one is never shorter than
-it: a proposed growth below 1.1 keeps h, so that the factor rows are
-reused, and one at or above 1.1 grows h by at least 1.3. Growth then comes
-in few, large jumps, and steps run near the target error instead of
-drifting far below it while they wait for a growth past the hold, which
-saves attempts and rebuilds of the factor rows. Steps are not clipped to
+so every row meets its own tolerance. Step control has no memory: the next
+step depends only on the norm err of the attempt just made. A rejected
+step is retried at h max(0.2, 0.85 err^{-1/5}); after an accepted one, a
+proposed growth min(5, 0.85 max(err, 1e-4)^{-1/5}) below 1.1 keeps h, so
+that the factor rows are reused, and one at or above 1.1 grows h by at
+least 1.3. Growth comes in few, large jumps, and steps run near the target
+error instead of drifting far below it while they wait to grow past the
+hold, which saves attempts and rebuilds. Steps are not clipped to
 the requested sample times, and only entry 0 of each row is sampled: at a
 sample inside a step it is e^{theta hL'} (y + h sum_j b_j(theta) K_j), the
 DP5 continuous extension (Hairer's contd5 weights b_j) in the frame: entry
@@ -128,9 +126,7 @@ _MAX_ATTEMPTS = 10_000_000
 _MAX_DECAY = 600.0  # cap on h max(-Re L): e^{600} ~ 4e260 is finite
 _DENSE_DECAY = 10.0  # cap on h max(-Re L) for a step that holds a sample
 _CHUNK = 64  # samples per piece of entry 0's dense feed
-# PI control as in DOPRI5: err^{-_EXPO} err_prev^{_BETA}, safety 0.9
-_BETA = 0.04
-_EXPO = 0.2 - 0.75 * _BETA
+_SAFETY = 0.85  # the next step is h _SAFETY err^{-1/5} before its bounds
 _HOLD = 1.1  # a proposed growth below this keeps the step
 _QUANTUM = 1.3  # and one at or above it grows the step by at least this
 
@@ -190,29 +186,29 @@ def _frame_rows(lin, fd, rows=1):
 
     lin is L_0 and the period, and fd, (tiles, period), the border row, as
     in dormand_prince. Returns (fac, heads, build): row i of each is node
-    c = _NODES[i], and row i + 5 its negative. fac[i] is e^{c hL}: entry
-    0's factor, then each fed entry's factor once per row, entry-major, so
-    that fac[i, 1:] scales the fed entries (q - 1, rows) of the complex
-    block w in one contiguous pass. heads[i], one entry per complex entry,
-    is [e^{c hL_0}, border], with border_k = fd_k psi_{L_k}(c h), and
+    c = _NODES[i], and row i + 5 its negative. fac[i] is e^{c hL} on the
+    fed entries: each fed entry's factor once per row, entry-major, so that
+    fac[i] scales the fed entries (q - 1, rows) of the complex block w in
+    one contiguous pass. heads[i], one entry per complex entry, is
+    [e^{c hL_0}, border], with border_k = fd_k psi_{L_k}(c h), and
     heads[i + 5] is [e^{-c hL_0}, -e^{-c hL_0} border]. So e^{c hL'} w is two
-    products in place: entry 0 becomes heads[i] @ w, then w[1:] *= fac[i,
-    1:]; e^{-c hL'} w makes its two in the opposite order, w[1:] *= fac[i +
-    5, 1:], then entry 0 becomes heads[i + 5] @ w.
+    products in place: entry 0 becomes heads[i] @ w, then w[1:] *= fac[i];
+    e^{-c hL'} w makes its two in the opposite order, w[1:] *= fac[i + 5],
+    then entry 0 becomes heads[i + 5] @ w.
     """
     n = len(_NODES)
-    fac = np.empty((2 * n, 1 + fd.size * rows), dtype=complex)
+    fac = np.empty((2 * n, fd.size * rows), dtype=complex)
     heads = np.empty((2 * n, 1 + fd.size), dtype=complex)
     # views of the fed entries as (node, tile, period[, row]): a period
     # broadcasts on them
-    fac_tiles = fac[:, 1:].reshape(2 * n, *fd.shape, rows)
+    fac_tiles = fac.reshape(2 * n, *fd.shape, rows)
     head_tiles = heads[:, 1:].reshape(2 * n, *fd.shape)
     head_rows, feed = list(heads[:, 1:]), fd.ravel()
 
     def build(h):
         times = h * _SIGNED_NODES
         period = np.exp(np.multiply.outer(times, lin))
-        fac[:, 0] = heads[:, 0] = period[:, 0]
+        heads[:, 0] = period[:, 0]
         fac_tiles[...] = period[:, None, 1:, None]
         psi = _border(times[:n], lin)
         head_tiles[:n] = psi[:, None]
@@ -333,14 +329,12 @@ def dormand_prince(f, t0, y0, t1, *, linear, feed, rtol, atol, sample_times=None
     error = work_lin[0], work_real[0]  # the error estimate's
     built = None  # the h_try the factor rows and weights hold
     err_last = 0.0  # h e_6, the weight of k_6 in the error estimate
-    err_prev = 1e-4
-    rejected = False
 
     def split(w):  # a complex block's rows (R, q), its entry 0 and the rest
         return np.swapaxes(w, -1, -2), w[..., 0, :], w[..., 1:, :]
 
     n = len(_NODES)
-    tails = fac[:, 1:].reshape(2 * n, q - 1, rows)
+    tails = fac.reshape(2 * n, q - 1, rows)
     # the views of stages 1-5, built once: node, stage weights and the rows
     # they weight, head row and factor tail into the frame and out of it, K
     # row and its complex block (see _frame_rows)
@@ -404,15 +398,14 @@ def dormand_prince(f, t0, y0, t1, *, linear, feed, rtol, atol, sample_times=None
             scale += atol
             err = _error_norm(error, scale, ratio)
             if not math.isfinite(err):
-                h, rejected = h_try / 10.0, True
+                h = h_try / 10.0
                 continue
             if err > 1.0:
-                h, rejected = h_try * max(0.2, 0.9 * err ** -_EXPO), True
+                h = h_try * max(0.2, _SAFETY * err ** -0.2)
                 continue
-            grow = 5.0 if err == 0 else min(5.0, 0.9 * err ** -_EXPO * err_prev ** _BETA)
-            grow = 1.0 if rejected or grow < _HOLD else max(grow, _QUANTUM)
+            grow = min(5.0, _SAFETY * max(err, 1e-4) ** -0.2)
+            grow = 1.0 if grow < _HOLD else max(grow, _QUANTUM)
             h = min(h_cap, h_try * grow)
-            err_prev, rejected = max(err, 1e-4), False
             mag, mag_new = mag_new, mag
             t_new = t1 if last else t + h_try
             # samples inside the step; one at t1 itself is the final state

@@ -633,7 +633,7 @@ def test_demo_echo_areas_at_the_default_tolerances_match_a_converged_run(subcomm
 
 def test_demo_echo_trace_at_the_default_tolerances_matches_a_tight_run():
     # every sample of the demo Hahn echo, against rtol 1e-12 / atol 1e-16
-    # (8.0e-9 of the peak measured; 3.5e-7 with the cavity's feed in the rhs)
+    # (6.4e-9 of the peak measured; 3.5e-7 with the cavity's feed in the rhs)
     seq, ensemble = _demo("echo")
     [got] = bs.run_sweep([seq], **ensemble)[0]
     [want] = bs.run_sweep([seq], rtol=1e-12, atol=1e-16, **ensemble)[0]
@@ -643,7 +643,7 @@ def test_demo_echo_trace_at_the_default_tolerances_matches_a_tight_run():
 
 def test_broad_cavity_echo_at_the_default_tolerances_matches_a_tight_run():
     # a 1x3 echo in a broad cavity, kappa_ext = 1e9 s^-1 (265 times RES's):
-    # every sample against rtol 1e-11 / atol 1e-16 (2.3e-9 of the peak
+    # every sample against rtol 1e-11 / atol 1e-16 (2.9e-9 of the peak
     # measured)
     res = ResonatorParams(omega0=OMEGA0, kappa_int=2 * math.pi * 0.4e6, kappa_ext=1e9)
     groups = bs.init_ensemble(CouplingDistribution.delta(50.0), res, T_SPIN, 600e-6,

@@ -201,3 +201,17 @@ def test_edge_cutoff_that_consumes_the_strip_is_refused_by_the_geometry(edge_cut
         coupling.WireGeometry(current_model="edge-peaked", edge_cutoff=edge_cutoff)
     # the cutoff clamps only the edge-peaked current
     assert coupling.WireGeometry(edge_cutoff=edge_cutoff).edge_cutoff == edge_cutoff
+
+
+@pytest.mark.parametrize("kwargs, field", [
+    ({"width": math.inf}, "width"),
+    ({"width": math.nan}, "width"),
+    ({"thickness": math.inf}, "thickness"),
+    ({"thickness": math.nan}, "thickness"),
+    ({"current_model": "edge-peaked", "edge_cutoff": -1e-7}, "edge_cutoff"),
+    ({"current_model": "edge-peaked", "edge_cutoff": math.nan}, "edge_cutoff"),
+])
+def test_a_size_that_is_not_finite_or_is_negative_is_refused_by_the_geometry(kwargs, field):
+    # such sizes once reached field_map, which warned or returned nan
+    with pytest.raises(ValueError, match=f"^{field} must be "):
+        coupling.WireGeometry(**kwargs)

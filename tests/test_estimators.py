@@ -275,3 +275,14 @@ class TestSnr:
             est.snr_model(0.0, 1.0, 0.1, 1.0)
         with pytest.raises(ValueError):
             est.optimal_trep(0.0)
+
+    @pytest.mark.parametrize("call, args, name", [
+        (est.optimal_trep, (math.nan,), "gamma1"),
+        (est.optimal_trep, (math.inf,), "gamma1"),  # once 0.0
+        (est.snr_model, (1.0, math.nan, 0.1, 1.0), "gamma1"),
+        (est.snr_model, (math.nan, 1.0, 0.1, 1.0), "t_rep"),
+        (est.snr_model, (np.array([1.0, math.nan]), 1.0, 0.1, 1.0), "t_rep"),
+    ], ids=["trep-nan", "trep-inf", "snr-gamma1-nan", "snr-nan", "snr-array-nan"])
+    def test_a_non_finite_argument_is_refused_by_its_name(self, call, args, name):
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
+            call(*args)

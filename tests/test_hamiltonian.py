@@ -230,6 +230,22 @@ def test_labeled_eigensystem_rejects_unsupported_spins(s, i):
             ham.SpinSystemParams(28e9, 7e6, 1e9, i)
 
 
+@pytest.mark.parametrize("kwargs, field", [
+    ({"gamma_e": np.inf}, "gamma_e"),
+    ({"gamma_e": np.nan}, "gamma_e"),
+    ({"gamma_n": np.inf}, "gamma_n"),
+    ({"gamma_n": np.nan}, "gamma_n"),
+    ({"hyperfine_a": np.inf}, "hyperfine_a"),
+    ({"hyperfine_a": np.nan}, "hyperfine_a"),
+])
+def test_a_non_finite_spin_constant_is_refused_by_its_name(kwargs, field):
+    # such constants once reached the first solve, which blamed an overflow
+    # of the level energies
+    params = {"gamma_e": 28e9, "gamma_n": 7e6, "hyperfine_a": 1e9, **kwargs}
+    with pytest.raises(ValueError, match=f"^{field} must be "):
+        ham.SpinSystemParams(**params)
+
+
 def test_closed_form_elements_match_full_operator_products():
     params = SI_BI
     ops = spin_operators(params)
