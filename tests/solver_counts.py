@@ -1,43 +1,30 @@
 """Count what the solver does over one pass of a perfbench workload.
 
-Builds the workload from perfbench/workloads.py, imported by its path, at a
-seed into a temporary directory, and runs its operations in-process through
-purcell_cool.cli.main, with the BLAS thread counts pinned to 1 as
-perfbench/run.py pins them. It wraps ode._frame_rows, whose call starts a
+Builds the workload from perfbench/workloads.py at a seed into a temporary
+directory and runs one pass of its operations through perfbench/run.py's
+Runner, which drives purcell_cool.cli.main in-process single-threaded and
+checks every operation as a benchmark pass does. Both modules are imported
+from perfbench/ unchanged. It wraps ode._frame_rows, whose call starts a
 solve and whose build(h) rebuilds the factor and head rows for a new step
 size, and ode._error_norm, called once per attempt. It prints the solves,
 the attempts, the rejections (an error norm above 1 or not finite) and the
-factor-row rebuilds, then checks each operation's outputs as perfbench
-does. Run from the repository root:
+factor-row rebuilds. Run from the repository root:
 
     PYTHONPATH=src python3 tests/solver_counts.py echo-wide --seed 0
     PYTHONPATH=src python3 tests/solver_counts.py sweep-narrow --seed 1
 
-The exit code is 1 when an operation fails or its check fails.
+The exit code is 1 when an operation fails.
 """
 
 import argparse
-import importlib.util
-import os
 import sys
 import tempfile
 from pathlib import Path
 
-for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-             "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
-    os.environ[_var] = "1"  # before numpy is imported
-
-ROOT = Path(__file__).resolve().parents[1]
-
-
-def load_workloads():
-    """perfbench/workloads.py as a module, imported from its path."""
-    spec = importlib.util.spec_from_file_location("perfbench_workloads",
-                                                  ROOT / "perfbench" / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module
+sys.dont_write_bytecode = True  # leave no cache under perfbench/
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import run  # noqa: E402  pins the BLAS threads before numpy is imported
+import workloads  # noqa: E402
 
 
 class Counts:
@@ -68,34 +55,23 @@ class Counts:
 
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("workload")
+    p.add_argument("workload", choices=workloads.WORKLOADS)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--size", choices=("normal", "tiny"), default="normal")
     args = p.parse_args(argv)
     from purcell_cool import cli, ode
-    workloads = load_workloads()
-    run_cli = lambda argv: cli.main([str(a) for a in argv])  # noqa: E731
-    failed = []
     with tempfile.TemporaryDirectory() as tmp:
-        inputs, passdir = Path(tmp, "inputs"), Path(tmp, "pass")
+        inputs = Path(tmp, "inputs")
         inputs.mkdir()
-        passdir.mkdir()
-        workload = workloads.WORKLOADS[args.workload](args.seed, args.size, inputs, run_cli)
+        workload = workloads.WORKLOADS[args.workload](
+            args.seed, "normal", inputs, lambda argv: run.invoke(cli, argv))
         counts = Counts(ode)  # after the input preparation, as perfbench times a pass
-        for op in workload.ops:
-            out = passdir / op.name
-            if run_cli(op.argv(passdir) + ["--out", out]) != 0:
-                failed.append(f"{op.name}: nonzero exit")
-                continue
-            try:
-                op.check(out)
-            except workloads.CheckFailed as exc:
-                failed.append(f"{op.name}: {exc}")
+        runner = run.Runner(cli, workload, {})
+        runner.run_pass(Path(tmp, "pass"))
     print(f"{args.workload} seed {args.seed}: {counts.solves} solves, {counts.attempts} "
           f"attempts, {counts.rejections} rejections, {counts.rebuilds} rebuilds")
-    for line in failed:
+    for line in runner.failures:
         print(f"failed: {line}", file=sys.stderr)
-    return 1 if failed else 0
+    return 1 if runner.failed else 0
 
 
 if __name__ == "__main__":
