@@ -273,12 +273,12 @@ def cmd_polarization(cfg, args, write):
     from . import polarization
     omega0 = cfg.resonator.omega0
     levels, pair = _resonant_pair(cfg, args.b0)
-    ts = np.linspace(args.t_min, args.t_max, args.points).tolist()
+    ts = np.linspace(args.t_min, args.t_max, args.points)
     _write_csv(write, "polarization.csv", ["T_K", "dn_exact", "dn_approx", "p_spin_half"],
                ts,
-               [polarization.population_difference(levels, pair, t) for t in ts],
-               [polarization.approx_population_difference(t, omega0) for t in ts],
-               [thermal.spin_polarization(t, omega0) for t in ts])
+               [polarization.population_difference(levels, pair, t) for t in ts.tolist()],
+               polarization.approx_population_difference(ts, omega0),
+               thermal.spin_polarization(ts, omega0))
 
 
 def cmd_coupling(cfg, args, write):

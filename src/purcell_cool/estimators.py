@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .optimize import levenberg_marquardt
-from .thermal import BOLTZMANN, PLANCK
+from .thermal import PLANCK, bose_occupation
 
 
 # a dropped right singular vector weighs on a parameter whose entry in it
@@ -148,14 +148,8 @@ def psd_model(omega, config, *, resonator, t_phon, n_twpa, t_int, alpha):
     omega = np.asarray(omega, dtype=float)
     det = 2 * math.pi * (omega - resonator.omega0)
     beta = 4 * resonator.kappa_int * resonator.kappa_ext / (resonator.kappa**2 + 4 * det**2)
-    # bose_occupation at both bath temperatures over the whole grid at once,
-    # with its t = 0 and x > 700 limits
-    t = np.reshape([t_phon, t_int], (2,) + (1,) * omega.ndim)
-    if (t < 0).any() or (omega <= 0).any():
-        raise ValueError("need t >= 0 and omega > 0")
-    with np.errstate(divide="ignore"):
-        x = PLANCK * omega / (BOLTZMANN * t)
-    n_phon, n_int = np.where(x > 700, 0.0, 1.0 / np.expm1(np.minimum(x, 700.0)))
+    n_phon, n_int = bose_occupation(np.reshape([t_phon, t_int], (2,) + (1,) * omega.ndim),
+                                    omega)
     off = n_phon if config == "hot" else alpha * n_phon
     bracket = (1 - beta) * off + beta * n_int + 0.5 + n_twpa
     return PLANCK * omega * bracket

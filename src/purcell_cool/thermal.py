@@ -8,12 +8,13 @@ the radiative spin relaxation rate and equilibrium spin polarization. All
 frequencies are cyclic Hz; all rates (kappa, Gamma) are plain s^-1; factors
 of 2 pi enter only inside dynamical formulas.
 
-The formulas are scalar `math` on plain floats: each function takes and
-returns rates, temperatures and occupations, with no container types
-(purcell_rate also takes arrays). estimators.psd_model evaluates the same
-occupation over a frequency grid with numpy; the two stay apart because
-numpy's expm1 and tanh differ from math's in the last bit on some inputs,
-so merging them would change output bytes.
+Each formula has one implementation. bose_occupation and spin_polarization
+are numpy formulas over scalars or broadcasting arrays, since
+estimators.psd_model takes the occupation over a frequency grid and the
+polarization table takes the polarization over a temperature grid; they
+return a float for scalar arguments (purcell_rate also takes arrays). The
+other formulas are scalar `math` on plain floats, since nothing calls them
+on a grid.
 """
 
 from __future__ import annotations
@@ -68,17 +69,15 @@ class LoadScenario:
                 raise ValueError(f"{name} must be nonnegative, got {value!r}")
 
 
+@np.errstate(divide="ignore", over="ignore")
 def bose_occupation(t, omega):
     """Mean photon number n = 1/(exp(h omega / k t) - 1); 0 at t = 0, and
     inf where h omega / k t underflows to 0."""
-    if not t >= 0 or omega <= 0:
+    t, omega = np.asarray(t, dtype=float), np.asarray(omega, dtype=float)
+    if not (t >= 0).all() or not (omega > 0).all():  # false for nan too
         raise ValueError("need t >= 0 and omega > 0")
-    if BOLTZMANN * t == 0:  # t = 0, or so small that k t underflows
-        return 0.0
-    x = PLANCK * omega / (BOLTZMANN * t)
-    if x > 700:  # exp overflow; occupation is denormal territory anyway
-        return 0.0
-    return 1.0 / math.expm1(x) if x else math.inf
+    n = 1.0 / np.expm1(PLANCK * omega / (BOLTZMANN * t))
+    return float(n) if n.ndim == 0 else n
 
 
 def occupation_temperature(n, omega):
@@ -92,13 +91,14 @@ def occupation_temperature(n, omega):
     return PLANCK * omega / (BOLTZMANN * y)
 
 
+@np.errstate(divide="ignore", over="ignore")
 def spin_polarization(t, omega):
     """Two-level thermal polarization tanh(h omega / 2 k t); 1 at t = 0."""
-    if not t >= 0:
+    t = np.asarray(t, dtype=float)
+    if not (t >= 0).all():  # false for nan too
         raise ValueError("temperature must be nonnegative")
-    if BOLTZMANN * t == 0:  # t = 0, or so small that k t underflows
-        return 1.0
-    return math.tanh(PLANCK * omega / (2 * BOLTZMANN * t))
+    p = np.tanh(PLANCK * omega / (2 * BOLTZMANN * t))
+    return float(p) if p.ndim == 0 else p
 
 
 def cavity_occupation(res, scen):

