@@ -125,14 +125,13 @@ def init_ensemble(rho, res, spin_temp, t2, *, freq_width=3e6, n_g=40, n_delta=41
     else:
         deltas = np.linspace(-freq_width / 2, freq_width / 2, n_delta)
     g = np.repeat(g_vals, n_delta)
-    with np.errstate(over="ignore", invalid="ignore"):
-        gamma1 = purcell_rate(g, res, np.tile(deltas, n_g))
+    gamma1 = purcell_rate(g, res, np.tile(deltas, n_g))
     if not np.all(np.isfinite(gamma1)):
         raise ValueError("the couplings' Purcell rates overflow the float range")
     if not math.isfinite(1.0 / float(t2)):
         raise ValueError("t2 is too short: 1/T2 overflows the float range")
     return Ensemble(g=g, detuning=deltas, gamma1=gamma1, t2=float(t2),
-                    sz_eq=-float(spin_polarization(spin_temp, res.omega0)))
+                    sz_eq=-spin_polarization(spin_temp, res.omega0))
 
 
 def _linear(groups, res):

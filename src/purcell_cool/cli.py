@@ -260,12 +260,13 @@ def cmd_thermal(cfg, args, write):
         "t_phot_k": thermal.occupation_temperature(n_phot, res.omega0),
         "t_spin_k": thermal.spin_temperature(gamma_phon, gamma_phot, gamma1, res.omega0),
         "gamma1_hz": gamma1,
-        "eta": thermal.cooling_factor(res, cfg.scenarios["hot"], cfg.scenarios["cold"],
-                                      gamma_phon, gamma_phot),
     }
     overflowing = [name for name, v in values.items() if not math.isfinite(v)]
     if overflowing:
         raise ValueError(f"thermal: {', '.join(overflowing)} overflow to a non-finite value")
+    # cooling_factor refuses a Gamma_1 that is 0 or not finite
+    values["eta"] = thermal.cooling_factor(res, cfg.scenarios["hot"], cfg.scenarios["cold"],
+                                           gamma_phon, gamma_phot)
     _write_json(write, "thermal.json", values)
 
 

@@ -127,6 +127,8 @@ def coupling_map(field, matrix_element, gamma_e):
     """
     if not 0 < matrix_element <= 0.5:
         raise ValueError("matrix_element must lie in (0, 0.5]")
+    if not 0 < gamma_e < math.inf:
+        raise ValueError(f"gamma_e must be positive and finite, got {gamma_e!r}")
     return gamma_e * matrix_element * np.hypot(field.bx, field.by)
 
 
@@ -138,6 +140,8 @@ class CouplingDistribution:
     @classmethod
     def delta(cls, g):
         """All mass at a single coupling value (up to a 1e-9-relative bin)."""
+        if not 0 <= g < math.inf:
+            raise ValueError(f"g must be nonnegative and finite, got {g!r}")
         eps = abs(g) * 1e-9
         return cls(bin_edges=np.array([g - eps, g + eps]), weights=np.array([1.0]))
 

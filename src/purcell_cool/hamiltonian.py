@@ -194,6 +194,8 @@ def spectrum_vs_field(params, b0_grid, omega0):
     adjacent grid points at which it is listed with the same orientation;
     the crossing is located by linear interpolation.
     """
+    if not 0 < omega0 < math.inf:
+        raise ValueError(f"omega0 must be positive and finite, got {omega0!r}")
     grid = np.asarray(b0_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("b0 grid is empty")

@@ -80,5 +80,6 @@ def find_quasi_degenerate_pair(transitions, target, window=5e6):
 
 
 def approx_population_difference(t, omega0):
-    """Spin-1/2 style estimate tanh(x/2)/10 with x = h omega0 / k t."""
+    """Spin-1/2 style estimate tanh(x/2)/10 with x = h omega0 / k t, over
+    scalars or arrays as spin_polarization."""
     return spin_polarization(t, omega0) / 10.0

@@ -117,12 +117,16 @@ def test_coupling_map_scale():
     assert abs(g[0, 0] - 13998.5) < 0.1
     with pytest.raises(ValueError):
         coupling.coupling_map(field, 0.7, GAMMA_E)
+    with pytest.raises(ValueError, match="^gamma_e must be positive and finite"):
+        coupling.coupling_map(field, 0.3, gamma_e=math.nan)
 
 
 def test_delta_distribution():
     rho = coupling.CouplingDistribution.delta(120.0)
     assert np.abs(rho.bin_edges - 120.0).max() < 1e-6
     assert abs(float(rho.quantile(0.5)) - 120.0) < 1e-6
+    with pytest.raises(ValueError, match="^g must be nonnegative and finite"):
+        coupling.CouplingDistribution.delta(math.nan)
     assert abs(rho.weights.sum() - 1.0) < 1e-15
 
 

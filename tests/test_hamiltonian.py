@@ -219,6 +219,13 @@ def test_labeled_eigensystem_rejects_bad_field(b0):
         ham.labeled_eigensystem(SI_BI, b0)
 
 
+@pytest.mark.parametrize("omega0", [np.nan, np.inf, 0.0])
+def test_field_scan_refuses_an_omega0_not_positive_and_finite(omega0):
+    # a nan omega0 once gave a scan with no crossings
+    with pytest.raises(ValueError, match="^omega0 must be positive and finite"):
+        ham.spectrum_vs_field(SI_BI, np.linspace(60e-3, 65e-3, 11), omega0)
+
+
 @pytest.mark.parametrize("s, i", [(1.5, 4.5), (1.0, 4.5), (0.5, 1.0), (0.5, 0.0)])
 def test_labeled_eigensystem_rejects_unsupported_spins(s, i):
     # the electron spin is 1/2 by construction, so only a config can name another

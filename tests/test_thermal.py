@@ -1,8 +1,13 @@
 import math
+import traceback
+import warnings
 
 import numpy as np
 import pytest
 import scipy.constants
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from purcell_cool import coupling, estimators, polarization, thermal
 
@@ -55,6 +60,19 @@ def test_spin_polarization_limits():
             thermal.spin_polarization(t, OMEGA0)
     with pytest.raises(ValueError):
         thermal.bose_occupation(math.nan, OMEGA0)
+
+
+def test_occupation_and_polarization_take_points_and_grids():
+    t = np.array([[0.0], [1e-320], [0.02], [0.85], [4.2], [math.inf]])
+    omega = np.array([OMEGA0, 2 * OMEGA0, 1e-3])
+    for formula in (thermal.bose_occupation, thermal.spin_polarization):
+        grid = formula(t, omega)
+        assert grid.shape == (6, 3)
+        for (i, j), value in np.ndenumerate(grid):
+            point = formula(float(t[i, 0]), float(omega[j]))
+            assert type(point) is float and point == value
+        assert formula(np.empty(0), OMEGA0).shape == (0,)
+    assert thermal.spin_polarization(math.inf, OMEGA0) == 0.0
 
 
 def test_temperatures_whose_k_t_underflows_take_the_zero_temperature_limit():
@@ -201,3 +219,92 @@ def test_constants_equal_scipy_bit_for_bit():
     # one definition, imported where it is used
     assert polarization.PLANCK is estimators.PLANCK is thermal.PLANCK
     assert polarization.BOLTZMANN is thermal.BOLTZMANN
+
+
+# finite, zero, negative, subnormal, huge and non-finite values, and any float
+_NUMBERS = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.85, OMEGA0, -1.0, 5e-324, 1e-310, 1e-300, 1e308, -1e308,
+                     math.inf, -math.inf, math.nan]),
+    st.floats())
+_OMEGAS = st.one_of(st.just(OMEGA0), _NUMBERS)
+_RES_ARGS = st.one_of(st.just((OMEGA0, RES.kappa_int, RES.kappa_ext)),
+                      st.tuples(_OMEGAS, _NUMBERS, _NUMBERS))
+_LOAD_ARGS = st.one_of(st.just((0.47, 0.02, 0.85, 0.95)), st.tuples(*[_NUMBERS] * 4))
+
+
+def _pairs(first, second):
+    """Two numbers, or arrays of one length (0 included) mixed with numbers."""
+    def pair(n):
+        return st.tuples(*(st.one_of(s, hnp.arrays(float, n, elements=s))
+                           for s in (first, second)))
+    return st.integers(0, 3).flatmap(pair)
+
+
+def _cooling_factor(res, hot, cold, gamma_phon, gamma_phot):
+    return thermal.cooling_factor(thermal.ResonatorParams(*res), thermal.LoadScenario("hot", *hot),
+                                  thermal.LoadScenario("cold", *cold), gamma_phon, gamma_phot)
+
+
+# each public formula of thermal, and polarization's spin-1/2 estimate: how
+# to call it on a tuple of drawn arguments, and the arguments to draw; a
+# resonator or load scenario is built in the call, whose refusal counts too
+_CALLS = {
+    "bose_occupation": (thermal.bose_occupation, _pairs(_NUMBERS, _OMEGAS)),
+    "spin_polarization": (thermal.spin_polarization, _pairs(_NUMBERS, _OMEGAS)),
+    "approx_population_difference": (polarization.approx_population_difference,
+                                     _pairs(_NUMBERS, _OMEGAS)),
+    "occupation_temperature": (thermal.occupation_temperature, st.tuples(_NUMBERS, _OMEGAS)),
+    "purcell_rate": (
+        lambda g, res, delta: thermal.purcell_rate(g, thermal.ResonatorParams(*res), delta),
+        _pairs(_NUMBERS, _NUMBERS).map(lambda gd: (gd[0], (OMEGA0, 1.0, 1.0), gd[1]))
+        | st.tuples(_NUMBERS, _RES_ARGS, _NUMBERS)),
+    "spin_relaxation_rate": (thermal.spin_relaxation_rate, st.tuples(*[_NUMBERS] * 4, _OMEGAS)),
+    "spin_temperature": (thermal.spin_temperature, st.tuples(*[_NUMBERS] * 3, _OMEGAS)),
+    "cavity_occupation": (
+        lambda res, config, load: thermal.cavity_occupation(
+            thermal.ResonatorParams(*res), thermal.LoadScenario(config, *load)),
+        st.tuples(_RES_ARGS, st.sampled_from(["hot", "cold"]), _LOAD_ARGS)),
+    "cooling_factor": (_cooling_factor,
+                       st.tuples(_RES_ARGS, _LOAD_ARGS, _LOAD_ARGS, _NUMBERS, _NUMBERS)),
+}
+# README's limits past float range: an infinite occupation where h omega / k T
+# underflows, the infinite temperature of an infinite occupation, and an
+# overflowing Purcell rate or Gamma_1
+_MAY_BE_INF = {"bose_occupation", "cavity_occupation", "occupation_temperature",
+               "spin_temperature", "purcell_rate", "spin_relaxation_rate"}
+_RES_ARGS_0 = (OMEGA0, RES.kappa_int, RES.kappa_ext)
+_LOADS_0 = ((0.47, 0.02, 0.85, 0.95), (0.47, 0.02, 0.85, 0.76))
+
+
+@settings(max_examples=400, deadline=None)
+@given(call=st.one_of([st.tuples(st.just(name), args) for name, (_, args) in _CALLS.items()]))
+@example(call=("spin_temperature", (0.0, 1.0, 0.0, OMEGA0)))
+@example(call=("cooling_factor", (_RES_ARGS_0, *_LOADS_0, 0.0, 0.0)))
+@example(call=("cooling_factor", (_RES_ARGS_0, *_LOADS_0, 1e308, 1e308)))
+@example(call=("purcell_rate", (math.nan, _RES_ARGS_0, 0.0)))
+@example(call=("purcell_rate", (50.0, _RES_ARGS_0, math.nan)))
+@example(call=("purcell_rate", (math.inf, _RES_ARGS_0, 0.0)))
+@example(call=("purcell_rate", (1e200, _RES_ARGS_0, 1e200)))
+@example(call=("spin_relaxation_rate", (math.nan, 0.85, 1.0, 1.3, OMEGA0)))
+@example(call=("spin_relaxation_rate", (0.0, 0.85, 1.0, -5.0, OMEGA0)))
+@example(call=("spin_temperature", (math.nan, 1.0, 3.0, OMEGA0)))
+@example(call=("spin_temperature", (1.0, 1.0, -1.0, OMEGA0)))
+@example(call=("occupation_temperature", (-1.0, OMEGA0)))
+@example(call=("occupation_temperature", (1.0, -OMEGA0)))
+@example(call=("spin_polarization", (1.0, math.nan)))
+@example(call=("bose_occupation", (0.0, 5e-324)))  # h omega and k t both 0
+@example(call=("spin_relaxation_rate", (0.0, 1e308, 1.0, 1.3, OMEGA0)))  # 0 inf
+@example(call=("cavity_occupation", ((OMEGA0, 0.0, 1.0), "hot", (0.47, 0.02, 0.85, 1e308))))
+def test_thermal_formulas_return_finite_values_a_documented_limit_or_refuse(call):
+    name, args = call
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's warnings too
+        try:
+            out = np.asarray(_CALLS[name][0](*args), dtype=float)
+        except ValueError as exc:  # from one of the package's own checks
+            where = traceback.extract_tb(exc.__traceback__)[-1]
+            assert "purcell_cool" in where.filename and where.line.startswith("raise ValueError(")
+            return
+    assert not np.isnan(out).any() and (out > -math.inf).all(), out
+    if name not in _MAY_BE_INF:
+        assert np.isfinite(out).all(), out
