@@ -25,11 +25,13 @@ one (n, R) block, so that the per-group products run over the batch as
 contiguous loops. For R = 1 it is the packed row. The linear part of the
 equations acts on the complex entries alone: the diagonal (_linear, the
 decay and detuning) and the spins' feed -i w g_k s-_k into da/dt. The
-integrator advances both exactly, so that between pulses, where little
-else drives the state, its steps are long (microseconds); the closed form
-that takes free-evolution delays much longer than the cavity lifetime
-advances the diagonal alone (pure T1/T2/detuning decay, the cavity having
-rung down). Pulse, delay and acquisition segments go through the adaptive integrator.
+integrator advances both exactly, and between pulses also the field's
+action on the spins with the field frozen on its ring-down (see ode), so
+that there, where little else drives the state, its steps are long
+(microseconds); the closed form that takes free-evolution delays much
+longer than the cavity lifetime advances the diagonal alone (pure
+T1/T2/detuning decay, the cavity having rung down). Pulse, delay and
+acquisition segments go through the adaptive integrator.
 Thermal noise between pulses is not driven explicitly; temperature enters
 through sz_eq and the per-group rates.
 """
@@ -150,8 +152,11 @@ def sample_comb(width, sample_dt):
     sample at its end, not past it. A sample_dt that is not positive and
     finite, or more than MAX_POINTS samples, raises ValueError; the count is
     compared in floats, so that a ratio past float range is refused too.
-    This is the one statement of the rule: the CLI, run_sweep (for its
-    widest window, before any solve) and each acquisition call it."""
+    A width that is negative or not finite raises ValueError too. This is
+    the one statement of the rule: the CLI, run_sweep (for its widest
+    window, before any solve) and each acquisition call it."""
+    if not 0 <= width < math.inf:
+        raise ValueError(f"width must be nonnegative and finite, got {width!r}")
     if not 0 < sample_dt < math.inf:
         raise ValueError(f"sample_dt must be positive and finite, got {sample_dt!r}")
     ratio = width / sample_dt
@@ -171,13 +176,18 @@ def _advance(y, groups, res, a_in, duration, *, rtol, atol, sample_dt=None):
     advanced exactly by the integrating-factor solver; the rhs keeps the
     field's action on the spins (i g a s_z and the s_z term), the drive and
     the T1 term, and writes them into the row `out` that the solver hands
-    it, allocating no state-sized array. Returns (y, t, amp): amp[j, r] is
-    row r's output field a_out = sqrt(kappa_ext) a - a_in at the times
-    t = sample_comb(duration, sample_dt), and t and amp are None without
-    sample_dt. Only the cavity column is evaluated at the sample times,
-    from the solver's dense output. rtol and atol are the solver's
-    tolerances, whose defaults run_sweep holds. A drive sqrt(kappa_ext) a_in
-    that overflows raises ValueError.
+    it, allocating no state-sized array. Where no row is driven (a delay, a
+    ring-down or an acquisition) the solver also learns the couplings g, and
+    integrates exactly, over each step, the field's action on the spins
+    with the field frozen on its ring-down e^{-kappa t / 2}, the s- on their
+    linear flow and the s_z held (see ode); DP5 integrates what is left.
+    Returns (y, t, amp): amp[j, r] is row r's output field a_out =
+    sqrt(kappa_ext) a - a_in at the times t = sample_comb(duration,
+    sample_dt), and t and amp are None without sample_dt. Only the cavity
+    column is evaluated at the sample times, from the solver's dense
+    output. rtol and atol are the solver's tolerances, whose defaults
+    run_sweep holds. A drive sqrt(kappa_ext) a_in that overflows raises
+    ValueError.
     """
     n = len(groups)
     rows = len(y)
@@ -222,9 +232,10 @@ def _advance(y, groups, res, a_in, duration, *, rtol, atol, sample_dt=None):
         dsz -= g4_ang * (sm * a.conj()).imag
 
     sample_times = None if sample_dt is None else sample_comb(duration, sample_dt)
+    gain = None if np.any(drive) else g_ang.reshape(coupling_row.shape)
     y1, cavity = dormand_prince(
         rhs, 0.0, y, duration, linear=_linear(groups, res), feed=coupling_row,
-        rtol=rtol, atol=atol, sample_times=sample_times,
+        rtol=rtol, atol=atol, sample_times=sample_times, gain=gain,
     )
     if sample_dt is None:
         return y1, None, None
@@ -363,13 +374,19 @@ def pi_pulse_amplitude(g, res, duration=250e-9):
     Uses the quasi-steady cavity relation a_ss = 2 sqrt(kappa_ext) a_in/kappa
     and theta = 2 g_ang a_ss t_p; the cavity rise and ring-down areas cancel
     for a resonant rectangular pulse, so the total rotation is exact once the
-    cavity has rung down.
+    cavity has rung down. g and duration must be positive and finite.
     """
+    if not 0 < g < math.inf:
+        raise ValueError(f"g must be positive and finite, got {g!r}")
+    if not 0 < duration < math.inf:
+        raise ValueError(f"duration must be positive and finite, got {duration!r}")
     g_ang = 2 * math.pi * g
     rotation = 4 * g_ang * math.sqrt(res.kappa_ext) * duration  # per unit input amplitude
-    if not rotation > 0:
-        raise ValueError(f"no pi pulse at g = {g!r} Hz: its rotation underflows to 0")
-    return math.pi * res.kappa / rotation
+    amplitude = math.pi * res.kappa / rotation if rotation > 0 else math.inf
+    if not 0 < amplitude < math.inf:
+        raise ValueError(f"no pi pulse at g = {g!r} Hz over {duration!r} s: its rotation "
+                         f"per unit amplitude, {rotation!r}, leaves the float range")
+    return amplitude
 
 
 def hahn_echo(tau, amp, *, pi_duration=250e-9, acquire_width=4e-6):

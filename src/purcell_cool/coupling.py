@@ -146,7 +146,9 @@ class CouplingDistribution:
         return cls(bin_edges=np.array([g - eps, g + eps]), weights=np.array([1.0]))
 
     def quantile(self, q):
-        """Inverse CDF, linear within bins."""
+        """Inverse CDF, linear within bins, at each q in [0, 1]."""
+        if not np.all((np.asarray(q) >= 0) & (np.asarray(q) <= 1)):
+            raise ValueError(f"q must lie in [0, 1], got {q!r}")
         cum = np.concatenate([[0.0], np.cumsum(self.weights)])
         cum[-1] = 1.0  # guard rounding
         return np.interp(q, cum, self.bin_edges)

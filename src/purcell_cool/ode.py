@@ -38,6 +38,33 @@ overflows. The frame is exact to rounding when no fed entry decays faster
 than entry 0; otherwise rounding in entry 0 grows as
 e^{c h (|Re L_k| - |Re L_0|)}, and error control shortens the step.
 
+A third piece is exact when the caller gives the field-spin gains g_k
+(blochsim does where its drive is 0: in delays, ring-downs and
+acquisitions): the ring-down's action on the spins, frozen over the step.
+Each fed entry y_k (an s-) has a real partner x_k (its s_z), and f carries
+i g_k y_0 x_k in y_k' and -4 g_k Im(conj(y_0) y_k) in x_k'. Frozen, y_0
+rings down on its own decay, a_0 e^{L_0 tau}, y_k follows its linear flow
+and x_k is held, so in the frame these are the known exponentials
+i g_k a_0 x_k e^{(L_0 - L_k) tau} and -4 g_k Im(conj(a_0) y_k e^{(conj L_0 +
+L_k) tau}) (exponential quadrature; Hochbruck & Ostermann, above; Cox &
+Matthews, J. Comput. Phys. 176, 430 (2002)). For a term A e^{z tau}, the
+5th-order solution gains A W_sol(z), the exact integral h phi1(zh) A less
+DP5's quadrature, with W_sol(z) = h [phi1(zh) - sum_j b_j e^{c_j zh}], and
+the error estimate loses A h sum_j e_j e^{c_j zh}, DP5's estimate of its
+error on that term: the solution no longer makes that error, so the
+estimate keeps only that of the rest, which DP5 still integrates. Both go
+into the frame rows before the pass out. The first amplitude, i g_k a_0
+x_k, is K_0's fed entries as they are, so f's fed entries must be that
+term alone (blochsim's are). The weights depend on k only through the
+period entry of L_k; they are built with the factor rows, from their
+exponentials, when the step size changes, the s_z ones times -4 g_k
+(_frozen_rows). The frozen term's image in entry 0 (its feed back into
+the field through psi) is left to DP5; it changes nothing measurable.
+After a pulse, a's known decay e^{L_0 t} sets these terms' quadrature
+error long after the spins' own rotation has slowed, and with an s_z near
+0 that error is the whole tolerance; during a pulse the field does not
+ring down freely, and the term saves no step.
+
 The state is R independent rows advanced with one shared step: q
 complex entries and w - 2q real ones, on which L is 0, per row, held in a
 float array (R, w) entry-major, so that one entry's values for the R rows
@@ -120,6 +147,9 @@ _DENSE = np.array([_FIRST, 3 * _B5 - 2 * _FIRST - _LAST + _D5,
 # factor rows are e^{c hL} for these, then e^{-c hL}
 _NODES = _C[1:6]
 _SIGNED_NODES = np.concatenate((_NODES, -_NODES))
+# minus the error estimate's and the 5th-order solution's weights at c = 0
+# and at _NODES, on a term known at each node: e_5 and e_6 share c = 1
+_FROZEN = -np.array([np.append(_E[:5], _E[5] + _E[6]), _A[6]])
 
 _MIN_STEP = 1e-15  # s; error control below this aborts the run
 _MAX_ATTEMPTS = 10_000_000
@@ -179,7 +209,7 @@ def _border(t, lin):
     return psi
 
 
-def _frame_rows(lin, fd, rows=1):
+def _frame_rows(lin, fd, rows=1, then=None):
     """The rows that apply e^{c hL'} and e^{-c hL'} at each node c of _NODES
     to `rows` rows, and build(h), which fills them in place for the step
     size h.
@@ -194,7 +224,10 @@ def _frame_rows(lin, fd, rows=1):
     heads[i + 5] is [e^{-c hL_0}, -e^{-c hL_0} border]. So e^{c hL'} w is two
     products in place: entry 0 becomes heads[i] @ w, then w[1:] *= fac[i];
     e^{-c hL'} w makes its two in the opposite order, w[1:] *= fac[i + 5],
-    then entry 0 becomes heads[i + 5] @ w.
+    then entry 0 becomes heads[i + 5] @ w. build(h) ends with then(h,
+    period, psi), when given, on the exponentials it made: period[i] is
+    e^{c hL} on L_0 and the period at the signed node c = _SIGNED_NODES[i],
+    and psi[i] is psi_{L_p}(c h) at the node c = _NODES[i].
     """
     n = len(_NODES)
     fac = np.empty((2 * n, fd.size * rows), dtype=complex)
@@ -205,21 +238,78 @@ def _frame_rows(lin, fd, rows=1):
     head_tiles = heads[:, 1:].reshape(2 * n, *fd.shape)
     head_rows, feed = list(heads[:, 1:]), fd.ravel()
 
+    period = np.empty((2 * n, len(lin)), dtype=complex)
+
     def build(h):
-        times = h * _SIGNED_NODES
-        period = np.exp(np.multiply.outer(times, lin))
+        times = h * _NODES
+        np.exp(np.multiply.outer(times, lin), out=period[:n])
+        np.divide(1.0, period[:n], out=period[n:])  # e^{-c hL} = 1 / e^{c hL}
         heads[:, 0] = period[:, 0]
         fac_tiles[...] = period[:, None, 1:, None]
-        psi = _border(times[:n], lin)
+        psi = _border(times, lin)
         head_tiles[:n] = psi[:, None]
-        head_tiles[n:] = (psi * -period[n:, :1])[:, None]
-        # the feed a row at a time: a product on the strided block takes
-        # numpy's buffered path, whose buffers raise the traced peak of a
-        # 40 x 41 ensemble's solve by about 0.3 MB
-        for row in head_rows:
-            row *= feed
+        # a row at a time: a product on the strided block takes numpy's
+        # buffered path, whose buffers raise the traced peak of a 40 x 41
+        # ensemble's solve by about 0.3 MB
+        for i in range(n):
+            head_rows[i] *= feed
+            np.multiply(head_rows[i], -period[n + i, 0], out=head_rows[n + i])
+        if then is not None:
+            then(h, period, psi)
 
     return fac, heads, build
+
+
+def _frozen_rows(lin, gain):
+    """The weights of the frozen ring-down term (see dormand_prince) and
+    fill(h, period, psi), which rebuilds them for the step size h from
+    _frame_rows' exponentials.
+
+    lin is L_0 and the period, and gain, (tiles, period), the field-spin
+    gains, as in dormand_prince. Returns (tiled, fill): tiled (2, 2, tiles,
+    period) holds one weight per fed entry, for the s- term in tiled[0] and
+    for the s_z term in tiled[1], each with the error estimate's weight in
+    row 0 and the 5th-order solution's in row 1. For s- these are W_err(z)
+    = -h sum_j e_j e^{c_j zh} and W_sol(z) = h phi1(zh) - h sum_j b_j
+    e^{c_j zh} at z = L_0 - L_p, and for s_z -4 gain times the same at z =
+    conj L_0 + L_p.
+    """
+    n, p = len(_NODES), len(lin) - 1
+    # the s_z term's exponent, of conj(a) s-; where it is 0 (no decay, no
+    # detuning), h phi1 is h
+    drift = lin[0].conjugate() + lin[1:]
+    zero = drift == 0
+    denominator = np.where(zero, 1.0, drift)
+    # [e^{c zh} at c = 0 and _NODES, h phi1(zh)]: the s- exponents, then the
+    # s_z ones; the weights are M [e^{c zh}, h phi1(zh)], with M = [h _FROZEN,
+    # (0, 1)]
+    powers = np.ones((n + 2, 2 * p), dtype=complex)
+    matrix = np.zeros((2, n + 2))
+    matrix[1, -1] = 1.0
+    weights = np.empty((2, 2 * p), dtype=complex)
+    # complex, so that no product casts and takes numpy's buffered path
+    sz_gain = -4.0 * gain.astype(complex)
+    tiled = np.empty((2, 2) + gain.shape, dtype=complex)
+
+    def fill(h, period, psi):
+        np.multiply(period[:n, :1], period[n:, 1:], out=powers[1:-1, :p])
+        np.multiply(period[:n, :1].conj(), period[:n, 1:], out=powers[1:-1, p:])
+        # h phi1(h(L_0 - L_p)) = e^{-hL_p} psi_{L_p}(h), and h phi1 of the s_z
+        # exponent, both free of cancellation
+        np.multiply(psi[-1], period[-1, 1:], out=powers[-1, :p])
+        phi = powers[-1, p:]
+        np.multiply(h, drift, out=phi)
+        np.expm1(phi, out=phi)
+        phi /= denominator
+        phi[zero] = h
+        np.multiply(h, _FROZEN, out=matrix[:, :-1])
+        # a real product on the float views: a complex matrix product alone
+        # raises the peak RSS by about 0.5 MB (see _dense)
+        np.matmul(matrix, powers.view(float), out=weights.view(float))
+        tiled[0] = weights[:, None, :p]
+        np.multiply(weights[:, None, p:], sz_gain, out=tiled[1])
+
+    return tiled, fill
 
 
 def _dense(theta, h, sums, lin):
@@ -244,7 +334,8 @@ def _dense(theta, h, sums, lin):
     return out
 
 
-def dormand_prince(f, t0, y0, t1, *, linear, feed, rtol, atol, sample_times=None):
+def dormand_prince(f, t0, y0, t1, *, linear, feed, rtol, atol, sample_times=None,
+                   gain=None):
     """Integrate dy/dt = L' y + f(t, y) from t0 to t1.
 
     y0 is the state of R independent rows, a float array (R, w) in the
@@ -263,6 +354,11 @@ def dormand_prince(f, t0, y0, t1, *, linear, feed, rtol, atol, sample_times=None
     complex entry 0 of row r at sample_times[j], stored in one buffer
     (empty when no sample was requested). sample_times must lie in [t0, t1]
     and not decrease.
+
+    gain, None or real and finite like feed, is the field-spin gain g_k of
+    each fed entry (module docstring): with it, the state holds one real
+    entry per fed one, real entry k - 1 the partner of fed entry k, and the
+    frozen ring-down term is integrated exactly.
 
     A trial step that overflows or turns non-finite is retried, silently,
     with a tenth of its h. Raises NoConvergence if error control pushes the
@@ -287,13 +383,22 @@ def dormand_prince(f, t0, y0, t1, *, linear, feed, rtol, atol, sample_times=None
     q = 1 + fd.size
     if y.ndim != 2 or 2 * q > y.shape[1]:
         raise ValueError("y0 must be rows with room for its 1 + feed.size complex entries")
+    if gain is not None:
+        gain = np.atleast_2d(np.asarray(gain, dtype=float))
+        if gain.shape != fd.shape or y.shape[1] != 3 * q - 1:
+            raise ValueError("gain needs the shape of feed and one real entry per fed one")
+        if not np.all(np.isfinite(gain)):
+            raise ValueError("gain must be finite")
     decay = -lin.real.min(initial=0.0)
     h_cap = span if decay == 0 else min(span, _MAX_DECAY / decay)
     # the dense output scales stage data by up to e^{(c - theta) h decay}
     h_dense = math.inf if decay == 0 else _DENSE_DECAY / decay
 
     rows, width = y.shape
-    fac, heads, build = _frame_rows(lin, fd, rows)
+    frozen = fill = None
+    if gain is not None:
+        frozen, fill = _frozen_rows(lin, gain)
+    fac, heads, build = _frame_rows(lin, fd, rows, fill)
 
     samples = np.empty((len(stops), rows), dtype=complex)
     j = int(np.searchsorted(stops, t, side="right"))  # samples at t0: y0
@@ -351,6 +456,19 @@ def dormand_prince(f, t0, y0, t1, *, linear, feed, rtol, atol, sample_times=None
     head_back, tail_back = heads[-1], tails[-1]
     # the feed into entry 0 as (stage, row, tile, period), for the dense output
     z_tiles = np.moveaxis(z_lin[:, 1:].reshape(8, *fd.shape, rows), -1, 1)
+    if frozen is not None:
+        # the frozen ring-down term: its s- amplitude, i g a s_z at the step's
+        # start, is K_0's fed entries, and its s_z one, -4 g conj(a) s-. The
+        # weighted s- terms and conj(a) s- go into scale's rows, and the
+        # weighted s_z terms into K_6's, both free until the error norm; a
+        # product from one of z's rows into another would copy its input
+        fed_weights, sz_weights = frozen.reshape(2, 2, fd.size, 1)
+        k0_fed = z_lin[1, 1:]
+        err_fed, sol_fed = work_lin[:, 1:]
+        err_sz, sol_sz = work_real
+        y_field, y_fed = z_lin[0, 0], z_lin[0, 1:]
+        scratch, sz_term = (a.reshape(-1)[: 2 * fd.size * rows].view(complex).reshape(y_fed.shape)
+                            for a in (scale, k6_row))
 
     # an overflowing or non-finite trial step is retried with a smaller h,
     # or ends the run with NoConvergence, so numpy need not warn of it
@@ -386,6 +504,18 @@ def dormand_prince(f, t0, y0, t1, *, linear, feed, rtol, atol, sample_times=None
             # whose derivative k_6 stays outside the frame: as e^{hL'} K_6 =
             # k_6, the error estimate adds h e_6 k_6
             np.matmul(final_weights, final_rows, out=work_flat)
+            if frozen is not None:
+                # the frozen ring-down term's exact integral less its
+                # quadrature, and less its share of the error estimate
+                np.multiply(k0_fed, fed_weights[1], out=scratch)
+                sol_fed += scratch
+                np.multiply(k0_fed, fed_weights[0], out=scratch)
+                err_fed += scratch
+                np.multiply(y_fed, y_field.conj(), out=scratch)  # conj(a) s-
+                np.multiply(scratch, sz_weights[1], out=sz_term)
+                sol_sz += sz_term.imag
+                np.multiply(scratch, sz_weights[0], out=sz_term)
+                err_sz += sz_term.imag
             np.matvec(final_lin, head_one, out=final_head)
             final_tail *= tail_one
             f(t + h_try, trial_row, fsal)

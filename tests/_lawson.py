@@ -97,13 +97,17 @@ def lawson_error(k, h, matrix, cache):
 
 
 def fixed_step_solver(h):
-    """A stand-in for ode.dormand_prince that ignores rtol and atol and
-    marches round(span / h) equal Lawson DP5 steps. It takes and returns
-    the solver's entry-major state and hands its rhs entry-major rows.
+    """A stand-in for ode.dormand_prince that ignores rtol, atol and gain
+    and marches round(span / h) equal Lawson DP5 steps: at steps as short
+    as the references take, the exact integral of the frozen ring-down term
+    that gain enables differs from DP5's quadrature of it below rounding.
+    It takes and returns the solver's entry-major state and hands its rhs
+    entry-major rows.
     Sample times must lie on that step grid; a sample is complex entry 0 of
     each row there."""
 
-    def solve(f, t0, y0, t1, *, linear, feed, rtol=None, atol=None, sample_times=None):
+    def solve(f, t0, y0, t1, *, linear, feed, rtol=None, atol=None, sample_times=None,
+              gain=None):
         q = 1 + np.size(feed)
         n = max(1, round((t1 - t0) / h))
         step = (t1 - t0) / n

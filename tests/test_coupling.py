@@ -139,6 +139,13 @@ def test_delta_quantiles_stay_within_its_relative_bin(g):
     assert np.all(np.abs(qs - g) <= 1e-9 * g + 2 * np.spacing(g))
 
 
+@pytest.mark.parametrize("q", [2.0, -0.1, math.nan, [0.5, math.inf], np.array([0.5, 1.5])])
+def test_quantile_refuses_a_q_outside_0_to_1(q):
+    # q = 2.0 was clamped to the top edge and q = nan gave nan
+    with pytest.raises(ValueError, match=r"^q must lie in \[0, 1\]"):
+        coupling.CouplingDistribution.delta(120.0).quantile(q)
+
+
 def test_quantiles_monotone():
     edges = np.array([1.0, 2.0, 4.0, 8.0])
     rho = coupling.CouplingDistribution(bin_edges=edges, weights=np.array([0.2, 0.3, 0.5]))

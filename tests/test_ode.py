@@ -408,6 +408,98 @@ def test_bordered_frame_step_matches_a_dense_matrix_lawson_step(rows, real, monk
     _check_first_step(rows, real, monkeypatch, fed=True)
 
 
+def _frozen_integrals(z, h):
+    """The frozen ring-down term's weights, from the tableau and expm1: the
+    exact integral of e^{z tau} over [0, h] less its DP5 quadrature, and DP5's
+    error estimate of that integral."""
+    nodes = np.exp(np.multiply.outer(z, ode._C) * h)  # e^{c_j zh}, j = 0..6
+    exact = np.where(z == 0, h, np.expm1(z * h) / np.where(z == 0, 1.0, z))
+    return exact - h * nodes @ ode._B5, h * nodes @ ode._E
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+def test_gain_takes_the_frozen_ring_down_term_exactly_in_the_first_step(rows, monkeypatch):
+    # 2 tiles of a period of 3 s- fed into a cavity, each with its s_z; f's
+    # s- derivatives are i g a s_z alone, and its s_z ones carry
+    # -4 g Im(conj(a) s-) among other terms. The first trial step is the
+    # Lawson reference step plus, per fed entry and s_z, the frozen term's
+    # exact integral less DP5's quadrature, and its error estimate the
+    # reference's less DP5's estimate of that term; both pass out of the
+    # frame with the rest
+    rng = np.random.default_rng(rows)
+    lin = np.array([-KAPPA_HALF, -2e5 + 3e7j, -1e6, -8e6 - 2e7j])
+    fd = (rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))) * 3e6
+    gain = rng.uniform(1e6, 3e6, size=(2, 3))
+    q, n = 1 + fd.size, fd.size
+    g = gain.ravel()
+    y0 = rng.normal(size=(rows, q + n)) + 1j * rng.normal(size=(rows, q + n))
+    y0[:, q:] = y0[:, q:].real
+
+    def f(t, y):
+        a, sm, sz = y[:, :1], y[:, 1:q], y[:, q:].real
+        dy = np.empty_like(y)
+        dy[:, 0] = 1e6 * np.exp(2j * math.pi * 3e5 * t)
+        dy[:, 1:q] = 1j * g * a * sz
+        dy[:, q:] = -4 * g * (a.conj() * sm).imag + 1e5 * np.sin(sz) - 3e4 * t
+        return dy
+
+    calls = []
+
+    def record(t, y, out):
+        calls.append(from_entry_major(y, q))
+        out[...] = entry_major(f(t, calls[-1]), q)
+
+    class FirstStep(Exception):
+        pass
+
+    def stop_at_the_error(err, *args, **kwargs):
+        raise FirstStep(np.concatenate([part.T for part in err], axis=1))
+
+    monkeypatch.setattr(ode, "_error_norm", stop_at_the_error)
+    span = 5e-6
+    with pytest.raises(FirstStep) as first:
+        dormand_prince(record, 0.0, entry_major(y0, q), span, linear=lin, feed=fd,
+                       rtol=1e-8, atol=1e-10, gain=gain)
+    h, matrix, cache = span / 50.0, linear_matrix(lin, fd, q + n), {}
+    stages, k = lawson_step(f, 0.0, y0, h, matrix, cache)
+    # the frozen terms in the frame, amplitude times e^{z tau}
+    period = np.tile(lin[1:], 2)
+    a0, sm0, sz0 = y0[:, :1], y0[:, 1:q], y0[:, q:].real
+    sol_fed, err_fed = _frozen_integrals(lin[0] - period, h)
+    sol_sz, err_sz = _frozen_integrals(lin[0].conjugate() + period, h)
+    amp_fed, amp_sz = 1j * g * a0 * sz0, -4 * g * a0.conj() * sm0
+    sol_shift = np.zeros_like(y0)
+    err_shift = np.zeros_like(y0)
+    sol_shift[:, 1:q], err_shift[:, 1:q] = amp_fed * sol_fed, amp_fed * err_fed
+    sol_shift[:, q:], err_shift[:, q:] = (amp_sz * sol_sz).imag, (amp_sz * err_sz).imag
+    out_of_frame = expm(h * matrix).T
+    want_sol = stages[-1] + sol_shift @ out_of_frame
+    # the estimate's last derivative is f at the solution the step returns
+    err = lawson_error(k[:6] + [f(h, want_sol)], h, matrix, cache)
+    want_err = err - err_shift @ out_of_frame
+    # both shifts stand far above the comparisons' 1e-12
+    assert np.abs(sol_shift).max() > 1e-6 * np.abs(want_sol).max()
+    assert np.abs(err_shift).max() > 1e-2 * np.abs(err).max()
+    assert len(calls) == 7
+    assert np.abs(calls[6] - want_sol).max() <= 1e-12 * np.abs(want_sol).max()
+    got = first.value.args[0]
+    assert np.abs(got - want_err).max() <= 1e-12 * np.abs(err).max()
+
+
+@pytest.mark.parametrize("gain, real, message", [
+    (np.ones((2, 2)), 3, "shape of feed"),  # a tile too many
+    (np.ones(3), 2, "one real entry per fed one"),
+    (np.array([1.0, math.nan, 1.0]), 3, "finite"),
+    (np.array([1.0, math.inf, 1.0]), 3, "finite"),
+])
+def test_gain_needs_the_shape_of_feed_a_real_partner_per_fed_entry_and_finite_values(
+        gain, real, message):
+    y0 = np.zeros((1, 2 * 4 + real))
+    with pytest.raises(ValueError, match=message):
+        dormand_prince(lambda t, y, out: out.fill(0.0), 0.0, y0, 1e-6, linear=np.zeros(4),
+                       feed=np.ones(3), rtol=1e-8, atol=1e-10, gain=gain)
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_frame_rows_advance_the_bordered_part_and_invert_it(seed):
     # 3 tiles of a period of random decaying and rotating entries of L, some
