@@ -460,8 +460,7 @@ def dormand_prince(f, t0, y0, t1, *, linear, feed, rtol, atol, sample_times=None
         # the frozen ring-down term: its s- amplitude, i g a s_z at the step's
         # start, is K_0's fed entries, and its s_z one, -4 g conj(a) s-. The
         # weighted s- terms and conj(a) s- go into scale's rows, and the
-        # weighted s_z terms into K_6's, both free until the error norm; a
-        # product from one of z's rows into another would copy its input
+        # weighted s_z terms into K_6's, both free until the error norm
         fed_weights, sz_weights = frozen.reshape(2, 2, fd.size, 1)
         k0_fed = z_lin[1, 1:]
         err_fed, sol_fed = work_lin[:, 1:]
